@@ -34,8 +34,8 @@
 //!
 //! # Why mmap is safe here
 //!
-//! Artifacts are written with the same atomic temp-file-then-rename
-//! discipline as checkpoints and never modified in place, so a reader
+//! Artifacts are written with the same durable temp-file-then-rename
+//! helper as checkpoints and never modified in place, so a reader
 //! can never observe a torn write. Loading validates the magic, version,
 //! section geometry, payload checksum, key ordering, and owner index
 //! before any lookup runs. And every access after that goes through
@@ -52,10 +52,11 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use bgp_types::par::{effective_threads, par_map_indexed};
+use bgp_types::persist::{self, fnv1a, FNV_OFFSET};
 use bgp_types::{Community, Intent};
 
 /// First four bytes of every label artifact.
@@ -67,17 +68,6 @@ pub const ARTIFACT_VERSION: u32 = 1;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 48;
-
-// FNV-1a 64 (same constants as the checkpoint manifest checksum).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// One classified community as served from (or written into) an artifact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,24 +318,12 @@ pub fn encode_artifact(rows: &[LabelRow]) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Write an artifact with the atomic temp-file-then-rename discipline:
-/// serialize to `<path>.tmp` in the same directory, fsync, rename over
-/// `path`. A crash at any point leaves either the previous artifact or
-/// the new one — never a torn file (the precondition for mmap serving).
+/// Write an artifact durably through [`persist::write_atomic`] (temp
+/// file, fsync, rename, directory fsync). A crash at any point leaves
+/// either the previous artifact or the new one — never a torn file (the
+/// precondition for mmap serving).
 pub fn write_artifact_atomic(path: &Path, rows: &[LabelRow]) -> io::Result<()> {
-    let bytes = encode_artifact(rows)?;
-    let tmp = path.with_file_name(format!(
-        "{}.tmp",
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact".to_string())
-    ));
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    persist::write_atomic(path, &encode_artifact(rows)?)
 }
 
 /// The memory-mapped (unix) backing; plain `Vec<u8>` everywhere else and

@@ -389,6 +389,28 @@ fn watch_refuses_a_checkpoint_with_different_window_geometry() {
 }
 
 #[test]
+fn watch_refuses_a_json_checkpoint_from_before_the_binary_format() {
+    let dir = workdir("legacy");
+    let paths = archives(&dir, 2, 40);
+    // The head of a schema-1 checkpoint as earlier builds wrote it.
+    fs::write(
+        dir.join("legacy.ckpt"),
+        br#"{"schema":1,"checksum":0,"cursor":4096,"records":10,"buckets":[]}"#,
+    )
+    .unwrap();
+    let (mut feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    let _ = feed.kill();
+    let _ = feed.wait();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("predates the binary"), "{stderr}");
+    assert!(stderr.contains("delete it"), "{stderr}");
+    // Refused, not overwritten: the operator decides what to do with it.
+    assert!(read(&dir, "legacy.ckpt").starts_with(b"{"));
+}
+
+#[test]
 fn watch_usage_errors() {
     // No source.
     let out = bgpcomm(&["watch"]);

@@ -33,13 +33,15 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{fx_hash_one, FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
+use bgp_types::persist::{self, fnv1a, FNV_OFFSET};
 use bgp_types::store::ObservationStore;
 use bgp_types::{AsPath, Asn, Community, Observation};
 use serde::{Deserialize, Serialize};
@@ -92,8 +94,10 @@ pub struct StatsAccumulator {
     /// full state on every per-file checkpoint would be O(everything
     /// accumulated so far) per file — that is what would blow the <3%
     /// overhead budget — so each snapshot only appends the newly-inserted
-    /// elements as one deterministically-ordered segment.
-    cache: StatsSnapshot,
+    /// elements as one deterministically-ordered segment. Shared, so a
+    /// checkpoint can hold it without a copy; the next append copies it
+    /// only if that checkpoint is still alive.
+    cache: Arc<StatsSnapshot>,
     /// Position of each community's entry in `cache.communities`, so a
     /// snapshot drains deltas into their slots without searching.
     community_slots: FxHashMap<Community, u32>,
@@ -132,6 +136,20 @@ impl PartialEq for StatsAccumulator {
             && sides_eq(&self.on, &other.on)
             && sides_eq(&self.off, &other.off)
     }
+}
+
+/// One distinct element of a [`StatsAccumulator`]'s sets — the unit the
+/// streaming window reference-counts (see [`crate::watch`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Element {
+    /// A unique AS path fingerprint.
+    Path(u64),
+    /// An ASN on some path.
+    Asn(Asn),
+    /// A unique `(path, communities)` tuple fingerprint.
+    Tuple(u64),
+    /// A path fingerprint a community rode on-path (`true`) or off-path.
+    Side(Community, bool, u64),
 }
 
 /// The sequential fold over one shard's `(path fingerprint, observation)`
@@ -269,7 +287,20 @@ impl StatsAccumulator {
     /// Fold one observation into the accumulated sets, pushing every
     /// first-seen element onto the matching snapshot delta.
     fn fold(&mut self, pfp: u64, obs: &Observation, siblings: &SiblingMap) {
-        self.fold_parts(pfp, &obs.path, &obs.communities, siblings);
+        self.fold_parts(pfp, &obs.path, &obs.communities, siblings, |_| {});
+    }
+
+    /// [`fold`](Self::fold) one observation, handing every element it
+    /// inserted for the first time to `fresh` — how the streaming window
+    /// raises its reference counts without a second pass over the sets.
+    pub(crate) fn fold_observed(
+        &mut self,
+        obs: &Observation,
+        siblings: &SiblingMap,
+        fresh: impl FnMut(Element),
+    ) {
+        let pfp = path_fingerprint(&obs.path);
+        self.fold_parts(pfp, &obs.path, &obs.communities, siblings, fresh);
     }
 
     /// The fold itself, over the parts an observation contributes. The
@@ -282,12 +313,15 @@ impl StatsAccumulator {
         path: &AsPath,
         communities: &[Community],
         siblings: &SiblingMap,
+        mut fresh: impl FnMut(Element),
     ) {
         if self.paths.insert(pfp) {
             self.paths_delta.push(pfp);
+            fresh(Element::Path(pfp));
             for hop in path.iter() {
                 if self.seen_asns.insert(hop) {
                     self.asns_delta.push(hop.value());
+                    fresh(Element::Asn(hop));
                 }
             }
         }
@@ -296,6 +330,7 @@ impl StatsAccumulator {
             return; // duplicate tuple: nothing new to attribute
         }
         self.tuples_delta.push(tfp);
+        fresh(Element::Tuple(tfp));
         for &c in communities {
             // On-path iff the owner (or a sibling) appears in the path — a
             // pure function of (community, path), so unioning per-file sets
@@ -305,6 +340,21 @@ impl StatsAccumulator {
             let entry = side.entry(c).or_default();
             if entry.set.insert(pfp) {
                 entry.delta.push(pfp);
+                fresh(Element::Side(c, on, pfp));
+            }
+        }
+    }
+
+    /// Visit every element the accumulated sets hold, in no particular
+    /// order — what evicting a window bucket (or rebuilding the window's
+    /// reference counts on resume) walks.
+    pub(crate) fn for_each_element(&self, mut f: impl FnMut(Element)) {
+        self.paths.iter().for_each(|&p| f(Element::Path(p)));
+        self.seen_asns.iter().for_each(|&a| f(Element::Asn(a)));
+        self.tuples.iter().for_each(|&t| f(Element::Tuple(t)));
+        for (on, side) in [(true, &self.on), (false, &self.off)] {
+            for (&c, s) in side {
+                s.set.iter().for_each(|&p| f(Element::Side(c, on, p)));
             }
         }
     }
@@ -441,9 +491,10 @@ impl StatsAccumulator {
     /// borrow is valid until the next `ingest`/`merge`; clone it to
     /// persist.
     pub fn snapshot(&mut self) -> &StatsSnapshot {
-        self.cache.paths.append(&mut self.paths_delta);
-        self.cache.tuples.append(&mut self.tuples_delta);
-        self.cache.seen_asns.append(&mut self.asns_delta);
+        let cache = Arc::make_mut(&mut self.cache);
+        cache.paths.append(&mut self.paths_delta);
+        cache.tuples.append(&mut self.tuples_delta);
+        cache.seen_asns.append(&mut self.asns_delta);
         // Sort the touched communities so slot assignment for first-time
         // communities never depends on map iteration order: new entries are
         // appended `(asn, value)`-sorted within each snapshot's batch.
@@ -458,15 +509,15 @@ impl StatsAccumulator {
         touched.dedup();
         for c in touched {
             let i = *self.community_slots.entry(c).or_insert_with(|| {
-                self.cache.communities.push(SnapshotCommunity {
+                cache.communities.push(SnapshotCommunity {
                     asn: c.asn,
                     value: c.value,
                     on: Vec::new(),
                     off: Vec::new(),
                 });
-                (self.cache.communities.len() - 1) as u32
+                (cache.communities.len() - 1) as u32
             }) as usize;
-            let slot = &mut self.cache.communities[i];
+            let slot = &mut cache.communities[i];
             if let Some(s) = self.on.get_mut(&c) {
                 slot.on.append(&mut s.delta);
             }
@@ -477,13 +528,26 @@ impl StatsAccumulator {
         &self.cache
     }
 
+    /// [`snapshot`](Self::snapshot), shared instead of borrowed: what a
+    /// watch checkpoint holds while it is encoded, with no copy.
+    pub(crate) fn shared_snapshot(&mut self) -> Arc<StatsSnapshot> {
+        self.snapshot();
+        Arc::clone(&self.cache)
+    }
+
     /// Rebuild from a snapshot (the resume path).
     pub fn from_snapshot(snapshot: &StatsSnapshot) -> Self {
+        Self::from_shared_snapshot(Arc::new(snapshot.clone()))
+    }
+
+    /// [`from_snapshot`](Self::from_snapshot) adopting a shared snapshot
+    /// as the cache instead of copying it.
+    pub(crate) fn from_shared_snapshot(snapshot: Arc<StatsSnapshot>) -> Self {
         let mut acc = StatsAccumulator {
             paths: snapshot.paths.iter().copied().collect(),
             tuples: snapshot.tuples.iter().copied().collect(),
             seen_asns: snapshot.seen_asns.iter().map(|&a| Asn::new(a)).collect(),
-            cache: snapshot.clone(),
+            cache: Arc::clone(&snapshot),
             ..StatsAccumulator::default()
         };
         for (i, c) in snapshot.communities.iter().enumerate() {
@@ -544,6 +608,150 @@ pub struct StatsSnapshot {
     pub communities: Vec<SnapshotCommunity>,
 }
 
+impl StatsSnapshot {
+    /// Append the snapshot's binary columns: `paths` (u64), `tuples`
+    /// (u64), `seen_asns` (u32), the community keys (u32, `α << 16 | β`),
+    /// then each community's `on` and `off` fingerprint columns (u64) in
+    /// key-column order.
+    pub(crate) fn encode(&self, w: &mut ColumnWriter) {
+        w.column(&self.paths, |p| p.to_le_bytes());
+        w.column(&self.tuples, |t| t.to_le_bytes());
+        w.column(&self.seen_asns, |a| a.to_le_bytes());
+        w.column(&self.communities, |c| {
+            ((u32::from(c.asn) << 16) | u32::from(c.value)).to_le_bytes()
+        });
+        for c in &self.communities {
+            w.column(&c.on, |p| p.to_le_bytes());
+            w.column(&c.off, |p| p.to_le_bytes());
+        }
+    }
+
+    /// Read back what [`encode`](Self::encode) wrote. Every count is
+    /// checked against the bytes left before anything is allocated.
+    pub(crate) fn decode(r: &mut ColumnReader<'_>) -> Result<StatsSnapshot, String> {
+        let paths = r.column("paths", u64::from_le_bytes)?;
+        let tuples = r.column("tuples", u64::from_le_bytes)?;
+        let seen_asns = r.column("seen_asns", u32::from_le_bytes)?;
+        let keys = r.column("community keys", u32::from_le_bytes)?;
+        let mut communities = Vec::with_capacity(keys.len());
+        for key in keys {
+            communities.push(SnapshotCommunity {
+                asn: (key >> 16) as u16,
+                value: key as u16,
+                on: r.column("on-path fingerprints", u64::from_le_bytes)?,
+                off: r.column("off-path fingerprints", u64::from_le_bytes)?,
+            });
+        }
+        Ok(StatsSnapshot {
+            paths,
+            tuples,
+            seen_asns,
+            communities,
+        })
+    }
+}
+
+/// Builds a binary checkpoint: little-endian scalars and length-prefixed
+/// columns (a `u64` element count, then the elements).
+#[derive(Debug, Default)]
+pub(crate) struct ColumnWriter {
+    buf: Vec<u8>,
+}
+
+impl ColumnWriter {
+    /// A writer whose buffer starts with `header` placeholder bytes.
+    pub(crate) fn with_header(header: usize) -> Self {
+        ColumnWriter {
+            buf: vec![0; header],
+        }
+    }
+
+    /// One `u64` scalar.
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// One column: the element count, then `N` bytes per element.
+    pub(crate) fn column<T, const N: usize>(&mut self, items: &[T], bytes: impl Fn(&T) -> [u8; N]) {
+        self.u64(items.len() as u64);
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * N, 0);
+        for (dst, item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
+            dst.copy_from_slice(&bytes(item));
+        }
+    }
+
+    /// The bytes written so far, header placeholder included.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+/// Reads what a [`ColumnWriter`] wrote, failing with a description of the
+/// damage — never a panic, and never an allocation larger than the bytes
+/// that are actually there.
+#[derive(Debug)]
+pub(crate) struct ColumnReader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> ColumnReader<'a> {
+    /// A reader over `buf`.
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        ColumnReader { buf }
+    }
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.buf.len() {
+            return Err(format!("{what}: needs {n} bytes, {} left", self.buf.len()));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// One `u64` scalar.
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, String> {
+        let raw = self.take(8, what)?;
+        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+    }
+
+    /// One column of `N`-byte elements. The count is checked against the
+    /// bytes left before the vector is allocated, so a forged count fails
+    /// here instead of reserving memory for it.
+    pub(crate) fn column<T, const N: usize>(
+        &mut self,
+        what: &str,
+        parse: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, String> {
+        let count = self.u64(what)?;
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(N))
+            .filter(|&len| len <= self.buf.len())
+            .ok_or_else(|| {
+                format!(
+                    "{what}: {count} elements of {N} bytes exceed the {} bytes left",
+                    self.buf.len()
+                )
+            })?;
+        let raw = self.take(len, what)?;
+        Ok(raw
+            .chunks_exact(N)
+            .map(|c| parse(c.try_into().expect("N-byte chunk")))
+            .collect())
+    }
+
+    /// Fail unless every byte was consumed.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{} trailing bytes", self.buf.len()))
+        }
+    }
+}
+
 /// Byte length + FNV-1a 64 hash of a file's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileFingerprint {
@@ -551,17 +759,6 @@ pub struct FileFingerprint {
     pub bytes: u64,
     /// FNV-1a 64 over the contents.
     pub hash: u64,
-}
-
-/// FNV-1a 64 offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into a running FNV-1a 64 `hash`.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Fingerprint a file by streaming its contents (FNV-1a 64).
@@ -612,6 +809,14 @@ pub enum CheckpointLoadError {
         /// What exactly failed to validate.
         detail: String,
     },
+    /// The file does not start with the binary watch-checkpoint magic: a
+    /// JSON (schema 1) watch checkpoint written before the binary format,
+    /// or not a watch checkpoint at all. It cannot be resumed from; the
+    /// remedy is to delete it.
+    LegacyFormat {
+        /// The manifest path.
+        path: PathBuf,
+    },
     /// A well-formed manifest written by an incompatible layout version.
     SchemaMismatch {
         /// The manifest path.
@@ -648,6 +853,15 @@ impl fmt::Display for CheckpointLoadError {
                 write!(
                     f,
                     "{}: corrupt or truncated checkpoint ({detail})",
+                    path.display()
+                )
+            }
+            CheckpointLoadError::LegacyFormat { path } => {
+                write!(
+                    f,
+                    "{}: not a binary watch checkpoint; it predates the binary \
+                     checkpoint format (or is not a checkpoint) and cannot be \
+                     resumed from: delete it to start the window afresh",
                     path.display()
                 )
             }
@@ -742,28 +956,17 @@ impl Checkpoint {
         fnv1a(FNV_OFFSET, json.as_bytes())
     }
 
-    /// Write the manifest atomically: seal the payload checksum, serialize
-    /// to `<path>.tmp` in the same directory, fsync, then rename over
-    /// `path`. A crash at any point leaves either the previous checkpoint
-    /// or the new one — never a torn file.
+    /// Write the manifest durably: seal the payload checksum, serialize,
+    /// and hand the bytes to [`persist::write_atomic`] (temp file, fsync,
+    /// rename, directory fsync). A crash at any point leaves either the
+    /// previous checkpoint or the new one — never a torn file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
         let mut sealed = self.clone();
         sealed.checksum = sealed.payload_checksum();
-        let json = serde_json::to_string_pretty(&sealed)
+        let mut json = serde_json::to_string_pretty(&sealed)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "checkpoint".to_string())
-        ));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(json.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        json.push('\n');
+        persist::write_atomic(path, json.as_bytes())
     }
 
     /// Load and validate a manifest: parse, check the schema, then verify

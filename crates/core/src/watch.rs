@@ -6,16 +6,21 @@
 //! ("flaps") as first-class metrics. The pieces:
 //!
 //! * [`WindowedClassifier`] — a ring of per-bucket [`StatsAccumulator`]s
-//!   keyed by `observation.time / window_secs`, plus the current label map.
-//!   Each advance merges the retained buckets into windowed stats, diffs
-//!   them against the stats of the previous reclassification, and re-runs
-//!   the classifier for dirty owners only. Late observations to evicted
-//!   buckets are dropped and counted, never folded twice.
-//! * [`WatchCheckpoint`] — atomic (temp + fsync + rename), checksummed
-//!   manifest holding the stream cursor, the cumulative accumulator, every
-//!   retained bucket, the label map, and the flap counters. Restoring it
-//!   reproduces the daemon's exact state at the recorded cursor, so a
-//!   resumed run counts the same flaps an uninterrupted one would.
+//!   keyed by `observation.time / window_secs`, the windowed union of the
+//!   retained buckets kept as reference counts, and the current label map.
+//!   A fold raises the count of every element it adds to a bucket for the
+//!   first time; evicting a bucket lowers the counts of its elements. Each
+//!   advance diffs the union against the stats of the previous
+//!   reclassification and re-runs the classifier for dirty owners only.
+//!   Late observations to evicted buckets are dropped and counted, never
+//!   folded twice.
+//! * [`WatchCheckpoint`] — a sealed binary file (magic, schema, payload
+//!   length, FNV-1a 64 checksum, then length-prefixed little-endian
+//!   columns), written durably through [`persist::write_atomic`], holding
+//!   the stream cursor, the cumulative accumulator, every retained bucket,
+//!   the label map, and the flap counters. Restoring it reproduces the
+//!   daemon's exact state at the recorded cursor, so a resumed run counts
+//!   the same flaps an uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
 //!   [`ResumingStream`] (bounded queue, backpressure, reconnect, stall
 //!   detection), advance-before-fold window maintenance, checkpoint
@@ -47,21 +52,29 @@ use bgp_mrt::{IngestReport, RecoverConfig, StreamDecoder};
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
+use bgp_types::persist::{self, fnv1a, FNV_OFFSET};
 use bgp_types::{Asn, Community, Intent, Observation};
-use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{fnv1a, CheckpointLoadError, StatsAccumulator, StatsSnapshot, FNV_OFFSET};
+use crate::checkpoint::{
+    CheckpointLoadError, ColumnReader, ColumnWriter, Element, StatsAccumulator, StatsSnapshot,
+};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
 
-/// Version stamp inside every watch checkpoint; bump on layout changes so
-/// a resume against an incompatible manifest refuses instead of
-/// misreading.
-pub const WATCH_CHECKPOINT_SCHEMA: u32 = 1;
+/// First eight bytes of every watch checkpoint.
+const WATCH_CHECKPOINT_MAGIC: [u8; 8] = *b"BGPWCKPT";
+
+/// Layout version inside every watch checkpoint; bump on layout changes so
+/// a resume against an incompatible file refuses instead of misreading.
+/// Schema 1 was the JSON manifest; schema 2 is the binary layout.
+pub const WATCH_CHECKPOINT_SCHEMA: u32 = 2;
+
+/// Header length: magic, schema, reserved word, payload length, checksum.
+const HEADER_LEN: usize = 32;
 
 /// Sliding-window geometry: bucket width in stream seconds and how many
 /// buckets the window retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Bucket width: observations land in bucket `time / window_secs`.
     pub window_secs: u32,
@@ -111,6 +124,8 @@ pub struct WindowedClassifier {
     /// Retained buckets, ascending by index. Sparse: only buckets that
     /// received at least one observation (plus the head) exist.
     buckets: VecDeque<(u64, StatsAccumulator)>,
+    /// The union of the retained buckets, as reference counts.
+    union: WindowUnion,
     /// Windowed stats at the last reclassification — the diff base for
     /// dirty-owner detection.
     prev: PathStats,
@@ -134,6 +149,7 @@ impl WindowedClassifier {
             window,
             cfg,
             buckets: VecDeque::new(),
+            union: WindowUnion::default(),
             prev: PathStats::default(),
             labels: FxHashMap::default(),
             excluded: FxHashMap::default(),
@@ -191,13 +207,10 @@ impl WindowedClassifier {
     }
 
     /// The windowed statistics right now: the union of every retained
-    /// bucket (including folds since the last reclassification).
+    /// bucket (including folds since the last reclassification), read off
+    /// the reference counts in O(communities + ASNs).
     pub fn windowed_stats(&self) -> PathStats {
-        let mut acc = StatsAccumulator::new();
-        for (_, bucket) in &self.buckets {
-            acc.merge(bucket.clone());
-        }
-        acc.to_stats()
+        self.union.stats()
     }
 
     /// Fold one observation. If it opens a newer bucket than the current
@@ -241,9 +254,10 @@ impl WindowedClassifier {
     }
 
     fn fold_into(&mut self, at: usize, obs: &Observation, siblings: &SiblingMap) {
+        let union = &mut self.union;
         self.buckets[at]
             .1
-            .ingest_ordered(std::slice::from_ref(obs), siblings);
+            .fold_observed(obs, siblings, |e| union.raise(e));
     }
 
     /// Advance the head to `new_head`: evict buckets that fall out of the
@@ -252,7 +266,9 @@ impl WindowedClassifier {
         self.buckets.push_back((new_head, StatsAccumulator::new()));
         let floor = (new_head + 1).saturating_sub(self.window.windows as u64);
         while matches!(self.buckets.front(), Some(&(i, _)) if i < floor) {
-            self.buckets.pop_front();
+            if let Some((_, evicted)) = self.buckets.pop_front() {
+                evicted.for_each_element(|e| self.union.lower(e));
+            }
         }
         self.advances += 1;
         self.reclassify(siblings);
@@ -380,17 +396,28 @@ impl WindowedClassifier {
         for c in comms {
             owner_communities.entry(c.asn).or_default().push(c);
         }
+        let buckets: VecDeque<(u64, StatsAccumulator)> = cp
+            .buckets
+            .iter()
+            .map(|b| {
+                (
+                    b.index,
+                    StatsAccumulator::from_shared_snapshot(b.stats.clone()),
+                )
+            })
+            .collect();
+        let mut union = WindowUnion::default();
+        for (_, bucket) in &buckets {
+            bucket.for_each_element(|e| union.raise(e));
+        }
         WindowedClassifier {
             window: WindowConfig {
                 window_secs: cp.window_secs,
                 windows: cp.windows,
             },
             cfg,
-            buckets: cp
-                .buckets
-                .iter()
-                .map(|b| (b.index, StatsAccumulator::from_snapshot(&b.stats)))
-                .collect(),
+            buckets,
+            union,
             prev: cp.windowed.to_stats(),
             labels,
             excluded,
@@ -403,13 +430,117 @@ impl WindowedClassifier {
     }
 }
 
+/// The union of the retained window buckets, as reference counts.
+///
+/// Invariant: every element's count is the number of retained buckets
+/// whose sets hold it, and an element is in its map iff that count is
+/// positive. A bucket's fold raises an element when it enters that
+/// bucket's sets for the first time, and evicting the bucket lowers every
+/// element it holds — so keeping the union costs O(new elements) per fold
+/// and O(evicted elements) per advance, never a pass over all buckets.
+/// Path fingerprints are counted per community and side, so a community's
+/// windowed [`PathCounts`] are just the sizes of its two maps.
+#[derive(Debug, Default)]
+struct WindowUnion {
+    paths: FxHashMap<u64, u32>,
+    asns: FxHashMap<Asn, u32>,
+    tuples: FxHashMap<u64, u32>,
+    communities: FxHashMap<Community, Sides>,
+}
+
+/// One community's path fingerprints in the window, with their counts.
+#[derive(Debug, Default)]
+struct Sides {
+    on: FxHashMap<u64, u32>,
+    off: FxHashMap<u64, u32>,
+}
+
+impl Sides {
+    fn side(&mut self, on: bool) -> &mut FxHashMap<u64, u32> {
+        if on {
+            &mut self.on
+        } else {
+            &mut self.off
+        }
+    }
+}
+
+/// Count `key` once more.
+fn raise_one<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, key: K) {
+    *map.entry(key).or_insert(0) += 1;
+}
+
+/// Count `key` once less, dropping it at zero.
+fn lower_one<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, key: K) {
+    match map.get_mut(&key) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            map.remove(&key);
+        }
+        None => unreachable!("lowered an element no retained bucket raised"),
+    }
+}
+
+impl WindowUnion {
+    /// One more retained bucket holds `e`.
+    fn raise(&mut self, e: Element) {
+        match e {
+            Element::Path(p) => raise_one(&mut self.paths, p),
+            Element::Asn(a) => raise_one(&mut self.asns, a),
+            Element::Tuple(t) => raise_one(&mut self.tuples, t),
+            Element::Side(c, on, p) => {
+                raise_one(self.communities.entry(c).or_default().side(on), p)
+            }
+        }
+    }
+
+    /// One fewer retained bucket holds `e` (it was evicted).
+    fn lower(&mut self, e: Element) {
+        match e {
+            Element::Path(p) => lower_one(&mut self.paths, p),
+            Element::Asn(a) => lower_one(&mut self.asns, a),
+            Element::Tuple(t) => lower_one(&mut self.tuples, t),
+            Element::Side(c, on, p) => {
+                let sides = self
+                    .communities
+                    .get_mut(&c)
+                    .expect("a raised side has a community entry");
+                lower_one(sides.side(on), p);
+                if sides.on.is_empty() && sides.off.is_empty() {
+                    self.communities.remove(&c);
+                }
+            }
+        }
+    }
+
+    /// The windowed [`PathStats`].
+    fn stats(&self) -> PathStats {
+        PathStats {
+            per_community: self
+                .communities
+                .iter()
+                .map(|(&c, sides)| {
+                    let counts = PathCounts {
+                        on: sides.on.len() as u32,
+                        off: sides.off.len() as u32,
+                    };
+                    (c, counts)
+                })
+                .collect(),
+            seen_asns: self.asns.keys().copied().collect(),
+            unique_tuples: self.tuples.len(),
+            unique_paths: self.paths.len(),
+        }
+    }
+}
+
 /// One retained bucket inside a [`WatchCheckpoint`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchBucket {
     /// The bucket index (`time / window_secs`).
     pub index: u64,
     /// The bucket's accumulated statistics.
-    pub stats: StatsSnapshot,
+    pub stats: Arc<StatsSnapshot>,
 }
 
 /// Serialized diff base: the windowed [`PathStats`] at the last
@@ -418,7 +549,7 @@ pub struct WatchBucket {
 /// (It is *not* derivable from the buckets: folds into the head bucket
 /// after the reclassification are part of the buckets but not of the diff
 /// base.)
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowedStatsSnapshot {
     /// `(packed community, on, off)` sorted by packed key.
     pub counts: Vec<(u32, u32, u32)>,
@@ -462,16 +593,44 @@ impl WindowedStatsSnapshot {
     }
 }
 
-/// The streaming daemon's crash-recovery manifest: everything needed to
-/// resume at `cursor` with bit-identical downstream behavior. Written
-/// atomically ([`save_atomic`](Self::save_atomic)) and checksummed, like
-/// the batch [`Checkpoint`](crate::checkpoint::Checkpoint).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The streaming daemon's crash-recovery state: everything needed to
+/// resume at `cursor` with bit-identical downstream behavior. It lives on
+/// disk as one sealed binary file, encoded in a single pass and written
+/// durably ([`save_atomic`](Self::save_atomic)), and fully validated on
+/// the way back in ([`load`](Self::load)).
+///
+/// # Layout (schema 2, all integers little-endian)
+///
+/// ```text
+/// header (32 bytes)
+///   0  magic        "BGPWCKPT"
+///   8  schema       u32  (= 2)
+///   12 reserved     u32  (zero)
+///   16 payload_len  u64
+///   24 checksum     u64  (FNV-1a 64 over the payload)
+/// payload — a column is a u64 element count, then the elements
+///   scalars     cursor, records, observations, advances, flaps,
+///               late_drops, reclassified_owners, window_secs, windows
+///               (9 × u64)
+///   cumulative  snapshot
+///   buckets     index column (u64, strictly ascending, at most
+///               `windows` of them), then one snapshot per index
+///   windowed    key · on · off columns (u32 each, keys strictly
+///               ascending), seen_asns column (u32, strictly ascending),
+///               unique_tuples, unique_paths (u64)
+///   labels      key column (u32, strictly ascending), intent column
+///               (u8: 0 action, 1 information)
+///   excluded    key column (u32, strictly ascending), reason column
+///               (u8: 0 private, 1 reserved, 2 never on path)
+/// snapshot
+///   paths (u64) · tuples (u64) · seen_asns (u32) · community keys (u32)
+///   columns, then each community's on and off (u64) columns in key-column
+///   order
+/// ```
+///
+/// Keys are packed communities, `α << 16 | β`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
-    /// Layout version ([`WATCH_CHECKPOINT_SCHEMA`]).
-    pub schema: u32,
-    /// FNV-1a 64 over the serialized payload with this field zeroed.
-    pub checksum: u64,
     /// Resume position in the delivered byte stream (frame-aligned: every
     /// byte before it has been decoded or resynced past and folded).
     pub cursor: u64,
@@ -492,7 +651,7 @@ pub struct WatchCheckpoint {
     /// Retained bucket count the run was started with.
     pub windows: usize,
     /// The cumulative accumulator (batch-parity substrate).
-    pub cumulative: StatsSnapshot,
+    pub cumulative: Arc<StatsSnapshot>,
     /// Every retained window bucket, ascending by index.
     pub buckets: Vec<WatchBucket>,
     /// The dirty-owner diff base (see [`WindowedStatsSnapshot`]).
@@ -506,7 +665,8 @@ pub struct WatchCheckpoint {
 impl WatchCheckpoint {
     /// Capture the daemon's state. Flushes snapshot deltas in the
     /// cumulative accumulator and every bucket (`&mut`), which is what
-    /// keeps the cost per checkpoint proportional to *new* elements.
+    /// keeps the cost per checkpoint proportional to *new* elements, and
+    /// shares their snapshots rather than copying them.
     pub fn capture(
         classifier: &mut WindowedClassifier,
         cumulative: &mut StatsAccumulator,
@@ -531,12 +691,10 @@ impl WatchCheckpoint {
             .iter_mut()
             .map(|(index, acc)| WatchBucket {
                 index: *index,
-                stats: acc.snapshot().clone(),
+                stats: acc.shared_snapshot(),
             })
             .collect();
         WatchCheckpoint {
-            schema: WATCH_CHECKPOINT_SCHEMA,
-            checksum: 0,
             cursor,
             records,
             observations,
@@ -546,7 +704,7 @@ impl WatchCheckpoint {
             reclassified_owners: classifier.reclassified_owners,
             window_secs: classifier.window.window_secs,
             windows: classifier.window.windows,
-            cumulative: cumulative.snapshot().clone(),
+            cumulative: cumulative.shared_snapshot(),
             buckets,
             windowed: WindowedStatsSnapshot::from_stats(&classifier.prev),
             labels,
@@ -554,69 +712,280 @@ impl WatchCheckpoint {
         }
     }
 
-    /// The checksum of everything but the checksum field itself.
-    pub fn payload_checksum(&self) -> u64 {
-        let mut unsealed = self.clone();
-        unsealed.checksum = 0;
-        let json = serde_json::to_string(&unsealed).expect("checkpoint serialization cannot fail");
-        fnv1a(FNV_OFFSET, json.as_bytes())
-    }
-
-    /// Write atomically: seal the checksum, serialize to `<path>.tmp`,
-    /// fsync, rename. A crash at any point leaves the previous checkpoint
-    /// or this one — never a torn file.
-    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        use std::io::Write;
-        let mut sealed = self.clone();
-        sealed.checksum = sealed.payload_checksum();
-        let json = serde_json::to_string(&sealed)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "watch-checkpoint".to_string())
-        ));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(json.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
+    /// The sealed file: header, then the payload columns in the order the
+    /// type-level layout lists them. One pass over the state, plus one
+    /// checksum pass over the bytes.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = ColumnWriter::with_header(HEADER_LEN);
+        for scalar in [
+            self.cursor,
+            self.records,
+            self.observations,
+            self.advances,
+            self.flaps,
+            self.late_drops,
+            self.reclassified_owners,
+            u64::from(self.window_secs),
+            self.windows as u64,
+        ] {
+            w.u64(scalar);
         }
-        std::fs::rename(&tmp, path)
+        self.cumulative.encode(&mut w);
+        w.column(&self.buckets, |b| b.index.to_le_bytes());
+        for bucket in &self.buckets {
+            bucket.stats.encode(&mut w);
+        }
+        let windowed = &self.windowed;
+        w.column(&windowed.counts, |&(key, _, _)| key.to_le_bytes());
+        w.column(&windowed.counts, |&(_, on, _)| on.to_le_bytes());
+        w.column(&windowed.counts, |&(_, _, off)| off.to_le_bytes());
+        w.column(&windowed.seen_asns, |a| a.to_le_bytes());
+        w.u64(windowed.unique_tuples);
+        w.u64(windowed.unique_paths);
+        w.column(&self.labels, |&(key, _)| key.to_le_bytes());
+        w.column(&self.labels, |&(_, intent)| [intent_byte(intent)]);
+        w.column(&self.excluded, |&(key, _)| key.to_le_bytes());
+        w.column(&self.excluded, |&(_, reason)| [exclusion_byte(reason)]);
+
+        let mut out = w.into_bytes();
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        let checksum = fnv1a(FNV_OFFSET, &out[HEADER_LEN..]);
+        out[..8].copy_from_slice(&WATCH_CHECKPOINT_MAGIC);
+        out[8..12].copy_from_slice(&WATCH_CHECKPOINT_SCHEMA.to_le_bytes());
+        out[16..24].copy_from_slice(&payload_len.to_le_bytes());
+        out[24..32].copy_from_slice(&checksum.to_le_bytes());
+        out
     }
 
-    /// Load and validate: parse, check the schema, verify the checksum.
-    /// Truncation and bit flips are rejected with a typed error, never a
-    /// panic or partial state.
+    /// Encode and write durably through [`persist::write_atomic`] (temp
+    /// file, fsync, rename, directory fsync). A crash at any point leaves
+    /// the previous checkpoint or this one — never a torn file.
+    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
+        persist::write_atomic(path, &self.encode())
+    }
+
+    /// Read, validate and decode the checkpoint at `path`. The envelope is
+    /// checked first — magic, schema, reserved word, payload length,
+    /// checksum — then every column count against the bytes left, then
+    /// the structure: bucket indices strictly ascending and no more than
+    /// `windows` of them, every key column strictly ascending, every label
+    /// and reason byte in its domain, no trailing bytes. Damage of any kind
+    /// is a typed error, never a panic or partial state; a file without
+    /// the magic (such as a schema-1 JSON checkpoint) is
+    /// [`CheckpointLoadError::LegacyFormat`], and a missing file a clean
+    /// not-found (the fresh-start signal).
     pub fn load(path: &Path) -> Result<WatchCheckpoint, CheckpointLoadError> {
-        let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
+        let raw = std::fs::read(path).map_err(|source| CheckpointLoadError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        let cp: WatchCheckpoint =
-            serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
+        Self::decode(&raw, path)
+    }
+
+    /// [`load`](Self::load) over bytes already read (`path` only names the
+    /// file in errors).
+    pub(crate) fn decode(raw: &[u8], path: &Path) -> Result<WatchCheckpoint, CheckpointLoadError> {
+        let corrupt = |detail: String| CheckpointLoadError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        };
+        if !raw.starts_with(&WATCH_CHECKPOINT_MAGIC) {
+            // A proper prefix of the magic is a torn file; anything else
+            // was never a binary checkpoint.
+            if WATCH_CHECKPOINT_MAGIC.starts_with(raw) {
+                return Err(corrupt(format!(
+                    "{} bytes, shorter than the header",
+                    raw.len()
+                )));
+            }
+            return Err(CheckpointLoadError::LegacyFormat {
                 path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
-        if cp.schema != WATCH_CHECKPOINT_SCHEMA {
+            });
+        }
+        if raw.len() < HEADER_LEN {
+            return Err(corrupt(format!(
+                "{} bytes, shorter than the {HEADER_LEN}-byte header",
+                raw.len()
+            )));
+        }
+        let word = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().expect("8 bytes"));
+        let schema = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
+        if schema != WATCH_CHECKPOINT_SCHEMA {
             return Err(CheckpointLoadError::SchemaMismatch {
                 path: path.to_path_buf(),
-                found: cp.schema,
+                found: schema,
                 expected: WATCH_CHECKPOINT_SCHEMA,
             });
         }
-        let expected = cp.payload_checksum();
-        if cp.checksum != expected {
-            return Err(CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "payload checksum {:#018x} recorded, {expected:#018x} computed",
-                    cp.checksum
-                ),
+        if raw[12..16] != [0; 4] {
+            return Err(corrupt("nonzero reserved header word".into()));
+        }
+        let payload = &raw[HEADER_LEN..];
+        let recorded_len = word(16);
+        if recorded_len != payload.len() as u64 {
+            return Err(corrupt(format!(
+                "payload length {recorded_len} recorded, {} bytes present",
+                payload.len()
+            )));
+        }
+        let recorded = word(24);
+        let computed = fnv1a(FNV_OFFSET, payload);
+        if recorded != computed {
+            return Err(corrupt(format!(
+                "payload checksum {recorded:#018x} recorded, {computed:#018x} computed"
+            )));
+        }
+        Self::decode_payload(payload).map_err(corrupt)
+    }
+
+    fn decode_payload(payload: &[u8]) -> Result<WatchCheckpoint, String> {
+        let mut r = ColumnReader::new(payload);
+        let cursor = r.u64("cursor")?;
+        let records = r.u64("records")?;
+        let observations = r.u64("observations")?;
+        let advances = r.u64("advances")?;
+        let flaps = r.u64("flaps")?;
+        let late_drops = r.u64("late_drops")?;
+        let reclassified_owners = r.u64("reclassified_owners")?;
+        let window_secs = r.u64("window_secs")?;
+        let window_secs = u32::try_from(window_secs)
+            .map_err(|_| format!("window_secs {window_secs} out of range"))?;
+        let windows = r.u64("windows")?;
+        let windows =
+            usize::try_from(windows).map_err(|_| format!("windows {windows} out of range"))?;
+        let cumulative = Arc::new(StatsSnapshot::decode(&mut r)?);
+
+        let indices = r.column("bucket indices", u64::from_le_bytes)?;
+        if indices.len() > windows {
+            return Err(format!(
+                "{} buckets, more than the {windows} the window retains",
+                indices.len()
+            ));
+        }
+        if !strictly_ascending(&indices) {
+            return Err("bucket indices not strictly ascending".into());
+        }
+        let mut buckets = Vec::with_capacity(indices.len());
+        for index in indices {
+            buckets.push(WatchBucket {
+                index,
+                stats: Arc::new(StatsSnapshot::decode(&mut r)?),
             });
         }
-        Ok(cp)
+
+        let keys = r.column("windowed keys", u32::from_le_bytes)?;
+        let on = r.column("windowed on counts", u32::from_le_bytes)?;
+        let off = r.column("windowed off counts", u32::from_le_bytes)?;
+        if on.len() != keys.len() || off.len() != keys.len() {
+            return Err(format!(
+                "windowed counts: {} keys, {} on, {} off",
+                keys.len(),
+                on.len(),
+                off.len()
+            ));
+        }
+        if !strictly_ascending(&keys) {
+            return Err("windowed keys not strictly ascending".into());
+        }
+        let seen_asns = r.column("windowed seen_asns", u32::from_le_bytes)?;
+        if !strictly_ascending(&seen_asns) {
+            return Err("windowed seen_asns not strictly ascending".into());
+        }
+        let windowed = WindowedStatsSnapshot {
+            counts: keys
+                .into_iter()
+                .zip(on)
+                .zip(off)
+                .map(|((key, on), off)| (key, on, off))
+                .collect(),
+            seen_asns,
+            unique_tuples: r.u64("windowed unique_tuples")?,
+            unique_paths: r.u64("windowed unique_paths")?,
+        };
+        let labels = keyed_bytes(&mut r, "labels", intent_of)?;
+        let excluded = keyed_bytes(&mut r, "exclusions", exclusion_of)?;
+        r.finish()?;
+        Ok(WatchCheckpoint {
+            cursor,
+            records,
+            observations,
+            advances,
+            flaps,
+            late_drops,
+            reclassified_owners,
+            window_secs,
+            windows,
+            cumulative,
+            buckets,
+            windowed,
+            labels,
+            excluded,
+        })
+    }
+}
+
+fn strictly_ascending<T: Ord>(xs: &[T]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
+}
+
+/// A key column (u32, strictly ascending) followed by its column of
+/// one-byte values, each decoded by `value` (`None` = out of domain).
+fn keyed_bytes<T>(
+    r: &mut ColumnReader<'_>,
+    what: &str,
+    value: impl Fn(u8) -> Option<T>,
+) -> Result<Vec<(u32, T)>, String> {
+    let keys = r.column(what, u32::from_le_bytes)?;
+    let bytes = r.column(what, |[b]: [u8; 1]| b)?;
+    if bytes.len() != keys.len() {
+        return Err(format!(
+            "{what}: {} keys, {} values",
+            keys.len(),
+            bytes.len()
+        ));
+    }
+    if !strictly_ascending(&keys) {
+        return Err(format!("{what}: keys not strictly ascending"));
+    }
+    keys.into_iter()
+        .zip(bytes)
+        .map(|(key, b)| {
+            value(b)
+                .map(|v| (key, v))
+                .ok_or_else(|| format!("{what}: value byte {b} out of range"))
+        })
+        .collect()
+}
+
+fn intent_byte(intent: Intent) -> u8 {
+    match intent {
+        Intent::Action => 0,
+        Intent::Information => 1,
+    }
+}
+
+fn intent_of(b: u8) -> Option<Intent> {
+    match b {
+        0 => Some(Intent::Action),
+        1 => Some(Intent::Information),
+        _ => None,
+    }
+}
+
+fn exclusion_byte(reason: Exclusion) -> u8 {
+    match reason {
+        Exclusion::PrivateAsn => 0,
+        Exclusion::ReservedAsn => 1,
+        Exclusion::NeverOnPath => 2,
+    }
+}
+
+fn exclusion_of(b: u8) -> Option<Exclusion> {
+    match b {
+        0 => Some(Exclusion::PrivateAsn),
+        1 => Some(Exclusion::ReservedAsn),
+        2 => Some(Exclusion::NeverOnPath),
+        _ => None,
     }
 }
 
@@ -781,7 +1150,7 @@ pub fn run_watch<S: StreamSource>(
             resumed = true;
             (
                 WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
-                StatsAccumulator::from_snapshot(&cp.cumulative),
+                StatsAccumulator::from_shared_snapshot(cp.cumulative.clone()),
                 cp.cursor,
                 cp.records,
                 cp.observations,
@@ -974,6 +1343,38 @@ mod tests {
         }
     }
 
+    /// The windowed union as computed before the reference counts: clone
+    /// and merge every retained bucket. The differential oracle for
+    /// [`WindowedClassifier::windowed_stats`].
+    fn oracle_stats(wc: &WindowedClassifier) -> PathStats {
+        let mut acc = StatsAccumulator::new();
+        for (_, bucket) in &wc.buckets {
+            acc.merge(bucket.clone());
+        }
+        acc.to_stats()
+    }
+
+    /// The churn stream with late observations spliced in: after every
+    /// fourth observation, one into the previous (still retained) bucket
+    /// and one far behind the retention floor.
+    fn churn_with_late_folds() -> Vec<Observation> {
+        let mut all = Vec::new();
+        for (i, o) in churn_stream().into_iter().enumerate() {
+            let t = o.time;
+            all.push(o);
+            if i % 4 == 3 && t >= 100 {
+                all.push(obs(
+                    906,
+                    &format!("906 100 {}", 500 + i),
+                    &[(100, 10)],
+                    t - 100,
+                ));
+                all.push(obs(907, "907 300 661", &[(300, 41)], t.saturating_sub(400)));
+            }
+        }
+        all
+    }
+
     #[test]
     fn incremental_reclassify_matches_full_classify() {
         let siblings = SiblingMap::default();
@@ -989,7 +1390,7 @@ mod tests {
             // equal a full classify over the windowed statistics.
             if i % 5 == 4 {
                 wc.reclassify(&siblings);
-                let full = classify(&wc.windowed_stats(), &siblings, &cfg);
+                let full = classify(&oracle_stats(&wc), &siblings, &cfg);
                 assert_eq!(wc.labels(), &full.labels, "labels diverged at obs {i}");
                 assert_eq!(
                     wc.excluded(),
@@ -999,7 +1400,7 @@ mod tests {
             }
         }
         wc.reclassify(&siblings);
-        let full = classify(&wc.windowed_stats(), &siblings, &cfg);
+        let full = classify(&oracle_stats(&wc), &siblings, &cfg);
         assert_eq!(wc.labels(), &full.labels);
         assert_eq!(wc.excluded(), &full.excluded);
         assert!(wc.advances() >= 7, "windows advanced: {}", wc.advances());
@@ -1012,6 +1413,52 @@ mod tests {
             wc.reclassified_owners(),
             wc.advances()
         );
+    }
+
+    #[test]
+    fn refcounted_union_matches_the_clone_and_merge_oracle() {
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(100), Asn::new(901)]]);
+        let cfg = InferenceConfig {
+            threads: 1,
+            ..InferenceConfig::default()
+        };
+        let stream = churn_with_late_folds();
+        let mut wc = WindowedClassifier::new(window_cfg(), cfg.clone());
+        let mut cumulative = StatsAccumulator::new();
+        for (i, o) in stream.iter().enumerate() {
+            wc.observe(o, &siblings);
+            cumulative.ingest_ordered(std::slice::from_ref(o), &siblings);
+            assert_eq!(wc.windowed_stats(), oracle_stats(&wc), "after obs {i}");
+
+            // Resume from a checkpoint taken here (through the file
+            // codec), then run the rest of the stream: the rebuilt
+            // reference counts must track the oracle just as closely.
+            if i % 7 == 3 {
+                let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 0, 0, i as u64);
+                let cp = WatchCheckpoint::decode(&cp.encode(), Path::new("mem")).unwrap();
+                let mut resumed = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
+                assert_eq!(
+                    resumed.windowed_stats(),
+                    oracle_stats(&resumed),
+                    "resumed at {i}"
+                );
+                assert_eq!(
+                    resumed.windowed_stats(),
+                    wc.windowed_stats(),
+                    "resumed at {i}"
+                );
+                for (j, later) in stream.iter().enumerate().skip(i + 1) {
+                    resumed.observe(later, &siblings);
+                    assert_eq!(
+                        resumed.windowed_stats(),
+                        oracle_stats(&resumed),
+                        "resumed at {i}, after obs {j}"
+                    );
+                }
+            }
+        }
+        assert!(wc.late_drops() > 0, "the stream must exercise late drops");
+        assert!(wc.advances() >= 7, "the stream must exercise evictions");
     }
 
     #[test]
@@ -1116,34 +1563,159 @@ mod tests {
         assert!(stats.counts(Community::new(100, 3)).is_none());
     }
 
-    #[test]
-    fn watch_checkpoint_roundtrips_and_rejects_damage() {
+    /// A mid-stream checkpoint of the churn stream whose head bucket also
+    /// holds a private-ASN community and one whose owner is never on a
+    /// path, so labels and both kinds of exclusion are all populated.
+    fn churn_checkpoint() -> WatchCheckpoint {
         let siblings = SiblingMap::default();
         let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
         let mut cumulative = StatsAccumulator::new();
-        for o in &churn_stream()[..12] {
+        let mut stream = churn_stream()[..12].to_vec();
+        let head_time = stream[11].time;
+        stream.push(obs(908, "908 999", &[(64600, 7), (400, 1)], head_time));
+        for o in &stream {
             wc.observe(o, &siblings);
             cumulative.ingest_ordered(std::slice::from_ref(o), &siblings);
         }
-        let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 777, 12, 12);
+        wc.reclassify(&siblings);
+        WatchCheckpoint::capture(&mut wc, &mut cumulative, 777, 12, 13)
+    }
+
+    /// Seal `payload` with a valid envelope, so only the column decoder
+    /// and the structural checks stand between damage and the state.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        let mut out = WATCH_CHECKPOINT_MAGIC.to_vec();
+        out.extend_from_slice(&WATCH_CHECKPOINT_SCHEMA.to_le_bytes());
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn refused(bytes: &[u8]) -> CheckpointLoadError {
+        let err = WatchCheckpoint::decode(bytes, Path::new("watch.ckpt"))
+            .expect_err("damaged checkpoint must be refused");
+        assert!(err.is_invalid_data(), "{err}");
+        err
+    }
+
+    fn refused_as_corrupt(bytes: &[u8], expect: &str) {
+        match refused(bytes) {
+            CheckpointLoadError::Corrupt { detail, .. } => {
+                assert!(
+                    detail.contains(expect),
+                    "expected {expect:?}, got {detail:?}"
+                )
+            }
+            other => panic!("expected a corrupt-file error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn watch_checkpoint_roundtrips_and_rejects_damage() {
+        let cp = churn_checkpoint();
+        assert!(cp.buckets.len() == 2 && cp.labels.len() >= 2);
+        assert_eq!(
+            cp.excluded.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+            [Exclusion::NeverOnPath, Exclusion::PrivateAsn]
+        );
 
         let dir = std::env::temp_dir().join(format!("bgp-watch-cp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("watch.json");
+        let path = dir.join("watch.ckpt");
         cp.save_atomic(&path).unwrap();
-        let loaded = WatchCheckpoint::load(&path).unwrap();
-        assert_eq!(loaded.cursor, 777);
-        assert_eq!(loaded.flaps, cp.flaps);
-        assert_eq!(loaded.labels, cp.labels);
-        assert_eq!(loaded.buckets.len(), cp.buckets.len());
+        let sealed = std::fs::read(&path).unwrap();
+        assert_eq!(sealed, cp.encode(), "encoding is deterministic");
+        assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
+        let payload = &sealed[HEADER_LEN..];
 
-        // One flipped byte inside the payload must be rejected.
-        let mut raw = std::fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] = raw[mid].wrapping_add(1);
-        std::fs::write(&path, &raw).unwrap();
-        let err = WatchCheckpoint::load(&path).unwrap_err();
-        assert!(err.is_invalid_data(), "got: {err}");
+        // Truncation at every length fails the envelope's length check.
+        for cut in 0..sealed.len() {
+            assert!(
+                matches!(refused(&sealed[..cut]), CheckpointLoadError::Corrupt { .. }),
+                "cut at {cut}"
+            );
+        }
+        // Resealed truncation reaches the column decoder at every section
+        // boundary (and every byte between them): always a typed error.
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    refused(&reseal(&payload[..cut])),
+                    CheckpointLoadError::Corrupt { .. }
+                ),
+                "resealed cut at {cut}"
+            );
+        }
+        let mut long = payload.to_vec();
+        long.push(0);
+        refused_as_corrupt(&reseal(&long), "trailing");
+
+        // A flipped bit anywhere — magic, schema, reserved word, length,
+        // checksum or payload — is refused.
+        for pos in (0..sealed.len()).step_by(3) {
+            for bit in [0x01u8, 0x80] {
+                let mut damaged = sealed.clone();
+                damaged[pos] ^= bit;
+                refused(&damaged);
+            }
+        }
+
+        // Forged header fields.
+        let mut forged = sealed.clone();
+        forged[..8].copy_from_slice(b"BGPWCKP2");
+        assert!(matches!(
+            refused(&forged),
+            CheckpointLoadError::LegacyFormat { .. }
+        ));
+        refused_as_corrupt(&sealed[..5], "shorter than the header");
+        let mut forged = sealed.clone();
+        forged[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            refused(&forged),
+            CheckpointLoadError::SchemaMismatch {
+                found: 3,
+                expected: 2,
+                ..
+            }
+        ));
+        let mut forged = sealed.clone();
+        forged[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        refused_as_corrupt(&forged, "payload length");
+        // Oversized element counts in the first column (the cumulative
+        // paths, after the nine scalars), resealed so the count itself is
+        // what gets checked — before any allocation is sized by it.
+        const FIRST_COLUMN: usize = 9 * 8;
+        for count in [u64::MAX, 1 << 40, payload.len() as u64] {
+            let mut forged = payload.to_vec();
+            forged[FIRST_COLUMN..FIRST_COLUMN + 8].copy_from_slice(&count.to_le_bytes());
+            refused_as_corrupt(&reseal(&forged), "exceed");
+        }
+        // A label byte outside the intent domain (the intent column sits
+        // just before the two exclusion columns at the end).
+        let (n, m) = (cp.labels.len(), cp.excluded.len());
+        let intents = payload.len() - (8 + m) - (8 + 4 * m) - n;
+        let mut forged = payload.to_vec();
+        forged[intents] = 7;
+        refused_as_corrupt(&reseal(&forged), "out of range");
+
+        // Structure that passes the checksum but breaks an invariant.
+        let mut bad = cp.clone();
+        bad.buckets.reverse();
+        refused_as_corrupt(&bad.encode(), "bucket indices not strictly ascending");
+        let mut bad = cp.clone();
+        bad.windows = 1;
+        refused_as_corrupt(&bad.encode(), "more than the 1 the window retains");
+        let mut bad = cp.clone();
+        bad.labels.swap(0, 1);
+        refused_as_corrupt(&bad.encode(), "labels: keys not strictly ascending");
+        let mut bad = cp.clone();
+        bad.labels.push(bad.labels[n - 1]);
+        refused_as_corrupt(&bad.encode(), "labels: keys not strictly ascending");
+        let mut bad = cp.clone();
+        bad.excluded.reverse();
+        refused_as_corrupt(&bad.encode(), "exclusions: keys not strictly ascending");
 
         // Missing file is a clean not-found, the fresh-start signal.
         std::fs::remove_file(&path).unwrap();
@@ -1151,12 +1723,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// End-to-end over an in-memory feed: the daemon's cumulative
-    /// classification at the quiescent point equals a batch run over the
-    /// same bytes, and the rolling machinery (advances, checkpoints)
-    /// actually engaged.
-    #[test]
-    fn run_watch_matches_batch_over_memory_feed() {
+    /// A small generated world streamed into one in-memory archive.
+    fn memory_feed_world() -> (bgp_experiments::scenario::Scenario, Arc<Vec<u8>>) {
         use bgp_experiments::scenario::{Scenario, ScenarioConfig};
 
         let scenario = Scenario::build(&ScenarioConfig {
@@ -1167,20 +1735,18 @@ mod tests {
         let sim = scenario.simulator();
         let mut wire = Vec::new();
         scenario.stream_collect(&sim, 4, &mut wire).unwrap();
-        let bytes = Arc::new(wire);
+        (scenario, Arc::new(wire))
+    }
 
-        let dir = std::env::temp_dir().join(format!("bgp-watch-e2e-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cp_path = dir.join("watch.json");
-        let _ = std::fs::remove_file(&cp_path);
-
-        let opts = WatchOptions {
+    /// Options for a checkpointed run to quiescence over a memory feed.
+    fn memory_feed_options(checkpoint: PathBuf, threads: usize) -> WatchOptions {
+        WatchOptions {
             window: WindowConfig {
                 window_secs: 14_400,
                 windows: 3,
             },
             infer: InferenceConfig {
-                threads: 1,
+                threads,
                 ..InferenceConfig::default()
             },
             tuning: StreamTuning {
@@ -1190,9 +1756,24 @@ mod tests {
                 quiesce_after: Some(2),
                 ..StreamTuning::default()
             },
-            checkpoint: Some(cp_path.clone()),
+            checkpoint: Some(checkpoint),
             ..WatchOptions::default()
-        };
+        }
+    }
+
+    /// End-to-end over an in-memory feed: the daemon's cumulative
+    /// classification at the quiescent point equals a batch run over the
+    /// same bytes, and the rolling machinery (advances, checkpoints)
+    /// actually engaged.
+    #[test]
+    fn run_watch_matches_batch_over_memory_feed() {
+        let (scenario, bytes) = memory_feed_world();
+        let dir = std::env::temp_dir().join(format!("bgp-watch-e2e-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cp_path = dir.join("watch.ckpt");
+        let _ = std::fs::remove_file(&cp_path);
+
+        let opts = memory_feed_options(cp_path.clone(), 1);
         let outcome = run_watch(
             MemoryFeed::new(bytes.clone()),
             &scenario.siblings,
@@ -1214,6 +1795,36 @@ mod tests {
         assert_eq!(outcome.stats, acc.to_stats());
         assert_eq!(outcome.inference.labels, batch.labels);
         assert_eq!(outcome.inference.excluded, batch.excluded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two fresh runs over the same feed write byte-identical checkpoints,
+    /// whatever the classifier's thread count.
+    #[test]
+    fn checkpoint_bytes_are_identical_across_runs_and_thread_counts() {
+        let (scenario, bytes) = memory_feed_world();
+        let dir = std::env::temp_dir().join(format!("bgp-watch-det-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let written: Vec<Vec<u8>> = [1usize, 2]
+            .iter()
+            .map(|&threads| {
+                let path = dir.join(format!("watch-{threads}.ckpt"));
+                let _ = std::fs::remove_file(&path);
+                let outcome = run_watch(
+                    MemoryFeed::new(bytes.clone()),
+                    &scenario.siblings,
+                    &memory_feed_options(path.clone(), threads),
+                    Arc::new(AtomicBool::new(false)),
+                )
+                .unwrap();
+                assert!(outcome.advances > 0 && !outcome.resumed);
+                std::fs::read(&path).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            written[0], written[1],
+            "checkpoint bytes differ across thread counts"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,16 +17,18 @@
 //! A few small shared utilities also live here so every crate agrees on
 //! them: [`fx`] — the FxHash-style hasher used for analysis-side hot maps —
 //! [`par`] — thread-count resolution plus the deterministic fork-join
-//! helper behind every parallel stage — and [`obs`] — the zero-dependency
+//! helper behind every parallel stage — [`obs`] — the zero-dependency
 //! observability layer (metrics registry, structured spans) every pipeline
-//! stage reports into. The analysis pipeline's columnar
+//! stage reports into — and [`persist`] — the one durable atomic write
+//! (temp file, fsync, rename, directory fsync) and FNV-1a checksum every
+//! on-disk format uses. The analysis pipeline's columnar
 //! [`store::ObservationStore`] (interned paths/community sets, flat ID
 //! columns) lives here too so both `mrt` ingestion and `core` reduction
 //! can speak it without a dependency cycle.
 //!
-//! All types are plain data: no I/O, no global state, and `serde` support so
-//! dictionaries and inferences can be released as data supplements like the
-//! paper's.
+//! All types are plain data: no I/O outside [`persist`], no global state,
+//! and `serde` support so dictionaries and inferences can be released as
+//! data supplements like the paper's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +42,7 @@ pub mod intent;
 pub mod obs;
 pub mod observation;
 pub mod par;
+pub mod persist;
 pub mod prefix;
 pub mod route;
 pub mod store;
