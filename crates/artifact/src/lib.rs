@@ -6,18 +6,14 @@
 //! — sorted dense columns keyed by the packed `(α:β)` word — plus a
 //! zero-copy loader and the binary-search lookup kernel on top of it.
 //!
-//! # Layout (version 1, all integers little-endian)
+//! # Layout (version 2, all integers little-endian)
+//!
+//! The [`persist`] envelope with magic `BGPLABEL`, then the payload:
 //!
 //! ```text
-//! header (48 bytes)
-//!   0  magic        "BGPA"
-//!   4  version      u32  (= 1)
-//!   8  entries      u64  (n, > 0)
-//!   16 owners       u64  (m = distinct α values)
-//!   24 checksum     u64  (FNV-1a 64 over the whole payload)
-//!   32 payload_len  u64
-//!   40 reserved     u64  (zero)
-//! payload (sections in fixed order, each 8-byte aligned)
+//!   0  entries      u64  (n, > 0)
+//!   8  owners       u64  (m = distinct α values)
+//!   16 columns, in fixed order, each 8-byte aligned (file offset 48):
 //!   keys        n × u64   packed community keys, strictly ascending
 //!   labels      n × u8    0 = action, 1 = information (padded to 8)
 //!   confidence  n × f64   label confidence in (0, 1]
@@ -26,6 +22,9 @@
 //!   off_paths   n × u64   cluster off-path unique-path total
 //!   owners      m × (u32 α, u32 start)   first row index per owner α
 //! ```
+//!
+//! Version 1 had a 48-byte header of its own (magic `BGPA`); it is refused
+//! as [`LoadError::Foreign`].
 //!
 //! The key is [`Community::packed_key`]: `(α << 16 | β)` widened to `u64`.
 //! Point lookups binary-search the key column (`O(log n)`, ~27 probes at
@@ -36,9 +35,9 @@
 //!
 //! Artifacts are written with the same durable temp-file-then-rename
 //! helper as checkpoints and never modified in place, so a reader
-//! can never observe a torn write. Loading validates the magic, version,
-//! section geometry, payload checksum, key ordering, and owner index
-//! before any lookup runs. And every access after that goes through
+//! can never observe a torn write. Loading validates the envelope (magic,
+//! version, payload length, checksum), then the column geometry, key
+//! ordering, label bytes and owner index before any lookup runs. And every access after that goes through
 //! bounds-checked byte slices (`u64::from_le_bytes` on subslices) — no
 //! pointer casts, no alignment assumptions — so even a hostile file that
 //! somehow passed validation could only yield wrong values, never
@@ -53,21 +52,14 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bgp_types::par::{effective_threads, par_map_indexed};
-use bgp_types::persist::{self, fnv1a, FNV_OFFSET};
+use bgp_types::persist::{self, Format, LoadError};
 use bgp_types::{Community, Intent};
 
-/// First four bytes of every label artifact.
-pub const ARTIFACT_MAGIC: [u8; 4] = *b"BGPA";
-
-/// Layout version this build reads and writes; bump on any layout change
-/// so an old reader refuses instead of misreading.
-pub const ARTIFACT_VERSION: u32 = 1;
-
-/// Fixed header length in bytes.
-pub const HEADER_LEN: usize = 48;
+/// File offset of the first column: the envelope, then the two counts.
+const COLUMNS: usize = persist::HEADER_LEN + 16;
 
 /// One classified community as served from (or written into) an artifact.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,129 +80,9 @@ pub struct LabelRow {
     pub off_paths: u64,
 }
 
-/// Why loading an artifact was refused. Corruption is always a clean typed
-/// error — never a panic, never a partially-validated artifact served.
-#[derive(Debug)]
-pub enum ArtifactError {
-    /// The file could not be read at all (missing, permissions, I/O).
-    Io {
-        /// The artifact path.
-        path: PathBuf,
-        /// The underlying error.
-        source: io::Error,
-    },
-    /// The file does not start with the artifact magic.
-    BadMagic {
-        /// The artifact path.
-        path: PathBuf,
-    },
-    /// A well-formed header written by an incompatible layout version.
-    BadVersion {
-        /// The artifact path.
-        path: PathBuf,
-        /// The version recorded in the file.
-        found: u32,
-        /// The version this build reads.
-        expected: u32,
-    },
-    /// The byte length does not match the recorded geometry (truncated
-    /// download, torn copy, or a header bit flip in the counts).
-    Truncated {
-        /// The artifact path.
-        path: PathBuf,
-        /// What exactly failed to line up.
-        detail: String,
-    },
-    /// The payload checksum does not match (bit rot, payload corruption).
-    ChecksumMismatch {
-        /// The artifact path.
-        path: PathBuf,
-        /// Checksum recorded in the header.
-        recorded: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// A structurally valid artifact with zero entries — nothing to serve,
-    /// and almost certainly an upstream inference bug; refused rather than
-    /// silently answering "unknown" to every query.
-    Empty {
-        /// The artifact path.
-        path: PathBuf,
-    },
-    /// The payload passed its checksum but violates an invariant the
-    /// lookup kernel relies on (unsorted keys, bad label byte, owner
-    /// index mismatch) — only reachable for files not produced by
-    /// [`write_artifact_atomic`].
-    Invalid {
-        /// The artifact path.
-        path: PathBuf,
-        /// The violated invariant.
-        detail: String,
-    },
-}
-
-impl ArtifactError {
-    /// Whether the file existed but its *contents* were rejected — the
-    /// cases a caller should surface as a refused artifact rather than a
-    /// generic I/O failure (mirrors `CheckpointLoadError::is_invalid_data`).
-    pub fn is_invalid_data(&self) -> bool {
-        !matches!(self, ArtifactError::Io { .. })
-    }
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::Io { path, source } => write!(f, "{}: {source}", path.display()),
-            ArtifactError::BadMagic { path } => {
-                write!(f, "{}: not a label artifact (bad magic)", path.display())
-            }
-            ArtifactError::BadVersion {
-                path,
-                found,
-                expected,
-            } => write!(
-                f,
-                "{}: artifact version {found}, this build reads {expected}",
-                path.display()
-            ),
-            ArtifactError::Truncated { path, detail } => {
-                write!(
-                    f,
-                    "{}: truncated or torn artifact ({detail})",
-                    path.display()
-                )
-            }
-            ArtifactError::ChecksumMismatch {
-                path,
-                recorded,
-                computed,
-            } => write!(
-                f,
-                "{}: payload checksum {recorded:#018x} recorded, {computed:#018x} computed",
-                path.display()
-            ),
-            ArtifactError::Empty { path } => {
-                write!(f, "{}: artifact holds zero labels", path.display())
-            }
-            ArtifactError::Invalid { path, detail } => {
-                write!(f, "{}: invalid artifact ({detail})", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ArtifactError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-/// Byte offsets of each payload section, derived from the entry and owner
-/// counts. Shared by the writer and the loader so they cannot disagree.
+/// Byte offsets of each column, relative to the first, derived from the
+/// entry and owner counts. Shared by the writer and the loader so they
+/// cannot disagree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Sections {
     keys: usize,
@@ -220,13 +92,12 @@ struct Sections {
     on: usize,
     off: usize,
     owners: usize,
-    payload_len: usize,
+    len: usize,
 }
 
 impl Sections {
     /// `None` when the counts overflow the layout arithmetic — only
-    /// reachable from a corrupted header (a bit flip in the count fields
-    /// can claim ~2^63 entries), so the loader treats it as truncation.
+    /// reachable from forged counts (a payload claiming ~2^63 entries).
     fn for_counts(n: usize, m: usize) -> Option<Sections> {
         let n8 = n.checked_mul(8)?;
         let keys = 0;
@@ -237,7 +108,7 @@ impl Sections {
         let on = ratio.checked_add(n8)?;
         let off = on.checked_add(n8)?;
         let owners = off.checked_add(n8)?;
-        let payload_len = owners.checked_add(m.checked_mul(8)?)?;
+        let len = owners.checked_add(m.checked_mul(8)?)?;
         Some(Sections {
             keys,
             labels,
@@ -246,9 +117,24 @@ impl Sections {
             on,
             off,
             owners,
-            payload_len,
+            len,
         })
     }
+}
+
+/// The owner index of a key column: for each distinct `α`, in key order,
+/// the word `α | first_row << 32` (the `(u32 α, u32 start)` entry read as
+/// one little-endian word). The writer and the loader both derive it
+/// here, so the loader can check the stored index exactly.
+fn owner_index(keys: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut index: Vec<u64> = Vec::new();
+    for (i, key) in keys.enumerate() {
+        let alpha = key >> 16;
+        if index.last().map(|word| word & 0xffff_ffff) != Some(alpha) {
+            index.push(alpha | (i as u64) << 32);
+        }
+    }
+    index
 }
 
 fn label_byte(intent: Intent) -> u8 {
@@ -258,8 +144,8 @@ fn label_byte(intent: Intent) -> u8 {
     }
 }
 
-/// Serialize `rows` (which must be sorted strictly ascending by
-/// [`Community::packed_key`]) into artifact bytes: header + payload.
+/// Encode `rows` (which must be sorted strictly ascending by
+/// [`Community::packed_key`]) into a sealed artifact file.
 ///
 /// Exposed so tests and in-memory consumers can build an artifact without
 /// touching the filesystem; [`write_artifact_atomic`] is the production
@@ -277,45 +163,30 @@ pub fn encode_artifact(rows: &[LabelRow]) -> io::Result<Vec<u8>> {
             ));
         }
     }
-    let n = rows.len();
-    let mut owner_index: Vec<(u16, u32)> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        if owner_index.last().map(|&(a, _)| a) != Some(row.community.asn) {
-            owner_index.push((row.community.asn, i as u32));
-        }
-    }
-    let m = owner_index.len();
+    let owners = owner_index(rows.iter().map(|r| r.community.packed_key()));
+    let (n, m) = (rows.len(), owners.len());
     let sec = Sections::for_counts(n, m).expect("in-memory row count cannot overflow the layout");
 
-    let mut payload = vec![0u8; sec.payload_len];
+    let mut file = vec![0u8; COLUMNS + sec.len];
+    file[persist::HEADER_LEN..COLUMNS - 8].copy_from_slice(&(n as u64).to_le_bytes());
+    file[COLUMNS - 8..COLUMNS].copy_from_slice(&(m as u64).to_le_bytes());
+    let cols = &mut file[COLUMNS..];
+    let mut put = |at: usize, word: u64| cols[at..at + 8].copy_from_slice(&word.to_le_bytes());
     for (i, row) in rows.iter().enumerate() {
-        payload[sec.keys + i * 8..sec.keys + i * 8 + 8]
-            .copy_from_slice(&row.community.packed_key().to_le_bytes());
-        payload[sec.labels + i] = label_byte(row.label);
-        payload[sec.confidence + i * 8..sec.confidence + i * 8 + 8]
-            .copy_from_slice(&row.confidence.to_le_bytes());
-        payload[sec.ratio + i * 8..sec.ratio + i * 8 + 8].copy_from_slice(&row.ratio.to_le_bytes());
-        payload[sec.on + i * 8..sec.on + i * 8 + 8].copy_from_slice(&row.on_paths.to_le_bytes());
-        payload[sec.off + i * 8..sec.off + i * 8 + 8].copy_from_slice(&row.off_paths.to_le_bytes());
+        put(sec.keys + i * 8, row.community.packed_key());
+        put(sec.confidence + i * 8, row.confidence.to_bits());
+        put(sec.ratio + i * 8, row.ratio.to_bits());
+        put(sec.on + i * 8, row.on_paths);
+        put(sec.off + i * 8, row.off_paths);
     }
-    for (j, &(alpha, start)) in owner_index.iter().enumerate() {
-        payload[sec.owners + j * 8..sec.owners + j * 8 + 4]
-            .copy_from_slice(&u32::from(alpha).to_le_bytes());
-        payload[sec.owners + j * 8 + 4..sec.owners + j * 8 + 8]
-            .copy_from_slice(&start.to_le_bytes());
+    for (j, &word) in owners.iter().enumerate() {
+        put(sec.owners + j * 8, word);
     }
-
-    let mut out = Vec::with_capacity(HEADER_LEN + sec.payload_len);
-    out.extend_from_slice(&ARTIFACT_MAGIC);
-    out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(m as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
-    out.extend_from_slice(&(sec.payload_len as u64).to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
-    out.extend_from_slice(&payload);
-    Ok(out)
+    for (i, row) in rows.iter().enumerate() {
+        cols[sec.labels + i] = label_byte(row.label);
+    }
+    LabelArtifact::FORMAT.seal(&mut file);
+    Ok(file)
 }
 
 /// Write an artifact durably through [`persist::write_atomic`] (temp
@@ -417,6 +288,87 @@ impl Backing {
     }
 }
 
+/// The entry count, owner count and column geometry of an artifact
+/// payload, once the geometry matches the bytes present and the keys,
+/// label bytes and owner index hold every invariant lookups rely on.
+fn check(payload: &[u8]) -> Result<(usize, usize, Sections), String> {
+    let Some(columns) = payload.get(16..) else {
+        return Err(format!(
+            "{} payload bytes, shorter than the counts",
+            payload.len()
+        ));
+    };
+    let count = |at: usize| {
+        let n = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8"));
+        usize::try_from(n).map_err(|_| format!("count {n} out of range"))
+    };
+    let (entries, owners) = (count(0)?, count(8)?);
+    if entries == 0 {
+        return Err("zero labels, nothing to serve".into());
+    }
+    // Geometry first: the column layout implied by the counts must match
+    // the bytes present, so every column access below is in bounds by
+    // construction.
+    if owners > entries {
+        return Err(format!("{owners} owners > {entries} entries"));
+    }
+    let sections = Sections::for_counts(entries, owners)
+        .ok_or_else(|| format!("{entries} entries / {owners} owners overflow the layout"))?;
+    if sections.len != columns.len() {
+        return Err(format!(
+            "{} column bytes, {} implied by {entries} entries / {owners} owners",
+            columns.len(),
+            sections.len
+        ));
+    }
+    // Keys: strictly ascending (binary search's invariant) and within the
+    // packed 32-bit community space.
+    let word_at = |at: usize| u64::from_le_bytes(columns[at..at + 8].try_into().expect("8"));
+    let mut prev: Option<u64> = None;
+    for i in 0..entries {
+        let key = word_at(sections.keys + i * 8);
+        if key > u64::from(u32::MAX) {
+            return Err(format!("key {key:#x} outside the packed α:β space"));
+        }
+        if prev.is_some_and(|p| key <= p) {
+            return Err(format!("keys not strictly ascending at row {i}"));
+        }
+        prev = Some(key);
+    }
+    // Labels: only the two defined bytes (at most 1 for a row); padding
+    // must be zero.
+    for (i, &b) in columns[sections.labels..sections.confidence]
+        .iter()
+        .enumerate()
+    {
+        if b > u8::from(i < entries) {
+            return Err(format!("label byte {b} at row {i}"));
+        }
+    }
+    // Owner index: must be exactly the index the writer derives from the
+    // key column (the lookup kernel trusts its starts blindly).
+    let expected = owner_index((0..entries).map(|i| word_at(sections.keys + i * 8)));
+    if expected.len() != owners {
+        return Err(format!(
+            "{owners} owner entries recorded, {} implied by the key column",
+            expected.len()
+        ));
+    }
+    for (j, &word) in expected.iter().enumerate() {
+        let got = word_at(sections.owners + j * 8);
+        if got != word {
+            return Err(format!(
+                "owner index entry {j} is ({}, {}), expected ({}, {})",
+                got as u32,
+                got >> 32,
+                word as u32,
+                word >> 32
+            ));
+        }
+    }
+    Ok((entries, owners, sections))
+}
+
 /// A loaded, fully validated label artifact, ready to serve lookups.
 ///
 /// Columns are read in place from the backing bytes (mmap on unix, heap
@@ -439,22 +391,21 @@ impl fmt::Debug for LabelArtifact {
 }
 
 impl LabelArtifact {
+    /// The envelope of label artifact files.
+    pub const FORMAT: Format = Format {
+        magic: *b"BGPLABEL",
+        version: 2,
+        name: "label artifact",
+    };
+
     /// Load an artifact, preferring a zero-copy memory mapping (unix);
     /// falls back to [`load_heap`](Self::load_heap) when mapping fails.
-    pub fn load(path: &Path) -> Result<LabelArtifact, ArtifactError> {
+    pub fn load(path: &Path) -> Result<LabelArtifact, LoadError> {
         #[cfg(unix)]
         {
-            let file = File::open(path).map_err(|source| ArtifactError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?;
-            let len = file
-                .metadata()
-                .map_err(|source| ArtifactError::Io {
-                    path: path.to_path_buf(),
-                    source,
-                })?
-                .len() as usize;
+            let io = |source| LoadError::io(path, source);
+            let file = File::open(path).map_err(io)?;
+            let len = file.metadata().map_err(io)?.len() as usize;
             if let Some(map) = backing::Mmap::map(&file, len) {
                 return Self::validate(path, Backing::Mmap(map));
             }
@@ -464,164 +415,19 @@ impl LabelArtifact {
 
     /// Load an artifact by reading the whole file onto the heap — the
     /// no-`unsafe` path, also used as the mmap fallback.
-    pub fn load_heap(path: &Path) -> Result<LabelArtifact, ArtifactError> {
+    pub fn load_heap(path: &Path) -> Result<LabelArtifact, LoadError> {
         let mut bytes = Vec::new();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|source| ArtifactError::Io {
-                path: path.to_path_buf(),
-                source,
-            })?;
+            .map_err(|source| LoadError::io(path, source))?;
         Self::validate(path, Backing::Heap(bytes))
     }
 
-    /// Validate header geometry, checksum, and every invariant the lookup
-    /// kernel relies on. All errors are typed; nothing is served from a
-    /// file that fails any check.
-    fn validate(path: &Path, backing: Backing) -> Result<LabelArtifact, ArtifactError> {
-        let at = |p: &Path, detail: String| ArtifactError::Truncated {
-            path: p.to_path_buf(),
-            detail,
-        };
-        let bytes = backing.bytes();
-        if bytes.len() < HEADER_LEN {
-            return Err(at(
-                path,
-                format!("{} bytes, header alone is {HEADER_LEN}", bytes.len()),
-            ));
-        }
-        if bytes[0..4] != ARTIFACT_MAGIC {
-            return Err(ArtifactError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4"));
-        let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8"));
-        let version = u32_at(4);
-        if version != ARTIFACT_VERSION {
-            return Err(ArtifactError::BadVersion {
-                path: path.to_path_buf(),
-                found: version,
-                expected: ARTIFACT_VERSION,
-            });
-        }
-        let entries = u64_at(8) as usize;
-        let owners = u64_at(16) as usize;
-        let checksum = u64_at(24);
-        let payload_len = u64_at(32) as usize;
-        if entries == 0 {
-            return Err(ArtifactError::Empty {
-                path: path.to_path_buf(),
-            });
-        }
-        // Geometry first: the section layout implied by the counts must
-        // match the recorded payload length and the actual byte count,
-        // so every column access below is in bounds by construction.
-        if owners > entries {
-            return Err(at(path, format!("{owners} owners > {entries} entries")));
-        }
-        let sections = match Sections::for_counts(entries, owners) {
-            Some(s) => s,
-            None => {
-                return Err(at(
-                    path,
-                    format!("{entries} entries / {owners} owners overflow the layout"),
-                ))
-            }
-        };
-        if sections.payload_len != payload_len {
-            return Err(at(
-                path,
-                format!(
-                    "payload length {payload_len} recorded, {} implied by {entries} entries / {owners} owners",
-                    sections.payload_len
-                ),
-            ));
-        }
-        if bytes.len() != HEADER_LEN + payload_len {
-            return Err(at(
-                path,
-                format!(
-                    "{} bytes on disk, {} expected",
-                    bytes.len(),
-                    HEADER_LEN + payload_len
-                ),
-            ));
-        }
-        let payload = &bytes[HEADER_LEN..];
-        let computed = fnv1a(FNV_OFFSET, payload);
-        if computed != checksum {
-            return Err(ArtifactError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                recorded: checksum,
-                computed,
-            });
-        }
-        let invalid = |detail: String| ArtifactError::Invalid {
-            path: path.to_path_buf(),
-            detail,
-        };
-        // Keys: strictly ascending (binary search's invariant) and within
-        // the packed 32-bit community space.
-        let key_at =
-            |i: usize| u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().expect("8"));
-        let mut prev: Option<u64> = None;
-        for i in 0..entries {
-            let key = key_at(i);
-            if key > u64::from(u32::MAX) {
-                return Err(invalid(format!(
-                    "key {key:#x} outside the packed α:β space"
-                )));
-            }
-            if let Some(p) = prev {
-                if key <= p {
-                    return Err(invalid(format!("keys not strictly ascending at row {i}")));
-                }
-            }
-            prev = Some(key);
-        }
-        // Labels: only the two defined bytes; padding must be zero.
-        for (i, &b) in payload[sections.labels..sections.confidence]
-            .iter()
-            .enumerate()
-        {
-            let expect_pad = i >= entries;
-            if (expect_pad && b != 0) || (!expect_pad && b > 1) {
-                return Err(invalid(format!("label byte {b} at row {i}")));
-            }
-        }
-        // Owner index: must be exactly the index the writer derives from
-        // the key column (the lookup kernel trusts its starts blindly).
-        let mut expected: Vec<(u32, u32)> = Vec::new();
-        for i in 0..entries {
-            let alpha = (key_at(i) >> 16) as u32;
-            if expected.last().map(|&(a, _)| a) != Some(alpha) {
-                expected.push((alpha, i as u32));
-            }
-        }
-        if expected.len() != owners {
-            return Err(invalid(format!(
-                "{owners} owner entries recorded, {} implied by the key column",
-                expected.len()
-            )));
-        }
-        for (j, &(alpha, start)) in expected.iter().enumerate() {
-            let got_alpha = u32::from_le_bytes(
-                payload[sections.owners + j * 8..sections.owners + j * 8 + 4]
-                    .try_into()
-                    .expect("4"),
-            );
-            let got_start = u32::from_le_bytes(
-                payload[sections.owners + j * 8 + 4..sections.owners + j * 8 + 8]
-                    .try_into()
-                    .expect("4"),
-            );
-            if (got_alpha, got_start) != (alpha, start) {
-                return Err(invalid(format!(
-                    "owner index entry {j} is ({got_alpha}, {got_start}), expected ({alpha}, {start})"
-                )));
-            }
-        }
+    /// Open the envelope, then check the column geometry and every
+    /// invariant the lookup kernel relies on. All errors are typed;
+    /// nothing is served from a file that fails any check.
+    fn validate(path: &Path, backing: Backing) -> Result<LabelArtifact, LoadError> {
+        let (entries, owners, sections) = Self::FORMAT.decode(backing.bytes(), path, check)?;
         Ok(LabelArtifact {
             backing,
             entries,
@@ -630,8 +436,8 @@ impl LabelArtifact {
         })
     }
 
-    fn payload(&self) -> &[u8] {
-        &self.backing.bytes()[HEADER_LEN..]
+    fn columns(&self) -> &[u8] {
+        &self.backing.bytes()[COLUMNS..]
     }
 
     /// Number of labeled communities.
@@ -659,30 +465,25 @@ impl LabelArtifact {
         }
     }
 
-    #[inline]
-    fn key_at(&self, i: usize) -> u64 {
-        let p = self.payload();
-        u64::from_le_bytes(p[i * 8..i * 8 + 8].try_into().expect("8"))
-    }
-
-    #[inline]
-    fn f64_at(&self, section: usize, i: usize) -> f64 {
-        let p = self.payload();
-        f64::from_le_bytes(
-            p[section + i * 8..section + i * 8 + 8]
-                .try_into()
-                .expect("8"),
-        )
-    }
-
+    /// The `i`-th 8-byte word of the column at `section`.
     #[inline]
     fn u64_at(&self, section: usize, i: usize) -> u64 {
-        let p = self.payload();
-        u64::from_le_bytes(
-            p[section + i * 8..section + i * 8 + 8]
-                .try_into()
-                .expect("8"),
-        )
+        let at = section + i * 8;
+        u64::from_le_bytes(self.columns()[at..at + 8].try_into().expect("8"))
+    }
+
+    #[inline]
+    fn key_at(&self, i: usize) -> u64 {
+        self.u64_at(0, i) // the key column comes first
+    }
+
+    #[inline]
+    fn intent_at(&self, i: usize) -> Intent {
+        if self.columns()[self.sections.labels + i] == 0 {
+            Intent::Action
+        } else {
+            Intent::Information
+        }
     }
 
     /// The `i`-th row in key order. Panics if `i >= len()`.
@@ -691,13 +492,9 @@ impl LabelArtifact {
         let sec = &self.sections;
         LabelRow {
             community: Community::from_u32(self.key_at(i) as u32),
-            label: if self.payload()[sec.labels + i] == 0 {
-                Intent::Action
-            } else {
-                Intent::Information
-            },
-            confidence: self.f64_at(sec.confidence, i),
-            ratio: self.f64_at(sec.ratio, i),
+            label: self.intent_at(i),
+            confidence: f64::from_bits(self.u64_at(sec.confidence, i)),
+            ratio: f64::from_bits(self.u64_at(sec.ratio, i)),
             on_paths: self.u64_at(sec.on, i),
             off_paths: self.u64_at(sec.off, i),
         }
@@ -729,13 +526,7 @@ impl LabelArtifact {
     /// Just the intent for `c` — the cheapest query (one column touched).
     #[inline]
     pub fn label(&self, c: Community) -> Option<Intent> {
-        self.find(c).map(|i| {
-            if self.payload()[self.sections.labels + i] == 0 {
-                Intent::Action
-            } else {
-                Intent::Information
-            }
-        })
+        self.find(c).map(|i| self.intent_at(i))
     }
 
     /// Batch lookup, fanned out over `threads` workers (`0` = one per
@@ -758,21 +549,11 @@ impl LabelArtifact {
     /// classified communities) — the `α`-prefix scan, via the owner index
     /// instead of a key-column search.
     pub fn owner_range(&self, asn: u16) -> std::ops::Range<usize> {
-        let sec = &self.sections;
-        let alpha_at = |j: usize| {
-            u32::from_le_bytes(
-                self.payload()[sec.owners + j * 8..sec.owners + j * 8 + 4]
-                    .try_into()
-                    .expect("4"),
-            )
-        };
-        let start_at = |j: usize| {
-            u32::from_le_bytes(
-                self.payload()[sec.owners + j * 8 + 4..sec.owners + j * 8 + 8]
-                    .try_into()
-                    .expect("4"),
-            ) as usize
-        };
+        // An owner entry read as one word: α in the low half, the start
+        // row in the high half.
+        let owners = self.sections.owners;
+        let alpha_at = |j: usize| self.u64_at(owners, j) as u32;
+        let start_at = |j: usize| (self.u64_at(owners, j) >> 32) as usize;
         let target = u32::from(asn);
         let (mut lo, mut hi) = (0usize, self.owners);
         while lo < hi {
@@ -809,6 +590,7 @@ impl LabelArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -936,104 +718,49 @@ mod tests {
         let path = temp_path("empty.art");
         write_artifact_atomic(&path, &[]).expect("write empty");
         let err = LabelArtifact::load(&path).expect_err("empty must be refused");
-        assert!(matches!(err, ArtifactError::Empty { .. }), "{err}");
+        assert!(
+            matches!(err, LoadError::Corrupt { ref detail, .. } if detail.contains("zero labels")),
+            "{err}"
+        );
         assert!(err.is_invalid_data());
     }
 
+    /// Payloads that pass the seal but break an invariant the lookup
+    /// kernel relies on: each is refused with what broke. (The envelope's
+    /// own damage matrix runs for every format in the core crate's
+    /// `tests/formats.rs`.)
     #[test]
-    fn wrong_version_fails_closed() {
-        let (path, _) = write_sample("version.art");
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[4..8].copy_from_slice(&(ARTIFACT_VERSION + 1).to_le_bytes());
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let err = LabelArtifact::load(&path).expect_err("version must be refused");
-        assert!(
-            matches!(
-                err,
-                ArtifactError::BadVersion {
-                    found,
-                    expected: ARTIFACT_VERSION,
-                    ..
-                } if found == ARTIFACT_VERSION + 1
-            ),
-            "{err}"
+    fn structure_is_checked_behind_the_seal() {
+        let file = encode_artifact(&sample_rows()).expect("encode");
+        let n = sample_rows().len();
+        let sec = Sections::for_counts(n, 3).expect("layout");
+        let refused = |edit: &dyn Fn(&mut Vec<u8>), expect: &str| {
+            let mut forged = file.clone();
+            edit(&mut forged);
+            LabelArtifact::FORMAT.seal(&mut forged);
+            let err = LabelArtifact::validate(Path::new("x"), Backing::Heap(forged))
+                .expect_err("forged artifact must be refused");
+            assert!(
+                matches!(&err, LoadError::Corrupt { detail, .. } if detail.contains(expect)),
+                "expected {expect:?}, got {err}"
+            );
+        };
+        let col = |at: usize| COLUMNS + at;
+        refused(&|f| f.truncate(40), "shorter than the counts");
+        refused(&|f| f[persist::HEADER_LEN] = 7, "implied by 7 entries");
+        refused(&|f| f[COLUMNS - 8] = 9, "9 owners > 6 entries");
+        refused(
+            &|f| f[COLUMNS - 8..COLUMNS].fill(0xff),
+            "owners > 6 entries",
         );
-    }
-
-    #[test]
-    fn bad_magic_fails_closed() {
-        let (path, _) = write_sample("magic.art");
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[0] ^= 0x20;
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let err = LabelArtifact::load(&path).expect_err("magic must be refused");
-        assert!(matches!(err, ArtifactError::BadMagic { .. }), "{err}");
-    }
-
-    #[test]
-    fn every_truncation_point_fails_closed() {
-        let (path, _) = write_sample("truncate.art");
-        let bytes = std::fs::read(&path).expect("read");
-        // Every prefix, stepped to keep the test fast but cover all
-        // regions: inside the header, each section boundary, and the tail.
-        let mut cuts: Vec<usize> = (0..bytes.len()).step_by(7).collect();
-        cuts.push(bytes.len() - 1);
-        for cut in cuts {
-            std::fs::write(&path, &bytes[..cut]).expect("truncate");
-            match LabelArtifact::load(&path) {
-                Err(e) => assert!(e.is_invalid_data(), "cut at {cut}: {e}"),
-                Ok(_) => panic!("truncation at {cut} was accepted"),
-            }
-            // The safe loader must agree byte-for-byte on refusal.
-            assert!(LabelArtifact::load_heap(&path).is_err(), "heap, cut {cut}");
-        }
-    }
-
-    #[test]
-    fn every_bit_flip_fails_closed_or_is_detected() {
-        let (path, rows) = write_sample("bitflip.art");
-        let bytes = std::fs::read(&path).expect("read");
-        // Flip one bit at a time across the whole file (stepping bytes to
-        // keep it fast; every header byte, stride through the payload).
-        let positions: Vec<usize> = (0..HEADER_LEN)
-            .chain((HEADER_LEN..bytes.len()).step_by(11))
-            .collect();
-        for pos in positions {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            std::fs::write(&path, &corrupt).expect("rewrite");
-            match LabelArtifact::load(&path) {
-                Err(e) => assert!(e.is_invalid_data(), "flip at {pos}: {e}"),
-                // A flip in the reserved header word is the only bit the
-                // format does not seal; anything else must be refused.
-                Ok(artifact) => {
-                    assert!((40..48).contains(&pos), "flip at {pos} was accepted");
-                    assert_eq!(artifact.rows().collect::<Vec<_>>(), rows);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn payload_and_checksum_flips_are_checksum_mismatches() {
-        let (path, _) = write_sample("checksum.art");
-        let mut bytes = std::fs::read(&path).expect("read");
-        let payload_pos = HEADER_LEN + 3;
-        bytes[payload_pos] ^= 0x80;
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let err = LabelArtifact::load(&path).expect_err("payload flip");
-        assert!(
-            matches!(err, ArtifactError::ChecksumMismatch { .. }),
-            "{err}"
+        refused(&|f| f[col(4)] = 1, "outside the packed");
+        refused(
+            &|f| f.copy_within(col(8)..col(16), col(0)),
+            "not strictly ascending at row 1",
         );
-    }
-
-    #[test]
-    fn missing_file_is_an_io_error() {
-        let path = temp_path("missing.art");
-        let err = LabelArtifact::load(&path).expect_err("missing file");
-        assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
-        assert!(!err.is_invalid_data());
+        refused(&|f| f[col(sec.labels + 2)] = 2, "label byte 2 at row 2");
+        refused(&|f| f[col(sec.labels + n)] = 1, "label byte 1 at row 6");
+        refused(&|f| f[col(sec.owners + 12)] = 2, "owner index entry 1");
     }
 
     #[test]

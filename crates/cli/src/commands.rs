@@ -1248,6 +1248,12 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
                         shard.index
                     );
                 }
+                ShardEvent::Discarded { shard, failure } => {
+                    eprintln!(
+                        "shard {}: discarding leftover artifact ({failure}); redoing the shard",
+                        shard.index
+                    );
+                }
                 ShardEvent::Started { shard, attempt } => {
                     eprintln!(
                         "shard {}: attempt {attempt} ({} file(s))",

@@ -249,6 +249,52 @@ fn existing_checkpoint_without_resume_is_refused() {
 }
 
 #[test]
+fn json_checkpoint_from_before_the_binary_format_is_refused_untouched() {
+    let dir = workdir("legacy-json");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    // A manifest as builds before the binary format wrote it: schema 2,
+    // pretty-printed JSON with sorted keys, covering the first archive.
+    let legacy = r#"{
+  "checksum": 10966095916983126331,
+  "files": [
+    {
+      "fingerprint": {
+        "bytes": 10655,
+        "hash": 6685637747238123569
+      },
+      "path": "PATH"
+    }
+  ],
+  "report": {
+    "records_read": 20
+  },
+  "schema": 2,
+  "snapshot": {
+    "communities": [],
+    "paths": [],
+    "seen_asns": [],
+    "tuples": []
+  }
+}
+"#
+    .replace("PATH", paths[0].to_str().unwrap());
+    fs::write(&ckpt, &legacy).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt.to_str().unwrap(), "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(stderr.contains("predates the binary"), "{stderr}");
+    assert!(stderr.contains("delete it"), "{stderr}");
+    assert!(labels.is_none(), "a refused run writes no labels");
+    // Refused, not overwritten: the operator decides what to do with it.
+    assert_eq!(fs::read_to_string(&ckpt).unwrap(), legacy);
+}
+
+#[test]
 fn checkpoint_with_strict_is_refused() {
     let dir = workdir("strict-refused");
     let paths = archives(&dir, 2, 20);

@@ -305,6 +305,64 @@ fn corrupt_or_missing_artifacts_are_refused() {
     assert_eq!(out.status.code(), Some(EXIT_USAGE), "{}", stderr_of(&out));
 }
 
+/// A one-row label artifact in the version-1 layout of earlier builds: a
+/// 48-byte header of its own (magic `BGPA`, version 1, entry and owner
+/// counts, FNV-1a 64 of the payload, payload length, reserved word), then
+/// the columns for `1299:35130` (information, confidence 1, ratio 37).
+fn version_1_artifact() -> Vec<u8> {
+    let mut payload = Community::new(1299, 35130)
+        .packed_key()
+        .to_le_bytes()
+        .to_vec();
+    payload.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+    payload.extend_from_slice(&1.0f64.to_le_bytes());
+    payload.extend_from_slice(&37.0f64.to_le_bytes());
+    payload.extend_from_slice(&37u64.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&1299u32.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut file = b"BGPA".to_vec();
+    file.extend_from_slice(&1u32.to_le_bytes());
+    // Entries, owners, checksum, payload length, reserved.
+    for field in [1, 1, 0x9be9_5e35_baf1_c7c7, payload.len() as u64, 0] {
+        file.extend_from_slice(&field.to_le_bytes());
+    }
+    file.extend_from_slice(&payload);
+    file
+}
+
+#[test]
+fn version_1_artifact_is_refused() {
+    let dir = workdir("version-1");
+    let old = dir.join("labels-v1.bga");
+    fs::write(&old, version_1_artifact()).unwrap();
+    for extra in [&[][..], &["--no-mmap"][..]] {
+        let args = [
+            &[
+                "query",
+                "--artifact",
+                old.to_str().unwrap(),
+                "--key",
+                "1299:35130",
+            ][..],
+            extra,
+        ]
+        .concat();
+        let out = bgpcomm(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(EXIT_CHECKPOINT),
+            "{}",
+            stderr_of(&out)
+        );
+        assert!(
+            stderr_of(&out).contains("predates the binary label artifact format"),
+            "{}",
+            stderr_of(&out)
+        );
+    }
+}
+
 /// A training archive whose labels are unanimous: owner 1299 signals
 /// `1299:35130` only on-path (information) and `1299:2569` only off-path
 /// (action), while `3356:100` is seen on both sides (ratio-labeled, so

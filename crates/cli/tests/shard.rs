@@ -394,6 +394,71 @@ fn rerun_resumes_from_valid_artifacts_of_a_failed_run() {
 }
 
 #[test]
+fn json_era_shard_artifact_is_discarded_and_redone() {
+    let dir = workdir("legacy-json");
+    let paths = archives(&dir, 4, 30);
+    let single = run_traced("infer", &paths, &dir, "single", &[]);
+    assert_eq!(single.status.code(), Some(0), "{}", stderr_of(&single));
+
+    // Shard 0's artifact (files 0 and 2 of 4 at two workers) as builds
+    // before the binary format wrote it: a schema-2 JSON manifest.
+    let shard_dir = dir.join("shards");
+    fs::create_dir_all(&shard_dir).unwrap();
+    let legacy = r#"{
+  "checksum": 4170137391472180293,
+  "files": [
+    {
+      "fingerprint": {
+        "bytes": 3270,
+        "hash": 1234567
+      },
+      "path": "PATH0"
+    },
+    {
+      "fingerprint": {
+        "bytes": 3270,
+        "hash": 7654321
+      },
+      "path": "PATH2"
+    }
+  ],
+  "report": {
+    "records_read": 60
+  },
+  "schema": 2,
+  "snapshot": {
+    "communities": [],
+    "paths": [],
+    "seen_asns": [],
+    "tuples": []
+  }
+}
+"#
+    .replace("PATH0", paths[0].to_str().unwrap())
+    .replace("PATH2", paths[2].to_str().unwrap());
+    fs::write(shard_dir.join("shard-000.ckpt"), legacy).unwrap();
+
+    let out = run_traced(
+        "shard",
+        &paths,
+        &dir,
+        "sharded",
+        &["--shard-dir", shard_dir.to_str().unwrap(), "--workers", "2"],
+    );
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("shard 0: discarding leftover artifact"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("predates the binary"), "{stderr}");
+    assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
+    assert!(!stderr.contains("reusing"), "{stderr}");
+    assert_eq!(read(&dir, "sharded.json"), read(&dir, "single.json"));
+    assert!(read(&shard_dir, "shard-000.ckpt").starts_with(b"BGPBCKPT"));
+}
+
+#[test]
 fn shard_rejects_strict_mode_and_requires_a_shard_dir() {
     let dir = workdir("usage");
     let paths = archives(&dir, 2, 10);

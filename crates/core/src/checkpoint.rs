@@ -1,5 +1,5 @@
 //! Crash-safe incremental runs: content-based statistics accumulation and
-//! an atomic checkpoint manifest.
+//! a sealed binary checkpoint file.
 //!
 //! Long supervised runs over hundreds of archives must survive a crash —
 //! OOM kill, power loss, a poisoned worker — without redoing days of
@@ -9,16 +9,21 @@
 //!   *content-based* fingerprint sets whose union is exact and commutative,
 //!   so per-file partial results merge into the same [`PathStats`] a
 //!   single-shot reduction would produce (see "Why fingerprints" below).
-//! * [`StatsSnapshot`] is the accumulator's serializable form: vectors of
+//! * [`StatsSnapshot`] is the accumulator's persistable form: vectors of
 //!   deterministically-ordered per-snapshot segments (fixed shard-major
-//!   ingest order), so the serialized bytes are identical at any thread
+//!   ingest order), so the encoded bytes are identical at any thread
 //!   count for a given ingest sequence, and each per-file snapshot costs
 //!   only the file's new elements.
 //! * [`Checkpoint`] records which input files completed (with a
 //!   byte-length + FNV-1a fingerprint each, via [`fingerprint_file`]), the
-//!   ingest accounting so far, and the snapshot. [`Checkpoint::save_atomic`]
-//!   writes temp-file-then-rename so a crash mid-write leaves the previous
-//!   checkpoint intact, never a torn one.
+//!   ingest accounting so far, and the snapshot. It is one sealed binary
+//!   file (layout on the type), written durably by
+//!   [`Checkpoint::save_atomic`] so a crash mid-write leaves the previous
+//!   checkpoint intact, never a torn one. A shard worker's artifact is the
+//!   same file (see [`crate::supervisor`]).
+//! * `ColumnWriter` and `ColumnReader` are the column codec this file and
+//!   the watch checkpoint ([`crate::watch`]) are encoded with, inside the
+//!   envelope of [`bgp_types::persist`].
 //!
 //! # Why fingerprints
 //!
@@ -31,27 +36,20 @@
 //! collision being (silently, astronomically rarely) able to collapse two
 //! distinct paths.
 
-use std::fmt;
 use std::fs::File;
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{fx_hash_one, FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
-use bgp_types::persist::{self, fnv1a, FNV_OFFSET};
+use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
 use bgp_types::store::ObservationStore;
 use bgp_types::{AsPath, Asn, Community, Observation};
-use serde::{Deserialize, Serialize};
 
 use crate::stats::{OnPathIndex, PathCounts, PathStats};
-
-/// Version stamp inside every checkpoint file; bump on layout changes so a
-/// resume against an incompatible manifest refuses instead of misreading.
-/// Schema 2 added the mandatory payload `checksum`.
-pub const CHECKPOINT_SCHEMA: u32 = 2;
 
 /// Content fingerprint of one AS path.
 pub fn path_fingerprint(path: &AsPath) -> u64 {
@@ -89,14 +87,13 @@ pub struct StatsAccumulator {
     /// Per community: fingerprints of the unique paths it rode off-path,
     /// plus their undrained snapshot delta.
     off: FxHashMap<Community, CommunitySet>,
-    /// The serialized form as of the last [`snapshot`](Self::snapshot)
+    /// The persistable form as of the last [`snapshot`](Self::snapshot)
     /// call, extended in place from the deltas below. Re-materializing the
     /// full state on every per-file checkpoint would be O(everything
-    /// accumulated so far) per file — that is what would blow the <3%
-    /// overhead budget — so each snapshot only appends the newly-inserted
-    /// elements as one deterministically-ordered segment. Shared, so a
-    /// checkpoint can hold it without a copy; the next append copies it
-    /// only if that checkpoint is still alive.
+    /// accumulated so far) per file, so each snapshot only appends the
+    /// newly-inserted elements as one deterministically-ordered segment.
+    /// Shared, so a checkpoint can hold it without a copy; the next append
+    /// copies it only if that checkpoint is still alive.
     cache: Arc<StatsSnapshot>,
     /// Position of each community's entry in `cache.communities`, so a
     /// snapshot drains deltas into their slots without searching.
@@ -475,21 +472,19 @@ impl StatsAccumulator {
         }
     }
 
-    /// The serializable form. Deterministic for a given ingest sequence:
+    /// The persistable form. Deterministic for a given ingest sequence:
     /// every vector is a concatenation of per-snapshot segments, each in
     /// the fixed shard-major order [`ingest`](Self::ingest) guarantees, so
     /// the bytes are identical at any thread count — and a resumed run,
     /// which replays the same files in the same order with the same
     /// snapshot cadence, reproduces them exactly. (Two accumulators
     /// holding equal *sets* but fed in different groupings or snapshotted
-    /// at different points serialize differently;
+    /// at different points encode differently;
     /// [`to_stats`](Self::to_stats) is identical either way.)
     ///
     /// Cost is O(elements inserted since the last call) — pure appends, no
-    /// re-sort of everything accumulated — the property that keeps
-    /// per-file checkpointing within its overhead budget. The returned
-    /// borrow is valid until the next `ingest`/`merge`; clone it to
-    /// persist.
+    /// re-sort of everything accumulated. The returned borrow is valid
+    /// until the next `ingest`/`merge`; clone it to persist.
     pub fn snapshot(&mut self) -> &StatsSnapshot {
         let cache = Arc::make_mut(&mut self.cache);
         cache.paths.append(&mut self.paths_delta);
@@ -577,7 +572,7 @@ impl StatsAccumulator {
 }
 
 /// One community's fingerprint sets in a [`StatsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotCommunity {
     /// The owner ASN (`α`).
     pub asn: u16,
@@ -589,11 +584,11 @@ pub struct SnapshotCommunity {
     pub off: Vec<u64>,
 }
 
-/// Serialized [`StatsAccumulator`]: content-based and independent of
+/// Persistable [`StatsAccumulator`]: content-based and independent of
 /// interner state or thread count. Vectors hold unique elements as a
 /// concatenation of deterministically-ordered segments, one per [`StatsAccumulator::snapshot`]
 /// call — see there for the exact determinism contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsSnapshot {
     /// Unique-path fingerprints, in deterministic per-snapshot segments.
     pub paths: Vec<u64>,
@@ -651,18 +646,19 @@ impl StatsSnapshot {
     }
 }
 
-/// Builds a binary checkpoint: little-endian scalars and length-prefixed
-/// columns (a `u64` element count, then the elements).
-#[derive(Debug, Default)]
+/// Builds a sealed binary file: the envelope header reserved up front,
+/// then little-endian scalars and length-prefixed columns (a `u64`
+/// element count, then the elements).
+#[derive(Debug)]
 pub(crate) struct ColumnWriter {
     buf: Vec<u8>,
 }
 
 impl ColumnWriter {
-    /// A writer whose buffer starts with `header` placeholder bytes.
-    pub(crate) fn with_header(header: usize) -> Self {
+    /// A writer with the envelope header reserved.
+    pub(crate) fn new() -> Self {
         ColumnWriter {
-            buf: vec![0; header],
+            buf: vec![0; persist::HEADER_LEN],
         }
     }
 
@@ -681,8 +677,15 @@ impl ColumnWriter {
         }
     }
 
-    /// The bytes written so far, header placeholder included.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// One byte column.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The file: the payload written so far, sealed as `format`.
+    pub(crate) fn seal(mut self, format: &Format) -> Vec<u8> {
+        format.seal(&mut self.buf);
         self.buf
     }
 }
@@ -696,7 +699,7 @@ pub(crate) struct ColumnReader<'a> {
 }
 
 impl<'a> ColumnReader<'a> {
-    /// A reader over `buf`.
+    /// A reader over a payload.
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         ColumnReader { buf }
     }
@@ -716,14 +719,9 @@ impl<'a> ColumnReader<'a> {
         Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
-    /// One column of `N`-byte elements. The count is checked against the
-    /// bytes left before the vector is allocated, so a forged count fails
-    /// here instead of reserving memory for it.
-    pub(crate) fn column<T, const N: usize>(
-        &mut self,
-        what: &str,
-        parse: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, String> {
+    /// The raw bytes of one column of `N`-byte elements. The count is
+    /// checked against the bytes left before anything is sized by it.
+    fn raw<const N: usize>(&mut self, what: &str) -> Result<&'a [u8], String> {
         let count = self.u64(what)?;
         let len = usize::try_from(count)
             .ok()
@@ -735,11 +733,25 @@ impl<'a> ColumnReader<'a> {
                     self.buf.len()
                 )
             })?;
-        let raw = self.take(len, what)?;
-        Ok(raw
+        self.take(len, what)
+    }
+
+    /// One column of `N`-byte elements.
+    pub(crate) fn column<T, const N: usize>(
+        &mut self,
+        what: &str,
+        parse: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, String> {
+        Ok(self
+            .raw::<N>(what)?
             .chunks_exact(N)
             .map(|c| parse(c.try_into().expect("N-byte chunk")))
             .collect())
+    }
+
+    /// One byte column, borrowed.
+    pub(crate) fn bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
+        self.raw::<1>(what)
     }
 
     /// Fail unless every byte was consumed.
@@ -753,7 +765,7 @@ impl<'a> ColumnReader<'a> {
 }
 
 /// Byte length + FNV-1a 64 hash of a file's contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileFingerprint {
     /// File length in bytes.
     pub bytes: u64,
@@ -781,7 +793,7 @@ pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
 }
 
 /// One input file recorded as fully ingested.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedFile {
     /// The file path as given on the command line.
     pub path: String,
@@ -789,126 +801,29 @@ pub struct CompletedFile {
     pub fingerprint: FileFingerprint,
 }
 
-/// Why loading a checkpoint (or shard artifact) was refused. Corruption is
-/// always a clean typed error — never a panic, never silently-partial
-/// state folded into a run.
-#[derive(Debug)]
-pub enum CheckpointLoadError {
-    /// The file could not be read at all (missing, permissions, I/O).
-    Io {
-        /// The manifest path.
-        path: PathBuf,
-        /// The underlying error.
-        source: io::Error,
-    },
-    /// The bytes on disk are not a well-formed manifest: truncated file,
-    /// invalid JSON, or a payload checksum mismatch (bit rot, torn write).
-    Corrupt {
-        /// The manifest path.
-        path: PathBuf,
-        /// What exactly failed to validate.
-        detail: String,
-    },
-    /// The file does not start with the binary watch-checkpoint magic: a
-    /// JSON (schema 1) watch checkpoint written before the binary format,
-    /// or not a watch checkpoint at all. It cannot be resumed from; the
-    /// remedy is to delete it.
-    LegacyFormat {
-        /// The manifest path.
-        path: PathBuf,
-    },
-    /// A well-formed manifest written by an incompatible layout version.
-    SchemaMismatch {
-        /// The manifest path.
-        path: PathBuf,
-        /// The schema recorded in the file.
-        found: u32,
-        /// The schema this build reads and writes.
-        expected: u32,
-    },
-}
-
-impl CheckpointLoadError {
-    /// Whether the file existed but its *contents* were rejected
-    /// (corruption or schema) — the cases a caller should surface as a
-    /// refused checkpoint rather than a generic I/O failure.
-    pub fn is_invalid_data(&self) -> bool {
-        !matches!(self, CheckpointLoadError::Io { .. })
-    }
-
-    /// Whether the underlying failure is that the file does not exist.
-    pub fn is_not_found(&self) -> bool {
-        matches!(self, CheckpointLoadError::Io { source, .. }
-                 if source.kind() == io::ErrorKind::NotFound)
-    }
-}
-
-impl fmt::Display for CheckpointLoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointLoadError::Io { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            CheckpointLoadError::Corrupt { path, detail } => {
-                write!(
-                    f,
-                    "{}: corrupt or truncated checkpoint ({detail})",
-                    path.display()
-                )
-            }
-            CheckpointLoadError::LegacyFormat { path } => {
-                write!(
-                    f,
-                    "{}: not a binary watch checkpoint; it predates the binary \
-                     checkpoint format (or is not a checkpoint) and cannot be \
-                     resumed from: delete it to start the window afresh",
-                    path.display()
-                )
-            }
-            CheckpointLoadError::SchemaMismatch {
-                path,
-                found,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "{}: checkpoint schema {found} (this build writes {expected})",
-                    path.display()
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointLoadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointLoadError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl From<CheckpointLoadError> for io::Error {
-    fn from(e: CheckpointLoadError) -> io::Error {
-        match e {
-            CheckpointLoadError::Io { source, .. } => source,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics snapshot to resume from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// # Layout (version 3, all integers little-endian)
+///
+/// The [`bgp_types::persist`] envelope with magic `BGPBCKPT`, then the
+/// payload, where a column is a `u64` element count followed by the
+/// elements:
+///
+/// ```text
+///   file sizes    column (u64), one per completed file
+///   file hashes   column (u64), FNV-1a 64 of each file
+///   paths         one byte column (UTF-8) per file
+///   report        byte column: the IngestReport as JSON
+///   snapshot      paths (u64) · tuples (u64) · seen_asns (u32) ·
+///                 community keys (u32, α << 16 | β), then per community
+///                 its on and off fingerprint columns (u64)
+/// ```
+///
+/// Versions 1 and 2 were JSON manifests; they are refused as
+/// [`LoadError::Foreign`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
-    /// Layout version ([`CHECKPOINT_SCHEMA`]).
-    pub schema: u32,
-    /// FNV-1a 64 over the manifest serialized with this field zeroed —
-    /// recomputed on load so a truncated or bit-flipped manifest is
-    /// rejected instead of resuming from silently-wrong state.
-    #[serde(default)]
-    pub checksum: u64,
     /// Files fully ingested, in completion (= input) order. Files that
     /// failed (open error, abort, worker panic) are *not* recorded, so a
     /// resumed run retries them.
@@ -919,19 +834,14 @@ pub struct Checkpoint {
     pub snapshot: StatsSnapshot,
 }
 
-impl Default for Checkpoint {
-    fn default() -> Self {
-        Checkpoint {
-            schema: CHECKPOINT_SCHEMA,
-            checksum: 0,
-            files: Vec::new(),
-            report: IngestReport::default(),
-            snapshot: StatsSnapshot::default(),
-        }
-    }
-}
-
 impl Checkpoint {
+    /// The envelope of checkpoint files and shard artifacts.
+    pub const FORMAT: Format = Format {
+        magic: *b"BGPBCKPT",
+        version: 3,
+        name: "checkpoint",
+    };
+
     /// A fresh, empty manifest.
     pub fn new() -> Self {
         Self::default()
@@ -945,62 +855,65 @@ impl Checkpoint {
             .map(|f| &f.fingerprint)
     }
 
-    /// FNV-1a 64 over this manifest serialized with `checksum` zeroed —
-    /// the integrity seal [`save_atomic`](Self::save_atomic) embeds and
-    /// [`load`](Self::load) verifies. Canonical (compact) serialization of
-    /// the in-memory value, so whitespace never participates.
-    pub fn payload_checksum(&self) -> u64 {
-        let mut plain = self.clone();
-        plain.checksum = 0;
-        let json = serde_json::to_string(&plain).expect("in-memory checkpoint always serializes");
-        fnv1a(FNV_OFFSET, json.as_bytes())
+    /// The sealed file, in the order the type-level layout lists it.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ColumnWriter::new();
+        w.column(&self.files, |f| f.fingerprint.bytes.to_le_bytes());
+        w.column(&self.files, |f| f.fingerprint.hash.to_le_bytes());
+        for f in &self.files {
+            w.bytes(f.path.as_bytes());
+        }
+        let report =
+            serde_json::to_string(&self.report).expect("an IngestReport always serializes");
+        w.bytes(report.as_bytes());
+        self.snapshot.encode(&mut w);
+        w.seal(&Self::FORMAT)
     }
 
-    /// Write the manifest durably: seal the payload checksum, serialize,
-    /// and hand the bytes to [`persist::write_atomic`] (temp file, fsync,
-    /// rename, directory fsync). A crash at any point leaves either the
-    /// previous checkpoint or the new one — never a torn file.
+    /// Encode and write durably through [`persist::write_atomic`] (temp
+    /// file, fsync, rename, directory fsync). A crash at any point leaves
+    /// the previous checkpoint or this one — never a torn file.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        let mut sealed = self.clone();
-        sealed.checksum = sealed.payload_checksum();
-        let mut json = serde_json::to_string_pretty(&sealed)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        json.push('\n');
-        persist::write_atomic(path, json.as_bytes())
+        persist::write_atomic(path, &self.encode())
     }
 
-    /// Load and validate a manifest: parse, check the schema, then verify
-    /// the embedded payload checksum. Truncation (invalid JSON) and bit
-    /// flips that alter any recorded state are rejected with a typed
-    /// [`CheckpointLoadError`] — never a panic, never partial state.
-    pub fn load(path: &Path) -> Result<Checkpoint, CheckpointLoadError> {
-        let raw = std::fs::read_to_string(path).map_err(|source| CheckpointLoadError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let cp: Checkpoint =
-            serde_json::from_str(&raw).map_err(|e| CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: e.to_string(),
-            })?;
-        if cp.schema != CHECKPOINT_SCHEMA {
-            return Err(CheckpointLoadError::SchemaMismatch {
-                path: path.to_path_buf(),
-                found: cp.schema,
-                expected: CHECKPOINT_SCHEMA,
+    /// Read, validate and decode the checkpoint at `path`: the envelope,
+    /// then every column count against the bytes left, UTF-8 paths, a
+    /// parseable report, and no trailing bytes. Damage of any kind is a
+    /// typed [`LoadError`], never a panic or partial state.
+    pub fn load(path: &Path) -> Result<Checkpoint, LoadError> {
+        Self::FORMAT.load(path, Self::decode)
+    }
+
+    fn decode(payload: &[u8]) -> Result<Checkpoint, String> {
+        let mut r = ColumnReader::new(payload);
+        let sizes = r.column("file sizes", u64::from_le_bytes)?;
+        let hashes = r.column("file hashes", u64::from_le_bytes)?;
+        if hashes.len() != sizes.len() {
+            return Err(format!(
+                "{} file sizes, {} hashes",
+                sizes.len(),
+                hashes.len()
+            ));
+        }
+        let mut files = Vec::with_capacity(sizes.len());
+        for (bytes, hash) in sizes.into_iter().zip(hashes) {
+            let path = std::str::from_utf8(r.bytes("file path")?)
+                .map_err(|e| format!("file path: {e}"))?;
+            files.push(CompletedFile {
+                path: path.to_owned(),
+                fingerprint: FileFingerprint { bytes, hash },
             });
         }
-        let expected = cp.payload_checksum();
-        if cp.checksum != expected {
-            return Err(CheckpointLoadError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "payload checksum {:#018x} recorded, {expected:#018x} computed",
-                    cp.checksum
-                ),
-            });
-        }
-        Ok(cp)
+        let report =
+            serde_json::from_slice(r.bytes("report")?).map_err(|e| format!("report: {e}"))?;
+        let snapshot = StatsSnapshot::decode(&mut r)?;
+        r.finish()?;
+        Ok(Checkpoint {
+            files,
+            report,
+            snapshot,
+        })
     }
 }
 
@@ -1124,16 +1037,25 @@ mod tests {
         assert_eq!(forward.to_stats(), backward.to_stats());
     }
 
+    /// The snapshot's column encoding, without an envelope.
+    fn encoded(snap: &StatsSnapshot) -> Vec<u8> {
+        let mut w = ColumnWriter::new();
+        snap.encode(&mut w);
+        w.buf
+    }
+
     #[test]
-    fn snapshot_roundtrips_through_json() {
+    fn snapshot_roundtrips_through_the_column_codec() {
         let all = workload();
         let siblings = SiblingMap::default();
         let mut acc = StatsAccumulator::new();
         acc.ingest(&all, &siblings, 2);
         let snap = acc.snapshot().clone();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap, "u64 fingerprints survive JSON exactly");
+        let bytes = encoded(&snap);
+        let mut r = ColumnReader::new(&bytes[persist::HEADER_LEN..]);
+        let back = StatsSnapshot::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, snap, "u64 fingerprints survive exactly");
         let mut rebuilt = StatsAccumulator::from_snapshot(&back);
         assert_eq!(rebuilt.to_stats(), acc.to_stats());
         assert_eq!(rebuilt.snapshot(), &snap);
@@ -1143,7 +1065,7 @@ mod tests {
     fn interleaved_snapshots_reproduce_on_resume() {
         // The segment-append path: a run that snapshots after every "file"
         // and an interrupted run resumed from a mid-run snapshot must end in
-        // byte-identical serialized state — the contract `--resume` rests
+        // byte-identical encoded state — the contract `--resume` rests
         // on — even at different thread counts.
         let all = workload();
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
@@ -1162,10 +1084,7 @@ mod tests {
             let _ = resumed.snapshot();
         }
         assert_eq!(resumed.snapshot(), full.snapshot());
-        assert_eq!(
-            serde_json::to_string(resumed.snapshot()).unwrap(),
-            serde_json::to_string(full.snapshot()).unwrap()
-        );
+        assert_eq!(encoded(resumed.snapshot()), encoded(full.snapshot()));
         // The classifier input is grouping- and cadence-independent.
         let mut one_shot = StatsAccumulator::new();
         one_shot.ingest(&all, &siblings, 1);
@@ -1190,17 +1109,14 @@ mod tests {
             },
         });
         cp.report.records_read = 60;
+        cp.report.aborted = Some("a \"quoted\" reason".into());
         cp.snapshot = acc.snapshot().clone();
         cp.save_atomic(&path).unwrap();
         // No temp file left behind.
         assert!(!path.with_file_name("run.ckpt.tmp").exists());
+        assert!(std::fs::read(&path).unwrap().starts_with(b"BGPBCKPT"));
         let back = Checkpoint::load(&path).unwrap();
-        // The written manifest carries the sealed checksum; everything
-        // else round-trips exactly.
-        assert_eq!(back.checksum, cp.payload_checksum());
-        assert_eq!(back.files, cp.files);
-        assert_eq!(back.report, cp.report);
-        assert_eq!(back.snapshot, cp.snapshot);
+        assert_eq!(back, cp);
         assert_eq!(
             back.completed("a.mrt"),
             Some(&FileFingerprint {
@@ -1216,119 +1132,35 @@ mod tests {
         assert_eq!(Checkpoint::load(&path).unwrap().files, cp.files);
     }
 
+    /// Payloads that pass the seal but break the layout: every one is a
+    /// described refusal.
     #[test]
-    fn checkpoint_schema_mismatch_is_refused() {
-        let dir = std::env::temp_dir().join("bgp-intent-ckpt-schema");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let mut cp = Checkpoint::new();
-        cp.schema = CHECKPOINT_SCHEMA + 1;
-        cp.save_atomic(&path).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointLoadError::SchemaMismatch { found, expected, .. }
-                    if found == CHECKPOINT_SCHEMA + 1 && expected == CHECKPOINT_SCHEMA
-            ),
-            "{err}"
-        );
-        assert!(err.is_invalid_data());
-        assert!(err.to_string().contains("schema"));
-    }
-
-    /// A realistic sealed manifest on disk, for corruption tests.
-    fn saved_checkpoint(dir_name: &str) -> (std::path::PathBuf, Checkpoint) {
-        let dir = std::env::temp_dir().join(dir_name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let mut acc = StatsAccumulator::new();
-        acc.ingest(&workload(), &SiblingMap::default(), 1);
-        let mut cp = Checkpoint::new();
-        cp.files.push(CompletedFile {
-            path: "updates.00.mrt".into(),
-            fingerprint: FileFingerprint {
-                bytes: 4096,
-                hash: 0xdead_beef,
-            },
-        });
-        cp.report.records_read = 120;
-        cp.report.bytes_ok = 4096;
-        cp.report.bytes_read = 4096;
-        cp.snapshot = acc.snapshot().clone();
-        cp.save_atomic(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        (path, loaded)
-    }
-
-    #[test]
-    fn truncated_checkpoint_is_rejected_not_panicked() {
-        let (path, _) = saved_checkpoint("bgp-intent-ckpt-truncate");
-        let full = std::fs::read(&path).unwrap();
-        // Every truncation point — empty file, one byte, mid-JSON, the
-        // closing brace gone — must yield a clean typed error. (The file
-        // ends "}\n", so the last cut that actually damages it is len-2.)
-        for cut in [0, 1, full.len() / 4, full.len() / 2, full.len() - 2] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let err = Checkpoint::load(&path).unwrap_err();
+    fn checkpoint_structure_is_checked_behind_the_seal() {
+        let refused = |w: ColumnWriter, expect: &str| {
+            let file = w.seal(&Checkpoint::FORMAT);
+            let err = Checkpoint::FORMAT
+                .decode(&file, Path::new("x"), Checkpoint::decode)
+                .unwrap_err();
             assert!(
-                matches!(err, CheckpointLoadError::Corrupt { .. }),
-                "cut at {cut}: {err}"
+                err.to_string().contains(expect),
+                "expected {expect:?}, got {err}"
             );
-            assert!(err.is_invalid_data(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn bit_flipped_checkpoint_never_yields_wrong_state() {
-        let (path, original) = saved_checkpoint("bgp-intent-ckpt-bitflip");
-        let full = std::fs::read(&path).unwrap();
-        let mut caught = 0usize;
-        // Flip one bit at a spread of positions. Each damaged file must
-        // either be rejected (parse error, schema, or checksum mismatch)
-        // or — when the flip only touched insignificant whitespace —
-        // reload to exactly the original state. Silent partial state is
-        // the one forbidden outcome.
-        for pos in (0..full.len()).step_by(7) {
-            let mut damaged = full.clone();
-            damaged[pos] ^= 0x10;
-            std::fs::write(&path, &damaged).unwrap();
-            match Checkpoint::load(&path) {
-                Err(e) => {
-                    assert!(e.is_invalid_data(), "flip at {pos}: {e}");
-                    caught += 1;
-                }
-                Ok(cp) => assert_eq!(cp, original, "flip at {pos} must not alter loaded state"),
-            }
-        }
-        assert!(caught > 0, "at least some flips must corrupt the payload");
-    }
-
-    #[test]
-    fn checksum_seal_survives_reload_and_detects_field_tampering() {
-        let (path, loaded) = saved_checkpoint("bgp-intent-ckpt-tamper");
-        assert_eq!(loaded.checksum, loaded.payload_checksum());
-        // Rewrite one recorded value without resealing: JSON still parses,
-        // schema still matches — only the checksum catches it.
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let tampered = raw.replace("\"records_read\": 120", "\"records_read\": 121");
-        assert_ne!(tampered, raw, "tamper target must exist in the manifest");
-        std::fs::write(&path, tampered).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(err, CheckpointLoadError::Corrupt { ref detail, .. } if detail.contains("checksum")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn missing_checkpoint_is_an_io_not_found_error() {
-        let path = std::env::temp_dir().join("bgp-intent-ckpt-missing/none.ckpt");
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(err.is_not_found(), "{err}");
-        assert!(!err.is_invalid_data());
+        };
+        let fingerprints = |w: &mut ColumnWriter, sizes: &[u64], hashes: &[u64]| {
+            w.column(sizes, |v| v.to_le_bytes());
+            w.column(hashes, |v| v.to_le_bytes());
+        };
+        let mut w = ColumnWriter::new();
+        fingerprints(&mut w, &[1, 2], &[3]);
+        refused(w, "2 file sizes, 1 hashes");
+        let mut w = ColumnWriter::new();
+        fingerprints(&mut w, &[1], &[3]);
+        w.bytes(&[0xff, 0xfe]);
+        refused(w, "file path");
+        let mut w = ColumnWriter::new();
+        fingerprints(&mut w, &[], &[]);
+        w.bytes(br#"{"records_read": }"#);
+        refused(w, "report");
     }
 
     #[test]

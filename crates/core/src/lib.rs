@@ -84,8 +84,7 @@ pub use artifact::{
 };
 pub use categories::{infer_categories, CategoryConfig, FineCategory};
 pub use checkpoint::{
-    fingerprint_file, Checkpoint, CheckpointLoadError, CompletedFile, FileFingerprint,
-    StatsAccumulator, StatsSnapshot,
+    fingerprint_file, Checkpoint, CompletedFile, FileFingerprint, StatsAccumulator, StatsSnapshot,
 };
 pub use classify::{classify_parallelism, Exclusion, Inference, InferenceConfig};
 pub use cluster::gap_clusters;

@@ -8,8 +8,9 @@
 //! lost run:
 //!
 //! * [`plan_shards`] deals the input files round-robin into N shards. The
-//!   partition never affects the merged result — per-shard
-//!   [`StatsSnapshot`](crate::checkpoint::StatsSnapshot) artifacts hold
+//!   partition never affects the merged result — each shard's artifact is
+//!   a sealed binary [`Checkpoint`] whose
+//!   [`StatsSnapshot`](crate::checkpoint::StatsSnapshot) holds
 //!   content-based fingerprint *sets* whose union is exact and commutative
 //!   (see [`crate::checkpoint`]), so merging shards in shard order yields
 //!   the same [`PathStats`](crate::stats::PathStats) as one process
@@ -23,7 +24,7 @@
 //!   deterministic backoff of [`bgp_mrt::retry::RetryPolicy`] until the
 //!   attempt budget runs out.
 //! * [`validate_artifact`] is the supervisor's trust boundary: an artifact
-//!   only counts if it loads (checksum verified — see
+//!   only counts if it loads (envelope and structure verified — see
 //!   [`Checkpoint::load`]), lists exactly the shard's files in order, and
 //!   every listed fingerprint still matches the bytes on disk. Anything
 //!   else is a failed attempt, never silently-partial coverage.
@@ -36,7 +37,11 @@
 //! Pre-existing valid artifacts are *reused* without spawning a worker,
 //! which is what makes a partially failed run resumable: re-running the
 //! same command redoes only the shards that never produced a valid
-//! artifact.
+//! artifact. A leftover artifact that is corrupt or stale — torn, from a
+//! different file set, or written by an older build in a format this one
+//! refuses — is reported as [`ShardEvent::Discarded`] with the reason and
+//! its shard redone; a missing one is the normal fresh-run case and is
+//! not reported.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -46,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use bgp_mrt::retry::RetryPolicy;
 
-use crate::checkpoint::{fingerprint_file, Checkpoint, CheckpointLoadError};
+use crate::checkpoint::{fingerprint_file, Checkpoint};
 
 /// One shard of the input: which files it covers and where its worker
 /// writes the snapshot artifact and heartbeat.
@@ -199,6 +204,14 @@ pub enum ShardEvent<'a> {
         /// The shard whose artifact was adopted.
         shard: &'a ShardSpec,
     },
+    /// A pre-existing artifact failed validation (corrupt or stale); the
+    /// shard is redone and its first attempt overwrites the artifact.
+    Discarded {
+        /// The shard whose leftover artifact was refused.
+        shard: &'a ShardSpec,
+        /// Why it was refused.
+        failure: &'a ShardFailureKind,
+    },
     /// A worker attempt launched.
     Started {
         /// The shard being attempted.
@@ -245,11 +258,12 @@ pub enum ShardEvent<'a> {
 /// and every recorded fingerprint must still match the input bytes on
 /// disk. Returns the loaded [`Checkpoint`] or the failure classification.
 pub fn validate_artifact(spec: &ShardSpec) -> Result<Checkpoint, ShardFailureKind> {
-    let cp = Checkpoint::load(&spec.artifact).map_err(|e| match e {
-        ref io @ CheckpointLoadError::Io { .. } if io.is_not_found() => {
+    let cp = Checkpoint::load(&spec.artifact).map_err(|e| {
+        if e.is_not_found() {
             ShardFailureKind::MissingArtifact
+        } else {
+            ShardFailureKind::CorruptArtifact(e.to_string())
         }
-        other => ShardFailureKind::CorruptArtifact(other.to_string()),
     })?;
     let recorded: Vec<&str> = cp.files.iter().map(|f| f.path.as_str()).collect();
     let expected: Vec<&str> = spec.files.iter().map(String::as_str).collect();
@@ -398,8 +412,8 @@ pub fn supervise_with_shutdown(
     let mut states: Vec<State> = Vec::with_capacity(specs.len());
 
     // Adopt valid pre-existing artifacts (the resume path) before spawning
-    // anything; stale or corrupt leftovers are simply overwritten by the
-    // first attempt's atomic artifact write.
+    // anything; stale or corrupt leftovers are reported, then overwritten
+    // by the first attempt's atomic artifact write.
     for (spec, outcome) in specs.iter().zip(&mut outcomes) {
         match validate_artifact(spec) {
             Ok(cp) => {
@@ -409,10 +423,21 @@ pub fn supervise_with_shutdown(
                 on_event(ShardEvent::Reused { shard: spec });
                 states.push(State::Done);
             }
-            Err(_) => states.push(State::Pending {
-                attempt: 1,
-                at: Instant::now(),
-            }),
+            Err(failure) => {
+                if matches!(
+                    failure,
+                    ShardFailureKind::CorruptArtifact(_) | ShardFailureKind::StaleArtifact(_)
+                ) {
+                    on_event(ShardEvent::Discarded {
+                        shard: spec,
+                        failure: &failure,
+                    });
+                }
+                states.push(State::Pending {
+                    attempt: 1,
+                    at: Instant::now(),
+                });
+            }
         }
     }
 
@@ -774,6 +799,51 @@ mod tests {
         assert!(outcomes[0].succeeded());
         assert!(outcomes[0].reused);
         assert_eq!(outcomes[0].attempts, 0);
+    }
+
+    #[test]
+    fn leftover_corrupt_or_stale_artifacts_are_reported_and_redone() {
+        let dir = workdir("discard");
+        let specs: Vec<ShardSpec> = (0..3).map(|i| spec_with_inputs(&dir, i, 1)).collect();
+        // Shard 0: a JSON manifest as builds before the binary format
+        // wrote it. Shard 1: valid, but for different input bytes. Shard
+        // 2: no artifact at all (a fresh run) — not reported.
+        fs::write(
+            &specs[0].artifact,
+            b"{\n  \"checksum\": 0,\n  \"files\": []\n}\n",
+        )
+        .unwrap();
+        write_valid_artifact(&specs[1]);
+        fs::write(&specs[1].files[0], b"rewritten input").unwrap();
+        let mut discarded = Vec::new();
+        let outcomes = supervise(
+            &specs,
+            &quick_cfg(1),
+            |spec, _| {
+                write_valid_artifact(spec);
+                sh("exit 0".into())
+            },
+            |e| {
+                if let ShardEvent::Discarded { shard, failure } = e {
+                    discarded.push((shard.index, failure.clone()));
+                }
+            },
+        );
+        assert!(outcomes.iter().all(|o| o.succeeded() && !o.reused));
+        assert!(outcomes
+            .iter()
+            .all(|o| o.attempts == 1 && o.failures.is_empty()));
+        assert_eq!(discarded.len(), 2, "{discarded:?}");
+        assert!(
+            matches!(&discarded[0], (0, ShardFailureKind::CorruptArtifact(why))
+                if why.contains("predates the binary")),
+            "{discarded:?}"
+        );
+        assert!(
+            matches!(&discarded[1], (1, ShardFailureKind::StaleArtifact(why))
+                if why.contains("changed since")),
+            "{discarded:?}"
+        );
     }
 
     #[test]

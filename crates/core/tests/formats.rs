@@ -1,0 +1,349 @@
+//! One damage matrix for every sealed on-disk format.
+//!
+//! The batch checkpoint, a shard artifact, the watch checkpoint and the
+//! label artifact (through both its mmap and heap loaders) all wear the
+//! `bgp_types::persist` envelope, so they must all refuse the same damage
+//! with the same typed `LoadError`: every truncation length, a resealed
+//! truncation at every payload offset, one trailing byte, a flipped bit
+//! at every offset, and forged magic, version, length and checksum. A
+//! damaged file is never accepted, and loading never panics.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use bgp_artifact::{write_artifact_atomic, LabelArtifact, LabelRow};
+use bgp_intent::{
+    fingerprint_file, validate_artifact, Checkpoint, CompletedFile, InferenceConfig,
+    ShardFailureKind, ShardSpec, StatsAccumulator, WatchCheckpoint, WindowConfig,
+    WindowedClassifier,
+};
+use bgp_relationships::SiblingMap;
+use bgp_types::persist::{Format, LoadError, HEADER_LEN};
+use bgp_types::{Asn, Community, Intent, Observation};
+
+/// How a damaged file must be refused.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// [`LoadError::Corrupt`], with a detail containing this text.
+    Corrupt(&'static str),
+    /// [`LoadError::Foreign`]: not this format's magic.
+    Foreign,
+    /// [`LoadError::Version`]: this format, another layout version.
+    Version,
+}
+
+/// A loader under test, reduced to whether and how it refused.
+type Loader<'a> = &'a dyn Fn(&Path) -> Result<(), LoadError>;
+
+/// Hand every damaged copy of `sealed` to `check`, with the refusal the
+/// loaders must answer it with.
+fn for_each_damage(format: &Format, sealed: &[u8], mut check: impl FnMut(&str, &[u8], Refusal)) {
+    use Refusal::{Corrupt, Foreign, Version};
+    let payload = &sealed[HEADER_LEN..];
+    let reseal = |payload: &[u8]| {
+        let mut file = vec![0; HEADER_LEN];
+        file.extend_from_slice(payload);
+        format.seal(&mut file);
+        file
+    };
+    for cut in 0..sealed.len() {
+        check(
+            &format!("truncated to {cut} bytes"),
+            &sealed[..cut],
+            Corrupt(""),
+        );
+    }
+    // Resealed, a truncation gets past the envelope to the payload decoder.
+    for cut in 0..payload.len() {
+        check(
+            &format!("payload resealed at {cut} bytes"),
+            &reseal(&payload[..cut]),
+            Corrupt(""),
+        );
+    }
+    let mut long = sealed.to_vec();
+    long.push(0);
+    check("one trailing byte", &long, Corrupt("payload length"));
+    check(
+        "one trailing byte, resealed",
+        &reseal(&long[HEADER_LEN..]),
+        Corrupt(""),
+    );
+    for pos in 0..sealed.len() {
+        let mut flipped = sealed.to_vec();
+        flipped[pos] ^= 1 << (pos % 8);
+        let refusal = match pos {
+            0..=7 => Foreign,
+            8..=11 => Version,
+            _ => Corrupt(""),
+        };
+        check(
+            &format!("bit {} of byte {pos} flipped", pos % 8),
+            &flipped,
+            refusal,
+        );
+    }
+    let forge = |at: usize, field: &[u8]| {
+        let mut forged = sealed.to_vec();
+        forged[at..at + field.len()].copy_from_slice(field);
+        forged
+    };
+    check("another format's magic", &forge(0, b"BGPOTHER"), Foreign);
+    check(
+        "a JSON manifest",
+        b"{\n  \"checksum\": 1,\n  \"files\": [],\n  \"schema\": 2\n}\n",
+        Foreign,
+    );
+    check(
+        "next version",
+        &forge(8, &(format.version + 1).to_le_bytes()),
+        Version,
+    );
+    check(
+        "previous version",
+        &forge(8, &(format.version - 1).to_le_bytes()),
+        Version,
+    );
+    check(
+        "reserved word set",
+        &forge(12, &[1, 0, 0, 0]),
+        Corrupt("reserved"),
+    );
+    for len in [u64::MAX, payload.len() as u64 - 1, payload.len() as u64 + 1] {
+        check(
+            &format!("length {len}"),
+            &forge(16, &len.to_le_bytes()),
+            Corrupt("payload length"),
+        );
+    }
+    let recorded = u64::from_le_bytes(sealed[24..32].try_into().unwrap());
+    check(
+        "checksum forged",
+        &forge(24, &(!recorded).to_le_bytes()),
+        Corrupt("payload checksum"),
+    );
+}
+
+/// Run the whole matrix for one format: the sealed file loads through
+/// every loader, each damaged copy written at `path` is refused by every
+/// loader as [`for_each_damage`] says, and a missing file is a clean
+/// not-found.
+fn run_matrix(format: &Format, sealed: &[u8], path: &Path, loaders: &[Loader<'_>]) {
+    fs::write(path, sealed).unwrap();
+    for load in loaders {
+        load(path).unwrap_or_else(|e| panic!("undamaged {}: {e}", format.name));
+    }
+    let mut cases = 0usize;
+    for_each_damage(format, sealed, |case, damaged, refusal| {
+        fs::write(path, damaged).unwrap();
+        for load in loaders {
+            match (load(path), refusal) {
+                (Err(LoadError::Corrupt { detail, .. }), Refusal::Corrupt(what))
+                    if detail.contains(what) => {}
+                (Err(LoadError::Foreign { .. }), Refusal::Foreign) => {}
+                (
+                    Err(LoadError::Version {
+                        found, expected, ..
+                    }),
+                    Refusal::Version,
+                ) if found != expected && expected == format.version => {}
+                (Err(e), _) => panic!("{}, {case}: expected {refusal:?}, got {e}", format.name),
+                (Ok(()), _) => panic!("{}, {case}: the damaged file was accepted", format.name),
+            }
+        }
+        cases += 1;
+    });
+    assert!(cases > 3 * (sealed.len() - HEADER_LEN), "{cases} cases");
+    fs::remove_file(path).unwrap();
+    for load in loaders {
+        let err = load(path).expect_err("a missing file is refused");
+        assert!(err.is_not_found() && !err.is_invalid_data(), "{err}");
+    }
+}
+
+fn workdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bgp-formats-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn obs(vp: u32, path: &str, comms: &[(u16, u16)], time: u32) -> Observation {
+    Observation {
+        vp: Asn::new(vp),
+        prefix: "10.0.0.0/24".parse().unwrap(),
+        path: path.parse().unwrap(),
+        communities: comms.iter().map(|&(a, b)| Community::new(a, b)).collect(),
+        large_communities: Vec::new(),
+        time,
+    }
+}
+
+/// A few dozen observations over three 100-second windows, with on- and
+/// off-path sightings for a handful of owners.
+fn stream() -> Vec<Observation> {
+    (0..24u32)
+        .map(|i| {
+            obs(
+                900 + i % 3,
+                &format!(
+                    "{} {} {}",
+                    900 + i % 3,
+                    [100, 200, 300][i as usize % 3],
+                    600 + i % 5
+                ),
+                &[(100, (i % 4) as u16), (200, 7)],
+                i * 13,
+            )
+        })
+        .collect()
+}
+
+/// A sealed checkpoint over `files`, with the statistics of [`stream`].
+fn checkpoint(files: Vec<CompletedFile>) -> Checkpoint {
+    let mut acc = StatsAccumulator::new();
+    acc.ingest(&stream(), &SiblingMap::default(), 1);
+    let mut cp = Checkpoint::new();
+    cp.files = files;
+    cp.report.records_read = 24;
+    cp.report.bytes_read = 4096;
+    cp.report.bytes_ok = 4096;
+    cp.snapshot = acc.snapshot().clone();
+    cp
+}
+
+#[test]
+fn batch_checkpoint_refuses_every_damage() {
+    let dir = workdir("batch");
+    let path = dir.join("run.ckpt");
+    let cp = checkpoint(vec![CompletedFile {
+        path: "updates.00.mrt".into(),
+        fingerprint: bgp_intent::FileFingerprint {
+            bytes: 4096,
+            hash: 0xdead_beef,
+        },
+    }]);
+    cp.save_atomic(&path).unwrap();
+    let sealed = fs::read(&path).unwrap();
+    assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+    run_matrix(
+        &Checkpoint::FORMAT,
+        &sealed,
+        &path,
+        &[&|p| Checkpoint::load(p).map(drop)],
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A shard artifact is a checkpoint over the shard's real input files; it
+/// also runs through the supervisor's trust boundary, which must call
+/// every refusal a corrupt artifact carrying the load error's text.
+#[test]
+fn shard_artifact_refuses_every_damage() {
+    let dir = workdir("shard");
+    let files: Vec<String> = (0..3)
+        .map(|i| {
+            let input = dir.join(format!("updates.{i:02}.mrt"));
+            fs::write(&input, format!("archive bytes {i}")).unwrap();
+            input.to_string_lossy().into_owned()
+        })
+        .collect();
+    let spec = ShardSpec {
+        index: 1,
+        files: files.clone(),
+        artifact: dir.join("shard-001.ckpt"),
+        heartbeat: dir.join("shard-001.hb"),
+    };
+    let cp = checkpoint(
+        files
+            .iter()
+            .map(|f| CompletedFile {
+                path: f.clone(),
+                fingerprint: fingerprint_file(Path::new(f)).unwrap(),
+            })
+            .collect(),
+    );
+    cp.save_atomic(&spec.artifact).unwrap();
+    assert_eq!(validate_artifact(&spec).unwrap(), cp);
+    let sealed = fs::read(&spec.artifact).unwrap();
+    let supervised = |p: &Path| {
+        assert_eq!(p, spec.artifact);
+        let loaded = Checkpoint::load(p).map(drop);
+        match (&loaded, validate_artifact(&spec)) {
+            (Ok(()), Ok(_)) => {}
+            (Err(e), Err(ShardFailureKind::MissingArtifact)) if e.is_not_found() => {}
+            (Err(e), Err(ShardFailureKind::CorruptArtifact(why))) => assert_eq!(why, e.to_string()),
+            (loaded, validated) => panic!("load {loaded:?} but validation {validated:?}"),
+        }
+        loaded
+    };
+    run_matrix(&Checkpoint::FORMAT, &sealed, &spec.artifact, &[&supervised]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watch_checkpoint_refuses_every_damage() {
+    let dir = workdir("watch");
+    let path = dir.join("watch.ckpt");
+    let siblings = SiblingMap::default();
+    let window = WindowConfig {
+        window_secs: 100,
+        windows: 2,
+    };
+    let mut wc = WindowedClassifier::new(window, InferenceConfig::default());
+    let mut cumulative = StatsAccumulator::new();
+    for o in stream() {
+        wc.observe(&o, &siblings);
+        cumulative.ingest_ordered(std::slice::from_ref(&o), &siblings);
+    }
+    wc.reclassify(&siblings);
+    let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 4096, 24, 24);
+    assert!(cp.buckets.len() == 2 && !cp.labels.is_empty());
+    cp.save_atomic(&path).unwrap();
+    let sealed = fs::read(&path).unwrap();
+    assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
+    run_matrix(
+        &WatchCheckpoint::FORMAT,
+        &sealed,
+        &path,
+        &[&|p| WatchCheckpoint::load(p).map(drop)],
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn label_artifact_refuses_every_damage_through_both_loaders() {
+    let dir = workdir("artifact");
+    let path = dir.join("labels.bga");
+    let rows: Vec<LabelRow> = (0..24u16)
+        .map(|i| LabelRow {
+            community: Community::new(100 * (1 + i / 8), i),
+            label: if i % 3 == 0 {
+                Intent::Action
+            } else {
+                Intent::Information
+            },
+            confidence: 0.5 + f64::from(i) / 64.0,
+            ratio: f64::from(i) * 7.25,
+            on_paths: u64::from(i) * 3,
+            off_paths: u64::from(i % 5),
+        })
+        .collect();
+    write_artifact_atomic(&path, &rows).unwrap();
+    let sealed = fs::read(&path).unwrap();
+    for artifact in [
+        LabelArtifact::load(&path).unwrap(),
+        LabelArtifact::load_heap(&path).unwrap(),
+    ] {
+        assert_eq!(artifact.rows().collect::<Vec<_>>(), rows);
+    }
+    run_matrix(
+        &LabelArtifact::FORMAT,
+        &sealed,
+        &path,
+        &[&|p| LabelArtifact::load(p).map(drop), &|p| {
+            LabelArtifact::load_heap(p).map(drop)
+        }],
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

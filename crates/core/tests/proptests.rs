@@ -1,15 +1,24 @@
 //! Property-based tests: invariants of clustering, statistics, and
 //! classification.
 
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
+use bgp_artifact::{write_artifact_atomic, LabelArtifact, LabelRow};
 use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
-use bgp_intent::StatsAccumulator;
+use bgp_intent::{
+    label_rows, Checkpoint, CompletedFile, FileFingerprint, StatsAccumulator, WatchCheckpoint,
+    WindowConfig, WindowedClassifier,
+};
 use bgp_relationships::SiblingMap;
+use bgp_types::persist::{Format, LoadError, HEADER_LEN};
 use bgp_types::store::ObservationStore;
-use bgp_types::{AsPath, Asn, Community, Observation, PathSegment};
+use bgp_types::{AsPath, Asn, Community, Intent, Observation, PathSegment};
 
 fn arb_betas() -> impl Strategy<Value = Vec<u16>> {
     prop::collection::btree_set(any::<u16>(), 0..80).prop_map(|s| s.into_iter().collect())
@@ -96,6 +105,139 @@ fn arb_messy_observations() -> impl Strategy<Value = Vec<Observation>> {
             })
             .collect()
     })
+}
+
+/// A loaded value, reduced to whether loading refused it.
+type Loaded = Result<(), LoadError>;
+
+/// One sealed file, its format, and a check that loads a (damaged) copy.
+type SealedFile = (Format, Vec<u8>, Box<dyn Fn(&Path) -> Loaded>);
+
+/// Load `path` as `T`; a value that loads must save (to `again`) and
+/// reload unchanged.
+fn reload_unchanged<T: PartialEq + std::fmt::Debug>(
+    path: &Path,
+    again: &Path,
+    load: impl Fn(&Path) -> Result<T, LoadError>,
+    save: impl Fn(&T, &Path),
+) -> Loaded {
+    let value = load(path)?;
+    save(&value, again);
+    assert_eq!(load(again).expect("a saved value reloads"), value);
+    Ok(())
+}
+
+/// Artifact rows with their floats as bits, so NaN compares equal to
+/// itself.
+fn row_bits(rows: impl Iterator<Item = LabelRow>) -> Vec<(Community, Intent, u64, u64, u64, u64)> {
+    rows.map(|r| {
+        let bits = (r.confidence.to_bits(), r.ratio.to_bits());
+        (
+            r.community,
+            r.label,
+            bits.0,
+            bits.1,
+            r.on_paths,
+            r.off_paths,
+        )
+    })
+    .collect()
+}
+
+/// One sealed file of each format holding `observations`.
+fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
+    let siblings = SiblingMap::default();
+    let again = dir.join("again");
+    let mut files: Vec<SealedFile> = Vec::new();
+
+    let mut acc = StatsAccumulator::new();
+    acc.ingest(observations, &siblings, 1);
+    let mut cp = Checkpoint::new();
+    cp.files.push(CompletedFile {
+        path: "updates.00.mrt".into(),
+        fingerprint: FileFingerprint {
+            bytes: 4096,
+            hash: 0x5eed,
+        },
+    });
+    cp.report.records_read = observations.len() as u64;
+    cp.snapshot = acc.snapshot().clone();
+    let path = dir.join("run.ckpt");
+    cp.save_atomic(&path).unwrap();
+    let again_cp = again.clone();
+    files.push((
+        Checkpoint::FORMAT,
+        fs::read(&path).unwrap(),
+        Box::new(move |p| {
+            reload_unchanged(p, &again_cp, Checkpoint::load, |cp, to| {
+                cp.save_atomic(to).unwrap()
+            })
+        }),
+    ));
+
+    let window = WindowConfig {
+        window_secs: 100,
+        windows: 2,
+    };
+    let mut wc = WindowedClassifier::new(window, InferenceConfig::default());
+    let mut cumulative = StatsAccumulator::new();
+    for (i, o) in observations.iter().enumerate() {
+        let o = Observation {
+            time: i as u32 * 37,
+            ..o.clone()
+        };
+        wc.observe(&o, &siblings);
+        cumulative.ingest_ordered(std::slice::from_ref(&o), &siblings);
+    }
+    wc.reclassify(&siblings);
+    let watch = WatchCheckpoint::capture(&mut wc, &mut cumulative, 512, 9, 9);
+    let path = dir.join("watch.ckpt");
+    watch.save_atomic(&path).unwrap();
+    let again_watch = again.clone();
+    files.push((
+        WatchCheckpoint::FORMAT,
+        fs::read(&path).unwrap(),
+        Box::new(move |p| {
+            reload_unchanged(p, &again_watch, WatchCheckpoint::load, |cp, to| {
+                cp.save_atomic(to).unwrap()
+            })
+        }),
+    ));
+
+    let rows = label_rows(
+        &classify(&acc.to_stats(), &siblings, &InferenceConfig::default()),
+        160.0,
+    );
+    if !rows.is_empty() {
+        let path = dir.join("labels.bga");
+        write_artifact_atomic(&path, &rows).unwrap();
+        files.push((
+            LabelArtifact::FORMAT,
+            fs::read(&path).unwrap(),
+            Box::new(move |p| {
+                for load in [LabelArtifact::load, LabelArtifact::load_heap] {
+                    let rows: Vec<LabelRow> = load(p)?.rows().collect();
+                    write_artifact_atomic(&again, &rows).unwrap();
+                    let reloaded = load(&again).expect("a saved artifact reloads");
+                    assert_eq!(row_bits(reloaded.rows()), row_bits(rows.into_iter()));
+                }
+                Ok(())
+            }),
+        ));
+    }
+    files
+}
+
+/// A fresh directory for one case's files.
+fn scratch_dir() -> PathBuf {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bgp-proptest-formats-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 proptest! {
@@ -255,6 +397,36 @@ proptest! {
                 prop_assert_eq!(r.snapshot(), &expected);
             }
         }
+    }
+
+    /// A valid checksum hides the structural checks from plain bit flips:
+    /// here random payload bytes change and the envelope is resealed, so
+    /// every edit reaches the payload decoder. Each loader must refuse with
+    /// a typed error or return a value that saves and reloads unchanged.
+    #[test]
+    fn resealed_payload_edits_are_refused_or_roundtrip(
+        observations in arb_observations(),
+        edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..6),
+    ) {
+        let dir = scratch_dir();
+        let damaged_path = dir.join("damaged");
+        for (format, sealed, check) in sealed_files(&observations, &dir) {
+            let mut damaged = sealed.clone();
+            let payload_len = (damaged.len() - HEADER_LEN) as u64;
+            for &(at, byte) in &edits {
+                damaged[HEADER_LEN + (at % payload_len) as usize] = byte;
+            }
+            format.seal(&mut damaged);
+            fs::write(&damaged_path, &damaged).unwrap();
+            if let Err(e) = check(&damaged_path) {
+                prop_assert!(
+                    matches!(e, LoadError::Corrupt { .. }),
+                    "{}: a resealed edit must be a corrupt payload, got {e}",
+                    format.name
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! [`par`] — thread-count resolution plus the deterministic fork-join
 //! helper behind every parallel stage — [`obs`] — the zero-dependency
 //! observability layer (metrics registry, structured spans) every pipeline
-//! stage reports into — and [`persist`] — the one durable atomic write
-//! (temp file, fsync, rename, directory fsync) and FNV-1a checksum every
-//! on-disk format uses. The analysis pipeline's columnar
+//! stage reports into — and [`persist`] — the sealed envelope, typed load
+//! error and durable atomic write (temp file, fsync, rename, directory
+//! fsync) every on-disk format uses. The analysis pipeline's columnar
 //! [`store::ObservationStore`] (interned paths/community sets, flat ID
 //! columns) lives here too so both `mrt` ingestion and `core` reduction
 //! can speak it without a dependency cycle.

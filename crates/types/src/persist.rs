@@ -1,12 +1,28 @@
-//! Durable on-disk writes and the checksum every sealed file format uses.
+//! Sealed on-disk files: the one envelope every persisted format wears,
+//! the one error loading any of them fails with, and the one durable write.
 //!
-//! Checkpoints, shard artifacts and label artifacts all follow one
-//! discipline: the new bytes go to `<path>.tmp`, which is fsynced, renamed
-//! over `path`, and then the parent directory is fsynced so the rename
-//! itself survives a power failure. [`write_atomic`] is the single
-//! implementation of that sequence, and [`fnv1a`] the single FNV-1a 64
-//! every format seals its payload with.
+//! The batch checkpoint (which is also the shard artifact), the watch
+//! checkpoint and the label artifact are each a payload behind the same
+//! 32-byte header, all integers little-endian:
+//!
+//! ```text
+//!   0  magic        8 bytes, one per format
+//!   8  version      u32
+//!   12 reserved     u32 (zero)
+//!   16 payload_len  u64
+//!   24 checksum     u64 (FNV-1a 64 over the payload)
+//! ```
+//!
+//! A writer reserves [`HEADER_LEN`] bytes at the front of its buffer,
+//! appends the payload and fills the header in place with [`Format::seal`];
+//! [`write_atomic`] then puts the file on disk. A reader hands the file's
+//! bytes to [`Format::decode`] ([`Format::load`] reads them first), which
+//! checks every header field and passes the payload to the format's
+//! decoder as a borrowed slice — so a memory-mapped file is never copied —
+//! or fails with a typed [`LoadError`]. [`fnv1a`] is the single FNV-1a 64
+//! the seal (and input-file fingerprinting) uses.
 
+use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -23,6 +39,237 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Length of the envelope header every sealed file starts with.
+pub const HEADER_LEN: usize = 32;
+
+/// One sealed file format: what its header must say.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// First eight bytes of every file of this format.
+    pub magic: [u8; 8],
+    /// Layout version this build reads and writes; bump it on any layout
+    /// change so an older or newer file is refused instead of misread.
+    pub version: u32,
+    /// What the file is, for error messages (`"checkpoint"`).
+    pub name: &'static str,
+}
+
+impl Format {
+    /// Fill in the header over the first [`HEADER_LEN`] bytes of `file`,
+    /// sealing everything after them as the payload. Panics if `file` is
+    /// shorter than the header (the writer did not reserve it).
+    pub fn seal(&self, file: &mut [u8]) {
+        let (header, payload) = file.split_at_mut(HEADER_LEN);
+        header[..8].copy_from_slice(&self.magic);
+        header[8..12].copy_from_slice(&self.version.to_le_bytes());
+        header[12..16].fill(0);
+        header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[24..].copy_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
+    }
+
+    /// The header checks of [`decode`](Self::decode); returns the payload.
+    fn open<'a>(&self, file: &'a [u8], path: &Path) -> Result<&'a [u8], LoadError> {
+        if !file.starts_with(&self.magic) && !self.magic.starts_with(file) {
+            return Err(LoadError::Foreign {
+                path: path.to_path_buf(),
+                format: self.name,
+            });
+        }
+        if file.len() < HEADER_LEN {
+            return Err(self.corrupt(
+                path,
+                format!(
+                    "{} bytes, shorter than the {HEADER_LEN}-byte header",
+                    file.len()
+                ),
+            ));
+        }
+        let (header, payload) = file.split_at(HEADER_LEN);
+        let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        if version != self.version {
+            return Err(LoadError::Version {
+                path: path.to_path_buf(),
+                format: self.name,
+                found: version,
+                expected: self.version,
+            });
+        }
+        if header[12..16] != [0; 4] {
+            return Err(self.corrupt(path, "nonzero reserved header word".into()));
+        }
+        if word(16) != payload.len() as u64 {
+            return Err(self.corrupt(
+                path,
+                format!(
+                    "payload length {} recorded, {} bytes present",
+                    word(16),
+                    payload.len()
+                ),
+            ));
+        }
+        let computed = fnv1a(FNV_OFFSET, payload);
+        if word(24) != computed {
+            return Err(self.corrupt(
+                path,
+                format!(
+                    "payload checksum {:#018x} recorded, {computed:#018x} computed",
+                    word(24)
+                ),
+            ));
+        }
+        Ok(payload)
+    }
+
+    /// Check `file`'s header — magic, version, reserved word, payload
+    /// length, checksum, in that order — then decode the payload, borrowed,
+    /// with `decode`, whose error text becomes [`LoadError::Corrupt`].
+    /// `path` only names the file in errors. A proper prefix of the magic
+    /// is a torn file ([`LoadError::Corrupt`]); any other start is
+    /// [`LoadError::Foreign`].
+    pub fn decode<T>(
+        &self,
+        file: &[u8],
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, LoadError> {
+        decode(self.open(file, path)?).map_err(|detail| self.corrupt(path, detail))
+    }
+
+    /// Read the file at `path` and [`decode`](Self::decode) it.
+    pub fn load<T>(
+        &self,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, LoadError> {
+        let file = fs::read(path).map_err(|source| LoadError::io(path, source))?;
+        self.decode(&file, path, decode)
+    }
+
+    fn corrupt(&self, path: &Path, detail: String) -> LoadError {
+        LoadError::Corrupt {
+            path: path.to_path_buf(),
+            format: self.name,
+            detail,
+        }
+    }
+}
+
+/// Why loading a sealed file was refused. Damage of any kind is one of
+/// these — never a panic, and never a partly loaded value.
+#[derive(Debug)]
+pub enum LoadError {
+    /// The file could not be read at all (missing, permissions, I/O).
+    Io {
+        /// The file.
+        path: PathBuf,
+        /// The underlying error.
+        source: io::Error,
+    },
+    /// The file does not start with the format's magic: it was written
+    /// before the format existed (such as a JSON checkpoint) or is not a
+    /// file of this kind at all. The remedy is to delete it.
+    Foreign {
+        /// The file.
+        path: PathBuf,
+        /// The format's name.
+        format: &'static str,
+    },
+    /// The magic matches but the layout version is not this build's.
+    Version {
+        /// The file.
+        path: PathBuf,
+        /// The format's name.
+        format: &'static str,
+        /// The version recorded in the file.
+        found: u32,
+        /// The version this build reads and writes.
+        expected: u32,
+    },
+    /// Truncated, torn, bit-flipped, or a payload that breaks the format's
+    /// structure.
+    Corrupt {
+        /// The file.
+        path: PathBuf,
+        /// The format's name.
+        format: &'static str,
+        /// What exactly failed to validate.
+        detail: String,
+    },
+}
+
+impl LoadError {
+    /// A [`LoadError::Io`] for `path`.
+    pub fn io(path: &Path, source: io::Error) -> LoadError {
+        LoadError::Io {
+            path: path.to_path_buf(),
+            source,
+        }
+    }
+
+    /// Whether the file was read but its contents were refused — the
+    /// cases a caller reports as a refused file rather than an I/O failure.
+    pub fn is_invalid_data(&self) -> bool {
+        !matches!(self, LoadError::Io { .. })
+    }
+
+    /// Whether the failure is that the file does not exist.
+    pub fn is_not_found(&self) -> bool {
+        matches!(self, LoadError::Io { source, .. } if source.kind() == io::ErrorKind::NotFound)
+    }
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Io { path, source } => write!(f, "{}: {source}", path.display()),
+            LoadError::Foreign { path, format } => write!(
+                f,
+                "{}: not a {format} this build can read; it predates the binary \
+                 {format} format (or is not a {format} at all): delete it",
+                path.display()
+            ),
+            LoadError::Version {
+                path,
+                format,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{}: {format} version {found}, this build reads version {expected}",
+                path.display()
+            ),
+            LoadError::Corrupt {
+                path,
+                format,
+                detail,
+            } => write!(
+                f,
+                "{}: corrupt or truncated {format} ({detail})",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LoadError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
+
+impl From<LoadError> for io::Error {
+    fn from(e: LoadError) -> io::Error {
+        match e {
+            LoadError::Io { source, .. } => source,
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
 }
 
 /// The temp file [`write_atomic`] stages `path`'s new contents in:
@@ -82,6 +329,64 @@ mod tests {
             fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
             fnv1a(FNV_OFFSET, b"foobar")
         );
+    }
+
+    const TEST: Format = Format {
+        magic: *b"BGPTESTF",
+        version: 7,
+        name: "test file",
+    };
+
+    /// The header layout is the documented one, byte for byte, and opening
+    /// a sealed file hands back exactly the payload it was sealed over.
+    #[test]
+    fn seal_writes_the_documented_header_and_open_returns_the_payload() {
+        let mut file = vec![0xee; HEADER_LEN];
+        file.extend_from_slice(b"foobar");
+        TEST.seal(&mut file);
+        assert_eq!(&file[..8], b"BGPTESTF");
+        assert_eq!(file[8..16], [7, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(file[16..24], 6u64.to_le_bytes());
+        assert_eq!(file[24..32], 0x8594_4171_f739_67e8u64.to_le_bytes());
+        assert_eq!(TEST.open(&file, Path::new("f")).unwrap(), b"foobar");
+
+        let other = Format {
+            magic: *b"BGPOTHER",
+            ..TEST
+        };
+        let err = other.open(&file, Path::new("f")).unwrap_err();
+        assert!(matches!(err, LoadError::Foreign { .. }), "{err}");
+        assert!(err.to_string().contains("predates the binary"), "{err}");
+        let err = TEST.open(b"BGPT", Path::new("f")).unwrap_err();
+        assert!(matches!(err, LoadError::Corrupt { .. }), "{err}");
+        assert!(
+            err.to_string().contains("corrupt or truncated test file"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn load_maps_missing_files_and_decoder_errors() {
+        let missing = std::env::temp_dir().join("bgp-persist-missing/none.bin");
+        let err = TEST.load(&missing, |_| Ok(())).unwrap_err();
+        assert!(err.is_not_found() && !err.is_invalid_data(), "{err}");
+        assert_eq!(io::Error::from(err).kind(), io::ErrorKind::NotFound);
+
+        let dir = std::env::temp_dir().join(format!("bgp-persist-load-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.bin");
+        let mut file = vec![0; HEADER_LEN + 3];
+        TEST.seal(&mut file);
+        fs::write(&path, &file).unwrap();
+        let err = TEST
+            .load(&path, |payload| {
+                Err::<(), _>(format!("{} bytes", payload.len()))
+            })
+            .unwrap_err();
+        assert!(err.is_invalid_data(), "{err}");
+        assert!(err.to_string().ends_with("(3 bytes)"), "{err}");
+        assert_eq!(io::Error::from(err).kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A crash can leave the temp file in two states: partly written
