@@ -85,22 +85,22 @@ fn bench_pipeline(c: &mut Criterion) {
     );
 
     // The checkpointed-run path: intern each "file" (8 slices standing in
-    // for 8 MRT archives) into a columnar store and accumulate statistics
-    // from it — the same route the CLI takes — serializing a snapshot
-    // after each as a checkpointed run would, then classify from the
-    // accumulator.
+    // for 8 MRT archives) into a columnar store and fold it into the
+    // statistics segment — the same route the CLI takes — holding a
+    // snapshot after each as a checkpointed run does, then classify from
+    // the segment.
     let files: Vec<_> = observations
         .chunks(observations.len().div_ceil(8))
         .collect();
     let checkpointed_run = || {
         let mut acc = StatsAccumulator::new();
-        let mut fingerprints = 0usize;
+        let mut snapshot = StatsAccumulator::new();
         for file in &files {
             let store = bgp_types::store::ObservationStore::from_observations(file);
             acc.ingest_store(&store, &scenario.siblings, 0);
-            fingerprints += acc.snapshot().paths.len();
+            snapshot = acc.snapshot().clone();
         }
-        std::hint::black_box(fingerprints);
+        std::hint::black_box(&snapshot);
         run_inference_from_stats(
             acc.to_stats(),
             &scenario.siblings,

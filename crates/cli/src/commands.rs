@@ -1298,8 +1298,8 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             &SHUTDOWN,
         );
 
-        // Merge in shard order. The per-shard snapshots hold content-based
-        // fingerprint sets, so this union is exact and the classification
+        // Merge in shard order. Each artifact holds its shard's statistics
+        // segment, and segments merge by exact key, so the classification
         // downstream is bit-identical to a single-process run over the
         // covered files.
         let mut merged = IngestReport::default();
@@ -1408,6 +1408,20 @@ impl bgp_mrt::StreamSource for DynSource {
     }
 }
 
+/// `--name N` for a size or cadence of which 0 is meaningless: `default`
+/// when absent, a usage error naming the flag when 0.
+fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
+    args: &Args,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let value = args.get(name, default)?;
+    if value == T::default() {
+        return Err(format!("--{name} must be at least 1"));
+    }
+    Ok(value)
+}
+
 /// `bgpcomm watch` — the streaming inference daemon.
 pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     use bgp_intent::{run_watch, WatchOptions, WindowConfig};
@@ -1426,8 +1440,7 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     let cfg = inference_config(&args, iopts.threads)?;
     let topts = TelemetryOptions::from_args(&args)?;
 
-    let stall_ms: u64 = args.get("stall-ms", 2000u64)?;
-    let stall = Duration::from_millis(stall_ms.max(1));
+    let stall = Duration::from_millis(at_least_one(&args, "stall-ms", 2000u64)?);
     let connect = args.get_str("connect");
     let unix_path = args.get_str("unix");
     let tail = args.get_str("tail");
@@ -1473,8 +1486,8 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     let source = DynSource(source);
 
     let mut tuning = StreamTuning {
-        queue_bytes: args.get("queue-kb", 4096usize)?.max(1) << 10,
-        chunk_bytes: args.get("chunk-kb", 64usize)?.max(1) << 10,
+        queue_bytes: at_least_one(&args, "queue-kb", 4096usize)? << 10,
+        chunk_bytes: at_least_one(&args, "chunk-kb", 64usize)? << 10,
         stall_timeout: stall,
         ..StreamTuning::default()
     };
@@ -1504,14 +1517,14 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     };
     let opts = WatchOptions {
         window: WindowConfig {
-            window_secs: args.get("window-secs", 3600u32)?.max(1),
-            windows: args.get("windows", 24usize)?.max(1),
+            window_secs: at_least_one(&args, "window-secs", 3600u32)?,
+            windows: at_least_one(&args, "windows", 24usize)?,
         },
         infer: cfg,
         tuning,
         recover: iopts.recover.clone(),
         checkpoint: args.get_str("checkpoint").map(PathBuf::from),
-        checkpoint_every: args.get("checkpoint-every", 1u64)?,
+        checkpoint_every: at_least_one(&args, "checkpoint-every", 1u64)?,
         metrics: topts.telemetry.metrics.clone(),
         slow_fold: parse_ms("slow-fold-ms")?,
         crash_after_windows,

@@ -295,6 +295,34 @@ fn json_checkpoint_from_before_the_binary_format_is_refused_untouched() {
 }
 
 #[test]
+fn version_3_checkpoint_with_fingerprint_sets_is_refused_untouched() {
+    let dir = workdir("version-3");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    // Version 3 as the previous build wrote it: no completed files, an
+    // empty report, and an empty fingerprint snapshot (path, tuple, ASN
+    // and community-key columns).
+    let mut payload = words(&[0, 0, 2]);
+    payload.extend_from_slice(b"{}");
+    payload.extend(words(&[0, 0, 0, 0]));
+    let legacy = sealed(*b"BGPBCKPT", 3, &payload);
+    fs::write(&ckpt, &legacy).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt.to_str().unwrap(), "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 3, this build reads version 4"),
+        "{stderr}"
+    );
+    assert!(labels.is_none(), "a refused run writes no labels");
+    assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+}
+
+#[test]
 fn checkpoint_with_strict_is_refused() {
     let dir = workdir("strict-refused");
     let paths = archives(&dir, 2, 20);
@@ -379,4 +407,24 @@ fn flaky_delivery_is_retried_to_an_identical_result() {
         Some(&clean[..]),
         "retried ingestion must salvage every byte"
     );
+}
+
+/// A sealed file as an earlier build wrote it: the envelope, at layout
+/// `version`, around `payload`.
+fn sealed(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    use bgp_types::persist::{Format, HEADER_LEN};
+    let mut file = vec![0; HEADER_LEN];
+    file.extend_from_slice(payload);
+    Format {
+        magic,
+        version,
+        name: "checkpoint",
+    }
+    .seal(&mut file);
+    file
+}
+
+/// Little-endian `u64` words: counts and scalars of a column payload.
+fn words(values: &[u64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }

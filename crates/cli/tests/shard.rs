@@ -459,6 +459,66 @@ fn json_era_shard_artifact_is_discarded_and_redone() {
 }
 
 #[test]
+fn version_3_shard_artifact_is_discarded_and_redone() {
+    let dir = workdir("version-3");
+    let paths = archives(&dir, 4, 30);
+    let single = run_traced("infer", &paths, &dir, "single", &[]);
+    assert_eq!(single.status.code(), Some(0), "{}", stderr_of(&single));
+
+    // Shard 0's artifact (files 0 and 2 of 4 at two workers) as the
+    // previous build wrote it: version 3, listing both files, with an
+    // empty fingerprint snapshot.
+    let shard_dir = dir.join("shards");
+    fs::create_dir_all(&shard_dir).unwrap();
+    let files = [&paths[0], &paths[2]];
+    let sizes: Vec<u64> = files
+        .iter()
+        .map(|p| fs::metadata(p).unwrap().len())
+        .collect();
+    let mut payload = words(&[2, sizes[0], sizes[1], 2, 1234567, 7654321]);
+    for file in files {
+        let name = file.to_str().unwrap().as_bytes();
+        payload.extend(words(&[name.len() as u64]));
+        payload.extend_from_slice(name);
+    }
+    payload.extend(words(&[2]));
+    payload.extend_from_slice(b"{}");
+    payload.extend(words(&[0, 0, 0, 0]));
+    fs::write(
+        shard_dir.join("shard-000.ckpt"),
+        sealed(*b"BGPBCKPT", 3, &payload),
+    )
+    .unwrap();
+
+    let out = run_traced(
+        "shard",
+        &paths,
+        &dir,
+        "sharded",
+        &["--shard-dir", shard_dir.to_str().unwrap(), "--workers", "2"],
+    );
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("shard 0: discarding leftover artifact"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("checkpoint version 3, this build reads version 4"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
+    assert!(!stderr.contains("reusing"), "{stderr}");
+    assert_eq!(read(&dir, "sharded.json"), read(&dir, "single.json"));
+    let redone = read(&shard_dir, "shard-000.ckpt");
+    assert_eq!(
+        &redone[..12],
+        b"BGPBCKPT\x04\0\0\0",
+        "rewritten at version 4"
+    );
+}
+
+#[test]
 fn shard_rejects_strict_mode_and_requires_a_shard_dir() {
     let dir = workdir("usage");
     let paths = archives(&dir, 2, 10);
@@ -479,4 +539,24 @@ fn shard_rejects_strict_mode_and_requires_a_shard_dir() {
         "{}",
         stderr_of(&out)
     );
+}
+
+/// A sealed file as an earlier build wrote it: the envelope, at layout
+/// `version`, around `payload`.
+fn sealed(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    use bgp_types::persist::{Format, HEADER_LEN};
+    let mut file = vec![0; HEADER_LEN];
+    file.extend_from_slice(payload);
+    Format {
+        magic,
+        version,
+        name: "checkpoint",
+    }
+    .seal(&mut file);
+    file
+}
+
+/// Little-endian `u64` words: counts and scalars of a column payload.
+fn words(values: &[u64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }

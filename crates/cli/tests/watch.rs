@@ -411,6 +411,37 @@ fn watch_refuses_a_json_checkpoint_from_before_the_binary_format() {
 }
 
 #[test]
+fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
+    let dir = workdir("version-2");
+    let paths = archives(&dir, 2, 40);
+    // Version 2 as the previous build wrote it, for an empty state: the
+    // nine scalars (a 3600 s x 6 window), an empty cumulative fingerprint
+    // snapshot, no buckets, an empty diff base, no labels or exclusions.
+    let mut payload = words(&[0, 0, 0, 0, 0, 0, 0, 3600, 6]);
+    payload.extend(words(&[0; 4]));
+    payload.extend(words(&[0]));
+    payload.extend(words(&[0; 6]));
+    payload.extend(words(&[0; 4]));
+    let legacy = sealed(*b"BGPWCKPT", 2, &payload);
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    let (mut feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    let _ = feed.kill();
+    let _ = feed.wait();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 2, this build reads version 3"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+}
+
+#[test]
 fn watch_usage_errors() {
     // No source.
     let out = bgpcomm(&["watch"]);
@@ -428,6 +459,25 @@ fn watch_usage_errors() {
         "{}",
         stderr_of(&out)
     );
+    // A zero size or cadence is refused, never raised to 1.
+    let dir = workdir("zero-flags");
+    let tail = dir.join("never-written.mrt");
+    for flag in [
+        "--window-secs",
+        "--windows",
+        "--checkpoint-every",
+        "--queue-kb",
+        "--chunk-kb",
+        "--stall-ms",
+    ] {
+        let out = bgpcomm(&["watch", "--tail", tail.to_str().unwrap(), flag, "0"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains(&format!("{flag} must be at least 1")),
+            "{flag}: {}",
+            stderr_of(&out)
+        );
+    }
 }
 
 #[cfg(unix)]
@@ -530,4 +580,24 @@ fn sigterm_mid_shard_run_leaves_only_valid_or_absent_artifacts() {
         read(&dir, "single.json"),
         "the resumed run must match an uninterrupted single-process run"
     );
+}
+
+/// A sealed file as an earlier build wrote it: the envelope, at layout
+/// `version`, around `payload`.
+fn sealed(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    use bgp_types::persist::{Format, HEADER_LEN};
+    let mut file = vec![0; HEADER_LEN];
+    file.extend_from_slice(payload);
+    Format {
+        magic,
+        version,
+        name: "checkpoint",
+    }
+    .seal(&mut file);
+    file
+}
+
+/// Little-endian `u64` words: counts and scalars of a column payload.
+fn words(values: &[u64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }

@@ -171,7 +171,7 @@ pub fn check_store(
     store: &ObservationStore,
     siblings: &SiblingMap,
 ) -> CheckReport {
-    let index = OnPathIndex::build(store, siblings);
+    let index = OnPathIndex::from_siblings(store, siblings);
     // One artifact lookup per distinct community slot, not per tuple.
     let verdicts: Vec<SlotVerdict> = (0..store.community_count() as u32)
         .map(|slot| match artifact.get(store.community(slot)) {

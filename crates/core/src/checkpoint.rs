@@ -1,22 +1,25 @@
-//! Crash-safe incremental runs: content-based statistics accumulation and
-//! a sealed binary checkpoint file.
+//! Crash-safe incremental runs: the exact statistics segment and a sealed
+//! binary checkpoint file.
 //!
 //! Long supervised runs over hundreds of archives must survive a crash —
 //! OOM kill, power loss, a poisoned worker — without redoing days of
 //! ingestion. The pieces here make that possible:
 //!
-//! * [`StatsAccumulator`] folds observations file-by-file into
-//!   *content-based* fingerprint sets whose union is exact and commutative,
-//!   so per-file partial results merge into the same [`PathStats`] a
-//!   single-shot reduction would produce (see "Why fingerprints" below).
-//! * [`StatsSnapshot`] is the accumulator's persistable form: vectors of
-//!   deterministically-ordered per-snapshot segments (fixed shard-major
-//!   ingest order), so the encoded bytes are identical at any thread
-//!   count for a given ingest sequence, and each per-file snapshot costs
-//!   only the file's new elements.
+//! * [`StatsAccumulator`] is a *segment*: every unique AS path and
+//!   community list interned once, by the [`Interner`] the batch store
+//!   uses, the set of unique `(path, list)` tuples over them, and the
+//!   sibling family of every community owner. A file, a shard and the
+//!   streaming daemon each fold into one; segments merge by exact key, and
+//!   [`StatsAccumulator::to_stats`] runs the batch kernel over the tuples,
+//!   so every route yields the [`PathStats`] one batch reduction over the
+//!   same observations would (see "Why an exact segment" below).
+//! * [`StatsSnapshot`] is the name a segment goes by where it is
+//!   persisted. A snapshot shares the segment's storage until either side
+//!   changes, so taking one is O(1), and its encoding is deterministic:
+//!   the same fold sequence gives the same bytes at any thread count.
 //! * [`Checkpoint`] records which input files completed (with a
 //!   byte-length + FNV-1a fingerprint each, via [`fingerprint_file`]), the
-//!   ingest accounting so far, and the snapshot. It is one sealed binary
+//!   ingest accounting so far, and the segment. It is one sealed binary
 //!   file (layout on the type), written durably by
 //!   [`Checkpoint::save_atomic`] so a crash mid-write leaves the previous
 //!   checkpoint intact, never a torn one. A shard worker's artifact is the
@@ -25,17 +28,22 @@
 //!   the watch checkpoint ([`crate::watch`]) are encoded with, inside the
 //!   envelope of [`bgp_types::persist`].
 //!
-//! # Why fingerprints
+//! # Why an exact segment
 //!
 //! [`PathStats`] merging by summing counts is only exact when every
 //! occurrence of an AS path lands in the same shard (the invariant of the
-//! hash-sharded parallel reduction). Per-*file* partials violate it: the
+//! path-sharded parallel reduction). Per-*file* partials violate it: the
 //! same path appears in many files, and summing would double-count unique
-//! paths. Sets of path/tuple fingerprints union exactly instead — a path
-//! seen in ten files is one fingerprint — at the cost of a 64-bit hash
-//! collision being (silently, astronomically rarely) able to collapse two
-//! distinct paths.
+//! paths. A segment keeps the unique tuples themselves instead, so merging
+//! is a union: the other segment's paths and lists are re-interned by
+//! comparing their values (a hash only picks the probe slot), so a path
+//! seen in ten files is one path and two distinct paths are never one.
+//! Counts are derived only when asked for, by the kernel batch `infer`
+//! runs. Which side of a path a community rides depends on its owner's
+//! sibling family, which the segment records when it first sees the
+//! owner — so counting, merging and loading need no sibling map.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
@@ -43,606 +51,366 @@ use std::sync::Arc;
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
-use bgp_types::fx::{fx_hash_one, FxHashMap, FxHashSet};
-use bgp_types::par::{effective_threads, par_map_indexed};
+use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
 use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
-use bgp_types::store::ObservationStore;
-use bgp_types::{AsPath, Asn, Community, Observation};
+use bgp_types::store::{IdTable, Interner, ObservationStore};
+use bgp_types::{AsPathView, Asn, Community, Observation};
 
-use crate::stats::{OnPathIndex, PathCounts, PathStats};
+use crate::stats::{pack, reduce, OnPathIndex, PathStats};
 
-/// Content fingerprint of one AS path.
-pub fn path_fingerprint(path: &AsPath) -> u64 {
-    fx_hash_one(path)
-}
-
-/// Content fingerprint of one `(AS path, communities)` tuple, built from
-/// the path's [`path_fingerprint`] so the path bytes are hashed only once
-/// per observation.
-pub fn tuple_fingerprint(path_fp: u64, communities: &[Community]) -> u64 {
-    fx_hash_one(&(path_fp, communities))
-}
-
-/// Incrementally built path statistics, mergeable across files.
+/// Everything folded so far, exact and mergeable: a segment (see the
+/// module docs). Feed it observations in any grouping —
+/// [`ingest_ordered`] per file, [`ingest_store`] per decoded store,
+/// [`merge`] across segments — and [`to_stats`] yields the same
+/// [`PathStats`] as [`PathStats::from_observations`] over the concatenated
+/// input.
 ///
-/// Feed it observations in any grouping and any order ([`ingest`] per file,
-/// [`merge`] across partial accumulators); [`to_stats`] yields the same
-/// [`PathStats`] as a one-shot [`PathStats::from_observations`] over the
-/// concatenated input.
+/// IDs are assigned in first-seen order, so the same fold sequence always
+/// builds the same segment, and equality compares those columns exactly.
+/// Clones and snapshots share storage until one side changes.
 ///
-/// [`ingest`]: StatsAccumulator::ingest
+/// [`ingest_ordered`]: StatsAccumulator::ingest_ordered
+/// [`ingest_store`]: StatsAccumulator::ingest_store
 /// [`merge`]: StatsAccumulator::merge
 /// [`to_stats`]: StatsAccumulator::to_stats
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsAccumulator {
-    /// Fingerprints of every unique AS path seen.
-    paths: FxHashSet<u64>,
-    /// Fingerprints of every unique `(path, communities)` tuple.
-    tuples: FxHashSet<u64>,
-    /// Every ASN appearing in any path.
-    seen_asns: FxHashSet<Asn>,
-    /// Per community: fingerprints of the unique paths it rode with its
-    /// owner (or a sibling) on-path, plus their undrained snapshot delta.
-    on: FxHashMap<Community, CommunitySet>,
-    /// Per community: fingerprints of the unique paths it rode off-path,
-    /// plus their undrained snapshot delta.
-    off: FxHashMap<Community, CommunitySet>,
-    /// The persistable form as of the last [`snapshot`](Self::snapshot)
-    /// call, extended in place from the deltas below. Re-materializing the
-    /// full state on every per-file checkpoint would be O(everything
-    /// accumulated so far) per file, so each snapshot only appends the
-    /// newly-inserted elements as one deterministically-ordered segment.
-    /// Shared, so a checkpoint can hold it without a copy; the next append
-    /// copies it only if that checkpoint is still alive.
-    cache: Arc<StatsSnapshot>,
-    /// Position of each community's entry in `cache.communities`, so a
-    /// snapshot drains deltas into their slots without searching.
-    community_slots: FxHashMap<Community, u32>,
-    /// Path fingerprints inserted since the last snapshot.
-    paths_delta: Vec<u64>,
-    /// Tuple fingerprints inserted since the last snapshot.
-    tuples_delta: Vec<u64>,
-    /// ASNs first seen since the last snapshot.
-    asns_delta: Vec<u32>,
+    seg: Arc<Segment>,
 }
 
-/// One community's accumulated fingerprint set together with the
-/// insertion-ordered tail not yet drained into the snapshot cache — kept in
-/// one map value so the hot attribution path pays a single lookup.
-#[derive(Debug, Clone, Default)]
-struct CommunitySet {
-    set: FxHashSet<u64>,
-    delta: Vec<u64>,
+/// A segment where it is persisted: the batch checkpoint, a shard
+/// artifact and the watch checkpoint each hold one.
+pub type StatsSnapshot = StatsAccumulator;
+
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Segment {
+    /// The unique paths and community lists the tuples refer to.
+    interner: Interner,
+    /// Every unique tuple as a [`pack`]ed key, indexed by tuple ID.
+    tuples: Vec<u64>,
+    /// Exact index over `tuples`: the key is the identity.
+    tuple_ids: IdTable,
+    /// The sibling family (the owner included) of the owner of every
+    /// interned community, fixed when the segment first saw the owner.
+    families: BTreeMap<u16, Vec<u32>>,
 }
 
-/// Logical equality: the accumulated sets, ignoring snapshot-cache state
-/// (two equal accumulators may have taken snapshots at different times).
-impl PartialEq for StatsAccumulator {
-    fn eq(&self, other: &Self) -> bool {
-        fn sides_eq(
-            a: &FxHashMap<Community, CommunitySet>,
-            b: &FxHashMap<Community, CommunitySet>,
-        ) -> bool {
-            a.len() == b.len()
-                && a.iter()
-                    .all(|(c, s)| b.get(c).is_some_and(|t| s.set == t.set))
+/// Spread a packed tuple key over an [`IdTable`]: the multiply carries the
+/// list ID into the high bits and the fold brings the path ID down into
+/// the probe bits.
+fn spread(key: u64) -> u64 {
+    let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
+impl Segment {
+    /// The ID of the tuple `(path, cset)`, added on first sight.
+    fn intern_tuple(&mut self, path: u32, cset: u32) -> u32 {
+        let key = pack(path, cset);
+        let hash = spread(key);
+        if let Some(id) = self
+            .tuple_ids
+            .find(hash, |id| self.tuples[id as usize] == key)
+        {
+            return id;
         }
-        self.paths == other.paths
-            && self.tuples == other.tuples
-            && self.seen_asns == other.seen_asns
-            && sides_eq(&self.on, &other.on)
-            && sides_eq(&self.off, &other.off)
+        let id = self.tuples.len() as u32;
+        self.tuple_ids.insert(hash, id);
+        self.tuples.push(key);
+        id
+    }
+
+    /// Record the family of each owner among the communities interned from
+    /// slot `from` on.
+    fn note_owners(&mut self, from: usize, siblings: &SiblingMap) {
+        for slot in from..self.interner.community_count() {
+            let owner = self.interner.community(slot as u32).asn;
+            self.families.entry(owner).or_insert_with(|| {
+                let asn = Asn::new(u32::from(owner));
+                siblings
+                    .expand_ref(&asn)
+                    .iter()
+                    .map(|a| a.value())
+                    .collect()
+            });
+        }
+    }
+
+    fn fold(
+        &mut self,
+        path: &AsPathView<'_>,
+        communities: &[Community],
+        siblings: &SiblingMap,
+    ) -> u32 {
+        let path = self.interner.intern_path(path);
+        let from = self.interner.community_count();
+        let cset = self.interner.intern_cset(communities);
+        self.note_owners(from, siblings);
+        self.intern_tuple(path, cset)
     }
 }
-
-/// One distinct element of a [`StatsAccumulator`]'s sets — the unit the
-/// streaming window reference-counts (see [`crate::watch`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Element {
-    /// A unique AS path fingerprint.
-    Path(u64),
-    /// An ASN on some path.
-    Asn(Asn),
-    /// A unique `(path, communities)` tuple fingerprint.
-    Tuple(u64),
-    /// A path fingerprint a community rode on-path (`true`) or off-path.
-    Side(Community, bool, u64),
-}
-
-/// The sequential fold over one shard's `(path fingerprint, observation)`
-/// pairs (the fingerprint is computed once, at partition time).
-fn accumulate_shard(shard: &[(u64, &Observation)], siblings: &SiblingMap) -> StatsAccumulator {
-    let mut acc = StatsAccumulator::default();
-    for &(pfp, obs) in shard {
-        acc.fold(pfp, obs, siblings);
-    }
-    acc
-}
-
-/// [`accumulate_shard`] over store rows: `(fingerprint, path ID, cset ID)`.
-fn accumulate_shard_store(
-    shard: &[(u64, u32, u32)],
-    store: &ObservationStore,
-    index: &OnPathIndex,
-) -> StatsAccumulator {
-    let mut acc = StatsAccumulator::default();
-    for &(pfp, path_id, cset_id) in shard {
-        acc.fold_store_row(pfp, path_id, cset_id, store, index);
-    }
-    acc
-}
-
-/// Number of fixed ingest shards. A constant — never the worker count — so
-/// the shard-major order in which new fingerprints reach the snapshot
-/// deltas is identical at any thread count. 64 keeps every core on a
-/// many-core host busy while the shards stay coarse enough to amortize
-/// per-shard accumulator setup.
-pub const INGEST_SHARDS: usize = 64;
 
 impl StatsAccumulator {
-    /// An empty accumulator.
+    /// An empty segment.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fold one file's observations in, spreading the work over `threads`
-    /// workers (`0` = one per CPU). The result — including snapshot bytes —
-    /// is identical at any thread count: observations are sharded by path
-    /// fingerprint into [`INGEST_SHARDS`] fixed shards and folded in shard
-    /// order. Single-threaded, each shard folds straight into `self` (no
-    /// temporaries, no merge); multi-threaded, per-shard accumulators are
-    /// merged in shard order by their insertion-ordered deltas — first
-    /// occurrence filtered against `self` lands elements in the same order
-    /// either way, so neither the accumulated sets nor the delta order the
-    /// snapshot serializes depend on how many workers ran.
-    pub fn ingest(&mut self, observations: &[Observation], siblings: &SiblingMap, threads: usize) {
-        if observations.is_empty() {
-            return;
-        }
-        let threads = effective_threads(threads);
-        let mut shards: Vec<Vec<(u64, &Observation)>> =
-            (0..INGEST_SHARDS).map(|_| Vec::new()).collect();
-        for obs in observations {
-            let pfp = path_fingerprint(&obs.path);
-            shards[(pfp as usize) % INGEST_SHARDS].push((pfp, obs));
-        }
-        if threads <= 1 {
-            for shard in &shards {
-                for &(pfp, obs) in shard {
-                    self.fold(pfp, obs, siblings);
-                }
-            }
-        } else {
-            for part in par_map_indexed(INGEST_SHARDS, threads, |i| {
-                accumulate_shard(&shards[i], siblings)
-            }) {
-                self.merge(part);
-            }
-        }
-    }
-
-    /// Fold observations one record at a time, in delivered order — the
-    /// streaming path. Unlike [`ingest`](Self::ingest) there is no
-    /// sharding pass and no per-call allocation: each record folds
-    /// straight into the accumulated sets as it arrives, so a daemon can
-    /// call this per decoded record (or per small batch) without setting
-    /// up [`INGEST_SHARDS`] vectors each time.
-    ///
-    /// The accumulated *sets* are identical to a batch [`ingest`] over the
-    /// same observations (set union is order-independent); the snapshot
-    /// *delta order* is the delivered order rather than shard-major order.
-    /// That is self-consistent across checkpoint/resume — a resumed daemon
-    /// re-folding from its cursor appends first-seen elements in the same
-    /// delivered order — but means streaming snapshot bytes are not
-    /// byte-comparable to batch snapshot bytes. Batch-parity checks
-    /// compare derived stats and labels, which depend only on the sets.
+    /// Fold observations one record at a time, in delivered order, each
+    /// interned once. Folding the same observations again changes nothing.
     pub fn ingest_ordered(&mut self, observations: &[Observation], siblings: &SiblingMap) {
+        let seg = Arc::make_mut(&mut self.seg);
+        let (mut segs, mut asns) = (Vec::new(), Vec::new());
         for obs in observations {
-            let pfp = path_fingerprint(&obs.path);
-            self.fold(pfp, obs, siblings);
+            let path = AsPathView::of(&obs.path, &mut segs, &mut asns);
+            seg.fold(&path, &obs.communities, siblings);
         }
     }
 
-    /// [`ingest`](Self::ingest) out of a columnar [`ObservationStore`] —
-    /// the path used when MRT decoding folded straight into a store. Path
-    /// fingerprints come from the store's interner (computed once per
-    /// *unique* path instead of once per observation); sharding, fold
-    /// order, accumulated sets, and snapshot bytes are all identical to
-    /// ingesting the equivalent observation slice.
+    /// Fold one observation given as its parts and return its tuple ID —
+    /// the streaming window's entry point.
+    pub(crate) fn fold(
+        &mut self,
+        path: &AsPathView<'_>,
+        communities: &[Community],
+        siblings: &SiblingMap,
+    ) -> u32 {
+        Arc::make_mut(&mut self.seg).fold(path, communities, siblings)
+    }
+
+    /// Fold a decoded [`ObservationStore`] in: its unique paths and
+    /// community sets are re-interned by exact value (paths without
+    /// rehashing), then its tuples. The result equals
+    /// [`ingest_ordered`](Self::ingest_ordered) over the store's
+    /// observations. `_threads` is accepted for existing callers; the fold
+    /// is sequential, which is what keeps IDs in first-seen order.
     pub fn ingest_store(
         &mut self,
         store: &ObservationStore,
         siblings: &SiblingMap,
-        threads: usize,
+        _threads: usize,
     ) {
-        if store.is_empty() {
+        let seg = Arc::make_mut(&mut self.seg);
+        let from = seg.interner.community_count();
+        let (paths, csets) = seg.interner.absorb(store);
+        seg.note_owners(from, siblings);
+        for (path, cset) in store.tuples() {
+            seg.intern_tuple(paths[path as usize], csets[cset as usize]);
+        }
+    }
+
+    /// Union another segment in, re-interning its paths, lists and tuples
+    /// by exact key in its ID order; an owner keeps the family this
+    /// segment recorded first. Merging into an empty segment adopts
+    /// `other` as it is.
+    pub fn merge(&mut self, other: StatsAccumulator) {
+        if *self.seg == Segment::default() {
+            *self = other;
             return;
         }
-        let threads = effective_threads(threads);
-        let index = OnPathIndex::build(store, siblings);
-        let mut shards: Vec<Vec<(u64, u32, u32)>> =
-            (0..INGEST_SHARDS).map(|_| Vec::new()).collect();
-        for (path_id, cset_id) in store.tuples() {
-            let pfp = store.path_fingerprint(path_id);
-            shards[(pfp as usize) % INGEST_SHARDS].push((pfp, path_id, cset_id));
+        let seg = Arc::make_mut(&mut self.seg);
+        let (paths, csets) = seg.interner.absorb(&other.seg.interner);
+        for (&owner, family) in &other.seg.families {
+            seg.families.entry(owner).or_insert_with(|| family.clone());
         }
-        if threads <= 1 {
-            for shard in &shards {
-                for &(pfp, path_id, cset_id) in shard {
-                    self.fold_store_row(pfp, path_id, cset_id, store, &index);
-                }
-            }
-        } else {
-            for part in par_map_indexed(INGEST_SHARDS, threads, |i| {
-                accumulate_shard_store(&shards[i], store, &index)
-            }) {
-                self.merge(part);
-            }
+        for &key in &other.seg.tuples {
+            seg.intern_tuple(paths[(key >> 32) as usize], csets[key as u32 as usize]);
         }
     }
 
-    /// Fold one observation into the accumulated sets, pushing every
-    /// first-seen element onto the matching snapshot delta.
-    fn fold(&mut self, pfp: u64, obs: &Observation, siblings: &SiblingMap) {
-        self.fold_parts(pfp, &obs.path, &obs.communities, siblings, |_| {});
+    /// Number of unique tuples; tuple IDs are `0..tuple_count()`.
+    pub(crate) fn tuple_count(&self) -> usize {
+        self.seg.tuples.len()
     }
 
-    /// [`fold`](Self::fold) one observation, handing every element it
-    /// inserted for the first time to `fresh` — how the streaming window
-    /// raises its reference counts without a second pass over the sets.
-    pub(crate) fn fold_observed(
-        &mut self,
-        obs: &Observation,
-        siblings: &SiblingMap,
-        fresh: impl FnMut(Element),
-    ) {
-        let pfp = path_fingerprint(&obs.path);
-        self.fold_parts(pfp, &obs.path, &obs.communities, siblings, fresh);
-    }
-
-    /// The fold itself, over the parts an observation contributes. The
-    /// columnar path ([`ingest_store`](Self::ingest_store)) runs the
-    /// byte-identical [`fold_store_row`](Self::fold_store_row) instead;
-    /// any change to the order of delta pushes here must be mirrored there.
-    fn fold_parts(
-        &mut self,
-        pfp: u64,
-        path: &AsPath,
-        communities: &[Community],
-        siblings: &SiblingMap,
-        mut fresh: impl FnMut(Element),
-    ) {
-        if self.paths.insert(pfp) {
-            self.paths_delta.push(pfp);
-            fresh(Element::Path(pfp));
-            for hop in path.iter() {
-                if self.seen_asns.insert(hop) {
-                    self.asns_delta.push(hop.value());
-                    fresh(Element::Asn(hop));
-                }
-            }
-        }
-        let tfp = tuple_fingerprint(pfp, communities);
-        if !self.tuples.insert(tfp) {
-            return; // duplicate tuple: nothing new to attribute
-        }
-        self.tuples_delta.push(tfp);
-        fresh(Element::Tuple(tfp));
-        for &c in communities {
-            // On-path iff the owner (or a sibling) appears in the path — a
-            // pure function of (community, path), so unioning per-file sets
-            // can never disagree about which side a fingerprint goes to.
-            let on = siblings.is_on_path(Asn::new(c.asn as u32), path);
-            let side = if on { &mut self.on } else { &mut self.off };
-            let entry = side.entry(c).or_default();
-            if entry.set.insert(pfp) {
-                entry.delta.push(pfp);
-                fresh(Element::Side(c, on, pfp));
-            }
-        }
-    }
-
-    /// Visit every element the accumulated sets hold, in no particular
-    /// order — what evicting a window bucket (or rebuilding the window's
-    /// reference counts on resume) walks.
-    pub(crate) fn for_each_element(&self, mut f: impl FnMut(Element)) {
-        self.paths.iter().for_each(|&p| f(Element::Path(p)));
-        self.seen_asns.iter().for_each(|&a| f(Element::Asn(a)));
-        self.tuples.iter().for_each(|&t| f(Element::Tuple(t)));
-        for (on, side) in [(true, &self.on), (false, &self.off)] {
-            for (&c, s) in side {
-                s.set.iter().for_each(|&p| f(Element::Side(c, on, p)));
-            }
-        }
-    }
-
-    /// [`fold_parts`](Self::fold_parts) over an interned store row. Same
-    /// operations in the same order — hops walked in path order, then one
-    /// on/off attribution per community in list order — with the on-path
-    /// test served by the precomputed [`OnPathIndex`] (a pure function of
-    /// (community, path) either way), so accumulated sets, delta order,
-    /// and hence snapshot bytes match the slice fold exactly.
-    fn fold_store_row(
-        &mut self,
-        pfp: u64,
-        path_id: u32,
-        cset_id: u32,
-        store: &ObservationStore,
-        index: &OnPathIndex,
-    ) {
-        if self.paths.insert(pfp) {
-            self.paths_delta.push(pfp);
-            for &hop in store.path_hops(path_id) {
-                if self.seen_asns.insert(Asn::new(hop)) {
-                    self.asns_delta.push(hop);
-                }
-            }
-        }
-        let communities = store.cset(cset_id);
-        let tfp = tuple_fingerprint(pfp, communities);
-        if !self.tuples.insert(tfp) {
-            return; // duplicate tuple: nothing new to attribute
-        }
-        self.tuples_delta.push(tfp);
-        for (&c, &slot) in communities.iter().zip(store.cset_slots(cset_id)) {
-            let on = index.on_path(store, path_id, slot);
-            let side = if on { &mut self.on } else { &mut self.off };
-            let entry = side.entry(c).or_default();
-            if entry.set.insert(pfp) {
-                entry.delta.push(pfp);
-            }
-        }
-    }
-
-    /// Union another accumulator in. Set union is commutative and
-    /// idempotent per element, so merge order never changes the resulting
-    /// *sets*; elements are visited in `other`'s insertion order (its
-    /// snapshot cache, then its live deltas) so the delta order pushed onto
-    /// `self` matches what a direct [`fold`](Self::fold) of the same
-    /// observations would have produced.
-    pub fn merge(&mut self, other: StatsAccumulator) {
-        for &p in other.cache.paths.iter().chain(&other.paths_delta) {
-            if self.paths.insert(p) {
-                self.paths_delta.push(p);
-            }
-        }
-        for &t in other.cache.tuples.iter().chain(&other.tuples_delta) {
-            if self.tuples.insert(t) {
-                self.tuples_delta.push(t);
-            }
-        }
-        for &a in other.cache.seen_asns.iter().chain(&other.asns_delta) {
-            if self.seen_asns.insert(Asn::new(a)) {
-                self.asns_delta.push(a);
-            }
-        }
-        // Per-community fingerprints: cache segments first (older), then
-        // the live deltas, so within-community order stays chronological.
-        for c in &other.cache.communities {
-            let key = Community::new(c.asn, c.value);
-            if !c.on.is_empty() {
-                let mine = self.on.entry(key).or_default();
-                for &f in &c.on {
-                    if mine.set.insert(f) {
-                        mine.delta.push(f);
-                    }
-                }
-            }
-            if !c.off.is_empty() {
-                let mine = self.off.entry(key).or_default();
-                for &f in &c.off {
-                    if mine.set.insert(f) {
-                        mine.delta.push(f);
-                    }
-                }
-            }
-        }
-        for (c, s) in other.on {
-            let mine = self.on.entry(c).or_default();
-            for f in s.delta {
-                if mine.set.insert(f) {
-                    mine.delta.push(f);
-                }
-            }
-        }
-        for (c, s) in other.off {
-            let mine = self.off.entry(c).or_default();
-            for f in s.delta {
-                if mine.set.insert(f) {
-                    mine.delta.push(f);
-                }
-            }
-        }
-    }
-
-    /// Collapse to the [`PathStats`] the classifier consumes.
+    /// The [`PathStats`] the classifier consumes, over every tuple.
     pub fn to_stats(&self) -> PathStats {
-        let mut per_community: FxHashMap<Community, PathCounts> = FxHashMap::default();
-        for (&c, s) in &self.on {
-            per_community.entry(c).or_default().on = s.set.len() as u32;
-        }
-        for (&c, s) in &self.off {
-            per_community.entry(c).or_default().off = s.set.len() as u32;
-        }
-        PathStats {
-            per_community,
-            seen_asns: self.seen_asns.clone(),
-            unique_tuples: self.tuples.len(),
-            unique_paths: self.paths.len(),
-        }
+        self.stats_where(|_| true)
     }
 
-    /// The persistable form. Deterministic for a given ingest sequence:
-    /// every vector is a concatenation of per-snapshot segments, each in
-    /// the fixed shard-major order [`ingest`](Self::ingest) guarantees, so
-    /// the bytes are identical at any thread count — and a resumed run,
-    /// which replays the same files in the same order with the same
-    /// snapshot cadence, reproduces them exactly. (Two accumulators
-    /// holding equal *sets* but fed in different groupings or snapshotted
-    /// at different points encode differently;
-    /// [`to_stats`](Self::to_stats) is identical either way.)
-    ///
-    /// Cost is O(elements inserted since the last call) — pure appends, no
-    /// re-sort of everything accumulated. The returned borrow is valid
-    /// until the next `ingest`/`merge`; clone it to persist.
-    pub fn snapshot(&mut self) -> &StatsSnapshot {
-        let cache = Arc::make_mut(&mut self.cache);
-        cache.paths.append(&mut self.paths_delta);
-        cache.tuples.append(&mut self.tuples_delta);
-        cache.seen_asns.append(&mut self.asns_delta);
-        // Sort the touched communities so slot assignment for first-time
-        // communities never depends on map iteration order: new entries are
-        // appended `(asn, value)`-sorted within each snapshot's batch.
-        let mut touched: Vec<Community> = self
-            .on
-            .iter()
-            .chain(self.off.iter())
-            .filter(|(_, s)| !s.delta.is_empty())
-            .map(|(&c, _)| c)
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for c in touched {
-            let i = *self.community_slots.entry(c).or_insert_with(|| {
-                cache.communities.push(SnapshotCommunity {
-                    asn: c.asn,
-                    value: c.value,
-                    on: Vec::new(),
-                    off: Vec::new(),
-                });
-                (cache.communities.len() - 1) as u32
-            }) as usize;
-            let slot = &mut cache.communities[i];
-            if let Some(s) = self.on.get_mut(&c) {
-                slot.on.append(&mut s.delta);
+    /// The [`PathStats`] over the tuples whose ID `keep` accepts — the
+    /// streaming window's live tuples.
+    pub(crate) fn stats_where(&self, keep: impl Fn(usize) -> bool + Sync) -> PathStats {
+        let seg = &*self.seg;
+        let index = OnPathIndex::build(&seg.interner, |owner, pool| {
+            if let Some(family) = seg.families.get(&owner) {
+                pool.extend_from_slice(family);
             }
-            if let Some(s) = self.off.get_mut(&c) {
-                slot.off.append(&mut s.delta);
-            }
-        }
-        &self.cache
-    }
-
-    /// [`snapshot`](Self::snapshot), shared instead of borrowed: what a
-    /// watch checkpoint holds while it is encoded, with no copy.
-    pub(crate) fn shared_snapshot(&mut self) -> Arc<StatsSnapshot> {
-        self.snapshot();
-        Arc::clone(&self.cache)
-    }
-
-    /// Rebuild from a snapshot (the resume path).
-    pub fn from_snapshot(snapshot: &StatsSnapshot) -> Self {
-        Self::from_shared_snapshot(Arc::new(snapshot.clone()))
-    }
-
-    /// [`from_snapshot`](Self::from_snapshot) adopting a shared snapshot
-    /// as the cache instead of copying it.
-    pub(crate) fn from_shared_snapshot(snapshot: Arc<StatsSnapshot>) -> Self {
-        let mut acc = StatsAccumulator {
-            paths: snapshot.paths.iter().copied().collect(),
-            tuples: snapshot.tuples.iter().copied().collect(),
-            seen_asns: snapshot.seen_asns.iter().map(|&a| Asn::new(a)).collect(),
-            cache: Arc::clone(&snapshot),
-            ..StatsAccumulator::default()
-        };
-        for (i, c) in snapshot.communities.iter().enumerate() {
-            let key = Community::new(c.asn, c.value);
-            acc.community_slots.insert(key, i as u32);
-            if !c.on.is_empty() {
-                acc.on.insert(
-                    key,
-                    CommunitySet {
-                        set: c.on.iter().copied().collect(),
-                        delta: Vec::new(),
-                    },
-                );
-            }
-            if !c.off.is_empty() {
-                acc.off.insert(
-                    key,
-                    CommunitySet {
-                        set: c.off.iter().copied().collect(),
-                        delta: Vec::new(),
-                    },
-                );
-            }
-        }
-        acc
-    }
-}
-
-/// One community's fingerprint sets in a [`StatsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotCommunity {
-    /// The owner ASN (`α`).
-    pub asn: u16,
-    /// The community value (`β`).
-    pub value: u16,
-    /// Unique on-path fingerprints, in deterministic per-snapshot segments.
-    pub on: Vec<u64>,
-    /// Unique off-path fingerprints, in deterministic per-snapshot segments.
-    pub off: Vec<u64>,
-}
-
-/// Persistable [`StatsAccumulator`]: content-based and independent of
-/// interner state or thread count. Vectors hold unique elements as a
-/// concatenation of deterministically-ordered segments, one per [`StatsAccumulator::snapshot`]
-/// call — see there for the exact determinism contract.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Unique-path fingerprints, in deterministic per-snapshot segments.
-    pub paths: Vec<u64>,
-    /// Unique-tuple fingerprints, in deterministic per-snapshot segments.
-    pub tuples: Vec<u64>,
-    /// ASNs seen in any path, in deterministic per-snapshot segments.
-    pub seen_asns: Vec<u32>,
-    /// Per-community fingerprint sets, ordered by first snapshot
-    /// appearance (`(asn, value)`-sorted within each snapshot's batch of
-    /// new communities — a deterministic order for a given ingest
-    /// sequence, like everything else here).
-    pub communities: Vec<SnapshotCommunity>,
-}
-
-impl StatsSnapshot {
-    /// Append the snapshot's binary columns: `paths` (u64), `tuples`
-    /// (u64), `seen_asns` (u32), the community keys (u32, `α << 16 | β`),
-    /// then each community's `on` and `off` fingerprint columns (u64) in
-    /// key-column order.
-    pub(crate) fn encode(&self, w: &mut ColumnWriter) {
-        w.column(&self.paths, |p| p.to_le_bytes());
-        w.column(&self.tuples, |t| t.to_le_bytes());
-        w.column(&self.seen_asns, |a| a.to_le_bytes());
-        w.column(&self.communities, |c| {
-            ((u32::from(c.asn) << 16) | u32::from(c.value)).to_le_bytes()
         });
-        for c in &self.communities {
-            w.column(&c.on, |p| p.to_le_bytes());
-            w.column(&c.off, |p| p.to_le_bytes());
-        }
+        reduce(&seg.interner, &index, 1, |_, _| {
+            (0..seg.tuples.len())
+                .filter(|&t| keep(t))
+                .map(|t| seg.tuples[t])
+                .collect()
+        })
     }
 
-    /// Read back what [`encode`](Self::encode) wrote. Every count is
-    /// checked against the bytes left before anything is allocated.
-    pub(crate) fn decode(r: &mut ColumnReader<'_>) -> Result<StatsSnapshot, String> {
-        let paths = r.column("paths", u64::from_le_bytes)?;
+    /// The persistable form: the segment itself, shared.
+    pub fn snapshot(&self) -> &StatsSnapshot {
+        self
+    }
+
+    /// Resume from a snapshot, sharing its storage.
+    pub fn from_snapshot(snapshot: &StatsSnapshot) -> Self {
+        snapshot.clone()
+    }
+
+    /// Append the segment's columns, all integers little-endian:
+    ///
+    /// ```text
+    ///   path ends     column (u32): each path's end in the segment columns
+    ///   seg tags      byte column: 1 AS_SET, 2 AS_SEQUENCE
+    ///   seg lengths   column (u32): ASNs per segment
+    ///   path ASNs     column (u32), every path's hops in order
+    ///   list ends     column (u32): each community list's end in the next
+    ///   communities   column (u32, α << 16 | β)
+    ///   tuples        column (u64, path ID << 32 | list ID)
+    ///   owners        column (u32, strictly ascending)
+    ///   family ends   column (u32): each owner's end in the next
+    ///   families      column (u32): sibling ASNs, the owner's included
+    /// ```
+    ///
+    /// A path's ID is its position in the path ends, likewise for lists
+    /// and tuples.
+    pub(crate) fn encode(&self, w: &mut ColumnWriter) {
+        let seg = &*self.seg;
+        let (path_ends, segs, asns) = seg.interner.path_pools();
+        w.column(path_ends, |e| e.to_le_bytes());
+        w.column(segs, |&(tag, _)| [tag]);
+        w.column(segs, |&(_, len)| len.to_le_bytes());
+        w.column(asns, |a| a.to_le_bytes());
+        let (list_ends, communities) = seg.interner.cset_pools();
+        w.column(list_ends, |e| e.to_le_bytes());
+        w.column(communities, |c| c.to_u32().to_le_bytes());
+        w.column(&seg.tuples, |t| t.to_le_bytes());
+        let owners: Vec<u32> = seg.families.keys().map(|&o| u32::from(o)).collect();
+        let mut end = 0u32;
+        let family_ends: Vec<u32> = seg
+            .families
+            .values()
+            .map(|f| {
+                end += f.len() as u32;
+                end
+            })
+            .collect();
+        w.column(&owners, |o| o.to_le_bytes());
+        w.column(&family_ends, |e| e.to_le_bytes());
+        let members: Vec<u32> = seg.families.values().flatten().copied().collect();
+        w.column(&members, |a| a.to_le_bytes());
+    }
+
+    /// Read back what [`encode`](Self::encode) wrote, re-interning every
+    /// path, list and tuple. Every count is checked against the bytes left
+    /// before anything is allocated, every end and ID against what it
+    /// indexes before it is used, and a value equal to an earlier one (a
+    /// duplicate path, list or tuple) is refused.
+    pub(crate) fn decode(r: &mut ColumnReader<'_>) -> Result<StatsAccumulator, String> {
+        let path_ends = r.column("path ends", u32::from_le_bytes)?;
+        let tags = r.bytes("segment tags")?;
+        let lens = r.column("segment lengths", u32::from_le_bytes)?;
+        let asns = r.column("path ASNs", u32::from_le_bytes)?;
+        let list_ends = r.column("list ends", u32::from_le_bytes)?;
+        let communities = r.column("communities", |b| {
+            Community::from_u32(u32::from_le_bytes(b))
+        })?;
         let tuples = r.column("tuples", u64::from_le_bytes)?;
-        let seen_asns = r.column("seen_asns", u32::from_le_bytes)?;
-        let keys = r.column("community keys", u32::from_le_bytes)?;
-        let mut communities = Vec::with_capacity(keys.len());
-        for key in keys {
-            communities.push(SnapshotCommunity {
-                asn: (key >> 16) as u16,
-                value: key as u16,
-                on: r.column("on-path fingerprints", u64::from_le_bytes)?,
-                off: r.column("off-path fingerprints", u64::from_le_bytes)?,
-            });
+        let owners = r.column("owners", u32::from_le_bytes)?;
+        let family_ends = r.column("family ends", u32::from_le_bytes)?;
+        let members = r.column("families", u32::from_le_bytes)?;
+
+        if lens.len() != tags.len() {
+            return Err(format!(
+                "{} segment tags, {} lengths",
+                tags.len(),
+                lens.len()
+            ));
         }
-        Ok(StatsSnapshot {
-            paths,
-            tuples,
-            seen_asns,
-            communities,
-        })
+        if let Some(tag) = tags.iter().find(|&&t| t != SEG_SET && t != SEG_SEQUENCE) {
+            return Err(format!("segment tag {tag} out of range"));
+        }
+        let segs: Vec<(u8, u32)> = tags.iter().copied().zip(lens).collect();
+        let mut seg = Segment::default();
+        let (mut seg_at, mut asn_at) = (0, 0);
+        for (id, &end) in path_ends.iter().enumerate() {
+            let path_segs = next_run(&segs, &mut seg_at, u64::from(end), "path ends")?;
+            let hops: u64 = path_segs.iter().map(|&(_, len)| u64::from(len)).sum();
+            let end = asn_at as u64 + hops;
+            let path_asns = next_run(&asns, &mut asn_at, end, "path ASNs")?;
+            let path = AsPathView {
+                segs: path_segs,
+                asns: path_asns,
+            };
+            if seg.interner.intern_path(&path) != id as u32 {
+                return Err(format!("path {id} repeats an earlier path"));
+            }
+        }
+        finished(&segs, seg_at, "segments")?;
+        finished(&asns, asn_at, "path ASNs")?;
+        let mut at = 0;
+        for (id, &end) in list_ends.iter().enumerate() {
+            let list = next_run(&communities, &mut at, u64::from(end), "list ends")?;
+            if seg.interner.intern_cset(list) != id as u32 {
+                return Err(format!("community list {id} repeats an earlier list"));
+            }
+        }
+        finished(&communities, at, "communities")?;
+        let (paths, lists) = (path_ends.len() as u64, list_ends.len() as u64);
+        for (id, &key) in tuples.iter().enumerate() {
+            if key >> 32 >= paths || key & u64::from(u32::MAX) >= lists {
+                return Err(format!(
+                    "tuple {id} names path {} and list {}, of {paths} and {lists}",
+                    key >> 32,
+                    key as u32
+                ));
+            }
+            if seg.intern_tuple((key >> 32) as u32, key as u32) != id as u32 {
+                return Err(format!("tuple {id} repeats an earlier tuple"));
+            }
+        }
+        if family_ends.len() != owners.len() {
+            return Err(format!(
+                "{} owners, {} family ends",
+                owners.len(),
+                family_ends.len()
+            ));
+        }
+        if owners.windows(2).any(|w| w[0] >= w[1]) || owners.last() > Some(&u32::from(u16::MAX)) {
+            return Err("owners not strictly ascending 16-bit ASNs".into());
+        }
+        let mut at = 0;
+        for (&owner, &end) in owners.iter().zip(&family_ends) {
+            let family = next_run(&members, &mut at, u64::from(end), "family ends")?;
+            seg.families.insert(owner as u16, family.to_vec());
+        }
+        finished(&members, at, "family members")?;
+        for slot in 0..seg.interner.community_count() as u32 {
+            let c = seg.interner.community(slot);
+            if !seg.families.contains_key(&c.asn) {
+                return Err(format!("community {c} has no owner family"));
+            }
+        }
+        Ok(StatsAccumulator { seg: Arc::new(seg) })
+    }
+}
+
+/// The run of `pool` from `*at` up to the recorded `end`, which is checked
+/// against both before it is used; advances `*at` to `end`.
+fn next_run<'a, T>(pool: &'a [T], at: &mut usize, end: u64, what: &str) -> Result<&'a [T], String> {
+    let start = *at;
+    let end = usize::try_from(end)
+        .ok()
+        .filter(|&e| e >= start && e <= pool.len())
+        .ok_or_else(|| format!("{what}: end {end} outside {start}..={}", pool.len()))?;
+    *at = end;
+    Ok(&pool[start..end])
+}
+
+/// Fail unless the runs consumed all of `pool`.
+fn finished<T>(pool: &[T], at: usize, what: &str) -> Result<(), String> {
+    if at == pool.len() {
+        Ok(())
+    } else {
+        Err(format!("{} {what} belong to no entry", pool.len() - at))
     }
 }
 
@@ -804,7 +572,7 @@ pub struct CompletedFile {
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics snapshot to resume from.
 ///
-/// # Layout (version 3, all integers little-endian)
+/// # Layout (version 4, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPBCKPT`, then the
 /// payload, where a column is a `u64` element count followed by the
@@ -815,13 +583,12 @@ pub struct CompletedFile {
 ///   file hashes   column (u64), FNV-1a 64 of each file
 ///   paths         one byte column (UTF-8) per file
 ///   report        byte column: the IngestReport as JSON
-///   snapshot      paths (u64) · tuples (u64) · seen_asns (u32) ·
-///                 community keys (u32, α << 16 | β), then per community
-///                 its on and off fingerprint columns (u64)
+///   segment       the statistics segment (see StatsAccumulator::encode)
 /// ```
 ///
 /// Versions 1 and 2 were JSON manifests; they are refused as
-/// [`LoadError::Foreign`].
+/// [`LoadError::Foreign`]. Version 3 held u64 fingerprint sets in place
+/// of the segment; it is refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// Files fully ingested, in completion (= input) order. Files that
@@ -830,7 +597,7 @@ pub struct Checkpoint {
     pub files: Vec<CompletedFile>,
     /// Merged ingest accounting over the completed files.
     pub report: IngestReport,
-    /// The statistics accumulated over the completed files.
+    /// The statistics segment of the completed files.
     pub snapshot: StatsSnapshot,
 }
 
@@ -838,7 +605,7 @@ impl Checkpoint {
     /// The envelope of checkpoint files and shard artifacts.
     pub const FORMAT: Format = Format {
         magic: *b"BGPBCKPT",
-        version: 3,
+        version: 4,
         name: "checkpoint",
     };
 
@@ -879,7 +646,7 @@ impl Checkpoint {
 
     /// Read, validate and decode the checkpoint at `path`: the envelope,
     /// then every column count against the bytes left, UTF-8 paths, a
-    /// parseable report, and no trailing bytes. Damage of any kind is a
+    /// parseable report, the segment's structure, and no trailing bytes. Damage of any kind is a
     /// typed [`LoadError`], never a panic or partial state.
     pub fn load(path: &Path) -> Result<Checkpoint, LoadError> {
         Self::FORMAT.load(path, Self::decode)
@@ -958,9 +725,9 @@ mod tests {
         let direct = PathStats::from_observations(&all, &siblings);
         // Ingest in three uneven "files"; paths recur across the splits.
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&all[..7], &siblings, 1);
-        acc.ingest(&all[7..40], &siblings, 1);
-        acc.ingest(&all[40..], &siblings, 1);
+        acc.ingest_ordered(&all[..7], &siblings);
+        acc.ingest_ordered(&all[7..40], &siblings);
+        acc.ingest_ordered(&all[40..], &siblings);
         assert_eq!(acc.to_stats(), direct);
     }
 
@@ -968,26 +735,27 @@ mod tests {
     fn ingest_is_thread_count_invariant() {
         let all = workload();
         let siblings = SiblingMap::default();
+        let store = ObservationStore::from_observations(&all);
         let mut sequential = StatsAccumulator::new();
-        sequential.ingest(&all, &siblings, 1);
+        sequential.ingest_store(&store, &siblings, 1);
         for threads in [2, 3, 8] {
             let mut acc = StatsAccumulator::new();
-            acc.ingest(&all, &siblings, threads);
+            acc.ingest_store(&store, &siblings, threads);
             assert_eq!(acc, sequential, "threads = {threads}");
-            assert_eq!(acc.snapshot(), sequential.snapshot());
+            assert_eq!(encoded(&acc), encoded(&sequential));
         }
     }
 
     #[test]
     fn ingest_store_matches_ingest_bit_for_bit() {
         // The columnar fold must be indistinguishable from the slice fold:
-        // same sets, same delta order, same snapshot bytes — at any thread
-        // count, and across the same "file" boundaries.
+        // same segment, same snapshot bytes — at any thread count, and
+        // across the same "file" boundaries.
         let all = workload();
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
         let mut via_slices = StatsAccumulator::new();
-        via_slices.ingest(&all[..11], &siblings, 1);
-        via_slices.ingest(&all[11..], &siblings, 1);
+        via_slices.ingest_ordered(&all[..11], &siblings);
+        via_slices.ingest_ordered(&all[11..], &siblings);
         for threads in [1, 2, 8] {
             let mut via_store = StatsAccumulator::new();
             via_store.ingest_store(
@@ -1002,11 +770,7 @@ mod tests {
             );
             assert_eq!(via_store, via_slices, "threads = {threads}");
             assert_eq!(via_store.to_stats(), via_slices.to_stats());
-            assert_eq!(
-                via_store.snapshot(),
-                via_slices.snapshot(),
-                "threads = {threads}"
-            );
+            assert_eq!(encoded(&via_store), encoded(&via_slices));
         }
     }
 
@@ -1018,7 +782,7 @@ mod tests {
             .chunks(13)
             .map(|chunk| {
                 let mut acc = StatsAccumulator::new();
-                acc.ingest(chunk, &siblings, 1);
+                acc.ingest_ordered(chunk, &siblings);
                 acc
             })
             .collect();
@@ -1030,65 +794,158 @@ mod tests {
         for p in parts.into_iter().rev() {
             backward.merge(p);
         }
-        // Logical content is merge-order independent; snapshot *bytes* are
-        // only promised for identical ingest sequences, so compare the sets
-        // and the derived statistics, not the serialized segments.
-        assert_eq!(forward, backward);
+        // Merge order decides the IDs, never the content: the derived
+        // statistics agree, and both equal one fold of everything.
         assert_eq!(forward.to_stats(), backward.to_stats());
+        assert_eq!(
+            forward.to_stats(),
+            PathStats::from_observations(&all, &siblings)
+        );
+        // Merging the same content again adds nothing.
+        let mut twice = forward.clone();
+        twice.merge(backward);
+        assert_eq!(twice, forward);
     }
 
-    /// The snapshot's column encoding, without an envelope.
-    fn encoded(snap: &StatsSnapshot) -> Vec<u8> {
+    /// The segment's column encoding, without an envelope.
+    fn encoded(segment: &StatsAccumulator) -> Vec<u8> {
         let mut w = ColumnWriter::new();
-        snap.encode(&mut w);
+        segment.encode(&mut w);
         w.buf
+    }
+
+    /// Decode what [`encoded`] wrote.
+    fn decoded(bytes: &[u8]) -> Result<StatsAccumulator, String> {
+        let mut r = ColumnReader::new(&bytes[persist::HEADER_LEN..]);
+        let segment = StatsAccumulator::decode(&mut r)?;
+        r.finish()?;
+        Ok(segment)
     }
 
     #[test]
     fn snapshot_roundtrips_through_the_column_codec() {
         let all = workload();
-        let siblings = SiblingMap::default();
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&all, &siblings, 2);
-        let snap = acc.snapshot().clone();
-        let bytes = encoded(&snap);
-        let mut r = ColumnReader::new(&bytes[persist::HEADER_LEN..]);
-        let back = StatsSnapshot::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, snap, "u64 fingerprints survive exactly");
-        let mut rebuilt = StatsAccumulator::from_snapshot(&back);
+        acc.ingest_ordered(&all, &siblings);
+        let back = decoded(&encoded(acc.snapshot())).unwrap();
+        assert_eq!(&back, acc.snapshot(), "the segment survives exactly");
+        let rebuilt = StatsAccumulator::from_snapshot(&back);
         assert_eq!(rebuilt.to_stats(), acc.to_stats());
-        assert_eq!(rebuilt.snapshot(), &snap);
+        assert_eq!(encoded(&rebuilt), encoded(&acc));
     }
 
     #[test]
     fn interleaved_snapshots_reproduce_on_resume() {
-        // The segment-append path: a run that snapshots after every "file"
-        // and an interrupted run resumed from a mid-run snapshot must end in
-        // byte-identical encoded state — the contract `--resume` rests
-        // on — even at different thread counts.
+        // A run that snapshots after every "file" and an interrupted run
+        // resumed from a mid-run snapshot's bytes must end in
+        // byte-identical encoded state — the contract `--resume` rests on
+        // — even at different thread counts.
         let all = workload();
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
         let mut full = StatsAccumulator::new();
-        let mut mid = StatsSnapshot::default();
+        let mut mid = Vec::new();
         for (i, chunk) in all.chunks(9).enumerate() {
-            full.ingest(chunk, &siblings, 2);
-            let snap = full.snapshot();
+            full.ingest_store(&ObservationStore::from_observations(chunk), &siblings, 2);
             if i == 2 {
-                mid = snap.clone(); // the crash point
+                mid = encoded(full.snapshot()); // the crash point
             }
         }
-        let mut resumed = StatsAccumulator::from_snapshot(&mid);
+        let mut resumed = StatsAccumulator::from_snapshot(&decoded(&mid).unwrap());
         for chunk in all.chunks(9).skip(3) {
-            resumed.ingest(chunk, &siblings, 8);
-            let _ = resumed.snapshot();
+            resumed.ingest_store(&ObservationStore::from_observations(chunk), &siblings, 8);
         }
-        assert_eq!(resumed.snapshot(), full.snapshot());
-        assert_eq!(encoded(resumed.snapshot()), encoded(full.snapshot()));
+        assert_eq!(resumed, full);
+        assert_eq!(encoded(&resumed), encoded(&full));
         // The classifier input is grouping- and cadence-independent.
         let mut one_shot = StatsAccumulator::new();
-        one_shot.ingest(&all, &siblings, 1);
+        one_shot.ingest_ordered(&all, &siblings);
         assert_eq!(resumed.to_stats(), one_shot.to_stats());
+    }
+
+    /// Hand-written segment columns: the given path columns, lists [1:7]
+    /// and [1:8], the given tuples, and the family [1] for each of
+    /// `owners`.
+    fn segment_columns(
+        path_ends: &[u32],
+        tags: &[u8],
+        lens: &[u32],
+        asns: &[u32],
+        tuples: &[u64],
+        owners: &[u32],
+    ) -> Result<StatsAccumulator, String> {
+        let mut w = ColumnWriter::new();
+        w.column(path_ends, |e| e.to_le_bytes());
+        w.bytes(tags);
+        w.column(lens, |n| n.to_le_bytes());
+        w.column(asns, |a| a.to_le_bytes());
+        w.column(&[1u32, 2], |e| e.to_le_bytes());
+        w.column(&[0x0001_0007u32, 0x0001_0008], |c| c.to_le_bytes());
+        w.column(tuples, |t| t.to_le_bytes());
+        w.column(owners, |o| o.to_le_bytes());
+        let ends: Vec<u32> = (1..=owners.len() as u32).collect();
+        w.column(&ends, |e| e.to_le_bytes());
+        w.column(&vec![1u32; owners.len()], |a| a.to_le_bytes());
+        decoded(&w.buf)
+    }
+
+    /// Segment columns that pass the seal but break the structure: every
+    /// one is a described refusal, never a panic.
+    #[test]
+    fn segment_structure_is_checked_behind_the_seal() {
+        let ok = segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[1 << 32, 1], &[1])
+            .expect("well-formed columns load");
+        assert_eq!(ok.tuple_count(), 2);
+        assert_eq!(ok.to_stats().unique_paths, 2);
+        for (columns, expect) in [
+            (
+                segment_columns(&[1, 2], &[2, 9], &[2, 1], &[1, 2, 3], &[0], &[1]),
+                "segment tag 9",
+            ),
+            (
+                segment_columns(&[1, 2], &[2], &[2, 1], &[1, 2, 3], &[0], &[1]),
+                "1 segment tags, 2 lengths",
+            ),
+            (
+                segment_columns(&[2, 1], &[2, 2], &[2, 1], &[1, 2, 3], &[0], &[1]),
+                "path ends: end 1 outside 2..=2",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2], &[0], &[1]),
+                "path ASNs: end 3 outside 2..=2",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3, 4], &[0], &[1]),
+                "1 path ASNs belong to no entry",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[2 << 32], &[1]),
+                "tuple 0 names path 2 and list 0",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[5], &[1]),
+                "tuple 0 names path 0 and list 5",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[1, 1], &[1]),
+                "tuple 1 repeats an earlier tuple",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[1], &[]),
+                "community 1:7 has no owner family",
+            ),
+            (
+                segment_columns(&[1, 2], &[2, 2], &[2, 1], &[1, 2, 3], &[1], &[1 << 16]),
+                "owners not strictly ascending 16-bit ASNs",
+            ),
+        ] {
+            let err = columns.expect_err(expect);
+            assert!(err.contains(expect), "expected {expect:?}, got {err:?}");
+        }
+        // A path equal to an earlier one ("1 2" twice) is a duplicate.
+        let err = segment_columns(&[1, 2], &[2, 2], &[2, 2], &[1, 2, 1, 2], &[0], &[1])
+            .expect_err("a repeated path");
+        assert!(err.contains("path 1 repeats an earlier path"), "{err}");
     }
 
     #[test]
@@ -1099,7 +956,7 @@ mod tests {
         let path = dir.join("run.ckpt");
 
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&workload(), &SiblingMap::default(), 1);
+        acc.ingest_ordered(&workload(), &SiblingMap::default());
         let mut cp = Checkpoint::new();
         cp.files.push(CompletedFile {
             path: "a.mrt".into(),
@@ -1161,6 +1018,349 @@ mod tests {
         fingerprints(&mut w, &[], &[]);
         w.bytes(br#"{"records_read": }"#);
         refused(w, "report");
+    }
+
+    #[test]
+    fn an_empty_segment_roundtrips_and_counts_nothing() {
+        let empty = StatsAccumulator::new();
+        assert_eq!(empty.tuple_count(), 0);
+        assert_eq!(empty.to_stats(), PathStats::default());
+        let back = decoded(&encoded(&empty)).unwrap();
+        assert_eq!(back, empty);
+        // Ten empty columns, nothing else.
+        assert_eq!(encoded(&empty).len(), persist::HEADER_LEN + 10 * 8);
+    }
+
+    #[test]
+    fn folding_the_same_observations_again_changes_nothing() {
+        let all = workload();
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut once = StatsAccumulator::new();
+        once.ingest_ordered(&all, &siblings);
+        let mut twice = once.clone();
+        twice.ingest_ordered(&all, &siblings);
+        twice.ingest_store(&ObservationStore::from_observations(&all), &siblings, 1);
+        assert_eq!(twice, once);
+        assert_eq!(encoded(&twice), encoded(&once));
+    }
+
+    #[test]
+    fn merging_into_an_empty_segment_adopts_the_other() {
+        let mut part = StatsAccumulator::new();
+        part.ingest_ordered(&workload(), &SiblingMap::default());
+        let mut merged = StatsAccumulator::new();
+        merged.merge(part.clone());
+        assert_eq!(merged, part);
+        assert!(Arc::ptr_eq(&merged.seg, &part.seg), "adopted, not copied");
+        // And merging an empty segment in leaves the content as it was.
+        merged.merge(StatsAccumulator::new());
+        assert_eq!(merged, part);
+    }
+
+    #[test]
+    fn snapshots_share_storage_until_the_segment_changes() {
+        let all = workload();
+        let siblings = SiblingMap::default();
+        let mut acc = StatsAccumulator::new();
+        acc.ingest_ordered(&all[..20], &siblings);
+        let snapshot = acc.snapshot().clone();
+        assert!(Arc::ptr_eq(&snapshot.seg, &acc.seg));
+        let frozen = snapshot.to_stats();
+        acc.ingest_ordered(&all[20..], &siblings);
+        assert!(!Arc::ptr_eq(&snapshot.seg, &acc.seg));
+        assert_eq!(snapshot.to_stats(), frozen, "the snapshot did not move");
+        assert_eq!(frozen, PathStats::from_observations(&all[..20], &siblings));
+    }
+
+    #[test]
+    fn an_owner_keeps_the_family_its_segment_saw_first() {
+        // Two segments built against different sibling maps: the merged
+        // segment counts 1299's community with the family the receiving
+        // segment recorded, whatever the other one says.
+        let o = vec![obs(1, "1 64999 64496", &[(1299, 7)])];
+        let family = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut with_family = StatsAccumulator::new();
+        with_family.ingest_ordered(&o, &family);
+        let mut without = StatsAccumulator::new();
+        without.ingest_ordered(&o, &SiblingMap::default());
+        let c = Community::new(1299, 7);
+        assert_eq!(with_family.to_stats().counts(c).unwrap().on, 1);
+        assert_eq!(without.to_stats().counts(c).unwrap().off, 1);
+
+        let mut merged = with_family.clone();
+        merged.merge(without.clone());
+        assert_eq!(merged.to_stats().counts(c).unwrap().on, 1);
+        let mut merged = without.clone();
+        merged.merge(with_family);
+        assert_eq!(merged.to_stats().counts(c).unwrap().off, 1);
+    }
+
+    #[test]
+    fn stats_over_chosen_tuples_match_those_observations_alone() {
+        let all = workload();
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut acc = StatsAccumulator::new();
+        acc.ingest_ordered(&all[..10], &siblings);
+        let first = acc.tuple_count();
+        acc.ingest_ordered(&all[10..], &siblings);
+        assert_eq!(
+            acc.stats_where(|t| t < first),
+            PathStats::from_observations(&all[..10], &siblings)
+        );
+        assert_eq!(acc.stats_where(|_| false), PathStats::default());
+        assert_eq!(acc.stats_where(|_| true), acc.to_stats());
+    }
+
+    #[test]
+    fn every_prefix_of_a_segment_encoding_is_refused() {
+        let mut acc = StatsAccumulator::new();
+        acc.ingest_ordered(
+            &workload()[..6],
+            &SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]),
+        );
+        let bytes = encoded(&acc);
+        assert_eq!(decoded(&bytes).unwrap(), acc);
+        for cut in persist::HEADER_LEN..bytes.len() {
+            assert!(decoded(&bytes[..cut]).is_err(), "a cut at {cut} loaded");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(decoded(&longer).unwrap_err(), "1 trailing bytes");
+    }
+
+    /// Hand-written segment columns with one path ("1"), the given list
+    /// columns, one tuple `(0, 0)` and the given owner families.
+    fn list_columns(
+        list_ends: &[u32],
+        communities: &[u32],
+        owners: &[u32],
+        family_ends: &[u32],
+        members: &[u32],
+    ) -> Result<StatsAccumulator, String> {
+        let mut w = ColumnWriter::new();
+        w.column(&[1u32], |e| e.to_le_bytes());
+        w.bytes(&[SEG_SEQUENCE]);
+        w.column(&[1u32], |n| n.to_le_bytes());
+        w.column(&[1u32], |a| a.to_le_bytes());
+        w.column(list_ends, |e| e.to_le_bytes());
+        w.column(communities, |c| c.to_le_bytes());
+        w.column(&[0u64], |t| t.to_le_bytes());
+        w.column(owners, |o| o.to_le_bytes());
+        w.column(family_ends, |e| e.to_le_bytes());
+        w.column(members, |a| a.to_le_bytes());
+        decoded(&w.buf)
+    }
+
+    #[test]
+    fn list_and_family_structure_is_checked_behind_the_seal() {
+        let ok = list_columns(&[1, 2], &[0x0001_0007, 0x0001_0008], &[1], &[2], &[1, 5])
+            .expect("well-formed columns load");
+        assert_eq!(ok.to_stats().counts(Community::new(1, 7)).unwrap().on, 1);
+        for (columns, expect) in [
+            (
+                list_columns(&[1, 2], &[0x0001_0007, 0x0001_0007], &[1], &[1], &[1]),
+                "community list 1 repeats an earlier list",
+            ),
+            (
+                list_columns(&[2, 1], &[0x0001_0007, 0x0001_0008], &[1], &[1], &[1]),
+                "list ends: end 1 outside 2..=2",
+            ),
+            (
+                list_columns(&[1], &[0x0001_0007, 0x0001_0008], &[1], &[1], &[1]),
+                "1 communities belong to no entry",
+            ),
+            (
+                list_columns(&[], &[], &[1], &[1], &[1]),
+                "tuple 0 names path 0 and list 0, of 1 and 0",
+            ),
+            (
+                list_columns(&[1], &[0x0001_0007], &[1], &[], &[1]),
+                "1 owners, 0 family ends",
+            ),
+            (
+                list_columns(&[1], &[0x0001_0007], &[1], &[3], &[1]),
+                "family ends: end 3 outside 0..=1",
+            ),
+            (
+                list_columns(&[1], &[0x0001_0007], &[1], &[1], &[1, 2]),
+                "1 family members belong to no entry",
+            ),
+            (
+                list_columns(&[1], &[0x0001_0007], &[1, 1], &[1, 1], &[1]),
+                "owners not strictly ascending",
+            ),
+        ] {
+            let err = columns.expect_err(expect);
+            assert!(err.contains(expect), "expected {expect:?}, got {err:?}");
+        }
+    }
+
+    #[test]
+    fn column_reader_sizes_nothing_by_an_unchecked_count() {
+        for count in [u64::MAX, u64::MAX / 4 + 1, 3] {
+            let mut bytes = count.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 8]);
+            let mut r = ColumnReader::new(&bytes);
+            let err = r.column("wide", u32::from_le_bytes).unwrap_err();
+            assert!(err.starts_with("wide: "), "{err}");
+            assert!(err.contains("exceed the 8 bytes left"), "{err}");
+        }
+        let mut r = ColumnReader::new(&[1, 2, 3]);
+        assert_eq!(
+            r.u64("scalar").unwrap_err(),
+            "scalar: needs 8 bytes, 3 left"
+        );
+    }
+
+    #[test]
+    fn column_codec_roundtrips_scalars_columns_and_bytes() {
+        let mut w = ColumnWriter::new();
+        w.u64(0x0102_0304_0506_0708);
+        w.column(&[7u32, u32::MAX], |v| v.to_le_bytes());
+        w.bytes(b"raw");
+        w.column::<u64, 8>(&[], |v| v.to_le_bytes());
+        let payload = w.buf[persist::HEADER_LEN..].to_vec();
+        let mut r = ColumnReader::new(&payload);
+        assert_eq!(r.u64("scalar").unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(
+            r.column("u32s", u32::from_le_bytes).unwrap(),
+            vec![7, u32::MAX]
+        );
+        assert_eq!(r.bytes("bytes").unwrap(), b"raw");
+        assert!(r.column("empty", u64::from_le_bytes).unwrap().is_empty());
+        r.finish().unwrap();
+        // Sealing fills the header over the same payload.
+        let file = w.seal(&Checkpoint::FORMAT);
+        assert!(file.starts_with(b"BGPBCKPT"));
+        assert_eq!(&file[persist::HEADER_LEN..], payload);
+    }
+
+    #[test]
+    fn runs_must_move_forward_within_their_pool() {
+        let pool = [10, 20, 30];
+        let mut at = 0;
+        assert_eq!(next_run(&pool, &mut at, 2, "ends").unwrap(), &[10, 20]);
+        assert_eq!(next_run(&pool, &mut at, 2, "ends").unwrap(), &[] as &[i32]);
+        assert_eq!(
+            next_run(&pool, &mut at, 1, "ends").unwrap_err(),
+            "ends: end 1 outside 2..=3"
+        );
+        assert_eq!(
+            next_run(&pool, &mut at, 4, "ends").unwrap_err(),
+            "ends: end 4 outside 2..=3"
+        );
+        assert_eq!(at, 2, "a refused run leaves the cursor alone");
+        assert_eq!(
+            finished(&pool, at, "items").unwrap_err(),
+            "1 items belong to no entry"
+        );
+        assert_eq!(next_run(&pool, &mut at, 3, "ends").unwrap(), &[30]);
+        assert!(finished(&pool, at, "items").is_ok());
+    }
+
+    #[test]
+    fn checkpoint_files_are_refused_by_kind_and_version() {
+        let dir =
+            std::env::temp_dir().join(format!("bgp-intent-ckpt-kinds-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        assert!(Checkpoint::load(&path).unwrap_err().is_not_found());
+
+        std::fs::write(&path, br#"{"version": 2, "files": []}"#).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&path).unwrap_err(),
+            LoadError::Foreign { .. }
+        ));
+
+        let mut file = Checkpoint::new().encode();
+        file[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        match Checkpoint::load(&path).unwrap_err() {
+            LoadError::Version {
+                found, expected, ..
+            } => assert_eq!((found, expected), (3, 4)),
+            other => panic!("expected a version error, got {other}"),
+        }
+
+        // The same payload under the watch checkpoint's magic is foreign.
+        let mut file = Checkpoint::new().encode();
+        file[..8].copy_from_slice(b"BGPWCKPT");
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&path).unwrap_err(),
+            LoadError::Foreign { .. }
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_file_fingerprints_as_the_fnv_offset() {
+        let dir =
+            std::env::temp_dir().join(format!("bgp-intent-ckpt-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("empty.bin");
+        std::fs::write(&path, b"").unwrap();
+        assert_eq!(
+            fingerprint_file(&path).unwrap(),
+            FileFingerprint {
+                bytes: 0,
+                hash: FNV_OFFSET
+            }
+        );
+        // Larger than one read buffer: the hash chains across reads.
+        let big: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &big).unwrap();
+        assert_eq!(
+            fingerprint_file(&path).unwrap(),
+            FileFingerprint {
+                bytes: big.len() as u64,
+                hash: fnv1a(FNV_OFFSET, &big)
+            }
+        );
+        let missing = fingerprint_file(&dir.join("absent.bin")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn completed_files_keep_their_order_and_exact_names() {
+        let dir =
+            std::env::temp_dir().join(format!("bgp-intent-ckpt-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let mut cp = Checkpoint::new();
+        for (i, name) in ["z.mrt", "données/rib.mrt", "a b.mrt", ""]
+            .iter()
+            .enumerate()
+        {
+            cp.files.push(CompletedFile {
+                path: (*name).into(),
+                fingerprint: FileFingerprint {
+                    bytes: i as u64,
+                    hash: u64::MAX - i as u64,
+                },
+            });
+        }
+        cp.save_atomic(&path).unwrap();
+        let back = Checkpoint::load(&path).unwrap();
+        assert_eq!(back.files, cp.files);
+        assert_eq!(back.completed("données/rib.mrt").unwrap().bytes, 1);
+        assert_eq!(back.completed("").unwrap().hash, u64::MAX - 3);
+        assert!(back.completed("Z.mrt").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn folding_an_empty_store_changes_nothing() {
+        let siblings = SiblingMap::default();
+        let mut acc = StatsAccumulator::new();
+        acc.ingest_store(&ObservationStore::new(), &siblings, 4);
+        assert_eq!(acc, StatsAccumulator::new());
+        acc.ingest_ordered(&workload(), &siblings);
+        let before = acc.clone();
+        acc.ingest_store(&ObservationStore::new(), &siblings, 1);
+        acc.ingest_ordered(&[], &siblings);
+        assert_eq!(acc, before);
     }
 
     #[test]

@@ -187,4 +187,53 @@ mod tests {
         assert_eq!(eval.accuracy(), 0.0);
         assert_eq!(eval.coverage(), 0.0);
     }
+
+    #[test]
+    fn the_first_matching_entry_is_the_truth() {
+        let overlapping = GroundTruthDictionary {
+            entries: vec![
+                DictionaryEntry {
+                    pattern: "100:1".parse().unwrap(),
+                    intent: Intent::Action,
+                },
+                DictionaryEntry {
+                    pattern: "100:[0-9]".parse().unwrap(),
+                    intent: Intent::Information,
+                },
+            ],
+        };
+        let mut inf = Inference::default();
+        inf.labels.insert(Community::new(100, 1), Intent::Action);
+        inf.labels
+            .insert(Community::new(100, 2), Intent::Information);
+        let eval = evaluate(&inf, &overlapping);
+        assert_eq!((eval.total, eval.correct), (2, 2));
+        assert_eq!(eval.confusion, [[1, 0], [0, 1]]);
+    }
+
+    #[test]
+    fn a_class_never_seen_scores_zero_not_nan() {
+        let mut inf = Inference::default();
+        inf.labels
+            .insert(Community::new(1299, 2500), Intent::Action);
+        let eval = evaluate(&inf, &dict());
+        assert_eq!(eval.accuracy(), 1.0);
+        assert_eq!(eval.precision(Intent::Information), 0.0);
+        assert_eq!(eval.recall(Intent::Information), 0.0);
+        assert_eq!(eval.coverage(), 1.0);
+    }
+
+    #[test]
+    fn evaluations_roundtrip_through_json() {
+        let mut inf = Inference::default();
+        inf.labels
+            .insert(Community::new(1299, 2500), Intent::Action);
+        inf.labels
+            .insert(Community::new(1299, 21000), Intent::Action);
+        inf.excluded
+            .insert(Community::new(64511, 1), Exclusion::PrivateAsn);
+        let eval = evaluate(&inf, &dict());
+        let json = serde_json::to_string(&eval).unwrap();
+        assert_eq!(serde_json::from_str::<Evaluation>(&json).unwrap(), eval);
+    }
 }

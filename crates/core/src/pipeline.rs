@@ -43,7 +43,7 @@ pub const RATIO_BUCKETS: &[u64] = &[
     4096,
 ];
 
-/// Record interner occupancy and collision-fallback counts under `store/*`.
+/// Record interner occupancy under `store/*`.
 fn record_store_metrics(metrics: &MetricsRegistry, store: &ObservationStore) {
     let gauge = |name: &str, v: usize| {
         metrics
@@ -54,8 +54,6 @@ fn record_store_metrics(metrics: &MetricsRegistry, store: &ObservationStore) {
     gauge("store/unique_paths", store.path_count());
     gauge("store/unique_csets", store.cset_count());
     gauge("store/unique_communities", store.community_count());
-    gauge("store/path_collisions", store.path_collision_count());
-    gauge("store/cset_collisions", store.cset_collision_count());
 }
 
 /// Record the path-stats kernel's output shape under `stats/*`.
@@ -406,8 +404,8 @@ mod tests {
         // Accumulate the same input as two "files", then classify from the
         // accumulator-derived stats: the checkpointed-run path.
         let mut acc = StatsAccumulator::new();
-        acc.ingest(&observations[..2], &siblings, 1);
-        acc.ingest(&observations[2..], &siblings, 1);
+        acc.ingest_ordered(&observations[..2], &siblings);
+        acc.ingest_ordered(&observations[2..], &siblings);
         let resumed = run_inference_from_stats(acc.to_stats(), &siblings, &cfg, None, None);
         assert_eq!(resumed.stats, direct.stats);
         assert_eq!(resumed.inference, direct.inference);

@@ -5,23 +5,27 @@
 //! and off-path, respectively."* The on-path test includes siblings (§5.2:
 //! "the ASN (or a sibling thereof)").
 //!
-//! The reduction runs over a columnar [`ObservationStore`]: paths,
-//! community sets, and individual communities are dense `u32` IDs, tuple
-//! dedup is a sort over packed `u64` keys, per-community accumulation
-//! indexes a flat slot array (a per-slot last-path marker dedups pairs in
-//! path-major order, so there is no second sort and no hashing in the
-//! loop), sibling orgs are dense org-IDs precomputed per unique path, and
-//! the on-path test is a binary search in a sorted interned slice.
-//! The parallel variant shards by interned path ID — every occurrence of
-//! a path carries the same ID, so each unique path lands in exactly one
-//! shard and per-shard counts merge by summation, bit-identical to the
-//! sequential reduction at any thread count. The `Observation`-slice
-//! entry points survive as thin wrappers that build a store first.
+//! The reduction ([`reduce`]) runs over interned `(path, community set)`
+//! tuples: an [`ObservationStore`]'s per-observation tuples in a batch
+//! run, a statistics segment's unique tuples
+//! ([`StatsAccumulator`](crate::checkpoint::StatsAccumulator)) for
+//! checkpoints, shards and the streaming window. Paths, community sets,
+//! and individual communities are dense `u32` IDs, tuple dedup is a sort
+//! over packed `u64` keys, per-community accumulation indexes a flat slot
+//! array (a per-slot last-path marker dedups pairs in path-major order, so
+//! there is no second sort and no hashing in the loop), each community
+//! slot's owner family is resolved once, and the on-path test is a binary
+//! search in a sorted interned slice. The parallel variant shards by
+//! interned path ID — every occurrence of a path carries the same ID, so
+//! each unique path lands in exactly one shard and per-shard counts merge
+//! by summation, bit-identical to the sequential reduction at any thread
+//! count. The `Observation`-slice entry points survive as thin wrappers
+//! that build a store first.
 
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
-use bgp_types::store::ObservationStore;
+use bgp_types::store::{Interner, ObservationStore};
 use bgp_types::{Asn, Community, Observation};
 
 /// Unique-path counts for one community.
@@ -65,25 +69,23 @@ pub struct PathStats {
 }
 
 /// The owner of one community slot, resolved once before the reduction to
-/// its full sibling family: either the bare ASN value (owners the sibling
-/// map doesn't know, or sole members of their org — `expand(α) = [α]`) or
-/// a `family_pool` range holding every sibling's ASN value. The on-path
-/// test is then a binary search of each family member in the path's sorted
-/// unique-member slice — the reference reduction's
-/// `expand(α).iter().any(|a| members.contains(a))` verbatim, minus the
-/// hashing. Resolution happens per community *slot* (hundreds), never per
-/// path or per tuple.
+/// its full sibling family: either the bare ASN value (owners without
+/// siblings — `expand(α) = [α]`) or a `family_pool` range holding every
+/// sibling's ASN value. The on-path test is then a binary search of each
+/// family member in the path's sorted unique-member slice — the reference
+/// reduction's `expand(α).iter().any(|a| members.contains(a))` verbatim,
+/// minus the hashing. Resolution happens per community *slot* (hundreds),
+/// never per path or per tuple.
 #[derive(Clone, Copy)]
 enum SlotOwner {
     Plain(u32),
     Family { lo: u32, hi: u32 },
 }
 
-/// Precomputed on-path test over one store: per-community-slot owner
+/// Precomputed on-path test over one interner: per-community-slot owner
 /// family resolution. Built once, then every `(community slot, path ID)`
 /// test is a handful of binary searches over dense values — no hashing,
-/// no sibling-family walk. Shared with the checkpoint accumulator's
-/// store-ingestion path, where the same test runs per (tuple × community).
+/// no sibling-family walk.
 pub(crate) struct OnPathIndex {
     resolved: Vec<SlotOwner>,
     /// ASN values of multi-member owner families, ranged by `SlotOwner::Family`.
@@ -91,19 +93,22 @@ pub(crate) struct OnPathIndex {
 }
 
 impl OnPathIndex {
-    pub(crate) fn build(store: &ObservationStore, siblings: &SiblingMap) -> Self {
+    /// Resolve every community slot of `interner`: `family(owner, pool)`
+    /// appends the owner's sibling family to `pool`, and one entry or none
+    /// means the owner has no siblings.
+    pub(crate) fn build(interner: &Interner, mut family: impl FnMut(u16, &mut Vec<u32>)) -> Self {
         let mut family_pool = Vec::new();
-        let resolved = (0..store.community_count() as u32)
+        let resolved = (0..interner.community_count() as u32)
             .map(|slot| {
-                let owner = Asn::new(store.community(slot).asn as u32);
-                let family = siblings.expand_ref(&owner);
-                if family.len() <= 1 {
-                    SlotOwner::Plain(owner.value())
+                let owner = interner.community(slot).asn;
+                let lo = family_pool.len();
+                family(owner, &mut family_pool);
+                if family_pool.len() - lo <= 1 {
+                    family_pool.truncate(lo);
+                    SlotOwner::Plain(u32::from(owner))
                 } else {
-                    let lo = family_pool.len() as u32;
-                    family_pool.extend(family.iter().map(|a| a.value()));
                     SlotOwner::Family {
-                        lo,
+                        lo: lo as u32,
                         hi: family_pool.len() as u32,
                     }
                 }
@@ -115,10 +120,18 @@ impl OnPathIndex {
         }
     }
 
+    /// [`build`](Self::build) with the families `siblings` defines.
+    pub(crate) fn from_siblings(interner: &Interner, siblings: &SiblingMap) -> Self {
+        Self::build(interner, |owner, pool| {
+            let owner = Asn::new(u32::from(owner));
+            pool.extend(siblings.expand_ref(&owner).iter().map(|a| a.value()));
+        })
+    }
+
     /// Whether the owner of community slot `slot` (or one of its siblings)
     /// appears on path `path_id`.
-    pub(crate) fn on_path(&self, store: &ObservationStore, path_id: u32, slot: u32) -> bool {
-        let members = store.path_members(path_id);
+    pub(crate) fn on_path(&self, interner: &Interner, path_id: u32, slot: u32) -> bool {
+        let members = interner.path_members(path_id);
         match self.resolved[slot as usize] {
             SlotOwner::Plain(asn) => members.binary_search(&asn).is_ok(),
             SlotOwner::Family { lo, hi } => self.family_pool[lo as usize..hi as usize]
@@ -128,36 +141,31 @@ impl OnPathIndex {
     }
 }
 
-/// One shard of the reduction: all tuples whose interned path ID is
-/// `shard` modulo `shard_count` (`shard_count == 1` is the full input).
+/// A `(path ID, community-set ID)` tuple as one sortable key, path-major.
+pub(crate) fn pack(path: u32, cset: u32) -> u64 {
+    (u64::from(path) << 32) | u64::from(cset)
+}
+
+/// One shard's share of the reduction.
+struct ShardCounts {
+    counts: Vec<PathCounts>,
+    unique_tuples: usize,
+    unique_paths: usize,
+    /// The sorted unique members of every path in the shard, concatenated.
+    members: Vec<u32>,
+}
+
+/// Reduce one shard's tuple keys (see [`pack`]).
 ///
 /// Exact under merging-by-sum because sharding by path ID partitions
 /// *unique paths*: every occurrence of a path carries the same dense ID,
 /// so a community's unique on/off paths in this shard are disjoint from
 /// every other shard's.
-fn shard_stats(
-    store: &ObservationStore,
-    index: &OnPathIndex,
-    shard: u32,
-    shard_count: u32,
-) -> (Vec<PathCounts>, usize, usize) {
-    // Dedup tuples: pack (path ID, cset ID) into one u64 and sort. The
-    // sort is path-major, so unique paths fall out as key runs.
-    let mut tuples: Vec<u64> = if shard_count == 1 {
-        store
-            .tuples()
-            .map(|(p, c)| (u64::from(p) << 32) | u64::from(c))
-            .collect()
-    } else {
-        store
-            .tuples()
-            .filter(|&(p, _)| p % shard_count == shard)
-            .map(|(p, c)| (u64::from(p) << 32) | u64::from(c))
-            .collect()
-    };
+fn shard_stats(interner: &Interner, index: &OnPathIndex, mut tuples: Vec<u64>) -> ShardCounts {
+    // Dedup tuples with a sort. The sort is path-major, so unique paths
+    // fall out as key runs.
     tuples.sort_unstable();
     tuples.dedup();
-    let unique_tuples = tuples.len();
 
     // Count unique (community, path) pairs straight off the sorted run:
     // within one path's run of csets a community's slot can repeat, and
@@ -170,21 +178,23 @@ fn shard_stats(
     let mut counts = vec![PathCounts::default(); slot_count];
     let mut last_path = vec![u64::MAX; slot_count];
     let mut unique_paths = 0usize;
+    let mut members = Vec::new();
     let mut prev_path = u64::MAX;
     for &key in &tuples {
         let path = key >> 32;
+        let pid = path as u32;
         if path != prev_path {
             unique_paths += 1;
             prev_path = path;
+            members.extend_from_slice(interner.path_members(pid));
         }
-        let pid = path as u32;
-        for &slot in store.cset_slots(key as u32) {
+        for &slot in interner.cset_slots(key as u32) {
             let s = slot as usize;
             if last_path[s] == path {
                 continue;
             }
             last_path[s] = path;
-            if index.on_path(store, pid, slot) {
+            if index.on_path(interner, pid, slot) {
                 counts[s].on += 1;
             } else {
                 counts[s].off += 1;
@@ -192,7 +202,64 @@ fn shard_stats(
         }
     }
 
-    (counts, unique_tuples, unique_paths)
+    ShardCounts {
+        counts,
+        unique_tuples: tuples.len(),
+        unique_paths,
+        members,
+    }
+}
+
+/// The reduction over interned tuples, on `threads` workers (`0` = one per
+/// CPU): `keys(shard, shard_count)` returns the [`pack`]ed keys of the
+/// tuples to count whose path ID is `shard` modulo `shard_count`
+/// (duplicates allowed). Each shard is reduced independently and the
+/// partial counts summed, bit-identical to one shard at any thread count.
+/// `seen_asns` covers exactly the paths the tuples ride.
+pub(crate) fn reduce(
+    interner: &Interner,
+    index: &OnPathIndex,
+    threads: usize,
+    keys: impl Fn(u32, u32) -> Vec<u64> + Sync,
+) -> PathStats {
+    let threads = effective_threads(threads);
+    let parts = if threads <= 1 {
+        vec![shard_stats(interner, index, keys(0, 1))]
+    } else {
+        par_map_indexed(threads, threads, |i| {
+            shard_stats(interner, index, keys(i as u32, threads as u32))
+        })
+    };
+
+    let mut stats = PathStats::default();
+    // Shards partition communities *per path*, not communities: the
+    // same slot can collect counts in several shards, so sum, then
+    // materialize only slots that occurred in at least one tuple.
+    let mut totals = vec![PathCounts::default(); index.resolved.len()];
+    let mut members = Vec::new();
+    for part in parts {
+        for (total, counts) in totals.iter_mut().zip(&part.counts) {
+            total.on += counts.on;
+            total.off += counts.off;
+        }
+        stats.unique_tuples += part.unique_tuples;
+        stats.unique_paths += part.unique_paths;
+        members.extend_from_slice(&part.members);
+    }
+    for (slot, &counts) in totals.iter().enumerate() {
+        if counts.on + counts.off > 0 {
+            stats
+                .per_community
+                .insert(interner.community(slot as u32), counts);
+        }
+    }
+    // Sort-dedup the concatenated member slices first: hashing only the
+    // distinct survivors is far cheaper than hashing every entry.
+    members.sort_unstable();
+    members.dedup();
+    stats.seen_asns.reserve(members.len());
+    stats.seen_asns.extend(members.iter().map(|&a| Asn::new(a)));
+    stats
 }
 
 impl PathStats {
@@ -211,51 +278,15 @@ impl PathStats {
         siblings: &SiblingMap,
         threads: usize,
     ) -> Self {
-        let threads = effective_threads(threads);
-        let index = OnPathIndex::build(store, siblings);
-        let shard_count = if threads <= 1 || store.len() < 2 {
-            1
-        } else {
-            threads as u32
-        };
-        let parts: Vec<_> = if shard_count == 1 {
-            vec![shard_stats(store, &index, 0, 1)]
-        } else {
-            par_map_indexed(shard_count as usize, threads, |i| {
-                shard_stats(store, &index, i as u32, shard_count)
-            })
-        };
-
-        let mut stats = PathStats::default();
-        // Shards partition communities *per path*, not communities: the
-        // same slot can collect counts in several shards, so sum, then
-        // materialize only slots that occurred in at least one tuple.
-        let mut totals = vec![PathCounts::default(); index.resolved.len()];
-        for (counts, unique_tuples, unique_paths) in parts {
-            for (total, part) in totals.iter_mut().zip(&counts) {
-                total.on += part.on;
-                total.off += part.off;
-            }
-            stats.unique_tuples += unique_tuples;
-            stats.unique_paths += unique_paths;
-        }
-        for (slot, &counts) in totals.iter().enumerate() {
-            if counts.on + counts.off > 0 {
-                stats
-                    .per_community
-                    .insert(store.community(slot as u32), counts);
-            }
-        }
-        // Every interned path has at least one observation, so the union
-        // of interned member slices is exactly the old per-observation
-        // scan. Sort-dedup the flat member pool first: hashing only the
-        // distinct survivors is far cheaper than hashing every entry.
-        let mut vals: Vec<u32> = store.member_values().to_vec();
-        vals.sort_unstable();
-        vals.dedup();
-        stats.seen_asns.reserve(vals.len());
-        stats.seen_asns.extend(vals.iter().map(|&a| Asn::new(a)));
-        stats
+        let index = OnPathIndex::from_siblings(store, siblings);
+        let threads = if store.len() < 2 { 1 } else { threads };
+        reduce(store, &index, threads, |shard, count| {
+            store
+                .tuples()
+                .filter(|&(p, _)| count == 1 || p % count == shard)
+                .map(|(p, c)| pack(p, c))
+                .collect()
+        })
     }
 
     /// Reduce observations to statistics. Duplicate `(path, communities)`
@@ -555,5 +586,144 @@ mod tests {
         let stats = PathStats::from_observations(&observations, &SiblingMap::default());
         // Two distinct paths (prepending makes them different strings).
         assert_eq!(stats.counts(Community::new(1299, 5)).unwrap().on, 2);
+    }
+
+    #[test]
+    fn no_observations_give_empty_stats() {
+        let siblings = SiblingMap::default();
+        assert_eq!(
+            PathStats::from_observations(&[], &siblings),
+            PathStats::default()
+        );
+        assert_eq!(reference_stats(&[], &siblings), PathStats::default());
+        for threads in [0, 1, 4] {
+            assert_eq!(
+                PathStats::from_observations_threaded(&[], &siblings, threads),
+                PathStats::default()
+            );
+        }
+        assert!(PathStats::default().by_owner().is_empty());
+    }
+
+    #[test]
+    fn a_route_without_communities_still_counts_its_path() {
+        let observations = vec![
+            obs(1, "1 1299 64496", &[]),
+            obs(2, "2 64496", &[(64496, 1)]),
+        ];
+        let stats = PathStats::from_observations(&observations, &SiblingMap::default());
+        assert_eq!(stats.unique_paths, 2);
+        assert_eq!(stats.unique_tuples, 2);
+        assert_eq!(stats.community_count(), 1);
+        assert!(stats.seen_asns.contains(&Asn::new(1299)));
+        assert_eq!(
+            stats,
+            reference_stats(&observations, &SiblingMap::default())
+        );
+    }
+
+    #[test]
+    fn a_repeated_community_in_one_list_counts_its_path_once() {
+        let observations = vec![obs(1, "1 1299 64496", &[(1299, 1), (1299, 1), (3356, 2)])];
+        let stats = PathStats::from_observations(&observations, &SiblingMap::default());
+        assert_eq!(
+            stats.counts(Community::new(1299, 1)),
+            Some(PathCounts { on: 1, off: 0 })
+        );
+        assert_eq!(
+            stats.counts(Community::new(3356, 2)),
+            Some(PathCounts { on: 0, off: 1 })
+        );
+        assert_eq!(stats.counts(Community::new(3356, 3)), None);
+    }
+
+    #[test]
+    fn an_as_set_member_puts_its_owner_on_path() {
+        let observations = vec![
+            obs(1, "1 {1299,3356} 64496", &[(1299, 1), (174, 1)]),
+            obs(1, "1 3356 64496", &[(1299, 1)]),
+        ];
+        let stats = PathStats::from_observations(&observations, &SiblingMap::default());
+        assert_eq!(
+            stats.counts(Community::new(1299, 1)),
+            Some(PathCounts { on: 1, off: 1 })
+        );
+        assert_eq!(
+            stats.counts(Community::new(174, 1)),
+            Some(PathCounts { on: 0, off: 1 })
+        );
+        let seen: std::collections::BTreeSet<u32> =
+            stats.seen_asns.iter().map(|a| a.value()).collect();
+        assert_eq!(seen, [1, 1299, 3356, 64496].into_iter().collect());
+    }
+
+    #[test]
+    fn a_sibling_family_with_only_its_owner_is_the_bare_owner() {
+        let store = ObservationStore::from_observations(&[
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+            obs(1, "1 64500 64496", &[(1299, 2), (3356, 1)]),
+        ]);
+        // One-member families resolve to the owner itself; a real family
+        // is searched member by member.
+        let bare = OnPathIndex::build(&store, |owner, pool| pool.push(u32::from(owner)));
+        let none = OnPathIndex::build(&store, |_, _| {});
+        let family = OnPathIndex::build(&store, |owner, pool| {
+            pool.push(u32::from(owner));
+            if owner == 1299 {
+                pool.push(64500);
+            }
+        });
+        assert!(bare.family_pool.is_empty() && none.family_pool.is_empty());
+        // One range per slot of the owner: 1299:1 and 1299:2, two members each.
+        assert_eq!(family.family_pool, vec![1299, 64500, 1299, 64500]);
+        let slot_1299_2 = store.cset_slots(1)[0];
+        for index in [&bare, &none] {
+            assert!(index.on_path(&store, 0, 0));
+            assert!(!index.on_path(&store, 1, slot_1299_2));
+        }
+        assert!(family.on_path(&store, 1, slot_1299_2));
+        assert!(!family.on_path(&store, 1, store.cset_slots(1)[1]));
+    }
+
+    #[test]
+    fn packed_keys_sort_path_major() {
+        assert_eq!(pack(0, 0), 0);
+        assert_eq!(pack(1, 2), (1 << 32) | 2);
+        assert!(pack(0, u32::MAX) < pack(1, 0));
+        assert!(pack(1, 0) < pack(1, 1));
+        assert_eq!(pack(u32::MAX, u32::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn store_and_slice_entry_points_agree() {
+        let observations: Vec<Observation> = (0..30u32)
+            .map(|i| {
+                obs(
+                    i % 3,
+                    &format!("{} {} 64496", i % 3, 1299 + i % 4),
+                    &[((1299 + i % 4) as u16, (i % 5) as u16)],
+                )
+            })
+            .collect();
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(1300)]]);
+        let store = ObservationStore::from_observations(&observations);
+        let expected = reference_stats(&observations, &siblings);
+        assert_eq!(PathStats::from_store(&store, &siblings), expected);
+        for threads in [0, 2, 5] {
+            assert_eq!(
+                PathStats::from_store_threaded(&store, &siblings, threads),
+                expected,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_observed_communities_are_reported() {
+        let observations = vec![obs(1, "1 2", &[(100, 1)]), obs(1, "1 3", &[(200, 2)])];
+        let stats = PathStats::from_observations(&observations, &SiblingMap::default());
+        assert_eq!(stats.community_count(), 2);
+        assert!(stats.counts(Community::new(100, 2)).is_none());
+        assert_eq!(stats.by_owner(), vec![(100, vec![1]), (200, vec![2])]);
     }
 }

@@ -9,12 +9,12 @@
 //!
 //! * [`plan_shards`] deals the input files round-robin into N shards. The
 //!   partition never affects the merged result — each shard's artifact is
-//!   a sealed binary [`Checkpoint`] whose
-//!   [`StatsSnapshot`](crate::checkpoint::StatsSnapshot) holds
-//!   content-based fingerprint *sets* whose union is exact and commutative
-//!   (see [`crate::checkpoint`]), so merging shards in shard order yields
-//!   the same [`PathStats`](crate::stats::PathStats) as one process
-//!   reading every file.
+//!   a sealed binary [`Checkpoint`] whose statistics segment
+//!   ([`StatsSnapshot`](crate::checkpoint::StatsSnapshot)) holds the
+//!   shard's unique tuples, interned by exact value, so merging segments
+//!   is an exact union (see [`crate::checkpoint`]) and yields the same
+//!   [`PathStats`](crate::stats::PathStats) as one process reading every
+//!   file.
 //! * [`supervise`] runs one subprocess per shard, watches a per-shard
 //!   heartbeat file for progress, and classifies every failure
 //!   ([`ShardFailureKind`]): nonzero exit, death by signal, a stall (no
@@ -697,7 +697,7 @@ mod tests {
             });
         }
         let mut acc = StatsAccumulator::new();
-        acc.ingest(
+        acc.ingest_ordered(
             &[Observation {
                 vp: Asn::new(64500),
                 prefix: "10.0.0.0/24".parse().unwrap(),
@@ -707,7 +707,6 @@ mod tests {
                 time: 0,
             }],
             &SiblingMap::default(),
-            1,
         );
         cp.snapshot = acc.snapshot().clone();
         cp.save_atomic(&spec.artifact).unwrap();
@@ -778,6 +777,39 @@ mod tests {
             validate_artifact(&spec),
             Err(ShardFailureKind::StaleArtifact(_))
         ));
+    }
+
+    #[test]
+    fn an_artifact_from_the_previous_layout_is_corrupt_not_missing() {
+        let dir = workdir("old-layout");
+        let spec = spec_with_inputs(&dir, 0, 1);
+        write_valid_artifact(&spec);
+        let mut bytes = fs::read(&spec.artifact).unwrap();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(&spec.artifact, &bytes).unwrap();
+        match validate_artifact(&spec) {
+            Err(ShardFailureKind::CorruptArtifact(why)) => assert!(
+                why.contains("version 3, this build reads version 4"),
+                "{why}"
+            ),
+            other => panic!("expected a corrupt artifact, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_valid_artifact_hands_back_the_shard_segment() {
+        let dir = workdir("segment");
+        let spec = spec_with_inputs(&dir, 0, 2);
+        write_valid_artifact(&spec);
+        let cp = validate_artifact(&spec).unwrap();
+        let recorded: Vec<&str> = cp.files.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(recorded, spec.files);
+        let stats = cp.snapshot.to_stats();
+        assert_eq!((stats.unique_paths, stats.unique_tuples), (1, 1));
+        assert_eq!(
+            stats.counts(Community::new(1299, 7)).map(|c| (c.on, c.off)),
+            Some((1, 0))
+        );
     }
 
     #[test]

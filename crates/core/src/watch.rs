@@ -5,21 +5,21 @@
 //! owner ASes a window advance actually touched, surfacing label changes
 //! ("flaps") as first-class metrics. The pieces:
 //!
-//! * [`WindowedClassifier`] — a ring of per-bucket [`StatsAccumulator`]s
-//!   keyed by `observation.time / window_secs`, the windowed union of the
-//!   retained buckets kept as reference counts, and the current label map.
-//!   A fold raises the count of every element it adds to a bucket for the
-//!   first time; evicting a bucket lowers the counts of its elements. Each
-//!   advance diffs the union against the stats of the previous
-//!   reclassification and re-runs the classifier for dirty owners only.
-//!   Late observations to evicted buckets are dropped and counted, never
-//!   folded twice.
+//! * [`WindowedClassifier`] — one statistics segment
+//!   ([`StatsAccumulator`]) that interns every observation exactly once, a
+//!   ring of buckets keyed by `observation.time / window_secs` that list
+//!   the tuple IDs folded into them, a reference count per tuple, and the
+//!   current label map. Each advance evicts expired buckets, runs the stats
+//!   kernel over the tuples still referenced, diffs the result against the
+//!   stats of the previous reclassification and re-runs the classifier for
+//!   dirty owners only. Late observations to evicted buckets are dropped
+//!   from the window and counted.
 //! * [`WatchCheckpoint`] — a sealed binary file (the [`persist`] envelope
 //!   around length-prefixed little-endian columns), written durably
 //!   through [`persist::write_atomic`], holding the stream cursor, the
-//!   cumulative accumulator, every retained bucket, the label map, and the
-//!   flap counters. Restoring it reproduces the daemon's exact state at
-//!   the recorded cursor, so a resumed run counts the same flaps an
+//!   segment once, each retained bucket's tuple IDs, the label map, and
+//!   the flap counters. Restoring it reproduces the daemon's exact state
+//!   at the recorded cursor, so a resumed run counts the same flaps an
 //!   uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
 //!   [`ResumingStream`] (bounded queue, backpressure, reconnect, stall
@@ -27,18 +27,19 @@
 //!   cadence in window advances, and a graceful-shutdown path that flushes
 //!   a valid checkpoint before reporting.
 //!
-//! # Why the cumulative accumulator is the recovery substrate
+//! # Why the segment is the recovery substrate
 //!
-//! The per-bucket ring drives *windowed* classification; crash recovery
-//! and batch parity ride on the *cumulative* [`StatsAccumulator`], whose
-//! content-based set union is idempotent per element. A kill -9 between
-//! checkpoints loses nothing but the cursor distance: the resumed run
-//! re-requests the stream from the last checkpoint's cursor and re-folds
-//! the re-delivered records, and every fingerprint that was already in a
-//! set stays counted exactly once. At a quiescent point the cumulative
-//! stats (and the labels classified from them) are therefore identical to
-//! a batch run over the same delivered bytes — the invariant the streaming
-//! CI job pins with `cmp`.
+//! The buckets drive *windowed* classification; crash recovery and batch
+//! parity ride on the segment, which holds every tuple ever delivered —
+//! late drops included — interned by exact value, so a tuple delivered
+//! twice is still one tuple. A kill -9 between checkpoints loses nothing
+//! but the cursor distance: the resumed run restores the segment and the
+//! buckets as they were at the last checkpoint's cursor, re-requests the
+//! stream from there and folds the re-delivered records into that state
+//! once. At a quiescent point the segment's statistics (and the labels
+//! classified from them) are therefore identical to a batch run over the
+//! same delivered bytes — the invariant the streaming CI job pins with
+//! `cmp`.
 
 use std::collections::VecDeque;
 use std::io;
@@ -53,9 +54,9 @@ use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, Format, LoadError};
-use bgp_types::{Asn, Community, Intent, Observation};
+use bgp_types::{AsPathView, Asn, Community, Intent, Observation};
 
-use crate::checkpoint::{ColumnReader, ColumnWriter, Element, StatsAccumulator, StatsSnapshot};
+use crate::checkpoint::{ColumnReader, ColumnWriter, StatsAccumulator, StatsSnapshot};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
 
@@ -86,15 +87,8 @@ impl WindowConfig {
     }
 }
 
-/// Pack a community into the `u32` the checkpoint serializes (`asn` in the
-/// high half, `value` in the low half — sortable by owner).
-fn pack(c: Community) -> u32 {
-    (u32::from(c.asn) << 16) | u32::from(c.value)
-}
-
-fn unpack(p: u32) -> Community {
-    Community::new((p >> 16) as u16, p as u16)
-}
+/// No head bucket has listed a tuple yet.
+const UNLISTED: u64 = u64::MAX;
 
 /// Rolling windowed classification with incremental reclassify and flap
 /// accounting.
@@ -104,15 +98,35 @@ fn unpack(p: u32) -> Community {
 /// full [`classify`] over the windowed statistics *as of the last
 /// reclassification* — the incremental dirty-owner pass is an
 /// optimization, never an approximation (pinned by tests).
+///
+/// The window itself: every tuple's reference count is its number of
+/// entries across the retained buckets' lists, and the windowed statistics
+/// are the kernel over the tuples whose count is positive. A fold lists
+/// its tuple in its bucket unless that bucket is the head and already
+/// lists it; a late fold into an older retained bucket always lists it,
+/// so an older bucket may list a tuple twice, which its count absorbs.
+/// A fold therefore costs one intern, one append and one increment; an
+/// eviction one decrement per entry of the evicted bucket; and a
+/// reclassification one pass over the counts plus the kernel over the
+/// live tuples.
 #[derive(Debug)]
 pub struct WindowedClassifier {
     window: WindowConfig,
     cfg: InferenceConfig,
-    /// Retained buckets, ascending by index. Sparse: only buckets that
-    /// received at least one observation (plus the head) exist.
-    buckets: VecDeque<(u64, StatsAccumulator)>,
-    /// The union of the retained buckets, as reference counts.
-    union: WindowUnion,
+    /// Every observation folded so far, each interned once: the cumulative
+    /// statistics, and the tuple IDs the buckets list.
+    segment: StatsAccumulator,
+    /// Retained buckets, ascending by index, each listing the tuple IDs
+    /// folded into it. Sparse: only buckets that received at least one
+    /// observation (plus the head) exist.
+    buckets: VecDeque<(u64, Vec<u32>)>,
+    /// Per tuple ID: its entries across the retained buckets' lists.
+    refs: Vec<u32>,
+    /// Per tuple ID: the index of the head bucket that listed it last, so
+    /// the head bucket lists each tuple once.
+    head_mark: Vec<u64>,
+    /// Scratch each observation's path is flattened into for interning.
+    scratch: (Vec<(u8, u32)>, Vec<u32>),
     /// Windowed stats at the last reclassification — the diff base for
     /// dirty-owner detection.
     prev: PathStats,
@@ -135,8 +149,11 @@ impl WindowedClassifier {
         WindowedClassifier {
             window,
             cfg,
+            segment: StatsAccumulator::new(),
             buckets: VecDeque::new(),
-            union: WindowUnion::default(),
+            refs: Vec::new(),
+            head_mark: Vec::new(),
+            scratch: (Vec::new(), Vec::new()),
             prev: PathStats::default(),
             labels: FxHashMap::default(),
             excluded: FxHashMap::default(),
@@ -193,35 +210,45 @@ impl WindowedClassifier {
         self.buckets.len()
     }
 
-    /// The windowed statistics right now: the union of every retained
-    /// bucket (including folds since the last reclassification), read off
-    /// the reference counts in O(communities + ASNs).
-    pub fn windowed_stats(&self) -> PathStats {
-        self.union.stats()
+    /// Everything folded so far, late drops included: the cumulative
+    /// statistics a batch run over the same observations computes.
+    pub fn segment(&self) -> &StatsAccumulator {
+        &self.segment
     }
 
-    /// Fold one observation. If it opens a newer bucket than the current
-    /// head, the window advances first — evict expired buckets, reclassify
-    /// dirty owners — and *then* the observation folds into the new head
-    /// (advance-before-fold). Returns `true` when an advance (and thus a
-    /// reclassification) happened, so the daemon can apply its checkpoint
-    /// cadence.
+    /// The windowed statistics right now: the kernel over every tuple a
+    /// retained bucket lists (including folds since the last
+    /// reclassification).
+    pub fn windowed_stats(&self) -> PathStats {
+        self.segment.stats_where(|t| self.refs[t] > 0)
+    }
+
+    /// Fold one observation. It is interned into the segment first, always.
+    /// If it opens a newer bucket than the current head, the window
+    /// advances — evict expired buckets, reclassify dirty owners — and
+    /// *then* its tuple is listed in the new head (advance-before-fold).
+    /// Returns `true` when an advance (and thus a reclassification)
+    /// happened, so the daemon can apply its checkpoint cadence.
     pub fn observe(&mut self, obs: &Observation, siblings: &SiblingMap) -> bool {
+        let (segs, asns) = &mut self.scratch;
+        let path = AsPathView::of(&obs.path, segs, asns);
+        let tuple = self.segment.fold(&path, &obs.communities, siblings);
+        if tuple as usize == self.refs.len() {
+            self.refs.push(0);
+            self.head_mark.push(UNLISTED);
+        }
         let bucket = self.window.bucket_of(obs.time);
         let head = match self.buckets.back() {
             Some(&(head, _)) => head,
             None => {
-                // First observation seeds the head bucket; nothing to
-                // reclassify yet.
-                self.buckets.push_back((bucket, StatsAccumulator::new()));
-                self.fold_into(self.buckets.len() - 1, obs, siblings);
-                return false;
+                // The first observation seeds the head bucket.
+                self.buckets.push_back((bucket, Vec::new()));
+                bucket
             }
         };
         if bucket > head {
             self.advance_to(bucket, siblings);
-            let last = self.buckets.len() - 1;
-            self.fold_into(last, obs, siblings);
+            self.list(self.buckets.len() - 1, tuple);
             return true;
         }
         // In-window: the head bucket or a late (but retained) one.
@@ -230,31 +257,42 @@ impl WindowedClassifier {
             self.late_drops += 1;
             return false;
         }
-        match self.buckets.binary_search_by_key(&bucket, |&(i, _)| i) {
-            Ok(at) => self.fold_into(at, obs, siblings),
+        let at = match self.buckets.binary_search_by_key(&bucket, |&(i, _)| i) {
+            Ok(at) => at,
             Err(at) => {
-                self.buckets.insert(at, (bucket, StatsAccumulator::new()));
-                self.fold_into(at, obs, siblings);
+                self.buckets.insert(at, (bucket, Vec::new()));
+                at
             }
-        }
+        };
+        self.list(at, tuple);
         false
     }
 
-    fn fold_into(&mut self, at: usize, obs: &Observation, siblings: &SiblingMap) {
-        let union = &mut self.union;
-        self.buckets[at]
-            .1
-            .fold_observed(obs, siblings, |e| union.raise(e));
+    /// List `tuple` in bucket `at`, under the rule on the type.
+    fn list(&mut self, at: usize, tuple: u32) {
+        let t = tuple as usize;
+        let is_head = at + 1 == self.buckets.len();
+        let (index, tuples) = &mut self.buckets[at];
+        if is_head {
+            if self.head_mark[t] == *index {
+                return;
+            }
+            self.head_mark[t] = *index;
+        }
+        tuples.push(tuple);
+        self.refs[t] += 1;
     }
 
     /// Advance the head to `new_head`: evict buckets that fall out of the
     /// retention window, open the new head, reclassify.
     fn advance_to(&mut self, new_head: u64, siblings: &SiblingMap) {
-        self.buckets.push_back((new_head, StatsAccumulator::new()));
+        self.buckets.push_back((new_head, Vec::new()));
         let floor = (new_head + 1).saturating_sub(self.window.windows as u64);
         while matches!(self.buckets.front(), Some(&(i, _)) if i < floor) {
             if let Some((_, evicted)) = self.buckets.pop_front() {
-                evicted.for_each_element(|e| self.union.lower(e));
+                for t in evicted {
+                    self.refs[t as usize] -= 1;
+                }
             }
         }
         self.advances += 1;
@@ -366,16 +404,18 @@ impl WindowedClassifier {
 
     /// Rebuild from a checkpoint — the exact state at the recorded cursor,
     /// including the diff base, so the resumed run counts the same flaps
-    /// an uninterrupted one would.
+    /// an uninterrupted one would. The segment is shared, not copied.
     pub fn from_checkpoint(cp: &WatchCheckpoint, cfg: InferenceConfig) -> Self {
-        let mut labels: FxHashMap<Community, Intent> = FxHashMap::default();
-        for &(p, intent) in &cp.labels {
-            labels.insert(unpack(p), intent);
-        }
-        let mut excluded: FxHashMap<Community, Exclusion> = FxHashMap::default();
-        for &(p, reason) in &cp.excluded {
-            excluded.insert(unpack(p), reason);
-        }
+        let labels: FxHashMap<Community, Intent> = cp
+            .labels
+            .iter()
+            .map(|&(key, intent)| (Community::from_u32(key), intent))
+            .collect();
+        let excluded: FxHashMap<Community, Exclusion> = cp
+            .excluded
+            .iter()
+            .map(|&(key, reason)| (Community::from_u32(key), reason))
+            .collect();
         let mut owner_communities: FxHashMap<u16, Vec<Community>> = FxHashMap::default();
         let mut comms: Vec<Community> = labels.keys().chain(excluded.keys()).copied().collect();
         comms.sort_unstable();
@@ -383,19 +423,18 @@ impl WindowedClassifier {
         for c in comms {
             owner_communities.entry(c.asn).or_default().push(c);
         }
-        let buckets: VecDeque<(u64, StatsAccumulator)> = cp
-            .buckets
-            .iter()
-            .map(|b| {
-                (
-                    b.index,
-                    StatsAccumulator::from_shared_snapshot(b.stats.clone()),
-                )
-            })
-            .collect();
-        let mut union = WindowUnion::default();
-        for (_, bucket) in &buckets {
-            bucket.for_each_element(|e| union.raise(e));
+        let tuples = cp.cumulative.tuple_count();
+        let mut refs = vec![0u32; tuples];
+        let mut head_mark = vec![UNLISTED; tuples];
+        for bucket in &cp.buckets {
+            for &t in &bucket.tuples {
+                refs[t as usize] += 1;
+            }
+        }
+        if let Some(head) = cp.buckets.last() {
+            for &t in &head.tuples {
+                head_mark[t as usize] = head.index;
+            }
         }
         WindowedClassifier {
             window: WindowConfig {
@@ -403,8 +442,15 @@ impl WindowedClassifier {
                 windows: cp.windows,
             },
             cfg,
-            buckets,
-            union,
+            segment: cp.cumulative.clone(),
+            buckets: cp
+                .buckets
+                .iter()
+                .map(|b| (b.index, b.tuples.clone()))
+                .collect(),
+            refs,
+            head_mark,
+            scratch: (Vec::new(), Vec::new()),
             prev: cp.windowed.to_stats(),
             labels,
             excluded,
@@ -415,108 +461,41 @@ impl WindowedClassifier {
             reclassified_owners: cp.reclassified_owners,
         }
     }
-}
 
-/// The union of the retained window buckets, as reference counts.
-///
-/// Invariant: every element's count is the number of retained buckets
-/// whose sets hold it, and an element is in its map iff that count is
-/// positive. A bucket's fold raises an element when it enters that
-/// bucket's sets for the first time, and evicting the bucket lowers every
-/// element it holds — so keeping the union costs O(new elements) per fold
-/// and O(evicted elements) per advance, never a pass over all buckets.
-/// Path fingerprints are counted per community and side, so a community's
-/// windowed [`PathCounts`] are just the sizes of its two maps.
-#[derive(Debug, Default)]
-struct WindowUnion {
-    paths: FxHashMap<u64, u32>,
-    asns: FxHashMap<Asn, u32>,
-    tuples: FxHashMap<u64, u32>,
-    communities: FxHashMap<Community, Sides>,
-}
-
-/// One community's path fingerprints in the window, with their counts.
-#[derive(Debug, Default)]
-struct Sides {
-    on: FxHashMap<u64, u32>,
-    off: FxHashMap<u64, u32>,
-}
-
-impl Sides {
-    fn side(&mut self, on: bool) -> &mut FxHashMap<u64, u32> {
-        if on {
-            &mut self.on
-        } else {
-            &mut self.off
-        }
-    }
-}
-
-/// Count `key` once more.
-fn raise_one<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, key: K) {
-    *map.entry(key).or_insert(0) += 1;
-}
-
-/// Count `key` once less, dropping it at zero.
-fn lower_one<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, u32>, key: K) {
-    match map.get_mut(&key) {
-        Some(n) if *n > 1 => *n -= 1,
-        Some(_) => {
-            map.remove(&key);
-        }
-        None => unreachable!("lowered an element no retained bucket raised"),
-    }
-}
-
-impl WindowUnion {
-    /// One more retained bucket holds `e`.
-    fn raise(&mut self, e: Element) {
-        match e {
-            Element::Path(p) => raise_one(&mut self.paths, p),
-            Element::Asn(a) => raise_one(&mut self.asns, a),
-            Element::Tuple(t) => raise_one(&mut self.tuples, t),
-            Element::Side(c, on, p) => {
-                raise_one(self.communities.entry(c).or_default().side(on), p)
-            }
-        }
-    }
-
-    /// One fewer retained bucket holds `e` (it was evicted).
-    fn lower(&mut self, e: Element) {
-        match e {
-            Element::Path(p) => lower_one(&mut self.paths, p),
-            Element::Asn(a) => lower_one(&mut self.asns, a),
-            Element::Tuple(t) => lower_one(&mut self.tuples, t),
-            Element::Side(c, on, p) => {
-                let sides = self
-                    .communities
-                    .get_mut(&c)
-                    .expect("a raised side has a community entry");
-                lower_one(sides.side(on), p);
-                if sides.on.is_empty() && sides.off.is_empty() {
-                    self.communities.remove(&c);
-                }
-            }
-        }
-    }
-
-    /// The windowed [`PathStats`].
-    fn stats(&self) -> PathStats {
-        PathStats {
-            per_community: self
-                .communities
+    /// The daemon's state at `cursor` as a [`WatchCheckpoint`], sharing
+    /// the segment rather than copying it.
+    pub fn checkpoint(&self, cursor: u64, records: u64, observations: u64) -> WatchCheckpoint {
+        let mut labels: Vec<(u32, Intent)> =
+            self.labels.iter().map(|(&c, &i)| (c.to_u32(), i)).collect();
+        labels.sort_unstable_by_key(|&(key, _)| key);
+        let mut excluded: Vec<(u32, Exclusion)> = self
+            .excluded
+            .iter()
+            .map(|(&c, &e)| (c.to_u32(), e))
+            .collect();
+        excluded.sort_unstable_by_key(|&(key, _)| key);
+        WatchCheckpoint {
+            cursor,
+            records,
+            observations,
+            advances: self.advances,
+            flaps: self.flaps,
+            late_drops: self.late_drops,
+            reclassified_owners: self.reclassified_owners,
+            window_secs: self.window.window_secs,
+            windows: self.window.windows,
+            cumulative: self.segment.clone(),
+            buckets: self
+                .buckets
                 .iter()
-                .map(|(&c, sides)| {
-                    let counts = PathCounts {
-                        on: sides.on.len() as u32,
-                        off: sides.off.len() as u32,
-                    };
-                    (c, counts)
+                .map(|(index, tuples)| WatchBucket {
+                    index: *index,
+                    tuples: tuples.clone(),
                 })
                 .collect(),
-            seen_asns: self.asns.keys().copied().collect(),
-            unique_tuples: self.tuples.len(),
-            unique_paths: self.paths.len(),
+            windowed: WindowedStatsSnapshot::from_stats(&self.prev),
+            labels,
+            excluded,
         }
     }
 }
@@ -526,8 +505,8 @@ impl WindowUnion {
 pub struct WatchBucket {
     /// The bucket index (`time / window_secs`).
     pub index: u64,
-    /// The bucket's accumulated statistics.
-    pub stats: Arc<StatsSnapshot>,
+    /// The IDs of the segment tuples folded into the bucket, in fold order.
+    pub tuples: Vec<u32>,
 }
 
 /// Serialized diff base: the windowed [`PathStats`] at the last
@@ -553,7 +532,7 @@ impl WindowedStatsSnapshot {
         let mut counts: Vec<(u32, u32, u32)> = stats
             .per_community
             .iter()
-            .map(|(&c, pc)| (pack(c), pc.on, pc.off))
+            .map(|(&c, pc)| (c.to_u32(), pc.on, pc.off))
             .collect();
         counts.sort_unstable_by_key(|&(p, _, _)| p);
         let mut seen_asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
@@ -569,7 +548,7 @@ impl WindowedStatsSnapshot {
     fn to_stats(&self) -> PathStats {
         let mut per_community: FxHashMap<Community, PathCounts> = FxHashMap::default();
         for &(p, on, off) in &self.counts {
-            per_community.insert(unpack(p), PathCounts { on, off });
+            per_community.insert(Community::from_u32(p), PathCounts { on, off });
         }
         PathStats {
             per_community,
@@ -586,7 +565,7 @@ impl WindowedStatsSnapshot {
 /// durably ([`save_atomic`](Self::save_atomic)), and fully validated on
 /// the way back in ([`load`](Self::load)).
 ///
-/// # Layout (version 2, all integers little-endian)
+/// # Layout (version 3, all integers little-endian)
 ///
 /// The [`persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -595,9 +574,10 @@ impl WindowedStatsSnapshot {
 ///   scalars     cursor, records, observations, advances, flaps,
 ///               late_drops, reclassified_owners, window_secs, windows
 ///               (9 × u64)
-///   cumulative  snapshot
+///   segment     the statistics segment (see StatsAccumulator::encode)
 ///   buckets     index column (u64, strictly ascending, at most
-///               `windows` of them), then one snapshot per index
+///               `windows` of them), then per index its tuple-ID column
+///               (u32, each naming a segment tuple)
 ///   windowed    key · on · off columns (u32 each, keys strictly
 ///               ascending), seen_asns column (u32, strictly ascending),
 ///               unique_tuples, unique_paths (u64)
@@ -605,14 +585,12 @@ impl WindowedStatsSnapshot {
 ///               (u8: 0 action, 1 information)
 ///   excluded    key column (u32, strictly ascending), reason column
 ///               (u8: 0 private, 1 reserved, 2 never on path)
-/// snapshot
-///   paths (u64) · tuples (u64) · seen_asns (u32) · community keys (u32)
-///   columns, then each community's on and off (u64) columns in key-column
-///   order
 /// ```
 ///
 /// Keys are packed communities, `α << 16 | β`. Version 1 was a JSON
-/// manifest; it is refused as [`LoadError::Foreign`].
+/// manifest; it is refused as [`LoadError::Foreign`]. Version 2 held u64
+/// fingerprint sets, once cumulative and again per bucket; it is refused
+/// as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -634,8 +612,9 @@ pub struct WatchCheckpoint {
     pub window_secs: u32,
     /// Retained bucket count the run was started with.
     pub windows: usize,
-    /// The cumulative accumulator (batch-parity substrate).
-    pub cumulative: Arc<StatsSnapshot>,
+    /// The statistics segment: every tuple delivered so far (the
+    /// batch-parity substrate), and the IDs the buckets list.
+    pub cumulative: StatsSnapshot,
     /// Every retained window bucket, ascending by index.
     pub buckets: Vec<WatchBucket>,
     /// The dirty-owner diff base (see [`WindowedStatsSnapshot`]).
@@ -650,57 +629,22 @@ impl WatchCheckpoint {
     /// The envelope of watch checkpoint files.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 2,
+        version: 3,
         name: "checkpoint",
     };
 
-    /// Capture the daemon's state. Flushes snapshot deltas in the
-    /// cumulative accumulator and every bucket (`&mut`), which is what
-    /// keeps the cost per checkpoint proportional to *new* elements, and
-    /// shares their snapshots rather than copying them.
+    /// The daemon's state: [`WindowedClassifier::checkpoint`].
+    /// `_cumulative` is ignored — the classifier's own segment is the
+    /// cumulative state; the parameter remains for callers that still keep
+    /// an accumulator of their own.
     pub fn capture(
-        classifier: &mut WindowedClassifier,
-        cumulative: &mut StatsAccumulator,
+        classifier: &WindowedClassifier,
+        _cumulative: &StatsAccumulator,
         cursor: u64,
         records: u64,
         observations: u64,
     ) -> WatchCheckpoint {
-        let mut labels: Vec<(u32, Intent)> = classifier
-            .labels
-            .iter()
-            .map(|(&c, &i)| (pack(c), i))
-            .collect();
-        labels.sort_unstable_by_key(|&(p, _)| p);
-        let mut excluded: Vec<(u32, Exclusion)> = classifier
-            .excluded
-            .iter()
-            .map(|(&c, &e)| (pack(c), e))
-            .collect();
-        excluded.sort_unstable_by_key(|&(p, _)| p);
-        let buckets = classifier
-            .buckets
-            .iter_mut()
-            .map(|(index, acc)| WatchBucket {
-                index: *index,
-                stats: acc.shared_snapshot(),
-            })
-            .collect();
-        WatchCheckpoint {
-            cursor,
-            records,
-            observations,
-            advances: classifier.advances,
-            flaps: classifier.flaps,
-            late_drops: classifier.late_drops,
-            reclassified_owners: classifier.reclassified_owners,
-            window_secs: classifier.window.window_secs,
-            windows: classifier.window.windows,
-            cumulative: cumulative.shared_snapshot(),
-            buckets,
-            windowed: WindowedStatsSnapshot::from_stats(&classifier.prev),
-            labels,
-            excluded,
-        }
+        classifier.checkpoint(cursor, records, observations)
     }
 
     /// The sealed file: the payload columns in the order the type-level
@@ -724,7 +668,7 @@ impl WatchCheckpoint {
         self.cumulative.encode(&mut w);
         w.column(&self.buckets, |b| b.index.to_le_bytes());
         for bucket in &self.buckets {
-            bucket.stats.encode(&mut w);
+            w.column(&bucket.tuples, |t| t.to_le_bytes());
         }
         let windowed = &self.windowed;
         w.column(&windowed.counts, |&(key, _, _)| key.to_le_bytes());
@@ -747,8 +691,10 @@ impl WatchCheckpoint {
 
     /// Read, validate and decode the checkpoint at `path`. The envelope is
     /// checked first, then every column count against the bytes left,
-    /// then the structure: bucket indices strictly ascending and no more
-    /// than `windows` of them, every key column strictly ascending, every
+    /// then the structure: the segment's (see
+    /// [`StatsAccumulator::decode`]), bucket indices strictly ascending and
+    /// no more than `windows` of them, every bucket's tuple IDs naming
+    /// segment tuples, every key column strictly ascending, every
     /// label and reason byte in its domain, no trailing bytes. Damage of
     /// any kind is a typed [`LoadError`], never a panic or partial state;
     /// a missing file is a clean not-found (the fresh-start signal).
@@ -771,7 +717,7 @@ impl WatchCheckpoint {
         let windows = r.u64("windows")?;
         let windows =
             usize::try_from(windows).map_err(|_| format!("windows {windows} out of range"))?;
-        let cumulative = Arc::new(StatsSnapshot::decode(&mut r)?);
+        let cumulative = StatsSnapshot::decode(&mut r)?;
 
         let indices = r.column("bucket indices", u64::from_le_bytes)?;
         if indices.len() > windows {
@@ -783,12 +729,14 @@ impl WatchCheckpoint {
         if !strictly_ascending(&indices) {
             return Err("bucket indices not strictly ascending".into());
         }
+        let tuple_count = cumulative.tuple_count() as u64;
         let mut buckets = Vec::with_capacity(indices.len());
         for index in indices {
-            buckets.push(WatchBucket {
-                index,
-                stats: Arc::new(StatsSnapshot::decode(&mut r)?),
-            });
+            let tuples = r.column("bucket tuples", u32::from_le_bytes)?;
+            if let Some(t) = tuples.iter().find(|&&t| u64::from(t) >= tuple_count) {
+                return Err(format!("bucket {index} lists tuple {t}, of {tuple_count}"));
+            }
+            buckets.push(WatchBucket { index, tuples });
         }
 
         let keys = r.column("windowed keys", u32::from_le_bytes)?;
@@ -1026,7 +974,7 @@ fn record_watch_metrics(
 /// (reconnect budget exhausted).
 ///
 /// The loop per decoded record: fold each observation into the windowed
-/// classifier (advance-before-fold) and the cumulative accumulator; at
+/// classifier (advance-before-fold), which interns it once; at
 /// record boundaries, honor the crash injection and the checkpoint cadence
 /// (checkpoints are only ever written at record boundaries so the cursor
 /// is consistent with exactly the folds performed). On exit a final
@@ -1040,7 +988,7 @@ pub fn run_watch<S: StreamSource>(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<WatchOutcome> {
     let mut resumed = false;
-    let (mut classifier, mut cumulative, cursor_base, base_records, mut observations) = match opts
+    let (mut classifier, cursor_base, base_records, mut observations) = match opts
         .checkpoint
         .as_deref()
     {
@@ -1058,7 +1006,6 @@ pub fn run_watch<S: StreamSource>(
             resumed = true;
             (
                 WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
-                StatsAccumulator::from_shared_snapshot(cp.cumulative.clone()),
                 cp.cursor,
                 cp.records,
                 cp.observations,
@@ -1066,7 +1013,6 @@ pub fn run_watch<S: StreamSource>(
         }
         _ => (
             WindowedClassifier::new(opts.window, opts.infer.clone()),
-            StatsAccumulator::new(),
             0,
             0,
             0,
@@ -1095,10 +1041,7 @@ pub fn run_watch<S: StreamSource>(
         for obs in &batch {
             advanced |= classifier.observe(obs, siblings);
         }
-        if !batch.is_empty() {
-            cumulative.ingest_ordered(&batch, siblings);
-            observations += batch.len() as u64;
-        }
+        observations += batch.len() as u64;
         if let Some(pause) = opts.slow_fold {
             std::thread::sleep(pause);
         }
@@ -1115,14 +1058,9 @@ pub fn run_watch<S: StreamSource>(
                 if classifier.advances() - last_checkpoint_advance >= checkpoint_every {
                     let cursor = cursor_base + decoder.consumed_bytes();
                     let records = base_records + decoder.records_decoded();
-                    WatchCheckpoint::capture(
-                        &mut classifier,
-                        &mut cumulative,
-                        cursor,
-                        records,
-                        observations,
-                    )
-                    .save_atomic(path)?;
+                    classifier
+                        .checkpoint(cursor, records, observations)
+                        .save_atomic(path)?;
                     last_checkpoint_advance = classifier.advances();
                 }
             }
@@ -1144,17 +1082,12 @@ pub fn run_watch<S: StreamSource>(
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
     if let Some(path) = opts.checkpoint.as_deref() {
-        WatchCheckpoint::capture(
-            &mut classifier,
-            &mut cumulative,
-            cursor,
-            records,
-            observations,
-        )
-        .save_atomic(path)?;
+        classifier
+            .checkpoint(cursor, records, observations)
+            .save_atomic(path)?;
     }
 
-    let stats = cumulative.to_stats();
+    let stats = classifier.segment().to_stats();
     let inference = classify(&stats, siblings, &opts.infer);
     if let Some(metrics) = opts.metrics.as_deref() {
         record_watch_metrics(
@@ -1251,38 +1184,6 @@ mod tests {
         }
     }
 
-    /// The windowed union as computed before the reference counts: clone
-    /// and merge every retained bucket. The differential oracle for
-    /// [`WindowedClassifier::windowed_stats`].
-    fn oracle_stats(wc: &WindowedClassifier) -> PathStats {
-        let mut acc = StatsAccumulator::new();
-        for (_, bucket) in &wc.buckets {
-            acc.merge(bucket.clone());
-        }
-        acc.to_stats()
-    }
-
-    /// The churn stream with late observations spliced in: after every
-    /// fourth observation, one into the previous (still retained) bucket
-    /// and one far behind the retention floor.
-    fn churn_with_late_folds() -> Vec<Observation> {
-        let mut all = Vec::new();
-        for (i, o) in churn_stream().into_iter().enumerate() {
-            let t = o.time;
-            all.push(o);
-            if i % 4 == 3 && t >= 100 {
-                all.push(obs(
-                    906,
-                    &format!("906 100 {}", 500 + i),
-                    &[(100, 10)],
-                    t - 100,
-                ));
-                all.push(obs(907, "907 300 661", &[(300, 41)], t.saturating_sub(400)));
-            }
-        }
-        all
-    }
-
     #[test]
     fn incremental_reclassify_matches_full_classify() {
         let siblings = SiblingMap::default();
@@ -1298,7 +1199,7 @@ mod tests {
             // equal a full classify over the windowed statistics.
             if i % 5 == 4 {
                 wc.reclassify(&siblings);
-                let full = classify(&oracle_stats(&wc), &siblings, &cfg);
+                let full = classify(&wc.windowed_stats(), &siblings, &cfg);
                 assert_eq!(wc.labels(), &full.labels, "labels diverged at obs {i}");
                 assert_eq!(
                     wc.excluded(),
@@ -1308,7 +1209,7 @@ mod tests {
             }
         }
         wc.reclassify(&siblings);
-        let full = classify(&oracle_stats(&wc), &siblings, &cfg);
+        let full = classify(&wc.windowed_stats(), &siblings, &cfg);
         assert_eq!(wc.labels(), &full.labels);
         assert_eq!(wc.excluded(), &full.excluded);
         assert!(wc.advances() >= 7, "windows advanced: {}", wc.advances());
@@ -1321,52 +1222,6 @@ mod tests {
             wc.reclassified_owners(),
             wc.advances()
         );
-    }
-
-    #[test]
-    fn refcounted_union_matches_the_clone_and_merge_oracle() {
-        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(100), Asn::new(901)]]);
-        let cfg = InferenceConfig {
-            threads: 1,
-            ..InferenceConfig::default()
-        };
-        let stream = churn_with_late_folds();
-        let mut wc = WindowedClassifier::new(window_cfg(), cfg.clone());
-        let mut cumulative = StatsAccumulator::new();
-        for (i, o) in stream.iter().enumerate() {
-            wc.observe(o, &siblings);
-            cumulative.ingest_ordered(std::slice::from_ref(o), &siblings);
-            assert_eq!(wc.windowed_stats(), oracle_stats(&wc), "after obs {i}");
-
-            // Resume from a checkpoint taken here (through the file
-            // codec), then run the rest of the stream: the rebuilt
-            // reference counts must track the oracle just as closely.
-            if i % 7 == 3 {
-                let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 0, 0, i as u64);
-                let cp = decode(&cp.encode()).unwrap();
-                let mut resumed = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
-                assert_eq!(
-                    resumed.windowed_stats(),
-                    oracle_stats(&resumed),
-                    "resumed at {i}"
-                );
-                assert_eq!(
-                    resumed.windowed_stats(),
-                    wc.windowed_stats(),
-                    "resumed at {i}"
-                );
-                for (j, later) in stream.iter().enumerate().skip(i + 1) {
-                    resumed.observe(later, &siblings);
-                    assert_eq!(
-                        resumed.windowed_stats(),
-                        oracle_stats(&resumed),
-                        "resumed at {i}, after obs {j}"
-                    );
-                }
-            }
-        }
-        assert!(wc.late_drops() > 0, "the stream must exercise late drops");
-        assert!(wc.advances() >= 7, "the stream must exercise evictions");
     }
 
     #[test]
@@ -1405,28 +1260,22 @@ mod tests {
         let stream = churn_stream();
 
         let mut uninterrupted = WindowedClassifier::new(window_cfg(), cfg.clone());
-        let mut cumulative_a = StatsAccumulator::new();
         for o in &stream {
             uninterrupted.observe(o, &siblings);
-            cumulative_a.ingest_ordered(std::slice::from_ref(o), &siblings);
         }
         uninterrupted.reclassify(&siblings);
 
         // Crash at every possible boundary: the resumed run must always
-        // land on the identical flap count and label map.
+        // land on the identical flap count, label map and segment.
         for cut in [3usize, 9, 17, 25] {
             let mut before = WindowedClassifier::new(window_cfg(), cfg.clone());
-            let mut cumulative_b = StatsAccumulator::new();
             for o in &stream[..cut] {
                 before.observe(o, &siblings);
-                cumulative_b.ingest_ordered(std::slice::from_ref(o), &siblings);
             }
-            let cp = WatchCheckpoint::capture(&mut before, &mut cumulative_b, 0, 0, cut as u64);
+            let cp = decode(&before.checkpoint(0, 0, cut as u64).encode()).unwrap();
             let mut resumed = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
-            let mut cumulative_r = StatsAccumulator::from_snapshot(&cp.cumulative);
             for o in &stream[cut..] {
                 resumed.observe(o, &siblings);
-                cumulative_r.ingest_ordered(std::slice::from_ref(o), &siblings);
             }
             resumed.reclassify(&siblings);
             assert_eq!(
@@ -1440,9 +1289,14 @@ mod tests {
                 "labels differ, cut={cut}"
             );
             assert_eq!(
-                cumulative_r.to_stats(),
-                cumulative_a.to_stats(),
-                "cumulative stats differ, cut={cut}"
+                resumed.segment(),
+                uninterrupted.segment(),
+                "cumulative segment differs, cut={cut}"
+            );
+            assert_eq!(
+                resumed.checkpoint(0, 0, 0),
+                uninterrupted.checkpoint(0, 0, 0),
+                "resumed state differs, cut={cut}"
             );
         }
     }
@@ -1477,16 +1331,14 @@ mod tests {
     fn churn_checkpoint() -> WatchCheckpoint {
         let siblings = SiblingMap::default();
         let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
-        let mut cumulative = StatsAccumulator::new();
         let mut stream = churn_stream()[..12].to_vec();
         let head_time = stream[11].time;
         stream.push(obs(908, "908 999", &[(64600, 7), (400, 1)], head_time));
         for o in &stream {
             wc.observe(o, &siblings);
-            cumulative.ingest_ordered(std::slice::from_ref(o), &siblings);
         }
         wc.reclassify(&siblings);
-        WatchCheckpoint::capture(&mut wc, &mut cumulative, 777, 12, 13)
+        wc.checkpoint(777, 12, 13)
     }
 
     /// Open and decode a watch checkpoint held in memory.
@@ -1540,8 +1392,8 @@ mod tests {
         assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
         let payload = &sealed[persist::HEADER_LEN..];
 
-        // Oversized element counts in the first column (the cumulative
-        // paths, after the nine scalars), resealed so the count itself is
+        // Oversized element counts in the first column (the segment's path
+        // ends, after the nine scalars), resealed so the count itself is
         // what gets checked — before any allocation is sized by it.
         const FIRST_COLUMN: usize = 9 * 8;
         for count in [u64::MAX, 1 << 40, payload.len() as u64] {
@@ -1573,6 +1425,336 @@ mod tests {
         let mut bad = cp.clone();
         bad.excluded.reverse();
         refused_as_corrupt(&bad.encode(), "exclusions: keys not strictly ascending");
+        let mut bad = cp.clone();
+        let tuples = cp.cumulative.tuple_count() as u32;
+        bad.buckets[0].tuples.push(tuples);
+        refused_as_corrupt(&bad.encode(), &format!("lists tuple {tuples}, of {tuples}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The tuple IDs each retained bucket lists, by bucket index.
+    fn bucket_lists(wc: &WindowedClassifier) -> Vec<(u64, Vec<u32>)> {
+        wc.checkpoint(0, 0, 0)
+            .buckets
+            .into_iter()
+            .map(|b| (b.index, b.tuples))
+            .collect()
+    }
+
+    #[test]
+    fn bucket_of_divides_time_by_the_width() {
+        let w = window_cfg();
+        assert_eq!(w.bucket_of(0), 0);
+        assert_eq!(w.bucket_of(99), 0);
+        assert_eq!(w.bucket_of(100), 1);
+        assert_eq!(w.bucket_of(u32::MAX), u64::from(u32::MAX) / 100);
+        let zero = WindowConfig {
+            window_secs: 0,
+            windows: 1,
+        };
+        assert_eq!(zero.bucket_of(42), 42, "a zero width never divides by zero");
+        assert_eq!(
+            WindowConfig::default(),
+            WindowConfig {
+                window_secs: 3600,
+                windows: 24
+            }
+        );
+    }
+
+    #[test]
+    fn a_new_classifier_holds_nothing() {
+        let wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        assert_eq!(wc.window(), window_cfg());
+        assert_eq!(wc.bucket_count(), 0);
+        assert!(wc.labels().is_empty() && wc.excluded().is_empty());
+        assert_eq!(
+            (
+                wc.flaps(),
+                wc.advances(),
+                wc.late_drops(),
+                wc.reclassified_owners()
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(wc.windowed_stats(), PathStats::default());
+        assert_eq!(wc.segment(), &StatsAccumulator::new());
+        let cp = decode(&wc.checkpoint(0, 0, 0).encode()).unwrap();
+        assert!(cp.buckets.is_empty() && cp.labels.is_empty());
+        let resumed = WindowedClassifier::from_checkpoint(&cp, InferenceConfig::default());
+        assert_eq!(resumed.checkpoint(0, 0, 0), wc.checkpoint(0, 0, 0));
+    }
+
+    #[test]
+    fn the_head_bucket_lists_each_tuple_once() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let o = obs(1, "1 100 2", &[(100, 1)], 10);
+        for _ in 0..3 {
+            assert!(!wc.observe(&o, &siblings));
+        }
+        wc.observe(&obs(1, "1 100 3", &[(100, 1)], 20), &siblings);
+        wc.observe(&o, &siblings);
+        assert_eq!(bucket_lists(&wc), vec![(0, vec![0, 1])]);
+        assert_eq!(wc.segment().tuple_count(), 2);
+    }
+
+    #[test]
+    fn a_late_fold_into_an_older_bucket_is_listed_again() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let o = obs(1, "1 100 2", &[(100, 1)], 10);
+        wc.observe(&o, &siblings);
+        assert!(wc.observe(&obs(1, "1 100 3", &[], 110), &siblings));
+        // Two late folds of the same tuple into bucket 0: both listed, and
+        // the tuple's count absorbs the repeat.
+        wc.observe(&o, &siblings);
+        wc.observe(&o, &siblings);
+        assert_eq!(bucket_lists(&wc), vec![(0, vec![0, 0, 0]), (1, vec![1])]);
+        // Bucket 0 expires only once bucket 2 opens; then the tuple leaves
+        // the window entirely.
+        wc.observe(&obs(1, "1 100 4", &[], 210), &siblings);
+        assert!(wc.windowed_stats().counts(Community::new(100, 1)).is_none());
+        assert_eq!(wc.late_drops(), 0);
+    }
+
+    #[test]
+    fn an_unseen_late_bucket_is_opened_in_order() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(
+            WindowConfig {
+                window_secs: 100,
+                windows: 4,
+            },
+            InferenceConfig::default(),
+        );
+        wc.observe(&obs(1, "1 100 2", &[], 10), &siblings); // bucket 0
+        wc.observe(&obs(1, "1 100 3", &[], 310), &siblings); // bucket 3
+        wc.observe(&obs(1, "1 100 4", &[], 150), &siblings); // bucket 1, late
+        wc.observe(&obs(1, "1 100 5", &[], 250), &siblings); // bucket 2, late
+        let indices: Vec<u64> = bucket_lists(&wc).into_iter().map(|(i, _)| i).collect();
+        assert_eq!(indices, vec![0, 1, 2, 3]);
+        assert_eq!(wc.advances(), 1);
+        assert_eq!(wc.windowed_stats().unique_paths, 4);
+    }
+
+    #[test]
+    fn a_jump_past_the_window_evicts_every_older_bucket() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        wc.observe(&obs(1, "1 100 2", &[(100, 1)], 10), &siblings);
+        wc.observe(&obs(1, "1 100 3", &[(100, 2)], 110), &siblings);
+        assert_eq!(wc.bucket_count(), 2);
+        assert!(wc.observe(&obs(1, "1 100 4", &[(100, 3)], 5_000), &siblings));
+        assert_eq!(
+            wc.advances(),
+            2,
+            "one advance per opened head, not per bucket"
+        );
+        assert_eq!(wc.bucket_count(), 1);
+        let windowed = wc.windowed_stats();
+        assert_eq!(windowed.community_count(), 1);
+        assert!(windowed.counts(Community::new(100, 3)).is_some());
+        // The segment keeps everything ever folded.
+        assert_eq!(wc.segment().to_stats().community_count(), 3);
+    }
+
+    #[test]
+    fn late_drops_still_reach_the_cumulative_segment() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let stream = vec![
+            obs(1, "1 100 2", &[(100, 1)], 510),
+            obs(1, "1 100 3", &[(100, 2)], 10),
+            obs(1, "1 200 3", &[(200, 2)], 20),
+        ];
+        for o in &stream {
+            wc.observe(o, &siblings);
+        }
+        assert_eq!(wc.late_drops(), 2);
+        assert_eq!(
+            wc.windowed_stats(),
+            crate::stats::reference_stats(&stream[..1], &siblings)
+        );
+        assert_eq!(
+            wc.segment().to_stats(),
+            crate::stats::reference_stats(&stream, &siblings)
+        );
+    }
+
+    #[test]
+    fn windowed_stats_see_folds_before_the_next_reclassification() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let stream = churn_stream();
+        for o in &stream[..6] {
+            wc.observe(o, &siblings);
+        }
+        let labels = wc.labels().clone();
+        let before = wc.windowed_stats();
+        wc.observe(
+            &obs(950, "950 100 951", &[(100, 77)], stream[5].time),
+            &siblings,
+        );
+        assert!(wc
+            .windowed_stats()
+            .counts(Community::new(100, 77))
+            .is_some());
+        assert!(before.counts(Community::new(100, 77)).is_none());
+        assert_eq!(wc.labels(), &labels, "labels wait for the reclassification");
+        // And a resume rebuilds those counts from the bucket lists.
+        let cp = decode(&wc.checkpoint(0, 0, 0).encode()).unwrap();
+        let resumed = WindowedClassifier::from_checkpoint(&cp, InferenceConfig::default());
+        assert_eq!(resumed.windowed_stats(), wc.windowed_stats());
+    }
+
+    #[test]
+    fn reclassifying_an_unchanged_window_reruns_no_owner() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        for o in &churn_stream() {
+            wc.observe(o, &siblings);
+        }
+        wc.reclassify(&siblings);
+        let (owners, flaps) = (wc.reclassified_owners(), wc.flaps());
+        assert_eq!(wc.reclassify(&siblings), 0);
+        assert_eq!(wc.reclassified_owners(), owners);
+        assert_eq!(wc.flaps(), flaps);
+    }
+
+    #[test]
+    fn capture_ignores_the_accumulator_it_is_given() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        for o in &churn_stream()[..10] {
+            wc.observe(o, &siblings);
+        }
+        let mut unrelated = StatsAccumulator::new();
+        unrelated.ingest_ordered(&churn_stream()[20..], &siblings);
+        let captured = WatchCheckpoint::capture(&wc, &unrelated, 5, 6, 7);
+        assert_eq!(captured, wc.checkpoint(5, 6, 7));
+        assert_eq!(&captured.cumulative, wc.segment());
+        assert_eq!(
+            (captured.cursor, captured.records, captured.observations),
+            (5, 6, 7)
+        );
+    }
+
+    #[test]
+    fn the_diff_base_roundtrips_exactly() {
+        let siblings = SiblingMap::default();
+        let stats = PathStats::from_observations(&churn_stream(), &siblings);
+        let snapshot = WindowedStatsSnapshot::from_stats(&stats);
+        assert!(strictly_ascending(&snapshot.counts));
+        assert!(strictly_ascending(&snapshot.seen_asns));
+        assert_eq!(snapshot.to_stats(), stats);
+        assert_eq!(
+            WindowedStatsSnapshot::from_stats(&PathStats::default()),
+            WindowedStatsSnapshot::default()
+        );
+    }
+
+    #[test]
+    fn every_prefix_of_a_watch_payload_is_refused() {
+        let file = churn_checkpoint().encode();
+        let payload = &file[persist::HEADER_LEN..];
+        assert!(WatchCheckpoint::decode_payload(payload).is_ok());
+        for cut in 0..payload.len() {
+            assert!(
+                WatchCheckpoint::decode_payload(&payload[..cut]).is_err(),
+                "a cut at {cut} of {} decoded",
+                payload.len()
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_columns_and_geometry_are_checked_behind_the_seal() {
+        let cp = churn_checkpoint();
+        let payload = cp.encode()[persist::HEADER_LEN..].to_vec();
+        // window_secs is the eighth scalar and must fit in 32 bits.
+        let mut forged = payload.clone();
+        forged[7 * 8..8 * 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        refused_as_corrupt(&reseal(&forged), "window_secs 4294967296 out of range");
+
+        let mut bad = cp.clone();
+        bad.windowed.seen_asns.reverse();
+        refused_as_corrupt(&bad.encode(), "windowed seen_asns not strictly ascending");
+        let mut bad = cp.clone();
+        bad.windowed.counts.swap(0, 1);
+        refused_as_corrupt(&bad.encode(), "windowed keys not strictly ascending");
+        // An exclusion byte outside its domain: the last byte of the file.
+        let mut forged = payload.clone();
+        *forged.last_mut().unwrap() = 3;
+        refused_as_corrupt(&reseal(&forged), "exclusions: value byte 3 out of range");
+    }
+
+    #[test]
+    fn a_resumed_head_bucket_still_lists_each_tuple_once() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let o = obs(1, "1 100 2", &[(100, 1)], 110);
+        wc.observe(&obs(1, "1 100 3", &[], 10), &siblings);
+        wc.observe(&o, &siblings);
+        let cp = decode(&wc.checkpoint(0, 0, 0).encode()).unwrap();
+        let mut resumed = WindowedClassifier::from_checkpoint(&cp, InferenceConfig::default());
+        resumed.observe(&o, &siblings);
+        wc.observe(&o, &siblings);
+        assert_eq!(bucket_lists(&resumed), vec![(0, vec![0]), (1, vec![1])]);
+        assert_eq!(bucket_lists(&resumed), bucket_lists(&wc));
+    }
+
+    #[test]
+    fn a_window_of_one_bucket_keeps_only_the_head() {
+        let siblings = SiblingMap::default();
+        let mut wc = WindowedClassifier::new(
+            WindowConfig {
+                window_secs: 10,
+                windows: 1,
+            },
+            InferenceConfig::default(),
+        );
+        for (i, t) in [1u32, 12, 25, 5].into_iter().enumerate() {
+            wc.observe(
+                &obs(1, &format!("1 100 {}", 200 + i), &[(100, i as u16)], t),
+                &siblings,
+            );
+            assert_eq!(wc.bucket_count(), 1);
+        }
+        assert_eq!(wc.advances(), 2);
+        assert_eq!(wc.late_drops(), 1, "bucket 0 left the window at time 12");
+        let windowed = wc.windowed_stats();
+        assert_eq!(windowed.community_count(), 1);
+        assert!(windowed.counts(Community::new(100, 2)).is_some());
+    }
+
+    #[test]
+    fn watch_checkpoint_files_keep_every_counter() {
+        let mut cp = churn_checkpoint();
+        cp.records = 11;
+        cp.late_drops = 3;
+        let dir = std::env::temp_dir().join(format!("bgp-watch-counters-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("watch.ckpt");
+        assert!(
+            WatchCheckpoint::load(&path).unwrap_err().is_not_found(),
+            "a missing file is the fresh-start signal"
+        );
+        cp.save_atomic(&path).unwrap();
+        let back = WatchCheckpoint::load(&path).unwrap();
+        assert_eq!(
+            (
+                back.cursor,
+                back.records,
+                back.observations,
+                back.late_drops
+            ),
+            (777, 11, 13, 3)
+        );
+        assert_eq!(back, cp);
+        let resumed = WindowedClassifier::from_checkpoint(&back, InferenceConfig::default());
+        assert_eq!(resumed.late_drops(), 3);
+        assert_eq!(resumed.checkpoint(777, 11, 13), cp);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1639,13 +1821,11 @@ mod tests {
         assert_eq!(outcome.cursor, bytes.len() as u64);
         assert!(cp_path.exists(), "final checkpoint must be flushed");
 
-        // Batch over the same bytes, through the same accumulator
-        // semantics the streaming side uses.
+        // Batch over the same bytes, through the batch kernel.
         let observations = bgp_mrt::obs::read_observations(&bytes[..]).unwrap();
-        let mut acc = StatsAccumulator::new();
-        acc.ingest(&observations, &scenario.siblings, 1);
-        let batch = classify(&acc.to_stats(), &scenario.siblings, &opts.infer);
-        assert_eq!(outcome.stats, acc.to_stats());
+        let stats = PathStats::from_observations(&observations, &scenario.siblings);
+        let batch = classify(&stats, &scenario.siblings, &opts.infer);
+        assert_eq!(outcome.stats, stats);
         assert_eq!(outcome.inference.labels, batch.labels);
         assert_eq!(outcome.inference.excluded, batch.excluded);
         let _ = std::fs::remove_dir_all(&dir);

@@ -202,7 +202,7 @@ fn stream() -> Vec<Observation> {
 /// A sealed checkpoint over `files`, with the statistics of [`stream`].
 fn checkpoint(files: Vec<CompletedFile>) -> Checkpoint {
     let mut acc = StatsAccumulator::new();
-    acc.ingest(&stream(), &SiblingMap::default(), 1);
+    acc.ingest_ordered(&stream(), &SiblingMap::default());
     let mut cp = Checkpoint::new();
     cp.files = files;
     cp.report.records_read = 24;
@@ -291,13 +291,11 @@ fn watch_checkpoint_refuses_every_damage() {
         windows: 2,
     };
     let mut wc = WindowedClassifier::new(window, InferenceConfig::default());
-    let mut cumulative = StatsAccumulator::new();
     for o in stream() {
         wc.observe(&o, &siblings);
-        cumulative.ingest_ordered(std::slice::from_ref(&o), &siblings);
     }
     wc.reclassify(&siblings);
-    let cp = WatchCheckpoint::capture(&mut wc, &mut cumulative, 4096, 24, 24);
+    let cp = wc.checkpoint(4096, 24, 24);
     assert!(cp.buckets.len() == 2 && !cp.labels.is_empty());
     cp.save_atomic(&path).unwrap();
     let sealed = fs::read(&path).unwrap();

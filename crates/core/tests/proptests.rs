@@ -151,7 +151,7 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
     let mut files: Vec<SealedFile> = Vec::new();
 
     let mut acc = StatsAccumulator::new();
-    acc.ingest(observations, &siblings, 1);
+    acc.ingest_ordered(observations, &siblings);
     let mut cp = Checkpoint::new();
     cp.files.push(CompletedFile {
         path: "updates.00.mrt".into(),
@@ -180,17 +180,15 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
         windows: 2,
     };
     let mut wc = WindowedClassifier::new(window, InferenceConfig::default());
-    let mut cumulative = StatsAccumulator::new();
     for (i, o) in observations.iter().enumerate() {
         let o = Observation {
             time: i as u32 * 37,
             ..o.clone()
         };
         wc.observe(&o, &siblings);
-        cumulative.ingest_ordered(std::slice::from_ref(&o), &siblings);
     }
     wc.reclassify(&siblings);
-    let watch = WatchCheckpoint::capture(&mut wc, &mut cumulative, 512, 9, 9);
+    let watch = wc.checkpoint(512, 9, 9);
     let path = dir.join("watch.ckpt");
     watch.save_atomic(&path).unwrap();
     let again_watch = again.clone();
@@ -228,16 +226,69 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
     files
 }
 
-/// A fresh directory for one case's files.
-fn scratch_dir() -> PathBuf {
+/// A fresh directory for one case of the property `test`: unique to the
+/// test, the case and the process, so no two cases share files.
+fn scratch_dir(test: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "bgp-proptest-formats-{}-{}",
+        "bgp-proptest-{test}-{}-{}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Messy observations ([`arb_messy_observations`]) plus repeats of some of
+/// them, every one stamped with a time over seven 100-second windows in
+/// no particular order.
+fn arb_timed_observations() -> impl Strategy<Value = Vec<Observation>> {
+    (
+        arb_messy_observations(),
+        prop::collection::vec(any::<u16>(), 0..12),
+        prop::collection::vec(0u32..700, 52),
+    )
+        .prop_map(|(mut observations, repeats, times)| {
+            if !observations.is_empty() {
+                for r in repeats {
+                    let again = observations[usize::from(r) % observations.len()].clone();
+                    observations.push(again);
+                }
+            }
+            for (o, t) in observations.iter_mut().zip(times) {
+                o.time = t;
+            }
+            observations
+        })
+}
+
+/// The window's retention rules, kept apart from the classifier: the head
+/// is the newest bucket seen, a bucket more than `windows - 1` behind the
+/// head is gone, and an observation for a gone bucket is a late drop.
+struct WindowModel {
+    window: WindowConfig,
+    head: Option<u64>,
+    retained: Vec<(u64, Observation)>,
+    late_drops: u64,
+}
+
+impl WindowModel {
+    fn observe(&mut self, o: &Observation) {
+        let bucket = u64::from(o.time) / u64::from(self.window.window_secs);
+        let head = self.head.map_or(bucket, |h| h.max(bucket));
+        self.head = Some(head);
+        let floor = (head + 1).saturating_sub(self.window.windows as u64);
+        self.retained.retain(|&(b, _)| b >= floor);
+        if bucket >= floor {
+            self.retained.push((bucket, o.clone()));
+        } else {
+            self.late_drops += 1;
+        }
+    }
+
+    fn retained(&self) -> Vec<Observation> {
+        self.retained.iter().map(|(_, o)| o.clone()).collect()
+    }
 }
 
 proptest! {
@@ -364,16 +415,12 @@ proptest! {
         observations in arb_messy_observations(),
         siblings in arb_siblings(),
     ) {
-        // Reference run: the retained slice fold, single-threaded, with a
-        // snapshot after every "file" (chunk).
+        // Reference run: the slice fold, one "file" (chunk) at a time.
         let chunk = observations.len().div_ceil(3).max(1);
-        let mut slice_acc = StatsAccumulator::new();
+        let mut expected = StatsAccumulator::new();
         for file in observations.chunks(chunk) {
-            slice_acc.ingest(file, &siblings, 1);
-            slice_acc.snapshot();
+            expected.ingest_ordered(file, &siblings);
         }
-        let expected = slice_acc.snapshot().clone();
-        let expected_stats = slice_acc.to_stats();
 
         for threads in [1usize, 2, 8] {
             let mut acc = StatsAccumulator::new();
@@ -381,20 +428,18 @@ proptest! {
             for (i, file) in observations.chunks(chunk).enumerate() {
                 let store = ObservationStore::from_observations(file);
                 acc.ingest_store(&store, &siblings, threads);
-                let snap = acc.snapshot().clone();
                 if i == 0 {
                     // Simulate a crash right after the first checkpoint:
-                    // restart from its bytes and replay the remaining files.
-                    resumed = Some(StatsAccumulator::from_snapshot(&snap));
+                    // restart from its snapshot and replay the other files.
+                    resumed = Some(StatsAccumulator::from_snapshot(acc.snapshot()));
                 } else if let Some(r) = resumed.as_mut() {
                     r.ingest_store(&store, &siblings, threads);
-                    r.snapshot();
                 }
             }
-            prop_assert_eq!(acc.snapshot(), &expected);
-            prop_assert_eq!(&acc.to_stats(), &expected_stats);
-            if let Some(mut r) = resumed {
-                prop_assert_eq!(r.snapshot(), &expected);
+            prop_assert_eq!(&acc, &expected);
+            prop_assert_eq!(acc.to_stats(), expected.to_stats());
+            if let Some(r) = resumed {
+                prop_assert_eq!(&r, &expected);
             }
         }
     }
@@ -408,7 +453,7 @@ proptest! {
         observations in arb_observations(),
         edits in prop::collection::vec((any::<u64>(), any::<u8>()), 1..6),
     ) {
-        let dir = scratch_dir();
+        let dir = scratch_dir("resealed-edits");
         let damaged_path = dir.join("damaged");
         for (format, sealed, check) in sealed_files(&observations, &dir) {
             let mut damaged = sealed.clone();
@@ -426,6 +471,83 @@ proptest! {
                 );
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every route to a count against one oracle, `reference_stats`:
+    /// segments built per file (from slices or stores), merged in random
+    /// order and resumed through the checkpoint file at a random point;
+    /// and the streaming window after every fold and across a resume
+    /// through its checkpoint file, against the observations its retention
+    /// rules keep (tracked by [`WindowModel`]).
+    #[test]
+    fn every_route_to_a_count_matches_the_reference(
+        observations in arb_timed_observations(),
+        siblings in arb_siblings(),
+        splits in prop::collection::vec(any::<u16>(), 0..4),
+        via_store in prop::collection::vec(any::<bool>(), 5),
+        order in prop::collection::vec(any::<u32>(), 5),
+        cut in any::<u16>(),
+    ) {
+        let dir = scratch_dir("routes");
+        let expected = reference_stats(&observations, &siblings);
+
+        let mut ends: Vec<usize> = splits
+            .iter()
+            .map(|&s| usize::from(s) % (observations.len() + 1))
+            .chain([observations.len()])
+            .collect();
+        ends.sort_unstable();
+        let mut start = 0;
+        let mut parts = Vec::new();
+        for (i, &end) in ends.iter().enumerate() {
+            let file = &observations[start..end];
+            start = end;
+            let mut part = StatsAccumulator::new();
+            if via_store[i] {
+                part.ingest_store(&ObservationStore::from_observations(file), &siblings, 1 + i % 2);
+            } else {
+                part.ingest_ordered(file, &siblings);
+            }
+            parts.push((order[i], part));
+        }
+        parts.sort_by_key(|&(rank, _)| rank);
+        let resume_at = usize::from(cut) % (parts.len() + 1);
+        let path = dir.join("run.ckpt");
+        let mut merged = StatsAccumulator::new();
+        for (k, (_, part)) in parts.into_iter().enumerate() {
+            if k == resume_at {
+                let mut cp = Checkpoint::new();
+                cp.snapshot = merged.snapshot().clone();
+                cp.save_atomic(&path).unwrap();
+                merged = StatsAccumulator::from_snapshot(&Checkpoint::load(&path).unwrap().snapshot);
+            }
+            merged.merge(part);
+        }
+        prop_assert_eq!(&merged.to_stats(), &expected);
+
+        let window = WindowConfig { window_secs: 100, windows: 3 };
+        let cfg = InferenceConfig { threads: 1, ..InferenceConfig::default() };
+        let mut wc = WindowedClassifier::new(window, cfg.clone());
+        let mut model = WindowModel { window, head: None, retained: Vec::new(), late_drops: 0 };
+        let resume_at = usize::from(cut) % (observations.len() + 1);
+        let path = dir.join("watch.ckpt");
+        for (i, o) in observations.iter().enumerate() {
+            if i == resume_at {
+                wc.checkpoint(0, 0, i as u64).save_atomic(&path).unwrap();
+                wc = WindowedClassifier::from_checkpoint(&WatchCheckpoint::load(&path).unwrap(), cfg.clone());
+                prop_assert_eq!(wc.windowed_stats(), reference_stats(&model.retained(), &siblings));
+            }
+            wc.observe(o, &siblings);
+            model.observe(o);
+            prop_assert_eq!(
+                wc.windowed_stats(),
+                reference_stats(&model.retained(), &siblings),
+                "after observation {}", i
+            );
+        }
+        prop_assert_eq!(wc.late_drops(), model.late_drops);
+        prop_assert_eq!(&wc.segment().to_stats(), &expected);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -100,4 +100,28 @@ mod tests {
         assert!(sub.u8("y").is_err());
         assert_eq!(c.remaining(), 2);
     }
+
+    #[test]
+    fn a_failed_read_consumes_nothing() {
+        let data = [0xab, 0xcd];
+        let mut c = Cursor::new(&data);
+        assert!(c.u32("wide").is_err());
+        assert!(c.slice(3, "sub").is_err());
+        assert_eq!(c.remaining(), 2);
+        assert_eq!(c.u16("narrow").unwrap(), 0xabcd);
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn zero_length_reads_always_succeed() {
+        let mut c = Cursor::new(&[]);
+        assert!(c.is_empty());
+        assert_eq!(c.take(0, "nothing").unwrap(), &[] as &[u8]);
+        let sub = c.slice(0, "nothing").unwrap();
+        assert!(sub.is_empty());
+        assert!(matches!(
+            c.u8("one"),
+            Err(MrtError::Truncated { needed: 1, .. })
+        ));
+    }
 }

@@ -110,6 +110,85 @@ mod tests {
     use crate::reader::MrtReader;
     use bgp_types::{AsPath, Community};
 
+    fn sample_route() -> RouteAttrs {
+        let mut route = RouteAttrs::originated(
+            AsPath::from_sequence([Asn::new(64500), Asn::new(1299)]),
+            IpAddr::from([192, 0, 2, 2]),
+        );
+        route.add_community(Community::new(1299, 2569));
+        route
+    }
+
+    fn write_sample(w: &mut MrtWriter<impl Write>, timestamp: u32) -> Result<(), MrtError> {
+        w.write_update(
+            timestamp,
+            Asn::new(64500),
+            Asn::new(6447),
+            IpAddr::from([192, 0, 2, 2]),
+            IpAddr::from([192, 0, 2, 1]),
+            &sample_route(),
+            &["192.0.2.0/24".parse().unwrap()],
+            &[],
+        )
+    }
+
+    #[test]
+    fn the_common_header_is_big_endian_and_counts_the_body() {
+        let mut w = MrtWriter::new(Vec::new());
+        write_sample(&mut w, 0x0102_0304).unwrap();
+        let buf = w.into_inner();
+        assert_eq!(buf[..4], [1, 2, 3, 4]);
+        assert_eq!(buf[4..6], TYPE_BGP4MP.to_be_bytes());
+        assert_eq!(buf[6..8], SUBTYPE_BGP4MP_MESSAGE_AS4.to_be_bytes());
+        let len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
+        assert_eq!(len, buf.len() - 12);
+    }
+
+    #[test]
+    fn records_follow_each_other_in_write_order() {
+        let mut w = MrtWriter::new(Vec::new());
+        for t in [30, 10, 20] {
+            write_sample(&mut w, t).unwrap();
+        }
+        w.flush().unwrap();
+        assert_eq!(w.records_written(), 3);
+        let buf = w.into_inner();
+        let times: Vec<u32> = MrtReader::new(&buf[..])
+            .map(|r| r.unwrap().timestamp)
+            .collect();
+        assert_eq!(times, vec![30, 10, 20], "the writer never reorders");
+    }
+
+    /// A sink that accepts `room` bytes, then fails every write.
+    struct FullDisk {
+        room: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("no space left"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_is_an_io_error_and_no_record_is_counted() {
+        for room in [0, 5, 40] {
+            let mut w = MrtWriter::new(FullDisk { room });
+            let err = write_sample(&mut w, 1).unwrap_err();
+            assert!(matches!(err, MrtError::Io(_)), "room {room}: {err:?}");
+            assert_eq!(w.records_written(), 0, "room {room}");
+        }
+    }
+
     #[test]
     fn update_writer_reader_roundtrip() {
         let mut route = RouteAttrs::originated(

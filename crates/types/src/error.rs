@@ -19,7 +19,11 @@ impl ParseError {
     pub fn new(what: &'static str, input: &str, reason: impl Into<String>) -> Self {
         let mut input = input.to_string();
         if input.len() > 64 {
-            input.truncate(64);
+            let mut cut = 64;
+            while !input.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            input.truncate(cut);
             input.push('…');
         }
         ParseError {
@@ -57,5 +61,24 @@ mod tests {
         let e = ParseError::new("asn", &long, "too long");
         assert!(e.input.chars().count() <= 65);
         assert!(e.input.ends_with('…'));
+    }
+
+    #[test]
+    fn short_input_is_kept_verbatim() {
+        let e = ParseError::new("community", "1299:x", "bad beta");
+        assert_eq!(e.input, "1299:x");
+        assert_eq!(e.to_string(), r#"invalid community "1299:x": bad beta"#);
+        let exactly = "7".repeat(64);
+        assert_eq!(ParseError::new("asn", &exactly, "r").input, exactly);
+    }
+
+    #[test]
+    fn truncation_never_splits_a_character() {
+        // 3-byte characters: byte 64 falls inside the 22nd one.
+        let long = "€".repeat(30);
+        let e = ParseError::new("as path", &long, "not a number");
+        assert!(e.input.ends_with('…'));
+        assert_eq!(e.input.trim_end_matches('…'), "€".repeat(21));
+        assert!(e.to_string().contains("not a number"));
     }
 }

@@ -91,4 +91,17 @@ mod tests {
             Intent::Information
         );
     }
+
+    #[test]
+    fn action_orders_first_and_unknown_names_are_refused_verbatim() {
+        assert!(Intent::Action < Intent::Information);
+        let err = "Action".parse::<Intent>().unwrap_err();
+        assert_eq!(err.what, "intent");
+        assert_eq!(err.input, "Action", "parsing is case-sensitive");
+        assert_eq!(
+            err.to_string(),
+            "invalid intent \"Action\": expected 'action' or 'information'"
+        );
+        assert!(serde_json::from_str::<Intent>("\"info\"").is_err());
+    }
 }

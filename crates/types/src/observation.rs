@@ -65,4 +65,47 @@ mod tests {
         };
         assert_eq!(a.tuple_key(), b.tuple_key());
     }
+
+    fn sample() -> Observation {
+        Observation {
+            vp: Asn::new(64500),
+            prefix: "192.0.2.0/24".parse().unwrap(),
+            path: "64500 1299 {64496,64497}".parse().unwrap(),
+            communities: vec![Community::new(1299, 2569), Community::new(1299, 1)],
+            large_communities: Vec::new(),
+            time: 1_682_899_200,
+        }
+    }
+
+    #[test]
+    fn json_omits_absent_large_communities_and_roundtrips() {
+        let plain = sample();
+        let json = serde_json::to_string(&plain).unwrap();
+        assert!(!json.contains("large_communities"), "{json}");
+        assert_eq!(serde_json::from_str::<Observation>(&json).unwrap(), plain);
+
+        let mut large = sample();
+        large.large_communities = vec![LargeCommunity::new(64496, 1, 2)];
+        let json = serde_json::to_string(&large).unwrap();
+        assert!(json.contains("large_communities"), "{json}");
+        assert_eq!(serde_json::from_str::<Observation>(&json).unwrap(), large);
+    }
+
+    #[test]
+    fn tuple_key_keeps_community_order_and_path_shape() {
+        let a = sample();
+        let mut reordered = sample();
+        reordered.communities.reverse();
+        assert_ne!(a.tuple_key(), reordered.tuple_key());
+        let mut prepended = sample();
+        prepended.path = "64500 1299 1299 {64496,64497}".parse().unwrap();
+        assert_ne!(a.tuple_key(), prepended.tuple_key());
+        let mut large = sample();
+        large.large_communities = vec![LargeCommunity::new(1, 2, 3)];
+        assert_eq!(
+            a.tuple_key(),
+            large.tuple_key(),
+            "large communities are not part of it"
+        );
+    }
 }

@@ -415,6 +415,116 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A sealed test file over `payload`.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut file = vec![0; HEADER_LEN];
+        file.extend_from_slice(payload);
+        TEST.seal(&mut file);
+        file
+    }
+
+    fn corrupt_detail(file: &[u8]) -> String {
+        match TEST.open(file, Path::new("f")).unwrap_err() {
+            LoadError::Corrupt { detail, .. } => detail,
+            other => panic!("expected a corrupt-file error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn another_version_is_refused_naming_both_versions() {
+        let mut file = sealed(b"payload");
+        file[8..12].copy_from_slice(&6u32.to_le_bytes());
+        let err = TEST.open(&file, Path::new("old.bin")).unwrap_err();
+        match &err {
+            LoadError::Version {
+                found, expected, ..
+            } => assert_eq!((*found, *expected), (6, 7)),
+            other => panic!("expected a version error, got {other}"),
+        }
+        assert!(err.is_invalid_data() && !err.is_not_found());
+        assert_eq!(
+            err.to_string(),
+            "old.bin: test file version 6, this build reads version 7"
+        );
+    }
+
+    #[test]
+    fn a_nonzero_reserved_word_is_corrupt() {
+        let mut file = sealed(b"payload");
+        file[13] = 1;
+        assert_eq!(corrupt_detail(&file), "nonzero reserved header word");
+    }
+
+    #[test]
+    fn a_payload_longer_or_shorter_than_recorded_is_corrupt() {
+        let file = sealed(b"payload");
+        let mut longer = file.clone();
+        longer.push(0);
+        assert_eq!(
+            corrupt_detail(&longer),
+            "payload length 7 recorded, 8 bytes present"
+        );
+        assert_eq!(
+            corrupt_detail(&file[..file.len() - 1]),
+            "payload length 7 recorded, 6 bytes present"
+        );
+    }
+
+    #[test]
+    fn a_flipped_payload_bit_fails_the_checksum() {
+        let file = sealed(b"payload");
+        for at in HEADER_LEN..file.len() {
+            let mut flipped = file.clone();
+            flipped[at] ^= 0x10;
+            let detail = corrupt_detail(&flipped);
+            assert!(
+                detail.starts_with("payload checksum"),
+                "byte {at}: {detail}"
+            );
+        }
+        assert_eq!(TEST.open(&file, Path::new("f")).unwrap(), b"payload");
+    }
+
+    #[test]
+    fn headers_cut_short_are_torn_not_foreign() {
+        let file = sealed(b"");
+        for len in 0..HEADER_LEN {
+            let detail = corrupt_detail(&file[..len]);
+            assert_eq!(
+                detail,
+                format!("{len} bytes, shorter than the {HEADER_LEN}-byte header")
+            );
+        }
+        assert_eq!(TEST.open(&file, Path::new("f")).unwrap(), b"");
+    }
+
+    #[test]
+    fn only_io_errors_carry_a_source() {
+        use std::error::Error;
+        let io = LoadError::io(Path::new("f"), io::Error::other("disk on fire"));
+        assert!(io.source().is_some());
+        assert!(!io.is_invalid_data() && !io.is_not_found());
+        assert_eq!(io.to_string(), "f: disk on fire");
+        let corrupt = TEST.open(b"BGPTEST", Path::new("f")).unwrap_err();
+        assert!(corrupt.source().is_none());
+        let foreign = TEST.open(b"{\"json\": 1}", Path::new("f")).unwrap_err();
+        assert!(matches!(foreign, LoadError::Foreign { .. }));
+        assert!(foreign.source().is_none());
+    }
+
+    #[test]
+    fn a_shorter_write_leaves_no_tail_of_the_longer_file() {
+        let dir = std::env::temp_dir().join(format!("bgp-persist-shrink-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        write_atomic(&path, &[7; 4096]).unwrap();
+        write_atomic(&path, b"short").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"short");
+        write_atomic(&path, b"").unwrap();
+        assert!(fs::read(&path).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_bare_file_name_stages_and_syncs_in_the_current_directory() {
         assert_eq!(temp_path(Path::new("x.ckpt")), PathBuf::from("x.ckpt.tmp"));

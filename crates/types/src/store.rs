@@ -8,32 +8,34 @@
 //! even though the distinct paths and community sets number in the
 //! thousands while observations number in the millions.
 //!
-//! [`ObservationStore`] inverts that layout. AS paths and community *sets*
-//! are interned **once**, at ingestion, into dense `u32` IDs; per-path
-//! derived data (sorted unique ASN members, the content fingerprint used
-//! by checkpointing) is computed once per unique path; and the
-//! observations themselves become parallel flat columns of IDs and scalars.
-//! Interned paths are themselves flat: per-path segment descriptors and ASN
-//! values live in shared pools, borrowed back out as [`AsPathView`]s, so
-//! interning from a decoder's borrowed [`ObservationView`] never touches
-//! the heap on the duplicate (hot) path — see
-//! [`ObservationSink::push_observation_view`]. The stats kernel then runs
-//! entirely over dense integers: tuple dedup is a sort over packed `u64`
-//! keys, the on-path test is a binary search in a sorted member slice, and
-//! sharding by path ID partitions unique paths exactly (every occurrence
-//! of a path carries the same ID), so parallel partial counts merge by
-//! summation with no rehashing.
+//! An [`Interner`] holds each distinct AS path and community list once,
+//! under a dense `u32` ID in first-seen order, with the path's sorted
+//! unique ASN members computed once per unique path. Interned paths are
+//! flat: per-path segment descriptors and ASN values live in shared pools,
+//! borrowed back out as [`AsPathView`]s, so interning from a decoder's
+//! borrowed [`ObservationView`] never touches the heap on the duplicate
+//! (hot) path — see [`ObservationSink::push_observation_view`].
+//! [`ObservationStore`] is an interner plus per-observation columns; the
+//! statistics segment the checkpointing and streaming paths fold into is
+//! an interner plus a set of `(path ID, list ID)` tuples. The stats kernel
+//! then runs entirely over dense integers: tuple dedup is a sort over
+//! packed `u64` keys, the on-path test is a binary search in a sorted
+//! member slice, and sharding by path ID partitions unique paths exactly
+//! (every occurrence of a path carries the same ID), so parallel partial
+//! counts merge by summation with no rehashing.
 //!
 //! Two invariants matter for correctness elsewhere:
 //!
+//! * **Identity is exact.** A 64-bit hash only picks where an [`IdTable`]
+//!   probe starts; every hit is confirmed by comparing the interned value
+//!   itself, so two distinct paths (or lists) that share a hash still get
+//!   two IDs. No hash is persisted or serves as an identity.
 //! * **Community-set identity is the exact ordered list.** Tuple dedup is
 //!   order- and duplicate-sensitive (`(path, [a, b])` ≠ `(path, [b, a])`),
 //!   so the interner keys on the literal `Vec<Community>`, not a sorted
 //!   set.
-//! * **Path fingerprints equal `fx_hash_one(&path)`.** The checkpoint
-//!   accumulator's content-addressed snapshot format identifies paths by
-//!   that hash; the store precomputes it per unique path so the
-//!   checkpointed ingestion path can fold straight out of the store.
+
+use std::ops::Deref;
 
 use crate::fx::{fx_hash_one, FxHashMap};
 use crate::observation::Observation;
@@ -118,93 +120,83 @@ impl ObservationSink for ObservationStore {
     }
 }
 
-/// Sentinel marking an empty [`FpMap`] slot. Dense IDs can never reach it:
-/// that many unique elements would exhaust memory long before.
-const FP_EMPTY: u32 = u32::MAX;
+/// Sentinel marking an empty [`IdTable`] slot. Dense IDs can never reach
+/// it: that many unique elements would exhaust memory long before.
+const EMPTY: u32 = u32::MAX;
 
-/// A minimal open-addressing map from precomputed 64-bit fingerprints to
-/// dense IDs — the store's hottest structure, probed twice per
-/// observation. The fingerprint is already a mixed hash, so a slot index
-/// is just its low bits and a probe is one or two cache lines of linear
-/// scan; no re-hashing, no metadata bytes. Keys are unique by
-/// construction (fingerprint collisions between distinct values go to the
-/// exact-keyed `*_dups` overflow maps and never insert here twice).
-#[derive(Debug, Clone, Default)]
-struct FpMap {
-    /// `(fingerprint, id)` pairs; capacity is a power of two, `FP_EMPTY`
-    /// ids mark free slots. Load factor stays ≤ 3/4.
+/// An open-addressing table from 64-bit hashes to dense IDs — the
+/// interner's hottest structure, probed twice per observation. The hash
+/// is already mixed, so its low bits pick the first slot and a probe is a
+/// short linear scan; a slot whose hash matches is only a candidate, and
+/// the caller's exact comparison makes it a hit. A collision therefore
+/// costs one more compare, never a wrong ID.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct IdTable {
+    /// `(hash, id)` pairs; capacity is a power of two, `EMPTY` ids mark
+    /// free slots. Load factor stays ≤ 3/4.
     slots: Vec<(u64, u32)>,
     len: usize,
 }
 
-impl FpMap {
+impl IdTable {
+    /// The ID stored under `hash` whose value `is_key` confirms.
     #[inline]
-    fn get(&self, fp: u64) -> Option<u32> {
+    pub fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = fp as usize & mask;
+        let mut i = hash as usize & mask;
         loop {
-            let (slot_fp, id) = self.slots[i];
-            if id == FP_EMPTY {
+            let (slot_hash, id) = self.slots[i];
+            if id == EMPTY {
                 return None;
             }
-            if slot_fp == fp {
+            if slot_hash == hash && is_key(id) {
                 return Some(id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Insert a fingerprint known to be absent.
+    /// Store `id` under `hash`. The caller has checked, with
+    /// [`find`](Self::find), that its value is absent.
     #[inline]
-    fn insert(&mut self, fp: u64, id: u32) {
+    pub fn insert(&mut self, hash: u64, id: u32) {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
+            let cap = (self.slots.len() * 2).max(64);
+            for (hash, id) in std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]) {
+                if id != EMPTY {
+                    self.place(hash, id);
+                }
+            }
         }
-        let mask = self.slots.len() - 1;
-        let mut i = fp as usize & mask;
-        while self.slots[i].1 != FP_EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = (fp, id);
+        self.place(hash, id);
         self.len += 1;
     }
 
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(64);
-        let old = std::mem::replace(&mut self.slots, vec![(0, FP_EMPTY); cap]);
-        let mask = cap - 1;
-        for (fp, id) in old {
-            if id != FP_EMPTY {
-                let mut i = fp as usize & mask;
-                while self.slots[i].1 != FP_EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = (fp, id);
-            }
+    fn place(&mut self, hash: u64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
         }
+        self.slots[i] = (hash, id);
     }
 }
 
-/// Columnar observation storage with interned paths and community sets.
-///
-/// Per observation the store keeps two dense IDs (path, community set)
-/// plus the scalar columns (`vp`, `prefix`, `time`) and a flat pool for
-/// the rare large communities — roughly 40 bytes per observation versus
-/// the several heap allocations of an owned [`Observation`]. See
-/// DESIGN.md § "Data layout".
-#[derive(Debug, Clone, Default)]
-pub struct ObservationStore {
-    // ---- interned AS paths (ID space: 0..path_count) ----
-    /// Fingerprint → path ID. Keying the hot probe by the precomputed
-    /// `u64` (instead of the full `AsPath`) makes the per-observation
-    /// probe a single-word scan; `path_dups` catches the astronomically
-    /// rare fingerprint collision exactly.
-    path_ids: FpMap,
-    path_dups: FxHashMap<AsPath, u32>,
-    path_fingerprints: Vec<u64>,
+/// AS paths and community lists, each interned once under a dense `u32`
+/// ID in first-seen order, and the individual communities those lists
+/// carry under dense slot IDs. Interning is deterministic: the same
+/// sequence of paths and lists always yields the same IDs, slots and
+/// pools.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Interner {
+    // ---- AS paths (ID space: 0..path_count) ----
+    path_ids: IdTable,
+    /// Each path's probe hash ([`AsPathView::fingerprint`]), so merging
+    /// another interner's paths in never rehashes them.
+    path_hashes: Vec<u64>,
     /// `path_seg_offsets[id]..path_seg_offsets[id+1]` indexes `path_segs`.
     path_seg_offsets: Vec<u32>,
     /// Per-segment `(tag, ASN count)` pairs of each interned path
@@ -220,11 +212,8 @@ pub struct ObservationStore {
     /// Sorted, deduped ASN values of each path (prepends collapse here).
     members: Vec<u32>,
 
-    // ---- interned community sets (ID space: 0..cset_count) ----
-    /// Fingerprint → community-set ID, with the same exact collision
-    /// fallback as `path_ids`/`path_dups`.
-    cset_ids: FpMap,
-    cset_dups: FxHashMap<Vec<Community>, u32>,
+    // ---- community lists (ID space: 0..cset_count) ----
+    cset_ids: IdTable,
     /// `cset_offsets[id]..cset_offsets[id+1]` indexes `cset_pool`.
     cset_offsets: Vec<u32>,
     /// Exact ordered community lists (order and duplicates preserved —
@@ -234,10 +223,201 @@ pub struct ObservationStore {
     /// the stats kernel indexes per-community state with no hashing.
     cset_slot_pool: Vec<u32>,
 
-    // ---- interned individual communities (slot space: 0..community_count) ----
+    // ---- individual communities (slot space: 0..community_count) ----
     community_ids: FxHashMap<u32, u32>,
     communities: Vec<Community>,
+}
 
+impl Default for Interner {
+    fn default() -> Self {
+        Interner {
+            path_ids: IdTable::default(),
+            path_hashes: Vec::new(),
+            path_seg_offsets: vec![0],
+            path_segs: Vec::new(),
+            path_asn_offsets: vec![0],
+            path_asns: Vec::new(),
+            member_offsets: vec![0],
+            members: Vec::new(),
+            cset_ids: IdTable::default(),
+            cset_offsets: vec![0],
+            cset_pool: Vec::new(),
+            cset_slot_pool: Vec::new(),
+            community_ids: FxHashMap::default(),
+            communities: Vec::new(),
+        }
+    }
+}
+
+impl Interner {
+    /// The ID of `path`, interning it on first sight. The hot (already
+    /// interned) outcome is one probe and an exact compare of the flat
+    /// slices; first sight copies them into the pools.
+    pub fn intern_path(&mut self, path: &AsPathView<'_>) -> u32 {
+        self.intern_path_hashed(path, path.fingerprint())
+    }
+
+    fn intern_path_hashed(&mut self, path: &AsPathView<'_>, hash: u64) -> u32 {
+        if let Some(id) = self.path_ids.find(hash, |id| self.path_view(id) == *path) {
+            return id;
+        }
+        let id = self.path_hashes.len() as u32;
+        self.path_ids.insert(hash, id);
+        self.path_hashes.push(hash);
+        self.path_segs.extend_from_slice(path.segs);
+        self.path_asns.extend_from_slice(path.asns);
+        // The sorted member slice, deduped in place (no scratch).
+        let start = self.members.len();
+        self.members.extend_from_slice(path.asns);
+        let tail = &mut self.members[start..];
+        tail.sort_unstable();
+        let mut kept = 0;
+        for r in 0..tail.len() {
+            if kept == 0 || tail[r] != tail[kept - 1] {
+                tail[kept] = tail[r];
+                kept += 1;
+            }
+        }
+        self.members.truncate(start + kept);
+        self.member_offsets.push(self.members.len() as u32);
+        self.path_seg_offsets.push(self.path_segs.len() as u32);
+        self.path_asn_offsets.push(self.path_asns.len() as u32);
+        id
+    }
+
+    /// The ID of the exact list `communities`, interning it on first sight
+    /// and giving its first-seen communities their slot IDs.
+    pub fn intern_cset(&mut self, communities: &[Community]) -> u32 {
+        let hash = fx_hash_one(communities);
+        if let Some(id) = self.cset_ids.find(hash, |id| self.cset(id) == communities) {
+            return id;
+        }
+        let id = self.cset_count() as u32;
+        self.cset_ids.insert(hash, id);
+        self.cset_pool.extend_from_slice(communities);
+        for &c in communities {
+            let next = self.communities.len() as u32;
+            let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
+            if slot == next {
+                self.communities.push(c);
+            }
+            self.cset_slot_pool.push(slot);
+        }
+        self.cset_offsets.push(self.cset_pool.len() as u32);
+        id
+    }
+
+    /// Intern every path and list of `other` (its paths without rehashing
+    /// them), in `other`'s ID order, and return the maps from `other`'s
+    /// path and list IDs to this interner's.
+    pub fn absorb(&mut self, other: &Interner) -> (Vec<u32>, Vec<u32>) {
+        let paths = (0..other.path_count() as u32)
+            .map(|id| self.intern_path_hashed(&other.path_view(id), other.path_hashes[id as usize]))
+            .collect();
+        let csets = (0..other.cset_count() as u32)
+            .map(|id| self.intern_cset(other.cset(id)))
+            .collect();
+        (paths, csets)
+    }
+
+    /// The flat pools behind the path IDs, as a segment persists them:
+    /// each path's end offset into the segments, the `(tag, ASN count)`
+    /// segments, and the ASNs.
+    pub fn path_pools(&self) -> (&[u32], &[(u8, u32)], &[u32]) {
+        (
+            &self.path_seg_offsets[1..],
+            &self.path_segs,
+            &self.path_asns,
+        )
+    }
+
+    /// The flat pools behind the community-set IDs: each list's end offset
+    /// into the community pool, and the pool.
+    pub fn cset_pools(&self) -> (&[u32], &[Community]) {
+        (&self.cset_offsets[1..], &self.cset_pool)
+    }
+
+    /// Number of distinct AS paths interned.
+    pub fn path_count(&self) -> usize {
+        self.path_hashes.len()
+    }
+
+    /// Number of distinct community sets interned.
+    pub fn cset_count(&self) -> usize {
+        self.cset_offsets.len() - 1
+    }
+
+    /// Number of distinct individual communities interned (slot space).
+    pub fn community_count(&self) -> usize {
+        self.communities.len()
+    }
+
+    /// The community behind a dense slot ID.
+    pub fn community(&self, slot: u32) -> Community {
+        self.communities[slot as usize]
+    }
+
+    /// Dense community-slot IDs of a community-set ID, parallel to
+    /// [`cset`](Self::cset) (order and duplicates preserved).
+    pub fn cset_slots(&self, id: u32) -> &[u32] {
+        let lo = self.cset_offsets[id as usize] as usize;
+        let hi = self.cset_offsets[id as usize + 1] as usize;
+        &self.cset_slot_pool[lo..hi]
+    }
+
+    /// The interned path for a path ID, borrowed from the flat pools.
+    pub fn path_view(&self, id: u32) -> AsPathView<'_> {
+        let i = id as usize;
+        let seg_lo = self.path_seg_offsets[i] as usize;
+        let seg_hi = self.path_seg_offsets[i + 1] as usize;
+        AsPathView {
+            segs: &self.path_segs[seg_lo..seg_hi],
+            asns: self.path_hops(id),
+        }
+    }
+
+    /// Every ASN of the interned path in path order, duplicates (prepends)
+    /// and set members inline — the flat form of `path.iter()`.
+    pub fn path_hops(&self, id: u32) -> &[u32] {
+        let lo = self.path_asn_offsets[id as usize] as usize;
+        let hi = self.path_asn_offsets[id as usize + 1] as usize;
+        &self.path_asns[lo..hi]
+    }
+
+    /// Materialize the interned path for a path ID. Reconstructs from the
+    /// flat pools — use [`path_view`](Self::path_view) /
+    /// [`path_hops`](Self::path_hops) on hot paths.
+    pub fn path(&self, id: u32) -> AsPath {
+        self.path_view(id).to_path()
+    }
+
+    /// Sorted, deduped ASN values of the interned path. The on-path test
+    /// is a binary search in this slice.
+    pub fn path_members(&self, id: u32) -> &[u32] {
+        let lo = self.member_offsets[id as usize] as usize;
+        let hi = self.member_offsets[id as usize + 1] as usize;
+        &self.members[lo..hi]
+    }
+
+    /// The exact ordered community list for a community-set ID.
+    pub fn cset(&self, id: u32) -> &[Community] {
+        let lo = self.cset_offsets[id as usize] as usize;
+        let hi = self.cset_offsets[id as usize + 1] as usize;
+        &self.cset_pool[lo..hi]
+    }
+}
+
+/// Columnar observation storage with interned paths and community sets.
+///
+/// Per observation the store keeps two dense IDs (path, community set)
+/// plus the scalar columns (`vp`, `prefix`, `time`) and a flat pool for
+/// the rare large communities — roughly 40 bytes per observation versus
+/// the several heap allocations of an owned [`Observation`]. The store
+/// dereferences to its [`Interner`], which answers every path, list and
+/// community question. See DESIGN.md § "Data layout".
+#[derive(Debug, Clone, Default)]
+pub struct ObservationStore {
+    interner: Interner,
     // ---- per-observation columns (index space: 0..len) ----
     obs_path: Vec<u32>,
     obs_cset: Vec<u32>,
@@ -247,6 +427,14 @@ pub struct ObservationStore {
     /// `large_offsets[i]..large_offsets[i+1]` indexes `large_pool`.
     large_offsets: Vec<u32>,
     large_pool: Vec<LargeCommunity>,
+}
+
+impl Deref for ObservationStore {
+    type Target = Interner;
+
+    fn deref(&self) -> &Interner {
+        &self.interner
+    }
 }
 
 impl ObservationStore {
@@ -294,9 +482,10 @@ impl ObservationStore {
         segs: &mut Vec<(u8, u32)>,
         asns: &mut Vec<u32>,
     ) {
-        let path = AsPathView::of(&obs.path, segs, asns);
-        let path_id = self.intern_path_view(&path, path.fingerprint());
-        let cset_id = self.intern_cset(&obs.communities);
+        let path_id = self
+            .interner
+            .intern_path(&AsPathView::of(&obs.path, segs, asns));
+        let cset_id = self.interner.intern_cset(&obs.communities);
         self.push_row(
             path_id,
             cset_id,
@@ -316,12 +505,11 @@ impl ObservationStore {
 
     /// Fold one borrowed observation in — the zero-copy ingestion path.
     /// Steady state (path and community set already interned) touches no
-    /// heap at all: two fingerprint probes, two slice compares, six column
-    /// pushes. First sight of a path/set copies the slices into the flat
-    /// pools.
+    /// heap at all: two probes, two slice compares, six column pushes.
+    /// First sight of a path/set copies the slices into the flat pools.
     pub fn push_view(&mut self, view: &ObservationView<'_>) {
-        let path_id = self.intern_path_view(&view.path, view.path.fingerprint());
-        let cset_id = self.intern_cset(view.communities);
+        let path_id = self.interner.intern_path(&view.path);
+        let cset_id = self.interner.intern_cset(view.communities);
         self.push_row(
             path_id,
             cset_id,
@@ -350,114 +538,13 @@ impl ObservationStore {
         self.large_offsets.push(self.large_pool.len() as u32);
     }
 
-    /// Intern a borrowed path with its precomputed fingerprint. The hot
-    /// (already-interned) outcome is a probe plus two slice compares.
-    /// Fingerprint collisions between distinct paths fall back to the
-    /// exact-keyed `path_dups` overflow map (materializing the path once).
-    fn intern_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
-        if let Some(id) = self.path_ids.get(fp) {
-            if self.path_view(id) == *view {
-                return id;
-            }
-            let owned = view.to_path();
-            if let Some(&id) = self.path_dups.get(&owned) {
-                return id;
-            }
-            let id = self.push_unique_path_view(view, fp);
-            self.path_dups.insert(owned, id);
-            return id;
-        }
-        let id = self.push_unique_path_view(view, fp);
-        self.path_ids.insert(fp, id);
-        id
-    }
-
-    fn push_unique_path_view(&mut self, view: &AsPathView<'_>, fp: u64) -> u32 {
-        let asn_start = self.path_asns.len();
-        self.path_segs.extend_from_slice(view.segs);
-        self.path_asns.extend_from_slice(view.asns);
-        self.finish_unique_path(fp, asn_start)
-    }
-
-    /// Common tail of both unique-path paths: derive the sorted member
-    /// slice in place (no scratch allocation) and close the offset rows.
-    fn finish_unique_path(&mut self, fp: u64, asn_start: usize) -> u32 {
-        if self.member_offsets.is_empty() {
-            self.member_offsets.push(0);
-            self.path_seg_offsets.push(0);
-            self.path_asn_offsets.push(0);
-        }
-        let id = self.path_fingerprints.len() as u32;
-        let member_start = self.members.len();
-        self.members.extend_from_slice(&self.path_asns[asn_start..]);
-        let tail = &mut self.members[member_start..];
-        tail.sort_unstable();
-        if !tail.is_empty() {
-            let mut w = 0;
-            for r in 1..tail.len() {
-                if tail[r] != tail[w] {
-                    w += 1;
-                    tail[w] = tail[r];
-                }
-            }
-            self.members.truncate(member_start + w + 1);
-        }
-        self.member_offsets.push(self.members.len() as u32);
-        self.path_seg_offsets.push(self.path_segs.len() as u32);
-        self.path_asn_offsets.push(self.path_asns.len() as u32);
-        self.path_fingerprints.push(fp);
-        id
-    }
-
-    fn intern_cset(&mut self, communities: &[Community]) -> u32 {
-        let fp = fx_hash_one(communities);
-        if let Some(id) = self.cset_ids.get(fp) {
-            if self.cset(id) == communities {
-                return id;
-            }
-            if let Some(&id) = self.cset_dups.get(communities) {
-                return id;
-            }
-            let id = self.push_unique_cset(communities);
-            self.cset_dups.insert(communities.to_vec(), id);
-            return id;
-        }
-        let id = self.push_unique_cset(communities);
-        self.cset_ids.insert(fp, id);
-        id
-    }
-
-    fn push_unique_cset(&mut self, communities: &[Community]) -> u32 {
-        if self.cset_offsets.is_empty() {
-            self.cset_offsets.push(0);
-        }
-        let id = self.cset_offsets.len() as u32 - 1;
-        self.cset_pool.extend_from_slice(communities);
-        for &c in communities {
-            let next = self.communities.len() as u32;
-            let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
-            if slot == next {
-                self.communities.push(c);
-            }
-            self.cset_slot_pool.push(slot);
-        }
-        self.cset_offsets.push(self.cset_pool.len() as u32);
-        id
-    }
-
     /// Fold another store into this one, re-interning its unique paths and
-    /// community sets (one probe per *unique* element — reusing the
-    /// already-computed fingerprints, no path materialization — then a
-    /// dense ID remap per observation). Observation order is `self` then
-    /// `other`, so folding per-file stores in input order reproduces the
-    /// sequential single-sink order exactly.
+    /// community sets by exact key (see [`Interner::absorb`]), then a dense
+    /// ID remap per observation. Observation order is `self` then `other`,
+    /// so folding per-file stores in input order reproduces the sequential
+    /// single-sink order exactly.
     pub fn merge(&mut self, other: &ObservationStore) {
-        let path_map: Vec<u32> = (0..other.path_count() as u32)
-            .map(|id| self.intern_path_view(&other.path_view(id), other.path_fingerprint(id)))
-            .collect();
-        let cset_map: Vec<u32> = (0..other.cset_count())
-            .map(|id| self.intern_cset(other.cset(id as u32)))
-            .collect();
+        let (path_map, cset_map) = self.interner.absorb(&other.interner);
         for i in 0..other.len() {
             self.push_row(
                 path_map[other.obs_path[i] as usize],
@@ -478,104 +565,6 @@ impl ObservationStore {
     /// Whether the store holds no observations.
     pub fn is_empty(&self) -> bool {
         self.obs_path.is_empty()
-    }
-
-    /// Number of distinct AS paths interned.
-    pub fn path_count(&self) -> usize {
-        self.path_fingerprints.len()
-    }
-
-    /// Number of distinct community sets interned.
-    pub fn cset_count(&self) -> usize {
-        self.cset_offsets.len().saturating_sub(1)
-    }
-
-    /// Number of distinct individual communities interned (slot space).
-    pub fn community_count(&self) -> usize {
-        self.communities.len()
-    }
-
-    /// Paths that fell back to the exact-key interner map because another
-    /// path shared their 64-bit fingerprint. Astronomically rare in
-    /// practice; a nonzero value is worth surfacing in telemetry because
-    /// every fallback entry clones its key.
-    pub fn path_collision_count(&self) -> usize {
-        self.path_dups.len()
-    }
-
-    /// Community sets interned through the exact-key collision fallback —
-    /// the `cset` analogue of [`ObservationStore::path_collision_count`].
-    pub fn cset_collision_count(&self) -> usize {
-        self.cset_dups.len()
-    }
-
-    /// The community behind a dense slot ID.
-    pub fn community(&self, slot: u32) -> Community {
-        self.communities[slot as usize]
-    }
-
-    /// Dense community-slot IDs of a community-set ID, parallel to
-    /// [`cset`](Self::cset) (order and duplicates preserved).
-    pub fn cset_slots(&self, id: u32) -> &[u32] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_slot_pool[lo..hi]
-    }
-
-    /// The interned path for a path ID, borrowed from the flat pools.
-    pub fn path_view(&self, id: u32) -> AsPathView<'_> {
-        let i = id as usize;
-        let seg_lo = self.path_seg_offsets[i] as usize;
-        let seg_hi = self.path_seg_offsets[i + 1] as usize;
-        let asn_lo = self.path_asn_offsets[i] as usize;
-        let asn_hi = self.path_asn_offsets[i + 1] as usize;
-        AsPathView {
-            segs: &self.path_segs[seg_lo..seg_hi],
-            asns: &self.path_asns[asn_lo..asn_hi],
-        }
-    }
-
-    /// Every ASN of the interned path in path order, duplicates (prepends)
-    /// and set members inline — the flat form of `path.iter()`.
-    pub fn path_hops(&self, id: u32) -> &[u32] {
-        let lo = self.path_asn_offsets[id as usize] as usize;
-        let hi = self.path_asn_offsets[id as usize + 1] as usize;
-        &self.path_asns[lo..hi]
-    }
-
-    /// Materialize the interned path for a path ID. Reconstructs from the
-    /// flat pools — use [`path_view`](Self::path_view) /
-    /// [`path_hops`](Self::path_hops) on hot paths.
-    pub fn path(&self, id: u32) -> AsPath {
-        self.path_view(id).to_path()
-    }
-
-    /// `fx_hash_one` of the interned path — the checkpoint fingerprint,
-    /// computed once per unique path.
-    pub fn path_fingerprint(&self, id: u32) -> u64 {
-        self.path_fingerprints[id as usize]
-    }
-
-    /// Sorted, deduped ASN values of the interned path. The on-path test
-    /// is a binary search in this slice.
-    pub fn path_members(&self, id: u32) -> &[u32] {
-        let lo = self.member_offsets[id as usize] as usize;
-        let hi = self.member_offsets[id as usize + 1] as usize;
-        &self.members[lo..hi]
-    }
-
-    /// The whole member pool: the concatenation of every interned path's
-    /// sorted unique ASNs. One pass over this slice visits every ASN that
-    /// appears on any path (with cross-path duplicates).
-    pub fn member_values(&self) -> &[u32] {
-        &self.members
-    }
-
-    /// The exact ordered community list for a community-set ID.
-    pub fn cset(&self, id: u32) -> &[Community] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_pool[lo..hi]
     }
 
     /// The `(path ID, community-set ID)` tuple of each observation, in
@@ -667,10 +656,6 @@ mod tests {
         assert_eq!(store.obs_path_id(0), store.obs_path_id(3));
         assert_eq!(store.obs_cset_id(0), store.obs_cset_id(3));
         assert_eq!(store.path_members(store.obs_path_id(0)), &[1, 1299, 64496]);
-        assert_eq!(
-            store.path_fingerprint(0),
-            fx_hash_one(&observations[0].path)
-        );
     }
 
     #[test]
@@ -699,7 +684,6 @@ mod tests {
             let view = store.path_view(id);
             assert!(view.matches(&expected.path));
             assert_eq!(view.to_path(), expected.path);
-            assert_eq!(view.fingerprint(), store.path_fingerprint(id));
             assert_eq!(store.path(id), expected.path);
         }
         assert_eq!(store.path_hops(0), &[1, 1299, 1299, 64496, 64497, 7]);
@@ -827,13 +811,7 @@ mod tests {
             assert_eq!(owned_store.obs_path_id(i), view_store.obs_path_id(i));
             assert_eq!(owned_store.obs_cset_id(i), view_store.obs_cset_id(i));
         }
-        for id in 0..owned_store.path_count() as u32 {
-            assert_eq!(
-                owned_store.path_fingerprint(id),
-                view_store.path_fingerprint(id)
-            );
-            assert_eq!(owned_store.path_members(id), view_store.path_members(id));
-        }
+        assert_eq!(*owned_store, *view_store);
     }
 
     #[test]
@@ -855,23 +833,262 @@ mod tests {
     }
 
     #[test]
-    fn fp_map_survives_growth_and_zero_fingerprints() {
-        // fx_hash_one of an empty path is 0 — the map must not confuse a
-        // legitimate zero fingerprint with an empty slot.
-        let mut map = FpMap::default();
-        assert_eq!(map.get(0), None);
-        map.insert(0, 42);
-        assert_eq!(map.get(0), Some(42));
+    fn id_table_survives_growth_and_zero_hashes() {
+        // fx_hash_one of an empty path is 0 — the table must not confuse a
+        // legitimate zero hash with an empty slot.
+        let mut table = IdTable::default();
+        assert_eq!(table.find(0, |_| true), None);
+        table.insert(0, 42);
+        assert_eq!(table.find(0, |id| id == 42), Some(42));
+        let hash = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         for i in 1..2000u64 {
-            map.insert(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i as u32);
+            table.insert(hash(i), i as u32);
         }
-        assert_eq!(map.get(0), Some(42));
+        assert_eq!(table.find(0, |id| id == 42), Some(42));
         for i in 1..2000u64 {
-            assert_eq!(
-                map.get(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                Some(i as u32)
-            );
+            assert_eq!(table.find(hash(i), |id| id == i as u32), Some(i as u32));
         }
-        assert_eq!(map.get(7), None);
+        assert_eq!(table.find(7, |_| true), None);
+    }
+
+    #[test]
+    fn colliding_hashes_still_intern_distinct_values() {
+        // Every key shares one hash: only the exact comparison tells them
+        // apart, and each keeps its own ID.
+        let keys = [10u32, 20, 30, 40];
+        let mut table = IdTable::default();
+        for (id, _) in keys.iter().enumerate() {
+            table.insert(7, id as u32);
+        }
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(table.find(7, |i| keys[i as usize] == *key), Some(id as u32));
+        }
+        assert_eq!(table.find(7, |i| keys[i as usize] == 50), None);
+    }
+
+    #[test]
+    fn absorb_maps_ids_by_exact_value() {
+        let a = ObservationStore::from_observations(&[
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+            obs(2, "2 64496", &[]),
+        ]);
+        let b = ObservationStore::from_observations(&[
+            obs(2, "2 64496", &[(1299, 9)]),
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+        ]);
+        let mut interner = (*a).clone();
+        let (paths, csets) = interner.absorb(&b);
+        assert_eq!(paths, vec![1, 0]);
+        assert_eq!(csets, vec![2, 0]);
+        assert_eq!(interner.path_count(), 2);
+        assert_eq!(interner.cset(2), &[Community::new(1299, 9)]);
+    }
+
+    #[test]
+    fn an_empty_store_has_no_rows_and_no_ids() {
+        let store = ObservationStore::new();
+        assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.path_count(), 0);
+        assert_eq!(store.cset_count(), 0);
+        assert_eq!(store.community_count(), 0);
+        assert_eq!(store.tuples().count(), 0);
+        let (path_ends, segs, asns) = store.path_pools();
+        assert!(path_ends.is_empty() && segs.is_empty() && asns.is_empty());
+        let (list_ends, communities) = store.cset_pools();
+        assert!(list_ends.is_empty() && communities.is_empty());
+    }
+
+    #[test]
+    fn interning_is_deterministic_across_stores() {
+        let observations = vec![
+            obs(1, "1 1299 {64496,64497}", &[(1299, 1), (3356, 2)]),
+            obs(2, "2 3356 3356 64496", &[(3356, 2)]),
+            obs(1, "1 1299 {64496,64497}", &[(1299, 1), (3356, 2)]),
+            obs(3, "3 64496", &[]),
+        ];
+        let a = ObservationStore::from_observations(&observations);
+        let mut b = ObservationStore::new();
+        for o in &observations {
+            b.push(o);
+        }
+        assert_eq!(*a, *b, "same sequence, same interner");
+        assert_eq!(
+            a.tuples().collect::<Vec<_>>(),
+            b.tuples().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn pools_expose_each_entry_by_its_end_offset() {
+        let store = ObservationStore::from_observations(&[
+            obs(1, "1 {2,3} 4", &[(100, 1), (100, 2)]),
+            obs(1, "5", &[]),
+            obs(1, "6 6 7", &[(200, 3)]),
+        ]);
+        let (path_ends, segs, asns) = store.path_pools();
+        assert_eq!(path_ends.len(), store.path_count());
+        assert_eq!(*path_ends.last().unwrap() as usize, segs.len());
+        let mut seg_at = 0;
+        let mut asn_at = 0;
+        for (id, &end) in path_ends.iter().enumerate() {
+            let view = store.path_view(id as u32);
+            assert_eq!(view.segs, &segs[seg_at..end as usize]);
+            let hops: usize = view.segs.iter().map(|&(_, n)| n as usize).sum();
+            assert_eq!(view.asns, &asns[asn_at..asn_at + hops]);
+            seg_at = end as usize;
+            asn_at += hops;
+        }
+        assert_eq!(asn_at, asns.len());
+        let (list_ends, communities) = store.cset_pools();
+        assert_eq!(list_ends, &[2, 2, 3]);
+        assert_eq!(store.cset(0), &communities[..2]);
+        assert!(store.cset(1).is_empty());
+        assert_eq!(store.cset(2), &[Community::new(200, 3)]);
+    }
+
+    #[test]
+    fn tuples_and_scalar_columns_follow_insertion_order() {
+        let mut observations = vec![
+            obs(7, "7 1299", &[(1299, 1)]),
+            obs(8, "8 1299", &[]),
+            obs(7, "7 1299", &[(1299, 1)]),
+        ];
+        observations[1].time = 99;
+        observations[2].prefix = "192.0.2.0/24".parse().unwrap();
+        let store = ObservationStore::from_observations(&observations);
+        assert_eq!(
+            store.tuples().collect::<Vec<_>>(),
+            vec![(0, 0), (1, 1), (0, 0)]
+        );
+        for (i, o) in observations.iter().enumerate() {
+            assert_eq!(store.vp(i), o.vp);
+            assert_eq!(store.prefix(i), o.prefix);
+            assert_eq!(store.time(i), o.time);
+        }
+    }
+
+    #[test]
+    fn large_communities_stay_with_their_row() {
+        let mut with_large = obs(1, "1 2", &[]);
+        with_large.large_communities = vec![
+            LargeCommunity::new(64496, 1, 2),
+            LargeCommunity::new(64496, 3, 4),
+        ];
+        let mut another = obs(3, "3 2", &[]);
+        another.large_communities = vec![LargeCommunity::new(1, 1, 1)];
+        let store = ObservationStore::from_observations(&[
+            obs(0, "0 2", &[]),
+            with_large.clone(),
+            obs(2, "2", &[]),
+            another.clone(),
+        ]);
+        assert!(store.large(0).is_empty());
+        assert_eq!(store.large(1), with_large.large_communities.as_slice());
+        assert!(store.large(2).is_empty());
+        assert_eq!(store.large(3), another.large_communities.as_slice());
+    }
+
+    #[test]
+    fn merging_into_an_empty_store_reproduces_the_other() {
+        let other = ObservationStore::from_observations(&[
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+            obs(2, "2 {64496,64497}", &[(1299, 2), (1299, 1)]),
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+        ]);
+        let mut merged = ObservationStore::new();
+        merged.merge(&other);
+        assert_eq!(*merged, *other, "IDs are assigned in the other's order");
+        assert_eq!(
+            merged.tuples().collect::<Vec<_>>(),
+            other.tuples().collect::<Vec<_>>()
+        );
+        for i in 0..other.len() {
+            assert_eq!(merged.get(i), other.get(i));
+        }
+    }
+
+    #[test]
+    fn merge_order_of_three_stores_gives_the_same_rows() {
+        let part = |vp: u32| {
+            ObservationStore::from_observations(&[
+                obs(vp, &format!("{vp} 1299 64496"), &[(1299, vp as u16)]),
+                obs(vp, "9 64496", &[(1299, 1)]),
+            ])
+        };
+        let (a, b, c) = (part(1), part(2), part(3));
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut right = a.clone();
+        right.merge(&bc);
+        assert_eq!(left.len(), 6);
+        assert_eq!(*left, *right);
+        for i in 0..left.len() {
+            assert_eq!(left.get(i), right.get(i));
+        }
+    }
+
+    #[test]
+    fn absorbing_itself_maps_every_id_to_itself() {
+        let store = ObservationStore::from_observations(&[
+            obs(1, "1 1299 64496", &[(1299, 1)]),
+            obs(2, "2 {3,4}", &[]),
+            obs(3, "3", &[(3, 3), (1299, 1)]),
+        ]);
+        let mut interner = (*store).clone();
+        let (paths, csets) = interner.absorb(&store);
+        assert_eq!(paths, (0..store.path_count() as u32).collect::<Vec<_>>());
+        assert_eq!(csets, (0..store.cset_count() as u32).collect::<Vec<_>>());
+        assert_eq!(interner, *store, "nothing new was interned");
+    }
+
+    #[test]
+    fn ids_are_dense_in_first_seen_order() {
+        let store = ObservationStore::from_observations(&[
+            obs(1, "3 4", &[(9, 9)]),
+            obs(1, "1 2", &[(1, 1)]),
+            obs(1, "3 4", &[(1, 1)]),
+            obs(1, "5", &[(9, 9), (1, 1)]),
+        ]);
+        let paths: Vec<u32> = (0..store.len()).map(|i| store.obs_path_id(i)).collect();
+        let csets: Vec<u32> = (0..store.len()).map(|i| store.obs_cset_id(i)).collect();
+        assert_eq!(paths, vec![0, 1, 0, 2]);
+        assert_eq!(csets, vec![0, 1, 1, 2]);
+        // Community slots follow first sight too: 9:9, then 1:1.
+        assert_eq!(store.community(0), Community::new(9, 9));
+        assert_eq!(store.community(1), Community::new(1, 1));
+        assert_eq!(store.cset_slots(2), &[0, 1]);
+    }
+
+    #[test]
+    fn an_empty_table_never_consults_the_key() {
+        let table = IdTable::default();
+        assert_eq!(
+            table.find(12345, |_| panic!("no candidate to compare")),
+            None
+        );
+    }
+
+    #[test]
+    fn push_owned_matches_push() {
+        let observations = vec![
+            obs(1, "1 1299 {2,3}", &[(1299, 4)]),
+            obs(1, "1 1299 {2,3}", &[(1299, 4)]),
+            obs(5, "5", &[]),
+        ];
+        let mut borrowed = ObservationStore::new();
+        let mut owned = ObservationStore::new();
+        for o in &observations {
+            borrowed.push(o);
+            owned.push_owned(o.clone());
+        }
+        assert_eq!(*borrowed, *owned);
+        for (i, o) in observations.iter().enumerate() {
+            assert_eq!(owned.get(i), *o);
+            assert_eq!(borrowed.get(i), *o);
+        }
     }
 }

@@ -657,7 +657,9 @@ macro_rules! prop_oneof {
 }
 
 /// Define property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over generated cases.
+/// becomes a function running the body over generated cases, carrying the
+/// attributes written on it — so, as with upstream proptest, each property
+/// is written `#[test] fn name(...)` and registers exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -679,7 +681,6 @@ macro_rules! __proptest_impl {
       $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::test_runner::ProptestConfig = $cfg;
             let mut __rng = $crate::test_runner::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
@@ -716,26 +717,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn ranges_stay_in_bounds(v in 10u16..20, w in 0u8..=4) {
             prop_assert!((10..20).contains(&v));
             prop_assert!(w <= 4);
         }
 
+        #[test]
         fn mapped_values_are_even(v in arb_even()) {
             prop_assert_eq!(v % 2, 0);
         }
 
+        #[test]
         fn oneof_and_tuples((a, b) in (prop_oneof![Just(1u8), Just(2u8)], any::<bool>())) {
             prop_assert!(a == 1 || a == 2);
             let _ = b;
         }
 
+        #[test]
         fn collections_respect_sizes(v in prop::collection::vec(any::<u8>(), 0..5),
                                      s in prop::collection::btree_set(0u8..10, 1..5)) {
             prop_assert!(v.len() < 5);
             prop_assert!(!s.is_empty() && s.len() < 5);
         }
 
+        #[test]
         fn pattern_strings_match_subset(s in "[0-9]{0,4}") {
             prop_assert!(s.len() <= 4);
             prop_assert!(s.chars().all(|c| c.is_ascii_digit()));
