@@ -17,10 +17,7 @@ use bgp_intent::classify::{classify, classify_parallelism, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::eval::evaluate;
 use bgp_intent::stats::PathStats;
-use bgp_intent::{
-    run_inference, run_inference_from_stats, run_inference_store, run_inference_store_telemetry,
-    run_watch, StatsAccumulator, WatchOptions, WindowConfig,
-};
+use bgp_intent::{run_inference, run_watch, StatsAccumulator, WatchOptions, WindowConfig};
 use bgp_mrt::obs::{
     read_observations_parallel_store, read_observations_resilient_into,
     read_observations_resilient_reference, write_update_stream,
@@ -101,12 +98,12 @@ fn bench_pipeline(c: &mut Criterion) {
             snapshot = acc.snapshot().clone();
         }
         std::hint::black_box(&snapshot);
-        run_inference_from_stats(
+        run_inference(
             acc.to_stats(),
             &scenario.siblings,
             &par,
             Some(&scenario.dict),
-            None,
+            &Telemetry::disabled(),
         )
     };
 
@@ -139,6 +136,7 @@ fn bench_pipeline(c: &mut Criterion) {
                     &scenario.siblings,
                     &par,
                     Some(&scenario.dict),
+                    &Telemetry::disabled(),
                 ));
                 let plain = t.elapsed();
                 let t = std::time::Instant::now();
@@ -150,11 +148,12 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
     // Telemetry overhead (budget: <1% of `end_to_end`), measured the same
-    // paired way: each sample times the pristine store pipeline and the
-    // telemetry entry point with telemetry *disabled* back-to-back. The
-    // disabled path must cost exactly one branch, so the reported
-    // difference is expected to sit in the noise floor around zero;
-    // bench_compare's `--overhead` gate holds it under 1% of end_to_end.
+    // paired way: each sample times the stages composed directly (stats
+    // kernel, classification, evaluation) and the one entry point with
+    // telemetry *disabled* back-to-back. Each disabled instrumentation point
+    // is one branch, so the reported difference is expected to sit in the
+    // noise floor around zero; bench_compare's `--overhead` gate holds it
+    // under 1% of end_to_end.
     let store = ObservationStore::from_observations(&observations);
     group.bench_function("telemetry_overhead", |b| {
         b.iter_custom(|iters| {
@@ -165,17 +164,15 @@ fn bench_pipeline(c: &mut Criterion) {
             let disabled = Telemetry::disabled();
             let time_plain = || {
                 let t = std::time::Instant::now();
-                std::hint::black_box(run_inference_store(
-                    &store,
-                    &scenario.siblings,
-                    &seq,
-                    Some(&scenario.dict),
-                ));
+                let stats = PathStats::from_store_threaded(&store, &scenario.siblings, seq.threads);
+                let inference = classify(&stats, &scenario.siblings, &seq);
+                let evaluation = evaluate(&inference, &scenario.dict);
+                std::hint::black_box((stats, inference, evaluation));
                 t.elapsed().as_nanos() as i128
             };
             let time_telemetry = || {
                 let t = std::time::Instant::now();
-                std::hint::black_box(run_inference_store_telemetry(
+                std::hint::black_box(run_inference(
                     &store,
                     &scenario.siblings,
                     &seq,
@@ -226,6 +223,7 @@ fn bench_pipeline(c: &mut Criterion) {
                 &scenario.siblings,
                 &seq,
                 Some(&scenario.dict),
+                &Telemetry::disabled(),
             )
         })
     });
@@ -239,7 +237,13 @@ fn bench_pipeline(c: &mut Criterion) {
             let mut store = ObservationStore::new();
             let report = read_observations_resilient_into(&wire[..], &recover, &mut store);
             assert!(report.is_clean(), "pristine archive decoded with errors");
-            run_inference_store(&store, &scenario.siblings, &par, Some(&scenario.dict))
+            run_inference(
+                &store,
+                &scenario.siblings,
+                &par,
+                Some(&scenario.dict),
+                &Telemetry::disabled(),
+            )
         })
     });
     group.bench_function("end_to_end_owned", |b| {
@@ -247,7 +251,13 @@ fn bench_pipeline(c: &mut Criterion) {
             let mut store = ObservationStore::new();
             let report = read_observations_resilient_reference(&wire[..], &recover, &mut store);
             assert!(report.is_clean(), "pristine archive decoded with errors");
-            run_inference_store(&store, &scenario.siblings, &par, Some(&scenario.dict))
+            run_inference(
+                &store,
+                &scenario.siblings,
+                &par,
+                Some(&scenario.dict),
+                &Telemetry::disabled(),
+            )
         })
     });
     group.bench_function("end_to_end_checkpointed", |b| b.iter(checkpointed_run));
@@ -311,7 +321,13 @@ fn bench_pipeline(c: &mut Criterion) {
         for file in &files {
             merged.merge(&file.store);
         }
-        run_inference_store(&merged, &scenario.siblings, &par, Some(&scenario.dict))
+        run_inference(
+            &merged,
+            &scenario.siblings,
+            &par,
+            Some(&scenario.dict),
+            &Telemetry::disabled(),
+        )
     };
     group.throughput(Throughput::Elements(
         (observations.len() * LARGE_COPIES) as u64,
@@ -351,6 +367,7 @@ fn bench_query(c: &mut Criterion) {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
 
     let dir = std::env::temp_dir().join("bgp-bench-query");

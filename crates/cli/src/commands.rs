@@ -1,72 +1,82 @@
-//! Subcommand implementations.
+//! Subcommand implementations, and the one runner they all go through:
+//! each subcommand declares its flags once in [`COMMANDS`], and [`run`]
+//! parses against them, builds the [`Run`] context and writes the metrics
+//! snapshot on every exit path.
 
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-use std::io::Write;
 use std::sync::Arc;
 
 use bgp_artifact::{LabelArtifact, LabelRow};
 use bgp_dictionary::GroundTruthDictionary;
-use bgp_experiments::{Args, Scenario, ScenarioConfig};
+use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
 use bgp_intent::{
-    check_store, fingerprint_file, label_rows, run_inference_from_stats_telemetry,
-    run_inference_store_telemetry, write_inference_artifact, Checkpoint, CompletedFile, Exclusion,
-    InferenceConfig, PipelineResult, StatsAccumulator,
+    check_store, fingerprint_file, label_rows, run_inference, write_inference_artifact, Checkpoint,
+    CompletedFile, Exclusion, FileFingerprint, InferenceConfig, PipelineResult, StatsAccumulator,
 };
-use bgp_mrt::obs::{
-    read_observations_parallel_store_telemetry, read_observations_parallel_strict_with,
-    write_rib_dump, write_update_stream,
-};
-use bgp_mrt::{FlakyConfig, IngestReport, IngestTuning, RecoverConfig};
+use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
+use bgp_mrt::{FlakyConfig, IngestOptions, IngestReport};
 use bgp_relationships::SiblingMap;
 use bgp_types::obs::{JsonLinesSink, StderrSink};
 use bgp_types::par::effective_threads;
+use bgp_types::persist::LoadError;
 use bgp_types::store::ObservationStore;
 use bgp_types::{Asn, Community, Intent, MetricsRegistry, Telemetry, Tracer};
-
 /// Top-level usage text.
 pub const USAGE: &str = "\
 bgpcomm — BGP community intent inference (IMC'23 reproduction)
 
 USAGE:
     bgpcomm stats    --mrt FILE [--mrt FILE ...] [--strict] [--max-errors N]
-                     [--report FILE] [--threads N] [--metrics-out FILE]
-                     [--trace] [--trace-json FILE]
+                     [--report FILE] [--threads N] [--retry-attempts N]
+                     [--metrics-out FILE] [--trace] [--trace-json FILE]
+                     [--inject-panic-after N] [--inject-flaky SEED]
     bgpcomm infer    --mrt FILE [--mrt FILE ...] [--gap N] [--ratio N]
                      [--dict FILE] [--siblings FILE] [--json FILE] [--top N]
                      [--artifact-out FILE] [--strict] [--max-errors N]
-                     [--report FILE] [--threads N]
+                     [--report FILE] [--threads N] [--retry-attempts N]
                      [--checkpoint FILE [--resume]] [--metrics-out FILE]
-                     [--trace] [--trace-json FILE]
+                     [--trace] [--trace-json FILE] [--inject-panic-after N]
+                     [--inject-flaky SEED] [--inject-crash-after N]
     bgpcomm shard    --mrt FILE [--mrt FILE ...] --shard-dir DIR [--workers N]
                      [--shard-retries N] [--shard-deadline-ms N]
                      [--allow-shard-failures K] [--gap N] [--ratio N]
                      [--dict FILE] [--siblings FILE] [--json FILE] [--top N]
-                     [--artifact-out FILE] [--max-errors N] [--report FILE]
-                     [--threads N] [--metrics-out FILE] [--trace]
-                     [--trace-json FILE]
+                     [--artifact-out FILE] [--strict] [--max-errors N]
+                     [--report FILE] [--threads N] [--retry-attempts N]
+                     [--metrics-out FILE] [--trace] [--trace-json FILE]
+                     [--inject-panic-after N] [--inject-flaky SEED]
+                     [--inject-kill-shard I] [--inject-stall-shard I]
+                     [--inject-fail-shard I]
     bgpcomm watch    (--connect HOST:PORT | --unix PATH | --tail FILE)
                      [--window-secs N] [--windows N] [--checkpoint FILE]
                      [--checkpoint-every N] [--queue-kb N] [--chunk-kb N]
                      [--stall-ms N] [--retry-attempts N] [--quiesce-after N]
                      [--gap N] [--ratio N] [--siblings FILE] [--json FILE]
                      [--artifact-out FILE] [--max-errors N] [--report FILE]
-                     [--metrics-out FILE]
+                     [--threads N] [--metrics-out FILE]
+                     [--inject-stream-faults SEED[:RATE]] [--slow-fold-ms N]
+                     [--inject-crash-after-windows N]
     bgpcomm query    --artifact FILE [--key A:B[,A:B ...]] [--batch FILE]
                      [--owner A] [--bench N] [--threads N] [--no-mmap]
                      [--check MRT[,MRT ...]] [--siblings FILE]
                      [--max-errors N] [--report FILE] [--metrics-out FILE]
                      [--trace] [--trace-json FILE]
     bgpcomm feed     --listen HOST:PORT (--mrt FILE [--mrt FILE ...] |
-                     [--scale F] [--seed N] [--days N])
+                     [--scale F] [--seed N] [--days N] [--docs N]
+                     [--completeness F] [--vp-mid N] [--vp-stub N])
                      [--throttle BYTES:MS]
     bgpcomm validate --mrt FILE [--mrt FILE ...]
     bgpcomm compare  --old FILE --new FILE
     bgpcomm generate --out DIR [--scale F] [--seed N] [--days N] [--docs N]
-                     [--stream]
+                     [--completeness F] [--vp-mid N] [--vp-stub N] [--stream]
+
+    Every command refuses a flag it does not declare, and a value flag
+    given no value, with exit code 1 before any work starts. Below, a
+    flag applies to the commands its section heading names, or to those
+    in parentheses at the start of its description.
 
 COMMANDS:
     stats     Summarize MRT archives: records, tuples, paths, communities.
@@ -91,11 +101,13 @@ COMMANDS:
     compare   Diff two label files from `infer --json` (drift monitoring).
     generate  Write a synthetic collector dataset + ground-truth dictionary.
 
-INGESTION (stats, infer):
+INGESTION (stats, infer, shard, watch, query --check):
     By default damaged MRT input degrades gracefully: the reader skips
     undecodable records, resynchronizes past framing corruption, and prints
     an ingest summary to stderr.
-    --strict        Abort on the first decode error (exit code 2).
+    --strict        (stats, infer) Fail on the first decode error (exit code
+                    2), after the per-file summaries and --report are
+                    written. `shard` and `infer --checkpoint` refuse it.
     --max-errors N  Abort once more than N records fail to decode (exit 3).
     --report FILE   Write the machine-readable ingest report (JSON) to FILE,
                     or to stdout if FILE is `-`.
@@ -104,24 +116,25 @@ INGESTION (stats, infer):
                     threads. 0 = one per CPU (default). Output is identical
                     at any thread count.
     --retry-attempts N
-                    Attempts per I/O operation before a transient failure
-                    (EINTR, stall) is surfaced (default 4; deterministic
-                    exponential backoff, 2ms doubling to 100ms).
+                    (stats, infer, shard, watch) Attempts per I/O operation
+                    before a transient failure (EINTR, stall) is surfaced
+                    (default 4; deterministic exponential backoff, 2ms
+                    doubling to 100ms).
 
-CHECKPOINTS (infer, lenient mode):
+CHECKPOINTS (infer):
     --checkpoint FILE
-                    Crash-safe incremental runs: after every fully ingested
-                    MRT file, record its completion (byte length + content
-                    hash) and a statistics snapshot in FILE, written
-                    atomically (temp file + rename). Failed files are not
-                    recorded and are retried on resume.
+                    Crash-safe incremental runs (lenient ingestion only):
+                    after every fully ingested MRT file, record its
+                    completion (byte length + content hash) and a statistics
+                    snapshot in FILE, written atomically (temp file +
+                    rename). Failed files are retried on resume.
     --resume        Continue a checkpointed run: files recorded in FILE are
                     fingerprint-checked and skipped. A changed input file,
                     an unknown recorded file, or a schema mismatch refuses
                     with exit 4. The resumed output is bit-identical to an
                     uninterrupted run.
 
-OBSERVABILITY (stats, infer):
+OBSERVABILITY (stats, infer, shard, watch, query):
     --metrics-out FILE
                     Write a JSON metrics snapshot to FILE (`-` = stdout):
                     ingest bytes/records/retries/faults, interner occupancy,
@@ -131,12 +144,13 @@ OBSERVABILITY (stats, infer):
                     Key order is stable; everything outside `timings` is
                     bit-identical at any thread count. Written even when
                     ingestion aborts, like --report.
-    --trace         Pretty-print completed spans (per-file ingest, pipeline
-                    stages) to stderr, indented by nesting depth.
+    --trace         (stats, infer, shard, query) Pretty-print completed
+                    spans (per-file ingest, pipeline stages) to stderr,
+                    indented by nesting depth.
     --trace-json FILE
-                    Write completed spans as JSON-lines to FILE (`-` =
-                    stdout) for jq triage of slow or lossy runs. Takes
-                    precedence over --trace.
+                    (stats, infer, shard, query) Write completed spans as
+                    JSON-lines to FILE (`-` = stdout) for jq triage of slow
+                    or lossy runs. Takes precedence over --trace.
 
 SHARDED RUNS (shard):
     --shard-dir DIR Working directory for per-shard artifacts, heartbeat
@@ -160,7 +174,7 @@ SHARDED RUNS (shard):
                     into the ingest report and metrics snapshot. More than
                     K failed shards aborts with exit 5.
 
-STREAMING (watch, feed):
+STREAMING (watch):
     --connect HOST:PORT / --unix PATH / --tail FILE
                     Where the update stream comes from: a framed TCP or
                     unix-domain socket feed (resume protocol, see `feed`),
@@ -200,15 +214,15 @@ STREAMING (watch, feed):
                     printed to stdout (use port 0 for tests).
     --throttle BYTES:MS
                     (feed) Pace delivery: BYTES per write, MS sleep between.
-    Without --mrt, `feed` serves a generated scenario stream (--scale,
-    --seed, --days as in `generate`).
+    Without --mrt, `feed` serves a generated scenario stream
+    (--scale, --seed, --days as in `generate`).
 
-SERVING (infer, shard, watch, query):
+SERVING (query):
     --artifact-out FILE
-                    Also write the labels as a versioned, checksummed,
-                    memory-mappable artifact (sorted columns keyed by the
-                    packed α:β word), written atomically. Field-for-field
-                    equivalent to the --json label file.
+                    (infer, shard, watch) Also write the labels as a
+                    versioned, checksummed, memory-mappable artifact (sorted
+                    columns keyed by the packed α:β word), written atomically.
+                    Field-for-field equivalent to the --json label file.
     --artifact FILE (query) The artifact to serve from. A corrupt,
                     truncated, or incompatible artifact is refused with
                     exit 4, like a bad checkpoint.
@@ -230,27 +244,27 @@ SERVING (infer, shard, watch, query):
                     or a never-on-path action community seen on-path.
                     Any anomaly exits 7 (after printing the exact set).
 
-FAULT INJECTION (testing the supervision layer):
+FAULT INJECTION (stats, infer, shard), for testing the supervision layer:
     --inject-panic-after N   Panic a decode worker after N records per file.
     --inject-flaky SEED      Inject seeded transient I/O faults (interrupts,
                              stalls, short reads) into every file read.
-    --inject-crash-after N   With --checkpoint: exit (code 9) after N newly
-                             committed files, simulating a crash.
-    --inject-kill-shard I    With shard: crash shard I's worker (exit 9) on
-                             its first attempt; retries then succeed.
-    --inject-stall-shard I   With shard: stall shard I's worker past the
+    --inject-crash-after N   (infer) With --checkpoint: exit (code 9) after N
+                             newly committed files, simulating a crash.
+    --inject-kill-shard I    (shard) Crash shard I's worker (exit 9) on its
+                             first attempt; retries then succeed.
+    --inject-stall-shard I   (shard) Stall shard I's worker past the
                              heartbeat deadline on its first attempt.
-    --inject-fail-shard I    With shard: crash shard I's worker on *every*
+    --inject-fail-shard I    (shard) Crash shard I's worker on *every*
                              attempt, exhausting its retry budget.
     --inject-stream-faults SEED[:RATE]
-                             With watch: wrap the source in seeded stream
-                             fault injection (disconnects mid-frame, stalls,
+                             (watch) Wrap the source in seeded stream fault
+                             injection (disconnects mid-frame, stalls,
                              partial frames, duplicate delivery, corrupt
                              bursts).
-    --slow-fold-ms N         With watch: sleep N ms per record, making the
+    --slow-fold-ms N         (watch) Sleep N ms per record, making the
                              consumer slow enough to exercise backpressure.
     --inject-crash-after-windows N
-                             With watch: simulate SIGKILL (exit 9, no
+                             (watch) Simulate SIGKILL (exit 9, no
                              checkpoint flush) after N window advances.
 
 EXIT CODES:
@@ -299,36 +313,6 @@ pub const EXIT_ANOMALY: u8 = 7;
 /// Exit code of the deliberate `--inject-crash-after` kill hook.
 pub const EXIT_CRASH: u8 = 9;
 
-/// Run-level shutdown flag, set by the SIGTERM/SIGINT handler installed by
-/// [`install_shutdown_handlers`]. `watch` drains and flushes a final
-/// checkpoint; `shard` forwards the TERM to its workers and waits for their
-/// artifact flush.
-pub static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Install SIGTERM/SIGINT handlers that set [`SHUTDOWN`] (and nothing
-/// else — flag stores are async-signal-safe). Only the long-running
-/// commands (`watch`, `feed`, `shard`) install this; everything else keeps
-/// the default die-on-signal disposition.
-#[cfg(unix)]
-pub fn install_shutdown_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn request_shutdown(_signum: i32) {
-        SHUTDOWN.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = request_shutdown as *const () as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
-#[cfg(not(unix))]
-pub fn install_shutdown_handlers() {}
-
 /// A command failure: user-facing message plus the process exit code.
 #[derive(Debug)]
 pub struct Failure {
@@ -345,14 +329,17 @@ impl Failure {
             code,
         }
     }
+
+    /// Prefix the message with what was being done.
+    fn context(mut self, what: &str) -> Self {
+        self.message = format!("{what}: {}", self.message);
+        self
+    }
 }
 
 impl From<String> for Failure {
     fn from(message: String) -> Self {
-        Failure {
-            message,
-            code: EXIT_USAGE,
-        }
+        Failure::new(EXIT_USAGE, message)
     }
 }
 
@@ -362,86 +349,174 @@ impl From<&str> for Failure {
     }
 }
 
-fn mrt_files(args: &Args) -> Result<Vec<String>, String> {
-    // Accept both the repeated form (--mrt a --mrt b) and comma-separated
-    // values within one flag.
-    let all = args.get_all("mrt");
-    if all.is_empty() {
-        return Err("at least one --mrt FILE is required".into());
+/// A file that was read but refused (corrupt, torn, foreign, wrong
+/// version) is exit 4; one that could not be read at all is a usage error.
+impl From<LoadError> for Failure {
+    fn from(e: LoadError) -> Self {
+        let code = if e.is_invalid_data() {
+            EXIT_CHECKPOINT
+        } else {
+            EXIT_USAGE
+        };
+        Failure::new(code, e.to_string())
     }
-    Ok(all
+}
+
+/// The same split for the I/O errors `watch` surfaces, plus its lost
+/// stream: refused data or mismatched checkpoint geometry is exit 4, an
+/// exhausted reconnect or decode budget exit 6.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        let code = match e.kind() {
+            io::ErrorKind::ConnectionAborted => EXIT_STREAM,
+            io::ErrorKind::InvalidData | io::ErrorKind::InvalidInput => EXIT_CHECKPOINT,
+            _ => EXIT_USAGE,
+        };
+        Failure::new(code, e.to_string())
+    }
+}
+
+/// Run-level shutdown flag, set by the SIGTERM/SIGINT handler installed by
+/// [`install_shutdown_handlers`]. `watch` drains and flushes a final
+/// checkpoint; `shard` forwards the TERM to its workers and waits for their
+/// artifact flush.
+pub static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// Install SIGTERM/SIGINT handlers that set [`SHUTDOWN`] (and nothing
+/// else — flag stores are async-signal-safe). Only the long-running
+/// commands (`watch`, `feed`, `shard`) install this; everything else keeps
+/// the default die-on-signal disposition.
+#[cfg(unix)]
+fn install_shutdown_handlers() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    extern "C" fn request_shutdown(_signum: i32) {
+        SHUTDOWN.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    let handler = request_shutdown as *const () as usize;
+    unsafe {
+        signal(SIGINT, handler);
+        signal(SIGTERM, handler);
+    }
+}
+
+#[cfg(not(unix))]
+fn install_shutdown_handlers() {}
+
+/// Input files, damage policy and read supervision.
+const INGEST: Flags = Flags::new(
+    "mrt max-errors report threads retry-attempts inject-panic-after inject-flaky",
+    "strict",
+);
+/// `--metrics-out`, `--trace-json`, `--trace`.
+const TELEMETRY: Flags = Flags::new("metrics-out trace-json", "trace");
+/// Classification knobs and label outputs shared by `infer` and `shard`.
+const LABELS: Flags = Flags::new("gap ratio dict siblings json top artifact-out", "");
+const CHECKPOINT: Flags = Flags::new("checkpoint inject-crash-after", "resume");
+const SHARD: Flags = Flags::new(
+    "shard-dir workers shard-retries shard-deadline-ms allow-shard-failures \
+     inject-kill-shard inject-stall-shard inject-fail-shard",
+    "",
+);
+/// The flags `shard` passes on to its workers verbatim: the ingestion
+/// policy. Analysis and output flags stay with the supervisor.
+const FORWARDED: &str =
+    "siblings max-errors retry-attempts inject-flaky inject-panic-after threads";
+const SHARD_WORKER: Flags = Flags::new(
+    "mrt out heartbeat siblings max-errors threads retry-attempts inject-panic-after \
+     inject-flaky inject-crash-after inject-stall-ms",
+    "",
+);
+const WATCH: Flags = Flags::new(
+    "connect unix tail window-secs windows checkpoint checkpoint-every queue-kb chunk-kb \
+     stall-ms retry-attempts quiesce-after gap ratio siblings json artifact-out max-errors \
+     report threads metrics-out inject-stream-faults slow-fold-ms inject-crash-after-windows",
+    "",
+);
+const QUERY: Flags = Flags::new(
+    "artifact key batch owner bench threads check siblings max-errors report",
+    "no-mmap",
+);
+const FEED: Flags = Flags::new("listen mrt days throttle", "");
+const GENERATE: Flags = Flags::new("out days", "stream");
+
+/// A subcommand: its name, every flag it acts on (anything else is refused
+/// before it runs), and its body.
+struct Command(
+    &'static str,
+    &'static [Flags],
+    fn(&Run) -> Result<(), Failure>,
+);
+
+/// Every subcommand, with its declared flags.
+const COMMANDS: &[Command] = &[
+    Command("stats", &[INGEST, TELEMETRY], stats),
+    Command("infer", &[INGEST, TELEMETRY, LABELS, CHECKPOINT], infer),
+    Command("shard", &[INGEST, TELEMETRY, LABELS, SHARD], shard),
+    Command("shard-worker", &[SHARD_WORKER], shard_worker),
+    Command("watch", &[WATCH], watch),
+    Command("query", &[TELEMETRY, QUERY], query),
+    Command("feed", &[ScenarioConfig::FLAGS, FEED], feed),
+    Command("validate", &[Flags::new("mrt", "")], validate),
+    Command("compare", &[Flags::new("old new", "")], compare),
+    Command("generate", &[ScenarioConfig::FLAGS, GENERATE], generate),
+];
+
+/// Run subcommand `name` over `raw`: parse its declared flags, build the
+/// [`Run`] context, run the body, and write `--metrics-out` on every exit
+/// path, so aborted runs still leave their accounting (the command's own
+/// failure wins over a failed snapshot write).
+pub fn run(name: &str, raw: Vec<String>) -> Result<(), Failure> {
+    let Command(_, flags, body) = COMMANDS
         .iter()
-        .flat_map(|v| v.split(','))
-        .map(str::to_string)
-        .collect())
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown command {name:?}\n\n{USAGE}"))?;
+    let run = Run::new(Args::parse(raw, flags)?)?;
+    let outcome = body(&run);
+    let written = run.write_metrics();
+    outcome.and(written)
 }
 
-/// Ingestion policy assembled from `--strict`, `--max-errors`, `--report`,
-/// `--threads`, the retry knob, and the fault-injection hooks.
-struct IngestOptions {
-    strict: bool,
-    recover: RecoverConfig,
-    tuning: IngestTuning,
-    report_path: Option<String>,
-    threads: usize,
+/// What a subcommand runs with: its parsed flags, the ingest policy and
+/// telemetry they set, and the writer for its JSON outputs.
+struct Run {
+    args: Args,
+    ingest: IngestOptions,
+    tel: Telemetry,
 }
 
-impl IngestOptions {
-    fn from_args(args: &Args) -> Result<Self, String> {
-        let strict = args.flag("strict");
-        let mut recover = RecoverConfig::default();
-        if let Some(raw) = args.get_str("max-errors") {
-            let limit: u64 = raw
-                .parse()
-                .map_err(|e| format!("--max-errors {raw}: {e}"))?;
-            if strict {
+impl Run {
+    /// Assemble the ingest policy (`--strict`, `--max-errors`,
+    /// `--threads`, `--retry-attempts`, the fault hooks) and telemetry
+    /// (`--metrics-out`, `--trace`, `--trace-json`) from the flags; a
+    /// command that does not declare one gets its default.
+    fn new(args: Args) -> Result<Self, Failure> {
+        let mut ingest = IngestOptions {
+            strict: args.flag("strict"),
+            threads: args.get("threads", 0usize)?,
+            panic_after_records: optional(&args, "inject-panic-after")?,
+            ..IngestOptions::default()
+        };
+        if let Some(limit) = optional(&args, "max-errors")? {
+            if ingest.strict {
                 return Err("--strict and --max-errors are mutually exclusive".into());
             }
-            recover.max_errors = Some(limit);
+            ingest.recover.max_errors = Some(limit);
         }
-        let mut tuning = IngestTuning::default();
-        tuning.retry.max_attempts = args.get("retry-attempts", tuning.retry.max_attempts)?;
-        if tuning.retry.max_attempts == 0 {
+        ingest.retry.max_attempts = args.get("retry-attempts", ingest.retry.max_attempts)?;
+        if ingest.retry.max_attempts == 0 {
             return Err("--retry-attempts must be at least 1".into());
         }
-        if let Some(raw) = args.get_str("inject-panic-after") {
-            let n: u64 = raw
-                .parse()
-                .map_err(|e| format!("--inject-panic-after {raw}: {e}"))?;
-            tuning.panic_after_records = Some(n);
-        }
-        if let Some(raw) = args.get_str("inject-flaky") {
-            let seed: u64 = raw
-                .parse()
-                .map_err(|e| format!("--inject-flaky {raw}: {e}"))?;
-            tuning.flaky = Some(FlakyConfig {
-                seed,
-                ..FlakyConfig::default()
-            });
-        }
-        Ok(IngestOptions {
-            strict,
-            recover,
-            tuning,
-            report_path: args.get_str("report").map(str::to_string),
-            threads: args.get("threads", 0usize)?,
-        })
-    }
-}
-
-/// `--metrics-out` / `--trace` / `--trace-json` policy: the assembled
-/// [`Telemetry`] bundle plus where to write the metrics snapshot.
-struct TelemetryOptions {
-    telemetry: Telemetry,
-    metrics_out: Option<String>,
-}
-
-impl TelemetryOptions {
-    fn from_args(args: &Args) -> Result<Self, Failure> {
-        let metrics_out = args.get_str("metrics-out").map(str::to_string);
+        ingest.flaky = optional(&args, "inject-flaky")?.map(|seed| FlakyConfig {
+            seed,
+            ..FlakyConfig::default()
+        });
         let tracer = if let Some(path) = args.get_str("trace-json") {
             let writer: Box<dyn Write + Send> = if path == "-" {
-                Box::new(std::io::stdout())
+                Box::new(io::stdout())
             } else {
                 let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
                 Box::new(BufWriter::new(file))
@@ -452,136 +527,153 @@ impl TelemetryOptions {
         } else {
             Tracer::disabled()
         };
-        let metrics = metrics_out
-            .is_some()
-            .then(|| Arc::new(MetricsRegistry::new()));
-        Ok(TelemetryOptions {
-            telemetry: Telemetry { tracer, metrics },
-            metrics_out,
+        let metrics = args
+            .get_str("metrics-out")
+            .map(|_| Arc::new(MetricsRegistry::new()));
+        Ok(Run {
+            args,
+            ingest,
+            tel: Telemetry { tracer, metrics },
         })
     }
 
-    /// Honor `--metrics-out FILE` (or `-` for stdout) with a snapshot of
-    /// everything recorded so far. Like `--report`, this also runs when
-    /// the command fails, so aborted ingests still leave their accounting.
-    fn write_metrics(&self) -> Result<(), Failure> {
-        let (Some(path), Some(snapshot)) = (&self.metrics_out, self.telemetry.snapshot()) else {
-            return Ok(());
-        };
-        let json = serde_json::to_string_pretty(&snapshot)
-            .map_err(|e| format!("serialize metrics: {e}"))?;
-        if path == "-" {
-            println!("{json}");
-        } else {
-            std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote metrics snapshot to {path}");
+    /// Every `--mrt` file: the repeated form (`--mrt a --mrt b`) and
+    /// comma-separated values within one flag.
+    fn mrt_files(&self) -> Result<Vec<String>, Failure> {
+        let all = self.args.get_all("mrt");
+        if all.is_empty() {
+            return Err("at least one --mrt FILE is required".into());
         }
-        Ok(())
+        Ok(all
+            .iter()
+            .flat_map(|v| v.split(','))
+            .map(str::to_string)
+            .collect())
     }
-}
 
-/// Load observations from every `--mrt` file under the chosen policy.
-///
-/// Strict mode returns the first decode error (exit code 2) and no report;
-/// lenient mode always salvages what it can and returns the merged
-/// [`IngestReport`]. An aborted lenient ingest (error budget exceeded,
-/// unrecoverable I/O) becomes exit code 3 *after* the report is written, so
-/// scripts still get the accounting.
-fn load_observations(
-    paths: &[String],
-    opts: &IngestOptions,
-    tel: &Telemetry,
-) -> Result<(ObservationStore, Option<IngestReport>), Failure> {
-    // Unreadable input is a usage error (exit 1) in both modes, checked up
-    // front so it is reported before any decode work fans out.
-    for path in paths {
-        File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    }
-    let path_bufs: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
-
-    if opts.strict {
-        let per_file =
-            read_observations_parallel_strict_with(&path_bufs, &opts.tuning, opts.threads)
-                .map_err(|(path, e)| {
-                    Failure::new(EXIT_DECODE, format!("parse {}: {e}", path.display()))
-                })?;
+    /// Ingest `paths` into one store under the run's policy, printing one
+    /// summary line per file and writing `--report`. Unreadable input is a
+    /// usage error, checked before any decode work fans out; a file that
+    /// failed fails the run once the report is written (see
+    /// [`ingest_failure`](Self::ingest_failure)).
+    fn ingest(&self, paths: &[String]) -> Result<(ObservationStore, IngestReport), Failure> {
+        for path in paths {
+            File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+        }
+        let path_bufs: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
+        let (files, merged) = read_files::<ObservationStore>(&path_bufs, &self.ingest, &self.tel);
+        // Folding the per-file stores in input order reproduces the
+        // sequential single-sink read; each is dropped once folded.
         let mut store = ObservationStore::new();
-        for (path, parsed) in paths.iter().zip(per_file) {
-            eprintln!("{path}: {} observations", parsed.len());
-            store.extend_from_slice(&parsed);
+        let mut failed = None;
+        for (path, file) in paths.iter().zip(files) {
+            eprintln!(
+                "{path}: {} observations ({})",
+                file.store.len(),
+                file.report.summary()
+            );
+            if let Some(why) = &file.report.aborted {
+                failed.get_or_insert_with(|| format!("{path}: {why}"));
+            }
+            store.merge(&file.store);
         }
-        return Ok((store, None));
+        self.write_report(&merged)?;
+        match failed {
+            Some(why) => Err(self.ingest_failure(&why)),
+            None => Ok((store, merged)),
+        }
     }
 
-    // Lenient: every file decodes straight into a per-file columnar store;
-    // folding them in input order reproduces the sequential single-sink
-    // read, so no flat Vec<Observation> is ever materialized.
-    let (files, merged) = read_observations_parallel_store_telemetry(
-        &path_bufs,
-        &opts.recover,
-        &opts.tuning,
-        opts.threads,
-        tel,
-    );
-    let mut store = ObservationStore::new();
-    let mut aborted: Option<String> = None;
-    for (path, file) in paths.iter().zip(files) {
-        eprintln!(
-            "{path}: {} observations ({})",
-            file.store.len(),
-            file.report.summary()
-        );
-        if let Some(why) = &file.report.aborted {
-            aborted.get_or_insert_with(|| format!("{path}: {why}"));
+    /// The failure of a run whose earliest failed file is `why`: a decode
+    /// error under `--strict` (exit 2), an aborted ingest otherwise (exit
+    /// 3).
+    fn ingest_failure(&self, why: &str) -> Failure {
+        if self.ingest.strict {
+            Failure::new(EXIT_DECODE, format!("parse {why}"))
+        } else {
+            Failure::new(EXIT_ABORTED, format!("ingestion aborted: {why}"))
         }
-        store.merge(&file.store);
     }
-    write_report(&merged, opts)?;
-    if let Some(why) = aborted {
-        return Err(Failure::new(
-            EXIT_ABORTED,
-            format!("ingestion aborted: {why}"),
-        ));
+
+    /// Honor `--report FILE` (or `-` for stdout) with the merged ingest
+    /// report.
+    fn write_report(&self, report: &IngestReport) -> Result<(), Failure> {
+        match self.args.get_str("report") {
+            Some(path) => write_document(path, report, "ingest report"),
+            None => Ok(()),
+        }
     }
-    Ok((store, Some(merged)))
+
+    /// Honor `--metrics-out FILE` (or `-` for stdout) with a snapshot of
+    /// everything recorded so far.
+    fn write_metrics(&self) -> Result<(), Failure> {
+        match (self.args.get_str("metrics-out"), self.tel.snapshot()) {
+            (Some(path), Some(snapshot)) => write_document(path, &snapshot, "metrics snapshot"),
+            _ => Ok(()),
+        }
+    }
 }
 
-/// Honor `--report FILE` (or `-` for stdout) with the merged ingest report.
-fn write_report(report: &IngestReport, opts: &IngestOptions) -> Result<(), Failure> {
-    let Some(path) = &opts.report_path else {
-        return Ok(());
-    };
-    let json =
-        serde_json::to_string_pretty(report).map_err(|e| format!("serialize report: {e}"))?;
-    if path == "-" {
-        println!("{json}");
-    } else {
-        std::fs::write(path, json + "\n").map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote ingest report to {path}");
+/// Pretty JSON of `value`.
+fn to_json(value: &impl serde::Serialize) -> Result<String, Failure> {
+    serde_json::to_string_pretty(value).map_err(|e| format!("serialize: {e}").into())
+}
+
+/// A JSON document (`--report`, `--metrics-out`) to `path`, newline
+/// terminated, noting on stderr where it went unless that was stdout.
+fn write_document(path: &str, value: &impl serde::Serialize, what: &str) -> Result<(), Failure> {
+    write_output(path, to_json(value)? + "\n")?;
+    if path != "-" {
+        eprintln!("wrote {what} to {path}");
     }
     Ok(())
 }
 
+/// The one output writer, behind `--json`, `--report`, `--metrics-out` and
+/// `generate`'s JSON files: `text` to `path` in a single call, or to stdout
+/// for `-`. Any write error, a full disk included, fails the command with
+/// exit 1 instead of vanishing in a buffered writer's drop.
+fn write_output(path: &str, text: String) -> Result<(), Failure> {
+    let written = if path == "-" {
+        io::stdout().lock().write_all(text.as_bytes())
+    } else {
+        std::fs::write(path, text)
+    };
+    written.map_err(|e| format!("write {path}: {e}").into())
+}
+
+/// An optional typed value: `None` when the flag is absent.
+fn optional<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    args.get_str(name)
+        .map(|raw| raw.parse().map_err(|e| format!("--{name} {raw}: {e}")))
+        .transpose()
+}
+
+/// Parse the JSON file `--{flag}` names, when given: `--siblings` (the
+/// as2org sibling map) and `--dict` (the ground-truth dictionary).
+fn load_json<T: for<'de> serde::Deserialize<'de>>(
+    args: &Args,
+    flag: &str,
+) -> Result<Option<T>, String> {
+    let Some(path) = args.get_str(flag) else {
+        return Ok(None);
+    };
+    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    serde_json::from_reader(BufReader::new(file))
+        .map(Some)
+        .map_err(|e| format!("parse {path}: {e}"))
+}
+
 fn load_siblings(args: &Args) -> Result<SiblingMap, String> {
-    match args.get_str("siblings") {
-        None => Ok(SiblingMap::default()),
-        Some(path) => {
-            let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            serde_json::from_reader(BufReader::new(file)).map_err(|e| format!("parse {path}: {e}"))
-        }
-    }
+    Ok(load_json(args, "siblings")?.unwrap_or_default())
 }
 
 /// `bgpcomm stats`
-pub fn stats(raw: Vec<String>) -> Result<(), Failure> {
-    let args = Args::parse(raw)?;
-    let opts = IngestOptions::from_args(&args)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let loaded = load_observations(&mrt_files(&args)?, &opts, &topts.telemetry);
-    // Snapshot whatever ingestion recorded even when it aborted, so
-    // scripts get the accounting either way (same contract as --report).
-    topts.write_metrics()?;
-    let (store, report) = loaded?;
+fn stats(run: &Run) -> Result<(), Failure> {
+    let (store, report) = run.ingest(&run.mrt_files()?)?;
 
     // Everything falls out of the interners: paths and community sets are
     // already deduped, tuples dedup over dense ID pairs, and the scalar
@@ -613,10 +705,8 @@ pub fn stats(raw: Vec<String>) -> Result<(), Failure> {
     println!("unique tuples       : {}", tuples.len());
     println!("distinct communities: {}", communities.len());
     println!("community owners    : {}", owners.len());
-    if let Some(report) = &report {
-        if !report.is_clean() {
-            println!("ingest degradation  : {}", report.summary());
-        }
+    if !report.is_clean() {
+        println!("ingest degradation  : {}", report.summary());
     }
     Ok(())
 }
@@ -632,21 +722,15 @@ struct CheckpointOptions {
 
 impl CheckpointOptions {
     fn from_args(args: &Args) -> Result<Option<Self>, String> {
+        let crash_after = optional(args, "inject-crash-after")?;
         let Some(path) = args.get_str("checkpoint") else {
             if args.flag("resume") {
                 return Err("--resume requires --checkpoint FILE".into());
             }
-            if args.get_str("inject-crash-after").is_some() {
+            if crash_after.is_some() {
                 return Err("--inject-crash-after requires --checkpoint FILE".into());
             }
             return Ok(None);
-        };
-        let crash_after = match args.get_str("inject-crash-after") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| format!("--inject-crash-after {raw}: {e}"))?,
-            ),
         };
         Ok(Some(CheckpointOptions {
             path: PathBuf::from(path),
@@ -677,37 +761,91 @@ fn open_checkpoint(ckpt: &CheckpointOptions) -> Result<Checkpoint, Failure> {
             ),
         ));
     }
-    Checkpoint::load(&ckpt.path).map_err(|e| {
-        // A corrupt or schema-incompatible checkpoint is the same refusal
-        // as a fingerprint mismatch; a plain I/O failure is generic.
-        let code = if e.is_invalid_data() {
-            EXIT_CHECKPOINT
-        } else {
-            EXIT_USAGE
-        };
-        Failure::new(code, format!("load checkpoint: {e}"))
-    })
+    Checkpoint::load(&ckpt.path).map_err(|e| Failure::from(e).context("load checkpoint"))
 }
 
-/// The crash-safe incremental `infer` path: ingest file-by-file into a
+/// The per-file fold loop of `infer --checkpoint` and `shard-worker`:
+/// decode `paths` in waves of `wave` files (one per decode thread), then,
+/// file by file in input order, print the summary, merge the report, and
+/// for every file that decoded without aborting, fold it into `segment`,
+/// record its [`CompletedFile`] in `checkpoint` and run `commit` with the
+/// number of files committed so far. Each file is fingerprinted before it
+/// is decoded, so the record names the bytes actually ingested. Failed
+/// files are not recorded, so a resumed run retries them.
+///
+/// Returns this run's merged report and the first failed file's reason.
+fn fold_files(
+    run: &Run,
+    paths: &[&String],
+    wave: usize,
+    siblings: &SiblingMap,
+    checkpoint: &mut Checkpoint,
+    segment: &mut StatsAccumulator,
+    mut commit: impl FnMut(&mut Checkpoint, &StatsAccumulator, u64) -> Result<(), Failure>,
+) -> Result<(IngestReport, Option<String>), Failure> {
+    let tel = &run.tel;
+    // Ingest metrics are recorded once, from the final merged report, so
+    // the wave reads get a spans-only telemetry view.
+    let wave_tel = Telemetry {
+        tracer: tel.tracer.clone(),
+        metrics: None,
+    };
+    let mut merged = IngestReport::default();
+    let mut failed = None;
+    let mut committed = 0u64;
+    for wave in paths.chunks(wave.max(1)) {
+        let wave: Vec<PathBuf> = wave.iter().map(PathBuf::from).collect();
+        let fingerprints: Vec<io::Result<FileFingerprint>> = tel
+            .stage("checkpoint_fingerprint", || {
+                wave.iter().map(|p| fingerprint_file(p)).collect()
+            });
+        let (files, _) = read_files::<ObservationStore>(&wave, &run.ingest, &wave_tel);
+        for (file, fingerprint) in files.into_iter().zip(fingerprints) {
+            let path = file.path.display().to_string();
+            eprintln!(
+                "{path}: {} observations ({})",
+                file.store.len(),
+                file.report.summary()
+            );
+            merged.merge(&file.report);
+            let fingerprint = match (&file.report.aborted, fingerprint) {
+                (Some(why), _) => {
+                    failed.get_or_insert_with(|| format!("{path}: {why}"));
+                    continue;
+                }
+                (None, Err(e)) => {
+                    failed.get_or_insert_with(|| format!("{path}: fingerprint: {e}"));
+                    continue;
+                }
+                (None, Ok(fp)) => fp,
+            };
+            segment.ingest_store(&file.store, siblings, run.ingest.threads);
+            checkpoint.files.push(CompletedFile { path, fingerprint });
+            checkpoint.report.merge(&file.report);
+            committed += 1;
+            commit(checkpoint, segment, committed)?;
+        }
+    }
+    Ok((merged, failed))
+}
+
+/// The crash-safe incremental `infer` path: fold file by file into a
 /// [`StatsAccumulator`], committing the checkpoint atomically after every
 /// completed file, and classify from the accumulated statistics. Output is
 /// bit-identical to the non-checkpointed path at any thread count and
 /// across any crash/resume split.
 fn infer_checkpointed(
+    run: &Run,
     paths: &[String],
-    opts: &IngestOptions,
     siblings: &SiblingMap,
     cfg: &InferenceConfig,
     dict: Option<&GroundTruthDictionary>,
     ckpt: &CheckpointOptions,
-    tel: &Telemetry,
-) -> Result<PipelineResult, Failure> {
-    if opts.strict {
-        return Err(Failure::from(
-            "--checkpoint requires lenient ingestion (drop --strict)",
-        ));
+) -> Result<(PipelineResult, IngestReport), Failure> {
+    if run.ingest.strict {
+        return Err("--checkpoint requires lenient ingestion (drop --strict)".into());
     }
+    let tel = &run.tel;
     let mut checkpoint = open_checkpoint(ckpt)?;
 
     // A recorded file missing from the inputs means this is a different
@@ -754,94 +892,49 @@ fn infer_checkpointed(
         }
     }
 
-    let mut accumulator = StatsAccumulator::from_snapshot(&checkpoint.snapshot);
+    let mut segment = StatsAccumulator::from_snapshot(&checkpoint.snapshot);
     let mut merged = checkpoint.report.clone();
-    let mut aborted: Option<String> = None;
-    let mut committed_this_run = 0u64;
-
-    // Waves of one file per worker: parallel decode, then per-file commits
-    // in input order so every checkpoint state equals a sequential prefix.
-    let wave = effective_threads(opts.threads).max(1);
-    // Ingest metrics are recorded once from the final merged report (which
-    // also covers files committed by previous runs), so the wave reads get
-    // a spans-only telemetry view to avoid double counting.
-    let wave_tel = Telemetry {
-        tracer: tel.tracer.clone(),
-        metrics: None,
-    };
-    for chunk in pending.chunks(wave) {
-        let chunk_paths: Vec<PathBuf> = chunk.iter().map(PathBuf::from).collect();
-        let fingerprints: Vec<std::io::Result<_>> = tel.stage("checkpoint_fingerprint", || {
-            chunk_paths.iter().map(|p| fingerprint_file(p)).collect()
-        });
-        let (files, _) = read_observations_parallel_store_telemetry(
-            &chunk_paths,
-            &opts.recover,
-            &opts.tuning,
-            opts.threads,
-            &wave_tel,
-        );
-        for (file, fingerprint) in files.into_iter().zip(fingerprints) {
-            let path = file.path.display().to_string();
-            eprintln!(
-                "{path}: {} observations ({})",
-                file.store.len(),
-                file.report.summary()
-            );
-            merged.merge(&file.report);
-            let fingerprint = match (&file.report.aborted, fingerprint) {
-                (Some(why), _) => {
-                    // Failed files are not committed: a resumed run retries
-                    // them from scratch.
-                    aborted.get_or_insert_with(|| format!("{path}: {why}"));
-                    continue;
-                }
-                (None, Err(e)) => {
-                    aborted.get_or_insert_with(|| format!("{path}: fingerprint: {e}"));
-                    continue;
-                }
-                (None, Ok(fp)) => fp,
-            };
-            accumulator.ingest_store(&file.store, siblings, opts.threads);
-            checkpoint.files.push(CompletedFile { path, fingerprint });
-            checkpoint.report.merge(&file.report);
-            checkpoint.snapshot = accumulator.snapshot().clone();
+    let (ran, failed) = fold_files(
+        run,
+        &pending,
+        effective_threads(run.ingest.threads),
+        siblings,
+        &mut checkpoint,
+        &mut segment,
+        |checkpoint, segment, committed| {
+            checkpoint.snapshot = segment.snapshot().clone();
             tel.stage("checkpoint_write", || checkpoint.save_atomic(&ckpt.path))
                 .map_err(|e| format!("write checkpoint {}: {e}", ckpt.path.display()))?;
             if let Some(metrics) = tel.registry() {
                 metrics.counter("checkpoint/writes").inc();
             }
-            committed_this_run += 1;
-            if ckpt.crash_after == Some(committed_this_run) {
+            if ckpt.crash_after == Some(committed) {
                 return Err(Failure::new(
                     EXIT_CRASH,
                     format!(
-                        "injected crash after {committed_this_run} committed file(s) \
+                        "injected crash after {committed} committed file(s) \
                          (checkpoint intact; resume with --resume)"
                     ),
                 ));
             }
-        }
+            Ok(())
+        },
+    )?;
+    merged.merge(&ran);
+    run.write_report(&merged)?;
+    if let Some(why) = failed {
+        return Err(run.ingest_failure(&why));
     }
-
-    write_report(&merged, opts)?;
-    if let Some(why) = aborted {
-        return Err(Failure::new(
-            EXIT_ABORTED,
-            format!("ingestion aborted: {why}"),
-        ));
+    // The merged report also covers files committed by earlier runs.
+    if let Some(metrics) = tel.registry() {
+        merged.record_metrics(metrics);
     }
-    Ok(run_inference_from_stats_telemetry(
-        accumulator.to_stats(),
-        siblings,
-        cfg,
-        dict,
-        Some(merged),
-        tel,
-    ))
+    let result = run_inference(segment.to_stats(), siblings, cfg, dict, tel);
+    Ok((result, merged))
 }
 
-/// The shared inference knobs (`--gap`, `--ratio`) for `infer` and `shard`.
+/// The shared inference knobs (`--gap`, `--ratio`) for `infer`, `shard`
+/// and `watch`.
 fn inference_config(args: &Args, threads: usize) -> Result<InferenceConfig, String> {
     Ok(InferenceConfig {
         min_gap: args.get("gap", 140u16)?,
@@ -851,24 +944,14 @@ fn inference_config(args: &Args, threads: usize) -> Result<InferenceConfig, Stri
     })
 }
 
-/// Load the `--dict` ground-truth dictionary, when given.
-fn load_dict(args: &Args) -> Result<Option<GroundTruthDictionary>, String> {
-    match args.get_str("dict") {
-        None => Ok(None),
-        Some(path) => {
-            let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            Ok(Some(
-                GroundTruthDictionary::from_json(BufReader::new(file))
-                    .map_err(|e| format!("parse {path}: {e}"))?,
-            ))
-        }
-    }
-}
-
 /// Print the classification summary, the `--top` label sample, and the
 /// `--json` label file. Shared verbatim by `infer` and `shard`, which is
 /// what makes their stdout and label files byte-comparable.
-fn print_inference(args: &Args, result: &PipelineResult) -> Result<(), Failure> {
+fn print_inference(
+    args: &Args,
+    result: &PipelineResult,
+    ingest: &IngestReport,
+) -> Result<(), Failure> {
     let (action, info) = result.inference.intent_counts();
     println!("observed communities : {}", result.stats.community_count());
     println!(
@@ -898,10 +981,8 @@ fn print_inference(args: &Args, result: &PipelineResult) -> Result<(), Failure> 
             eval.accuracy() * 100.0
         );
     }
-    if let Some(ingest) = &result.ingest {
-        if !ingest.is_clean() {
-            println!("ingest degradation   : {}", ingest.summary());
-        }
+    if !ingest.is_clean() {
+        println!("ingest degradation   : {}", ingest.summary());
     }
 
     // Human-readable sample, largest owners first.
@@ -914,143 +995,85 @@ fn print_inference(args: &Args, result: &PipelineResult) -> Result<(), Failure> 
             println!("  {c:<12} {intent}");
         }
     }
+    write_labels(args, &result.inference, args.get("ratio", 160.0f64)?)
+}
 
-    let ratio_threshold: f64 = args.get("ratio", 160.0f64)?;
+/// Honor `--json` and `--artifact-out` with an inference's labels. Shared
+/// by `infer`, `shard`, and `watch` — which is what makes a watch run's
+/// label file byte-comparable (`cmp`) to a batch run over the same prefix.
+/// The JSON file is built from the same sorted [`LabelRow`]s the artifact
+/// writer serializes, so the two agree field-for-field by construction.
+fn write_labels(
+    args: &Args,
+    inference: &bgp_intent::Inference,
+    ratio_threshold: f64,
+) -> Result<(), Failure> {
     if let Some(path) = args.get_str("json") {
-        write_labels_json(path, &result.inference, ratio_threshold)?;
+        // label_rows sorts on the packed key, which orders exactly like the
+        // typed (asn, value) key: no lossy fallback, and community order is
+        // the natural order rather than lexicographic.
+        let rows = label_rows(inference, ratio_threshold);
+        let labels: Vec<serde_json::Value> = rows
+            .iter()
+            .map(|r| {
+                serde_json::json!({
+                    "community": r.community.to_string(),
+                    "intent": r.label,
+                    "confidence": r.confidence,
+                    "ratio": r.ratio,
+                    "on_paths": r.on_paths,
+                    "off_paths": r.off_paths,
+                })
+            })
+            .collect();
+        write_output(path, to_json(&labels)?)?;
+        eprintln!("wrote {} labels to {path}", rows.len());
     }
     if let Some(path) = args.get_str("artifact-out") {
-        write_artifact_out(path, &result.inference, ratio_threshold)?;
+        let n = write_inference_artifact(Path::new(path), inference, ratio_threshold)
+            .map_err(|e| format!("write artifact {path}: {e}"))?;
+        eprintln!("wrote {n} labels to {path} (artifact)");
     }
-    Ok(())
-}
-
-/// Write an inference's labels as the canonical JSON label file. Shared by
-/// `infer`, `shard`, and `watch` — which is what makes a watch run's label
-/// file byte-comparable (`cmp`) to a batch run over the same prefix. Built
-/// from the same sorted [`LabelRow`]s the artifact writer serializes, so the
-/// JSON file and the artifact agree field-for-field by construction.
-fn write_labels_json(
-    path: &str,
-    inference: &bgp_intent::Inference,
-    ratio_threshold: f64,
-) -> Result<(), Failure> {
-    // label_rows sorts on the packed key, which orders exactly like the
-    // typed (asn, value) key: no lossy fallback, and community order is
-    // the natural order rather than lexicographic.
-    let rows = label_rows(inference, ratio_threshold);
-    let labels: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "community": r.community.to_string(),
-                "intent": r.label,
-                "confidence": r.confidence,
-                "ratio": r.ratio,
-                "on_paths": r.on_paths,
-                "off_paths": r.off_paths,
-            })
-        })
-        .collect();
-    let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    serde_json::to_writer_pretty(BufWriter::new(file), &labels)
-        .map_err(|e| format!("write {path}: {e}"))?;
-    eprintln!("wrote {} labels to {path}", rows.len());
-    Ok(())
-}
-
-/// Write an inference's labels as the servable binary artifact
-/// (`--artifact-out`), atomically. Shared by `infer`, `shard`, and `watch`.
-fn write_artifact_out(
-    path: &str,
-    inference: &bgp_intent::Inference,
-    ratio_threshold: f64,
-) -> Result<(), Failure> {
-    let n = write_inference_artifact(Path::new(path), inference, ratio_threshold)
-        .map_err(|e| format!("write artifact {path}: {e}"))?;
-    eprintln!("wrote {n} labels to {path} (artifact)");
     Ok(())
 }
 
 /// `bgpcomm infer`
-pub fn infer(raw: Vec<String>) -> Result<(), Failure> {
-    let args = Args::parse(raw)?;
-    let opts = IngestOptions::from_args(&args)?;
-    let siblings = load_siblings(&args)?;
-    let cfg = inference_config(&args, opts.threads)?;
-    let dict = load_dict(&args)?;
-
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
-    let run = || -> Result<PipelineResult, Failure> {
-        match CheckpointOptions::from_args(&args)? {
-            Some(ckpt) => infer_checkpointed(
-                &mrt_files(&args)?,
-                &opts,
-                &siblings,
-                &cfg,
-                dict.as_ref(),
-                &ckpt,
-                tel,
-            ),
-            None => {
-                let (store, report) = load_observations(&mrt_files(&args)?, &opts, tel)?;
-                let mut result =
-                    run_inference_store_telemetry(&store, &siblings, &cfg, dict.as_ref(), tel);
-                result.ingest = report;
-                Ok(result)
-            }
+fn infer(run: &Run) -> Result<(), Failure> {
+    let siblings = load_siblings(&run.args)?;
+    let cfg = inference_config(&run.args, run.ingest.threads)?;
+    let dict: Option<GroundTruthDictionary> = load_json(&run.args, "dict")?;
+    let ckpt = CheckpointOptions::from_args(&run.args)?;
+    let paths = run.mrt_files()?;
+    let (result, report) = match ckpt {
+        Some(ckpt) => infer_checkpointed(run, &paths, &siblings, &cfg, dict.as_ref(), &ckpt)?,
+        None => {
+            let (store, report) = run.ingest(&paths)?;
+            let result = run_inference(&store, &siblings, &cfg, dict.as_ref(), &run.tel);
+            (result, report)
         }
     };
-    let result = match run() {
-        Ok(result) => result,
-        Err(failure) => {
-            // Aborted runs still leave their accounting (same contract as
-            // --report); the original failure wins over a write error.
-            let _ = topts.write_metrics();
-            return Err(failure);
-        }
-    };
-    print_inference(&args, &result)?;
-    topts.write_metrics()?;
-    Ok(())
+    print_inference(&run.args, &result, &report)
 }
 
 /// `bgpcomm shard-worker` — one shard of a supervised `shard` run
 /// (internal: spawned by the supervisor, but callable by hand for
-/// debugging). Ingests its `--mrt` files sequentially, touching the
+/// debugging). Folds its `--mrt` files in order, touching the
 /// `--heartbeat` file after every completed file, and finally writes its
 /// accumulated statistics as a checkpoint-format artifact to `--out` with
 /// the atomic temp+rename discipline. A crash at any point leaves either
 /// no artifact or a complete, checksummed one — never a torn file — which
 /// is what lets the supervisor treat "valid artifact exists" as the one
 /// and only success signal.
-pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
-    let args = Args::parse(raw)?;
-    let opts = IngestOptions::from_args(&args)?;
-    if opts.strict {
-        return Err("shard-worker runs lenient ingestion only (drop --strict)".into());
-    }
+fn shard_worker(run: &Run) -> Result<(), Failure> {
+    let args = &run.args;
     let out = PathBuf::from(args.get_str("out").ok_or("--out FILE is required")?);
     let heartbeat = args.get_str("heartbeat").map(PathBuf::from);
-    let crash_after: Option<u64> = match args.get_str("inject-crash-after") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-crash-after {raw}: {e}"))?,
-        ),
-    };
-    let stall_ms: Option<u64> = match args.get_str("inject-stall-ms") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-stall-ms {raw}: {e}"))?,
-        ),
-    };
-    let siblings = load_siblings(&args)?;
-    let paths = mrt_files(&args)?;
+    let crash_after: Option<u64> = optional(args, "inject-crash-after")?;
+    let stall_ms: Option<u64> = optional(args, "inject-stall-ms")?;
+    let siblings = load_siblings(args)?;
+    let paths = run.mrt_files()?;
 
-    let beat = |n: usize| {
+    let beat = |n: u64| {
         if let Some(hb) = &heartbeat {
             // Heartbeat loss must never fail the shard — the worst case is
             // the supervisor killing a healthy worker, which retries.
@@ -1060,58 +1083,37 @@ pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
     beat(0);
 
     let mut manifest = Checkpoint::new();
-    let mut accumulator = StatsAccumulator::new();
-    let tel = Telemetry::disabled();
-    for (i, path) in paths.iter().enumerate() {
-        // Fingerprint before decoding, like the checkpointed path: the
-        // artifact records the bytes that were actually ingested, so the
-        // supervisor (and a later resume) can detect input drift.
-        let fingerprint =
-            fingerprint_file(Path::new(path)).map_err(|e| format!("fingerprint {path}: {e}"))?;
-        let (files, _) = read_observations_parallel_store_telemetry(
-            &[PathBuf::from(path)],
-            &opts.recover,
-            &opts.tuning,
-            opts.threads,
-            &tel,
-        );
-        let file = files
-            .into_iter()
-            .next()
-            .ok_or_else(|| format!("{path}: ingestion produced no result"))?;
-        eprintln!(
-            "{path}: {} observations ({})",
-            file.store.len(),
-            file.report.summary()
-        );
-        manifest.report.merge(&file.report);
-        if let Some(why) = &file.report.aborted {
-            return Err(Failure::new(
-                EXIT_ABORTED,
-                format!("ingestion aborted: {path}: {why}"),
-            ));
-        }
-        accumulator.ingest_store(&file.store, &siblings, opts.threads);
-        manifest.files.push(CompletedFile {
-            path: path.clone(),
-            fingerprint,
-        });
-        beat(i + 1);
-        if crash_after == Some((i + 1) as u64) {
-            return Err(Failure::new(
-                EXIT_CRASH,
-                format!("injected crash after {} ingested file(s)", i + 1),
-            ));
-        }
-        if i == 0 {
-            if let Some(ms) = stall_ms {
+    let mut segment = StatsAccumulator::new();
+    let pending: Vec<&String> = paths.iter().collect();
+    // One file per wave, as a heartbeat per file: the supervisor's stall
+    // deadline then bounds one file's decode, not a wave's.
+    let (_, failed) = fold_files(
+        run,
+        &pending,
+        1,
+        &siblings,
+        &mut manifest,
+        &mut segment,
+        |_, _, committed| {
+            beat(committed);
+            if crash_after == Some(committed) {
+                return Err(Failure::new(
+                    EXIT_CRASH,
+                    format!("injected crash after {committed} ingested file(s)"),
+                ));
+            }
+            if let (1, Some(ms)) = (committed, stall_ms) {
                 // Simulated hang: no heartbeat progress and no exit until
                 // (far past) the supervisor's stall deadline.
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
-        }
+            Ok(())
+        },
+    )?;
+    if let Some(why) = failed {
+        return Err(run.ingest_failure(&why));
     }
-    manifest.snapshot = accumulator.snapshot().clone();
+    manifest.snapshot = segment.snapshot().clone();
     manifest
         .save_atomic(&out)
         .map_err(|e| format!("write artifact {}: {e}", out.display()))?;
@@ -1125,7 +1127,7 @@ pub fn shard_worker(raw: Vec<String>) -> Result<(), Failure> {
 }
 
 /// `bgpcomm shard` — `infer` across N supervised worker subprocesses.
-pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
+fn shard(run: &Run) -> Result<(), Failure> {
     use bgp_intent::{
         plan_shards, supervise_with_shutdown, ShardEvent, ShardSpec, SupervisorConfig,
     };
@@ -1133,16 +1135,14 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
     use std::process::{Command, Stdio};
     use std::time::Duration;
 
-    let args = Args::parse(raw)?;
-    let opts = IngestOptions::from_args(&args)?;
-    if opts.strict {
+    install_shutdown_handlers();
+    let (args, tel) = (&run.args, &run.tel);
+    if run.ingest.strict {
         return Err("shard runs lenient ingestion only (drop --strict)".into());
     }
-    let siblings = load_siblings(&args)?;
-    let cfg = inference_config(&args, opts.threads)?;
-    let dict = load_dict(&args)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
+    let siblings = load_siblings(args)?;
+    let cfg = inference_config(args, run.ingest.threads)?;
+    let dict: Option<GroundTruthDictionary> = load_json(args, "dict")?;
 
     let parse_indices = |name: &str| -> Result<Vec<usize>, String> {
         args.get_all(name)
@@ -1151,261 +1151,221 @@ pub fn shard(raw: Vec<String>) -> Result<(), Failure> {
             .collect()
     };
 
-    let run = || -> Result<PipelineResult, Failure> {
-        let paths = mrt_files(&args)?;
-        // Unreadable input is a usage error here, not N worker failures.
-        for path in &paths {
-            File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        }
-        let shard_dir = PathBuf::from(
-            args.get_str("shard-dir")
-                .ok_or("--shard-dir DIR is required")?,
-        );
-        std::fs::create_dir_all(&shard_dir)
-            .map_err(|e| format!("create {}: {e}", shard_dir.display()))?;
-        let workers = effective_threads(args.get("workers", 0usize)?).max(1);
-        let allow: u64 = args.get("allow-shard-failures", 0u64)?;
-        let retries: u32 = args.get("shard-retries", 2u32)?;
-        let deadline_ms: u64 = args.get("shard-deadline-ms", 30_000u64)?;
-        let kill_shards = parse_indices("inject-kill-shard")?;
-        let stall_shards = parse_indices("inject-stall-shard")?;
-        let fail_shards = parse_indices("inject-fail-shard")?;
+    let paths = run.mrt_files()?;
+    // Unreadable input is a usage error here, not N worker failures.
+    for path in &paths {
+        File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    }
+    let shard_dir = PathBuf::from(
+        args.get_str("shard-dir")
+            .ok_or("--shard-dir DIR is required")?,
+    );
+    std::fs::create_dir_all(&shard_dir)
+        .map_err(|e| format!("create {}: {e}", shard_dir.display()))?;
+    let workers = effective_threads(args.get("workers", 0usize)?).max(1);
+    let allow: u64 = args.get("allow-shard-failures", 0u64)?;
+    let retries: u32 = args.get("shard-retries", 2u32)?;
+    let deadline_ms: u64 = args.get("shard-deadline-ms", 30_000u64)?;
+    let kill_shards = parse_indices("inject-kill-shard")?;
+    let stall_shards = parse_indices("inject-stall-shard")?;
+    let fail_shards = parse_indices("inject-fail-shard")?;
 
-        let specs = plan_shards(&paths, workers, &shard_dir);
-        let sup_cfg = SupervisorConfig {
-            retry: RetryPolicy {
-                max_attempts: retries + 1,
-                base_delay: Duration::from_millis(50),
-                max_delay: Duration::from_secs(2),
-                per_file_deadline: None,
-            },
-            stall_deadline: Duration::from_millis(deadline_ms.max(1)),
-            poll_interval: Duration::from_millis(25),
-            term_grace: Duration::from_secs(5),
+    let specs = plan_shards(&paths, workers, &shard_dir);
+    let sup_cfg = SupervisorConfig {
+        retry: RetryPolicy {
+            max_attempts: retries + 1,
+            base_delay: Duration::from_millis(50),
+            max_delay: Duration::from_secs(2),
+            per_file_deadline: None,
+        },
+        stall_deadline: Duration::from_millis(deadline_ms.max(1)),
+        poll_interval: Duration::from_millis(25),
+        term_grace: Duration::from_secs(5),
+    };
+    eprintln!(
+        "supervising {} shard(s) over {} file(s) ({} attempt(s) per shard, {}ms stall deadline)",
+        specs.len(),
+        paths.len(),
+        sup_cfg.retry.max_attempts,
+        deadline_ms
+    );
+
+    let exe = std::env::current_exe().map_err(|e| format!("locate bgpcomm binary: {e}"))?;
+    let mut forwarded: Vec<String> = Vec::new();
+    for key in FORWARDED.split_whitespace() {
+        if let Some(value) = args.get_str(key) {
+            forwarded.push(format!("--{key}"));
+            forwarded.push(value.to_string());
+        }
+    }
+    let command = |spec: &ShardSpec, attempt: u32| {
+        let mut cmd = Command::new(&exe);
+        cmd.arg("shard-worker")
+            .arg("--mrt")
+            .arg(spec.files.join(","))
+            .arg("--out")
+            .arg(&spec.artifact)
+            .arg("--heartbeat")
+            .arg(&spec.heartbeat)
+            .args(&forwarded);
+        if fail_shards.contains(&spec.index) || (attempt == 1 && kill_shards.contains(&spec.index))
+        {
+            cmd.arg("--inject-crash-after").arg("1");
+        }
+        if attempt == 1 && stall_shards.contains(&spec.index) {
+            let ms = deadline_ms.max(1).saturating_mul(20);
+            cmd.arg("--inject-stall-ms").arg(ms.to_string());
+        }
+        // Worker chatter goes to a per-shard log (last attempt wins)
+        // so the supervisor's own progress stream stays readable.
+        let log = shard_dir.join(format!("shard-{:03}.log", spec.index));
+        match File::create(&log) {
+            Ok(file) => cmd.stderr(Stdio::from(file)),
+            Err(_) => cmd.stderr(Stdio::null()),
         };
+        cmd.stdout(Stdio::null());
+        cmd
+    };
+    let outcomes = supervise_with_shutdown(
+        &specs,
+        &sup_cfg,
+        command,
+        |event| match event {
+            ShardEvent::Reused { shard } => {
+                eprintln!(
+                    "shard {}: reusing valid artifact from a previous run",
+                    shard.index
+                );
+            }
+            ShardEvent::Discarded { shard, failure } => {
+                eprintln!(
+                    "shard {}: discarding leftover artifact ({failure}); redoing the shard",
+                    shard.index
+                );
+            }
+            ShardEvent::Started { shard, attempt } => {
+                eprintln!(
+                    "shard {}: attempt {attempt} ({} file(s))",
+                    shard.index,
+                    shard.files.len()
+                );
+            }
+            ShardEvent::Retrying {
+                shard,
+                attempt,
+                failure,
+                backoff,
+            } => {
+                eprintln!(
+                    "shard {}: attempt {attempt} failed ({failure}); retrying in {backoff:?}",
+                    shard.index
+                );
+            }
+            ShardEvent::Succeeded { shard, attempt } => {
+                eprintln!(
+                    "shard {}: artifact validated (attempt {attempt})",
+                    shard.index
+                );
+            }
+            ShardEvent::GaveUp {
+                shard,
+                attempts,
+                failure,
+            } => {
+                eprintln!(
+                    "shard {}: permanently failed after {attempts} attempt(s): {failure}",
+                    shard.index
+                );
+            }
+            ShardEvent::Interrupted { shard } => {
+                eprintln!(
+                    "shard {}: interrupted by shutdown before completing (resumable)",
+                    shard.index
+                );
+            }
+        },
+        &SHUTDOWN,
+    );
+
+    // Merge in shard order. Each artifact holds its shard's statistics
+    // segment, and segments merge by exact key, so the classification
+    // downstream is bit-identical to a single-process run over the
+    // covered files.
+    let mut merged = IngestReport::default();
+    let mut segment = StatsAccumulator::new();
+    let mut failed = 0u64;
+    let mut reused = 0u64;
+    let mut retries_total = 0u64;
+    let mut covered_files = 0u64;
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
+        retries_total += outcome.retries();
+        reused += u64::from(outcome.reused);
+        match &outcome.artifact {
+            Some(artifact) => {
+                merged.merge(&artifact.report);
+                segment.merge(StatsAccumulator::from_snapshot(&artifact.snapshot));
+                covered_files += spec.files.len() as u64;
+            }
+            None => {
+                failed += 1;
+                merged.shards_failed += 1;
+                merged.files_lost += spec.files.len() as u64;
+                for file in &spec.files {
+                    merged.bytes_lost += std::fs::metadata(file).map(|m| m.len()).unwrap_or(0);
+                }
+            }
+        }
+    }
+    if let Some(metrics) = tel.registry() {
+        metrics.counter("shard/shards").add(specs.len() as u64);
+        metrics.counter("shard/retries").add(retries_total);
+        metrics.counter("shard/failed").add(failed);
+        metrics.counter("shard/reused").add(reused);
+        metrics
+            .counter("shard/coverage_bytes")
+            .add(merged.bytes_read);
+        // The single-process path counts input files at read time
+        // (see `read_files`); workers
+        // run with telemetry disabled, so account for the files that
+        // actually made it into the merge here.
+        metrics.counter("ingest/files").add(covered_files);
+    }
+    run.write_report(&merged)?;
+    if SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
+        return Err(Failure::new(
+            EXIT_ABORTED,
+            format!(
+                "shutdown requested; {failed} shard(s) left incomplete \
+                 (artifacts are valid or absent, heartbeats removed); \
+                 re-running the same command resumes only those shards"
+            ),
+        ));
+    }
+    if failed > allow {
+        return Err(Failure::new(
+            EXIT_SHARD,
+            format!(
+                "{failed} shard(s) failed permanently after {} attempt(s) each \
+                 (allowance {allow}); see {}/shard-*.log; \
+                 re-running the same command retries only the failed shards",
+                sup_cfg.retry.max_attempts,
+                shard_dir.display()
+            ),
+        ));
+    }
+    if failed > 0 {
         eprintln!(
-            "supervising {} shard(s) over {} file(s) ({} attempt(s) per shard, {}ms stall deadline)",
-            specs.len(),
-            paths.len(),
-            sup_cfg.retry.max_attempts,
-            deadline_ms
+            "continuing without {failed} failed shard(s): {} file(s) / {} byte(s) not covered",
+            merged.files_lost, merged.bytes_lost
         );
-
-        let exe = std::env::current_exe().map_err(|e| format!("locate bgpcomm binary: {e}"))?;
-        // Ingestion policy travels to the workers verbatim; analysis and
-        // output flags stay with the supervisor.
-        let mut forwarded: Vec<String> = Vec::new();
-        for key in [
-            "siblings",
-            "max-errors",
-            "retry-attempts",
-            "inject-flaky",
-            "inject-panic-after",
-            "threads",
-        ] {
-            if let Some(value) = args.get_str(key) {
-                forwarded.push(format!("--{key}"));
-                forwarded.push(value.to_string());
-            }
-        }
-        let command = |spec: &ShardSpec, attempt: u32| {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("shard-worker")
-                .arg("--mrt")
-                .arg(spec.files.join(","))
-                .arg("--out")
-                .arg(&spec.artifact)
-                .arg("--heartbeat")
-                .arg(&spec.heartbeat)
-                .args(&forwarded);
-            if fail_shards.contains(&spec.index)
-                || (attempt == 1 && kill_shards.contains(&spec.index))
-            {
-                cmd.arg("--inject-crash-after").arg("1");
-            }
-            if attempt == 1 && stall_shards.contains(&spec.index) {
-                let ms = deadline_ms.max(1).saturating_mul(20);
-                cmd.arg("--inject-stall-ms").arg(ms.to_string());
-            }
-            // Worker chatter goes to a per-shard log (last attempt wins)
-            // so the supervisor's own progress stream stays readable.
-            let log = shard_dir.join(format!("shard-{:03}.log", spec.index));
-            match File::create(&log) {
-                Ok(file) => cmd.stderr(Stdio::from(file)),
-                Err(_) => cmd.stderr(Stdio::null()),
-            };
-            cmd.stdout(Stdio::null());
-            cmd
-        };
-        let outcomes = supervise_with_shutdown(
-            &specs,
-            &sup_cfg,
-            command,
-            |event| match event {
-                ShardEvent::Reused { shard } => {
-                    eprintln!(
-                        "shard {}: reusing valid artifact from a previous run",
-                        shard.index
-                    );
-                }
-                ShardEvent::Discarded { shard, failure } => {
-                    eprintln!(
-                        "shard {}: discarding leftover artifact ({failure}); redoing the shard",
-                        shard.index
-                    );
-                }
-                ShardEvent::Started { shard, attempt } => {
-                    eprintln!(
-                        "shard {}: attempt {attempt} ({} file(s))",
-                        shard.index,
-                        shard.files.len()
-                    );
-                }
-                ShardEvent::Retrying {
-                    shard,
-                    attempt,
-                    failure,
-                    backoff,
-                } => {
-                    eprintln!(
-                        "shard {}: attempt {attempt} failed ({failure}); retrying in {backoff:?}",
-                        shard.index
-                    );
-                }
-                ShardEvent::Succeeded { shard, attempt } => {
-                    eprintln!(
-                        "shard {}: artifact validated (attempt {attempt})",
-                        shard.index
-                    );
-                }
-                ShardEvent::GaveUp {
-                    shard,
-                    attempts,
-                    failure,
-                } => {
-                    eprintln!(
-                        "shard {}: permanently failed after {attempts} attempt(s): {failure}",
-                        shard.index
-                    );
-                }
-                ShardEvent::Interrupted { shard } => {
-                    eprintln!(
-                        "shard {}: interrupted by shutdown before completing (resumable)",
-                        shard.index
-                    );
-                }
-            },
-            &SHUTDOWN,
-        );
-
-        // Merge in shard order. Each artifact holds its shard's statistics
-        // segment, and segments merge by exact key, so the classification
-        // downstream is bit-identical to a single-process run over the
-        // covered files.
-        let mut merged = IngestReport::default();
-        let mut accumulator = StatsAccumulator::new();
-        let mut failed = 0u64;
-        let mut reused = 0u64;
-        let mut retries_total = 0u64;
-        let mut covered_files = 0u64;
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
-            retries_total += outcome.retries();
-            reused += u64::from(outcome.reused);
-            match &outcome.artifact {
-                Some(artifact) => {
-                    merged.merge(&artifact.report);
-                    accumulator.merge(StatsAccumulator::from_snapshot(&artifact.snapshot));
-                    covered_files += spec.files.len() as u64;
-                }
-                None => {
-                    failed += 1;
-                    merged.shards_failed += 1;
-                    merged.files_lost += spec.files.len() as u64;
-                    for file in &spec.files {
-                        merged.bytes_lost += std::fs::metadata(file).map(|m| m.len()).unwrap_or(0);
-                    }
-                }
-            }
-        }
-        if let Some(metrics) = tel.registry() {
-            metrics.counter("shard/shards").add(specs.len() as u64);
-            metrics.counter("shard/retries").add(retries_total);
-            metrics.counter("shard/failed").add(failed);
-            metrics.counter("shard/reused").add(reused);
-            metrics
-                .counter("shard/coverage_bytes")
-                .add(merged.bytes_read);
-            // The single-process path counts input files at read time
-            // (see `read_observations_parallel_store_telemetry`); workers
-            // run with telemetry disabled, so account for the files that
-            // actually made it into the merge here.
-            metrics.counter("ingest/files").add(covered_files);
-        }
-        write_report(&merged, &opts)?;
-        if SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
-            return Err(Failure::new(
-                EXIT_ABORTED,
-                format!(
-                    "shutdown requested; {failed} shard(s) left incomplete \
-                     (artifacts are valid or absent, heartbeats removed); \
-                     re-running the same command resumes only those shards"
-                ),
-            ));
-        }
-        if failed > allow {
-            return Err(Failure::new(
-                EXIT_SHARD,
-                format!(
-                    "{failed} shard(s) failed permanently after {} attempt(s) each \
-                     (allowance {allow}); see {}/shard-*.log; \
-                     re-running the same command retries only the failed shards",
-                    sup_cfg.retry.max_attempts,
-                    shard_dir.display()
-                ),
-            ));
-        }
-        if failed > 0 {
-            eprintln!(
-                "continuing without {failed} failed shard(s): {} file(s) / {} byte(s) not covered",
-                merged.files_lost, merged.bytes_lost
-            );
-        }
-        Ok(run_inference_from_stats_telemetry(
-            accumulator.to_stats(),
-            &siblings,
-            &cfg,
-            dict.as_ref(),
-            Some(merged),
-            tel,
-        ))
-    };
-    let result = match run() {
-        Ok(result) => result,
-        Err(failure) => {
-            // Same contract as `infer`: failed runs still leave their
-            // accounting, and the original failure wins over a write error.
-            let _ = topts.write_metrics();
-            return Err(failure);
-        }
-    };
-    print_inference(&args, &result)?;
-    topts.write_metrics()?;
-    Ok(())
-}
-
-/// A boxed stream source, so `watch` can pick TCP / unix socket / file
-/// tail (optionally wrapped in fault injection) at runtime and still call
-/// the generic [`bgp_intent::run_watch`].
-struct DynSource(Box<dyn bgp_mrt::StreamSource>);
-
-impl bgp_mrt::StreamSource for DynSource {
-    fn connect(&mut self, offset: u64) -> std::io::Result<Box<dyn std::io::Read + Send>> {
-        self.0.connect(offset)
     }
-
-    fn describe(&self) -> String {
-        self.0.describe()
+    if let Some(metrics) = tel.registry() {
+        merged.record_metrics(metrics);
     }
+    let result = run_inference(segment.to_stats(), &siblings, &cfg, dict.as_ref(), tel);
+    // Free the shards' segments before the label file is built.
+    drop((outcomes, segment));
+    print_inference(args, &result, &merged)
 }
 
 /// `--name N` for a size or cadence of which 0 is meaningless: `default`
@@ -1423,7 +1383,7 @@ fn at_least_one<T: std::str::FromStr + Default + PartialEq>(
 }
 
 /// `bgpcomm watch` — the streaming inference daemon.
-pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
+fn watch(run: &Run) -> Result<(), Failure> {
     use bgp_intent::{run_watch, WatchOptions, WindowConfig};
     use bgp_mrt::{
         FaultyFeed, FeedAddr, FileTailFeed, SocketFeed, StreamFaultConfig, StreamTuning,
@@ -1431,16 +1391,12 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    let args = Args::parse(raw)?;
-    let iopts = IngestOptions::from_args(&args)?;
-    if iopts.strict {
-        return Err("watch runs lenient ingestion only (drop --strict)".into());
-    }
-    let siblings = load_siblings(&args)?;
-    let cfg = inference_config(&args, iopts.threads)?;
-    let topts = TelemetryOptions::from_args(&args)?;
+    install_shutdown_handlers();
+    let args = &run.args;
+    let siblings = load_siblings(args)?;
+    let cfg = inference_config(args, run.ingest.threads)?;
 
-    let stall = Duration::from_millis(at_least_one(&args, "stall-ms", 2000u64)?);
+    let stall = Duration::from_millis(at_least_one(args, "stall-ms", 2000u64)?);
     let connect = args.get_str("connect");
     let unix_path = args.get_str("unix");
     let tail = args.get_str("tail");
@@ -1465,69 +1421,43 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     let source: Box<dyn bgp_mrt::StreamSource> = match args.get_str("inject-stream-faults") {
         None => source,
         Some(raw) => {
-            let (seed_raw, rate_raw) = match raw.split_once(':') {
-                Some((s, r)) => (s, Some(r)),
+            let bad = |e: &dyn std::fmt::Display| format!("--inject-stream-faults {raw}: {e}");
+            let (seed, rate) = match raw.split_once(':') {
+                Some((seed, rate)) => (seed, Some(rate)),
                 None => (raw, None),
             };
             let mut fault_cfg = StreamFaultConfig {
-                seed: seed_raw
-                    .parse()
-                    .map_err(|e| format!("--inject-stream-faults {raw}: {e}"))?,
+                seed: seed.parse().map_err(|e| bad(&e))?,
                 ..StreamFaultConfig::default()
             };
-            if let Some(rate) = rate_raw {
-                fault_cfg.rate = rate
-                    .parse()
-                    .map_err(|e| format!("--inject-stream-faults {raw}: {e}"))?;
+            if let Some(rate) = rate {
+                fault_cfg.rate = rate.parse().map_err(|e| bad(&e))?;
             }
-            Box::new(FaultyFeed::new(DynSource(source), fault_cfg))
+            Box::new(FaultyFeed::new(source, fault_cfg))
         }
     };
-    let source = DynSource(source);
 
     let mut tuning = StreamTuning {
-        queue_bytes: at_least_one(&args, "queue-kb", 4096usize)? << 10,
-        chunk_bytes: at_least_one(&args, "chunk-kb", 64usize)? << 10,
+        queue_bytes: at_least_one(args, "queue-kb", 4096usize)? << 10,
+        chunk_bytes: at_least_one(args, "chunk-kb", 64usize)? << 10,
         stall_timeout: stall,
         ..StreamTuning::default()
     };
-    tuning.retry.max_attempts = iopts.tuning.retry.max_attempts;
-    tuning.quiesce_after = match args.get_str("quiesce-after") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--quiesce-after {raw}: {e}"))?,
-        ),
-    };
-
-    let parse_ms = |name: &str| -> Result<Option<Duration>, String> {
-        match args.get_str(name) {
-            None => Ok(None),
-            Some(raw) => Ok(Some(Duration::from_millis(
-                raw.parse().map_err(|e| format!("--{name} {raw}: {e}"))?,
-            ))),
-        }
-    };
-    let crash_after_windows = match args.get_str("inject-crash-after-windows") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("--inject-crash-after-windows {raw}: {e}"))?,
-        ),
-    };
+    tuning.retry.max_attempts = run.ingest.retry.max_attempts;
+    tuning.quiesce_after = optional(args, "quiesce-after")?;
     let opts = WatchOptions {
         window: WindowConfig {
-            window_secs: at_least_one(&args, "window-secs", 3600u32)?,
-            windows: at_least_one(&args, "windows", 24usize)?,
+            window_secs: at_least_one(args, "window-secs", 3600u32)?,
+            windows: at_least_one(args, "windows", 24usize)?,
         },
         infer: cfg,
         tuning,
-        recover: iopts.recover.clone(),
+        recover: run.ingest.recover.clone(),
         checkpoint: args.get_str("checkpoint").map(PathBuf::from),
-        checkpoint_every: at_least_one(&args, "checkpoint-every", 1u64)?,
-        metrics: topts.telemetry.metrics.clone(),
-        slow_fold: parse_ms("slow-fold-ms")?,
-        crash_after_windows,
+        checkpoint_every: at_least_one(args, "checkpoint-every", 1u64)?,
+        metrics: run.tel.metrics.clone(),
+        slow_fold: optional(args, "slow-fold-ms")?.map(Duration::from_millis),
+        crash_after_windows: optional(args, "inject-crash-after-windows")?,
     };
 
     // Bridge the process-global signal flag into the Arc the stream layer
@@ -1555,20 +1485,8 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "disabled".into()),
     );
-    let outcome = match run_watch(source, &siblings, &opts, shutdown) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            let _ = topts.write_metrics();
-            let code = match e.kind() {
-                std::io::ErrorKind::ConnectionAborted => EXIT_STREAM,
-                std::io::ErrorKind::InvalidData | std::io::ErrorKind::InvalidInput => {
-                    EXIT_CHECKPOINT
-                }
-                _ => EXIT_USAGE,
-            };
-            return Err(Failure::new(code, format!("watch: {e}")));
-        }
-    };
+    let outcome = run_watch(source, &siblings, &opts, shutdown)
+        .map_err(|e| Failure::from(e).context("watch"))?;
 
     if outcome.resumed {
         eprintln!(
@@ -1599,15 +1517,8 @@ pub fn watch(raw: Vec<String>) -> Result<(), Failure> {
     if !outcome.report.is_clean() {
         println!("ingest degradation   : {}", outcome.report.summary());
     }
-    write_report(&outcome.report, &iopts)?;
-    if let Some(path) = args.get_str("json") {
-        write_labels_json(path, &outcome.inference, opts.infer.ratio_threshold)?;
-    }
-    if let Some(path) = args.get_str("artifact-out") {
-        write_artifact_out(path, &outcome.inference, opts.infer.ratio_threshold)?;
-    }
-    topts.write_metrics()?;
-    Ok(())
+    run.write_report(&outcome.report)?;
+    write_labels(args, &outcome.inference, opts.infer.ratio_threshold)
 }
 
 /// Histogram bounds (nanoseconds) for per-lookup latency. Single lookups
@@ -1622,13 +1533,11 @@ const LOOKUP_LATENCY_BOUNDS: &[u64] = &[100, 250, 500, 1_000, 2_500, 5_000, 10_0
 /// `--owner` α-prefix scans, `--bench` self-driving throughput measurement,
 /// and `--check` — stream MRT archive(s) and flag routes whose observed
 /// communities contradict their inferred intent class (exit 7 if any).
-pub fn query(raw: Vec<String>) -> Result<(), Failure> {
+fn query(run: &Run) -> Result<(), Failure> {
     use std::time::Instant;
 
-    let args = Args::parse(raw)?;
-    let topts = TelemetryOptions::from_args(&args)?;
-    let tel = &topts.telemetry;
-    let threads: usize = args.get("threads", 0usize)?;
+    let (args, tel) = (&run.args, &run.tel);
+    let threads = run.ingest.threads;
 
     let path = args
         .get_str("artifact")
@@ -1640,20 +1549,9 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             LabelArtifact::load(Path::new(path))
         }
     };
-    let artifact = match tel.stage("query_load", load) {
-        Ok(a) => a,
-        Err(e) => {
-            // A refused artifact is the same failure class as a refused
-            // checkpoint (exit 4); an unreadable path is a usage error.
-            let code = if e.is_invalid_data() {
-                EXIT_CHECKPOINT
-            } else {
-                EXIT_USAGE
-            };
-            let _ = topts.write_metrics();
-            return Err(Failure::new(code, format!("query: {e}")));
-        }
-    };
+    let artifact = tel
+        .stage("query_load", load)
+        .map_err(|e| Failure::from(e).context("query"))?;
     eprintln!(
         "artifact: {} labels across {} owners from {path} ({})",
         artifact.len(),
@@ -1797,11 +1695,6 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
     }
 
     // --check MRT[,MRT ...]: stream the archive(s) and flag contradictions.
-    if !args.get_all("mrt").is_empty() {
-        return Err(Failure::from(
-            "query: use --check FILE (not --mrt) for anomaly checking",
-        ));
-    }
     let check_files: Vec<String> = args
         .get_all("check")
         .iter()
@@ -1810,15 +1703,8 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
         .collect();
     if !check_files.is_empty() {
         ran_operation = true;
-        let iopts = IngestOptions::from_args(&args)?;
-        let siblings = load_siblings(&args)?;
-        let (store, _report) = match load_observations(&check_files, &iopts, tel) {
-            Ok(loaded) => loaded,
-            Err(failure) => {
-                let _ = topts.write_metrics();
-                return Err(failure);
-            }
-        };
+        let siblings = load_siblings(args)?;
+        let (store, _report) = run.ingest(&check_files)?;
         let report = tel.stage("query_check", || check_store(&artifact, &store, &siblings));
         if let Some(r) = tel.registry() {
             r.counter("query/check_observations")
@@ -1842,7 +1728,6 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             report.anomalies.len(),
         );
         if !report.anomalies.is_empty() {
-            topts.write_metrics()?;
             return Err(Failure::new(
                 EXIT_ANOMALY,
                 format!(
@@ -1858,7 +1743,6 @@ pub fn query(raw: Vec<String>) -> Result<(), Failure> {
             "query: nothing to do — give --key, --batch, --owner, --bench, or --check",
         ));
     }
-    topts.write_metrics()?;
     Ok(())
 }
 
@@ -1938,15 +1822,16 @@ fn bench_lookups(artifact: &LabelArtifact, n: usize, threads: usize) -> Option<B
 
 /// `bgpcomm feed` — serve an MRT byte stream over TCP with the watch
 /// resume protocol.
-pub fn feed(raw: Vec<String>) -> Result<(), Failure> {
+fn feed(run: &Run) -> Result<(), Failure> {
     use bgp_mrt::{FeedServer, FeedServerOptions};
     use std::time::Duration;
 
-    let args = Args::parse(raw)?;
+    install_shutdown_handlers();
+    let args = &run.args;
     let listen = args.get_str("listen").unwrap_or("127.0.0.1:0");
     let bytes: Vec<u8> = if args.get_all("mrt").is_empty() {
         let days: u32 = args.get("days", 4)?;
-        let scenario_cfg = ScenarioConfig::from_args(&args)?;
+        let scenario_cfg = ScenarioConfig::from_args(args)?;
         eprintln!(
             "feed: generating scenario stream (seed {}, scale {}, {} days)...",
             scenario_cfg.seed, scenario_cfg.scale, days
@@ -1960,7 +1845,7 @@ pub fn feed(raw: Vec<String>) -> Result<(), Failure> {
         buf
     } else {
         let mut buf = Vec::new();
-        for path in mrt_files(&args)? {
+        for path in run.mrt_files()? {
             let mut file = File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
             std::io::Read::read_to_end(&mut file, &mut buf)
                 .map_err(|e| format!("read {path}: {e}"))?;
@@ -1970,16 +1855,13 @@ pub fn feed(raw: Vec<String>) -> Result<(), Failure> {
     let throttle = match args.get_str("throttle") {
         None => None,
         Some(raw) => {
+            let bad = |e: &dyn std::fmt::Display| format!("--throttle {raw}: {e}");
             let (chunk, ms) = raw
                 .split_once(':')
-                .ok_or_else(|| format!("--throttle {raw}: expected BYTES:MS"))?;
-            Some((
-                chunk
-                    .parse::<usize>()
-                    .map_err(|e| format!("--throttle {raw}: {e}"))?
-                    .max(1),
-                Duration::from_millis(ms.parse().map_err(|e| format!("--throttle {raw}: {e}"))?),
-            ))
+                .ok_or_else(|| bad(&"expected BYTES:MS"))?;
+            let chunk: usize = chunk.parse().map_err(|e| bad(&e))?;
+            let ms = ms.parse().map_err(|e| bad(&e))?;
+            Some((chunk.max(1), Duration::from_millis(ms)))
         }
     };
 
@@ -2002,13 +1884,12 @@ pub fn feed(raw: Vec<String>) -> Result<(), Failure> {
 }
 
 /// `bgpcomm validate`
-pub fn validate(raw: Vec<String>) -> Result<(), Failure> {
+fn validate(run: &Run) -> Result<(), Failure> {
     use bgp_mrt::records::MrtRecord;
     use bgp_mrt::{MrtError, MrtReader};
 
-    let args = Args::parse(raw)?;
     let mut total_bad = 0u64;
-    for path in mrt_files(&args)? {
+    for path in run.mrt_files()? {
         let file = File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
         let mut reader = MrtReader::new(BufReader::new(file));
         let mut counts: std::collections::BTreeMap<&'static str, u64> = Default::default();
@@ -2081,8 +1962,8 @@ fn load_labels(path: &str) -> Result<std::collections::BTreeMap<String, String>,
 }
 
 /// `bgpcomm compare`
-pub fn compare(raw: Vec<String>) -> Result<(), Failure> {
-    let args = Args::parse(raw)?;
+fn compare(run: &Run) -> Result<(), Failure> {
+    let args = &run.args;
     let old_path = args.get_str("old").ok_or("--old FILE is required")?;
     let new_path = args.get_str("new").ok_or("--new FILE is required")?;
     let old = load_labels(old_path)?;
@@ -2124,11 +2005,11 @@ pub fn compare(raw: Vec<String>) -> Result<(), Failure> {
 }
 
 /// `bgpcomm generate`
-pub fn generate(raw: Vec<String>) -> Result<(), Failure> {
-    let args = Args::parse(raw)?;
+fn generate(run: &Run) -> Result<(), Failure> {
+    let args = &run.args;
     let out = args.get_str("out").ok_or("--out DIR is required")?;
     let days: u32 = args.get("days", 7)?;
-    let scenario_cfg = ScenarioConfig::from_args(&args)?;
+    let scenario_cfg = ScenarioConfig::from_args(args)?;
     std::fs::create_dir_all(out).map_err(|e| format!("create {out}: {e}"))?;
     let dir = Path::new(out);
 
@@ -2173,11 +2054,7 @@ pub fn generate(raw: Vec<String>) -> Result<(), Failure> {
     }
 
     let dict_path = dir.join("dictionary.json");
-    let file = File::create(&dict_path).map_err(|e| format!("create dictionary: {e}"))?;
-    scenario
-        .dict
-        .to_json(BufWriter::new(file))
-        .map_err(|e| format!("write dictionary: {e}"))?;
+    write_output(&dict_path.to_string_lossy(), to_json(&scenario.dict)?)?;
     let (a, i) = scenario.dict.entry_counts();
     println!(
         "{}: {} action + {} info patterns",
@@ -2187,9 +2064,7 @@ pub fn generate(raw: Vec<String>) -> Result<(), Failure> {
     );
 
     let sib_path = dir.join("siblings.json");
-    let file = File::create(&sib_path).map_err(|e| format!("create siblings: {e}"))?;
-    serde_json::to_writer_pretty(BufWriter::new(file), &scenario.siblings)
-        .map_err(|e| format!("write siblings: {e}"))?;
+    write_output(&sib_path.to_string_lossy(), to_json(&scenario.siblings)?)?;
     println!("{}: as2org sibling map", sib_path.display());
 
     // Ground-truth intent per defined community, for scoring external tools.
@@ -2216,13 +2091,149 @@ pub fn generate(raw: Vec<String>) -> Result<(), Failure> {
             }));
         }
     }
-    let file = File::create(&truth_path).map_err(|e| format!("create truth: {e}"))?;
-    serde_json::to_writer_pretty(BufWriter::new(file), &truth)
-        .map_err(|e| format!("write truth: {e}"))?;
+    write_output(&truth_path.to_string_lossy(), to_json(&truth)?)?;
     println!(
         "{}: {} ground-truth labels",
         truth_path.display(),
         truth.len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Every `--flag` named in `text`.
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|token| token.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect()
+    }
+
+    /// Each command's synopsis in `USAGE`: its `bgpcomm NAME` line and the
+    /// continuation lines up to the next command or the blank line.
+    fn synopses() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
+        let block = &USAGE[USAGE.find("USAGE:").unwrap()..];
+        let mut out: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut current = None;
+        for line in block.lines().skip(1).take_while(|l| !l.trim().is_empty()) {
+            if let Some(rest) = line.trim_start().strip_prefix("bgpcomm ") {
+                let name = rest.split_whitespace().next().unwrap();
+                current = Some(name);
+                out.entry(name).or_default();
+            }
+            out.get_mut(current.unwrap())
+                .unwrap()
+                .extend(flags_in(line));
+        }
+        out
+    }
+
+    fn declared(command: &Command) -> Vec<&'static str> {
+        command
+            .1
+            .iter()
+            .flat_map(|f| f.values().chain(f.switches()))
+            .collect()
+    }
+
+    fn find(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.0 == name)
+            .unwrap_or_else(|| panic!("no command {name:?}"))
+    }
+
+    /// The commands an `a, b, c` list names, by each item's first word
+    /// (`query --check` is `query`).
+    fn scope(list: &str) -> Vec<&'static Command> {
+        list.split(", ")
+            .map(|item| find(item.split_whitespace().next().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn usage_names_exactly_the_declared_flags() {
+        let synopses = synopses();
+        let public: Vec<&Command> = COMMANDS.iter().filter(|c| c.0 != "shard-worker").collect();
+        assert_eq!(
+            synopses.keys().copied().collect::<BTreeSet<_>>(),
+            public.iter().map(|c| c.0).collect::<BTreeSet<_>>()
+        );
+        let mut all_declared = BTreeSet::new();
+        for command in public {
+            let flags = declared(command);
+            let unique: BTreeSet<&str> = flags.iter().copied().collect();
+            assert_eq!(unique.len(), flags.len(), "{} repeats a flag", command.0);
+            assert_eq!(synopses[command.0], unique, "{}", command.0);
+            all_declared.extend(unique);
+        }
+        // The sections below the synopses name no flag nothing declares.
+        let named = flags_in(USAGE);
+        let undeclared: Vec<_> = named.difference(&all_declared).collect();
+        assert!(undeclared.is_empty(), "USAGE names {undeclared:?}");
+    }
+
+    /// Below the synopses, a flag entry (a line indented four spaces that
+    /// opens with `--`) applies to the commands in its section heading, or
+    /// to those its description opens with in parentheses instead. Every
+    /// one of them declares every flag of the entry.
+    #[test]
+    fn usage_sections_scope_each_flag_to_commands_that_declare_it() {
+        let lines: Vec<&str> = USAGE.lines().collect();
+        let mut heading = None;
+        let mut entries = 0;
+        for (i, line) in lines.iter().enumerate() {
+            if line.starts_with(|c: char| c.is_ascii_uppercase()) {
+                heading = line
+                    .split_once(" (")
+                    .map(|(_, rest)| scope(rest.split_once(')').unwrap().0));
+                continue;
+            }
+            let Some(entry) = line.strip_prefix("    ").filter(|l| l.starts_with("--")) else {
+                continue;
+            };
+            // The flags and their placeholders, then the description, on
+            // this line or the next.
+            let tokens: Vec<&str> = entry.split_whitespace().collect();
+            let split = tokens
+                .iter()
+                .position(|t| !t.starts_with("--") && t.chars().any(|c| c.is_ascii_lowercase()))
+                .unwrap_or(tokens.len());
+            let description = match &tokens[split..] {
+                [] => lines[i + 1].trim().to_string(),
+                rest => rest.join(" "),
+            };
+            let commands = match description.strip_prefix('(') {
+                Some(rest) => scope(rest.split_once(')').unwrap().0),
+                None => heading
+                    .clone()
+                    .unwrap_or_else(|| panic!("{line:?} is in no command's section")),
+            };
+            let names = tokens[..split].join(" ");
+            for flag in flags_in(&names) {
+                for command in &commands {
+                    let takes = declared(command).contains(&flag);
+                    assert!(takes, "USAGE says {} takes --{flag}", command.0);
+                }
+            }
+            entries += 1;
+        }
+        assert!(entries >= 40, "found only {entries} flag entries");
+    }
+
+    #[test]
+    fn the_worker_accepts_every_flag_the_supervisor_passes_it() {
+        let (shard, worker) = (declared(find("shard")), declared(find("shard-worker")));
+        let own = "mrt out heartbeat inject-crash-after inject-stall-ms";
+        for flag in FORWARDED.split_whitespace() {
+            assert!(shard.contains(&flag) && worker.contains(&flag), "{flag}");
+        }
+        for flag in own.split_whitespace() {
+            assert!(worker.contains(&flag), "{flag}");
+        }
+    }
 }

@@ -53,37 +53,11 @@ fn main() -> ExitCode {
     let command = args.next();
     let rest: Vec<String> = args.collect();
     let outcome = match command.as_deref() {
-        Some("stats") => commands::stats(rest),
-        Some("infer") => commands::infer(rest),
-        // The long-running commands trade the default die-on-signal
-        // disposition for a graceful drain: SIGTERM/SIGINT set a flag,
-        // `watch` flushes a final checkpoint, `shard` forwards the TERM to
-        // its workers and waits for their artifact flush.
-        Some("shard") => {
-            commands::install_shutdown_handlers();
-            commands::shard(rest)
-        }
-        Some("shard-worker") => commands::shard_worker(rest),
-        Some("watch") => {
-            commands::install_shutdown_handlers();
-            commands::watch(rest)
-        }
-        Some("feed") => {
-            commands::install_shutdown_handlers();
-            commands::feed(rest)
-        }
-        Some("query") => commands::query(rest),
-        Some("validate") => commands::validate(rest),
-        Some("compare") => commands::compare(rest),
-        Some("generate") => commands::generate(rest),
         Some("--help") | Some("-h") | Some("help") | None => {
             eprint!("{}", commands::USAGE);
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(commands::Failure::from(format!(
-            "unknown command {other:?}\n\n{}",
-            commands::USAGE
-        ))),
+        Some(name) => commands::run(name, rest),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

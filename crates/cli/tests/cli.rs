@@ -179,3 +179,109 @@ fn help_and_errors() {
     assert!(!ok);
     assert!(stderr.contains("open"));
 }
+
+/// Every subcommand refuses a flag it does not declare — a typo'd value
+/// flag and a typo'd switch — with exit 1 and the flag's name, before any
+/// other check (none of these runs has its required flags).
+#[test]
+fn every_subcommand_refuses_a_typod_flag_by_name() {
+    let cases = [
+        ("stats", "--max-error", "--strikt"),
+        ("infer", "--chekpoint", "--resum"),
+        ("shard", "--shard-dirr", "--strikt"),
+        ("shard-worker", "--heartbeet", "--strict"),
+        ("watch", "--inject-flaky", "--resume"),
+        ("query", "--artefact", "--no-map"),
+        ("feed", "--lisen", "--stream"),
+        ("validate", "--report", "--strict"),
+        ("compare", "--olde", "--quick"),
+        ("generate", "--outt", "--streem"),
+    ];
+    for (command, value_flag, switch) in cases {
+        for typo in [&[value_flag, "x"][..], &[switch][..]] {
+            let out = bgpcomm().arg(command).args(typo).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {typo:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown flag {}", typo[0])),
+                "{command} {typo:?}: {stderr}"
+            );
+        }
+    }
+}
+
+/// A value flag with no value, at the end or followed by another flag, is
+/// refused by name instead of being read as a switch and dropped.
+#[test]
+fn a_value_flag_without_its_value_is_refused() {
+    for args in [
+        &[
+            "stats",
+            "--mrt",
+            "/nonexistent.mrt",
+            "--max-errors",
+            "--report",
+            "-",
+        ][..],
+        &["infer", "--mrt", "/nonexistent.mrt", "--json"][..],
+        &["watch", "--tail", "/nonexistent.mrt", "--checkpoint"][..],
+    ] {
+        let out = bgpcomm().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = if args[0] == "stats" {
+            "--max-errors"
+        } else {
+            args[args.len() - 1]
+        };
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// A label file that cannot be written fails the run: `/dev/full` accepts
+/// the open and refuses the write, which a buffered writer dropped without
+/// a flush used to swallow.
+#[test]
+fn a_failed_label_write_fails_the_command() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    use bgp_mrt::obs::write_update_stream;
+    use bgp_types::{Asn, Community, Observation};
+
+    let dir = workdir("dev-full");
+    let mrt = dir.join("tiny.mrt");
+    let observations: Vec<Observation> = (0..3u32)
+        .map(|i| Observation {
+            vp: Asn::new(64500 + i),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            path: format!("{} 1299 64496", 64500 + i).parse().unwrap(),
+            communities: vec![Community::new(1299, 1)],
+            large_communities: Vec::new(),
+            time: 100,
+        })
+        .collect();
+    let mut wire = Vec::new();
+    assert_eq!(
+        write_update_stream(&mut wire, Asn::new(6447), &observations).unwrap(),
+        3
+    );
+    std::fs::write(&mrt, wire).unwrap();
+    let json = dir.join("labels.json");
+    let mrt = mrt.to_str().unwrap();
+    let (_, stderr, ok) = run(bgpcomm().args(["infer", "--mrt", mrt, "--json"]).arg(&json));
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("wrote 1 labels"), "{stderr}");
+
+    let out = bgpcomm()
+        .args(["infer", "--mrt", mrt, "--json", "/dev/full"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("write /dev/full"), "{stderr}");
+    assert!(!stderr.contains("wrote 1 labels"), "{stderr}");
+}

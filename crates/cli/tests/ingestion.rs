@@ -202,3 +202,28 @@ fn report_flag_writes_machine_readable_ingest_report() {
     assert_eq!(ok + skipped, report["bytes_read"].as_u64().unwrap());
     assert!(report["errors"]["unsupported"].as_u64().is_some());
 }
+
+#[test]
+fn strict_writes_its_report_before_failing() {
+    let dir = workdir("strict-report");
+    let mrt = corrupted_archive(&dir);
+    let report_path = dir.join("strict.json");
+    let out = bgpcomm(&[
+        "stats",
+        "--strict",
+        "--mrt",
+        mrt.to_str().unwrap(),
+        "--report",
+        report_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_DECODE), "stderr: {stderr}");
+    assert!(stderr.contains("records decoded"), "{stderr}");
+    let report: serde_json::Value =
+        serde_json::from_str(&fs::read_to_string(&report_path).unwrap()).unwrap();
+    // The file stopped at its first decode error, and said so.
+    assert!(report["aborted"].as_str().is_some(), "{report}");
+    let ok = report["bytes_ok"].as_u64().unwrap();
+    let skipped = report["bytes_skipped"].as_u64().unwrap();
+    assert_eq!(ok + skipped, report["bytes_read"].as_u64().unwrap());
+}

@@ -6,7 +6,8 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use bgp_mrt::obs::write_update_stream;
 use bgp_types::{Asn, Community, Observation};
@@ -539,6 +540,40 @@ fn shard_rejects_strict_mode_and_requires_a_shard_dir() {
         "{}",
         stderr_of(&out)
     );
+}
+
+/// A worker decodes each file only after committing the one before it, so
+/// its heartbeat moves once per file and the supervisor's stall deadline
+/// bounds one file's decode, at the default thread count too. The second
+/// input appears only while the worker stalls after its first heartbeat: a
+/// worker that decoded ahead would find it missing and fail.
+#[test]
+fn worker_decodes_each_file_after_the_previous_heartbeat() {
+    let dir = workdir("per-file-beat");
+    let paths = archives(&dir, 2, 30);
+    let (late, heartbeat) = (dir.join("late.mrt"), dir.join("heartbeat"));
+    let artifact = dir.join("shard.ckpt");
+    let files = format!("{},{}", paths[0].display(), late.display());
+    let worker = Command::new(env!("CARGO_BIN_EXE_bgpcomm"))
+        .args(["shard-worker", "--mrt", &files, "--inject-stall-ms", "4000"])
+        .args(["--out", artifact.to_str().unwrap()])
+        .args(["--heartbeat", heartbeat.to_str().unwrap()])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bgpcomm");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while fs::read_to_string(&heartbeat).ok().as_deref() != Some("1\n") {
+        assert!(
+            Instant::now() < deadline,
+            "no heartbeat after the first file"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    fs::rename(&paths[1], &late).unwrap();
+    let out = worker.wait_with_output().unwrap();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("(2 file(s), "), "{stderr}");
 }
 
 /// A sealed file as an earlier build wrote it: the envelope, at layout

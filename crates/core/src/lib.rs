@@ -30,7 +30,7 @@
 //! ```
 //! use bgp_intent::{run_inference, InferenceConfig};
 //! use bgp_relationships::SiblingMap;
-//! use bgp_types::{Community, Intent, Observation};
+//! use bgp_types::{Community, Intent, Observation, Telemetry};
 //!
 //! let obs = |path: &str, comms: &[(u16, u16)]| Observation {
 //!     vp: path.split_whitespace().next().unwrap().parse().unwrap(),
@@ -50,6 +50,7 @@
 //!     &SiblingMap::default(),
 //!     &InferenceConfig::default(),
 //!     None,
+//!     &Telemetry::disabled(),
 //! );
 //! assert_eq!(
 //!     result.inference.label(Community::new(1299, 2569)),
@@ -90,11 +91,7 @@ pub use classify::{classify_parallelism, Exclusion, Inference, InferenceConfig};
 pub use cluster::gap_clusters;
 pub use eval::Evaluation;
 pub use large::{classify_large, LargeInference};
-pub use pipeline::{
-    run_inference, run_inference_from_stats, run_inference_from_stats_telemetry,
-    run_inference_store, run_inference_store_telemetry, run_inference_with_report, PipelineResult,
-    RATIO_BUCKETS,
-};
+pub use pipeline::{run_inference, PipelineResult, RATIO_BUCKETS};
 pub use stats::{PathCounts, PathStats};
 pub use supervisor::{
     plan_shards, supervise, supervise_with_shutdown, validate_artifact, ShardEvent,

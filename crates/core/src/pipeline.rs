@@ -2,9 +2,8 @@
 //! (optionally) an evaluation out.
 
 use bgp_dictionary::GroundTruthDictionary;
-use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
-use bgp_types::obs::{MetricsRegistry, MetricsSnapshot, Telemetry};
+use bgp_types::obs::{MetricsRegistry, MetricsSnapshot, Span, Telemetry};
 use bgp_types::span;
 use bgp_types::store::ObservationStore;
 use bgp_types::Observation;
@@ -22,14 +21,10 @@ pub struct PipelineResult {
     pub inference: Inference,
     /// Score against ground truth, when a dictionary was supplied.
     pub evaluation: Option<Evaluation>,
-    /// Ingestion accounting, when the observations came through the
-    /// resilient MRT path (see [`run_inference_with_report`]). `None` means
-    /// the caller supplied observations directly.
-    pub ingest: Option<IngestReport>,
     /// Metrics snapshot taken as the run finished, when it was
-    /// telemetry-enabled (see [`run_inference_store_telemetry`]); `None`
-    /// on plain runs. Benches and CI diff the
-    /// [`deterministic`](MetricsSnapshot::deterministic) section.
+    /// telemetry-enabled; `None` under [`Telemetry::disabled`]. Benches and
+    /// CI diff the [`deterministic`](MetricsSnapshot::deterministic)
+    /// section.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -137,185 +132,117 @@ fn record_eval_metrics(metrics: &MetricsRegistry, eval: &Evaluation) {
     }
 }
 
-/// Run the full method: statistics → clustering → classification →
-/// (optional) evaluation.
-///
-/// `cfg.threads` controls both the statistics and classification stages
-/// (`0` = one worker per CPU, `1` = sequential); the result is identical
-/// at any thread count.
-pub fn run_inference(
-    observations: &[Observation],
-    siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
-) -> PipelineResult {
-    let store = ObservationStore::from_observations(observations);
-    run_inference_store(&store, siblings, cfg, dict)
+/// What [`run_inference`] runs over: observations the path-stats kernel
+/// still has to reduce, or statistics a checkpointed or sharded run
+/// already accumulated segment by segment.
+#[derive(Debug, Clone)]
+pub enum Input<'a> {
+    /// Decoded observations, interned first.
+    Observations(&'a [Observation]),
+    /// Interned observations.
+    Store(&'a ObservationStore),
+    /// Precomputed statistics (see [`crate::checkpoint::StatsAccumulator`]).
+    Stats(PathStats),
 }
 
-/// [`run_inference`] over a columnar [`ObservationStore`] — the native
-/// entry point when ingestion folded straight into the store without
-/// materializing a `Vec<Observation>`. The observation-slice form is a
-/// thin wrapper over this.
-pub fn run_inference_store(
-    store: &ObservationStore,
-    siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
-) -> PipelineResult {
-    let stats = PathStats::from_store_threaded(store, siblings, cfg.threads);
-    let inference = classify(&stats, siblings, cfg);
-    let evaluation = dict.map(|d| evaluate(&inference, d));
-    PipelineResult {
-        stats,
-        inference,
-        evaluation,
-        ingest: None,
-        metrics: None,
+impl<'a> From<&'a ObservationStore> for Input<'a> {
+    fn from(store: &'a ObservationStore) -> Self {
+        Input::Store(store)
     }
 }
 
-/// [`run_inference_store`] under observation: each stage (path-stats
-/// kernel, classification, evaluation) runs in its own span with its
-/// wall-clock total accumulated under `time/<stage>_ns`, and the registry
-/// collects interner occupancy, kernel output shape, classification
-/// outcome tallies (with the ratio histogram around the 160:1 threshold),
-/// and the evaluation confusion matrix. The final snapshot is recorded on
-/// [`PipelineResult::metrics`].
-///
-/// With [`Telemetry::disabled`] this *is* [`run_inference_store`] — one
-/// branch, then the uninstrumented code path (the `telemetry_overhead`
-/// bench holds the difference under 1% of `pipeline/end_to_end`).
-pub fn run_inference_store_telemetry(
+impl<'a> From<&'a [Observation]> for Input<'a> {
+    fn from(observations: &'a [Observation]) -> Self {
+        Input::Observations(observations)
+    }
+}
+
+impl<'a> From<&'a Vec<Observation>> for Input<'a> {
+    fn from(observations: &'a Vec<Observation>) -> Self {
+        Input::Observations(observations)
+    }
+}
+
+impl From<PathStats> for Input<'_> {
+    fn from(stats: PathStats) -> Self {
+        Input::Stats(stats)
+    }
+}
+
+/// The path-stats kernel over `store`, inside the run's `pipeline` span.
+fn reduce(
     store: &ObservationStore,
     siblings: &SiblingMap,
     cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
     tel: &Telemetry,
-) -> PipelineResult {
-    if !tel.enabled() {
-        return run_inference_store(store, siblings, cfg, dict);
-    }
-    let _pipeline = span!(tel.tracer, "pipeline", observations = store.len());
+) -> (PathStats, Span) {
+    let span = span!(tel.tracer, "pipeline", observations = store.len());
     if let Some(metrics) = tel.registry() {
         record_store_metrics(metrics, store);
     }
     let stats = tel.stage("stats", || {
         PathStats::from_store_threaded(store, siblings, cfg.threads)
     });
-    let inference = classify_telemetry(&stats, siblings, cfg, tel);
-    let evaluation = evaluate_telemetry(&inference, dict, tel);
-    PipelineResult {
-        stats,
-        inference,
-        evaluation,
-        ingest: None,
-        metrics: tel.snapshot(),
-    }
+    (stats, span)
 }
 
-/// The instrumented classification stage shared by both telemetry entry
-/// points: the `classify` span/timing plus the outcome tallies.
-fn classify_telemetry(
-    stats: &PathStats,
+/// Run the full method: statistics → clustering → classification →
+/// (optional) evaluation.
+///
+/// `cfg.threads` controls both the statistics and classification stages
+/// (`0` = one worker per CPU, `1` = sequential); the result is identical
+/// at any thread count.
+///
+/// Under observation the run is one `pipeline` span, each stage (path-stats
+/// kernel, classification, evaluation) runs in its own span with its
+/// wall-clock total accumulated under `time/<stage>_ns`, and the registry
+/// collects interner occupancy, kernel output shape, classification
+/// outcome tallies (with the ratio histogram around the 160:1 threshold),
+/// and the evaluation confusion matrix. The final snapshot is recorded on
+/// [`PipelineResult::metrics`]. With [`Telemetry::disabled`] every
+/// instrumentation point is one branch (the `telemetry_overhead` bench
+/// holds the difference under 1% of `pipeline/end_to_end`).
+pub fn run_inference<'a>(
+    input: impl Into<Input<'a>>,
     siblings: &SiblingMap,
     cfg: &InferenceConfig,
+    dict: Option<&GroundTruthDictionary>,
     tel: &Telemetry,
-) -> Inference {
+) -> PipelineResult {
+    let (stats, _pipeline) = match input.into() {
+        Input::Observations(observations) => reduce(
+            &ObservationStore::from_observations(observations),
+            siblings,
+            cfg,
+            tel,
+        ),
+        Input::Store(store) => reduce(store, siblings, cfg, tel),
+        Input::Stats(stats) => {
+            let span = span!(
+                tel.tracer,
+                "pipeline",
+                communities = stats.community_count()
+            );
+            (stats, span)
+        }
+    };
     if let Some(metrics) = tel.registry() {
-        record_stats_metrics(metrics, stats);
+        record_stats_metrics(metrics, &stats);
     }
-    let inference = tel.stage("classify", || classify(stats, siblings, cfg));
+    let inference = tel.stage("classify", || classify(&stats, siblings, cfg));
     if let Some(metrics) = tel.registry() {
         record_classify_metrics(metrics, &inference);
     }
-    inference
-}
-
-/// The instrumented evaluation stage: span/timing plus `eval/*` counters.
-fn evaluate_telemetry(
-    inference: &Inference,
-    dict: Option<&GroundTruthDictionary>,
-    tel: &Telemetry,
-) -> Option<Evaluation> {
-    let evaluation = tel.stage("evaluate", || dict.map(|d| evaluate(inference, d)));
+    let evaluation = tel.stage("evaluate", || dict.map(|d| evaluate(&inference, d)));
     if let (Some(metrics), Some(eval)) = (tel.registry(), &evaluation) {
         record_eval_metrics(metrics, eval);
     }
-    evaluation
-}
-
-/// Run the method from precomputed [`PathStats`] — the checkpointed-run
-/// path, where statistics were accumulated file-by-file (see
-/// [`crate::checkpoint::StatsAccumulator`]) instead of from one in-memory
-/// observation list. Classification, evaluation, and reporting behave
-/// exactly as in [`run_inference`].
-pub fn run_inference_from_stats(
-    stats: PathStats,
-    siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
-    ingest: Option<IngestReport>,
-) -> PipelineResult {
-    let inference = classify(&stats, siblings, cfg);
-    let evaluation = dict.map(|d| evaluate(&inference, d));
     PipelineResult {
         stats,
         inference,
         evaluation,
-        ingest,
-        metrics: None,
-    }
-}
-
-/// [`run_inference_from_stats`] under observation — the checkpointed-run
-/// analogue of [`run_inference_store_telemetry`]. The supplied
-/// [`IngestReport`] (typically the checkpoint's accumulated report, which
-/// covers files ingested by *previous* runs too) is recorded under
-/// `ingest/*` so a resumed run's snapshot still accounts for every file.
-pub fn run_inference_from_stats_telemetry(
-    stats: PathStats,
-    siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
-    ingest: Option<IngestReport>,
-    tel: &Telemetry,
-) -> PipelineResult {
-    if !tel.enabled() {
-        return run_inference_from_stats(stats, siblings, cfg, dict, ingest);
-    }
-    let _pipeline = span!(
-        tel.tracer,
-        "pipeline",
-        communities = stats.community_count()
-    );
-    if let (Some(metrics), Some(report)) = (tel.registry(), &ingest) {
-        report.record_metrics(metrics);
-    }
-    let inference = classify_telemetry(&stats, siblings, cfg, tel);
-    let evaluation = evaluate_telemetry(&inference, dict, tel);
-    PipelineResult {
-        stats,
-        inference,
-        evaluation,
-        ingest,
         metrics: tel.snapshot(),
     }
-}
-
-/// [`run_inference`], carrying the [`IngestReport`] from a resilient MRT
-/// read so downstream consumers can qualify the results ("inferred from
-/// 97% of the archive") without a side channel.
-pub fn run_inference_with_report(
-    observations: &[Observation],
-    siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
-    ingest: IngestReport,
-) -> PipelineResult {
-    let mut result = run_inference(observations, siblings, cfg, dict);
-    result.ingest = Some(ingest);
-    result
 }
 
 #[cfg(test)]
@@ -360,6 +287,7 @@ mod tests {
             &SiblingMap::default(),
             &InferenceConfig::default(),
             Some(&dict),
+            &Telemetry::disabled(),
         );
         assert_eq!(result.stats.community_count(), 3);
         let eval = result.evaluation.unwrap();
@@ -367,26 +295,6 @@ mod tests {
         assert_eq!(eval.accuracy(), 1.0);
         let (action, info) = result.inference.intent_counts();
         assert_eq!((action, info), (1, 2));
-    }
-
-    #[test]
-    fn with_report_carries_the_ingest_accounting() {
-        let observations = vec![obs("10 1299 64496", &[(1299, 1)])];
-        let report = IngestReport {
-            records_read: 1,
-            bytes_ok: 60,
-            bytes_read: 60,
-            ..IngestReport::default()
-        };
-        let result = run_inference_with_report(
-            &observations,
-            &SiblingMap::default(),
-            &InferenceConfig::default(),
-            None,
-            report.clone(),
-        );
-        assert_eq!(result.ingest, Some(report));
-        assert_eq!(result.inference.labels.len(), 1);
     }
 
     #[test]
@@ -400,13 +308,14 @@ mod tests {
         ];
         let siblings = SiblingMap::default();
         let cfg = InferenceConfig::default();
-        let direct = run_inference(&observations, &siblings, &cfg, None);
+        let plain = Telemetry::disabled();
+        let direct = run_inference(&observations, &siblings, &cfg, None, &plain);
         // Accumulate the same input as two "files", then classify from the
         // accumulator-derived stats: the checkpointed-run path.
         let mut acc = StatsAccumulator::new();
         acc.ingest_ordered(&observations[..2], &siblings);
         acc.ingest_ordered(&observations[2..], &siblings);
-        let resumed = run_inference_from_stats(acc.to_stats(), &siblings, &cfg, None, None);
+        let resumed = run_inference(acc.to_stats(), &siblings, &cfg, None, &plain);
         assert_eq!(resumed.stats, direct.stats);
         assert_eq!(resumed.inference, direct.inference);
     }
@@ -420,13 +329,19 @@ mod tests {
         ];
         let siblings = SiblingMap::default();
         let cfg = InferenceConfig::default();
-        let via_slice = run_inference(&observations, &siblings, &cfg, None);
+        let plain = Telemetry::disabled();
+        let via_slice = run_inference(&observations, &siblings, &cfg, None, &plain);
         let mut store = ObservationStore::new();
         for o in &observations {
             store.push(o);
         }
-        let via_store = run_inference_store(&store, &siblings, &cfg, None);
+        let via_store = run_inference(&store, &siblings, &cfg, None, &plain);
         assert_eq!(via_slice, via_store);
+        // Telemetry changes nothing but the snapshot it adds.
+        let observed = run_inference(&store, &siblings, &cfg, None, &Telemetry::with_metrics());
+        assert!(observed.metrics.is_some());
+        assert_eq!(observed.inference, via_store.inference);
+        assert_eq!(observed.stats, via_store.stats);
     }
 
     #[test]
@@ -437,6 +352,7 @@ mod tests {
             &SiblingMap::default(),
             &InferenceConfig::default(),
             None,
+            &Telemetry::disabled(),
         );
         assert!(result.evaluation.is_none());
         assert_eq!(result.inference.labels.len(), 1);

@@ -54,7 +54,7 @@ use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, Format, LoadError};
-use bgp_types::{AsPathView, Asn, Community, Intent, Observation};
+use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
 use crate::checkpoint::{ColumnReader, ColumnWriter, StatsAccumulator, StatsSnapshot};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
@@ -125,7 +125,8 @@ pub struct WindowedClassifier {
     /// Per tuple ID: the index of the head bucket that listed it last, so
     /// the head bucket lists each tuple once.
     head_mark: Vec<u64>,
-    /// Scratch each observation's path is flattened into for interning.
+    /// Scratch an owned observation's path is flattened into by
+    /// [`observe`](Self::observe).
     scratch: (Vec<(u8, u32)>, Vec<u32>),
     /// Windowed stats at the last reclassification — the diff base for
     /// dirty-owner detection.
@@ -223,16 +224,24 @@ impl WindowedClassifier {
         self.segment.stats_where(|t| self.refs[t] > 0)
     }
 
-    /// Fold one observation. It is interned into the segment first, always.
-    /// If it opens a newer bucket than the current head, the window
-    /// advances — evict expired buckets, reclassify dirty owners — and
-    /// *then* its tuple is listed in the new head (advance-before-fold).
-    /// Returns `true` when an advance (and thus a reclassification)
-    /// happened, so the daemon can apply its checkpoint cadence.
+    /// Fold one observation: [`observe_view`](Self::observe_view) over an
+    /// owned [`Observation`].
     pub fn observe(&mut self, obs: &Observation, siblings: &SiblingMap) -> bool {
-        let (segs, asns) = &mut self.scratch;
-        let path = AsPathView::of(&obs.path, segs, asns);
-        let tuple = self.segment.fold(&path, &obs.communities, siblings);
+        let (mut segs, mut asns) = std::mem::take(&mut self.scratch);
+        let advanced = self.observe_view(&ObservationView::of(obs, &mut segs, &mut asns), siblings);
+        self.scratch = (segs, asns);
+        advanced
+    }
+
+    /// Fold one borrowed observation, as the view decoder hands it over.
+    /// It is interned into the segment first, always. If it opens a newer
+    /// bucket than the current head, the window advances — evict expired
+    /// buckets, reclassify dirty owners — and *then* its tuple is listed
+    /// in the new head (advance-before-fold). Returns `true` when an
+    /// advance (and thus a reclassification) happened, so the daemon can
+    /// apply its checkpoint cadence.
+    pub fn observe_view(&mut self, obs: &ObservationView<'_>, siblings: &SiblingMap) -> bool {
+        let tuple = self.segment.fold(&obs.path, obs.communities, siblings);
         if tuple as usize == self.refs.len() {
             self.refs.push(0);
             self.head_mark.push(UNLISTED);
@@ -969,15 +978,37 @@ fn record_watch_metrics(
     report.record_metrics(metrics);
 }
 
+/// The sink [`run_watch`] decodes into: every borrowed observation folds
+/// straight into the classifier, with no owned copy in between.
+struct WindowSink<'a> {
+    classifier: &'a mut WindowedClassifier,
+    siblings: &'a SiblingMap,
+    folded: usize,
+    /// Whether any fold advanced the window.
+    advanced: bool,
+}
+
+impl ObservationSink for WindowSink<'_> {
+    fn observation_count(&self) -> usize {
+        self.folded
+    }
+
+    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
+        self.advanced |= self.classifier.observe_view(view, self.siblings);
+        self.folded += 1;
+    }
+}
+
 /// Run the streaming daemon over `source` until shutdown, the quiescent
 /// point ([`StreamTuning::quiesce_after`]), or a terminal delivery error
 /// (reconnect budget exhausted).
 ///
-/// The loop per decoded record: fold each observation into the windowed
-/// classifier (advance-before-fold), which interns it once; at
-/// record boundaries, honor the crash injection and the checkpoint cadence
-/// (checkpoints are only ever written at record boundaries so the cursor
-/// is consistent with exactly the folds performed). On exit a final
+/// The loop per decoded record: fold each observation, borrowed from the
+/// view decoder, into the windowed classifier (advance-before-fold), which
+/// interns it once; at record boundaries, honor the crash injection and
+/// the checkpoint cadence (checkpoints are only ever written at record
+/// boundaries so the cursor is consistent with exactly the folds
+/// performed). On exit a final
 /// reclassification brings labels up to date with the head bucket, a final
 /// checkpoint is flushed, and metrics are recorded — the same path for
 /// graceful shutdown and quiesce.
@@ -1031,17 +1062,18 @@ pub fn run_watch<S: StreamSource>(
 
     let checkpoint_every = opts.checkpoint_every.max(1);
     let mut last_checkpoint_advance = classifier.advances();
-    let mut batch: Vec<Observation> = Vec::new();
     loop {
-        batch.clear();
-        if decoder.next_record(&mut batch).is_none() {
+        let mut sink = WindowSink {
+            classifier: &mut classifier,
+            siblings,
+            folded: 0,
+            advanced: false,
+        };
+        if decoder.next_record(&mut sink).is_none() {
             break;
         }
-        let mut advanced = false;
-        for obs in &batch {
-            advanced |= classifier.observe(obs, siblings);
-        }
-        observations += batch.len() as u64;
+        let advanced = sink.advanced;
+        observations += sink.folded as u64;
         if let Some(pause) = opts.slow_fold {
             std::thread::sleep(pause);
         }
@@ -1829,6 +1861,54 @@ mod tests {
         assert_eq!(outcome.inference.labels, batch.labels);
         assert_eq!(outcome.inference.excluded, batch.excluded);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Folding the decoded views of the churn stream and observing its
+    /// owned observations checkpoint byte-identically, at every advance
+    /// and at the end.
+    #[test]
+    fn folding_decoded_views_matches_observing_owned_observations() {
+        let siblings = SiblingMap::default();
+        let stream = churn_stream();
+        let mut wire = Vec::new();
+        bgp_mrt::obs::write_update_stream(&mut wire, Asn::new(6447), &stream).unwrap();
+
+        // One update record per observation, so an advance lands on the
+        // same record boundary in both runs.
+        let mut owned = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let mut expected = Vec::new();
+        for (i, o) in stream.iter().enumerate() {
+            if owned.observe(o, &siblings) {
+                expected.push(owned.checkpoint(0, 0, i as u64 + 1).encode());
+            }
+        }
+        owned.reclassify(&siblings);
+        expected.push(owned.checkpoint(0, 0, stream.len() as u64).encode());
+
+        let mut viewed = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let mut decoder = StreamDecoder::new(&wire[..], RecoverConfig::default());
+        let (mut folded, mut got) = (0u64, Vec::new());
+        loop {
+            let mut sink = WindowSink {
+                classifier: &mut viewed,
+                siblings: &siblings,
+                folded: 0,
+                advanced: false,
+            };
+            match decoder.next_record(&mut sink) {
+                None => break,
+                Some(step) => step.unwrap(),
+            }
+            folded += sink.folded as u64;
+            if sink.advanced {
+                got.push(viewed.checkpoint(0, 0, folded).encode());
+            }
+        }
+        viewed.reclassify(&siblings);
+        got.push(viewed.checkpoint(0, 0, folded).encode());
+        assert!(got.len() > 2, "the churn stream advances the window");
+        assert_eq!(folded, stream.len() as u64);
+        assert_eq!(got, expected);
     }
 
     /// Two fresh runs over the same feed write byte-identical checkpoints,

@@ -11,7 +11,7 @@
 //! included) is dumped as JSON for diagnosis.
 
 use bgp_experiments::{Scenario, ScenarioConfig};
-use bgp_intent::{run_inference_store_telemetry, InferenceConfig};
+use bgp_intent::{run_inference, InferenceConfig};
 use bgp_types::obs::Telemetry;
 use bgp_types::store::ObservationStore;
 use bgp_types::Intent;
@@ -64,7 +64,7 @@ fn run_seed(seed: u64) -> (Scores, Telemetry) {
     let store = ObservationStore::from_observations(&observations);
 
     let tel = Telemetry::with_metrics();
-    let result = run_inference_store_telemetry(
+    let result = run_inference(
         &store,
         &scenario.siblings,
         &InferenceConfig::default(),

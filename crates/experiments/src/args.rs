@@ -1,54 +1,83 @@
-//! A tiny flag parser shared by the experiment binaries (no external
-//! dependency needed for `--key value` pairs and boolean switches).
+//! A tiny flag parser shared by `bgpcomm` and the experiment binaries (no
+//! external dependency needed for `--key value` pairs and boolean
+//! switches). Every command declares, once, the flags it acts on; parsing
+//! refuses anything else.
 
-use std::collections::HashMap;
+/// A group of declared flags, each list written as space-separated names:
+/// value flags take the next token as their value, switches take none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flags {
+    values: &'static str,
+    switches: &'static str,
+}
+
+impl Flags {
+    /// Declare `values` (like `"seed days"`) and `switches` (like
+    /// `"quick"`).
+    pub const fn new(values: &'static str, switches: &'static str) -> Flags {
+        Flags { values, switches }
+    }
+
+    /// The value flags' names.
+    pub fn values(&self) -> impl Iterator<Item = &'static str> {
+        self.values.split_whitespace()
+    }
+
+    /// The switches' names.
+    pub fn switches(&self) -> impl Iterator<Item = &'static str> {
+        self.switches.split_whitespace()
+    }
+}
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
     pairs: Vec<(String, String)>,
-    flags: Vec<String>,
+    switches: Vec<String>,
 }
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// Parse `args` (excluding the program name) against the declared flag
+    /// groups. A positional argument, an undeclared flag, and a value flag
+    /// without a value (at the end, or followed by another flag) are
+    /// refused with a message naming the flag.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        declared: &[Flags],
+    ) -> Result<Self, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument {arg:?}"));
             };
-            if key.is_empty() {
-                return Err("empty flag name".into());
-            }
-            // A value follows unless the next token is another flag.
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = iter.next().expect("peeked");
-                    out.values.insert(key.to_string(), value.clone());
-                    out.pairs.push((key.to_string(), value));
-                }
-                _ => out.flags.push(key.to_string()),
+            if declared.iter().any(|f| f.switches().any(|s| s == key)) {
+                out.switches.push(key.to_string());
+            } else if declared.iter().any(|f| f.values().any(|v| v == key)) {
+                let value = iter
+                    .next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                out.pairs.push((key.to_string(), value));
+            } else {
+                return Err(format!("unknown flag --{key}"));
             }
         }
         Ok(out)
     }
 
-    /// Parse from the process environment.
-    pub fn from_env() -> Result<Self, String> {
-        Args::parse(std::env::args().skip(1))
+    /// Parse the process's own arguments against the declared flags.
+    pub fn from_env(declared: &[Flags]) -> Result<Self, String> {
+        Args::parse(std::env::args().skip(1), declared)
     }
 
     /// A boolean switch like `--quick`.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.switches.iter().any(|f| f == name)
     }
 
     /// A typed value like `--seed 42`, with a default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
+        match self.get_str(name) {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -61,7 +90,11 @@ impl Args {
     /// For a repeated key this returns the last occurrence; use
     /// [`Args::get_all`] for keys that accept multiple values.
     pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Every value given for a repeatable key like `--mrt a --mrt b`,
@@ -79,8 +112,14 @@ impl Args {
 mod tests {
     use super::*;
 
+    const TEST_FLAGS: Flags = Flags::new("seed scale days json csv mrt", "quick verbose");
+
+    fn try_parse(s: &str) -> Result<Args, String> {
+        Args::parse(s.split_whitespace().map(String::from), &[TEST_FLAGS])
+    }
+
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -116,8 +155,27 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(Args::parse(vec!["positional".to_string()]).is_err());
+        assert!(try_parse("positional").is_err());
         let a = parse("--seed abc");
         assert!(a.get("seed", 0u64).is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_refused_by_name() {
+        assert_eq!(try_parse("--sed 42").unwrap_err(), "unknown flag --sed");
+        assert_eq!(try_parse("--quik").unwrap_err(), "unknown flag --quik");
+        assert_eq!(try_parse("--").unwrap_err(), "unknown flag --");
+    }
+
+    #[test]
+    fn a_value_flag_needs_a_value() {
+        assert_eq!(try_parse("--seed").unwrap_err(), "--seed needs a value");
+        // A following flag is not its value.
+        assert_eq!(
+            try_parse("--days --json out.json").unwrap_err(),
+            "--days needs a value"
+        );
+        // A switch never takes one.
+        assert!(try_parse("--quick 1").is_err());
     }
 }

@@ -1,9 +1,13 @@
 //! Sensitivity harness: the on-path:off-path ratio threshold.
 use bgp_experiments::figures::ratio;
-use bgp_experiments::{Args, Scenario, ScenarioConfig};
+use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
+
+/// The flags this binary reads besides the scenario's.
+const FLAGS: Flags = Flags::new("days json", "");
 
 fn main() {
-    let args = Args::from_env().expect("usage: ratio [--seed N] [--scale F] [--days N]");
+    let args = Args::from_env(&[ScenarioConfig::FLAGS, FLAGS])
+        .expect("usage: ratio [--seed N] [--scale F] [--days N]");
     let cfg = ScenarioConfig::from_args(&args).expect("valid scenario flags");
     let days: u32 = args.get("days", 2).expect("--days N");
     let scenario = Scenario::build(&cfg);

@@ -2,10 +2,14 @@
 use bgp_experiments::figures::{
     days, fig04, fig06, fig07, fig09, fig10, finegrained, headline, large, overtime, ratio, table1,
 };
-use bgp_experiments::{Args, Scenario, ScenarioConfig};
+use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
+
+/// The flags this binary reads besides the scenario's.
+const FLAGS: Flags = Flags::new("days trials months", "quick");
 
 fn main() {
-    let args = Args::from_env().expect("usage: run-all [--seed N] [--scale F] [--quick]");
+    let args = Args::from_env(&[ScenarioConfig::FLAGS, FLAGS])
+        .expect("usage: run-all [--seed N] [--scale F] [--quick]");
     let cfg = ScenarioConfig::from_args(&args).expect("valid scenario flags");
     let quick = args.flag("quick");
     let days_n: u32 = args.get("days", 7).expect("--days N");

@@ -1,9 +1,13 @@
 //! Table 1 harness: improving location-community inference.
 use bgp_experiments::figures::table1;
-use bgp_experiments::{Args, Scenario, ScenarioConfig};
+use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
+
+/// The flags this binary reads besides the scenario's.
+const FLAGS: Flags = Flags::new("days json", "");
 
 fn main() {
-    let args = Args::from_env().expect("usage: table1 [--seed N] [--scale F] [--days N]");
+    let args = Args::from_env(&[ScenarioConfig::FLAGS, FLAGS])
+        .expect("usage: table1 [--seed N] [--scale F] [--days N]");
     let cfg = ScenarioConfig::from_args(&args).expect("valid scenario flags");
     let days: u32 = args.get("days", 7).expect("--days N");
     let scenario = Scenario::build(&cfg);

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use bgp_intent::{run_inference, InferenceConfig};
-use bgp_types::Observation;
+use bgp_types::{Observation, Telemetry};
 
 use crate::report::{pct, table};
 use crate::scenario::Scenario;
@@ -52,6 +52,7 @@ pub fn run(scenario: &Scenario, observations: &[Observation], max_days: u32) -> 
             &scenario.siblings,
             &InferenceConfig::default(),
             Some(&scenario.dict),
+            &Telemetry::disabled(),
         );
         points.push(DayPoint {
             days,

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use bgp_intent::{run_inference, InferenceConfig};
-use bgp_types::{Asn, Observation};
+use bgp_types::{Asn, Observation, Telemetry};
 
 use crate::report::{pct, percentiles, table};
 use crate::scenario::Scenario;
@@ -69,6 +69,7 @@ pub fn run(
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let full_accuracy = full.evaluation.as_ref().expect("dict supplied").accuracy();
     let full_communities = full.stats.community_count();
@@ -103,6 +104,7 @@ pub fn run(
                             &scenario.siblings,
                             &InferenceConfig::default(),
                             Some(&scenario.dict),
+                            &Telemetry::disabled(),
                         );
                         let acc = res.evaluation.as_ref().expect("dict").accuracy();
                         let coverage =

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use bgp_intent::{infer_categories, run_inference, CategoryConfig, FineCategory, InferenceConfig};
 use bgp_policy::Purpose;
 use bgp_relationships::{infer_relationships, InferConfig};
-use bgp_types::{AsPath, Asn, Observation};
+use bgp_types::{AsPath, Asn, Observation, Telemetry};
 
 use crate::report::{pct, table};
 use crate::scenario::Scenario;
@@ -63,6 +63,7 @@ pub fn run(scenario: &Scenario, observations: &[Observation]) -> FineGrainedResu
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let paths: Vec<&AsPath> = observations.iter().map(|o| &o.path).collect();
     let relationships = infer_relationships(paths, &InferConfig::default());

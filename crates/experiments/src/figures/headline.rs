@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use bgp_intent::{run_inference, Exclusion, InferenceConfig};
-use bgp_types::Observation;
+use bgp_types::{Observation, Telemetry};
 
 use crate::report::pct;
 use crate::scenario::Scenario;
@@ -49,6 +49,7 @@ pub fn run(scenario: &Scenario, observations: &[Observation]) -> HeadlineResult 
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let eval = result.evaluation.expect("dictionary supplied");
     let (action, information) = result.inference.intent_counts();

@@ -10,6 +10,7 @@ use bgp_policy::{generate_policies, PolicyConfig};
 use bgp_relationships::SiblingMap;
 use bgp_sim::Simulator;
 use bgp_topology::evolve::{grow_one_month, GrowthConfig};
+use bgp_types::Telemetry;
 
 use crate::report::{pct, table};
 use crate::scenario::{Scenario, ScenarioConfig};
@@ -74,6 +75,7 @@ pub fn run(cfg: &ScenarioConfig, months: u32) -> OvertimeResult {
             &scenario.siblings,
             &InferenceConfig::default(),
             Some(&scenario.dict),
+            &Telemetry::disabled(),
         );
         points.push(MonthPoint {
             month,

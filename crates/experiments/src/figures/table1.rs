@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use bgp_intent::{run_inference, InferenceConfig};
 use bgp_loccomm::{improvement_table, infer_location_communities, ImprovementTable, LocCommConfig};
 use bgp_topology::RegionId;
-use bgp_types::{Asn, Observation};
+use bgp_types::{Asn, Observation, Telemetry};
 
 use crate::report::{pct, table};
 use crate::scenario::Scenario;
@@ -40,6 +40,7 @@ pub fn run(scenario: &Scenario, observations: &[Observation]) -> Table1Result {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let table = improvement_table(&locations, &intent.inference, &scenario.policies);
     Table1Result {

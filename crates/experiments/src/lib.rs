@@ -23,5 +23,5 @@ pub mod figures;
 pub mod report;
 pub mod scenario;
 
-pub use args::Args;
+pub use args::{Args, Flags};
 pub use scenario::{Scenario, ScenarioConfig};

@@ -12,6 +12,8 @@ use bgp_sim::{select_vantage_points, SimConfig, Simulator, VantagePoint, VpConfi
 use bgp_topology::{generate, Topology, TopologyConfig};
 use bgp_types::{Asn, Observation};
 
+use crate::args::{Args, Flags};
+
 /// Scenario parameters. `scale` multiplies every population of the default
 /// world (≈1,000 ASes at 1.0 — about 1/75 of the Internet the paper
 /// measured).
@@ -46,8 +48,12 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// Build from parsed CLI args (`--seed`, `--scale`, `--docs`).
-    pub fn from_args(args: &crate::args::Args) -> Result<Self, String> {
+    /// The six flags [`from_args`](Self::from_args) reads.
+    pub const FLAGS: Flags = Flags::new("seed scale docs completeness vp-mid vp-stub", "");
+
+    /// Build from parsed CLI args (`--seed`, `--scale`, `--docs`,
+    /// `--completeness`, `--vp-mid`, `--vp-stub`).
+    pub fn from_args(args: &Args) -> Result<Self, String> {
         let base = ScenarioConfig::default();
         Ok(ScenarioConfig {
             seed: args.get("seed", base.seed)?,

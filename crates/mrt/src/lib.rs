@@ -79,7 +79,7 @@ pub use faults::{
     FaultConfig, FaultInjector, FaultKind, FaultLog, FaultyStream, FlakyConfig, FlakyReader,
     StreamFaultConfig, StreamFaultInjector, StreamFaultKind, StreamFaultLog,
 };
-pub use obs::{FileIngest, FileStoreIngest, IngestTuning, StreamDecoder, StreamStep};
+pub use obs::{FileIngest, IngestOptions, StreamDecoder};
 pub use readahead::Readahead;
 pub use reader::MrtReader;
 pub use records::{MrtRecord, TimestampedRecord};

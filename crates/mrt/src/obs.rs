@@ -155,10 +155,9 @@ pub fn write_update_stream<W: Write>(
     Ok(writer.records_written())
 }
 
-/// Fold one decoded record into an [`ObservationSink`] — a plain
-/// `Vec<Observation>` for the historical slice APIs, or a columnar
-/// [`ObservationStore`] when ingestion feeds the analysis pipeline
-/// directly (no intermediate vector of per-record heap graphs).
+/// Fold one owned record into an [`ObservationSink`]: the owned-decode
+/// path behind [`read_observations`] and the
+/// [`read_observations_resilient_reference`] oracle.
 ///
 /// Returns the number of entries dropped under [`EntryPolicy::Skip`]; under
 /// [`EntryPolicy::Abort`] the first invalid entry aborts with an error.
@@ -228,23 +227,13 @@ fn accumulate<S: ObservationSink>(
 }
 
 /// Read observations back from an MRT stream containing RIB dumps and/or
-/// update streams. Unsupported or malformed records are skipped (the
-/// reader can continue past a well-framed body it cannot decode), matching
-/// how measurement pipelines treat archives; I/O and truncation errors
-/// still abort.
+/// update streams, through the owned [`MrtReader`]. Unsupported or
+/// malformed records are skipped (the reader can continue past a
+/// well-framed body it cannot decode); I/O and truncation errors still
+/// abort. A convenience for tests and small tools: ingestion proper goes
+/// through [`read_files`].
 pub fn read_observations<R: Read>(input: R) -> Result<Vec<Observation>, MrtError> {
     let mut observations = Vec::new();
-    read_observations_into(input, &mut observations)?;
-    Ok(observations)
-}
-
-/// [`read_observations`] folding into any [`ObservationSink`] instead of
-/// returning a fresh `Vec` — pass an [`ObservationStore`] to intern
-/// straight off the wire.
-pub fn read_observations_into<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-) -> Result<(), MrtError> {
     let mut peers: Vec<PeerEntry> = Vec::new();
     for item in MrtReader::new(input) {
         let rec = match item {
@@ -252,138 +241,41 @@ pub fn read_observations_into<R: Read, S: ObservationSink>(
             Err(e @ (MrtError::Io(_) | MrtError::Truncated { .. })) => return Err(e),
             Err(_) => continue, // skip undecodable record bodies
         };
-        accumulate(rec, &mut peers, sink, EntryPolicy::Abort)?;
+        accumulate(rec, &mut peers, &mut observations, EntryPolicy::Abort)?;
     }
-    Ok(())
-}
-
-/// Strict ingestion: the first decode error of *any* kind — undecodable
-/// body, unknown type, truncation, framing damage — aborts the read.
-///
-/// This is the fail-fast mode for pipelines that would rather stop than
-/// silently analyze a partial archive; [`read_observations`] tolerates
-/// record-local damage, [`read_observations_resilient`] tolerates framing
-/// damage too.
-pub fn read_observations_strict<R: Read>(input: R) -> Result<Vec<Observation>, MrtError> {
-    let mut observations = Vec::new();
-    read_observations_strict_hooked(input, &mut observations, None)?;
     Ok(observations)
 }
 
-/// [`read_observations_strict`] folding into any [`ObservationSink`].
-pub fn read_observations_strict_into<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-) -> Result<(), MrtError> {
-    read_observations_strict_hooked(input, sink, None)
-}
-
-/// [`read_observations_strict`] with the [`IngestTuning::panic_after_records`]
-/// fault hook applied.
-fn read_observations_strict_hooked<R: Read, S: ObservationSink>(
-    input: R,
-    sink: &mut S,
-    panic_after: Option<u64>,
-) -> Result<(), MrtError> {
-    let mut peers: Vec<PeerEntry> = Vec::new();
-    let mut decoded = 0u64;
-    for item in MrtReader::new(input) {
-        let rec = item?;
-        decoded += 1;
-        injected_panic_check(decoded, panic_after);
-        accumulate(rec, &mut peers, sink, EntryPolicy::Abort)?;
-    }
-    Ok(())
-}
-
-/// Fire the deliberate [`IngestTuning::panic_after_records`] fault: panic
-/// once `decoded` reaches the configured record count.
-fn injected_panic_check(decoded: u64, panic_after: Option<u64>) {
-    if let Some(n) = panic_after {
-        if decoded >= n {
-            panic!("injected fault: panic after {n} decoded records");
-        }
-    }
-}
-
-/// Resilient ingestion over [`RecoveringReader`]: survive framing damage,
-/// truncation, and semantically invalid entries, returning whatever could
-/// be decoded plus an exact [`IngestReport`] of everything that could not.
+/// Lenient ingestion of one stream into any [`ObservationSink`]: survive
+/// framing damage, truncation and semantically invalid entries, and return
+/// an exact [`IngestReport`] of everything that could not be decoded (the
+/// salvaged observations are in the sink).
 ///
 /// Never fails: I/O errors and an exhausted error budget stop the read
-/// early but are reported through [`IngestReport::aborted`] rather than an
-/// `Err`, so the caller always gets the salvaged observations. RIB entries
+/// early but are reported through [`IngestReport::aborted`]. RIB entries
 /// whose peer index falls outside the peer table are dropped individually
 /// and counted under `errors.malformed` (their bytes stay in `bytes_ok`,
-/// since the record frame itself decoded).
-pub fn read_observations_resilient<R: Read>(
-    input: R,
-    cfg: &RecoverConfig,
-) -> (Vec<Observation>, IngestReport) {
-    let mut observations = Vec::new();
-    let report = read_observations_resilient_hooked(input, cfg, &mut observations, None);
-    (observations, report)
-}
-
-/// [`read_observations_resilient`] folding into any [`ObservationSink`];
-/// returns the [`IngestReport`] (the salvaged observations are in the
-/// sink).
+/// since the record frame itself decoded). This is [`StreamDecoder`]
+/// drained to the end.
 pub fn read_observations_resilient_into<R: Read, S: ObservationSink>(
     input: R,
     cfg: &RecoverConfig,
     sink: &mut S,
 ) -> IngestReport {
-    read_observations_resilient_hooked(input, cfg, sink, None)
-}
-
-/// [`read_observations_resilient`] with the
-/// [`IngestTuning::panic_after_records`] fault hook applied.
-///
-/// This is the zero-copy hot path: record bodies are parsed in place into a
-/// reusable [`RecordScratch`] arena and handed to the sink as borrowed
-/// views — no owned record tree, no per-record heap allocation. The
-/// [`read_observations_resilient_reference`] function keeps the owned fold
-/// alive as the differential-testing oracle.
-fn read_observations_resilient_hooked<R: Read, S: ObservationSink>(
-    input: R,
-    cfg: &RecoverConfig,
-    sink: &mut S,
-    panic_after: Option<u64>,
-) -> IngestReport {
-    let mut reader = RecoveringReader::with_config(input, cfg.clone());
-    let mut peers: Vec<PeerEntry> = Vec::new();
-    let mut scratch = RecordScratch::new();
-    let mut dropped_entries = 0u64;
-    let mut decoded = 0u64;
-    // Err items need no handling here: they are already counted inside the
-    // reader's report.
-    while let Some(item) = reader
-        .process_next(|ts, mrt_type, subtype, body| scratch.parse(ts, mrt_type, subtype, body))
-    {
-        if item.is_err() {
-            continue;
-        }
-        decoded += 1;
-        injected_panic_check(decoded, panic_after);
-        dropped_entries += scratch
-            .emit(&mut peers, sink, EntryPolicy::Skip)
-            .expect("Skip policy never errors");
-    }
-    let mut report = reader.into_report();
-    report.errors.malformed += dropped_entries;
-    report.arena_bytes = scratch.arena_bytes();
-    report
+    let mut decoder = StreamDecoder::new(input, cfg.clone());
+    while decoder.next_record(sink).is_some() {}
+    decoder.report()
 }
 
 /// The owned-decode reference implementation of
-/// [`read_observations_resilient`]: identical semantics, but every record is
-/// materialized through [`crate::records::decode_body`] and folded from the
-/// owned tree.
+/// [`read_observations_resilient_into`]: identical semantics, but every
+/// record is materialized through [`crate::records::decode_body`] and
+/// folded from the owned tree.
 ///
 /// This exists as the oracle for the differential tests that pin the
 /// zero-copy view decoder bit-identical to the owned path (same
 /// observations, same [`IngestReport`] up to the view-only `arena_bytes`
-/// field); production callers should use [`read_observations_resilient`].
+/// field).
 pub fn read_observations_resilient_reference<R: Read, S: ObservationSink>(
     input: R,
     cfg: &RecoverConfig,
@@ -401,65 +293,68 @@ pub fn read_observations_resilient_reference<R: Read, S: ObservationSink>(
     report
 }
 
-/// What [`StreamDecoder::next_record`] consumed from the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamStep {
-    /// A record decoded; its observations (possibly zero — peer-index
-    /// tables and state changes carry none) were pushed into the sink.
-    Record,
-    /// A malformed or unframeable span was quarantined and skipped; the
-    /// reader resynced past it. Accounted in the report's error counters.
-    Skipped,
-}
-
-/// Incremental record-at-a-time decoding for stream consumers.
+/// Record-at-a-time decoding: the one decode loop every ingest path runs.
 ///
-/// The batch entry points above drain their input to EOF before returning;
-/// a daemon instead needs to fold observations *as records arrive* and to
-/// know, at any record boundary, the exact byte position everything before
-/// which has been folded — that position is what a crash-safe checkpoint
-/// stores as its resume cursor. `StreamDecoder` wraps the same
-/// [`RecoveringReader`] quarantine-and-resync loop and the same zero-copy
-/// [`RecordScratch`] fold as [`read_observations_resilient`], exposed one
-/// record at a time.
+/// It wraps the [`RecoveringReader`] quarantine-and-resync loop and the
+/// zero-copy [`RecordScratch`] fold: record bodies are parsed in place into
+/// a reusable arena and handed to the sink as borrowed views, with no owned
+/// record tree and no per-record heap allocation. [`read_files`] drains one
+/// per input file; a daemon instead folds observations *as records arrive*
+/// and needs, at any record boundary, the exact byte position everything
+/// before which has been folded, which is what a crash-safe checkpoint
+/// stores as its resume cursor.
 #[derive(Debug)]
 pub struct StreamDecoder<R: Read> {
     reader: RecoveringReader<R>,
     peers: Vec<PeerEntry>,
     scratch: RecordScratch,
+    /// What an unresolvable peer index does: lenient decoders skip and
+    /// count the entry, strict ones fail the record.
+    policy: EntryPolicy,
     dropped_entries: u64,
     records_decoded: u64,
 }
 
 impl<R: Read> StreamDecoder<R> {
-    /// Wrap a byte stream with the given decode policy.
+    /// Wrap a byte stream with the given lenient decode policy.
     pub fn new(input: R, cfg: RecoverConfig) -> Self {
         StreamDecoder {
             reader: RecoveringReader::with_config(input, cfg),
             peers: Vec::new(),
             scratch: RecordScratch::new(),
+            policy: EntryPolicy::Skip,
             dropped_entries: 0,
             records_decoded: 0,
         }
     }
 
-    /// Decode the next record (or quarantine the next damaged span) into
-    /// `sink`. Returns `None` at end of stream — clean EOF, a fatal I/O
-    /// error, or an exhausted error budget (distinguished by the report).
-    pub fn next_record<S: ObservationSink>(&mut self, sink: &mut S) -> Option<StreamStep> {
+    /// Decode the next record into `sink`, or quarantine the next damaged
+    /// span. Returns `Some(Ok(()))` for a decoded record (its observations,
+    /// possibly none, are in the sink), `Some(Err(e))` for a span that was
+    /// skipped and counted in the report, and `None` at the end of the
+    /// stream: clean EOF, a fatal I/O error, or an exhausted error budget
+    /// (distinguished by the report).
+    pub fn next_record<S: ObservationSink>(
+        &mut self,
+        sink: &mut S,
+    ) -> Option<Result<(), MrtError>> {
         let scratch = &mut self.scratch;
         let item = self.reader.process_next(|ts, mrt_type, subtype, body| {
             scratch.parse(ts, mrt_type, subtype, body)
         })?;
-        if item.is_err() {
-            return Some(StreamStep::Skipped);
-        }
-        self.records_decoded += 1;
-        self.dropped_entries += self
-            .scratch
-            .emit(&mut self.peers, sink, EntryPolicy::Skip)
-            .expect("Skip policy never errors");
-        Some(StreamStep::Record)
+        Some(item.and_then(|()| {
+            self.records_decoded += 1;
+            match self.scratch.emit(&mut self.peers, sink, self.policy) {
+                Ok(dropped) => {
+                    self.dropped_entries += dropped;
+                    Ok(())
+                }
+                Err(e) => {
+                    self.dropped_entries += 1;
+                    Err(e)
+                }
+            }
+        }))
     }
 
     /// Records decoded so far.
@@ -475,8 +370,8 @@ impl<R: Read> StreamDecoder<R> {
         self.reader.report().bytes_read - self.reader.buffered() as u64
     }
 
-    /// The accounting so far, with entry-level drops folded in the same way
-    /// the batch paths do.
+    /// The accounting so far, with entry-level drops and the arena's
+    /// high-water mark folded in.
     pub fn report(&self) -> IngestReport {
         let mut report = self.reader.report().clone();
         report.errors.malformed += self.dropped_entries;
@@ -484,46 +379,54 @@ impl<R: Read> StreamDecoder<R> {
         report
     }
 
-    /// Consume the decoder, returning the final report.
-    pub fn into_report(self) -> IngestReport {
-        let mut report = self.reader.into_report();
-        report.errors.malformed += self.dropped_entries;
-        report.arena_bytes = self.scratch.arena_bytes();
+    /// Stop before the end of the stream: the lookahead already read
+    /// counts as skipped, so the byte ledger still balances, and the report
+    /// is marked aborted with `why` unless the reader already aborted.
+    fn abort(self, why: String) -> IngestReport {
+        let mut report = self.report();
+        report.bytes_skipped += self.reader.buffered() as u64;
+        report.aborted.get_or_insert(why);
         report
     }
 }
 
-/// Per-file outcome of [`read_observations_parallel`].
-#[derive(Debug, Clone)]
-pub struct FileIngest {
-    /// The input file.
-    pub path: PathBuf,
-    /// Observations salvaged from this file.
-    pub observations: Vec<Observation>,
-    /// This file's ingest accounting. A file that could not even be opened
-    /// shows up as an aborted, zero-byte report (the ledger still
-    /// balances: `0 + 0 == 0`), never as a panic or a lost slot.
-    pub report: IngestReport,
-}
-
-/// Supervision knobs for the parallel ingestion paths, beyond the decode
-/// policy in [`RecoverConfig`]: how hard to retry transient I/O, and an
-/// optional delivery-fault injector for tests.
+/// How [`read_files`] treats damage, and its supervision knobs.
 #[derive(Debug, Clone, Default)]
-pub struct IngestTuning {
+pub struct IngestOptions {
+    /// Fail a file at its first decode error or unresolvable peer index
+    /// (its report is then aborted) instead of skipping, resyncing and
+    /// counting. The framing checks, such as the record-length cap in
+    /// [`RecoverConfig::max_record_len`], are the lenient reader's.
+    pub strict: bool,
+    /// Decode policy: error budget and resync bounds.
+    pub recover: RecoverConfig,
     /// Retry policy applied to file open and every read.
     pub retry: RetryPolicy,
     /// Fault injection: wrap every file's byte stream in a seeded
     /// [`FlakyReader`] (the per-file seed is `cfg.seed + file index`, so
-    /// schedules decorrelate across files). Test-only; `None` in
-    /// production.
+    /// schedules decorrelate across files). `None` in production.
     pub flaky: Option<FlakyConfig>,
     /// Fault injection: panic (deliberately) inside the worker once this
-    /// many records have decoded in one file, simulating a decoder bug
-    /// mid-stream so supervision tests can prove one poisoned worker
-    /// cannot abort a whole run. `None` (the default, and the only sane
-    /// production value) never panics.
+    /// many records have decoded in one file, simulating a decoder bug so
+    /// supervision tests can prove one poisoned worker cannot abort a whole
+    /// run. `None` in production.
     pub panic_after_records: Option<u64>,
+    /// Files decoded in parallel (`0` = one per CPU).
+    pub threads: usize,
+}
+
+/// One input file's outcome from [`read_files`].
+#[derive(Debug, Clone)]
+pub struct FileIngest<S = ObservationStore> {
+    /// The input file.
+    pub path: PathBuf,
+    /// The sink this file decoded into. A strict file that failed holds
+    /// what decoded before its first error.
+    pub store: S,
+    /// This file's ingest accounting. A file that could not even be opened
+    /// shows up as an aborted, zero-byte report (the ledger still
+    /// balances: `0 + 0 == 0`), never as a panic or a lost slot.
+    pub report: IngestReport,
 }
 
 /// Open `path` under the retry policy and stack the supervised read chain:
@@ -536,20 +439,45 @@ pub struct IngestTuning {
 fn open_supervised(
     path: &Path,
     index: usize,
-    tuning: &IngestTuning,
+    opts: &IngestOptions,
     retries: &Arc<AtomicU64>,
     blocks: &Arc<AtomicU64>,
 ) -> std::io::Result<Readahead> {
-    let file = tuning.retry.run(retries, || File::open(path))?;
-    let base: Box<dyn Read + Send> = match &tuning.flaky {
+    let file = opts.retry.run(retries, || File::open(path))?;
+    let base: Box<dyn Read + Send> = match &opts.flaky {
         Some(cfg) => Box::new(FlakyReader::new(
             BufReader::new(file),
             cfg.reseeded(cfg.seed.wrapping_add(index as u64)),
         )),
         None => Box::new(BufReader::new(file)),
     };
-    let retrying = RetryingReader::new(base, tuning.retry.clone(), retries.clone());
+    let retrying = RetryingReader::new(base, opts.retry.clone(), retries.clone());
     Ok(Readahead::new(retrying, blocks.clone()))
+}
+
+/// Drain one file's [`StreamDecoder`] into a fresh sink under `opts`:
+/// the strict policy stops at the first error, and the panic hook fires
+/// once `panic_after_records` records have decoded.
+fn decode_file<S: ObservationSink + Default>(
+    input: impl Read,
+    opts: &IngestOptions,
+) -> (S, IngestReport) {
+    let mut sink = S::default();
+    let mut decoder = StreamDecoder::new(input, opts.recover.clone());
+    if opts.strict {
+        decoder.policy = EntryPolicy::Abort;
+    }
+    while let Some(step) = decoder.next_record(&mut sink) {
+        if let Some(n) = opts.panic_after_records {
+            if decoder.records_decoded() >= n {
+                panic!("injected fault: panic after {n} decoded records");
+            }
+        }
+        if let (true, Err(e)) = (opts.strict, step) {
+            return (sink, decoder.abort(e.to_string()));
+        }
+    }
+    (sink, decoder.report())
 }
 
 /// The [`IngestReport`] for a file that produced nothing, with the failure
@@ -566,250 +494,104 @@ fn failed_report(why: String, open_error: Option<String>, panic: bool) -> Ingest
     report
 }
 
-/// Resilient ingestion over many MRT files at once: each file is decoded
-/// sequentially (MRT framing is a byte stream; records cannot be split
-/// mid-file) but files fan out across `threads` workers (`0` = one per
-/// CPU).
+/// Ingest many MRT files into one sink each: the one multi-file reader.
 ///
-/// Returns one [`FileIngest`] per input path *in input order* regardless of
-/// scheduling, plus the merged [`IngestReport`] (merged in input order, so
-/// its `aborted` reason comes from the earliest aborted file). Each file is
-/// read with [`read_observations_resilient`] semantics under supervision:
-/// transient open/read failures are retried with deterministic backoff
-/// (counted in `retries`), a file that cannot be opened after retries is
-/// reported as `open_failed`, and a worker panic is captured and reported
-/// as a failed file (`panicked`) instead of aborting the process. This
-/// never fails; concatenating the per-file observations in order yields
-/// exactly what a sequential loop over the files would produce.
-pub fn read_observations_parallel_with(
+/// Each file is decoded sequentially (MRT framing is a byte stream;
+/// records cannot be split mid-file) by [`StreamDecoder`]'s loop, but files
+/// fan out across `opts.threads` workers. Returns one [`FileIngest`] per
+/// input path *in input order* regardless of scheduling, plus the merged
+/// [`IngestReport`] (merged in input order, so its `aborted` reason comes
+/// from the earliest aborted file). Reads are supervised: transient
+/// open/read failures are retried with deterministic backoff (counted in
+/// `retries`), a file that cannot be opened after retries is reported as
+/// `open_failed`, and a worker panic is captured and reported as a failed
+/// file (`panicked`) instead of aborting the process. This never fails; a
+/// file that failed, under either policy, has an `aborted` report.
+/// Merging the per-file stores in input order (see
+/// [`ObservationStore::merge`]) yields exactly what a sequential
+/// single-sink read of the concatenated files produces.
+///
+/// Under observation each file's decode runs inside an `ingest/file` span,
+/// the fan-out inside the `ingest` stage, and the merged report lands in
+/// the metrics registry under `ingest/*` (see
+/// [`IngestReport::record_metrics`]).
+pub fn read_files<S: ObservationSink + Default + Send>(
     paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-) -> (Vec<FileIngest>, IngestReport) {
-    let (files, merged) = read_files_parallel_into::<Vec<Observation>>(
-        paths,
-        cfg,
-        tuning,
-        threads,
-        &Telemetry::disabled(),
-    );
-    let files = files
-        .into_iter()
-        .map(|(path, observations, report)| FileIngest {
-            path,
-            observations,
-            report,
-        })
-        .collect();
-    (files, merged)
-}
-
-/// The supervised fan-out shared by the `Vec<Observation>` and
-/// [`ObservationStore`] parallel readers: one sink of type `S` per file,
-/// filled with [`read_observations_resilient`] semantics, slots returned
-/// in input order with open failures and captured worker panics reported
-/// as failed (empty-sink) files.
-fn read_files_parallel_into<S: ObservationSink + Default + Send>(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
+    opts: &IngestOptions,
     tel: &Telemetry,
-) -> (Vec<(PathBuf, S, IngestReport)>, IngestReport) {
-    let threads = effective_threads(threads);
-    let slots = try_par_map_indexed(paths.len(), threads, |i| {
-        let path = paths[i].clone();
-        let retries = Arc::new(AtomicU64::new(0));
-        let blocks = Arc::new(AtomicU64::new(0));
-        match open_supervised(&path, i, tuning, &retries, &blocks) {
-            Ok(reader) => {
-                let mut span = span!(tel.tracer, "ingest/file", file = path.display());
-                let mut sink = S::default();
-                let mut report = read_observations_resilient_hooked(
-                    reader,
-                    cfg,
-                    &mut sink,
-                    tuning.panic_after_records,
-                );
-                report.retries += retries.load(Ordering::Relaxed);
-                report.readahead_blocks += blocks.load(Ordering::Relaxed);
-                if span.enabled() {
-                    span.set("observations", &sink.observation_count());
-                    span.set("bytes_read", &report.bytes_read);
-                    span.set("bytes_ok", &report.bytes_ok);
-                    span.set("records", &report.records_read);
-                    span.set("retries", &report.retries);
-                    span.set("faults", &report.errors.decode_errors());
-                    span.set("resyncs", &report.resync_events);
-                    span.set("readahead_blocks", &report.readahead_blocks);
-                    span.set("arena_bytes", &report.arena_bytes);
+) -> (Vec<FileIngest<S>>, IngestReport) {
+    let slots = tel.stage("ingest", || {
+        try_par_map_indexed(paths.len(), effective_threads(opts.threads), |i| {
+            let path = &paths[i];
+            let retries = Arc::new(AtomicU64::new(0));
+            let blocks = Arc::new(AtomicU64::new(0));
+            match open_supervised(path, i, opts, &retries, &blocks) {
+                Ok(reader) => {
+                    let mut span = span!(tel.tracer, "ingest/file", file = path.display());
+                    let (store, mut report) = decode_file::<S>(reader, opts);
+                    report.retries += retries.load(Ordering::Relaxed);
+                    report.readahead_blocks += blocks.load(Ordering::Relaxed);
+                    if span.enabled() {
+                        span.set("observations", &store.observation_count());
+                        span.set("bytes_read", &report.bytes_read);
+                        span.set("bytes_ok", &report.bytes_ok);
+                        span.set("records", &report.records_read);
+                        span.set("retries", &report.retries);
+                        span.set("faults", &report.errors.decode_errors());
+                        span.set("resyncs", &report.resync_events);
+                        span.set("readahead_blocks", &report.readahead_blocks);
+                        span.set("arena_bytes", &report.arena_bytes);
+                    }
+                    (store, report)
                 }
-                (path, sink, report)
+                Err(e) => {
+                    let retried = retries.load(Ordering::Relaxed);
+                    let why = format!("{e} (after {retried} retry(s))");
+                    (
+                        S::default(),
+                        failed_report(format!("open: {e}"), Some(why), false),
+                    )
+                }
             }
-            Err(e) => (
-                path,
-                S::default(),
-                failed_report(
-                    format!("open: {e}"),
-                    Some(format!(
-                        "{e} (after {} retry(s))",
-                        retries.load(Ordering::Relaxed)
-                    )),
-                    false,
-                ),
-            ),
-        }
+        })
     });
-    let files: Vec<(PathBuf, S, IngestReport)> = slots
+    let mut merged = IngestReport::default();
+    let files: Vec<FileIngest<S>> = slots
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Ok(file) => file,
-            Err(p) => (
-                paths[i].clone(),
-                S::default(),
-                failed_report(format!("worker panicked: {}", p.message), None, true),
-            ),
+        .zip(paths)
+        .map(|(slot, path)| {
+            let (store, report) = slot.unwrap_or_else(|p| {
+                let why = format!("worker panicked: {}", p.message);
+                (S::default(), failed_report(why, None, true))
+            });
+            merged.merge(&report);
+            FileIngest {
+                path: path.clone(),
+                store,
+                report,
+            }
         })
         .collect();
-    let mut merged = IngestReport::default();
-    for (_, _, report) in &files {
-        merged.merge(report);
-    }
-    (files, merged)
-}
-
-/// Per-file outcome of [`read_observations_parallel_store`]: like
-/// [`FileIngest`], but the observations were interned straight into a
-/// columnar [`ObservationStore`] as they decoded.
-#[derive(Debug, Clone)]
-pub struct FileStoreIngest {
-    /// The input file.
-    pub path: PathBuf,
-    /// Observations salvaged from this file, in columnar form.
-    pub store: ObservationStore,
-    /// This file's ingest accounting (same semantics as
-    /// [`FileIngest::report`]).
-    pub report: IngestReport,
-}
-
-/// [`read_observations_parallel_with`] folding each file straight into a
-/// per-file [`ObservationStore`] — no `Vec<Observation>` is ever
-/// materialized. Merging the per-file stores in input order (see
-/// [`ObservationStore::merge`]) yields exactly the store a sequential
-/// single-sink read of the concatenated files would have produced.
-pub fn read_observations_parallel_store_with(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-) -> (Vec<FileStoreIngest>, IngestReport) {
-    read_observations_parallel_store_telemetry(paths, cfg, tuning, threads, &Telemetry::disabled())
-}
-
-/// [`read_observations_parallel_store_with`] under observation: each file's
-/// decode runs inside an `ingest/file` span (with bytes/records/retries/
-/// fault counts attached from its [`IngestReport`]), the whole fan-out is
-/// wrapped in the `ingest` stage timing, and the merged report lands in the
-/// metrics registry under `ingest/*` (see [`IngestReport::record_metrics`]).
-/// With [`Telemetry::disabled`] this is exactly the plain reader.
-pub fn read_observations_parallel_store_telemetry(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    tuning: &IngestTuning,
-    threads: usize,
-    tel: &Telemetry,
-) -> (Vec<FileStoreIngest>, IngestReport) {
-    let (files, merged) = tel.stage("ingest", || {
-        read_files_parallel_into::<ObservationStore>(paths, cfg, tuning, threads, tel)
-    });
     if let Some(metrics) = tel.registry() {
         merged.record_metrics(metrics);
         metrics.counter("ingest/files").add(paths.len() as u64);
     }
-    let files = files
-        .into_iter()
-        .map(|(path, store, report)| FileStoreIngest {
-            path,
-            store,
-            report,
-        })
-        .collect();
     (files, merged)
 }
 
-/// [`read_observations_parallel_store_with`] under the default supervision
-/// tuning.
+/// [`read_files`] into per-file [`ObservationStore`]s under the lenient
+/// policy `cfg`, default supervision and no telemetry.
 pub fn read_observations_parallel_store(
     paths: &[PathBuf],
     cfg: &RecoverConfig,
     threads: usize,
-) -> (Vec<FileStoreIngest>, IngestReport) {
-    read_observations_parallel_store_with(paths, cfg, &IngestTuning::default(), threads)
-}
-
-/// [`read_observations_parallel_with`] under the default supervision
-/// tuning (default retry policy, no injected delivery faults).
-pub fn read_observations_parallel(
-    paths: &[PathBuf],
-    cfg: &RecoverConfig,
-    threads: usize,
 ) -> (Vec<FileIngest>, IngestReport) {
-    read_observations_parallel_with(paths, cfg, &IngestTuning::default(), threads)
-}
-
-/// Strict ingestion over many MRT files at once, fanning files out across
-/// `threads` workers (`0` = one per CPU).
-///
-/// Returns the per-file observations in input order, or — matching the
-/// fail-fast contract of [`read_observations_strict`] — the error of the
-/// *earliest* failing file by input order (deterministic even when a later
-/// file fails first on the wall clock). File-open failures surface as
-/// [`MrtError::Io`]; transient open/read failures are retried under the
-/// default [`RetryPolicy`] first. A worker panic is captured and surfaced
-/// as that file's [`MrtError::Malformed`] — fail-fast still means a clean
-/// error for the caller, never a process abort.
-pub fn read_observations_parallel_strict(
-    paths: &[PathBuf],
-    threads: usize,
-) -> Result<Vec<Vec<Observation>>, (PathBuf, MrtError)> {
-    read_observations_parallel_strict_with(paths, &IngestTuning::default(), threads)
-}
-
-/// [`read_observations_parallel_strict`] with explicit supervision
-/// [`IngestTuning`] (retry policy, injected delivery faults, panic hook).
-pub fn read_observations_parallel_strict_with(
-    paths: &[PathBuf],
-    tuning: &IngestTuning,
-    threads: usize,
-) -> Result<Vec<Vec<Observation>>, (PathBuf, MrtError)> {
-    let threads = effective_threads(threads);
-    let slots = try_par_map_indexed(paths.len(), threads, |i| {
-        let retries = Arc::new(AtomicU64::new(0));
-        let blocks = Arc::new(AtomicU64::new(0));
-        open_supervised(&paths[i], i, tuning, &retries, &blocks)
-            .map_err(MrtError::from)
-            .and_then(|r| {
-                let mut observations = Vec::new();
-                read_observations_strict_hooked(r, &mut observations, tuning.panic_after_records)?;
-                Ok(observations)
-            })
-    });
-    let mut out = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Ok(Ok(observations)) => out.push(observations),
-            Ok(Err(e)) => return Err((paths[i].clone(), e)),
-            Err(p) => {
-                return Err((
-                    paths[i].clone(),
-                    MrtError::malformed("ingest worker", format!("panicked: {}", p.message)),
-                ))
-            }
-        }
-    }
-    Ok(out)
+    let opts = IngestOptions {
+        recover: cfg.clone(),
+        threads,
+        ..IngestOptions::default()
+    };
+    read_files(paths, &opts, &Telemetry::disabled())
 }
 
 #[cfg(test)]
@@ -965,13 +747,41 @@ mod tests {
         (buf, rec_len)
     }
 
+    /// One in-memory stream through the per-file decode of [`read_files`].
+    fn decode(buf: &[u8], strict: bool) -> (Vec<Observation>, IngestReport) {
+        let opts = IngestOptions {
+            strict,
+            ..IngestOptions::default()
+        };
+        decode_file(buf, &opts)
+    }
+
+    fn resilient(buf: &[u8]) -> (Vec<Observation>, IngestReport) {
+        let mut observations = Vec::new();
+        let report =
+            read_observations_resilient_into(buf, &RecoverConfig::default(), &mut observations);
+        (observations, report)
+    }
+
+    fn strict_opts(threads: usize) -> IngestOptions {
+        IngestOptions {
+            strict: true,
+            threads,
+            ..IngestOptions::default()
+        }
+    }
+
     #[test]
     fn strict_aborts_on_first_bad_record() {
         let (mut buf, rec_len) = uniform_updates();
         // Make record 2's MRT type unknown: strict must abort, the default
         // reader (which skips well-framed undecodable bodies) must not.
         buf[2 * rec_len + 5] = 0xEE;
-        assert!(read_observations_strict(&buf[..]).is_err());
+        let (back, report) = decode(&buf, true);
+        assert_eq!(back.len(), 2, "records before the damage were folded");
+        assert_eq!(report.errors.unsupported, 1);
+        assert!(report.aborted.as_deref().unwrap().contains("MRT type"));
+        assert_eq!(report.bytes_ok + report.bytes_skipped, report.bytes_read);
         assert_eq!(read_observations(&buf[..]).unwrap().len(), 3);
     }
 
@@ -980,10 +790,9 @@ mod tests {
         let observations = sample();
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
-        assert_eq!(
-            read_observations_strict(&buf[..]).unwrap(),
-            read_observations(&buf[..]).unwrap()
-        );
+        let (back, report) = decode(&buf, true);
+        assert!(report.is_clean());
+        assert_eq!(back, read_observations(&buf[..]).unwrap());
     }
 
     #[test]
@@ -998,7 +807,7 @@ mod tests {
             .copied()
             .collect::<Vec<u8>>();
         assert!(read_observations(&damaged[..]).is_err());
-        let (back, report) = read_observations_resilient(&damaged[..], &RecoverConfig::default());
+        let (back, report) = resilient(&damaged);
         assert_eq!(back.len(), 3, "records after the damage recovered");
         assert_eq!(report.records_read, 3);
         assert!(report.resync_events >= 1);
@@ -1033,10 +842,14 @@ mod tests {
         }
         w.flush().unwrap();
         let _ = w;
-        let (back, report) = read_observations_resilient(&buf[..], &RecoverConfig::default());
+        let (back, report) = resilient(&buf);
         assert_eq!(back, vec![]);
         assert_eq!(report.errors.malformed, 4, "one per dropped RIB entry");
         assert_eq!(report.records_read, 4, "record frames still decoded");
+        // Strict fails the file at the first unresolvable entry.
+        let (_, strict) = decode(&buf, true);
+        assert_eq!(strict.errors.malformed, 1);
+        assert!(strict.aborted.as_deref().unwrap().contains("peer index 7"));
     }
 
     /// Write three distinct single-record archives to a fresh temp dir.
@@ -1062,22 +875,27 @@ mod tests {
             .collect()
     }
 
+    fn read_vecs(paths: &[PathBuf], opts: &IngestOptions) -> Vec<FileIngest<Vec<Observation>>> {
+        read_files(paths, opts, &Telemetry::disabled()).0
+    }
+
     #[test]
     fn parallel_read_matches_sequential_at_any_thread_count() {
         let paths = archive_trio("clean");
-        let cfg = RecoverConfig::default();
         let sequential: Vec<Vec<Observation>> = paths
             .iter()
-            .map(|p| {
-                let file = std::fs::File::open(p).unwrap();
-                read_observations_resilient(std::io::BufReader::new(file), &cfg).0
-            })
+            .map(|p| resilient(&std::fs::read(p).unwrap()).0)
             .collect();
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel(&paths, &cfg, threads);
+            let opts = IngestOptions {
+                threads,
+                ..IngestOptions::default()
+            };
+            let (files, merged) =
+                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
             assert_eq!(files.len(), 3);
             for (file, expected) in files.iter().zip(&sequential) {
-                assert_eq!(&file.observations, expected, "threads = {threads}");
+                assert_eq!(&file.store, expected, "threads = {threads}");
                 assert!(file.report.is_clean());
             }
             assert!(merged.is_clean());
@@ -1090,7 +908,14 @@ mod tests {
     fn store_parallel_read_matches_vec_parallel_read() {
         let paths = archive_trio("store");
         let cfg = RecoverConfig::default();
-        let (vec_files, vec_merged) = read_observations_parallel(&paths, &cfg, 2);
+        let (vec_files, vec_merged) = read_files::<Vec<Observation>>(
+            &paths,
+            &IngestOptions {
+                threads: 2,
+                ..IngestOptions::default()
+            },
+            &Telemetry::disabled(),
+        );
         for threads in [1, 2, 8] {
             let (store_files, store_merged) =
                 read_observations_parallel_store(&paths, &cfg, threads);
@@ -1099,8 +924,8 @@ mod tests {
             for (sf, vf) in store_files.iter().zip(&vec_files) {
                 assert_eq!(sf.path, vf.path);
                 assert_eq!(sf.report, vf.report, "threads = {threads}");
-                assert_eq!(sf.store.len(), vf.observations.len());
-                for (i, o) in vf.observations.iter().enumerate() {
+                assert_eq!(sf.store.len(), vf.store.len());
+                for (i, o) in vf.store.iter().enumerate() {
                     assert_eq!(sf.store.get(i), *o, "threads = {threads}");
                 }
                 folded.merge(&sf.store);
@@ -1110,7 +935,7 @@ mod tests {
             // sequential single-sink read of the concatenated files.
             let all: Vec<Observation> = vec_files
                 .iter()
-                .flat_map(|f| f.observations.iter().cloned())
+                .flat_map(|f| f.store.iter().cloned())
                 .collect();
             assert_eq!(folded.len(), all.len());
             for (i, o) in all.iter().enumerate() {
@@ -1125,11 +950,12 @@ mod tests {
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
         let via_vec = read_observations(&buf[..]).unwrap();
-        let mut store = ObservationStore::new();
-        read_observations_into(&buf[..], &mut store).unwrap();
-        assert_eq!(store.len(), via_vec.len());
-        let mut strict_store = ObservationStore::new();
-        read_observations_strict_into(&buf[..], &mut strict_store).unwrap();
+        let opts = IngestOptions {
+            strict: true,
+            ..IngestOptions::default()
+        };
+        let (strict_store, strict_report) = decode_file::<ObservationStore>(&buf[..], &opts);
+        assert!(strict_report.is_clean());
         let mut resilient_store = ObservationStore::new();
         let report = read_observations_resilient_into(
             &buf[..],
@@ -1137,8 +963,8 @@ mod tests {
             &mut resilient_store,
         );
         assert!(report.is_clean());
+        assert_eq!(strict_store.len(), via_vec.len());
         for (i, o) in via_vec.iter().enumerate() {
-            assert_eq!(store.get(i), *o);
             assert_eq!(strict_store.get(i), *o);
             assert_eq!(resilient_store.get(i), *o);
         }
@@ -1148,9 +974,13 @@ mod tests {
     fn parallel_read_reports_unopenable_file_as_aborted() {
         let mut paths = archive_trio("missing");
         paths.insert(1, paths[0].with_file_name("does-not-exist.mrt"));
-        let (files, merged) = read_observations_parallel(&paths, &RecoverConfig::default(), 2);
+        let opts = IngestOptions {
+            threads: 2,
+            ..IngestOptions::default()
+        };
+        let (files, merged) = read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
         assert_eq!(files.len(), 4);
-        assert!(files[1].observations.is_empty());
+        assert!(files[1].store.is_empty());
         assert!(files[1].report.aborted.is_some());
         assert_eq!(files[1].report.errors.io, 1);
         // Open failure is distinguished from "file decoded empty": only the
@@ -1158,7 +988,7 @@ mod tests {
         assert!(files[1].report.open_failed.is_some());
         assert!(files[0].report.open_failed.is_none());
         // Other files are unaffected; the ledger still balances.
-        assert_eq!(files[0].observations.len(), 1);
+        assert_eq!(files[0].store.len(), 1);
         assert_eq!(merged.records_read, 3);
         assert_eq!(merged.bytes_ok + merged.bytes_skipped, merged.bytes_read);
         assert!(merged.aborted.is_some());
@@ -1184,26 +1014,23 @@ mod tests {
         let mut buf = Vec::new();
         write_update_stream(&mut buf, Asn::new(6447), &many).unwrap();
         std::fs::write(&paths[1], buf).unwrap();
-        let tuning = IngestTuning {
-            panic_after_records: Some(2),
-            ..IngestTuning::default()
-        };
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel_with(
-                &paths,
-                &RecoverConfig::default(),
-                &tuning,
+            let opts = IngestOptions {
+                panic_after_records: Some(2),
                 threads,
-            );
+                ..IngestOptions::default()
+            };
+            let (files, merged) =
+                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
             assert_eq!(files.len(), 3, "threads = {threads}");
-            assert!(files[1].observations.is_empty());
+            assert!(files[1].store.is_empty());
             assert_eq!(files[1].report.panicked, 1);
             let why = files[1].report.aborted.as_deref().unwrap();
             assert!(why.contains("panicked"), "aborted reason: {why}");
             assert!(why.contains("injected fault"), "payload preserved: {why}");
             // Neighbors are untouched and the run as a whole completed.
-            assert_eq!(files[0].observations.len(), 1);
-            assert_eq!(files[2].observations.len(), 1);
+            assert_eq!(files[0].store.len(), 1);
+            assert_eq!(files[2].store.len(), 1);
             assert_eq!(merged.panicked, 1);
             assert!(merged.aborted.is_some());
             assert!(merged.open_failed.is_none());
@@ -1213,49 +1040,41 @@ mod tests {
     #[test]
     fn parallel_strict_surfaces_panic_as_clean_error() {
         let paths = archive_trio("panic-strict");
-        let tuning = IngestTuning {
-            panic_after_records: Some(1),
-            ..IngestTuning::default()
-        };
         for threads in [1, 2, 8] {
-            let err = read_observations_parallel_strict_with(&paths, &tuning, threads).unwrap_err();
-            // Every file panics at its first record; the earliest by input
-            // order wins deterministically.
-            assert_eq!(err.0, paths[0], "threads = {threads}");
-            assert!(err.1.to_string().contains("panicked"), "{}", err.1);
+            let opts = IngestOptions {
+                panic_after_records: Some(1),
+                ..strict_opts(threads)
+            };
+            let (files, merged) =
+                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+            // Every file panics at its first record; each is failed, and
+            // the merged reason is the earliest by input order.
+            assert!(files.iter().all(|f| f.report.panicked == 1));
+            let why = merged.aborted.unwrap();
+            assert!(why.contains("panicked"), "threads = {threads}: {why}");
+            assert_eq!(files[0].report.aborted.as_deref(), Some(why.as_str()));
         }
     }
 
     #[test]
     fn flaky_delivery_is_absorbed_by_retries_bit_identically() {
         let paths = archive_trio("flaky");
-        let cfg = RecoverConfig::default();
-        let (clean_files, clean_merged) = read_observations_parallel(&paths, &cfg, 2);
-        let tuning = IngestTuning {
-            retry: RetryPolicy {
-                max_attempts: 64,
-                base_delay: std::time::Duration::ZERO,
-                max_delay: std::time::Duration::ZERO,
-                per_file_deadline: None,
+        let (clean_files, clean_merged) = read_files::<Vec<Observation>>(
+            &paths,
+            &IngestOptions {
+                threads: 2,
+                ..IngestOptions::default()
             },
-            // Tiny archives mean only a handful of read calls per file, so
-            // the rates are cranked high enough that the fixed schedule is
-            // certain to fire (the retry budget above absorbs them all).
-            flaky: Some(FlakyConfig {
-                seed: 7,
-                interrupt_rate: 0.45,
-                stall_rate: 0.25,
-                short_read_rate: 0.25,
-            }),
-            panic_after_records: None,
-        };
+            &Telemetry::disabled(),
+        );
         for threads in [1, 2, 8] {
-            let (files, merged) = read_observations_parallel_with(&paths, &cfg, &tuning, threads);
+            let (files, merged) = read_files::<Vec<Observation>>(
+                &paths,
+                &flaky_opts(threads),
+                &Telemetry::disabled(),
+            );
             for (flaky, clean) in files.iter().zip(&clean_files) {
-                assert_eq!(
-                    flaky.observations, clean.observations,
-                    "threads = {threads}"
-                );
+                assert_eq!(flaky.store, clean.store, "threads = {threads}");
                 assert!(flaky.report.aborted.is_none());
             }
             assert!(merged.retries > 0, "faults were actually injected");
@@ -1265,14 +1084,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn injected_faults_surface_in_metrics_with_exact_counts() {
-        use bgp_types::obs::CaptureSink;
-        use bgp_types::Tracer;
-
-        let paths = archive_trio("flaky_metrics");
-        let cfg = RecoverConfig::default();
-        let tuning = IngestTuning {
+    /// Tiny archives mean only a handful of read calls per file, so the
+    /// rates are cranked high enough that the fixed schedule is certain to
+    /// fire (the retry budget absorbs them all).
+    fn flaky_opts(threads: usize) -> IngestOptions {
+        IngestOptions {
             retry: RetryPolicy {
                 max_attempts: 64,
                 base_delay: std::time::Duration::ZERO,
@@ -1285,15 +1101,23 @@ mod tests {
                 stall_rate: 0.25,
                 short_read_rate: 0.25,
             }),
-            panic_after_records: None,
-        };
+            threads,
+            ..IngestOptions::default()
+        }
+    }
+
+    #[test]
+    fn injected_faults_surface_in_metrics_with_exact_counts() {
+        use bgp_types::obs::CaptureSink;
+        use bgp_types::Tracer;
+
+        let paths = archive_trio("flaky_metrics");
         let sink = Arc::new(CaptureSink::new());
         let tel = Telemetry {
             tracer: Tracer::new(sink.clone()),
             ..Telemetry::with_metrics()
         };
-        let (_, merged) =
-            read_observations_parallel_store_telemetry(&paths, &cfg, &tuning, 2, &tel);
+        let (_, merged) = read_files::<ObservationStore>(&paths, &flaky_opts(2), &tel);
         assert!(merged.retries > 0, "faults were actually injected");
 
         // Every report counter lands in the snapshot with its exact value —
@@ -1337,16 +1161,18 @@ mod tests {
         bytes[5] = 0xEE;
         std::fs::write(&paths[1], &bytes).unwrap();
         for threads in [1, 2, 8] {
-            let err = read_observations_parallel_strict(&paths, threads).unwrap_err();
-            assert_eq!(err.0, paths[1], "threads = {threads}");
+            let files = read_vecs(&paths, &strict_opts(threads));
+            let failed: Vec<bool> = files.iter().map(|f| f.report.aborted.is_some()).collect();
+            assert_eq!(failed, [false, true, false], "threads = {threads}");
         }
         // Clean trio succeeds and preserves input order.
         let clean = archive_trio("strict-clean");
-        let per_file = read_observations_parallel_strict(&clean, 8).unwrap();
-        assert_eq!(per_file.len(), 3);
-        for (i, observations) in per_file.iter().enumerate() {
-            assert_eq!(observations.len(), 1);
-            assert_eq!(observations[0].vp, Asn::new(64500 + i as u32));
+        let files = read_vecs(&clean, &strict_opts(8));
+        assert_eq!(files.len(), 3);
+        for (i, file) in files.iter().enumerate() {
+            assert!(file.report.is_clean());
+            assert_eq!(file.store.len(), 1);
+            assert_eq!(file.store[0].vp, Asn::new(64500 + i as u32));
         }
     }
 
@@ -1355,7 +1181,7 @@ mod tests {
         let observations = sample();
         let mut buf = Vec::new();
         write_rib_dump(&mut buf, 100, &observations).unwrap();
-        let (back, report) = read_observations_resilient(&buf[..], &RecoverConfig::default());
+        let (back, report) = resilient(&buf);
         assert_eq!(back.len(), observations.len());
         assert!(report.is_clean());
         assert_eq!(report.bytes_ok, buf.len() as u64);

@@ -51,6 +51,17 @@ pub trait StreamSource: Send {
     fn describe(&self) -> String;
 }
 
+/// A boxed source is a source, so a caller can pick one at runtime.
+impl<S: StreamSource + ?Sized> StreamSource for Box<S> {
+    fn connect(&mut self, offset: u64) -> io::Result<Box<dyn Read + Send>> {
+        (**self).connect(offset)
+    }
+
+    fn describe(&self) -> String {
+        (**self).describe()
+    }
+}
+
 /// An in-memory byte-buffer source: the simulator feed, and the test
 /// workhorse. Delivery starts at the requested offset into the buffer.
 #[derive(Debug, Clone)]

@@ -48,7 +48,8 @@ use crate::records::{
 /// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EntryPolicy {
-    /// Abort the whole read (historic strict behavior).
+    /// Fail the record: the strict policy, and the owned
+    /// `read_observations`.
     Abort,
     /// Drop the entry, keep the rest of the record and stream.
     Skip,

@@ -8,7 +8,7 @@ use bgp_mrt::attrs::{decode_attrs, encode_attrs, AttrCtx, EncodeOpts};
 use bgp_mrt::cursor::Cursor;
 use bgp_mrt::faults::corrupt_stream;
 use bgp_mrt::obs::{
-    read_observations, read_observations_resilient, write_rib_dump, write_update_stream,
+    read_observations, read_observations_resilient_into, write_rib_dump, write_update_stream,
 };
 use bgp_mrt::records::{decode_body, encode_body, MrtRecord, RibEntry, RibSnapshot};
 use bgp_mrt::{ErrorCounters, IngestReport, MrtReader, RecoverConfig, RecoveringReader};
@@ -266,7 +266,9 @@ proptest! {
         let mut wire = Vec::new();
         write_rib_dump(&mut wire, 0, &observations).unwrap();
         let (damaged, _log) = corrupt_stream(&wire, seed, rate);
-        let (salvaged, report) = read_observations_resilient(&damaged[..], &RecoverConfig::default());
+        let mut salvaged = Vec::new();
+        let report =
+            read_observations_resilient_into(&damaged[..], &RecoverConfig::default(), &mut salvaged);
         prop_assert!(salvaged.len() <= observations.len() * 2);
         prop_assert_eq!(report.bytes_ok + report.bytes_skipped, report.bytes_read);
     }

@@ -63,7 +63,20 @@ pub struct ObservationView<'a> {
     pub time: u32,
 }
 
-impl ObservationView<'_> {
+impl<'a> ObservationView<'a> {
+    /// View of an owned observation, its path flattened into
+    /// caller-provided scratch (see [`AsPathView::of`]).
+    pub fn of(obs: &'a Observation, segs: &'a mut Vec<(u8, u32)>, asns: &'a mut Vec<u32>) -> Self {
+        ObservationView {
+            vp: obs.vp,
+            prefix: obs.prefix,
+            path: AsPathView::of(&obs.path, segs, asns),
+            communities: &obs.communities,
+            large_communities: &obs.large_communities,
+            time: obs.time,
+        }
+    }
+
     /// Materialize an owned [`Observation`] (the default-sink escape path).
     pub fn to_observation(&self) -> Observation {
         Observation {
@@ -79,27 +92,31 @@ impl ObservationView<'_> {
 
 /// Anything observations can be folded into as they are decoded.
 ///
-/// MRT ingestion is generic over this sink so the same decode path can
-/// materialize a `Vec<Observation>` (the historical API, still the unit
-/// for per-file reports and checkpoint fingerprints) or fold directly
-/// into an [`ObservationStore`] without ever building the intermediate
-/// vector.
+/// MRT ingestion is generic over this sink, so the one decode loop can
+/// materialize a `Vec<Observation>`, intern into an [`ObservationStore`],
+/// or fold into any other consumer (the streaming window) without an
+/// intermediate vector.
 pub trait ObservationSink {
-    /// Fold one decoded observation into the sink.
-    fn push_observation(&mut self, obs: Observation);
+    /// Fold one *borrowed* observation into the sink — the zero-copy entry
+    /// point the view decoder uses. The view borrows the decoder's
+    /// buffers, so a sink interns or copies before returning;
+    /// [`ObservationStore`] interns straight from the borrowed slices with
+    /// no per-record allocation.
+    fn push_observation_view(&mut self, view: &ObservationView<'_>);
+    /// Fold one owned observation, as the owned decoder produces it. The
+    /// default folds it as a view.
+    fn push_observation(&mut self, obs: Observation) {
+        let (mut segs, mut asns) = (Vec::new(), Vec::new());
+        self.push_observation_view(&ObservationView::of(&obs, &mut segs, &mut asns));
+    }
     /// Number of observations folded so far.
     fn observation_count(&self) -> usize;
-    /// Fold one *borrowed* observation into the sink — the zero-copy entry
-    /// point used by the view decoder. The default materializes an owned
-    /// [`Observation`] and delegates, so every sink accepts views;
-    /// [`ObservationStore`] overrides it to intern straight from the
-    /// borrowed slices with no per-record allocation.
-    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
-        self.push_observation(view.to_observation());
-    }
 }
 
 impl ObservationSink for Vec<Observation> {
+    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
+        self.push(view.to_observation());
+    }
     fn push_observation(&mut self, obs: Observation) {
         self.push(obs);
     }
@@ -109,14 +126,11 @@ impl ObservationSink for Vec<Observation> {
 }
 
 impl ObservationSink for ObservationStore {
-    fn push_observation(&mut self, obs: Observation) {
-        self.push_owned(obs);
+    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
+        self.push_view(view);
     }
     fn observation_count(&self) -> usize {
         self.len()
-    }
-    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
-        self.push_view(view);
     }
 }
 
@@ -465,7 +479,7 @@ impl ObservationStore {
         // nested `AsPath` per observation instead of two (hash + compare).
         let (mut segs, mut asns) = (Vec::new(), Vec::new());
         for obs in observations {
-            self.push_with_scratch(obs, &mut segs, &mut asns);
+            self.push_view(&ObservationView::of(obs, &mut segs, &mut asns));
         }
     }
 
@@ -473,27 +487,7 @@ impl ObservationStore {
     /// Copies the path / community list into the pools only on first sight.
     pub fn push(&mut self, obs: &Observation) {
         let (mut segs, mut asns) = (Vec::new(), Vec::new());
-        self.push_with_scratch(obs, &mut segs, &mut asns);
-    }
-
-    fn push_with_scratch(
-        &mut self,
-        obs: &Observation,
-        segs: &mut Vec<(u8, u32)>,
-        asns: &mut Vec<u32>,
-    ) {
-        let path_id = self
-            .interner
-            .intern_path(&AsPathView::of(&obs.path, segs, asns));
-        let cset_id = self.interner.intern_cset(&obs.communities);
-        self.push_row(
-            path_id,
-            cset_id,
-            obs.vp,
-            obs.prefix,
-            obs.time,
-            &obs.large_communities,
-        );
+        self.push_view(&ObservationView::of(obs, &mut segs, &mut asns));
     }
 
     /// Fold one owned observation in. Equivalent to [`push`](Self::push);

@@ -25,7 +25,7 @@ use bgp_community_intent::intent::{
     check_store, run_inference, write_inference_artifact, InferenceConfig,
 };
 use bgp_community_intent::types::store::ObservationStore;
-use bgp_community_intent::types::{Intent, Observation};
+use bgp_community_intent::types::{Intent, Observation, Telemetry};
 
 fn main() {
     let scenario = Scenario::build(&ScenarioConfig {
@@ -37,7 +37,13 @@ fn main() {
     // --- Learn what normal looks like, then freeze it into an artifact. ---
     let day0 = scenario.collect(1);
     let cfg = InferenceConfig::default();
-    let result = run_inference(&day0, &scenario.siblings, &cfg, None);
+    let result = run_inference(
+        &day0,
+        &scenario.siblings,
+        &cfg,
+        None,
+        &Telemetry::disabled(),
+    );
 
     let dir = std::env::temp_dir().join("bgp-anomaly-example");
     std::fs::create_dir_all(&dir).expect("create artifact dir");

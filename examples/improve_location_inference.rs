@@ -18,7 +18,7 @@ use bgp_community_intent::intent::{run_inference, InferenceConfig};
 use bgp_community_intent::loccomm::{
     dasilva_category, improvement_table, infer_location_communities, LocCommConfig,
 };
-use bgp_community_intent::types::{Asn, Intent};
+use bgp_community_intent::types::{Asn, Intent, Telemetry};
 
 fn main() {
     let scenario = Scenario::build(&ScenarioConfig {
@@ -54,6 +54,7 @@ fn main() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
 
     // Step 3: filter and tabulate (Table 1 of the paper).

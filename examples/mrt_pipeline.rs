@@ -19,7 +19,7 @@ use std::io::{BufReader, BufWriter};
 use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
 use bgp_community_intent::intent::{run_inference, InferenceConfig};
 use bgp_community_intent::mrt::obs::{read_observations, write_rib_dump, write_update_stream};
-use bgp_community_intent::types::{Asn, Observation};
+use bgp_community_intent::types::{Asn, Observation, Telemetry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("bgp-community-intent-example");
@@ -69,6 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let (action, info) = result.inference.intent_counts();
     println!("inferred {info} information + {action} action communities");

@@ -10,6 +10,7 @@
 
 use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
 use bgp_community_intent::intent::{run_inference, InferenceConfig};
+use bgp_community_intent::types::Telemetry;
 
 fn main() {
     // A ~1/10-scale world: a few hundred ASes, dictionaries, vantage points.
@@ -38,6 +39,7 @@ fn main() {
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
 
     let (action, info) = result.inference.intent_counts();

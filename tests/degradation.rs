@@ -8,12 +8,12 @@ use std::io::BufReader;
 use std::path::PathBuf;
 
 use bgp_community_intent::dictionary::GroundTruthDictionary;
-use bgp_community_intent::intent::{run_inference_with_report, InferenceConfig};
+use bgp_community_intent::intent::{run_inference, InferenceConfig};
 use bgp_community_intent::mrt::faults::corrupt_stream;
-use bgp_community_intent::mrt::obs::{read_observations, read_observations_resilient};
+use bgp_community_intent::mrt::obs::{read_observations, read_observations_resilient_into};
 use bgp_community_intent::mrt::{IngestReport, RecoverConfig};
 use bgp_community_intent::relationships::SiblingMap;
-use bgp_community_intent::types::Observation;
+use bgp_community_intent::types::{Observation, Telemetry};
 
 fn sample(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -47,7 +47,9 @@ fn ingest_corrupted(seed: u64, rate: f64) -> (Vec<Observation>, IngestReport) {
         if rate > 0.0 {
             assert!(log.count() > 0, "{name}: corruption must land at {rate}");
         }
-        let (obs, report) = read_observations_resilient(&damaged[..], &RecoverConfig::default());
+        let mut obs = Vec::new();
+        let report =
+            read_observations_resilient_into(&damaged[..], &RecoverConfig::default(), &mut obs);
         // Byte accounting must balance exactly: every byte of the damaged
         // stream is either part of a decoded record or counted as skipped.
         assert_eq!(
@@ -66,14 +68,14 @@ fn ingest_corrupted(seed: u64, rate: f64) -> (Vec<Observation>, IngestReport) {
     (observations, merged)
 }
 
-fn accuracy_for(observations: &[Observation], report: IngestReport) -> f64 {
+fn accuracy_for(observations: &[Observation]) -> f64 {
     let (dict, siblings) = load_context();
-    let result = run_inference_with_report(
+    let result = run_inference(
         observations,
         &siblings,
         &InferenceConfig::default(),
         Some(&dict),
-        report,
+        &Telemetry::disabled(),
     );
     result.evaluation.expect("dictionary supplied").accuracy()
 }
@@ -83,7 +85,7 @@ fn baseline_accuracy() -> f64 {
         read_observations(&sample_bytes("rib.mrt")[..]).expect("clean rib parses");
     observations
         .extend(read_observations(&sample_bytes("updates.day1.mrt")[..]).expect("clean updates"));
-    accuracy_for(&observations, IngestReport::default())
+    accuracy_for(&observations)
 }
 
 #[test]
@@ -93,7 +95,7 @@ fn accuracy_degrades_gracefully_under_one_percent_corruption() {
     for seed in [1, 2, 3] {
         let (observations, report) = ingest_corrupted(seed, 0.01);
         assert!(!report.is_clean(), "seed={seed}: damage must be visible");
-        let accuracy = accuracy_for(&observations, report);
+        let accuracy = accuracy_for(&observations);
         assert!(
             baseline - accuracy < 0.02,
             "seed={seed}: accuracy fell {:.4} points ({baseline:.4} -> {accuracy:.4})",
@@ -120,7 +122,7 @@ fn five_percent_corruption_completes_with_bounded_loss() {
             report.records_read,
             report.records_skipped
         );
-        let accuracy = accuracy_for(&observations, report);
+        let accuracy = accuracy_for(&observations);
         assert!(
             baseline - accuracy < 0.15,
             "seed={seed}: accuracy collapsed ({baseline:.4} -> {accuracy:.4})"

@@ -4,7 +4,7 @@
 use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
 use bgp_community_intent::intent::{run_inference, Exclusion, InferenceConfig};
 use bgp_community_intent::topology::Tier;
-use bgp_community_intent::types::{Asn, Intent};
+use bgp_community_intent::types::{Asn, Intent, Telemetry};
 
 fn small_scenario() -> Scenario {
     Scenario::build(&ScenarioConfig {
@@ -24,6 +24,7 @@ fn pipeline_reaches_high_accuracy_on_a_small_world() {
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let eval = result.evaluation.expect("dictionary supplied");
     assert!(eval.total > 100, "only {} covered communities", eval.total);
@@ -52,6 +53,7 @@ fn clustering_beats_no_clustering() {
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let isolated = run_inference(
         &observations,
@@ -61,6 +63,7 @@ fn clustering_beats_no_clustering() {
             ..InferenceConfig::default()
         },
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let acc_clustered = clustered.evaluation.unwrap().accuracy();
     let acc_isolated = isolated.evaluation.unwrap().accuracy();
@@ -79,6 +82,7 @@ fn ixp_route_server_communities_are_excluded_not_classified() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let rses: Vec<Asn> = scenario.topo.asns_of_tier(Tier::IxpRouteServer);
     let mut saw_rs_community = false;
@@ -107,6 +111,7 @@ fn private_asn_communities_are_excluded() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let private: Vec<_> = result
         .inference
@@ -131,8 +136,20 @@ fn mrt_round_trip_preserves_inference_results() {
     let via_mrt = scenario.collect(1);
 
     let cfg = InferenceConfig::default();
-    let a = run_inference(&direct, &scenario.siblings, &cfg, None);
-    let b = run_inference(&via_mrt, &scenario.siblings, &cfg, None);
+    let a = run_inference(
+        &direct,
+        &scenario.siblings,
+        &cfg,
+        None,
+        &Telemetry::disabled(),
+    );
+    let b = run_inference(
+        &via_mrt,
+        &scenario.siblings,
+        &cfg,
+        None,
+        &Telemetry::disabled(),
+    );
     assert_eq!(a.inference.labels, b.inference.labels);
     assert_eq!(a.inference.excluded, b.inference.excluded);
 }
@@ -152,6 +169,7 @@ fn determinism_across_full_pipeline() {
             &scenario.siblings,
             &InferenceConfig::default(),
             Some(&scenario.dict),
+            &Telemetry::disabled(),
         );
         (
             observations.len(),
@@ -193,12 +211,14 @@ fn sibling_expansion_changes_exclusions_only_conservatively() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let without = run_inference(
         &observations,
         &bgp_community_intent::relationships::SiblingMap::default(),
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     // Sibling expansion can only move communities from excluded to
     // classified (never-on-path gets rescued by a sibling in paths), and
@@ -218,6 +238,7 @@ fn intent_labels_mostly_match_true_policies_even_outside_dictionary() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     let mut total = 0;
     let mut correct = 0;
@@ -243,6 +264,7 @@ fn excluded_plus_labeled_equals_observed() {
         &scenario.siblings,
         &InferenceConfig::default(),
         None,
+        &Telemetry::disabled(),
     );
     assert_eq!(
         result.inference.labels.len() + result.inference.excluded.len(),
@@ -259,6 +281,7 @@ fn evaluation_confusion_sums_to_total() {
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),
+        &Telemetry::disabled(),
     );
     let eval = result.evaluation.unwrap();
     let sum: usize = eval.confusion.iter().flatten().sum();

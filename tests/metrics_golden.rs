@@ -9,11 +9,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use bgp_experiments::{Scenario, ScenarioConfig};
-use bgp_intent::{run_inference_store_telemetry, InferenceConfig};
-use bgp_mrt::obs::{
-    read_observations_parallel_store_telemetry, write_rib_dump, write_update_stream,
-};
-use bgp_mrt::{IngestTuning, RecoverConfig};
+use bgp_intent::{run_inference, InferenceConfig};
+use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
+use bgp_mrt::IngestOptions;
 use bgp_types::obs::Telemetry;
 use bgp_types::store::ObservationStore;
 use bgp_types::Asn;
@@ -56,18 +54,16 @@ fn deterministic_metrics_are_byte_identical_across_thread_counts() {
 
     let run = |threads: usize| {
         let tel = Telemetry::with_metrics();
-        let (files, _report) = read_observations_parallel_store_telemetry(
-            &paths,
-            &RecoverConfig::default(),
-            &IngestTuning::default(),
+        let opts = IngestOptions {
             threads,
-            &tel,
-        );
+            ..IngestOptions::default()
+        };
+        let (files, _report) = read_files::<ObservationStore>(&paths, &opts, &tel);
         let mut store = ObservationStore::new();
         for file in files {
             store.merge(&file.store);
         }
-        let result = run_inference_store_telemetry(
+        let result = run_inference(
             &store,
             &scenario.siblings,
             &InferenceConfig {

@@ -2,21 +2,27 @@
 //! output is bit-identical to the sequential run — for multi-file MRT
 //! ingestion (including files with injected corruption, where the merged
 //! byte ledger must still balance), for strict ingestion, and for the full
-//! statistics → clustering → classification → evaluation pipeline.
+//! statistics → clustering → classification → evaluation pipeline. Strict
+//! ingestion is the lenient reader under a fail-fast policy, so it is
+//! pinned to the lenient reader's reports too.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
 use bgp_community_intent::intent::{run_inference, InferenceConfig, PipelineResult};
 use bgp_community_intent::mrt::faults::corrupt_stream;
 use bgp_community_intent::mrt::obs::{
-    read_observations_parallel, read_observations_parallel_strict, read_observations_resilient,
-    read_observations_strict, write_update_stream,
+    read_files, read_observations, read_observations_resilient_into, write_update_stream,
+    FileIngest,
 };
 use bgp_community_intent::mrt::readahead::DEFAULT_BLOCK_SIZE;
-use bgp_community_intent::mrt::RecoverConfig;
-use bgp_community_intent::types::{Asn, Observation};
+use bgp_community_intent::mrt::{IngestOptions, RecoverConfig};
+use bgp_community_intent::types::{Asn, Observation, Telemetry};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -26,6 +32,16 @@ fn scenario() -> Scenario {
         documented: 10,
         ..ScenarioConfig::default()
     })
+}
+
+/// Read `paths` into one `Vec<Observation>` each at `threads` workers.
+fn read_vecs(paths: &[PathBuf], strict: bool, threads: usize) -> Vec<FileIngest<Vec<Observation>>> {
+    let opts = IngestOptions {
+        strict,
+        threads,
+        ..IngestOptions::default()
+    };
+    read_files(paths, &opts, &Telemetry::disabled()).0
 }
 
 fn workdir(name: &str) -> PathBuf {
@@ -68,14 +84,23 @@ fn lenient_multi_file_ingest_is_identical_at_any_thread_count() {
     // Sequential reference: one resilient read per file, in order.
     let reference: Vec<_> = paths
         .iter()
-        .map(|p| read_observations_resilient(fs::File::open(p).unwrap(), &cfg))
+        .map(|p| {
+            let mut obs = Vec::new();
+            let report =
+                read_observations_resilient_into(fs::File::open(p).unwrap(), &cfg, &mut obs);
+            (obs, report)
+        })
         .collect();
 
     for threads in THREAD_COUNTS {
-        let (files, merged) = read_observations_parallel(&paths, &cfg, threads);
+        let opts = IngestOptions {
+            threads,
+            ..IngestOptions::default()
+        };
+        let (files, merged) = read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
         assert_eq!(files.len(), paths.len());
         for (file, (obs, report)) in files.iter().zip(&reference) {
-            assert_eq!(&file.observations, obs, "threads = {threads}");
+            assert_eq!(&file.store, obs, "threads = {threads}");
             // The supervised chain prefetches through a readahead layer the
             // direct read does not have; its block count is deterministic
             // (completely filled blocks of the default size). Everything
@@ -122,14 +147,100 @@ fn strict_multi_file_ingest_is_identical_at_any_thread_count() {
     let dir = workdir("strict");
     let paths = archives(&dir, &observations, false);
 
+    // The owned MrtReader decode is the reference.
     let reference: Vec<_> = paths
         .iter()
-        .map(|p| read_observations_strict(fs::File::open(p).unwrap()).unwrap())
+        .map(|p| read_observations(fs::File::open(p).unwrap()).unwrap())
         .collect();
 
     for threads in THREAD_COUNTS {
-        let per_file = read_observations_parallel_strict(&paths, threads).unwrap();
+        let files = read_vecs(&paths, true, threads);
+        assert!(files.iter().all(|f| f.report.is_clean()));
+        let per_file: Vec<_> = files.into_iter().map(|f| f.store).collect();
         assert_eq!(per_file, reference, "threads = {threads}");
+    }
+}
+
+/// A fresh directory for one case of the property `test`: unique to the
+/// test, the case and the process, so no two cases share files.
+fn case_dir(test: &str) -> PathBuf {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bgp-par-determinism-{test}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The scenario's observations as three update archives, built once.
+fn clean_files() -> &'static [Vec<u8>] {
+    static FILES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let observations = scenario().collect(1);
+        observations
+            .chunks(observations.len().div_ceil(3))
+            .map(|obs| {
+                let mut buf = Vec::new();
+                write_update_stream(&mut buf, Asn::new(6447), obs).unwrap();
+                buf
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Three files, each clean or damaged at a random seed and rate: the
+    /// strict reader accepts a file exactly when the lenient reader's
+    /// report for it is clean, reads the same observations from every file
+    /// it accepts, and its earliest failure is the earliest file the
+    /// lenient reader found damaged, at every thread count.
+    #[test]
+    fn strict_ingest_is_the_lenient_reader_failing_fast(
+        damage in prop::collection::vec(
+            prop::option::of((any::<u64>(), 0.001f64..0.2)),
+            3..4,
+        ),
+    ) {
+        let clean = clean_files();
+        let dir = case_dir("strict-vs-lenient");
+        let paths: Vec<PathBuf> = clean
+            .iter()
+            .zip(&damage)
+            .enumerate()
+            .map(|(i, (bytes, damage))| {
+                let bytes = match damage {
+                    Some((seed, rate)) => corrupt_stream(bytes, *seed, *rate).0,
+                    None => bytes.clone(),
+                };
+                let path = dir.join(format!("file{i}.mrt"));
+                fs::write(&path, bytes).unwrap();
+                path
+            })
+            .collect();
+        let lenient = read_vecs(&paths, false, 1);
+        let first_dirty = lenient.iter().position(|f| !f.report.is_clean());
+        for threads in THREAD_COUNTS {
+            let strict = read_vecs(&paths, true, threads);
+            for (s, l) in strict.iter().zip(&lenient) {
+                let accepted = s.report.aborted.is_none();
+                prop_assert_eq!(accepted, l.report.is_clean());
+                prop_assert_eq!(accepted, s.report.is_clean());
+                prop_assert_eq!(
+                    s.report.bytes_ok + s.report.bytes_skipped,
+                    s.report.bytes_read
+                );
+                if accepted {
+                    prop_assert_eq!(&s.store, &l.store);
+                }
+            }
+            let first_failed = strict.iter().position(|f| f.report.aborted.is_some());
+            prop_assert_eq!(first_failed, first_dirty, "threads = {}", threads);
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -148,6 +259,7 @@ fn full_pipeline_result_is_identical_at_any_thread_count() {
             &scenario.siblings,
             &cfg,
             Some(&scenario.dict),
+            &Telemetry::disabled(),
         )
     };
 

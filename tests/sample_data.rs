@@ -9,7 +9,7 @@ use bgp_community_intent::dictionary::GroundTruthDictionary;
 use bgp_community_intent::intent::{run_inference, InferenceConfig};
 use bgp_community_intent::mrt::obs::read_observations;
 use bgp_community_intent::relationships::SiblingMap;
-use bgp_community_intent::types::{Intent, Observation};
+use bgp_community_intent::types::{Intent, Observation, Telemetry};
 
 fn sample(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -85,6 +85,7 @@ fn end_to_end_inference_on_sample_data() {
         &siblings,
         &InferenceConfig::default(),
         Some(&dict),
+        &Telemetry::disabled(),
     );
     let eval = result.evaluation.expect("dictionary supplied");
     assert!(
