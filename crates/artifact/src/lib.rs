@@ -42,7 +42,7 @@
 //! pointer casts, no alignment assumptions — so even a hostile file that
 //! somehow passed validation could only yield wrong values, never
 //! undefined behavior. The one `unsafe` block in this crate is the
-//! `mmap`/`munmap` pair itself, confined to [`backing`], and a plain
+//! `mmap`/`munmap` pair itself, confined to the `backing` module, and a plain
 //! heap read ([`LabelArtifact::load_heap`]) provides the same artifact
 //! with no `unsafe` at all (and is the non-unix fallback).
 

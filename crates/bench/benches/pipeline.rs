@@ -1,8 +1,9 @@
 //! Inference pipeline stages: statistics, clustering, classification,
-//! evaluation — plus the full archive path: MRT decode → columnar store →
-//! inference, both through the zero-copy view decoder (`end_to_end`) and
-//! the owned-decode oracle (`end_to_end_owned`), and over on-disk archives
-//! through the supervised readahead chain (`end_to_end_large`).
+//! evaluation — plus the full archive path: MRT decode → statistics
+//! segment → inference, both through the zero-copy view decoder
+//! (`end_to_end`) and the owned-decode oracle (`end_to_end_owned`), and
+//! over on-disk archives through the supervised readahead chain
+//! (`end_to_end_large`).
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -16,16 +17,18 @@ use bgp_experiments::{Scenario, ScenarioConfig};
 use bgp_intent::classify::{classify, classify_parallelism, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::eval::evaluate;
+use bgp_intent::pipeline::Input;
 use bgp_intent::stats::PathStats;
-use bgp_intent::{run_inference, run_watch, StatsAccumulator, WatchOptions, WindowConfig};
-use bgp_mrt::obs::{
-    read_observations_parallel_store, read_observations_resilient_into,
-    read_observations_resilient_reference, write_update_stream,
+use bgp_intent::{
+    run_inference, run_watch, FileSegment, StatsAccumulator, WatchOptions, WindowConfig,
 };
-use bgp_mrt::{MemoryFeed, RecoverConfig, StreamTuning};
+use bgp_mrt::obs::{
+    read_files, read_observations_resilient_into, read_observations_resilient_reference,
+    write_update_stream,
+};
+use bgp_mrt::{IngestOptions, MemoryFeed, RecoverConfig, StreamTuning};
 use bgp_types::obs::Telemetry;
-use bgp_types::store::ObservationStore;
-use bgp_types::Asn;
+use bgp_types::{Asn, ObservationSink};
 
 fn scenario() -> Scenario {
     Scenario::build(&ScenarioConfig {
@@ -81,11 +84,10 @@ fn bench_pipeline(c: &mut Criterion) {
         "bench scenario unexpectedly clears the parallel-classify thresholds",
     );
 
-    // The checkpointed-run path: intern each "file" (8 slices standing in
-    // for 8 MRT archives) into a columnar store and fold it into the
-    // statistics segment — the same route the CLI takes — holding a
-    // snapshot after each as a checkpointed run does, then classify from
-    // the segment.
+    // The checkpointed-run path: fold each "file" (8 slices standing in
+    // for 8 MRT archives) into its own segment and merge it into the run's
+    // — the same route the CLI takes — holding a snapshot after each as a
+    // checkpointed run does, then classify from the segment.
     let files: Vec<_> = observations
         .chunks(observations.len().div_ceil(8))
         .collect();
@@ -93,13 +95,16 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut acc = StatsAccumulator::new();
         let mut snapshot = StatsAccumulator::new();
         for file in &files {
-            let store = bgp_types::store::ObservationStore::from_observations(file);
-            acc.ingest_store(&store, &scenario.siblings, 0);
+            let mut segment = FileSegment::default();
+            for obs in *file {
+                segment.push_observation(obs.clone());
+            }
+            acc.merge_file(segment, &scenario.siblings);
             snapshot = acc.snapshot().clone();
         }
         std::hint::black_box(&snapshot);
         run_inference(
-            acc.to_stats(),
+            Input::Segment(&acc, observations.len()),
             &scenario.siblings,
             &par,
             Some(&scenario.dict),
@@ -149,12 +154,14 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     // Telemetry overhead (budget: <1% of `end_to_end`), measured the same
     // paired way: each sample times the stages composed directly (stats
-    // kernel, classification, evaluation) and the one entry point with
-    // telemetry *disabled* back-to-back. Each disabled instrumentation point
-    // is one branch, so the reported difference is expected to sit in the
-    // noise floor around zero; bench_compare's `--overhead` gate holds it
-    // under 1% of end_to_end.
-    let store = ObservationStore::from_observations(&observations);
+    // kernel, classification, evaluation) over one segment and the one
+    // entry point with telemetry *disabled* back-to-back over the same
+    // segment. Each disabled instrumentation point is one branch, so the
+    // reported difference is expected to sit in the noise floor around
+    // zero; bench_compare's `--overhead` gate holds it under 1% of
+    // end_to_end.
+    let mut segment = StatsAccumulator::new();
+    segment.ingest_ordered(&observations, &scenario.siblings);
     group.bench_function("telemetry_overhead", |b| {
         b.iter_custom(|iters| {
             // Both sides run *sequentially* (threads = 1): the disabled
@@ -164,7 +171,7 @@ fn bench_pipeline(c: &mut Criterion) {
             let disabled = Telemetry::disabled();
             let time_plain = || {
                 let t = std::time::Instant::now();
-                let stats = PathStats::from_store_threaded(&store, &scenario.siblings, seq.threads);
+                let stats = segment.to_stats_threaded(seq.threads);
                 let inference = classify(&stats, &scenario.siblings, &seq);
                 let evaluation = evaluate(&inference, &scenario.dict);
                 std::hint::black_box((stats, inference, evaluation));
@@ -173,7 +180,7 @@ fn bench_pipeline(c: &mut Criterion) {
             let time_telemetry = || {
                 let t = std::time::Instant::now();
                 std::hint::black_box(run_inference(
-                    &store,
+                    Input::Segment(&segment, observations.len()),
                     &scenario.siblings,
                     &seq,
                     Some(&scenario.dict),
@@ -214,7 +221,11 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| PathStats::from_observations(&observations, &scenario.siblings))
     });
     group.bench_function("path_stats_par", |b| {
-        b.iter(|| PathStats::from_observations_threaded(&observations, &scenario.siblings, 0))
+        b.iter(|| {
+            let mut segment = StatsAccumulator::new();
+            segment.ingest_ordered(&observations, &scenario.siblings);
+            segment.to_stats_threaded(0)
+        })
     });
     group.bench_function("end_to_end_seq", |b| {
         b.iter(|| {
@@ -228,36 +239,37 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
     // The headline entry: the whole archive path — resilient zero-copy view
-    // decode of the MRT stream interning straight into the columnar store,
-    // then the parallel inference pipeline. `end_to_end_owned` runs the
-    // identical harness through the owned-decode oracle, so one bench run
-    // shows what the borrowed-view fast path buys.
+    // decode of the MRT stream folding straight into a file segment, as
+    // `bgpcomm infer` does, then the parallel inference pipeline.
+    // `end_to_end_owned` runs the identical harness through the
+    // owned-decode oracle, so one bench run shows what the borrowed-view
+    // fast path buys.
+    let infer_file = |file: FileSegment| {
+        let observations = file.observation_count();
+        let mut segment = StatsAccumulator::new();
+        segment.merge_file(file, &scenario.siblings);
+        run_inference(
+            Input::Segment(&segment, observations),
+            &scenario.siblings,
+            &par,
+            Some(&scenario.dict),
+            &Telemetry::disabled(),
+        )
+    };
     group.bench_function("end_to_end", |b| {
         b.iter(|| {
-            let mut store = ObservationStore::new();
-            let report = read_observations_resilient_into(&wire[..], &recover, &mut store);
+            let mut file = FileSegment::default();
+            let report = read_observations_resilient_into(&wire[..], &recover, &mut file);
             assert!(report.is_clean(), "pristine archive decoded with errors");
-            run_inference(
-                &store,
-                &scenario.siblings,
-                &par,
-                Some(&scenario.dict),
-                &Telemetry::disabled(),
-            )
+            infer_file(file)
         })
     });
     group.bench_function("end_to_end_owned", |b| {
         b.iter(|| {
-            let mut store = ObservationStore::new();
-            let report = read_observations_resilient_reference(&wire[..], &recover, &mut store);
+            let mut file = FileSegment::default();
+            let report = read_observations_resilient_reference(&wire[..], &recover, &mut file);
             assert!(report.is_clean(), "pristine archive decoded with errors");
-            run_inference(
-                &store,
-                &scenario.siblings,
-                &par,
-                Some(&scenario.dict),
-                &Telemetry::disabled(),
-            )
+            infer_file(file)
         })
     });
     group.bench_function("end_to_end_checkpointed", |b| b.iter(checkpointed_run));
@@ -303,7 +315,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // The on-disk variant: the same archive written out several times and
     // read back through the supervised file chain production ingestion
     // uses (File → BufReader → RetryingReader → Readahead → recovering
-    // decode), per-file stores merged, then inference.
+    // decode), per-file segments merged in input order, then inference.
     const LARGE_COPIES: usize = 6;
     let large_dir = std::env::temp_dir().join("bgp-bench-pipeline-large");
     std::fs::create_dir_all(&large_dir).expect("create bench dir");
@@ -314,15 +326,21 @@ fn bench_pipeline(c: &mut Criterion) {
             path
         })
         .collect();
+    let large_opts = IngestOptions {
+        recover: recover.clone(),
+        ..IngestOptions::default()
+    };
     let large_run = || {
-        let (files, report) = read_observations_parallel_store(&large_paths, &recover, 0);
+        let (files, report) =
+            read_files::<FileSegment>(&large_paths, &large_opts, &Telemetry::disabled());
         assert!(report.is_clean(), "pristine archive decoded with errors");
-        let mut merged = ObservationStore::new();
-        for file in &files {
-            merged.merge(&file.store);
+        let (mut merged, mut observations) = (StatsAccumulator::new(), 0);
+        for file in files {
+            observations += file.store.observation_count();
+            merged.merge_file(file.store, &scenario.siblings);
         }
         run_inference(
-            &merged,
+            Input::Segment(&merged, observations),
             &scenario.siblings,
             &par,
             Some(&scenario.dict),

@@ -12,9 +12,11 @@ use std::sync::Arc;
 use bgp_artifact::{LabelArtifact, LabelRow};
 use bgp_dictionary::GroundTruthDictionary;
 use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
+use bgp_intent::pipeline::Input;
 use bgp_intent::{
-    check_store, fingerprint_file, label_rows, run_inference, write_inference_artifact, Checkpoint,
-    CompletedFile, Exclusion, FileFingerprint, InferenceConfig, PipelineResult, StatsAccumulator,
+    check_store, fingerprint_file, label_rows, run_inference, write_inference_artifact,
+    CheckReport, Checkpoint, CompletedFile, Exclusion, FileFingerprint, FileSegment,
+    InferenceConfig, PipelineResult, StatsAccumulator,
 };
 use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
 use bgp_mrt::{FlakyConfig, IngestOptions, IngestReport};
@@ -23,7 +25,7 @@ use bgp_types::obs::{JsonLinesSink, StderrSink};
 use bgp_types::par::effective_threads;
 use bgp_types::persist::LoadError;
 use bgp_types::store::ObservationStore;
-use bgp_types::{Asn, Community, Intent, MetricsRegistry, Telemetry, Tracer};
+use bgp_types::{Asn, Community, Intent, MetricsRegistry, ObservationSink, Telemetry, Tracer};
 /// Top-level usage text.
 pub const USAGE: &str = "\
 bgpcomm — BGP community intent inference (IMC'23 reproduction)
@@ -551,37 +553,83 @@ impl Run {
             .collect())
     }
 
-    /// Ingest `paths` into one store under the run's policy, printing one
-    /// summary line per file and writing `--report`. Unreadable input is a
-    /// usage error, checked before any decode work fans out; a file that
-    /// failed fails the run once the report is written (see
-    /// [`ingest_failure`](Self::ingest_failure)).
-    fn ingest(&self, paths: &[String]) -> Result<(ObservationStore, IngestReport), Failure> {
-        for path in paths {
-            File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        }
-        let path_bufs: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
-        let (files, merged) = read_files::<ObservationStore>(&path_bufs, &self.ingest, &self.tel);
-        // Folding the per-file stores in input order reproduces the
-        // sequential single-sink read; each is dropped once folded.
-        let mut store = ObservationStore::new();
+    /// The one per-file loop, behind `stats`, `infer`, `shard-worker` and
+    /// `query --check`: decode `paths` into one `S` each, in waves of
+    /// `wave` files that fan out over the decode threads, then, file by
+    /// file in input order, print the summary line, merge the report into
+    /// `report`, and hand every file that did not fail to `each` with what
+    /// `prepare` returned for it. `prepare` runs on each file before its
+    /// wave decodes; an error from it fails the file as an aborted decode
+    /// does, and an error from `each` stops the loop. Once every file is
+    /// through, `--report` gets the merged report, and the earliest failed
+    /// file fails the run (see [`ingest_failure`](Self::ingest_failure)).
+    ///
+    /// Every wave records its files under `ingest/*`, and there is always
+    /// at least one, so the ingest stage is timed even with no file left
+    /// to read.
+    fn read_each<S: ObservationSink + Default + Send, T>(
+        &self,
+        paths: &[String],
+        wave: usize,
+        mut report: IngestReport,
+        mut prepare: impl FnMut(&Path) -> Result<T, String>,
+        mut each: impl FnMut(&str, S, &IngestReport, T) -> Result<(), Failure>,
+    ) -> Result<IngestReport, Failure> {
         let mut failed = None;
-        for (path, file) in paths.iter().zip(files) {
-            eprintln!(
-                "{path}: {} observations ({})",
-                file.store.len(),
-                file.report.summary()
-            );
-            if let Some(why) = &file.report.aborted {
-                failed.get_or_insert_with(|| format!("{path}: {why}"));
+        let mut rest = paths;
+        loop {
+            let (now, later) = rest.split_at(rest.len().min(wave.max(1)));
+            rest = later;
+            let now: Vec<PathBuf> = now.iter().map(PathBuf::from).collect();
+            let prepared: Vec<_> = now.iter().map(|p| prepare(p)).collect();
+            let (files, _) = read_files::<S>(&now, &self.ingest, &self.tel);
+            for (file, prepared) in files.into_iter().zip(prepared) {
+                let path = file.path.display().to_string();
+                eprintln!(
+                    "{path}: {} observations ({})",
+                    file.store.observation_count(),
+                    file.report.summary()
+                );
+                report.merge(&file.report);
+                // An aborted decode fails the file whatever `prepare` said.
+                match file.report.aborted.clone().map_or(prepared, Err) {
+                    Ok(prepared) => each(&path, file.store, &file.report, prepared)?,
+                    Err(why) => {
+                        failed.get_or_insert_with(|| format!("{path}: {why}"));
+                    }
+                }
             }
-            store.merge(&file.store);
+            if rest.is_empty() {
+                break;
+            }
         }
-        self.write_report(&merged)?;
+        self.write_report(&report)?;
         match failed {
             Some(why) => Err(self.ingest_failure(&why)),
-            None => Ok((store, merged)),
+            None => Ok(report),
         }
+    }
+
+    /// [`read_each`](Self::read_each) over every file in one wave with
+    /// nothing to prepare or commit, as `stats`, `infer` and `query --check`
+    /// read: unreadable input is refused as a usage error before any decode
+    /// work fans out.
+    fn read_all<S: ObservationSink + Default + Send>(
+        &self,
+        paths: &[String],
+        mut each: impl FnMut(S),
+    ) -> Result<IngestReport, Failure> {
+        open_all(paths)?;
+        self.read_each(
+            paths,
+            paths.len(),
+            IngestReport::default(),
+            |_| Ok(()),
+            |_, file, _, ()| {
+                each(file);
+                Ok(())
+            },
+        )
     }
 
     /// The failure of a run whose earliest failed file is `why`: a decode
@@ -671,9 +719,20 @@ fn load_siblings(args: &Args) -> Result<SiblingMap, String> {
     Ok(load_json(args, "siblings")?.unwrap_or_default())
 }
 
-/// `bgpcomm stats`
+/// Refuse unreadable input as a usage error before any decode work fans
+/// out.
+fn open_all(paths: &[String]) -> Result<(), String> {
+    for path in paths {
+        File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// `bgpcomm stats` — the one command that reads per-observation rows
+/// across files, so the one that merges the files' stores.
 fn stats(run: &Run) -> Result<(), Failure> {
-    let (store, report) = run.ingest(&run.mrt_files()?)?;
+    let mut store = ObservationStore::new();
+    let report = run.read_all(&run.mrt_files()?, |file| store.merge(&file))?;
 
     // Everything falls out of the interners: paths and community sets are
     // already deduped, tuples dedup over dense ID pairs, and the scalar
@@ -764,84 +823,27 @@ fn open_checkpoint(ckpt: &CheckpointOptions) -> Result<Checkpoint, Failure> {
     Checkpoint::load(&ckpt.path).map_err(|e| Failure::from(e).context("load checkpoint"))
 }
 
-/// The per-file fold loop of `infer --checkpoint` and `shard-worker`:
-/// decode `paths` in waves of `wave` files (one per decode thread), then,
-/// file by file in input order, print the summary, merge the report, and
-/// for every file that decoded without aborting, fold it into `segment`,
-/// record its [`CompletedFile`] in `checkpoint` and run `commit` with the
-/// number of files committed so far. Each file is fingerprinted before it
-/// is decoded, so the record names the bytes actually ingested. Failed
-/// files are not recorded, so a resumed run retries them.
-///
-/// Returns this run's merged report and the first failed file's reason.
-fn fold_files(
-    run: &Run,
-    paths: &[&String],
-    wave: usize,
-    siblings: &SiblingMap,
-    checkpoint: &mut Checkpoint,
-    segment: &mut StatsAccumulator,
-    mut commit: impl FnMut(&mut Checkpoint, &StatsAccumulator, u64) -> Result<(), Failure>,
-) -> Result<(IngestReport, Option<String>), Failure> {
-    let tel = &run.tel;
-    // Ingest metrics are recorded once, from the final merged report, so
-    // the wave reads get a spans-only telemetry view.
-    let wave_tel = Telemetry {
-        tracer: tel.tracer.clone(),
-        metrics: None,
-    };
-    let mut merged = IngestReport::default();
-    let mut failed = None;
-    let mut committed = 0u64;
-    for wave in paths.chunks(wave.max(1)) {
-        let wave: Vec<PathBuf> = wave.iter().map(PathBuf::from).collect();
-        let fingerprints: Vec<io::Result<FileFingerprint>> = tel
-            .stage("checkpoint_fingerprint", || {
-                wave.iter().map(|p| fingerprint_file(p)).collect()
-            });
-        let (files, _) = read_files::<ObservationStore>(&wave, &run.ingest, &wave_tel);
-        for (file, fingerprint) in files.into_iter().zip(fingerprints) {
-            let path = file.path.display().to_string();
-            eprintln!(
-                "{path}: {} observations ({})",
-                file.store.len(),
-                file.report.summary()
-            );
-            merged.merge(&file.report);
-            let fingerprint = match (&file.report.aborted, fingerprint) {
-                (Some(why), _) => {
-                    failed.get_or_insert_with(|| format!("{path}: {why}"));
-                    continue;
-                }
-                (None, Err(e)) => {
-                    failed.get_or_insert_with(|| format!("{path}: fingerprint: {e}"));
-                    continue;
-                }
-                (None, Ok(fp)) => fp,
-            };
-            segment.ingest_store(&file.store, siblings, run.ingest.threads);
-            checkpoint.files.push(CompletedFile { path, fingerprint });
-            checkpoint.report.merge(&file.report);
-            committed += 1;
-            commit(checkpoint, segment, committed)?;
-        }
-    }
-    Ok((merged, failed))
+/// What a checkpointed fold runs on each file before its wave decodes:
+/// the fingerprint its [`CompletedFile`] records, so the record names the
+/// bytes actually ingested.
+fn fingerprint(tel: &Telemetry, path: &Path) -> Result<FileFingerprint, String> {
+    tel.stage("checkpoint_fingerprint", || fingerprint_file(path))
+        .map_err(|e| format!("fingerprint: {e}"))
 }
 
-/// The crash-safe incremental `infer` path: fold file by file into a
-/// [`StatsAccumulator`], committing the checkpoint atomically after every
-/// completed file, and classify from the accumulated statistics. Output is
-/// bit-identical to the non-checkpointed path at any thread count and
+/// The crash-safe incremental `infer` path: fold file by file into the
+/// checkpoint's segment, committing the checkpoint atomically after every
+/// completed file. Failed files are not recorded, so a resumed run retries
+/// them. Returns the segment, the observations this run folded into it,
+/// and the report over every file it holds; the labels classified from it
+/// are bit-identical to the non-checkpointed path at any thread count and
 /// across any crash/resume split.
 fn infer_checkpointed(
     run: &Run,
     paths: &[String],
     siblings: &SiblingMap,
-    cfg: &InferenceConfig,
-    dict: Option<&GroundTruthDictionary>,
     ckpt: &CheckpointOptions,
-) -> Result<(PipelineResult, IngestReport), Failure> {
+) -> Result<(StatsAccumulator, usize, IngestReport), Failure> {
     if run.ingest.strict {
         return Err("--checkpoint requires lenient ingestion (drop --strict)".into());
     }
@@ -865,10 +867,10 @@ fn infer_checkpointed(
     let verified_files = tel
         .registry()
         .map(|m| m.counter("checkpoint/verified_files"));
-    let mut pending: Vec<&String> = Vec::new();
+    let mut pending = Vec::new();
     for path in paths {
         match checkpoint.completed(path) {
-            None => pending.push(path),
+            None => pending.push(path.clone()),
             Some(recorded) => {
                 let now = tel
                     .stage("checkpoint_verify", || fingerprint_file(Path::new(path)))
@@ -891,23 +893,33 @@ fn infer_checkpointed(
             }
         }
     }
+    // The files earlier runs committed count toward this run's metrics as
+    // they do toward its report.
+    if let Some(metrics) = tel.registry() {
+        checkpoint.report.record_metrics(metrics);
+        metrics
+            .counter("ingest/files")
+            .add(checkpoint.files.len() as u64);
+    }
 
-    let mut segment = StatsAccumulator::from_snapshot(&checkpoint.snapshot);
-    let mut merged = checkpoint.report.clone();
-    let (ran, failed) = fold_files(
-        run,
+    let (mut observations, mut committed) = (0, 0u64);
+    let report = run.read_each(
         &pending,
         effective_threads(run.ingest.threads),
-        siblings,
-        &mut checkpoint,
-        &mut segment,
-        |checkpoint, segment, committed| {
-            checkpoint.snapshot = segment.snapshot().clone();
+        checkpoint.report.clone(),
+        |p| fingerprint(tel, p),
+        |path, file: FileSegment, report, fingerprint| {
+            observations += file.observation_count();
+            checkpoint.snapshot.merge_file(file, siblings);
+            checkpoint.report.merge(report);
+            let path = path.to_string();
+            checkpoint.files.push(CompletedFile { path, fingerprint });
             tel.stage("checkpoint_write", || checkpoint.save_atomic(&ckpt.path))
                 .map_err(|e| format!("write checkpoint {}: {e}", ckpt.path.display()))?;
             if let Some(metrics) = tel.registry() {
                 metrics.counter("checkpoint/writes").inc();
             }
+            committed += 1;
             if ckpt.crash_after == Some(committed) {
                 return Err(Failure::new(
                     EXIT_CRASH,
@@ -920,17 +932,7 @@ fn infer_checkpointed(
             Ok(())
         },
     )?;
-    merged.merge(&ran);
-    run.write_report(&merged)?;
-    if let Some(why) = failed {
-        return Err(run.ingest_failure(&why));
-    }
-    // The merged report also covers files committed by earlier runs.
-    if let Some(metrics) = tel.registry() {
-        merged.record_metrics(metrics);
-    }
-    let result = run_inference(segment.to_stats(), siblings, cfg, dict, tel);
-    Ok((result, merged))
+    Ok((checkpoint.snapshot, observations, report))
 }
 
 /// The shared inference knobs (`--gap`, `--ratio`) for `infer`, `shard`
@@ -1037,21 +1039,30 @@ fn write_labels(
     Ok(())
 }
 
-/// `bgpcomm infer`
+/// `bgpcomm infer`: every file decodes straight into its own segment, and
+/// the segments merge in input order into the one the labels come from —
+/// with `--checkpoint`, the checkpoint's.
 fn infer(run: &Run) -> Result<(), Failure> {
     let siblings = load_siblings(&run.args)?;
     let cfg = inference_config(&run.args, run.ingest.threads)?;
     let dict: Option<GroundTruthDictionary> = load_json(&run.args, "dict")?;
     let ckpt = CheckpointOptions::from_args(&run.args)?;
     let paths = run.mrt_files()?;
-    let (result, report) = match ckpt {
-        Some(ckpt) => infer_checkpointed(run, &paths, &siblings, &cfg, dict.as_ref(), &ckpt)?,
+    let (segment, observations, report) = match ckpt {
+        Some(ckpt) => infer_checkpointed(run, &paths, &siblings, &ckpt)?,
         None => {
-            let (store, report) = run.ingest(&paths)?;
-            let result = run_inference(&store, &siblings, &cfg, dict.as_ref(), &run.tel);
-            (result, report)
+            let (mut segment, mut observations) = (StatsAccumulator::new(), 0);
+            let report = run.read_all(&paths, |file: FileSegment| {
+                observations += file.observation_count();
+                segment.merge_file(file, &siblings);
+            })?;
+            (segment, observations, report)
         }
     };
+    let input = Input::Segment(&segment, observations);
+    let result = run_inference(input, &siblings, &cfg, dict.as_ref(), &run.tel);
+    // Free the segment before the label file is built.
+    drop(segment);
     print_inference(&run.args, &result, &report)
 }
 
@@ -1083,18 +1094,19 @@ fn shard_worker(run: &Run) -> Result<(), Failure> {
     beat(0);
 
     let mut manifest = Checkpoint::new();
-    let mut segment = StatsAccumulator::new();
-    let pending: Vec<&String> = paths.iter().collect();
     // One file per wave, as a heartbeat per file: the supervisor's stall
     // deadline then bounds one file's decode, not a wave's.
-    let (_, failed) = fold_files(
-        run,
-        &pending,
+    run.read_each(
+        &paths,
         1,
-        &siblings,
-        &mut manifest,
-        &mut segment,
-        |_, _, committed| {
+        IngestReport::default(),
+        |p| fingerprint(&run.tel, p),
+        |path, file: FileSegment, report, fingerprint| {
+            manifest.snapshot.merge_file(file, &siblings);
+            manifest.report.merge(report);
+            let path = path.to_string();
+            manifest.files.push(CompletedFile { path, fingerprint });
+            let committed = manifest.files.len() as u64;
             beat(committed);
             if crash_after == Some(committed) {
                 return Err(Failure::new(
@@ -1110,10 +1122,6 @@ fn shard_worker(run: &Run) -> Result<(), Failure> {
             Ok(())
         },
     )?;
-    if let Some(why) = failed {
-        return Err(run.ingest_failure(&why));
-    }
-    manifest.snapshot = segment.snapshot().clone();
     manifest
         .save_atomic(&out)
         .map_err(|e| format!("write artifact {}: {e}", out.display()))?;
@@ -1153,9 +1161,7 @@ fn shard(run: &Run) -> Result<(), Failure> {
 
     let paths = run.mrt_files()?;
     // Unreadable input is a usage error here, not N worker failures.
-    for path in &paths {
-        File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    }
+    open_all(&paths)?;
     let shard_dir = PathBuf::from(
         args.get_str("shard-dir")
             .ok_or("--shard-dir DIR is required")?,
@@ -1704,8 +1710,13 @@ fn query(run: &Run) -> Result<(), Failure> {
     if !check_files.is_empty() {
         ran_operation = true;
         let siblings = load_siblings(args)?;
-        let (store, _report) = run.ingest(&check_files)?;
-        let report = tel.stage("query_check", || check_store(&artifact, &store, &siblings));
+        // File by file: each store is checked as it comes and dropped, and
+        // the reports append, their observation indices counting across
+        // the files in input order.
+        let mut report = CheckReport::default();
+        run.read_all(&check_files, |store: ObservationStore| {
+            report.append(tel.stage("query_check", || check_store(&artifact, &store, &siblings)));
+        })?;
         if let Some(r) = tel.registry() {
             r.counter("query/check_observations")
                 .add(report.observations as u64);

@@ -181,6 +181,89 @@ fn metrics_cover_every_pipeline_stage() {
     }
 }
 
+/// The deterministic sections of a metrics file, without `checkpoint/*`.
+fn without_checkpoint_keys(path: &Path) -> Vec<serde_json::Map> {
+    let value: serde_json::Value =
+        serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap();
+    ["counters", "gauges", "histograms"]
+        .iter()
+        .map(|section| {
+            let mut map = value[*section].as_object().unwrap().clone();
+            map.retain(|k, _| !k.starts_with("checkpoint/"));
+            map
+        })
+        .collect()
+}
+
+#[test]
+fn checkpointed_runs_write_the_metrics_a_plain_run_writes() {
+    let dir = workdir("checkpointed");
+    let files = archives(&dir);
+    let infer = |tag: &str, extra: &[&str], code: i32| {
+        let metrics = dir.join(format!("{tag}.json"));
+        let mut args = vec!["infer", "--top", "0", "--threads", "2"];
+        for file in &files {
+            args.extend(["--mrt", file.to_str().unwrap()]);
+        }
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        args.extend(extra);
+        let out = bgpcomm(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        metrics
+    };
+    let timed = |path: &Path| {
+        let metrics: serde_json::Value =
+            serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap();
+        for key in ["time/ingest_ns", "time/stats_ns"] {
+            assert!(metrics["timings"].get(key).is_some(), "{path:?}: {key}");
+        }
+        metrics
+    };
+    let plain = infer("plain", &[], 0);
+    let fresh_ckpt = dir.join("fresh.ckpt");
+    let fresh = infer("fresh", &["--checkpoint", fresh_ckpt.to_str().unwrap()], 0);
+    assert_eq!(
+        without_checkpoint_keys(&fresh),
+        without_checkpoint_keys(&plain)
+    );
+    let plain = timed(&plain);
+    timed(&fresh);
+
+    // Crash after the first file, then resume: every key is written, the
+    // ingest accounting covers the earlier run's file too, and
+    // `store/observations` counts what this run folded (120 + 80).
+    let ckpt = dir.join("resumed.ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    infer(
+        "crashed",
+        &["--checkpoint", ckpt, "--inject-crash-after", "1"],
+        9,
+    );
+    let resumed = timed(&infer("resumed", &["--checkpoint", ckpt, "--resume"], 0));
+    // Nothing left to read: still every key, and no observations folded.
+    let again = timed(&infer("again", &["--checkpoint", ckpt, "--resume"], 0));
+    for (metrics, folded) in [(&resumed, 200), (&again, 0)] {
+        for section in ["counters", "gauges", "histograms"] {
+            for (key, value) in plain[section].as_object().unwrap() {
+                let got = metrics[section].get(key);
+                assert!(got.is_some(), "missing {section} {key}");
+                if key.starts_with("ingest/") || section != "gauges" {
+                    assert_eq!(got, Some(value), "{section} {key}");
+                }
+            }
+        }
+        assert_eq!(
+            metrics["gauges"]["store/observations"].as_i64(),
+            Some(folded)
+        );
+    }
+}
+
 #[test]
 fn injected_fault_accounting_matches_the_ingest_report_exactly() {
     let dir = workdir("flaky");

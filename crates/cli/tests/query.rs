@@ -484,6 +484,34 @@ fn check_flags_exactly_the_injected_contradictions() {
         "{stdout}"
     );
     assert!(stdout.contains("2 anomalies"), "{stdout}");
+
+    // Checked after the training archive, the same contradictions carry
+    // observation indices that count on across both files in input order.
+    let both = format!(
+        "{},{}",
+        training.to_str().unwrap(),
+        contradicting.to_str().unwrap()
+    );
+    let out = bgpcomm(&[
+        "query",
+        "--artifact",
+        bga.to_str().unwrap(),
+        "--check",
+        &both,
+    ]);
+    assert_eq!(out.status.code(), Some(EXIT_ANOMALY), "{}", stderr_of(&out));
+    let two_files = stdout_of(&out);
+    let offset: Vec<String> = anomalies
+        .iter()
+        .map(|l| l.replace("obs=0", "obs=48").replace("obs=1", "obs=49"))
+        .collect();
+    let found: Vec<&str> = two_files
+        .lines()
+        .filter(|l| l.starts_with("anomaly "))
+        .collect();
+    assert_eq!(found, offset, "{two_files}");
+    assert!(found[0].ends_with("obs=48") && found[1].ends_with("obs=49"));
+    assert!(two_files.contains("check: 51 observations"), "{two_files}");
 }
 
 #[test]

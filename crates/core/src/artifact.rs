@@ -134,7 +134,8 @@ pub struct Anomaly {
     pub kind: AnomalyKind,
 }
 
-/// The outcome of an anomaly-check pass over one archive.
+/// The outcome of an anomaly-check pass over one archive, or over several
+/// checked one after another ([`append`](Self::append)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckReport {
     /// Observations streamed.
@@ -146,6 +147,23 @@ pub struct CheckReport {
     pub unknown: usize,
     /// Every contradiction, in observation order.
     pub anomalies: Vec<Anomaly>,
+}
+
+impl CheckReport {
+    /// Append the report of the archive checked next: its observation
+    /// indices continue after this report's, so the result is the report
+    /// of one check over both archives' observations in order.
+    pub fn append(&mut self, next: CheckReport) {
+        let offset = self.observations;
+        self.anomalies
+            .extend(next.anomalies.into_iter().map(|a| Anomaly {
+                index: a.index + offset,
+                ..a
+            }));
+        self.observations += next.observations;
+        self.checked += next.checked;
+        self.unknown += next.unknown;
+    }
 }
 
 /// Per community slot, what the checker needs: the label and whether the
@@ -353,6 +371,31 @@ mod tests {
         assert_eq!(echo.index, observations.len() + 1);
         assert_eq!(echo.community, Community::new(1299, 2569));
         assert_eq!(echo.kind, AnomalyKind::ActionOnPath);
+    }
+
+    #[test]
+    fn appended_file_reports_equal_one_check_over_all_files() {
+        let observations = training();
+        let artifact = temp_artifact("appended", &infer(&observations));
+        let mut checked = observations.clone();
+        checked.push(obs("20 3356 64499", &[(1299, 35130)]));
+        checked.push(obs("21 1299 64499", &[(1299, 2569)]));
+        checked.push(obs("30 3356 64496", &[(9999, 1)]));
+        let siblings = SiblingMap::default();
+        let check = |part: &[Observation]| {
+            check_store(
+                &artifact,
+                &ObservationStore::from_observations(part),
+                &siblings,
+            )
+        };
+        let whole = check(&checked);
+        assert_eq!(whole.anomalies.len(), 2);
+        for split in [0, 1, observations.len() + 1, checked.len()] {
+            let mut appended = check(&checked[..split]);
+            appended.append(check(&checked[split..]));
+            assert_eq!(appended, whole, "split at {split}");
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! Crash-safe incremental runs: the exact statistics segment and a sealed
-//! binary checkpoint file.
-//!
-//! Long supervised runs over hundreds of archives must survive a crash —
-//! OOM kill, power loss, a poisoned worker — without redoing days of
-//! ingestion. The pieces here make that possible:
+//! The exact statistics segment every label is computed from, and the
+//! sealed binary checkpoint that makes long runs crash-safe.
 //!
 //! * [`StatsAccumulator`] is a *segment*: every unique AS path and
 //!   community list interned once, by the [`Interner`] the batch store
 //!   uses, the set of unique `(path, list)` tuples over them, and the
-//!   sibling family of every community owner. A file, a shard and the
-//!   streaming daemon each fold into one; segments merge by exact key, and
-//!   [`StatsAccumulator::to_stats`] runs the batch kernel over the tuples,
-//!   so every route yields the [`PathStats`] one batch reduction over the
-//!   same observations would (see "Why an exact segment" below).
+//!   sibling family of every community owner. `infer` (with or without a
+//!   checkpoint), a shard worker and the streaming daemon each fold into
+//!   one; segments merge by exact key, and
+//!   [`StatsAccumulator::to_stats_threaded`] runs the path-stats kernel
+//!   over the tuples, sharded by path ID, so every route yields the
+//!   [`PathStats`] one reduction over the concatenated observations would
+//!   (see "Why an exact segment" below).
+//! * [`FileSegment`] is one input file's segment as the decoder fills it:
+//!   an [`ObservationSink`] that interns each borrowed observation once
+//!   and counts it. It records no owner families; those are looked up
+//!   when the file merges into a run's segment
+//!   ([`StatsAccumulator::merge_file`]), once per owner per run.
 //! * [`StatsSnapshot`] is the name a segment goes by where it is
 //!   persisted. A snapshot shares the segment's storage until either side
 //!   changes, so taking one is O(1), and its encoding is deterministic:
@@ -32,16 +35,16 @@
 //!
 //! [`PathStats`] merging by summing counts is only exact when every
 //! occurrence of an AS path lands in the same shard (the invariant of the
-//! path-sharded parallel reduction). Per-*file* partials violate it: the
-//! same path appears in many files, and summing would double-count unique
-//! paths. A segment keeps the unique tuples themselves instead, so merging
-//! is a union: the other segment's paths and lists are re-interned by
-//! comparing their values (a hash only picks the probe slot), so a path
-//! seen in ten files is one path and two distinct paths are never one.
-//! Counts are derived only when asked for, by the kernel batch `infer`
-//! runs. Which side of a path a community rides depends on its owner's
-//! sibling family, which the segment records when it first sees the
-//! owner — so counting, merging and loading need no sibling map.
+//! path-sharded reduction). Per-*file* partials violate it: the same path
+//! appears in many files, and summing would double-count unique paths. A
+//! segment keeps the unique tuples themselves instead, so merging is a
+//! union: the other segment's paths and lists are re-interned by comparing
+//! their values (a hash only picks the probe slot), so a path seen in ten
+//! files is one path and two distinct paths are never one. Counts are
+//! derived only when asked for. Which side of a path a community rides
+//! depends on its owner's sibling family, which the segment records when
+//! it first sees the owner — so counting, merging and loading need no
+//! sibling map.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -53,24 +56,24 @@ use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
 use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
-use bgp_types::store::{IdTable, Interner, ObservationStore};
+use bgp_types::store::{IdTable, Interner, ObservationSink, ObservationStore, ObservationView};
 use bgp_types::{AsPathView, Asn, Community, Observation};
 
 use crate::stats::{pack, reduce, OnPathIndex, PathStats};
 
 /// Everything folded so far, exact and mergeable: a segment (see the
 /// module docs). Feed it observations in any grouping —
-/// [`ingest_ordered`] per file, [`ingest_store`] per decoded store,
-/// [`merge`] across segments — and [`to_stats`] yields the same
-/// [`PathStats`] as [`PathStats::from_observations`] over the concatenated
-/// input.
+/// [`ingest_ordered`] per file, [`merge_file`] per decoded
+/// [`FileSegment`], [`merge`] across segments — and [`to_stats`] yields
+/// the same [`PathStats`] as [`PathStats::from_observations`] over the
+/// concatenated input.
 ///
 /// IDs are assigned in first-seen order, so the same fold sequence always
 /// builds the same segment, and equality compares those columns exactly.
 /// Clones and snapshots share storage until one side changes.
 ///
 /// [`ingest_ordered`]: StatsAccumulator::ingest_ordered
-/// [`ingest_store`]: StatsAccumulator::ingest_store
+/// [`merge_file`]: StatsAccumulator::merge_file
 /// [`merge`]: StatsAccumulator::merge
 /// [`to_stats`]: StatsAccumulator::to_stats
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -136,17 +139,42 @@ impl Segment {
         }
     }
 
-    fn fold(
-        &mut self,
-        path: &AsPathView<'_>,
-        communities: &[Community],
-        siblings: &SiblingMap,
-    ) -> u32 {
+    /// Intern one observation's path, list and tuple; returns the tuple ID.
+    fn fold(&mut self, path: &AsPathView<'_>, communities: &[Community]) -> u32 {
         let path = self.interner.intern_path(path);
-        let from = self.interner.community_count();
         let cset = self.interner.intern_cset(communities);
-        self.note_owners(from, siblings);
         self.intern_tuple(path, cset)
+    }
+
+    /// Re-intern `other`'s paths, lists and tuples by exact key, in its ID
+    /// order. Owner families are the caller's.
+    fn absorb(&mut self, other: &Segment) {
+        let (paths, csets) = self.interner.absorb(&other.interner);
+        for &key in &other.tuples {
+            self.intern_tuple(paths[(key >> 32) as usize], csets[key as u32 as usize]);
+        }
+    }
+}
+
+/// One input file's segment as the decoder fills it: each borrowed
+/// observation pushed into it ([`ObservationSink`]) is interned once and
+/// counted. It records no owner families; [`StatsAccumulator::merge_file`]
+/// looks those up once per owner per run, so a file costs no sibling
+/// lookups for the owners earlier files already brought.
+#[derive(Debug, Clone, Default)]
+pub struct FileSegment {
+    seg: Segment,
+    observations: usize,
+}
+
+impl ObservationSink for FileSegment {
+    fn push_observation_view(&mut self, view: &ObservationView<'_>) {
+        self.seg.fold(&view.path, view.communities);
+        self.observations += 1;
+    }
+
+    fn observation_count(&self) -> usize {
+        self.observations
     }
 }
 
@@ -159,11 +187,10 @@ impl StatsAccumulator {
     /// Fold observations one record at a time, in delivered order, each
     /// interned once. Folding the same observations again changes nothing.
     pub fn ingest_ordered(&mut self, observations: &[Observation], siblings: &SiblingMap) {
-        let seg = Arc::make_mut(&mut self.seg);
         let (mut segs, mut asns) = (Vec::new(), Vec::new());
         for obs in observations {
             let path = AsPathView::of(&obs.path, &mut segs, &mut asns);
-            seg.fold(&path, &obs.communities, siblings);
+            self.fold(&path, &obs.communities, siblings);
         }
     }
 
@@ -175,7 +202,11 @@ impl StatsAccumulator {
         communities: &[Community],
         siblings: &SiblingMap,
     ) -> u32 {
-        Arc::make_mut(&mut self.seg).fold(path, communities, siblings)
+        let seg = Arc::make_mut(&mut self.seg);
+        let from = seg.interner.community_count();
+        let id = seg.fold(path, communities);
+        seg.note_owners(from, siblings);
+        id
     }
 
     /// Fold a decoded [`ObservationStore`] in: its unique paths and
@@ -183,7 +214,9 @@ impl StatsAccumulator {
     /// rehashing), then its tuples. The result equals
     /// [`ingest_ordered`](Self::ingest_ordered) over the store's
     /// observations. `_threads` is accepted for existing callers; the fold
-    /// is sequential, which is what keeps IDs in first-seen order.
+    /// is sequential, which is what keeps IDs in first-seen order. The CLI
+    /// decodes into [`FileSegment`]s instead ([`merge_file`](Self::merge_file));
+    /// this entry point serves the benchmark harness's store route.
     pub fn ingest_store(
         &mut self,
         store: &ObservationStore,
@@ -209,13 +242,25 @@ impl StatsAccumulator {
             return;
         }
         let seg = Arc::make_mut(&mut self.seg);
-        let (paths, csets) = seg.interner.absorb(&other.seg.interner);
+        seg.absorb(&other.seg);
         for (&owner, family) in &other.seg.families {
             seg.families.entry(owner).or_insert_with(|| family.clone());
         }
-        for &key in &other.seg.tuples {
-            seg.intern_tuple(paths[(key >> 32) as usize], csets[key as u32 as usize]);
+    }
+
+    /// Union one file's segment in, as [`merge`](Self::merge) does, and
+    /// record the family of each owner it brings that this segment has not
+    /// seen. The result equals [`ingest_ordered`](Self::ingest_ordered)
+    /// over the file's observations.
+    pub fn merge_file(&mut self, file: FileSegment, siblings: &SiblingMap) {
+        let seg = Arc::make_mut(&mut self.seg);
+        let from = seg.interner.community_count();
+        if *seg == Segment::default() {
+            *seg = file.seg;
+        } else {
+            seg.absorb(&file.seg);
         }
+        seg.note_owners(from, siblings);
     }
 
     /// Number of unique tuples; tuple IDs are `0..tuple_count()`.
@@ -223,23 +268,42 @@ impl StatsAccumulator {
         self.seg.tuples.len()
     }
 
+    /// The unique paths, community lists and communities.
+    pub(crate) fn interner(&self) -> &Interner {
+        &self.seg.interner
+    }
+
     /// The [`PathStats`] the classifier consumes, over every tuple.
     pub fn to_stats(&self) -> PathStats {
-        self.stats_where(|_| true)
+        self.to_stats_threaded(1)
+    }
+
+    /// [`to_stats`](Self::to_stats) on `threads` workers (`0` = one per
+    /// CPU). The tuples are sharded by path ID, so each unique path is
+    /// counted in one shard and the shards' counts sum to the sequential
+    /// result at any thread count.
+    pub fn to_stats_threaded(&self, threads: usize) -> PathStats {
+        self.stats_where(threads, |_| true)
     }
 
     /// The [`PathStats`] over the tuples whose ID `keep` accepts — the
-    /// streaming window's live tuples.
-    pub(crate) fn stats_where(&self, keep: impl Fn(usize) -> bool + Sync) -> PathStats {
+    /// streaming window's live tuples — on `threads` workers.
+    pub(crate) fn stats_where(
+        &self,
+        threads: usize,
+        keep: impl Fn(usize) -> bool + Sync,
+    ) -> PathStats {
         let seg = &*self.seg;
         let index = OnPathIndex::build(&seg.interner, |owner, pool| {
             if let Some(family) = seg.families.get(&owner) {
                 pool.extend_from_slice(family);
             }
         });
-        reduce(&seg.interner, &index, 1, |_, _| {
+        let threads = if seg.tuples.len() < 2 { 1 } else { threads };
+        reduce(&seg.interner, &index, threads, |shard, count| {
+            let mine = |key: u64| count == 1 || (key >> 32) as u32 % count == shard;
             (0..seg.tuples.len())
-                .filter(|&t| keep(t))
+                .filter(|&t| mine(seg.tuples[t]) && keep(t))
                 .map(|t| seg.tuples[t])
                 .collect()
         })
@@ -775,6 +839,33 @@ mod tests {
     }
 
     #[test]
+    fn merged_file_segments_match_ingest_bit_for_bit() {
+        // The decoder's route: each "file" folds into its own segment, and
+        // the run's segment records the owner families as the files merge
+        // in — onto an empty segment, then a non-empty one. Same segment,
+        // same snapshot bytes and same statistics as the slice fold.
+        let all = workload();
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut via_slices = StatsAccumulator::new();
+        via_slices.ingest_ordered(&all[..11], &siblings);
+        via_slices.ingest_ordered(&all[11..], &siblings);
+        let mut via_files = StatsAccumulator::new();
+        for part in [&all[..11], &all[11..]] {
+            let mut file = FileSegment::default();
+            for o in part {
+                file.push_observation(o.clone());
+            }
+            assert_eq!(file.observation_count(), part.len());
+            via_files.merge_file(file, &siblings);
+        }
+        assert_eq!(via_files, via_slices);
+        assert_eq!(encoded(&via_files), encoded(&via_slices));
+        for threads in [1, 2, 8] {
+            assert_eq!(via_files.to_stats_threaded(threads), via_slices.to_stats());
+        }
+    }
+
+    #[test]
     fn merge_is_order_independent() {
         let all = workload();
         let siblings = SiblingMap::default();
@@ -1104,11 +1195,11 @@ mod tests {
         let first = acc.tuple_count();
         acc.ingest_ordered(&all[10..], &siblings);
         assert_eq!(
-            acc.stats_where(|t| t < first),
+            acc.stats_where(1, |t| t < first),
             PathStats::from_observations(&all[..10], &siblings)
         );
-        assert_eq!(acc.stats_where(|_| false), PathStats::default());
-        assert_eq!(acc.stats_where(|_| true), acc.to_stats());
+        assert_eq!(acc.stats_where(2, |_| false), PathStats::default());
+        assert_eq!(acc.stats_where(2, |_| true), acc.to_stats());
     }
 
     #[test]

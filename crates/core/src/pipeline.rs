@@ -1,13 +1,22 @@
-//! End-to-end convenience wiring: observations in, labeled communities and
-//! (optionally) an evaluation out.
+//! The method end to end: observations or a statistics segment in,
+//! labeled communities and (optionally) an evaluation out, through the one
+//! entry point [`run_inference`].
+//!
+//! Every CLI route to a label hands it a segment: `infer` decodes each
+//! file into a [`FileSegment`](crate::checkpoint::FileSegment) and merges
+//! them in input order, a checkpointed run resumes the segment its
+//! checkpoint holds, and the path-stats kernel then runs over the
+//! segment's unique tuples on `cfg.threads` workers. Observations are
+//! folded into a segment first; statistics accumulated elsewhere (a
+//! sharded run merges its shards' segments) skip the kernel.
 
 use bgp_dictionary::GroundTruthDictionary;
 use bgp_relationships::SiblingMap;
 use bgp_types::obs::{MetricsRegistry, MetricsSnapshot, Span, Telemetry};
 use bgp_types::span;
-use bgp_types::store::ObservationStore;
 use bgp_types::Observation;
 
+use crate::checkpoint::StatsAccumulator;
 use crate::classify::{classify, Exclusion, Inference, InferenceConfig};
 use crate::eval::{evaluate, Evaluation};
 use crate::stats::PathStats;
@@ -38,17 +47,23 @@ pub const RATIO_BUCKETS: &[u64] = &[
     4096,
 ];
 
-/// Record interner occupancy under `store/*`.
-fn record_store_metrics(metrics: &MetricsRegistry, store: &ObservationStore) {
+/// Record how many observations were folded into `segment` and its
+/// interner's occupancy under `store/*`.
+fn record_store_metrics(
+    metrics: &MetricsRegistry,
+    segment: &StatsAccumulator,
+    observations: usize,
+) {
     let gauge = |name: &str, v: usize| {
         metrics
             .gauge(name)
             .set(i64::try_from(v).unwrap_or(i64::MAX));
     };
-    gauge("store/observations", store.len());
-    gauge("store/unique_paths", store.path_count());
-    gauge("store/unique_csets", store.cset_count());
-    gauge("store/unique_communities", store.community_count());
+    let interner = segment.interner();
+    gauge("store/observations", observations);
+    gauge("store/unique_paths", interner.path_count());
+    gauge("store/unique_csets", interner.cset_count());
+    gauge("store/unique_communities", interner.community_count());
 }
 
 /// Record the path-stats kernel's output shape under `stats/*`.
@@ -132,23 +147,17 @@ fn record_eval_metrics(metrics: &MetricsRegistry, eval: &Evaluation) {
     }
 }
 
-/// What [`run_inference`] runs over: observations the path-stats kernel
-/// still has to reduce, or statistics a checkpointed or sharded run
-/// already accumulated segment by segment.
+/// What [`run_inference`] runs over.
 #[derive(Debug, Clone)]
 pub enum Input<'a> {
-    /// Decoded observations, interned first.
+    /// Decoded observations, folded into a segment first.
     Observations(&'a [Observation]),
-    /// Interned observations.
-    Store(&'a ObservationStore),
-    /// Precomputed statistics (see [`crate::checkpoint::StatsAccumulator`]).
+    /// A statistics segment and the number of observations folded into it
+    /// (reported as `store/observations`).
+    Segment(&'a StatsAccumulator, usize),
+    /// Precomputed statistics, such as a sharded run's merged segment
+    /// reduced with [`StatsAccumulator::to_stats`].
     Stats(PathStats),
-}
-
-impl<'a> From<&'a ObservationStore> for Input<'a> {
-    fn from(store: &'a ObservationStore) -> Self {
-        Input::Store(store)
-    }
 }
 
 impl<'a> From<&'a [Observation]> for Input<'a> {
@@ -169,20 +178,19 @@ impl From<PathStats> for Input<'_> {
     }
 }
 
-/// The path-stats kernel over `store`, inside the run's `pipeline` span.
+/// The path-stats kernel over `segment` on `cfg.threads` workers, inside
+/// the run's `pipeline` span.
 fn reduce(
-    store: &ObservationStore,
-    siblings: &SiblingMap,
+    segment: &StatsAccumulator,
+    observations: usize,
     cfg: &InferenceConfig,
     tel: &Telemetry,
 ) -> (PathStats, Span) {
-    let span = span!(tel.tracer, "pipeline", observations = store.len());
+    let span = span!(tel.tracer, "pipeline", observations = observations);
     if let Some(metrics) = tel.registry() {
-        record_store_metrics(metrics, store);
+        record_store_metrics(metrics, segment, observations);
     }
-    let stats = tel.stage("stats", || {
-        PathStats::from_store_threaded(store, siblings, cfg.threads)
-    });
+    let stats = tel.stage("stats", || segment.to_stats_threaded(cfg.threads));
     (stats, span)
 }
 
@@ -191,7 +199,8 @@ fn reduce(
 ///
 /// `cfg.threads` controls both the statistics and classification stages
 /// (`0` = one worker per CPU, `1` = sequential); the result is identical
-/// at any thread count.
+/// at any thread count, and for a segment it is identical to the
+/// observations folded into it.
 ///
 /// Under observation the run is one `pipeline` span, each stage (path-stats
 /// kernel, classification, evaluation) runs in its own span with its
@@ -210,13 +219,12 @@ pub fn run_inference<'a>(
     tel: &Telemetry,
 ) -> PipelineResult {
     let (stats, _pipeline) = match input.into() {
-        Input::Observations(observations) => reduce(
-            &ObservationStore::from_observations(observations),
-            siblings,
-            cfg,
-            tel,
-        ),
-        Input::Store(store) => reduce(store, siblings, cfg, tel),
+        Input::Observations(observations) => {
+            let mut segment = StatsAccumulator::new();
+            segment.ingest_ordered(observations, siblings);
+            reduce(&segment, observations.len(), cfg, tel)
+        }
+        Input::Segment(segment, observations) => reduce(segment, observations, cfg, tel),
         Input::Stats(stats) => {
             let span = span!(
                 tel.tracer,
@@ -321,27 +329,48 @@ mod tests {
     }
 
     #[test]
-    fn store_and_slice_entry_points_agree() {
+    fn segment_and_slice_entry_points_agree() {
+        use crate::checkpoint::FileSegment;
+        use bgp_types::ObservationSink;
         let observations = vec![
             obs("10 1299 64496", &[(1299, 20000), (1299, 20001)]),
             obs("11 1299 64497", &[(1299, 20000)]),
             obs("12 64496", &[(1299, 2569)]),
         ];
         let siblings = SiblingMap::default();
-        let cfg = InferenceConfig::default();
         let plain = Telemetry::disabled();
-        let via_slice = run_inference(&observations, &siblings, &cfg, None, &plain);
-        let mut store = ObservationStore::new();
-        for o in &observations {
-            store.push(o);
+        // The CLI's route: one file segment per input, merged in order.
+        let mut segment = StatsAccumulator::new();
+        for file in observations.chunks(2) {
+            let mut part = FileSegment::default();
+            for o in file {
+                part.push_observation(o.clone());
+            }
+            segment.merge_file(part, &siblings);
         }
-        let via_store = run_inference(&store, &siblings, &cfg, None, &plain);
-        assert_eq!(via_slice, via_store);
-        // Telemetry changes nothing but the snapshot it adds.
-        let observed = run_inference(&store, &siblings, &cfg, None, &Telemetry::with_metrics());
-        assert!(observed.metrics.is_some());
-        assert_eq!(observed.inference, via_store.inference);
-        assert_eq!(observed.stats, via_store.stats);
+        for threads in [1, 2, 8] {
+            let cfg = InferenceConfig {
+                threads,
+                ..InferenceConfig::default()
+            };
+            let via_slice = run_inference(&observations, &siblings, &cfg, None, &plain);
+            let input = Input::Segment(&segment, observations.len());
+            let via_segment = run_inference(input, &siblings, &cfg, None, &plain);
+            assert_eq!(via_slice, via_segment, "threads = {threads}");
+            // Telemetry changes nothing but the snapshot it adds, and both
+            // routes record the same metrics.
+            let slice_metrics = Telemetry::with_metrics();
+            let segment_metrics = Telemetry::with_metrics();
+            run_inference(&observations, &siblings, &cfg, None, &slice_metrics);
+            let input = Input::Segment(&segment, observations.len());
+            let observed = run_inference(input, &siblings, &cfg, None, &segment_metrics);
+            assert_eq!(observed.inference, via_segment.inference);
+            assert_eq!(observed.stats, via_segment.stats);
+            assert_eq!(
+                segment_metrics.snapshot().unwrap().deterministic(),
+                slice_metrics.snapshot().unwrap().deterministic()
+            );
+        }
     }
 
     #[test]

@@ -5,28 +5,31 @@
 //! and off-path, respectively."* The on-path test includes siblings (§5.2:
 //! "the ASN (or a sibling thereof)").
 //!
-//! The reduction ([`reduce`]) runs over interned `(path, community set)`
-//! tuples: an [`ObservationStore`]'s per-observation tuples in a batch
-//! run, a statistics segment's unique tuples
-//! ([`StatsAccumulator`](crate::checkpoint::StatsAccumulator)) for
-//! checkpoints, shards and the streaming window. Paths, community sets,
-//! and individual communities are dense `u32` IDs, tuple dedup is a sort
-//! over packed `u64` keys, per-community accumulation indexes a flat slot
-//! array (a per-slot last-path marker dedups pairs in path-major order, so
-//! there is no second sort and no hashing in the loop), each community
-//! slot's owner family is resolved once, and the on-path test is a binary
-//! search in a sorted interned slice. The parallel variant shards by
-//! interned path ID — every occurrence of a path carries the same ID, so
-//! each unique path lands in exactly one shard and per-shard counts merge
-//! by summation, bit-identical to the sequential reduction at any thread
-//! count. The `Observation`-slice entry points survive as thin wrappers
-//! that build a store first.
+//! The reduction (`reduce`) runs over interned `(path, community list)`
+//! tuples. Every route to a label hands it the unique tuples of a
+//! statistics segment ([`StatsAccumulator`]): `infer`, a checkpointed or
+//! sharded run and the streaming window all fold into segments, and
+//! [`PathStats::from_observations`] folds its slice into one first. Paths,
+//! community lists and individual communities are dense `u32` IDs, tuple
+//! dedup is a sort over packed `u64` keys, per-community accumulation
+//! indexes a flat slot array (a per-slot last-path marker dedups pairs in
+//! path-major order, so there is no second sort and no hashing in the
+//! loop), each community slot's owner family is resolved once, and the
+//! on-path test is a binary search in a sorted interned slice. The
+//! parallel reduction shards by interned path ID — every occurrence of a
+//! path carries the same ID, so each unique path lands in exactly one
+//! shard and per-shard counts merge by summation, bit-identical to the
+//! sequential reduction at any thread count.
+//! [`PathStats::from_store_threaded`] runs the same reduction over a
+//! store's per-observation tuples.
 
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::par::{effective_threads, par_map_indexed};
 use bgp_types::store::{Interner, ObservationStore};
 use bgp_types::{Asn, Community, Observation};
+
+use crate::checkpoint::StatsAccumulator;
 
 /// Unique-path counts for one community.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -263,16 +266,13 @@ pub(crate) fn reduce(
 }
 
 impl PathStats {
-    /// Reduce a columnar store to statistics, sequentially.
-    pub fn from_store(store: &ObservationStore, siblings: &SiblingMap) -> Self {
-        Self::from_store_threaded(store, siblings, 1)
-    }
-
-    /// [`PathStats::from_store`] across worker threads (`0` = one per
-    /// CPU). The input is sharded by interned path ID — no rehashing of
-    /// full paths — and each shard reduced independently; partial counts
-    /// merge by summation. Bit-identical to the sequential reduction at
-    /// any thread count.
+    /// Reduce a columnar store's tuples to statistics on `threads` workers
+    /// (`0` = one per CPU), sharded by interned path ID — no rehashing of
+    /// full paths. Bit-identical to
+    /// [`PathStats::from_observations`] over the store's observations at
+    /// any thread count. Every CLI route reduces a segment instead
+    /// ([`StatsAccumulator::to_stats_threaded`]); this entry point serves
+    /// the benchmark harness's store route.
     pub fn from_store_threaded(
         store: &ObservationStore,
         siblings: &SiblingMap,
@@ -292,22 +292,11 @@ impl PathStats {
     /// Reduce observations to statistics. Duplicate `(path, communities)`
     /// tuples collapse; a community's on/off counts are over unique paths.
     ///
-    /// Thin wrapper: interns into an [`ObservationStore`] and runs the
-    /// columnar kernel.
+    /// Folds them into a [`StatsAccumulator`] and runs its reduction.
     pub fn from_observations(observations: &[Observation], siblings: &SiblingMap) -> Self {
-        let store = ObservationStore::from_observations(observations);
-        Self::from_store(&store, siblings)
-    }
-
-    /// [`PathStats::from_observations`] across worker threads (`0` = one
-    /// per CPU). Thin wrapper over [`from_store_threaded`](Self::from_store_threaded).
-    pub fn from_observations_threaded(
-        observations: &[Observation],
-        siblings: &SiblingMap,
-        threads: usize,
-    ) -> Self {
-        let store = ObservationStore::from_observations(observations);
-        Self::from_store_threaded(&store, siblings, threads)
+        let mut segment = StatsAccumulator::new();
+        segment.ingest_ordered(observations, siblings);
+        segment.to_stats()
     }
 
     /// Observed communities grouped by owner ASN, each group's `β` values
@@ -548,8 +537,10 @@ mod tests {
         }
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64500)]]);
         let sequential = PathStats::from_observations(&observations, &siblings);
+        let mut segment = StatsAccumulator::new();
+        segment.ingest_ordered(&observations, &siblings);
         for threads in [1, 2, 3, 8] {
-            let parallel = PathStats::from_observations_threaded(&observations, &siblings, threads);
+            let parallel = segment.to_stats_threaded(threads);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -598,7 +589,11 @@ mod tests {
         assert_eq!(reference_stats(&[], &siblings), PathStats::default());
         for threads in [0, 1, 4] {
             assert_eq!(
-                PathStats::from_observations_threaded(&[], &siblings, threads),
+                StatsAccumulator::new().to_stats_threaded(threads),
+                PathStats::default()
+            );
+            assert_eq!(
+                PathStats::from_store_threaded(&ObservationStore::new(), &siblings, threads),
                 PathStats::default()
             );
         }
@@ -708,8 +703,11 @@ mod tests {
         let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(1300)]]);
         let store = ObservationStore::from_observations(&observations);
         let expected = reference_stats(&observations, &siblings);
-        assert_eq!(PathStats::from_store(&store, &siblings), expected);
-        for threads in [0, 2, 5] {
+        assert_eq!(
+            PathStats::from_observations(&observations, &siblings),
+            expected
+        );
+        for threads in [0, 1, 2, 5] {
             assert_eq!(
                 PathStats::from_store_threaded(&store, &siblings, threads),
                 expected,

@@ -221,7 +221,7 @@ impl WindowedClassifier {
     /// retained bucket lists (including folds since the last
     /// reclassification).
     pub fn windowed_stats(&self) -> PathStats {
-        self.segment.stats_where(|t| self.refs[t] > 0)
+        self.segment.stats_where(1, |t| self.refs[t] > 0)
     }
 
     /// Fold one observation: [`observe_view`](Self::observe_view) over an
@@ -701,7 +701,7 @@ impl WatchCheckpoint {
     /// Read, validate and decode the checkpoint at `path`. The envelope is
     /// checked first, then every column count against the bytes left,
     /// then the structure: the segment's (see
-    /// [`StatsAccumulator::decode`]), bucket indices strictly ascending and
+    /// `StatsAccumulator::decode`), bucket indices strictly ascending and
     /// no more than `windows` of them, every bucket's tuple IDs naming
     /// segment tuples, every key column strictly ascending, every
     /// label and reason byte in its domain, no trailing bytes. Damage of

@@ -13,7 +13,6 @@
 use bgp_experiments::{Scenario, ScenarioConfig};
 use bgp_intent::{run_inference, InferenceConfig};
 use bgp_types::obs::Telemetry;
-use bgp_types::store::ObservationStore;
 use bgp_types::Intent;
 
 /// Per-seed accuracy scores against complete ground truth.
@@ -61,11 +60,10 @@ fn run_seed(seed: u64) -> (Scores, Telemetry) {
     // collect() writes the RIB + churn days to in-memory MRT and parses
     // it back, so the wire codecs sit inside the scored path.
     let observations = scenario.collect(3);
-    let store = ObservationStore::from_observations(&observations);
 
     let tel = Telemetry::with_metrics();
     let result = run_inference(
-        &store,
+        &observations,
         &scenario.siblings,
         &InferenceConfig::default(),
         Some(&scenario.dict),

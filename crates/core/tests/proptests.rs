@@ -12,13 +12,13 @@ use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
 use bgp_intent::{
-    label_rows, Checkpoint, CompletedFile, FileFingerprint, StatsAccumulator, WatchCheckpoint,
-    WindowConfig, WindowedClassifier,
+    label_rows, Checkpoint, CompletedFile, FileFingerprint, FileSegment, StatsAccumulator,
+    WatchCheckpoint, WindowConfig, WindowedClassifier,
 };
 use bgp_relationships::SiblingMap;
 use bgp_types::persist::{Format, LoadError, HEADER_LEN};
 use bgp_types::store::ObservationStore;
-use bgp_types::{AsPath, Asn, Community, Intent, Observation, PathSegment};
+use bgp_types::{AsPath, Asn, Community, Intent, Observation, ObservationSink, PathSegment};
 
 fn arb_betas() -> impl Strategy<Value = Vec<u16>> {
     prop::collection::btree_set(any::<u16>(), 0..80).prop_map(|s| s.into_iter().collect())
@@ -397,16 +397,15 @@ proptest! {
         siblings in arb_siblings(),
     ) {
         let store = ObservationStore::from_observations(&observations);
-        let base = PathStats::from_store(&store, &siblings);
+        let mut segment = StatsAccumulator::new();
+        segment.ingest_ordered(&observations, &siblings);
+        let base = PathStats::from_observations(&observations, &siblings);
         for threads in [1usize, 2, 8] {
             prop_assert_eq!(
                 &PathStats::from_store_threaded(&store, &siblings, threads),
                 &base
             );
-            prop_assert_eq!(
-                &PathStats::from_observations_threaded(&observations, &siblings, threads),
-                &base
-            );
+            prop_assert_eq!(&segment.to_stats_threaded(threads), &base);
         }
     }
 
@@ -475,20 +474,27 @@ proptest! {
     }
 
     /// Every route to a count against one oracle, `reference_stats`:
-    /// segments built per file (from slices or stores), merged in random
-    /// order and resumed through the checkpoint file at a random point;
-    /// and the streaming window after every fold and across a resume
-    /// through its checkpoint file, against the observations its retention
-    /// rules keep (tracked by [`WindowModel`]).
+    /// segments built per file (from slices, from stores, or as the
+    /// decoder's file segments the CLI merges), merged in random order and
+    /// resumed through the checkpoint file at a random point, then reduced
+    /// at several thread counts; and the streaming window after every fold
+    /// and across a resume through its checkpoint file, against the
+    /// observations its retention rules keep (tracked by [`WindowModel`]).
     #[test]
     fn every_route_to_a_count_matches_the_reference(
         observations in arb_timed_observations(),
         siblings in arb_siblings(),
         splits in prop::collection::vec(any::<u16>(), 0..4),
-        via_store in prop::collection::vec(any::<bool>(), 5),
+        route in prop::collection::vec(0u8..3, 5),
         order in prop::collection::vec(any::<u32>(), 5),
         cut in any::<u16>(),
     ) {
+        /// One file's share of the count.
+        enum Part {
+            Segment(StatsAccumulator),
+            File(Box<FileSegment>),
+        }
+
         let dir = scratch_dir("routes");
         let expected = reference_stats(&observations, &siblings);
 
@@ -503,12 +509,27 @@ proptest! {
         for (i, &end) in ends.iter().enumerate() {
             let file = &observations[start..end];
             start = end;
-            let mut part = StatsAccumulator::new();
-            if via_store[i] {
-                part.ingest_store(&ObservationStore::from_observations(file), &siblings, 1 + i % 2);
-            } else {
-                part.ingest_ordered(file, &siblings);
-            }
+            let mut segment = StatsAccumulator::new();
+            let part = match route[i] {
+                0 => {
+                    segment.ingest_ordered(file, &siblings);
+                    Part::Segment(segment)
+                }
+                1 => {
+                    let store = ObservationStore::from_observations(file);
+                    segment.ingest_store(&store, &siblings, 1 + i % 2);
+                    Part::Segment(segment)
+                }
+                _ => {
+                    // Owned observations fold through the sink as views.
+                    let mut part = FileSegment::default();
+                    for o in file {
+                        part.push_observation(o.clone());
+                    }
+                    prop_assert_eq!(part.observation_count(), file.len());
+                    Part::File(Box::new(part))
+                }
+            };
             parts.push((order[i], part));
         }
         parts.sort_by_key(|&(rank, _)| rank);
@@ -522,9 +543,14 @@ proptest! {
                 cp.save_atomic(&path).unwrap();
                 merged = StatsAccumulator::from_snapshot(&Checkpoint::load(&path).unwrap().snapshot);
             }
-            merged.merge(part);
+            match part {
+                Part::Segment(segment) => merged.merge(segment),
+                Part::File(file) => merged.merge_file(*file, &siblings),
+            }
         }
-        prop_assert_eq!(&merged.to_stats(), &expected);
+        for threads in [1, 2, 8] {
+            prop_assert_eq!(&merged.to_stats_threaded(threads), &expected);
+        }
 
         let window = WindowConfig { window_secs: 100, windows: 3 };
         let cfg = InferenceConfig { threads: 1, ..InferenceConfig::default() };

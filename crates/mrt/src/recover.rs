@@ -193,7 +193,9 @@ impl IngestReport {
     /// counters, plus gauges for the two report-level failure markers.
     /// Every field lands in the snapshot, so degradation previously only
     /// reachable via `--report` (retries, injected faults, resyncs) shows
-    /// up in `--metrics-out` too.
+    /// up in `--metrics-out` too. Recording several reports records their
+    /// [`merge`](Self::merge): counters add, and a marker gauge stays 1
+    /// once any recorded report set it.
     pub fn record_metrics(&self, metrics: &bgp_types::MetricsRegistry) {
         metrics
             .counter("ingest/records_read")
@@ -239,12 +241,12 @@ impl IngestReport {
             .counter("ingest/readahead_blocks")
             .add(self.readahead_blocks);
         metrics.counter("ingest/arena_bytes").add(self.arena_bytes);
-        metrics
-            .gauge("ingest/open_failed")
-            .set(i64::from(self.open_failed.is_some()));
-        metrics
-            .gauge("ingest/aborted")
-            .set(i64::from(self.aborted.is_some()));
+        let marker = |name: &str, set: bool| {
+            let gauge = metrics.gauge(name);
+            gauge.set(gauge.get().max(i64::from(set)));
+        };
+        marker("ingest/open_failed", self.open_failed.is_some());
+        marker("ingest/aborted", self.aborted.is_some());
     }
 
     /// One-line human summary, for CLI output and logs.
@@ -807,5 +809,36 @@ mod tests {
         assert_eq!(a.bytes_read, 180);
         assert_eq!(a.aborted.as_deref(), Some("x"));
         assert!(a.summary().contains("5 records decoded"));
+    }
+
+    #[test]
+    fn recording_reports_one_by_one_records_their_merge() {
+        let aborted = IngestReport {
+            records_read: 2,
+            bytes_read: 60,
+            bytes_ok: 60,
+            aborted: Some("x".into()),
+            ..IngestReport::default()
+        };
+        let clean = IngestReport {
+            records_read: 3,
+            bytes_read: 90,
+            bytes_ok: 80,
+            bytes_skipped: 10,
+            ..IngestReport::default()
+        };
+        let mut merged = aborted.clone();
+        merged.merge(&clean);
+        let (one_by_one, at_once) = (
+            bgp_types::MetricsRegistry::new(),
+            bgp_types::MetricsRegistry::new(),
+        );
+        aborted.record_metrics(&one_by_one);
+        clean.record_metrics(&one_by_one);
+        merged.record_metrics(&at_once);
+        let snapshot = one_by_one.snapshot();
+        assert_eq!(snapshot, at_once.snapshot());
+        assert_eq!(snapshot.gauges["ingest/aborted"], 1);
+        assert_eq!(snapshot.counters["ingest/records_read"], 5);
     }
 }

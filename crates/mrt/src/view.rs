@@ -21,9 +21,9 @@
 //! code keeps parity trivially.
 //!
 //! Decode is two-phase so damage cannot leak: phase one
-//! ([`RecordScratch::parse`]) validates the *whole* record into the arena
+//! (`RecordScratch::parse`) validates the *whole* record into the arena
 //! and a mid-record error discards everything; phase two
-//! ([`RecordScratch::emit`]) pushes views to the sink only after the record
+//! (`RecordScratch::emit`) pushes views to the sink only after the record
 //! proved well-formed — mirroring how the owned path only folds a record
 //! that decoded completely.
 //!

@@ -11,10 +11,6 @@
 //!   the input data, identical at any thread count) and a wall-clock
 //!   `timings` section. Golden tests compare [`MetricsSnapshot::deterministic`]
 //!   byte-for-byte across thread counts; humans read the timings.
-//! * **Shardable like `PathStats`.** [`Histogram::shard`] hands a worker a
-//!   plain [`FixedHistogram`] it can fill without synchronization;
-//!   [`Histogram::merge_shard`] folds it back. Bucket counts are saturating
-//!   commutative sums, so any merge order yields the same snapshot.
 //! * **Free when disabled.** [`Telemetry::disabled`] carries no registry and
 //!   no sink; every instrumentation helper starts with one branch on
 //!   [`Telemetry::enabled`] and the instrumented callers fall back to the
@@ -88,121 +84,10 @@ impl Gauge {
     }
 }
 
-/// A plain, single-threaded fixed-bucket histogram — the shard type workers
-/// fill locally and merge back into a shared [`Histogram`].
-///
-/// Buckets are defined by strictly increasing inclusive upper `bounds`;
-/// one implicit overflow bucket catches everything above the last bound
-/// (`counts.len() == bounds.len() + 1`). All counts and the running
-/// `count`/`sum` totals saturate instead of wrapping, so merges stay
-/// commutative even at the extremes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixedHistogram {
-    bounds: Arc<[u64]>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl FixedHistogram {
-    /// Create an empty histogram over `bounds` (strictly increasing
-    /// inclusive upper bounds; must be non-empty).
-    ///
-    /// # Panics
-    /// If `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &[u64]) -> FixedHistogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        FixedHistogram {
-            bounds: bounds.into(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// An empty histogram sharing this one's bounds.
-    pub fn fresh(&self) -> FixedHistogram {
-        FixedHistogram {
-            bounds: Arc::clone(&self.bounds),
-            counts: vec![0; self.counts.len()],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Index of the bucket holding `value`: the first bound `>= value`, or
-    /// the overflow bucket.
-    fn bucket(bounds: &[u64], value: u64) -> usize {
-        bounds.partition_point(|&b| b < value)
-    }
-
-    /// Record one observation of `value`.
-    pub fn observe(&mut self, value: u64) {
-        self.observe_n(value, 1);
-    }
-
-    /// Record `n` observations of `value` (saturating).
-    pub fn observe_n(&mut self, value: u64, n: u64) {
-        let i = Self::bucket(&self.bounds, value);
-        self.counts[i] = self.counts[i].saturating_add(n);
-        self.count = self.count.saturating_add(n);
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
-    }
-
-    /// Fold another shard into this one (saturating, commutative).
-    ///
-    /// # Panics
-    /// If the bucket bounds differ.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// The inclusive upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Saturating sum of observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Serializable copy of this histogram's state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.to_vec(),
-            counts: self.counts.clone(),
-            count: self.count,
-            sum: self.sum,
-        }
-    }
-}
-
-/// A shared fixed-bucket histogram handle: atomic buckets for direct
-/// observation, plus [`shard`](Histogram::shard)/[`merge_shard`](Histogram::merge_shard)
-/// for lock-free per-worker filling.
+/// A shared fixed-bucket histogram handle: atomic buckets defined by
+/// strictly increasing inclusive upper bounds, plus one implicit overflow
+/// bucket above the last bound. Counts and the running `count`/`sum`
+/// totals saturate instead of wrapping.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     inner: Arc<HistogramCore>,
@@ -223,59 +108,34 @@ fn saturating_fetch_add(cell: &AtomicU64, n: u64) {
 }
 
 impl Histogram {
-    /// A zeroed histogram with the given inclusive upper bounds (strictly
-    /// increasing, non-empty) plus an implicit overflow bucket.
+    /// A zeroed histogram with the given inclusive upper bounds plus an
+    /// implicit overflow bucket.
+    ///
+    /// # Panics
+    /// If `bounds` is empty or not strictly increasing.
     pub fn new(bounds: &[u64]) -> Histogram {
-        // Validate through the shard type so both agree on the rules.
-        let proto = FixedHistogram::new(bounds);
+        assert!(!bounds.is_empty(), "histogram needs at least one bound");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
         Histogram {
             inner: Arc::new(HistogramCore {
-                bounds: Arc::clone(&proto.bounds),
-                counts: (0..proto.counts.len()).map(|_| AtomicU64::new(0)).collect(),
+                bounds: bounds.into(),
+                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Record one observation of `value`.
+    /// Record one observation of `value` in the first bucket whose bound
+    /// is `>= value`, or in the overflow bucket.
     pub fn observe(&self, value: u64) {
-        self.observe_n(value, 1);
-    }
-
-    /// Record `n` observations of `value` (saturating).
-    pub fn observe_n(&self, value: u64, n: u64) {
-        let i = FixedHistogram::bucket(&self.inner.bounds, value);
-        saturating_fetch_add(&self.inner.counts[i], n);
-        saturating_fetch_add(&self.inner.count, n);
-        saturating_fetch_add(&self.inner.sum, value.saturating_mul(n));
-    }
-
-    /// An empty per-worker shard with this histogram's bounds.
-    pub fn shard(&self) -> FixedHistogram {
-        FixedHistogram {
-            bounds: Arc::clone(&self.inner.bounds),
-            counts: vec![0; self.inner.counts.len()],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Fold a filled worker shard back in (saturating, commutative — any
-    /// merge order produces the same totals).
-    ///
-    /// # Panics
-    /// If the shard's bounds differ from this histogram's.
-    pub fn merge_shard(&self, shard: &FixedHistogram) {
-        assert_eq!(
-            self.inner.bounds, shard.bounds,
-            "cannot merge a shard with different bounds"
-        );
-        for (cell, &n) in self.inner.counts.iter().zip(&shard.counts) {
-            saturating_fetch_add(cell, n);
-        }
-        saturating_fetch_add(&self.inner.count, shard.count);
-        saturating_fetch_add(&self.inner.sum, shard.sum);
+        let i = self.inner.bounds.partition_point(|&b| b < value);
+        saturating_fetch_add(&self.inner.counts[i], 1);
+        saturating_fetch_add(&self.inner.count, 1);
+        saturating_fetch_add(&self.inner.sum, value);
     }
 
     /// A point-in-time copy of the bucket counts and totals.
@@ -832,36 +692,25 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
-        let mut h = FixedHistogram::new(&[10, 20]);
+        let h = Histogram::new(&[10, 20]);
         h.observe(0);
         h.observe(10); // lands in the <=10 bucket
         h.observe(11); // lands in the <=20 bucket
         h.observe(21); // overflow
-        assert_eq!(h.counts(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 42);
+        let snap = h.snapshot();
+        assert_eq!(snap.counts, [2, 1, 1]);
+        assert_eq!(snap.count, 4);
+        assert_eq!(snap.sum, 42);
     }
 
     #[test]
-    fn sharded_histogram_merge_matches_direct_fill() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("h", &[5, 50, 500]);
-        let mut direct = FixedHistogram::new(&[5, 50, 500]);
-        let mut shard_a = h.shard();
-        let mut shard_b = h.shard();
-        for v in [0u64, 5, 6, 49, 50, 51, 400, 10_000] {
-            direct.observe(v);
-            if v % 2 == 0 {
-                shard_a.observe(v)
-            } else {
-                shard_b.observe(v)
-            }
-        }
-        h.merge_shard(&shard_a);
-        h.merge_shard(&shard_b);
-        h.merge_shard(&h.shard()); // empty shard is a no-op
-        let snap = registry.snapshot();
-        assert_eq!(snap.histograms["h"], direct.snapshot());
+    fn histogram_sum_saturates_instead_of_wrapping() {
+        let h = Histogram::new(&[10]);
+        h.observe(u64::MAX);
+        h.observe(u64::MAX);
+        let snap = h.snapshot();
+        assert_eq!(snap.sum, u64::MAX);
+        assert_eq!(snap.counts, [0, 2]);
     }
 
     #[test]

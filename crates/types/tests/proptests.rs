@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use bgp_types::obs::{FixedHistogram, Histogram};
+use bgp_types::obs::Histogram;
 use bgp_types::{AsPath, Asn, Community, LargeCommunity, PathSegment, Prefix};
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
@@ -42,32 +42,6 @@ fn arb_bounds() -> impl Strategy<Value = Vec<u64>> {
 
 proptest! {
     #[test]
-    fn sharded_histogram_merge_equals_single_threaded_fill(
-        bounds in arb_bounds(),
-        // (value, shard) pairs: which worker observes each value.
-        samples in prop::collection::vec((0u64..20_000, 0usize..5), 0..64),
-    ) {
-        // Single-threaded reference: every value into one histogram.
-        let direct = Histogram::new(&bounds);
-        for &(value, _) in &samples {
-            direct.observe(value);
-        }
-
-        // Sharded: route each value to its worker's private shard (some
-        // shards stay empty), then merge in an arbitrary-but-fixed order.
-        let sharded = Histogram::new(&bounds);
-        let mut shards: Vec<FixedHistogram> = (0..5).map(|_| sharded.shard()).collect();
-        for &(value, shard) in &samples {
-            shards[shard].observe(value);
-        }
-        for shard in &shards {
-            sharded.merge_shard(shard);
-        }
-
-        prop_assert_eq!(sharded.snapshot(), direct.snapshot());
-    }
-
-    #[test]
     fn histogram_totals_match_input(
         bounds in arb_bounds(),
         values in prop::collection::vec(0u64..20_000, 0..64),
@@ -82,24 +56,6 @@ proptest! {
         prop_assert_eq!(snap.counts.iter().sum::<u64>(), values.len() as u64);
         // One overflow bucket past the last bound.
         prop_assert_eq!(snap.counts.len(), bounds.len() + 1);
-    }
-
-    #[test]
-    fn saturating_shard_merge_never_wraps(
-        bounds in arb_bounds(),
-        n in 1u64..4,
-    ) {
-        // Drive a shard's counters to the brink, then merge repeatedly:
-        // totals must pin at u64::MAX instead of wrapping.
-        let hist = Histogram::new(&bounds);
-        let mut shard = hist.shard();
-        shard.observe_n(0, u64::MAX - 1);
-        for _ in 0..n {
-            hist.merge_shard(&shard);
-        }
-        let snap = hist.snapshot();
-        prop_assert_eq!(snap.count, if n == 1 { u64::MAX - 1 } else { u64::MAX });
-        prop_assert_eq!(snap.counts[0], snap.count);
     }
 
     #[test]

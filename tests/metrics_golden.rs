@@ -1,20 +1,20 @@
 //! Library-level golden-metrics determinism: the deterministic sections
 //! of the metrics snapshot (counters, gauges, histograms) must be
 //! byte-identical regardless of worker-thread count, because every value
-//! in them is a pure function of the input — sharded ingestion, the
-//! sharded stats kernel, and per-thread histogram shards all merge to
-//! the same totals the sequential run produces.
+//! in them is a pure function of the input — parallel ingestion into
+//! per-file segments merged in input order, and the path-sharded stats
+//! kernel, give the totals the sequential run produces.
 
 use std::fs;
 use std::path::PathBuf;
 
 use bgp_experiments::{Scenario, ScenarioConfig};
-use bgp_intent::{run_inference, InferenceConfig};
+use bgp_intent::pipeline::Input;
+use bgp_intent::{run_inference, FileSegment, InferenceConfig, StatsAccumulator};
 use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
 use bgp_mrt::IngestOptions;
 use bgp_types::obs::Telemetry;
-use bgp_types::store::ObservationStore;
-use bgp_types::Asn;
+use bgp_types::{Asn, ObservationSink};
 
 /// Write the scenario's dataset as on-disk MRT archives (one RIB file,
 /// two churn days) so the parallel file reader has real sharding to do.
@@ -58,13 +58,14 @@ fn deterministic_metrics_are_byte_identical_across_thread_counts() {
             threads,
             ..IngestOptions::default()
         };
-        let (files, _report) = read_files::<ObservationStore>(&paths, &opts, &tel);
-        let mut store = ObservationStore::new();
+        let (files, _report) = read_files::<FileSegment>(&paths, &opts, &tel);
+        let (mut segment, mut observations) = (StatsAccumulator::new(), 0);
         for file in files {
-            store.merge(&file.store);
+            observations += file.store.observation_count();
+            segment.merge_file(file.store, &scenario.siblings);
         }
         let result = run_inference(
-            &store,
+            Input::Segment(&segment, observations),
             &scenario.siblings,
             &InferenceConfig {
                 threads,
@@ -86,6 +87,7 @@ fn deterministic_metrics_are_byte_identical_across_thread_counts() {
     assert!(golden.contains("ingest/readahead_blocks"), "{golden}");
     assert!(golden.contains("ingest/arena_bytes"), "{golden}");
     assert!(golden.contains("classify/cluster_ratio"), "{golden}");
+    assert!(golden.contains("store/observations"), "{golden}");
     for threads in [2, 8] {
         assert_eq!(
             run(threads),

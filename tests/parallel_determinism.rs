@@ -2,7 +2,8 @@
 //! output is bit-identical to the sequential run — for multi-file MRT
 //! ingestion (including files with injected corruption, where the merged
 //! byte ledger must still balance), for strict ingestion, and for the full
-//! statistics → clustering → classification → evaluation pipeline. Strict
+//! statistics → clustering → classification → evaluation pipeline, over
+//! observations and over per-file segments merged in input order. Strict
 //! ingestion is the lenient reader under a fail-fast policy, so it is
 //! pinned to the lenient reader's reports too.
 
@@ -14,7 +15,10 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use bgp_community_intent::experiments::{Scenario, ScenarioConfig};
-use bgp_community_intent::intent::{run_inference, InferenceConfig, PipelineResult};
+use bgp_community_intent::intent::pipeline::Input;
+use bgp_community_intent::intent::{
+    run_inference, FileSegment, InferenceConfig, PipelineResult, StatsAccumulator,
+};
 use bgp_community_intent::mrt::faults::corrupt_stream;
 use bgp_community_intent::mrt::obs::{
     read_files, read_observations, read_observations_resilient_into, write_update_stream,
@@ -22,7 +26,7 @@ use bgp_community_intent::mrt::obs::{
 };
 use bgp_community_intent::mrt::readahead::DEFAULT_BLOCK_SIZE;
 use bgp_community_intent::mrt::{IngestOptions, RecoverConfig};
-use bgp_community_intent::types::{Asn, Observation, Telemetry};
+use bgp_community_intent::types::{Asn, Observation, ObservationSink, Telemetry};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -248,16 +252,39 @@ proptest! {
 fn full_pipeline_result_is_identical_at_any_thread_count() {
     let scenario = scenario();
     let observations = scenario.collect(1);
+    let paths = archives(&workdir("pipeline"), &observations, false);
+    let cfg = |threads: usize| InferenceConfig {
+        threads,
+        ..InferenceConfig::default()
+    };
 
     let run = |threads: usize| -> PipelineResult {
-        let cfg = InferenceConfig {
-            threads,
-            ..InferenceConfig::default()
-        };
         run_inference(
             &observations,
             &scenario.siblings,
-            &cfg,
+            &cfg(threads),
+            Some(&scenario.dict),
+            &Telemetry::disabled(),
+        )
+    };
+    // The CLI's route over the same observations: each archive decoded
+    // into its own segment, the segments merged in input order.
+    let run_files = |threads: usize| -> PipelineResult {
+        let opts = IngestOptions {
+            threads,
+            ..IngestOptions::default()
+        };
+        let (files, _) = read_files::<FileSegment>(&paths, &opts, &Telemetry::disabled());
+        let (mut segment, mut folded) = (StatsAccumulator::new(), 0);
+        for file in files {
+            folded += file.store.observation_count();
+            segment.merge_file(file.store, &scenario.siblings);
+        }
+        assert_eq!(folded, observations.len());
+        run_inference(
+            Input::Segment(&segment, folded),
+            &scenario.siblings,
+            &cfg(threads),
             Some(&scenario.dict),
             &Telemetry::disabled(),
         )
@@ -270,6 +297,7 @@ fn full_pipeline_result_is_identical_at_any_thread_count() {
     );
     for threads in THREAD_COUNTS {
         assert_eq!(run(threads), baseline, "threads = {threads}");
+        assert_eq!(run_files(threads), baseline, "files, threads = {threads}");
     }
     // `0` resolves to one worker per CPU — still identical.
     assert_eq!(run(0), baseline, "threads = 0");
