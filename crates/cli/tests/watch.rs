@@ -308,8 +308,6 @@ fn kill_nine_mid_run_resumes_from_the_checkpoint_without_double_counting() {
     // the content-based statistics, so the labels still equal the batch
     // run — no double-counting.
     let out = run_watch(&addr, &dir, "crash", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(
@@ -321,6 +319,22 @@ fn kill_nine_mid_run_resumes_from_the_checkpoint_without_double_counting() {
         read(&dir, "batch.json"),
         "crash + resume must be bit-identical to an uninterrupted batch run"
     );
+    // And the checkpoint it leaves — manifest and segment log — is the one
+    // an uninterrupted run leaves.
+    let out = run_watch(&addr, &dir, "clean", &[]);
+    let _ = feed.kill();
+    let _ = feed.wait();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    for (crashed, clean) in [
+        ("crash.ckpt", "clean.ckpt"),
+        ("crash.ckpt.seg", "clean.ckpt.seg"),
+    ] {
+        assert_eq!(
+            read(&dir, crashed),
+            read(&dir, clean),
+            "{crashed} differs from an uninterrupted run's"
+        );
+    }
 }
 
 #[test]
@@ -431,7 +445,7 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 2, this build reads version 3"),
+        stderr.contains("checkpoint version 2, this build reads version 4"),
         "{stderr}"
     );
     assert_eq!(
@@ -439,6 +453,227 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
         legacy,
         "refused, not overwritten"
     );
+}
+
+#[test]
+fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
+    let dir = workdir("version-3");
+    let paths = archives(&dir, 2, 40);
+    // Version 3 for an empty state: the nine scalars (a 3600 s x 6
+    // window), an empty segment (ten empty columns), no buckets, an empty
+    // diff base, no labels or exclusions.
+    let mut payload = words(&[0, 0, 0, 0, 0, 0, 0, 3600, 6]);
+    payload.extend(words(&[0; 10]));
+    payload.extend(words(&[0]));
+    payload.extend(words(&[0; 6]));
+    payload.extend(words(&[0; 4]));
+    let legacy = sealed(*b"BGPWCKPT", 3, &payload);
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    let (mut feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    let _ = feed.kill();
+    let _ = feed.wait();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 3, this build reads version 4"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+    assert!(!dir.join("legacy.ckpt.seg").exists());
+}
+
+/// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
+fn tail_watch(tail: &Path, ckpt: &Path, extra: &[&str]) -> Output {
+    let mut args = vec![
+        "watch",
+        "--tail",
+        tail.to_str().unwrap(),
+        "--window-secs",
+        "3600",
+        "--windows",
+        "6",
+        "--quiesce-after",
+        "1",
+        "--stall-ms",
+        "200",
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ];
+    args.extend(extra);
+    bgpcomm(&args)
+}
+
+/// The archives of `paths` back to back, as one file to tail.
+fn concatenated(dir: &Path, paths: &[PathBuf]) -> PathBuf {
+    let all = dir.join("all.mrt");
+    let bytes: Vec<u8> = paths.iter().flat_map(|p| fs::read(p).unwrap()).collect();
+    fs::write(&all, bytes).unwrap();
+    all
+}
+
+#[test]
+fn watch_refuses_a_torn_or_missing_segment_log() {
+    let dir = workdir("torn-log");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let ckpt = dir.join("w.ckpt");
+    let out = tail_watch(&tail, &ckpt, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let log_path = dir.join("w.ckpt.seg");
+    let log = read(&dir, "w.ckpt.seg");
+    let manifest = read(&dir, "w.ckpt");
+
+    // Cut below its committed length: exit 4, never resumed from, and the
+    // files are left as they were.
+    fs::write(&log_path, &log[..log.len() / 2]).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("corrupt or truncated checkpoint"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains(&format!(
+            "{} bytes committed, {} present",
+            log.len(),
+            log.len() / 2
+        )),
+        "{stderr}"
+    );
+    assert_eq!(read(&dir, "w.ckpt"), manifest);
+    assert_eq!(read(&dir, "w.ckpt.seg"), &log[..log.len() / 2]);
+
+    // Missing: exit 4, naming the log.
+    fs::remove_file(&log_path).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("corrupt or truncated checkpoint"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("w.ckpt.seg"), "{stderr}");
+
+    // Junk past the committed length is ignored, then dropped by the
+    // resumed run's next save.
+    fs::write(&log_path, [log.as_slice(), &[0xee; 5000]].concat()).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("resumed from checkpoint"), "{stderr}");
+}
+
+#[test]
+fn watch_names_its_checkpoint_file_when_it_cannot_write_it() {
+    let dir = workdir("unwritable");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+
+    // A checkpoint directory that does not exist is refused before the
+    // stream is opened: nothing is folded or printed.
+    let missing = dir.join("nonexistent/dir");
+    let out = tail_watch(&tail, &missing.join("w.ckpt"), &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "checkpoint directory {} does not exist",
+            missing.display()
+        )),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    // The log cannot be written (a directory is in its place).
+    let ckpt = dir.join("log.ckpt");
+    fs::create_dir(dir.join("log.ckpt.seg")).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "watch: append checkpoint log {}.seg: ",
+            ckpt.display()
+        )),
+        "{stderr}"
+    );
+
+    // The manifest cannot be written (a directory is in its temp file's
+    // place).
+    let ckpt = dir.join("manifest.ckpt");
+    fs::create_dir(dir.join("manifest.ckpt.tmp")).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("watch: write checkpoint {}: ", ckpt.display())),
+        "{stderr}"
+    );
+}
+
+/// `--metrics-out` reports the checkpoint I/O: the writes and the bytes
+/// written (manifests plus appended log frames) repeat exactly across runs
+/// and thread counts, and the log is written once, not once per save.
+#[test]
+fn watch_metrics_count_checkpoint_writes_and_bytes_exactly() {
+    let dir = workdir("checkpoint-metrics");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let mut seen = Vec::new();
+    for (run, threads) in ["1", "2", "1"].into_iter().enumerate() {
+        let ckpt = dir.join(format!("run{run}.ckpt"));
+        let metrics = dir.join(format!("run{run}-metrics.json"));
+        let out = tail_watch(
+            &tail,
+            &ckpt,
+            &[
+                "--threads",
+                threads,
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let snapshot: serde_json::Value =
+            serde_json::from_slice(&fs::read(&metrics).unwrap()).unwrap();
+        let c = &snapshot["counters"];
+        let writes = c["checkpoint/writes"].as_u64().unwrap();
+        let bytes = c["checkpoint/bytes_written"].as_u64().unwrap();
+        let advances = c["watch/windows_advanced"].as_u64().unwrap();
+        assert_eq!(
+            writes,
+            advances + 1,
+            "one save per advance plus the final one"
+        );
+        let log = fs::metadata(dir.join(format!("run{run}.ckpt.seg")))
+            .unwrap()
+            .len();
+        let manifest = fs::metadata(&ckpt).unwrap().len();
+        assert!(
+            bytes >= log + manifest,
+            "{bytes} bytes written, {log} + {manifest} on disk"
+        );
+        assert!(
+            bytes < log + writes * manifest * 2,
+            "{bytes} bytes for {writes} saves"
+        );
+        assert!(
+            snapshot["timings"]["time/checkpoint_write_ns"]
+                .as_u64()
+                .unwrap()
+                > 0
+        );
+        seen.push((writes, bytes));
+    }
+    assert!(seen[0].0 > 5, "{seen:?}");
+    assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
 }
 
 #[test]

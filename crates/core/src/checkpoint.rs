@@ -319,56 +319,89 @@ impl StatsAccumulator {
         snapshot.clone()
     }
 
-    /// Append the segment's columns, all integers little-endian:
+    /// Where the segment's columns end now: the mark a frame written now
+    /// leaves for the next one.
+    pub(crate) fn mark(&self) -> SegmentMark {
+        let seg = &*self.seg;
+        let (path_ends, segs, asns) = seg.interner.path_pools();
+        let (list_ends, communities) = seg.interner.cset_pools();
+        SegmentMark {
+            paths: path_ends.len(),
+            segs: segs.len(),
+            asns: asns.len(),
+            lists: list_ends.len(),
+            communities: communities.len(),
+            tuples: seg.tuples.len(),
+            owners: seg.families.keys().copied().collect(),
+        }
+    }
+
+    /// Append one frame: the columns the segment gained past `mark`, all
+    /// integers little-endian:
     ///
     /// ```text
-    ///   path ends     column (u32): each path's end in the segment columns
+    ///   path ends     column (u32): each new path's end in the frame's segments
     ///   seg tags      byte column: 1 AS_SET, 2 AS_SEQUENCE
     ///   seg lengths   column (u32): ASNs per segment
-    ///   path ASNs     column (u32), every path's hops in order
-    ///   list ends     column (u32): each community list's end in the next
+    ///   path ASNs     column (u32), every new path's hops in order
+    ///   list ends     column (u32): each new list's end in the next
     ///   communities   column (u32, α << 16 | β)
     ///   tuples        column (u64, path ID << 32 | list ID)
-    ///   owners        column (u32, strictly ascending)
+    ///   owners        column (u32, strictly ascending): owners new since the mark
     ///   family ends   column (u32): each owner's end in the next
     ///   families      column (u32): sibling ASNs, the owner's included
     /// ```
     ///
-    /// A path's ID is its position in the path ends, likewise for lists
-    /// and tuples.
-    pub(crate) fn encode(&self, w: &mut ColumnWriter) {
+    /// IDs continue from the mark: a path's ID is the mark's path count
+    /// plus its position in the path ends, likewise for lists and tuples,
+    /// and a tuple may name any path or list up to its own frame. The
+    /// frame after the default (empty) mark is the whole segment — the
+    /// form the batch checkpoint and the shard artifact hold.
+    pub(crate) fn encode_since(&self, mark: &SegmentMark, w: &mut ColumnWriter) {
         let seg = &*self.seg;
         let (path_ends, segs, asns) = seg.interner.path_pools();
-        w.column(path_ends, |e| e.to_le_bytes());
+        let seg_base = mark.segs as u32;
+        w.column(&path_ends[mark.paths..], |e| (e - seg_base).to_le_bytes());
+        let segs = &segs[mark.segs..];
         w.column(segs, |&(tag, _)| [tag]);
         w.column(segs, |&(_, len)| len.to_le_bytes());
-        w.column(asns, |a| a.to_le_bytes());
+        w.column(&asns[mark.asns..], |a| a.to_le_bytes());
         let (list_ends, communities) = seg.interner.cset_pools();
-        w.column(list_ends, |e| e.to_le_bytes());
-        w.column(communities, |c| c.to_u32().to_le_bytes());
-        w.column(&seg.tuples, |t| t.to_le_bytes());
-        let owners: Vec<u32> = seg.families.keys().map(|&o| u32::from(o)).collect();
-        let mut end = 0u32;
-        let family_ends: Vec<u32> = seg
+        let list_base = mark.communities as u32;
+        w.column(&list_ends[mark.lists..], |e| (e - list_base).to_le_bytes());
+        w.column(&communities[mark.communities..], |c| {
+            c.to_u32().to_le_bytes()
+        });
+        w.column(&seg.tuples[mark.tuples..], |t| t.to_le_bytes());
+        let gained: Vec<(u32, &[u32])> = seg
             .families
-            .values()
-            .map(|f| {
-                end += f.len() as u32;
+            .iter()
+            .filter(|(owner, _)| mark.owners.binary_search(owner).is_err())
+            .map(|(&owner, family)| (u32::from(owner), family.as_slice()))
+            .collect();
+        let mut end = 0u32;
+        let family_ends: Vec<u32> = gained
+            .iter()
+            .map(|(_, family)| {
+                end += family.len() as u32;
                 end
             })
             .collect();
-        w.column(&owners, |o| o.to_le_bytes());
+        w.column(&gained, |(owner, _)| owner.to_le_bytes());
         w.column(&family_ends, |e| e.to_le_bytes());
-        let members: Vec<u32> = seg.families.values().flatten().copied().collect();
+        let members: Vec<u32> = gained.iter().flat_map(|(_, f)| f.iter().copied()).collect();
         w.column(&members, |a| a.to_le_bytes());
     }
 
-    /// Read back what [`encode`](Self::encode) wrote, re-interning every
-    /// path, list and tuple. Every count is checked against the bytes left
-    /// before anything is allocated, every end and ID against what it
-    /// indexes before it is used, and a value equal to an earlier one (a
-    /// duplicate path, list or tuple) is refused.
-    pub(crate) fn decode(r: &mut ColumnReader<'_>) -> Result<StatsAccumulator, String> {
+    /// Read one frame that [`encode_since`](Self::encode_since) wrote and
+    /// append it to this segment, re-interning every path, list and tuple.
+    /// Every count is checked against the bytes left before anything is
+    /// allocated, every end and ID against what it indexes before it is
+    /// used, and a value equal to an earlier one — a duplicate path, list,
+    /// tuple or owner, in this frame or an earlier one — is refused, as is
+    /// a new community whose owner has no family. On an error the segment
+    /// is left part-way; the caller discards it.
+    pub(crate) fn decode_frame(&mut self, r: &mut ColumnReader<'_>) -> Result<(), String> {
         let path_ends = r.column("path ends", u32::from_le_bytes)?;
         let tags = r.bytes("segment tags")?;
         let lens = r.column("segment lengths", u32::from_le_bytes)?;
@@ -393,9 +426,10 @@ impl StatsAccumulator {
             return Err(format!("segment tag {tag} out of range"));
         }
         let segs: Vec<(u8, u32)> = tags.iter().copied().zip(lens).collect();
-        let mut seg = Segment::default();
+        let seg = Arc::make_mut(&mut self.seg);
+        let first_path = seg.interner.path_count();
         let (mut seg_at, mut asn_at) = (0, 0);
-        for (id, &end) in path_ends.iter().enumerate() {
+        for (id, &end) in (first_path..).zip(&path_ends) {
             let path_segs = next_run(&segs, &mut seg_at, u64::from(end), "path ends")?;
             let hops: u64 = path_segs.iter().map(|&(_, len)| u64::from(len)).sum();
             let end = asn_at as u64 + hops;
@@ -410,16 +444,18 @@ impl StatsAccumulator {
         }
         finished(&segs, seg_at, "segments")?;
         finished(&asns, asn_at, "path ASNs")?;
+        let first_slot = seg.interner.community_count();
         let mut at = 0;
-        for (id, &end) in list_ends.iter().enumerate() {
+        for (id, &end) in (seg.interner.cset_count()..).zip(&list_ends) {
             let list = next_run(&communities, &mut at, u64::from(end), "list ends")?;
             if seg.interner.intern_cset(list) != id as u32 {
                 return Err(format!("community list {id} repeats an earlier list"));
             }
         }
         finished(&communities, at, "communities")?;
-        let (paths, lists) = (path_ends.len() as u64, list_ends.len() as u64);
-        for (id, &key) in tuples.iter().enumerate() {
+        let paths = seg.interner.path_count() as u64;
+        let lists = seg.interner.cset_count() as u64;
+        for (id, &key) in (seg.tuples.len()..).zip(&tuples) {
             if key >> 32 >= paths || key & u64::from(u32::MAX) >= lists {
                 return Err(format!(
                     "tuple {id} names path {} and list {}, of {paths} and {lists}",
@@ -444,17 +480,49 @@ impl StatsAccumulator {
         let mut at = 0;
         for (&owner, &end) in owners.iter().zip(&family_ends) {
             let family = next_run(&members, &mut at, u64::from(end), "family ends")?;
-            seg.families.insert(owner as u16, family.to_vec());
+            if seg.families.insert(owner as u16, family.to_vec()).is_some() {
+                return Err(format!("owner {owner} repeats an earlier owner"));
+            }
         }
         finished(&members, at, "family members")?;
-        for slot in 0..seg.interner.community_count() as u32 {
+        for slot in first_slot as u32..seg.interner.community_count() as u32 {
             let c = seg.interner.community(slot);
             if !seg.families.contains_key(&c.asn) {
                 return Err(format!("community {c} has no owner family"));
             }
         }
-        Ok(StatsAccumulator { seg: Arc::new(seg) })
+        Ok(())
     }
+
+    /// The segment's size: unique paths, community lists and tuples, and
+    /// owner families — what a watch checkpoint's manifest records of the
+    /// segment its log holds.
+    pub(crate) fn counts(&self) -> [u64; 4] {
+        let seg = &*self.seg;
+        [
+            seg.interner.path_count(),
+            seg.interner.cset_count(),
+            seg.tuples.len(),
+            seg.families.len(),
+        ]
+        .map(|n| n as u64)
+    }
+}
+
+/// How far a segment's columns reached when a frame was last cut from it:
+/// the frame after a mark ([`StatsAccumulator::encode_since`]) holds
+/// exactly what the segment gained since. The default mark is the empty
+/// segment's, so the frame after it is the whole segment.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SegmentMark {
+    paths: usize,
+    segs: usize,
+    asns: usize,
+    lists: usize,
+    communities: usize,
+    tuples: usize,
+    /// The owners whose families the segment held, ascending.
+    owners: Vec<u16>,
 }
 
 /// The run of `pool` from `*at` up to the recorded `end`, which is checked
@@ -492,6 +560,16 @@ impl ColumnWriter {
         ColumnWriter {
             buf: vec![0; persist::HEADER_LEN],
         }
+    }
+
+    /// A writer for bytes that go out unsealed: a segment log frame.
+    pub(crate) fn unsealed() -> Self {
+        ColumnWriter { buf: Vec::new() }
+    }
+
+    /// The bytes written so far, as they are: no header is filled in.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
     /// One `u64` scalar.
@@ -586,6 +664,11 @@ impl<'a> ColumnReader<'a> {
         self.raw::<1>(what)
     }
 
+    /// Whether every byte was consumed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
     /// Fail unless every byte was consumed.
     pub(crate) fn finish(self) -> Result<(), String> {
         if self.buf.is_empty() {
@@ -647,7 +730,8 @@ pub struct CompletedFile {
 ///   file hashes   column (u64), FNV-1a 64 of each file
 ///   paths         one byte column (UTF-8) per file
 ///   report        byte column: the IngestReport as JSON
-///   segment       the statistics segment (see StatsAccumulator::encode)
+///   segment       the statistics segment, as one frame from the empty
+///                 mark (see StatsAccumulator::encode_since)
 /// ```
 ///
 /// Versions 1 and 2 were JSON manifests; they are refused as
@@ -697,7 +781,7 @@ impl Checkpoint {
         let report =
             serde_json::to_string(&self.report).expect("an IngestReport always serializes");
         w.bytes(report.as_bytes());
-        self.snapshot.encode(&mut w);
+        self.snapshot.encode_since(&SegmentMark::default(), &mut w);
         w.seal(&Self::FORMAT)
     }
 
@@ -738,7 +822,8 @@ impl Checkpoint {
         }
         let report =
             serde_json::from_slice(r.bytes("report")?).map_err(|e| format!("report: {e}"))?;
-        let snapshot = StatsSnapshot::decode(&mut r)?;
+        let mut snapshot = StatsSnapshot::new();
+        snapshot.decode_frame(&mut r)?;
         r.finish()?;
         Ok(Checkpoint {
             files,
@@ -898,17 +983,19 @@ mod tests {
         assert_eq!(twice, forward);
     }
 
-    /// The segment's column encoding, without an envelope.
+    /// The segment's column encoding — one frame from the empty mark —
+    /// without an envelope.
     fn encoded(segment: &StatsAccumulator) -> Vec<u8> {
         let mut w = ColumnWriter::new();
-        segment.encode(&mut w);
+        segment.encode_since(&SegmentMark::default(), &mut w);
         w.buf
     }
 
-    /// Decode what [`encoded`] wrote.
+    /// Decode what [`encoded`] wrote onto an empty segment.
     fn decoded(bytes: &[u8]) -> Result<StatsAccumulator, String> {
         let mut r = ColumnReader::new(&bytes[persist::HEADER_LEN..]);
-        let segment = StatsAccumulator::decode(&mut r)?;
+        let mut segment = StatsAccumulator::new();
+        segment.decode_frame(&mut r)?;
         r.finish()?;
         Ok(segment)
     }

@@ -14,12 +14,15 @@
 //!   stats of the previous reclassification and re-runs the classifier for
 //!   dirty owners only. Late observations to evicted buckets are dropped
 //!   from the window and counted.
-//! * [`WatchCheckpoint`] — a sealed binary file (the [`persist`] envelope
-//!   around length-prefixed little-endian columns), written durably
-//!   through [`persist::write_atomic`], holding the stream cursor, the
-//!   segment once, each retained bucket's tuple IDs, the label map, and
-//!   the flap counters. Restoring it reproduces the daemon's exact state
-//!   at the recorded cursor, so a resumed run counts the same flaps an
+//! * [`WatchCheckpoint`] — two files: a sealed manifest (the [`persist`]
+//!   envelope around length-prefixed little-endian columns) holding the
+//!   stream cursor, each retained bucket's tuple IDs, the label map and
+//!   the flap counters, and beside it an append-only segment log holding
+//!   the segment. A save appends to the log only what the segment gained
+//!   since the last save ([`persist::append_at`]), then replaces the
+//!   manifest ([`persist::write_atomic`]), so it costs O(new data), not
+//!   O(segment). Restoring it reproduces the daemon's exact state at the
+//!   recorded cursor, so a resumed run counts the same flaps an
 //!   uninterrupted one would.
 //! * [`run_watch`] — the daemon loop: a [`StreamDecoder`] over a
 //!   [`ResumingStream`] (bounded queue, backpressure, reconnect, stall
@@ -42,21 +45,22 @@
 //! `cmp`.
 
 use std::collections::VecDeque;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bgp_mrt::stream::{ResumingStream, StreamCounters, StreamSource, StreamTuning};
 use bgp_mrt::{IngestReport, RecoverConfig, StreamDecoder};
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
-use bgp_types::persist::{self, Format, LoadError};
+use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
 use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
-use crate::checkpoint::{ColumnReader, ColumnWriter, StatsAccumulator, StatsSnapshot};
+use crate::checkpoint::{ColumnReader, ColumnWriter, SegmentMark, StatsAccumulator, StatsSnapshot};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{PathCounts, PathStats};
 
@@ -570,11 +574,16 @@ impl WindowedStatsSnapshot {
 
 /// The streaming daemon's crash-recovery state: everything needed to
 /// resume at `cursor` with bit-identical downstream behavior. It lives on
-/// disk as one sealed binary file, encoded in a single pass and written
-/// durably ([`save_atomic`](Self::save_atomic)), and fully validated on
-/// the way back in ([`load`](Self::load)).
+/// disk as two files: a small sealed manifest at the checkpoint path, and
+/// beside it an append-only segment log ([`log_path`](Self::log_path),
+/// `<checkpoint>.seg`) that holds the segment as a run of frames, each the
+/// columns the segment gained since the frame before it
+/// (`StatsAccumulator::encode_since`). The manifest commits a byte range
+/// of the log; a save appends one frame and then replaces the manifest
+/// ([`save_atomic`](Self::save_atomic)), and a load checks both files
+/// ([`load`](Self::load)).
 ///
-/// # Layout (version 3, all integers little-endian)
+/// # Manifest layout (version 4, all integers little-endian)
 ///
 /// The [`persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -583,7 +592,10 @@ impl WindowedStatsSnapshot {
 ///   scalars     cursor, records, observations, advances, flaps,
 ///               late_drops, reclassified_owners, window_secs, windows
 ///               (9 × u64)
-///   segment     the statistics segment (see StatsAccumulator::encode)
+///   log         start, end, checksum (3 × u64): the committed byte range
+///               of the segment log and the FNV-1a 64 of those bytes
+///   segment     paths, lists, tuples, owners (4 × u64): the counts the
+///               committed frames must add up to
 ///   buckets     index column (u64, strictly ascending, at most
 ///               `windows` of them), then per index its tuple-ID column
 ///               (u32, each naming a segment tuple)
@@ -596,10 +608,14 @@ impl WindowedStatsSnapshot {
 ///               (u8: 0 private, 1 reserved, 2 never on path)
 /// ```
 ///
-/// Keys are packed communities, `α << 16 | β`. Version 1 was a JSON
-/// manifest; it is refused as [`LoadError::Foreign`]. Version 2 held u64
-/// fingerprint sets, once cumulative and again per bucket; it is refused
-/// as [`LoadError::Version`].
+/// Keys are packed communities, `α << 16 | β`. The log has no header: its
+/// committed range is frames back to back, the first from the empty
+/// segment. Bytes past the range are what an interrupted append left;
+/// they are ignored on load and dropped by the next append. Version 1 was
+/// a JSON manifest; it is refused as [`LoadError::Foreign`]. Version 2
+/// held u64 fingerprint sets, once cumulative and again per bucket, and
+/// version 3 held the whole segment in the one file; both are refused as
+/// [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -634,13 +650,44 @@ pub struct WatchCheckpoint {
     pub excluded: Vec<(u32, Exclusion)>,
 }
 
+/// Where a watch checkpoint's segment log stands: the byte range of the
+/// log the manifest on disk commits, the FNV-1a 64 of those bytes, and how
+/// far into the segment their frames reach. A save appends after it and
+/// returns the next one; a load returns the loaded one.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentLog {
+    start: u64,
+    end: u64,
+    checksum: u64,
+    mark: SegmentMark,
+}
+
+impl SegmentLog {
+    /// No frames yet, the first to go at byte `at` of the log file.
+    fn empty_at(at: u64) -> Self {
+        SegmentLog {
+            start: at,
+            end: at,
+            checksum: FNV_OFFSET,
+            mark: SegmentMark::default(),
+        }
+    }
+}
+
 impl WatchCheckpoint {
-    /// The envelope of watch checkpoint files.
+    /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 3,
+        version: 4,
         name: "checkpoint",
     };
+
+    /// The segment log beside the manifest at `path`: `<path>.seg`.
+    pub fn log_path(path: &Path) -> PathBuf {
+        let mut name = path.as_os_str().to_owned();
+        name.push(".seg");
+        PathBuf::from(name)
+    }
 
     /// The daemon's state: [`WindowedClassifier::checkpoint`].
     /// `_cumulative` is ignored — the classifier's own segment is the
@@ -656,10 +703,9 @@ impl WatchCheckpoint {
         classifier.checkpoint(cursor, records, observations)
     }
 
-    /// The sealed file: the payload columns in the order the type-level
-    /// layout lists them. One pass over the state, plus one checksum pass
-    /// over the bytes.
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// The sealed manifest committing `log`: the payload columns in the
+    /// order the type-level layout lists them.
+    fn manifest(&self, log: &SegmentLog) -> Vec<u8> {
         let mut w = ColumnWriter::new();
         for scalar in [
             self.cursor,
@@ -671,10 +717,15 @@ impl WatchCheckpoint {
             self.reclassified_owners,
             u64::from(self.window_secs),
             self.windows as u64,
-        ] {
+            log.start,
+            log.end,
+            log.checksum,
+        ]
+        .into_iter()
+        .chain(self.cumulative.counts())
+        {
             w.u64(scalar);
         }
-        self.cumulative.encode(&mut w);
         w.column(&self.buckets, |b| b.index.to_le_bytes());
         for bucket in &self.buckets {
             w.column(&bucket.tuples, |t| t.to_le_bytes());
@@ -691,27 +742,136 @@ impl WatchCheckpoint {
         w.seal(&Self::FORMAT)
     }
 
-    /// Encode and write durably through [`persist::write_atomic`] (temp
-    /// file, fsync, rename, directory fsync). A crash at any point leaves
-    /// the previous checkpoint or this one — never a torn file.
+    /// The frame of what the segment gained past `mark`.
+    fn frame_since(&self, mark: &SegmentMark) -> Vec<u8> {
+        let mut w = ColumnWriter::unsealed();
+        self.cumulative.encode_since(mark, &mut w);
+        w.into_bytes()
+    }
+
+    /// The two files a save into an empty log writes: the manifest, and the
+    /// log holding the whole segment as one frame.
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> (Vec<u8>, Vec<u8>) {
+        let frame = self.frame_since(&SegmentMark::default());
+        let log = SegmentLog {
+            end: frame.len() as u64,
+            checksum: fnv1a(FNV_OFFSET, &frame),
+            ..SegmentLog::empty_at(0)
+        };
+        (self.manifest(&log), frame)
+    }
+
+    /// Write a complete checkpoint at `path`: the whole segment as one
+    /// frame of the log, then the manifest. Beside an existing manifest the
+    /// frame goes after everything the log holds, so the checkpoint on disk
+    /// stays whole until the new manifest replaces it; with no manifest at
+    /// `path` the log starts over. `run_watch` saves this way once and
+    /// appends only what the segment gained from then on.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        persist::write_atomic(path, &self.encode())
+        self.save(path, None).map(drop)
     }
 
-    /// Read, validate and decode the checkpoint at `path`. The envelope is
-    /// checked first, then every column count against the bytes left,
-    /// then the structure: the segment's (see
-    /// `StatsAccumulator::decode`), bucket indices strictly ascending and
-    /// no more than `windows` of them, every bucket's tuple IDs naming
-    /// segment tuples, every key column strictly ascending, every
-    /// label and reason byte in its domain, no trailing bytes. Damage of
-    /// any kind is a typed [`LoadError`], never a panic or partial state;
-    /// a missing file is a clean not-found (the fresh-start signal).
+    /// Save with the segment log in state `log`: append the frame of what
+    /// the segment gained past its mark and fsync it
+    /// ([`persist::append_at`]) — no frame if it gained nothing — then
+    /// replace the manifest through [`persist::write_atomic`]. With no log
+    /// state, a complete save ([`save_atomic`](Self::save_atomic)). Bytes
+    /// the manifest on disk commits are never rewritten, so a crash at any
+    /// step leaves the previous checkpoint or this one. Returns the log's
+    /// new state and the bytes written to both files; a failure names the
+    /// file and the operation.
+    pub(crate) fn save(
+        &self,
+        path: &Path,
+        log: Option<&SegmentLog>,
+    ) -> io::Result<(SegmentLog, u64)> {
+        let log_path = Self::log_path(path);
+        let fresh;
+        let (log, complete) = match log {
+            Some(log) => (log, false),
+            None => {
+                let at = if path.exists() {
+                    fs::metadata(&log_path).map_or(0, |m| m.len())
+                } else {
+                    0
+                };
+                fresh = SegmentLog::empty_at(at);
+                (&fresh, true)
+            }
+        };
+        let mark = self.cumulative.mark();
+        let (mut end, mut checksum, mut written) = (log.end, log.checksum, 0);
+        if complete || mark != log.mark {
+            let frame = self.frame_since(&log.mark);
+            persist::append_at(&log_path, log.end, &frame)
+                .map_err(|e| failed("append checkpoint log", &log_path, e))?;
+            end += frame.len() as u64;
+            checksum = fnv1a(checksum, &frame);
+            written = frame.len() as u64;
+        }
+        let next = SegmentLog {
+            start: log.start,
+            end,
+            checksum,
+            mark,
+        };
+        let manifest = self.manifest(&next);
+        persist::write_atomic(path, &manifest).map_err(|e| failed("write checkpoint", path, e))?;
+        Ok((next, written + manifest.len() as u64))
+    }
+
+    /// Read, validate and decode the checkpoint at `path`. The manifest is
+    /// checked first: its envelope, every column count against the bytes
+    /// left, bucket indices strictly ascending and no more than `windows`
+    /// of them, every bucket's tuple IDs naming one of the tuples the
+    /// manifest records, every key column strictly ascending, every label
+    /// and reason byte in its domain, no trailing bytes. Then the log: it
+    /// exists and holds the committed range, the range's checksum matches,
+    /// every frame decodes onto the ones before it with the segment's
+    /// checks (see `StatsAccumulator::decode_frame`), and the segment they
+    /// build has the manifest's counts. Damage of any kind is a typed
+    /// [`LoadError`], never a panic or partial state; a missing manifest is
+    /// a clean not-found (the fresh-start signal), a missing log is corrupt.
     pub fn load(path: &Path) -> Result<WatchCheckpoint, LoadError> {
-        Self::FORMAT.load(path, Self::decode_payload)
+        Self::open(path).map(|(cp, _)| cp)
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<WatchCheckpoint, String> {
+    /// [`load`](Self::load), also returning the log's state, which the next
+    /// [`save`](Self::save) appends after.
+    pub(crate) fn open(path: &Path) -> Result<(WatchCheckpoint, SegmentLog), LoadError> {
+        let (mut cp, log, counts) = Self::FORMAT.load(path, Self::decode_manifest)?;
+        let log_path = Self::log_path(path);
+        let corrupt = |detail: String| Self::FORMAT.corrupt(&log_path, detail);
+        let io_error = |e: io::Error| LoadError::io(&log_path, e);
+        let mut file = match File::open(&log_path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(corrupt(format!("segment log missing: {e}")))
+            }
+            Err(e) => return Err(io_error(e)),
+        };
+        let present = file.metadata().map_err(io_error)?.len();
+        if present < log.end {
+            return Err(corrupt(format!(
+                "segment log: {} bytes committed, {present} present",
+                log.end
+            )));
+        }
+        let len = usize::try_from(log.end - log.start)
+            .map_err(|e| corrupt(format!("segment log range: {e}")))?;
+        let mut committed = vec![0; len];
+        file.seek(SeekFrom::Start(log.start))
+            .and_then(|_| file.read_exact(&mut committed))
+            .map_err(io_error)?;
+        cp.cumulative = Self::decode_log(&committed, log.checksum, counts).map_err(corrupt)?;
+        let mark = cp.cumulative.mark();
+        Ok((cp, SegmentLog { mark, ..log }))
+    }
+
+    /// The manifest's payload: the checkpoint with an empty segment, the
+    /// log range it commits, and the segment counts that range must hold.
+    fn decode_manifest(payload: &[u8]) -> Result<(WatchCheckpoint, SegmentLog, [u64; 4]), String> {
         let mut r = ColumnReader::new(payload);
         let cursor = r.u64("cursor")?;
         let records = r.u64("records")?;
@@ -726,7 +886,23 @@ impl WatchCheckpoint {
         let windows = r.u64("windows")?;
         let windows =
             usize::try_from(windows).map_err(|_| format!("windows {windows} out of range"))?;
-        let cumulative = StatsSnapshot::decode(&mut r)?;
+        let start = r.u64("segment log start")?;
+        let end = r.u64("segment log end")?;
+        if start > end {
+            return Err(format!("segment log range {start}..{end} runs backwards"));
+        }
+        let log = SegmentLog {
+            end,
+            checksum: r.u64("segment log checksum")?,
+            ..SegmentLog::empty_at(start)
+        };
+        let mut counts = [0; 4];
+        for (count, what) in counts
+            .iter_mut()
+            .zip(["paths", "lists", "tuples", "owners"])
+        {
+            *count = r.u64(&format!("segment {what}"))?;
+        }
 
         let indices = r.column("bucket indices", u64::from_le_bytes)?;
         if indices.len() > windows {
@@ -738,7 +914,7 @@ impl WatchCheckpoint {
         if !strictly_ascending(&indices) {
             return Err("bucket indices not strictly ascending".into());
         }
-        let tuple_count = cumulative.tuple_count() as u64;
+        let tuple_count = counts[2];
         let mut buckets = Vec::with_capacity(indices.len());
         for index in indices {
             let tuples = r.column("bucket tuples", u32::from_le_bytes)?;
@@ -780,7 +956,7 @@ impl WatchCheckpoint {
         let labels = keyed_bytes(&mut r, "labels", &INTENTS)?;
         let excluded = keyed_bytes(&mut r, "exclusions", &EXCLUSIONS)?;
         r.finish()?;
-        Ok(WatchCheckpoint {
+        let cp = WatchCheckpoint {
             cursor,
             records,
             observations,
@@ -790,13 +966,49 @@ impl WatchCheckpoint {
             reclassified_owners,
             window_secs,
             windows,
-            cumulative,
+            cumulative: StatsSnapshot::new(),
             buckets,
             windowed,
             labels,
             excluded,
-        })
+        };
+        Ok((cp, log, counts))
     }
+
+    /// The segment the log's committed bytes hold: their checksum must be
+    /// the recorded one, every frame must decode onto the ones before it,
+    /// and the segment must have the manifest's `counts`.
+    fn decode_log(
+        committed: &[u8],
+        checksum: u64,
+        counts: [u64; 4],
+    ) -> Result<StatsAccumulator, String> {
+        let computed = fnv1a(FNV_OFFSET, committed);
+        if computed != checksum {
+            return Err(format!(
+                "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
+            ));
+        }
+        let mut segment = StatsAccumulator::new();
+        let mut r = ColumnReader::new(committed);
+        while !r.is_empty() {
+            segment
+                .decode_frame(&mut r)
+                .map_err(|e| format!("segment log: {e}"))?;
+        }
+        if segment.counts() != counts {
+            return Err(format!(
+                "segment log holds {:?} paths, lists, tuples and owners, the manifest records {counts:?}",
+                segment.counts()
+            ));
+        }
+        Ok(segment)
+    }
+}
+
+/// `e`, prefixed with the operation that failed and the file it failed on.
+fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
 fn strictly_ascending<T: Ord>(xs: &[T]) -> bool {
@@ -865,7 +1077,8 @@ pub struct WatchOptions {
     pub tuning: StreamTuning,
     /// Decode resilience policy (error budget, resync bounds).
     pub recover: RecoverConfig,
-    /// Checkpoint manifest path; `None` disables checkpointing (and
+    /// Checkpoint manifest path, its segment log beside it
+    /// ([`WatchCheckpoint::log_path`]); `None` disables checkpointing (and
     /// resume).
     pub checkpoint: Option<PathBuf>,
     /// Window advances between checkpoints (minimum 1).
@@ -978,6 +1191,64 @@ fn record_watch_metrics(
     report.record_metrics(metrics);
 }
 
+/// How [`run_watch`] saves: its first save in a fresh run is complete and
+/// starts the segment log over, every later one (and every one after a
+/// resume) appends only what the segment gained since the save before.
+/// Each save counts `checkpoint/writes`, `checkpoint/bytes_written` (the
+/// manifest plus the appended frame) and `time/checkpoint_write_ns`.
+struct CheckpointSaver<'a> {
+    path: &'a Path,
+    /// The log's state after the last save or the load; `None` until the
+    /// first save of a fresh run.
+    log: Option<SegmentLog>,
+    metrics: Option<&'a MetricsRegistry>,
+}
+
+impl<'a> CheckpointSaver<'a> {
+    /// A saver for the checkpoint at `path`, whose directory must exist —
+    /// checked now, before any work that a failed first save would waste.
+    fn new(path: &'a Path, metrics: Option<&'a MetricsRegistry>) -> io::Result<Self> {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        if !dir.is_dir() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("checkpoint directory {} does not exist", dir.display()),
+            ));
+        }
+        Ok(CheckpointSaver {
+            path,
+            log: None,
+            metrics,
+        })
+    }
+
+    /// The checkpoint to resume from, if one is at the path; the saves
+    /// that follow append to its log.
+    fn resume(&mut self) -> io::Result<Option<WatchCheckpoint>> {
+        if !self.path.exists() {
+            return Ok(None);
+        }
+        let (cp, log) = WatchCheckpoint::open(self.path)?;
+        self.log = Some(log);
+        Ok(Some(cp))
+    }
+
+    fn save(&mut self, cp: &WatchCheckpoint) -> io::Result<()> {
+        let start = Instant::now();
+        let (log, bytes) = cp.save(self.path, self.log.as_ref())?;
+        self.log = Some(log);
+        if let Some(metrics) = self.metrics {
+            metrics.counter("checkpoint/writes").inc();
+            metrics.counter("checkpoint/bytes_written").add(bytes);
+            metrics.record_duration("time/checkpoint_write_ns", start.elapsed());
+        }
+        Ok(())
+    }
+}
+
 /// The sink [`run_watch`] decodes into: every borrowed observation folds
 /// straight into the classifier, with no owned copy in between.
 struct WindowSink<'a> {
@@ -1018,13 +1289,18 @@ pub fn run_watch<S: StreamSource>(
     opts: &WatchOptions,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<WatchOutcome> {
-    let mut resumed = false;
-    let (mut classifier, cursor_base, base_records, mut observations) = match opts
+    let mut saver = opts
         .checkpoint
         .as_deref()
-    {
-        Some(path) if path.exists() => {
-            let cp = WatchCheckpoint::load(path).map_err(io::Error::from)?;
+        .map(|path| CheckpointSaver::new(path, opts.metrics.as_deref()))
+        .transpose()?;
+    let resume = match saver.as_mut() {
+        Some(saver) => saver.resume()?,
+        None => None,
+    };
+    let resumed = resume.is_some();
+    let (mut classifier, cursor_base, base_records, mut observations) = match resume {
+        Some(cp) => {
             if cp.window_secs != opts.window.window_secs || cp.windows != opts.window.windows {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -1034,7 +1310,6 @@ pub fn run_watch<S: StreamSource>(
                     ),
                 ));
             }
-            resumed = true;
             (
                 WindowedClassifier::from_checkpoint(&cp, opts.infer.clone()),
                 cp.cursor,
@@ -1042,7 +1317,7 @@ pub fn run_watch<S: StreamSource>(
                 cp.observations,
             )
         }
-        _ => (
+        None => (
             WindowedClassifier::new(opts.window, opts.infer.clone()),
             0,
             0,
@@ -1086,13 +1361,11 @@ pub fn run_watch<S: StreamSource>(
                     std::process::exit(9);
                 }
             }
-            if let Some(path) = opts.checkpoint.as_deref() {
+            if let Some(saver) = saver.as_mut() {
                 if classifier.advances() - last_checkpoint_advance >= checkpoint_every {
                     let cursor = cursor_base + decoder.consumed_bytes();
                     let records = base_records + decoder.records_decoded();
-                    classifier
-                        .checkpoint(cursor, records, observations)
-                        .save_atomic(path)?;
+                    saver.save(&classifier.checkpoint(cursor, records, observations))?;
                     last_checkpoint_advance = classifier.advances();
                 }
             }
@@ -1113,10 +1386,8 @@ pub fn run_watch<S: StreamSource>(
     classifier.reclassify(siblings);
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
-    if let Some(path) = opts.checkpoint.as_deref() {
-        classifier
-            .checkpoint(cursor, records, observations)
-            .save_atomic(path)?;
+    if let Some(saver) = saver.as_mut() {
+        saver.save(&classifier.checkpoint(cursor, records, observations))?;
     }
 
     let stats = classifier.segment().to_stats();
@@ -1153,6 +1424,15 @@ mod tests {
     use super::*;
     use bgp_mrt::stream::MemoryFeed;
     use bgp_types::Asn;
+    use std::sync::atomic::AtomicUsize;
+
+    /// The manifest at `path` and its log.
+    fn checkpoint_files(path: &Path) -> (Vec<u8>, Vec<u8>) {
+        (
+            fs::read(path).unwrap(),
+            fs::read(WatchCheckpoint::log_path(path)).unwrap(),
+        )
+    }
 
     fn obs(vp: u32, path: &str, comms: &[(u16, u16)], time: u32) -> Observation {
         Observation {
@@ -1373,26 +1653,47 @@ mod tests {
         wc.checkpoint(777, 12, 13)
     }
 
-    /// Open and decode a watch checkpoint held in memory.
-    fn decode(file: &[u8]) -> Result<WatchCheckpoint, LoadError> {
-        WatchCheckpoint::FORMAT.decode(
-            file,
-            Path::new("watch.ckpt"),
-            WatchCheckpoint::decode_payload,
-        )
+    /// Load a manifest and its log held in memory through
+    /// [`WatchCheckpoint::load`]: written, without fsync, to a path of
+    /// their own.
+    fn decode((manifest, log): &(Vec<u8>, Vec<u8>)) -> Result<WatchCheckpoint, LoadError> {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = test_dir(&format!("decode-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+        let path = dir.join("watch.ckpt");
+        fs::write(&path, manifest).unwrap();
+        fs::write(WatchCheckpoint::log_path(&path), log).unwrap();
+        let loaded = WatchCheckpoint::load(&path);
+        let _ = fs::remove_dir_all(&dir);
+        loaded
     }
 
-    /// Seal `payload` with a valid envelope, so only the column decoder
-    /// and the structural checks stand between damage and the state.
-    fn reseal(payload: &[u8]) -> Vec<u8> {
-        let mut file = vec![0; persist::HEADER_LEN];
-        file.extend_from_slice(payload);
-        WatchCheckpoint::FORMAT.seal(&mut file);
-        file
+    /// A fresh directory for one test, unique to the process.
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bgp-watch-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
-    fn refused_as_corrupt(bytes: &[u8], expect: &str) {
-        match decode(bytes).expect_err("damaged checkpoint must be refused") {
+    /// Offset of the log range (start, end, checksum) in a manifest.
+    const LOG_RANGE: usize = persist::HEADER_LEN + 9 * 8;
+
+    /// A manifest sealed over `payload` with its log range set to all of
+    /// `log`, and `log`: only the decoders and the structural checks stand
+    /// between damage and the state.
+    fn reseal(payload: &[u8], log: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let mut manifest = vec![0; persist::HEADER_LEN];
+        manifest.extend_from_slice(payload);
+        let range = [0, log.len() as u64, fnv1a(FNV_OFFSET, log)];
+        for (word, at) in range.into_iter().zip((LOG_RANGE..).step_by(8)) {
+            manifest[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        WatchCheckpoint::FORMAT.seal(&mut manifest);
+        (manifest, log.to_vec())
+    }
+
+    fn refused_as_corrupt(files: &(Vec<u8>, Vec<u8>), expect: &str) {
+        match decode(files).expect_err("damaged checkpoint must be refused") {
             LoadError::Corrupt { detail, .. } => {
                 assert!(
                     detail.contains(expect),
@@ -1405,7 +1706,7 @@ mod tests {
 
     /// The watch-specific half of the damage checks: the envelope's own
     /// matrix (truncation, bit flips, forged header fields) runs for every
-    /// format in `tests/formats.rs`.
+    /// format in `tests/formats.rs`, with the segment log's own cases.
     #[test]
     fn watch_checkpoint_roundtrips_and_rejects_damage() {
         let cp = churn_checkpoint();
@@ -1415,23 +1716,32 @@ mod tests {
             [Exclusion::NeverOnPath, Exclusion::PrivateAsn]
         );
 
-        let dir = std::env::temp_dir().join(format!("bgp-watch-cp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cp");
         let path = dir.join("watch.ckpt");
         cp.save_atomic(&path).unwrap();
-        let sealed = std::fs::read(&path).unwrap();
-        assert_eq!(sealed, cp.encode(), "encoding is deterministic");
+        let files = (
+            fs::read(&path).unwrap(),
+            fs::read(WatchCheckpoint::log_path(&path)).unwrap(),
+        );
+        assert_eq!(files, cp.encode(), "encoding is deterministic");
         assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
-        let payload = &sealed[persist::HEADER_LEN..];
+        let (manifest, log) = &files;
+        let payload = &manifest[persist::HEADER_LEN..];
 
-        // Oversized element counts in the first column (the segment's path
-        // ends, after the nine scalars), resealed so the count itself is
-        // what gets checked — before any allocation is sized by it.
-        const FIRST_COLUMN: usize = 9 * 8;
+        // Oversized element counts in the first column of each file — the
+        // manifest's bucket indices, after its sixteen scalars, and the
+        // log's path ends — resealed so the count itself is what gets
+        // checked, before any allocation is sized by it.
+        const FIRST_COLUMN: usize = 16 * 8;
         for count in [u64::MAX, 1 << 40, payload.len() as u64] {
             let mut forged = payload.to_vec();
             forged[FIRST_COLUMN..FIRST_COLUMN + 8].copy_from_slice(&count.to_le_bytes());
-            refused_as_corrupt(&reseal(&forged), "exceed");
+            refused_as_corrupt(&reseal(&forged, log), "exceed");
+        }
+        for count in [u64::MAX, 1 << 40, log.len() as u64] {
+            let mut forged = log.clone();
+            forged[..8].copy_from_slice(&count.to_le_bytes());
+            refused_as_corrupt(&reseal(payload, &forged), "exceed");
         }
         // A label byte outside the intent domain (the intent column sits
         // just before the two exclusion columns at the end).
@@ -1439,7 +1749,7 @@ mod tests {
         let intents = payload.len() - (8 + m) - (8 + 4 * m) - n;
         let mut forged = payload.to_vec();
         forged[intents] = 7;
-        refused_as_corrupt(&reseal(&forged), "out of range");
+        refused_as_corrupt(&reseal(&forged, log), "out of range");
 
         // Structure that passes the checksum but breaks an invariant.
         let mut bad = cp.clone();
@@ -1461,7 +1771,18 @@ mod tests {
         let tuples = cp.cumulative.tuple_count() as u32;
         bad.buckets[0].tuples.push(tuples);
         refused_as_corrupt(&bad.encode(), &format!("lists tuple {tuples}, of {tuples}"));
-        let _ = std::fs::remove_dir_all(&dir);
+
+        // A log that holds a valid segment, but not the one the manifest
+        // counts; and a frame repeated, so its paths come twice.
+        let mut smaller = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        smaller.observe(&obs(1, "1 100 2", &[(100, 1)], 10), &SiblingMap::default());
+        let other = smaller.checkpoint(0, 0, 0).encode().1;
+        refused_as_corrupt(&reseal(payload, &other), "the manifest records");
+        refused_as_corrupt(
+            &reseal(payload, &[log.as_slice(), log].concat()),
+            "segment log: path ",
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The tuple IDs each retained bucket lists, by bucket index.
@@ -1688,14 +2009,26 @@ mod tests {
 
     #[test]
     fn every_prefix_of_a_watch_payload_is_refused() {
-        let file = churn_checkpoint().encode();
-        let payload = &file[persist::HEADER_LEN..];
-        assert!(WatchCheckpoint::decode_payload(payload).is_ok());
+        let (manifest, log) = churn_checkpoint().encode();
+        let payload = &manifest[persist::HEADER_LEN..];
+        let (_, _, counts) = WatchCheckpoint::decode_manifest(payload).unwrap();
         for cut in 0..payload.len() {
             assert!(
-                WatchCheckpoint::decode_payload(&payload[..cut]).is_err(),
+                WatchCheckpoint::decode_manifest(&payload[..cut]).is_err(),
                 "a cut at {cut} of {} decoded",
                 payload.len()
+            );
+        }
+        // Every prefix of the log, with a checksum that matches it: the
+        // frame decoder and the manifest's counts refuse it.
+        let decode_log =
+            |log: &[u8]| WatchCheckpoint::decode_log(log, fnv1a(FNV_OFFSET, log), counts);
+        assert!(decode_log(&log).is_ok());
+        for cut in 0..log.len() {
+            assert!(
+                decode_log(&log[..cut]).is_err(),
+                "a log cut at {cut} of {} decoded",
+                log.len()
             );
         }
     }
@@ -1703,11 +2036,15 @@ mod tests {
     #[test]
     fn windowed_columns_and_geometry_are_checked_behind_the_seal() {
         let cp = churn_checkpoint();
-        let payload = cp.encode()[persist::HEADER_LEN..].to_vec();
+        let (manifest, log) = cp.encode();
+        let payload = manifest[persist::HEADER_LEN..].to_vec();
         // window_secs is the eighth scalar and must fit in 32 bits.
         let mut forged = payload.clone();
         forged[7 * 8..8 * 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        refused_as_corrupt(&reseal(&forged), "window_secs 4294967296 out of range");
+        refused_as_corrupt(
+            &reseal(&forged, &log),
+            "window_secs 4294967296 out of range",
+        );
 
         let mut bad = cp.clone();
         bad.windowed.seen_asns.reverse();
@@ -1718,7 +2055,16 @@ mod tests {
         // An exclusion byte outside its domain: the last byte of the file.
         let mut forged = payload.clone();
         *forged.last_mut().unwrap() = 3;
-        refused_as_corrupt(&reseal(&forged), "exclusions: value byte 3 out of range");
+        refused_as_corrupt(
+            &reseal(&forged, &log),
+            "exclusions: value byte 3 out of range",
+        );
+        // A log range that runs backwards.
+        let (mut backwards, _) = reseal(&payload, &log);
+        backwards[LOG_RANGE..LOG_RANGE + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let backwards = &backwards[persist::HEADER_LEN..];
+        let err = WatchCheckpoint::decode_manifest(backwards).unwrap_err();
+        assert!(err.contains("runs backwards"), "{err}");
     }
 
     #[test]
@@ -1788,6 +2134,199 @@ mod tests {
         assert_eq!(resumed.late_drops(), 3);
         assert_eq!(resumed.checkpoint(777, 11, 13), cp);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fold `stream[range]` as [`run_watch`] does: a save through `saver`
+    /// after each observation that advances the window, the cursor
+    /// counting the observations folded.
+    fn fold_saving(
+        wc: &mut WindowedClassifier,
+        stream: &[Observation],
+        range: std::ops::Range<usize>,
+        saver: &mut CheckpointSaver<'_>,
+    ) {
+        for i in range {
+            if wc.observe(&stream[i], &SiblingMap::default()) {
+                let folded = i as u64 + 1;
+                saver.save(&wc.checkpoint(folded, 0, folded)).unwrap();
+            }
+        }
+    }
+
+    /// [`fold_saving`] to the end of `stream` from the cursor of `saver`'s
+    /// checkpoint (0 when there is none yet), then the quiescent point's
+    /// reclassification and final save.
+    fn run_to_quiescence(stream: &[Observation], path: &Path) -> WindowedClassifier {
+        let cfg = InferenceConfig {
+            threads: 1,
+            ..InferenceConfig::default()
+        };
+        let mut saver = CheckpointSaver::new(path, None).unwrap();
+        let (mut wc, from) = match saver.resume().unwrap() {
+            Some(cp) => (
+                WindowedClassifier::from_checkpoint(&cp, cfg),
+                cp.cursor as usize,
+            ),
+            None => (WindowedClassifier::new(window_cfg(), cfg), 0),
+        };
+        fold_saving(&mut wc, stream, from..stream.len(), &mut saver);
+        wc.reclassify(&SiblingMap::default());
+        let n = stream.len() as u64;
+        saver.save(&wc.checkpoint(n, 0, n)).unwrap();
+        wc
+    }
+
+    /// A save appends only what the segment gained: the log is the frames
+    /// of every save back to back, a save that gained nothing appends
+    /// nothing, and the loaded segment is the classifier's.
+    #[test]
+    fn each_save_appends_only_what_the_segment_gained() {
+        let stream = churn_stream();
+        let dir = test_dir("append");
+        let path = dir.join("watch.ckpt");
+        let metrics = MetricsRegistry::new();
+        let mut saver = CheckpointSaver::new(&path, Some(&metrics)).unwrap();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let mut logs: Vec<Vec<u8>> = Vec::new();
+        let mut manifest_bytes = 0;
+        for (i, o) in stream.iter().enumerate() {
+            if wc.observe(o, &SiblingMap::default()) {
+                let cp = wc.checkpoint(i as u64, 0, i as u64);
+                saver.save(&cp).unwrap();
+                let (manifest, log) = checkpoint_files(&path);
+                manifest_bytes += manifest.len() as u64;
+                assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
+                if let Some(before) = logs.last() {
+                    assert!(log.starts_with(before), "save {i} rewrote committed bytes");
+                    assert!(log.len() < before.len() + cp.encode().1.len());
+                } else {
+                    assert_eq!(
+                        (manifest, log.clone()),
+                        cp.encode(),
+                        "the first save is complete"
+                    );
+                }
+                logs.push(log);
+            }
+        }
+        assert!(logs.len() >= 7, "{} saves", logs.len());
+        for _ in 0..2 {
+            saver.save(&wc.checkpoint(0, 0, 0)).unwrap();
+            manifest_bytes += fs::read(&path).unwrap().len() as u64;
+        }
+        let log = checkpoint_files(&path).1;
+        saver.save(&wc.checkpoint(0, 0, 0)).unwrap();
+        manifest_bytes += fs::read(&path).unwrap().len() as u64;
+        assert_eq!(
+            checkpoint_files(&path).1,
+            log,
+            "nothing gained, nothing appended"
+        );
+        assert_eq!(
+            WatchCheckpoint::load(&path).unwrap(),
+            wc.checkpoint(0, 0, 0)
+        );
+        let counters = metrics.snapshot().counters;
+        assert_eq!(counters["checkpoint/writes"], logs.len() as u64 + 3);
+        assert_eq!(
+            counters["checkpoint/bytes_written"],
+            log.len() as u64 + manifest_bytes,
+            "every frame once, plus every manifest"
+        );
+        assert!(metrics.snapshot().timings["time/checkpoint_write_ns"] > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash at any step of a save leaves the previous checkpoint: every
+    /// prefix of the frame the next save appends (the whole frame with the
+    /// new manifest staged but never renamed included), and every prefix
+    /// of a complete save's frame over the same checkpoint, loads as the
+    /// previous checkpoint; a resume from each ends with the uninterrupted
+    /// run's files, segment, labels and flaps.
+    #[test]
+    fn a_crash_at_any_step_of_a_save_resumes_to_the_uninterrupted_files() {
+        let stream = churn_stream();
+        let dir = test_dir("crash-steps");
+        let clean = dir.join("clean.ckpt");
+        let uninterrupted = run_to_quiescence(&stream, &clean);
+        let expected = checkpoint_files(&clean);
+        let advancing: Vec<usize> = {
+            let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+            (0..stream.len())
+                .filter(|&i| wc.observe(&stream[i], &SiblingMap::default()))
+                .collect()
+        };
+        let (k, next) = (
+            advancing[advancing.len() - 2],
+            advancing[advancing.len() - 1],
+        );
+
+        // Checkpoint k, as the crashed run left it, and the frame and
+        // manifest its next save writes.
+        let path = dir.join("watch.ckpt");
+        let log_path = WatchCheckpoint::log_path(&path);
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        let mut saver = CheckpointSaver::new(&path, None).unwrap();
+        fold_saving(&mut wc, &stream, 0..k + 1, &mut saver);
+        let at_k = checkpoint_files(&path);
+        let cp_k = WatchCheckpoint::load(&path).unwrap();
+        assert_eq!(cp_k.cursor, k as u64 + 1);
+        fold_saving(&mut wc, &stream, k + 1..next + 1, &mut saver);
+        let (next_manifest, next_log) = checkpoint_files(&path);
+        let frame = next_log[at_k.1.len()..].to_vec();
+        // A complete save of the same state over checkpoint k appends the
+        // whole segment after the log's end instead.
+        fs::write(&path, &at_k.0).unwrap();
+        fs::write(&log_path, &at_k.1).unwrap();
+        wc.checkpoint(next as u64 + 1, 0, next as u64 + 1)
+            .save_atomic(&path)
+            .unwrap();
+        let after = fs::read(&log_path).unwrap();
+        assert!(
+            after.starts_with(&at_k.1),
+            "a complete save rewrote committed bytes"
+        );
+        let complete = after[at_k.1.len()..].to_vec();
+        assert!(complete.len() > frame.len() && !frame.is_empty());
+
+        for (torn, what) in [(&frame, "appended frame"), (&complete, "complete save")] {
+            for cut in 0..=torn.len() {
+                fs::write(&path, &at_k.0).unwrap();
+                fs::write(&log_path, [at_k.1.as_slice(), &torn[..cut]].concat()).unwrap();
+                if cut == torn.len() {
+                    fs::write(persist::temp_path(&path), &next_manifest).unwrap();
+                }
+                assert_eq!(
+                    WatchCheckpoint::load(&path).unwrap(),
+                    cp_k,
+                    "{what} cut at {cut}"
+                );
+                let resumed = run_to_quiescence(&stream, &path);
+                assert_eq!(checkpoint_files(&path), expected, "{what} cut at {cut}");
+                assert_eq!(resumed.segment(), uninterrupted.segment());
+                assert_eq!(resumed.labels(), uninterrupted.labels());
+                assert_eq!(resumed.flaps(), uninterrupted.flaps());
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh run (no manifest) replaces whatever log it finds.
+    #[test]
+    fn a_fresh_run_replaces_a_stale_log() {
+        let stream = churn_stream();
+        let dir = test_dir("stale-log");
+        run_to_quiescence(&stream, &dir.join("clean.ckpt"));
+        let expected = checkpoint_files(&dir.join("clean.ckpt"));
+        let path = dir.join("watch.ckpt");
+        let log_path = WatchCheckpoint::log_path(&path);
+        for stale in [vec![0xee; 5000], expected.1.clone(), Vec::new()] {
+            let _ = fs::remove_file(&path);
+            fs::write(&log_path, &stale).unwrap();
+            run_to_quiescence(&stream, &path);
+            assert_eq!(checkpoint_files(&path), expected);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A small generated world streamed into one in-memory archive.
@@ -1911,17 +2450,18 @@ mod tests {
         assert_eq!(got, expected);
     }
 
-    /// Two fresh runs over the same feed write byte-identical checkpoints,
-    /// whatever the classifier's thread count.
+    /// Two fresh runs over the same feed write byte-identical manifests and
+    /// logs, whatever the classifier's thread count.
     #[test]
     fn checkpoint_bytes_are_identical_across_runs_and_thread_counts() {
         let (scenario, bytes) = memory_feed_world();
         let dir = std::env::temp_dir().join(format!("bgp-watch-det-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let written: Vec<Vec<u8>> = [1usize, 2]
+        let written: Vec<(Vec<u8>, Vec<u8>)> = [1usize, 2, 1]
             .iter()
-            .map(|&threads| {
-                let path = dir.join(format!("watch-{threads}.ckpt"));
+            .enumerate()
+            .map(|(run, &threads)| {
+                let path = dir.join(format!("watch-{run}.ckpt"));
                 let _ = std::fs::remove_file(&path);
                 let outcome = run_watch(
                     MemoryFeed::new(bytes.clone()),
@@ -1931,9 +2471,13 @@ mod tests {
                 )
                 .unwrap();
                 assert!(outcome.advances > 0 && !outcome.resumed);
-                std::fs::read(&path).unwrap()
+                checkpoint_files(&path)
             })
             .collect();
+        assert_eq!(
+            written[0], written[2],
+            "checkpoint bytes differ across runs"
+        );
         assert_eq!(
             written[0], written[1],
             "checkpoint bytes differ across thread counts"

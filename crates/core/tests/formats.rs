@@ -6,7 +6,9 @@
 //! with the same typed `LoadError`: every truncation length, a resealed
 //! truncation at every payload offset, one trailing byte, a flipped bit
 //! at every offset, and forged magic, version, length and checksum. A
-//! damaged file is never accepted, and loading never panics.
+//! damaged file is never accepted, and loading never panics. The watch
+//! checkpoint's segment log, which its manifest commits, has cases of its
+//! own: missing, cut short, bit-flipped, swapped for another's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -300,12 +302,80 @@ fn watch_checkpoint_refuses_every_damage() {
     cp.save_atomic(&path).unwrap();
     let sealed = fs::read(&path).unwrap();
     assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
+    // The manifest's matrix, with its log in place beside it.
     run_matrix(
         &WatchCheckpoint::FORMAT,
         &sealed,
         &path,
         &[&|p| WatchCheckpoint::load(p).map(drop)],
     );
+
+    // The log's own damage, beside the undamaged manifest: each is refused
+    // as a corrupt checkpoint that names the log.
+    fs::write(&path, &sealed).unwrap();
+    let log_path = WatchCheckpoint::log_path(&path);
+    let log = fs::read(&log_path).unwrap();
+    let refused = |case: &str, expect: &str| match WatchCheckpoint::load(&path) {
+        Err(LoadError::Corrupt {
+            path: named,
+            detail,
+            ..
+        }) => {
+            assert!(
+                detail.contains(expect),
+                "{case}: expected {expect:?}, got {detail:?}"
+            );
+            assert_eq!(named, log_path, "{case}");
+        }
+        Err(e) => panic!("{case}: expected a corrupt log, got {e}"),
+        Ok(_) => panic!("{case}: the damaged log was accepted"),
+    };
+    fs::remove_file(&log_path).unwrap();
+    refused("missing log", "segment log missing");
+    for cut in 0..log.len() {
+        fs::write(&log_path, &log[..cut]).unwrap();
+        refused(
+            &format!("log cut to {cut} bytes"),
+            &format!("{} bytes committed, {cut} present", log.len()),
+        );
+    }
+    for pos in 0..log.len() {
+        let mut flipped = log.clone();
+        flipped[pos] ^= 1 << (pos % 8);
+        fs::write(&log_path, &flipped).unwrap();
+        refused(
+            &format!("bit {} of log byte {pos} flipped", pos % 8),
+            "segment log checksum",
+        );
+    }
+    // A valid log of another checkpoint, longer and shorter than this one's.
+    for observations in [48, 6] {
+        let mut other = WindowedClassifier::new(window, InferenceConfig::default());
+        for o in stream()
+            .iter()
+            .cycle()
+            .take(observations)
+            .enumerate()
+            .map(|(i, o)| Observation {
+                path: format!("{} {}", 800 + i, o.path).parse().unwrap(),
+                ..o.clone()
+            })
+        {
+            other.observe(&o, &siblings);
+        }
+        let other_path = dir.join("other.ckpt");
+        let _ = fs::remove_file(&other_path);
+        other.checkpoint(0, 0, 0).save_atomic(&other_path).unwrap();
+        fs::copy(WatchCheckpoint::log_path(&other_path), &log_path).unwrap();
+        refused(
+            &format!("another checkpoint's log ({observations})"),
+            "segment log",
+        );
+    }
+    // Bytes past the committed length are what an interrupted append left:
+    // the committed state loads.
+    fs::write(&log_path, [log.as_slice(), &[0xee; 5000]].concat()).unwrap();
+    assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
     let _ = fs::remove_dir_all(&dir);
 }
 

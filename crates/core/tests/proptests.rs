@@ -16,7 +16,7 @@ use bgp_intent::{
     WatchCheckpoint, WindowConfig, WindowedClassifier,
 };
 use bgp_relationships::SiblingMap;
-use bgp_types::persist::{Format, LoadError, HEADER_LEN};
+use bgp_types::persist::{fnv1a, Format, LoadError, FNV_OFFSET, HEADER_LEN};
 use bgp_types::store::ObservationStore;
 use bgp_types::{AsPath, Asn, Community, Intent, Observation, ObservationSink, PathSegment};
 
@@ -191,12 +191,48 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
     let watch = wc.checkpoint(512, 9, 9);
     let path = dir.join("watch.ckpt");
     watch.save_atomic(&path).unwrap();
+    let manifest = fs::read(&path).unwrap();
+    let log_path = WatchCheckpoint::log_path(&path);
+    let log = fs::read(&log_path).unwrap();
     let again_watch = again.clone();
     files.push((
         WatchCheckpoint::FORMAT,
-        fs::read(&path).unwrap(),
+        manifest.clone(),
         Box::new(move |p| {
+            // Each edited manifest loads beside its real log.
+            fs::copy(&log_path, WatchCheckpoint::log_path(p)).unwrap();
             reload_unchanged(p, &again_watch, WatchCheckpoint::load, |cp, to| {
+                cp.save_atomic(to).unwrap()
+            })
+        }),
+    ));
+    // The log, carried as the payload of a stand-in envelope so the edits
+    // land on its frames; the check puts it beside the manifest with the
+    // log checksum recomputed (after the nine scalars and the log's start
+    // and end), so every edit reaches the frame decoder.
+    const LOG_CHECKSUM: usize = HEADER_LEN + 11 * 8;
+    let carrier = Format {
+        magic: *b"BGPWSEGL",
+        version: 1,
+        name: "segment log",
+    };
+    let mut carried = vec![0; HEADER_LEN];
+    carried.extend_from_slice(&log);
+    carrier.seal(&mut carried);
+    let resealed = dir.join("resealed.ckpt");
+    let again_log = again.clone();
+    files.push((
+        carrier,
+        carried,
+        Box::new(move |p| {
+            let edited = fs::read(p).unwrap()[HEADER_LEN..].to_vec();
+            let mut manifest = manifest.clone();
+            manifest[LOG_CHECKSUM..LOG_CHECKSUM + 8]
+                .copy_from_slice(&fnv1a(FNV_OFFSET, &edited).to_le_bytes());
+            WatchCheckpoint::FORMAT.seal(&mut manifest);
+            fs::write(&resealed, &manifest).unwrap();
+            fs::write(WatchCheckpoint::log_path(&resealed), &edited).unwrap();
+            reload_unchanged(&resealed, &again_log, WatchCheckpoint::load, |cp, to| {
                 cp.save_atomic(to).unwrap()
             })
         }),

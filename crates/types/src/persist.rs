@@ -1,5 +1,5 @@
 //! Sealed on-disk files: the one envelope every persisted format wears,
-//! the one error loading any of them fails with, and the one durable write.
+//! the one error loading any of them fails with, and the durable writes.
 //!
 //! The batch checkpoint (which is also the shard artifact), the watch
 //! checkpoint and the label artifact are each a payload behind the same
@@ -20,11 +20,13 @@
 //! checks every header field and passes the payload to the format's
 //! decoder as a borrowed slice — so a memory-mapped file is never copied —
 //! or fails with a typed [`LoadError`]. [`fnv1a`] is the single FNV-1a 64
-//! the seal (and input-file fingerprinting) uses.
+//! the seal (and input-file fingerprinting) uses. [`append_at`] is the
+//! other durable write: it grows a log that a sealed manifest commits a
+//! byte range of (the watch checkpoint's segment log).
 
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64 offset basis: the starting `hash` for [`fnv1a`].
@@ -148,7 +150,10 @@ impl Format {
         self.decode(&file, path, decode)
     }
 
-    fn corrupt(&self, path: &Path, detail: String) -> LoadError {
+    /// A [`LoadError::Corrupt`] naming `path` as a file of this format —
+    /// for damage a format finds beyond its own payload, such as in a file
+    /// the payload commits.
+    pub fn corrupt(&self, path: &Path, detail: String) -> LoadError {
         LoadError::Corrupt {
             path: path.to_path_buf(),
             format: self.name,
@@ -297,6 +302,30 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
     fs::rename(&tmp, path)?;
     sync_parent_dir(path)
+}
+
+/// Durably write `bytes` into the file at `path` from offset `at`: cut the
+/// file to `at` bytes — dropping whatever an interrupted earlier append left
+/// past them — write `bytes`, and fsync. The first `at` bytes are never
+/// rewritten, so a crash at any step leaves them followed by some prefix of
+/// `bytes`. At offset 0 the file is created (or emptied) and its directory
+/// fsynced as well; past 0 it must exist and hold at least `at` bytes.
+pub fn append_at(path: &Path, at: u64, bytes: &[u8]) -> io::Result<()> {
+    let mut file = OpenOptions::new().write(true).create(at == 0).open(path)?;
+    let len = file.metadata()?.len();
+    if len < at {
+        return Err(io::Error::other(format!(
+            "{len} bytes, fewer than the {at} to append after"
+        )));
+    }
+    file.set_len(at)?;
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    if at == 0 {
+        sync_parent_dir(path)?;
+    }
+    Ok(())
 }
 
 /// Fsync the directory holding `path`, making a completed rename durable.
@@ -522,6 +551,41 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"short");
         write_atomic(&path, b"").unwrap();
         assert!(fs::read(&path).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An append keeps every byte before its offset, drops what an
+    /// interrupted append left past it, and refuses a file that lost bytes
+    /// it was told are there; offset 0 starts the file over.
+    #[test]
+    fn append_at_keeps_the_prefix_and_drops_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("bgp-persist-append-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.log");
+        let err = append_at(&path, 3, b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        append_at(&path, 0, b"one").unwrap();
+        append_at(&path, 3, b"two").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"onetwo");
+
+        let mut torn = fs::read(&path).unwrap();
+        torn.extend_from_slice(b"thr");
+        fs::write(&path, &torn).unwrap();
+        append_at(&path, 6, b"three").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"onetwothree");
+
+        let err = append_at(&path, 64, b"four").unwrap_err();
+        assert!(
+            err.to_string().contains("11 bytes, fewer than the 64"),
+            "{err}"
+        );
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            b"onetwothree",
+            "refused, untouched"
+        );
+        append_at(&path, 0, b"anew").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"anew");
         let _ = fs::remove_dir_all(&dir);
     }
 
