@@ -1368,7 +1368,13 @@ fn shard(run: &Run) -> Result<(), Failure> {
     if let Some(metrics) = tel.registry() {
         merged.record_metrics(metrics);
     }
-    let result = run_inference(segment.to_stats(), &siblings, &cfg, dict.as_ref(), tel);
+    let result = run_inference(
+        segment.to_stats_threaded(cfg.threads),
+        &siblings,
+        &cfg,
+        dict.as_ref(),
+        tel,
+    );
     // Free the shards' segments before the label file is built.
     drop((outcomes, segment));
     print_inference(args, &result, &merged)

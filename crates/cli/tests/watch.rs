@@ -293,48 +293,66 @@ fn kill_nine_mid_run_resumes_from_the_checkpoint_without_double_counting() {
     );
     assert_eq!(batch.status.code(), Some(0), "{}", stderr_of(&batch));
 
-    // First run dies like a SIGKILL (exit 9, no checkpoint flush, no
-    // cleanup) after 4 window advances.
+    // The uninterrupted run leaves the checkpoint every resumed run must
+    // leave, and its advance count places the last crash point.
     let (mut feed, addr) = spawn_feed(&paths, None);
-    let out = run_watch(&addr, &dir, "crash", &["--inject-crash-after-windows", "4"]);
-    assert_eq!(out.status.code(), Some(EXIT_CRASH), "{}", stderr_of(&out));
-    assert!(
-        dir.join("crash.ckpt").exists(),
-        "a checkpoint must exist from before the crash"
-    );
-
-    // Second run, same command minus the injection: resumes at the
-    // checkpoint cursor and finishes; re-delivered bytes are absorbed by
-    // the content-based statistics, so the labels still equal the batch
-    // run — no double-counting.
-    let out = run_watch(&addr, &dir, "crash", &[]);
-    let stderr = stderr_of(&out);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(
-        stderr.contains("resumed from checkpoint"),
-        "the restart must actually resume: {stderr}"
-    );
-    assert_eq!(
-        read(&dir, "crash.json"),
-        read(&dir, "batch.json"),
-        "crash + resume must be bit-identical to an uninterrupted batch run"
-    );
-    // And the checkpoint it leaves — manifest and segment log — is the one
-    // an uninterrupted run leaves.
     let out = run_watch(&addr, &dir, "clean", &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let advances = counters(&dir, "clean")["watch/windows_advanced"]
+        .as_u64()
+        .unwrap();
+    assert!(advances > 4, "{advances} advances");
+
+    // Each crash point resumes from a different window state, so the
+    // resume's first reclassification compares a different diff base.
+    for after in [1, 2, 4, advances] {
+        let tag = format!("crash{after}");
+        // The first run dies like a SIGKILL (exit 9, no checkpoint flush,
+        // no cleanup) at the record that makes advance `after`, before
+        // that advance's save: the checkpoint on disk is the previous
+        // advance's, and there is none before the first.
+        let out = run_watch(
+            &addr,
+            &dir,
+            &tag,
+            &["--inject-crash-after-windows", &after.to_string()],
+        );
+        assert_eq!(out.status.code(), Some(EXIT_CRASH), "{}", stderr_of(&out));
+        assert_eq!(
+            dir.join(format!("{tag}.ckpt")).exists(),
+            after > 1,
+            "a checkpoint exists from before the crash at advance {after}"
+        );
+
+        // Second run, same command minus the injection: resumes at the
+        // checkpoint cursor and finishes; re-delivered bytes are absorbed
+        // by the content-based statistics, so the labels still equal the
+        // batch run — no double-counting.
+        let out = run_watch(&addr, &dir, &tag, &[]);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert_eq!(
+            stderr.contains("resumed from checkpoint"),
+            after > 1,
+            "crash at advance {after}: {stderr}"
+        );
+        assert_eq!(
+            read(&dir, &format!("{tag}.json")),
+            read(&dir, "batch.json"),
+            "crash at advance {after} + resume must be bit-identical to an uninterrupted batch run"
+        );
+        // And the checkpoint it leaves — manifest and segment log — is the
+        // one an uninterrupted run leaves.
+        for ext in ["ckpt", "ckpt.seg"] {
+            assert_eq!(
+                read(&dir, &format!("{tag}.{ext}")),
+                read(&dir, &format!("clean.{ext}")),
+                "{tag}.{ext} differs from an uninterrupted run's"
+            );
+        }
+    }
     let _ = feed.kill();
     let _ = feed.wait();
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    for (crashed, clean) in [
-        ("crash.ckpt", "clean.ckpt"),
-        ("crash.ckpt.seg", "clean.ckpt.seg"),
-    ] {
-        assert_eq!(
-            read(&dir, crashed),
-            read(&dir, clean),
-            "{crashed} differs from an uninterrupted run's"
-        );
-    }
 }
 
 #[test]
@@ -674,6 +692,56 @@ fn watch_metrics_count_checkpoint_writes_and_bytes_exactly() {
     }
     assert!(seen[0].0 > 5, "{seen:?}");
     assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
+}
+
+/// `--metrics-out` reports the reclassification work: the paths this
+/// process recounted repeat exactly across runs and thread counts, and
+/// no reclassification recounts more than every unique path.
+#[test]
+fn watch_metrics_count_the_paths_its_reclassifications_recount() {
+    let dir = workdir("recount-metrics");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let infer_metrics = dir.join("infer-metrics.json");
+    let out = bgpcomm(&[
+        "infer",
+        "--mrt",
+        tail.to_str().unwrap(),
+        "--metrics-out",
+        infer_metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let snapshot: serde_json::Value =
+        serde_json::from_slice(&fs::read(&infer_metrics).unwrap()).unwrap();
+    let unique_paths = snapshot["counters"]["stats/unique_paths"].as_u64().unwrap();
+    let mut seen = Vec::new();
+    for (run, threads) in ["1", "2", "1"].into_iter().enumerate() {
+        let metrics = dir.join(format!("run{run}-metrics.json"));
+        let out = tail_watch(
+            &tail,
+            &dir.join(format!("run{run}.ckpt")),
+            &[
+                "--threads",
+                threads,
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let snapshot: serde_json::Value =
+            serde_json::from_slice(&fs::read(&metrics).unwrap()).unwrap();
+        let c = &snapshot["counters"];
+        let recounted = c["watch/recounted_paths"].as_u64().unwrap();
+        // One reclassification per advance, and the final one.
+        let reclassifications = c["watch/windows_advanced"].as_u64().unwrap() + 1;
+        assert!(
+            recounted > 0 && recounted <= unique_paths * reclassifications,
+            "{recounted} paths recounted, {unique_paths} unique paths, \
+             {reclassifications} reclassifications"
+        );
+        assert!(snapshot["timings"]["time/reclassify_ns"].as_u64().unwrap() > 0);
+        seen.push(recounted);
+    }
+    assert!(seen.iter().all(|&s| s == seen[0]), "{seen:?}");
 }
 
 #[test]

@@ -286,6 +286,22 @@ impl StatsAccumulator {
         self.stats_where(threads, |_| true)
     }
 
+    /// Every tuple as a [`pack`]ed key, indexed by tuple ID.
+    pub(crate) fn tuple_keys(&self) -> &[u64] {
+        &self.seg.tuples
+    }
+
+    /// The on-path test over the interned communities, resolved with the
+    /// owner families the segment recorded.
+    pub(crate) fn on_path_index(&self) -> OnPathIndex {
+        let seg = &*self.seg;
+        OnPathIndex::build(&seg.interner, |owner, pool| {
+            if let Some(family) = seg.families.get(&owner) {
+                pool.extend_from_slice(family);
+            }
+        })
+    }
+
     /// The [`PathStats`] over the tuples whose ID `keep` accepts — the
     /// streaming window's live tuples — on `threads` workers.
     pub(crate) fn stats_where(
@@ -294,11 +310,7 @@ impl StatsAccumulator {
         keep: impl Fn(usize) -> bool + Sync,
     ) -> PathStats {
         let seg = &*self.seg;
-        let index = OnPathIndex::build(&seg.interner, |owner, pool| {
-            if let Some(family) = seg.families.get(&owner) {
-                pool.extend_from_slice(family);
-            }
-        });
+        let index = self.on_path_index();
         let threads = if seg.tuples.len() < 2 { 1 } else { threads };
         reduce(&seg.interner, &index, threads, |shard, count| {
             let mine = |key: u64| count == 1 || (key >> 32) as u32 % count == shard;

@@ -150,12 +150,13 @@ pub(crate) fn pack(path: u32, cset: u32) -> u64 {
 }
 
 /// One shard's share of the reduction.
-struct ShardCounts {
-    counts: Vec<PathCounts>,
-    unique_tuples: usize,
-    unique_paths: usize,
+pub(crate) struct ShardCounts {
+    /// Per community slot: its unique on- and off-path counts.
+    pub(crate) counts: Vec<PathCounts>,
+    pub(crate) unique_tuples: usize,
+    pub(crate) unique_paths: usize,
     /// The sorted unique members of every path in the shard, concatenated.
-    members: Vec<u32>,
+    pub(crate) members: Vec<u32>,
 }
 
 /// Reduce one shard's tuple keys (see [`pack`]).
@@ -163,8 +164,14 @@ struct ShardCounts {
 /// Exact under merging-by-sum because sharding by path ID partitions
 /// *unique paths*: every occurrence of a path carries the same dense ID,
 /// so a community's unique on/off paths in this shard are disjoint from
-/// every other shard's.
-fn shard_stats(interner: &Interner, index: &OnPathIndex, mut tuples: Vec<u64>) -> ShardCounts {
+/// every other shard's. For the same reason the streaming window can
+/// recount any set of paths on its own and apply the difference
+/// (`WindowedClassifier::reclassify`).
+pub(crate) fn shard_stats(
+    interner: &Interner,
+    index: &OnPathIndex,
+    mut tuples: Vec<u64>,
+) -> ShardCounts {
     // Dedup tuples with a sort. The sort is path-major, so unique paths
     // fall out as key runs.
     tuples.sort_unstable();

@@ -8,12 +8,14 @@
 //! * [`WindowedClassifier`] — one statistics segment
 //!   ([`StatsAccumulator`]) that interns every observation exactly once, a
 //!   ring of buckets keyed by `observation.time / window_secs` that list
-//!   the tuple IDs folded into them, a reference count per tuple, and the
-//!   current label map. Each advance evicts expired buckets, runs the stats
-//!   kernel over the tuples still referenced, diffs the result against the
-//!   stats of the previous reclassification and re-runs the classifier for
-//!   dirty owners only. Late observations to evicted buckets are dropped
-//!   from the window and counted.
+//!   the tuple IDs folded into them, a reference count per tuple, the
+//!   window's path counts, and the current label map. A path is touched
+//!   when one of its tuples enters or leaves the window. Each advance
+//!   evicts expired buckets, recounts only the touched paths with the
+//!   stats kernel and applies the difference to the kept counts, and
+//!   re-runs the classifier for the owners whose counts or never-on-path
+//!   test moved. Late observations to evicted buckets are dropped from the
+//!   window and counted.
 //! * [`WatchCheckpoint`] — two files: a sealed manifest (the [`persist`]
 //!   envelope around length-prefixed little-endian columns) holding the
 //!   stream cursor, each retained bucket's tuple IDs, the label map and
@@ -58,11 +60,12 @@ use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
+use bgp_types::store::Interner;
 use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
 use crate::checkpoint::{ColumnReader, ColumnWriter, SegmentMark, StatsAccumulator, StatsSnapshot};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
-use crate::stats::{PathCounts, PathStats};
+use crate::stats::{shard_stats, PathCounts, PathStats, ShardCounts};
 
 /// Sliding-window geometry: bucket width in stream seconds and how many
 /// buckets the window retains.
@@ -109,10 +112,19 @@ const UNLISTED: u64 = u64::MAX;
 /// its tuple in its bucket unless that bucket is the head and already
 /// lists it; a late fold into an older retained bucket always lists it,
 /// so an older bucket may list a tuple twice, which its count absorbs.
-/// A fold therefore costs one intern, one append and one increment; an
-/// eviction one decrement per entry of the evicted bucket; and a
-/// reclassification one pass over the counts plus the kernel over the
-/// live tuples.
+///
+/// The counts: the window keeps the kernel's output over the tuples that
+/// were live at the last reclassification (the *counted* tuples). A
+/// tuple's count going 0 → 1 or 1 → 0 touches its path. A
+/// reclassification picks the tuples on touched paths in one pass over
+/// the tuple IDs, runs the kernel over the ones it counted and over the
+/// ones live now, and applies the difference. That is exact because every
+/// figure the kernel yields is a sum over unique paths, the same reason
+/// the path-sharded reduce is exact. A fold therefore costs one intern,
+/// one append, one increment and at most one touch; an eviction one
+/// decrement (and at most one touch) per entry of the evicted bucket; and
+/// a reclassification one pass over the tuple IDs plus the kernel over
+/// the tuples of the touched paths.
 #[derive(Debug)]
 pub struct WindowedClassifier {
     window: WindowConfig,
@@ -132,8 +144,21 @@ pub struct WindowedClassifier {
     /// Scratch an owned observation's path is flattened into by
     /// [`observe`](Self::observe).
     scratch: (Vec<(u8, u32)>, Vec<u32>),
+    /// Per tuple ID: whether `counts` includes it.
+    counted: Vec<bool>,
+    /// Per path ID: whether one of its tuples entered or left the window
+    /// since the last reclassification.
+    touched: Vec<bool>,
+    /// How many paths `touched` marks.
+    touched_paths: u64,
+    /// The kernel's output over the counted tuples.
+    counts: WindowCounts,
+    /// Whether the next reclassification compares every community and ASN
+    /// against the diff base: after a resume the counts start empty, while
+    /// the diff base is the checkpoint's.
+    compare_all: bool,
     /// Windowed stats at the last reclassification — the diff base for
-    /// dirty-owner detection.
+    /// dirty-owner detection, and equal to `counts` after it.
     prev: PathStats,
     /// Current label per community, equal to `classify(prev)`'s labels.
     labels: FxHashMap<Community, Intent>,
@@ -146,6 +171,83 @@ pub struct WindowedClassifier {
     advances: u64,
     late_drops: u64,
     reclassified_owners: u64,
+    /// Paths recounted by this process's reclassifications.
+    recounted_paths: u64,
+    /// Time this process spent in reclassifications.
+    reclassify_time: Duration,
+}
+
+/// The kernel's output over the window's counted tuples, kept between
+/// reclassifications.
+#[derive(Debug, Default)]
+struct WindowCounts {
+    /// Per community slot: its unique on- and off-path counts.
+    slots: Vec<PathCounts>,
+    /// Per ASN value: how many counted paths carry it.
+    asn_paths: FxHashMap<u32, u32>,
+    unique_tuples: usize,
+    unique_paths: usize,
+}
+
+impl WindowCounts {
+    /// Take the recounted paths' old share out and put their new share
+    /// in. Returns the community slots whose counts moved and the ASNs
+    /// that entered or left the counted paths.
+    fn apply(&mut self, old: ShardCounts, new: ShardCounts) -> (Vec<u32>, Vec<u32>) {
+        self.slots.resize(new.counts.len(), PathCounts::default());
+        let mut moved = Vec::new();
+        for (slot, (o, n)) in old.counts.iter().zip(&new.counts).enumerate() {
+            if o != n {
+                let c = &mut self.slots[slot];
+                c.on = c.on - o.on + n.on;
+                c.off = c.off - o.off + n.off;
+                moved.push(slot as u32);
+            }
+        }
+        self.unique_tuples = self.unique_tuples - old.unique_tuples + new.unique_tuples;
+        self.unique_paths = self.unique_paths - old.unique_paths + new.unique_paths;
+        // A path lists each of its members once, so an ASN's net change is
+        // its entries in the new list less its entries in the old.
+        let mut deltas: FxHashMap<u32, i64> = FxHashMap::default();
+        for (members, step) in [(&old.members, -1), (&new.members, 1)] {
+            for &asn in members {
+                *deltas.entry(asn).or_default() += step;
+            }
+        }
+        let mut crossed = Vec::new();
+        for (asn, delta) in deltas {
+            if delta == 0 {
+                continue;
+            }
+            let was = self.asn_paths.get(&asn).copied().unwrap_or(0);
+            let now = (i64::from(was) + delta) as u32;
+            if now == 0 {
+                self.asn_paths.remove(&asn);
+            } else {
+                self.asn_paths.insert(asn, now);
+            }
+            if was == 0 || now == 0 {
+                crossed.push(asn);
+            }
+        }
+        (moved, crossed)
+    }
+
+    /// The counts as the [`PathStats`] the kernel would give.
+    fn to_stats(&self, interner: &Interner) -> PathStats {
+        PathStats {
+            per_community: self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.on + c.off > 0)
+                .map(|(slot, &c)| (interner.community(slot as u32), c))
+                .collect(),
+            seen_asns: self.asn_paths.keys().map(|&a| Asn::new(a)).collect(),
+            unique_tuples: self.unique_tuples,
+            unique_paths: self.unique_paths,
+        }
+    }
 }
 
 impl WindowedClassifier {
@@ -159,6 +261,11 @@ impl WindowedClassifier {
             refs: Vec::new(),
             head_mark: Vec::new(),
             scratch: (Vec::new(), Vec::new()),
+            counted: Vec::new(),
+            touched: Vec::new(),
+            touched_paths: 0,
+            counts: WindowCounts::default(),
+            compare_all: false,
             prev: PathStats::default(),
             labels: FxHashMap::default(),
             excluded: FxHashMap::default(),
@@ -167,6 +274,8 @@ impl WindowedClassifier {
             advances: 0,
             late_drops: 0,
             reclassified_owners: 0,
+            recounted_paths: 0,
+            reclassify_time: Duration::ZERO,
         }
     }
 
@@ -210,6 +319,18 @@ impl WindowedClassifier {
         self.reclassified_owners
     }
 
+    /// Paths this process's reclassifications recounted: every path whose
+    /// live tuples changed, once per reclassification (after a resume,
+    /// every path with a live tuple, once). Not carried in checkpoints.
+    pub fn recounted_paths(&self) -> u64 {
+        self.recounted_paths
+    }
+
+    /// Time this process spent in [`reclassify`](Self::reclassify).
+    pub fn reclassify_time(&self) -> Duration {
+        self.reclassify_time
+    }
+
     /// Retained bucket count.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
@@ -249,6 +370,7 @@ impl WindowedClassifier {
         if tuple as usize == self.refs.len() {
             self.refs.push(0);
             self.head_mark.push(UNLISTED);
+            self.counted.push(false);
         }
         let bucket = self.window.bucket_of(obs.time);
         let head = match self.buckets.back() {
@@ -294,6 +416,23 @@ impl WindowedClassifier {
         }
         tuples.push(tuple);
         self.refs[t] += 1;
+        if self.refs[t] == 1 {
+            self.touch(t);
+        }
+    }
+
+    /// Mark the path of tuple `t` for recounting: the tuple entered or left
+    /// the window.
+    fn touch(&mut self, t: usize) {
+        let path = (self.segment.tuple_keys()[t] >> 32) as usize;
+        if path >= self.touched.len() {
+            self.touched
+                .resize(self.segment.interner().path_count(), false);
+        }
+        if !self.touched[path] {
+            self.touched[path] = true;
+            self.touched_paths += 1;
+        }
     }
 
     /// Advance the head to `new_head`: evict buckets that fall out of the
@@ -304,7 +443,11 @@ impl WindowedClassifier {
         while matches!(self.buckets.front(), Some(&(i, _)) if i < floor) {
             if let Some((_, evicted)) = self.buckets.pop_front() {
                 for t in evicted {
-                    self.refs[t as usize] -= 1;
+                    let t = t as usize;
+                    self.refs[t] -= 1;
+                    if self.refs[t] == 0 {
+                        self.touch(t);
+                    }
                 }
             }
         }
@@ -323,37 +466,12 @@ impl WindowedClassifier {
     /// The dirty set is the union of owners touched through either — so
     /// skipping the rest is exact, not heuristic.
     pub fn reclassify(&mut self, siblings: &SiblingMap) -> u64 {
-        let new = self.windowed_stats();
-
-        let mut dirty: Vec<u16> = Vec::new();
-        for (c, counts) in &new.per_community {
-            if self.prev.per_community.get(c) != Some(counts) {
-                dirty.push(c.asn);
-            }
-        }
-        for c in self.prev.per_community.keys() {
-            if !new.per_community.contains_key(c) {
-                dirty.push(c.asn);
-            }
-        }
-        let mut changed_asns: FxHashSet<Asn> = FxHashSet::default();
-        for a in &new.seen_asns {
-            if !self.prev.seen_asns.contains(a) {
-                changed_asns.insert(*a);
-            }
-        }
-        for a in &self.prev.seen_asns {
-            if !new.seen_asns.contains(a) {
-                changed_asns.insert(*a);
-            }
-        }
+        let start = Instant::now();
+        let (mut dirty, changed_asns) = self.recount();
         if !changed_asns.is_empty() {
-            let owners: FxHashSet<u16> = new
-                .per_community
-                .keys()
-                .chain(self.prev.per_community.keys())
-                .map(|c| c.asn)
-                .collect();
+            // Owners that left the window are dirty already: their
+            // communities' counts moved to zero.
+            let owners: FxHashSet<u16> = self.prev.per_community.keys().map(|c| c.asn).collect();
             for &asn in &owners {
                 let owner = Asn::new(u32::from(asn));
                 let hit = if self.cfg.use_siblings {
@@ -372,15 +490,21 @@ impl WindowedClassifier {
         dirty.sort_unstable();
         dirty.dedup();
 
-        let by_owner = new.by_owner();
+        let mut by_owner: Vec<Vec<u16>> = vec![Vec::new(); dirty.len()];
+        for c in self.prev.per_community.keys() {
+            if let Ok(i) = dirty.binary_search(&c.asn) {
+                by_owner[i].push(c.value);
+            }
+        }
         let mut flaps_now = 0u64;
         let mut scratch = Inference::default();
-        for &asn in &dirty {
+        for (&asn, betas) in dirty.iter().zip(&mut by_owner) {
             scratch.labels.clear();
             scratch.excluded.clear();
             scratch.clusters.clear();
-            if let Ok(i) = by_owner.binary_search_by_key(&asn, |(a, _)| *a) {
-                classify_owner(&new, siblings, &self.cfg, asn, &by_owner[i].1, &mut scratch);
+            if !betas.is_empty() {
+                betas.sort_unstable();
+                classify_owner(&self.prev, siblings, &self.cfg, asn, betas, &mut scratch);
             }
             for c in self.owner_communities.remove(&asn).unwrap_or_default() {
                 let was = self.labels.remove(&c);
@@ -411,13 +535,90 @@ impl WindowedClassifier {
             self.reclassified_owners += 1;
         }
         self.flaps += flaps_now;
-        self.prev = new;
+        self.reclassify_time += start.elapsed();
         flaps_now
+    }
+
+    /// Recount the touched paths and bring the diff base up to the counts,
+    /// returning the owners of the communities whose counts moved and the
+    /// ASNs that entered or left the window since the last
+    /// reclassification.
+    fn recount(&mut self) -> (Vec<u16>, FxHashSet<Asn>) {
+        let mut dirty = Vec::new();
+        let mut changed_asns = FxHashSet::default();
+        if self.touched_paths == 0 && !self.compare_all {
+            return (dirty, changed_asns);
+        }
+        let interner = self.segment.interner();
+        self.touched.resize(interner.path_count(), false);
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        for (t, &key) in self.segment.tuple_keys().iter().enumerate() {
+            if self.touched[(key >> 32) as usize] {
+                let live = self.refs[t] > 0;
+                if self.counted[t] {
+                    old.push(key);
+                }
+                if live {
+                    new.push(key);
+                }
+                self.counted[t] = live;
+            }
+        }
+        let index = self.segment.on_path_index();
+        let (moved, crossed) = self.counts.apply(
+            shard_stats(interner, &index, old),
+            shard_stats(interner, &index, new),
+        );
+        self.touched.fill(false);
+        self.recounted_paths += std::mem::take(&mut self.touched_paths);
+
+        if std::mem::take(&mut self.compare_all) {
+            let now = self.counts.to_stats(interner);
+            for (c, counts) in &now.per_community {
+                if self.prev.per_community.get(c) != Some(counts) {
+                    dirty.push(c.asn);
+                }
+            }
+            for c in self.prev.per_community.keys() {
+                if !now.per_community.contains_key(c) {
+                    dirty.push(c.asn);
+                }
+            }
+            changed_asns.extend(now.seen_asns.symmetric_difference(&self.prev.seen_asns));
+            self.prev = now;
+            return (dirty, changed_asns);
+        }
+        for slot in moved {
+            let c = interner.community(slot);
+            let counts = self.counts.slots[slot as usize];
+            if counts.on + counts.off > 0 {
+                self.prev.per_community.insert(c, counts);
+            } else {
+                self.prev.per_community.remove(&c);
+            }
+            dirty.push(c.asn);
+        }
+        for asn in crossed {
+            let a = Asn::new(asn);
+            if self.counts.asn_paths.contains_key(&asn) {
+                self.prev.seen_asns.insert(a);
+            } else {
+                self.prev.seen_asns.remove(&a);
+            }
+            changed_asns.insert(a);
+        }
+        self.prev.unique_tuples = self.counts.unique_tuples;
+        self.prev.unique_paths = self.counts.unique_paths;
+        (dirty, changed_asns)
     }
 
     /// Rebuild from a checkpoint — the exact state at the recorded cursor,
     /// including the diff base, so the resumed run counts the same flaps
-    /// an uninterrupted one would. The segment is shared, not copied.
+    /// an uninterrupted one would. The segment is shared, not copied. The
+    /// checkpoint does not say which tuples the diff base counted, so the
+    /// counts start empty with every path that has a live tuple touched:
+    /// the first reclassification recounts those paths from zero and
+    /// compares every key against the diff base.
     pub fn from_checkpoint(cp: &WatchCheckpoint, cfg: InferenceConfig) -> Self {
         let labels: FxHashMap<Community, Intent> = cp
             .labels
@@ -449,7 +650,7 @@ impl WindowedClassifier {
                 head_mark[t as usize] = head.index;
             }
         }
-        WindowedClassifier {
+        let mut wc = WindowedClassifier {
             window: WindowConfig {
                 window_secs: cp.window_secs,
                 windows: cp.windows,
@@ -464,6 +665,11 @@ impl WindowedClassifier {
             refs,
             head_mark,
             scratch: (Vec::new(), Vec::new()),
+            counted: vec![false; tuples],
+            touched: Vec::new(),
+            touched_paths: 0,
+            counts: WindowCounts::default(),
+            compare_all: true,
             prev: cp.windowed.to_stats(),
             labels,
             excluded,
@@ -472,7 +678,15 @@ impl WindowedClassifier {
             advances: cp.advances,
             late_drops: cp.late_drops,
             reclassified_owners: cp.reclassified_owners,
+            recounted_paths: 0,
+            reclassify_time: Duration::ZERO,
+        };
+        for t in 0..tuples {
+            if wc.refs[t] > 0 {
+                wc.touch(t);
+            }
         }
+        wc
     }
 
     /// The daemon's state at `cursor` as a [`WatchCheckpoint`], sharing
@@ -1166,6 +1380,10 @@ fn record_watch_metrics(
     metrics
         .counter("classify/reclassified_owners")
         .add(classifier.reclassified_owners());
+    metrics
+        .counter("watch/recounted_paths")
+        .add(classifier.recounted_paths());
+    metrics.record_duration("time/reclassify_ns", classifier.reclassify_time());
     let c = outcome_counters;
     metrics
         .counter("ingest/backpressure_stalls")
@@ -1390,7 +1608,7 @@ pub fn run_watch<S: StreamSource>(
         saver.save(&classifier.checkpoint(cursor, records, observations))?;
     }
 
-    let stats = classifier.segment().to_stats();
+    let stats = classifier.segment().to_stats_threaded(opts.infer.threads);
     let inference = classify(&stats, siblings, &opts.infer);
     if let Some(metrics) = opts.metrics.as_deref() {
         record_watch_metrics(
@@ -1959,6 +2177,193 @@ mod tests {
         let cp = decode(&wc.checkpoint(0, 0, 0).encode()).unwrap();
         let resumed = WindowedClassifier::from_checkpoint(&cp, InferenceConfig::default());
         assert_eq!(resumed.windowed_stats(), wc.windowed_stats());
+    }
+
+    /// The full diff of two windowed statistics, kept as the reference for
+    /// the incremental one: the owners whose communities' counts differ,
+    /// plus the owners whose family holds an ASN in one `seen_asns` and
+    /// not the other.
+    fn dirty_owners(
+        prev: &PathStats,
+        new: &PathStats,
+        siblings: &SiblingMap,
+        cfg: &InferenceConfig,
+    ) -> u64 {
+        let mut dirty: FxHashSet<u16> = FxHashSet::default();
+        for (c, counts) in &new.per_community {
+            if prev.per_community.get(c) != Some(counts) {
+                dirty.insert(c.asn);
+            }
+        }
+        for c in prev.per_community.keys() {
+            if !new.per_community.contains_key(c) {
+                dirty.insert(c.asn);
+            }
+        }
+        let changed: FxHashSet<Asn> = new
+            .seen_asns
+            .symmetric_difference(&prev.seen_asns)
+            .copied()
+            .collect();
+        for c in new.per_community.keys().chain(prev.per_community.keys()) {
+            let owner = Asn::new(u32::from(c.asn));
+            let family = if cfg.use_siblings {
+                siblings.expand_ref(&owner)
+            } else {
+                std::slice::from_ref(&owner)
+            };
+            if family.iter().any(|a| changed.contains(a)) {
+                dirty.insert(c.asn);
+            }
+        }
+        dirty.len() as u64
+    }
+
+    /// The full classification at the last reclassification, and what
+    /// the classifier's counters read then.
+    struct FullReference {
+        stats: PathStats,
+        inference: Inference,
+        owners: u64,
+        flaps: u64,
+    }
+
+    impl FullReference {
+        /// Check the reclassification `wc` just made over the windowed
+        /// statistics `now`: it reran exactly the owners the full diff
+        /// finds dirty, and counted exactly the label flips between the two
+        /// full classifications.
+        fn step(
+            &mut self,
+            wc: &WindowedClassifier,
+            now: PathStats,
+            siblings: &SiblingMap,
+            at: usize,
+        ) {
+            let cfg = &wc.cfg;
+            let full = classify(&now, siblings, cfg);
+            let flips = self
+                .inference
+                .labels
+                .iter()
+                .filter(|&(c, i)| full.labels.get(c).is_some_and(|j| j != i))
+                .count() as u64;
+            assert_eq!(
+                wc.reclassified_owners() - self.owners,
+                dirty_owners(&self.stats, &now, siblings, cfg),
+                "owners rerun at observation {at}"
+            );
+            assert_eq!(wc.flaps() - self.flaps, flips, "flaps at observation {at}");
+            assert_eq!(wc.labels(), &full.labels, "labels at observation {at}");
+            assert_eq!(
+                wc.excluded(),
+                &full.excluded,
+                "exclusions at observation {at}"
+            );
+            *self = FullReference {
+                stats: now,
+                inference: full,
+                owners: wc.reclassified_owners(),
+                flaps: wc.flaps(),
+            };
+        }
+    }
+
+    /// Fold `stream`, resuming from the checkpoint files before observation
+    /// `resume_at`, and check every advance and the final reclassification
+    /// against [`FullReference`]. Returns the classifier.
+    fn check_every_advance(
+        stream: &[Observation],
+        window: WindowConfig,
+        siblings: &SiblingMap,
+        resume_at: usize,
+    ) -> WindowedClassifier {
+        let cfg = InferenceConfig {
+            threads: 1,
+            ..InferenceConfig::default()
+        };
+        let mut wc = WindowedClassifier::new(window, cfg.clone());
+        let mut reference = FullReference {
+            stats: PathStats::default(),
+            inference: Inference::default(),
+            owners: 0,
+            flaps: 0,
+        };
+        for (i, o) in stream.iter().enumerate() {
+            if i == resume_at {
+                let cp = decode(&wc.checkpoint(0, 0, i as u64).encode()).unwrap();
+                wc = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
+            }
+            if wc.observe(o, siblings) {
+                // The window the advance reclassified: every live tuple,
+                // less the one entry the fold into the new head added.
+                let folded = wc.buckets.back().unwrap().1[0] as usize;
+                let now = wc
+                    .segment
+                    .stats_where(1, |t| wc.refs[t] > u32::from(t == folded));
+                reference.step(&wc, now, siblings, i);
+            }
+        }
+        wc.reclassify(siblings);
+        reference.step(&wc, wc.windowed_stats(), siblings, stream.len());
+        wc
+    }
+
+    /// A seeded stream over 100-second buckets: times mostly step forward,
+    /// one in five falls back up to five buckets (a late fold into a
+    /// retained bucket, or a late drop), and observation 200 jumps twenty
+    /// buckets ahead, past the whole window. Owners 100–105 ride paths,
+    /// owner 106 never does, and tails come and go, so `seen_asns` moves.
+    fn seeded_stream(seed: u64) -> Vec<Observation> {
+        let mut state = seed;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % n) as u32
+        };
+        let mut time = 0u32;
+        (0..400)
+            .map(|i| {
+                time += if i == 200 { 2_000 } else { next(30) };
+                let t = if next(5) == 0 {
+                    time.saturating_sub(next(500))
+                } else {
+                    time
+                };
+                let vp = 900 + next(4);
+                let path = format!("{vp} {} {}", 100 + next(6), 600 + next(12));
+                let comms: Vec<(u16, u16)> = (0..next(3))
+                    .map(|_| (100 + next(7) as u16, next(8) as u16))
+                    .collect();
+                obs(vp, &path, &comms, t)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_advance_reruns_the_owners_and_counts_the_flaps_of_a_full_diff() {
+        let none = SiblingMap::default();
+        for resume_at in [0, 9, 17, 25, usize::MAX] {
+            let wc = check_every_advance(&churn_stream(), window_cfg(), &none, resume_at);
+            assert!(wc.advances() >= 7 && wc.flaps() > 0);
+        }
+        // Owner 101's family reaches a tail ASN, so tails entering and
+        // leaving the window dirty it.
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(101), Asn::new(611)]]);
+        let window = WindowConfig {
+            window_secs: 100,
+            windows: 3,
+        };
+        for seed in 1..=4 {
+            let stream = seeded_stream(seed);
+            for resume_at in [0, 150, 201, 399, usize::MAX] {
+                for map in [&none, &siblings] {
+                    let wc = check_every_advance(&stream, window, map, resume_at);
+                    assert!(wc.advances() > 20 && wc.late_drops() > 0 && wc.flaps() > 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use bgp_artifact::{write_artifact_atomic, LabelArtifact, LabelRow};
 use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
+use bgp_intent::watch::WindowedStatsSnapshot;
 use bgp_intent::{
     label_rows, Checkpoint, CompletedFile, FileFingerprint, FileSegment, StatsAccumulator,
     WatchCheckpoint, WindowConfig, WindowedClassifier,
@@ -327,6 +328,24 @@ impl WindowModel {
     }
 }
 
+/// `stats` in the form a watch checkpoint keeps its diff base in.
+fn diff_base_of(stats: &PathStats) -> WindowedStatsSnapshot {
+    let mut counts: Vec<(u32, u32, u32)> = stats
+        .per_community
+        .iter()
+        .map(|(c, pc)| (c.to_u32(), pc.on, pc.off))
+        .collect();
+    counts.sort_unstable();
+    let mut seen_asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
+    seen_asns.sort_unstable();
+    WindowedStatsSnapshot {
+        counts,
+        seen_asns,
+        unique_tuples: stats.unique_tuples as u64,
+        unique_paths: stats.unique_paths as u64,
+    }
+}
+
 proptest! {
     #[test]
     fn clusters_partition_the_input(betas in arb_betas(), gap in 0u16..2000) {
@@ -515,7 +534,10 @@ proptest! {
     /// resumed through the checkpoint file at a random point, then reduced
     /// at several thread counts; and the streaming window after every fold
     /// and across a resume through its checkpoint file, against the
-    /// observations its retention rules keep (tracked by [`WindowModel`]).
+    /// observations its retention rules keep (tracked by [`WindowModel`]):
+    /// its windowed statistics after every fold, and the counts it keeps
+    /// for its diff base after every advance and at the chosen
+    /// `reclassify_at` points.
     #[test]
     fn every_route_to_a_count_matches_the_reference(
         observations in arb_timed_observations(),
@@ -524,6 +546,7 @@ proptest! {
         route in prop::collection::vec(0u8..3, 5),
         order in prop::collection::vec(any::<u32>(), 5),
         cut in any::<u16>(),
+        reclassify_at in prop::collection::btree_set(0usize..52, 0..8),
     ) {
         /// One file's share of the count.
         enum Part {
@@ -600,13 +623,33 @@ proptest! {
                 wc = WindowedClassifier::from_checkpoint(&WatchCheckpoint::load(&path).unwrap(), cfg.clone());
                 prop_assert_eq!(wc.windowed_stats(), reference_stats(&model.retained(), &siblings));
             }
-            wc.observe(o, &siblings);
+            let advanced = wc.observe(o, &siblings);
             model.observe(o);
+            let retained = model.retained();
             prop_assert_eq!(
                 wc.windowed_stats(),
-                reference_stats(&model.retained(), &siblings),
+                reference_stats(&retained, &siblings),
                 "after observation {}", i
             );
+            if advanced {
+                // The advance reclassified before the fold, so the diff
+                // base leaves out the entry the fold added, the last one.
+                prop_assert_eq!(
+                    wc.checkpoint(0, 0, 0).windowed,
+                    diff_base_of(&reference_stats(&retained[..retained.len() - 1], &siblings)),
+                    "diff base after the advance at observation {}", i
+                );
+            }
+            if reclassify_at.contains(&i) {
+                wc.reclassify(&siblings);
+                let base = wc.checkpoint(0, 0, 0).windowed;
+                prop_assert_eq!(&base, &diff_base_of(&wc.windowed_stats()), "at observation {}", i);
+                prop_assert_eq!(
+                    &base,
+                    &diff_base_of(&reference_stats(&retained, &siblings)),
+                    "at observation {}", i
+                );
+            }
         }
         prop_assert_eq!(wc.late_drops(), model.late_drops);
         prop_assert_eq!(&wc.segment().to_stats(), &expected);
