@@ -463,7 +463,7 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 2, this build reads version 4"),
+        stderr.contains("checkpoint version 2, this build reads version 5"),
         "{stderr}"
     );
     assert_eq!(
@@ -494,7 +494,7 @@ fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 4"),
+        stderr.contains("checkpoint version 3, this build reads version 5"),
         "{stderr}"
     );
     assert_eq!(
@@ -503,6 +503,41 @@ fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
         "refused, not overwritten"
     );
     assert!(!dir.join("legacy.ckpt.seg").exists());
+}
+
+#[test]
+fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
+    let dir = workdir("version-4");
+    let paths = archives(&dir, 2, 40);
+    // Version 4 for an empty state: the nine scalars (a 3600 s x 6
+    // window), an empty log range and its checksum, an empty segment's
+    // counts, no buckets, empty windowed counts without per-ASN path
+    // counts, no labels or exclusions.
+    let mut payload = words(&[0, 0, 0, 0, 0, 0, 0, 3600, 6]);
+    payload.extend(words(&[0, 0, bgp_types::persist::FNV_OFFSET]));
+    payload.extend(words(&[0; 4]));
+    payload.extend(words(&[0]));
+    payload.extend(words(&[0; 6]));
+    payload.extend(words(&[0; 4]));
+    let legacy = sealed(*b"BGPWCKPT", 4, &payload);
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    fs::write(dir.join("legacy.ckpt.seg"), b"").unwrap();
+    let (mut feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    let _ = feed.kill();
+    let _ = feed.wait();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 4, this build reads version 5"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+    assert!(read(&dir, "legacy.ckpt.seg").is_empty());
 }
 
 /// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
@@ -742,6 +777,49 @@ fn watch_metrics_count_the_paths_its_reclassifications_recount() {
         seen.push(recounted);
     }
     assert!(seen.iter().all(|&s| s == seen[0]), "{seen:?}");
+}
+
+/// A restart of a quiesced `watch --tail` on its own checkpoint has
+/// nothing to fold: it recounts no path, reruns no owner, writes the same
+/// labels and leaves both checkpoint files byte-identical.
+#[test]
+fn an_idle_restart_recounts_nothing_and_leaves_its_checkpoint_unchanged() {
+    let dir = workdir("idle-restart");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let ckpt = dir.join("w.ckpt");
+    let mut runs = Vec::new();
+    for tag in ["first", "restart"] {
+        let json = dir.join(format!("{tag}.json"));
+        let metrics = dir.join(format!("{tag}-metrics.json"));
+        let out = tail_watch(
+            &tail,
+            &ckpt,
+            &[
+                "--json",
+                json.to_str().unwrap(),
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+        );
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert_eq!(stderr.contains("resumed from checkpoint"), tag == "restart");
+        runs.push((
+            counters(&dir, tag),
+            read(&dir, &format!("{tag}.json")),
+            read(&dir, "w.ckpt"),
+            read(&dir, "w.ckpt.seg"),
+        ));
+    }
+    let (first, restart) = (&runs[0], &runs[1]);
+    assert!(first.0["watch/recounted_paths"].as_u64().unwrap() > 0);
+    assert_eq!(restart.0["watch/recounted_paths"].as_u64(), Some(0));
+    for name in ["classify/reclassified_owners", "classify/flaps"] {
+        assert_eq!(restart.0[name], first.0[name], "{name}");
+    }
+    assert_eq!(restart.1, first.1, "the label file changed");
+    assert_eq!(restart.2, first.2, "the manifest changed");
+    assert_eq!(restart.3, first.3, "the segment log changed");
 }
 
 #[test]

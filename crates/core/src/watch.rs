@@ -18,8 +18,9 @@
 //!   window and counted.
 //! * [`WatchCheckpoint`] — two files: a sealed manifest (the [`persist`]
 //!   envelope around length-prefixed little-endian columns) holding the
-//!   stream cursor, each retained bucket's tuple IDs, the label map and
-//!   the flap counters, and beside it an append-only segment log holding
+//!   stream cursor, each retained bucket's tuple IDs, the window's kept
+//!   counts, the label map and the flap counters, and beside it an
+//!   append-only segment log holding
 //!   the segment. A save appends to the log only what the segment gained
 //!   since the last save ([`persist::append_at`]), then replaces the
 //!   manifest ([`persist::write_atomic`]), so it costs O(new data), not
@@ -60,12 +61,11 @@ use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
-use bgp_types::store::Interner;
 use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
 use crate::checkpoint::{ColumnReader, ColumnWriter, SegmentMark, StatsAccumulator, StatsSnapshot};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
-use crate::stats::{shard_stats, PathCounts, PathStats, ShardCounts};
+use crate::stats::{shard_stats, PathCounts, PathStats};
 
 /// Sliding-window geometry: bucket width in stream seconds and how many
 /// buckets the window retains.
@@ -113,18 +113,21 @@ const UNLISTED: u64 = u64::MAX;
 /// lists it; a late fold into an older retained bucket always lists it,
 /// so an older bucket may list a tuple twice, which its count absorbs.
 ///
-/// The counts: the window keeps the kernel's output over the tuples that
-/// were live at the last reclassification (the *counted* tuples). A
-/// tuple's count going 0 → 1 or 1 → 0 touches its path. A
-/// reclassification picks the tuples on touched paths in one pass over
-/// the tuple IDs, runs the kernel over the ones it counted and over the
-/// ones live now, and applies the difference. That is exact because every
-/// figure the kernel yields is a sum over unique paths, the same reason
-/// the path-sharded reduce is exact. A fold therefore costs one intern,
-/// one append, one increment and at most one touch; an eviction one
-/// decrement (and at most one touch) per entry of the evicted bucket; and
-/// a reclassification one pass over the tuple IDs plus the kernel over
-/// the tuples of the touched paths.
+/// The counts: the window keeps one [`PathStats`] — the kernel's output
+/// over the tuples that were live at the last reclassification (the
+/// *counted* tuples) — and, beside it, how many counted paths carry each
+/// ASN. The classifier reads them, and a checkpoint stores them with how
+/// long each bucket's list was when they were counted. A tuple's count
+/// going 0 → 1 or 1 → 0 touches its path. A reclassification picks the
+/// tuples on touched paths in one pass over the tuple IDs, runs the
+/// kernel over the ones it counted and over the ones live now, and
+/// applies the difference in place. That is exact because every figure
+/// the kernel yields is a sum over unique paths, the same reason the
+/// path-sharded reduce is exact. A fold therefore costs one intern, one
+/// append, one increment and at most one touch; an eviction one decrement
+/// (and at most one touch) per entry of the evicted bucket; and a
+/// reclassification one pass over the tuple IDs plus the kernel over the
+/// tuples of the touched paths.
 #[derive(Debug)]
 pub struct WindowedClassifier {
     window: WindowConfig,
@@ -132,10 +135,9 @@ pub struct WindowedClassifier {
     /// Every observation folded so far, each interned once: the cumulative
     /// statistics, and the tuple IDs the buckets list.
     segment: StatsAccumulator,
-    /// Retained buckets, ascending by index, each listing the tuple IDs
-    /// folded into it. Sparse: only buckets that received at least one
-    /// observation (plus the head) exist.
-    buckets: VecDeque<(u64, Vec<u32>)>,
+    /// Retained buckets, ascending by index. Sparse: only buckets that
+    /// received at least one observation (plus the head) exist.
+    buckets: VecDeque<WatchBucket>,
     /// Per tuple ID: its entries across the retained buckets' lists.
     refs: Vec<u32>,
     /// Per tuple ID: the index of the head bucket that listed it last, so
@@ -151,18 +153,15 @@ pub struct WindowedClassifier {
     touched: Vec<bool>,
     /// How many paths `touched` marks.
     touched_paths: u64,
-    /// The kernel's output over the counted tuples.
-    counts: WindowCounts,
-    /// Whether the next reclassification compares every community and ASN
-    /// against the diff base: after a resume the counts start empty, while
-    /// the diff base is the checkpoint's.
-    compare_all: bool,
-    /// Windowed stats at the last reclassification — the diff base for
-    /// dirty-owner detection, and equal to `counts` after it.
-    prev: PathStats,
-    /// Current label per community, equal to `classify(prev)`'s labels.
+    /// The kernel's output over the counted tuples: the windowed
+    /// statistics as of the last reclassification.
+    counts: PathStats,
+    /// Per ASN value: how many counted paths carry it. Its keys are
+    /// `counts.seen_asns`.
+    asn_paths: FxHashMap<u32, u32>,
+    /// Current label per community, equal to `classify(counts)`'s labels.
     labels: FxHashMap<Community, Intent>,
-    /// Current exclusions, equal to `classify(prev)`'s exclusions.
+    /// Current exclusions, equal to `classify(counts)`'s exclusions.
     excluded: FxHashMap<Community, Exclusion>,
     /// Communities currently holding a label or exclusion, per owner —
     /// the removal index for incremental reclassification.
@@ -175,79 +174,6 @@ pub struct WindowedClassifier {
     recounted_paths: u64,
     /// Time this process spent in reclassifications.
     reclassify_time: Duration,
-}
-
-/// The kernel's output over the window's counted tuples, kept between
-/// reclassifications.
-#[derive(Debug, Default)]
-struct WindowCounts {
-    /// Per community slot: its unique on- and off-path counts.
-    slots: Vec<PathCounts>,
-    /// Per ASN value: how many counted paths carry it.
-    asn_paths: FxHashMap<u32, u32>,
-    unique_tuples: usize,
-    unique_paths: usize,
-}
-
-impl WindowCounts {
-    /// Take the recounted paths' old share out and put their new share
-    /// in. Returns the community slots whose counts moved and the ASNs
-    /// that entered or left the counted paths.
-    fn apply(&mut self, old: ShardCounts, new: ShardCounts) -> (Vec<u32>, Vec<u32>) {
-        self.slots.resize(new.counts.len(), PathCounts::default());
-        let mut moved = Vec::new();
-        for (slot, (o, n)) in old.counts.iter().zip(&new.counts).enumerate() {
-            if o != n {
-                let c = &mut self.slots[slot];
-                c.on = c.on - o.on + n.on;
-                c.off = c.off - o.off + n.off;
-                moved.push(slot as u32);
-            }
-        }
-        self.unique_tuples = self.unique_tuples - old.unique_tuples + new.unique_tuples;
-        self.unique_paths = self.unique_paths - old.unique_paths + new.unique_paths;
-        // A path lists each of its members once, so an ASN's net change is
-        // its entries in the new list less its entries in the old.
-        let mut deltas: FxHashMap<u32, i64> = FxHashMap::default();
-        for (members, step) in [(&old.members, -1), (&new.members, 1)] {
-            for &asn in members {
-                *deltas.entry(asn).or_default() += step;
-            }
-        }
-        let mut crossed = Vec::new();
-        for (asn, delta) in deltas {
-            if delta == 0 {
-                continue;
-            }
-            let was = self.asn_paths.get(&asn).copied().unwrap_or(0);
-            let now = (i64::from(was) + delta) as u32;
-            if now == 0 {
-                self.asn_paths.remove(&asn);
-            } else {
-                self.asn_paths.insert(asn, now);
-            }
-            if was == 0 || now == 0 {
-                crossed.push(asn);
-            }
-        }
-        (moved, crossed)
-    }
-
-    /// The counts as the [`PathStats`] the kernel would give.
-    fn to_stats(&self, interner: &Interner) -> PathStats {
-        PathStats {
-            per_community: self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.on + c.off > 0)
-                .map(|(slot, &c)| (interner.community(slot as u32), c))
-                .collect(),
-            seen_asns: self.asn_paths.keys().map(|&a| Asn::new(a)).collect(),
-            unique_tuples: self.unique_tuples,
-            unique_paths: self.unique_paths,
-        }
-    }
 }
 
 impl WindowedClassifier {
@@ -264,9 +190,8 @@ impl WindowedClassifier {
             counted: Vec::new(),
             touched: Vec::new(),
             touched_paths: 0,
-            counts: WindowCounts::default(),
-            compare_all: false,
-            prev: PathStats::default(),
+            counts: PathStats::default(),
+            asn_paths: FxHashMap::default(),
             labels: FxHashMap::default(),
             excluded: FxHashMap::default(),
             owner_communities: FxHashMap::default(),
@@ -320,8 +245,9 @@ impl WindowedClassifier {
     }
 
     /// Paths this process's reclassifications recounted: every path whose
-    /// live tuples changed, once per reclassification (after a resume,
-    /// every path with a live tuple, once). Not carried in checkpoints.
+    /// live tuples changed, once per reclassification — after a resume as
+    /// in the uninterrupted run, so a restart with nothing new to fold
+    /// recounts none. Not carried in checkpoints.
     pub fn recounted_paths(&self) -> u64 {
         self.recounted_paths
     }
@@ -349,6 +275,17 @@ impl WindowedClassifier {
         self.segment.stats_where(1, |t| self.refs[t] > 0)
     }
 
+    /// The segment's statistics. When the window counts every tuple of
+    /// the segment — nothing was evicted or dropped late — they are its
+    /// kept counts, and the kernel does not run again.
+    fn cumulative_stats(&self, threads: usize) -> PathStats {
+        if self.counts.unique_tuples == self.segment.tuple_count() {
+            self.counts.clone()
+        } else {
+            self.segment.to_stats_threaded(threads)
+        }
+    }
+
     /// Fold one observation: [`observe_view`](Self::observe_view) over an
     /// owned [`Observation`].
     pub fn observe(&mut self, obs: &Observation, siblings: &SiblingMap) -> bool {
@@ -374,10 +311,10 @@ impl WindowedClassifier {
         }
         let bucket = self.window.bucket_of(obs.time);
         let head = match self.buckets.back() {
-            Some(&(head, _)) => head,
+            Some(head) => head.index,
             None => {
                 // The first observation seeds the head bucket.
-                self.buckets.push_back((bucket, Vec::new()));
+                self.buckets.push_back(WatchBucket::empty(bucket));
                 bucket
             }
         };
@@ -392,10 +329,10 @@ impl WindowedClassifier {
             self.late_drops += 1;
             return false;
         }
-        let at = match self.buckets.binary_search_by_key(&bucket, |&(i, _)| i) {
+        let at = match self.buckets.binary_search_by_key(&bucket, |b| b.index) {
             Ok(at) => at,
             Err(at) => {
-                self.buckets.insert(at, (bucket, Vec::new()));
+                self.buckets.insert(at, WatchBucket::empty(bucket));
                 at
             }
         };
@@ -407,14 +344,14 @@ impl WindowedClassifier {
     fn list(&mut self, at: usize, tuple: u32) {
         let t = tuple as usize;
         let is_head = at + 1 == self.buckets.len();
-        let (index, tuples) = &mut self.buckets[at];
+        let bucket = &mut self.buckets[at];
         if is_head {
-            if self.head_mark[t] == *index {
+            if self.head_mark[t] == bucket.index {
                 return;
             }
-            self.head_mark[t] = *index;
+            self.head_mark[t] = bucket.index;
         }
-        tuples.push(tuple);
+        bucket.tuples.push(tuple);
         self.refs[t] += 1;
         if self.refs[t] == 1 {
             self.touch(t);
@@ -438,11 +375,11 @@ impl WindowedClassifier {
     /// Advance the head to `new_head`: evict buckets that fall out of the
     /// retention window, open the new head, reclassify.
     fn advance_to(&mut self, new_head: u64, siblings: &SiblingMap) {
-        self.buckets.push_back((new_head, Vec::new()));
+        self.buckets.push_back(WatchBucket::empty(new_head));
         let floor = (new_head + 1).saturating_sub(self.window.windows as u64);
-        while matches!(self.buckets.front(), Some(&(i, _)) if i < floor) {
-            if let Some((_, evicted)) = self.buckets.pop_front() {
-                for t in evicted {
+        while matches!(self.buckets.front(), Some(b) if b.index < floor) {
+            if let Some(evicted) = self.buckets.pop_front() {
+                for t in evicted.tuples {
                     let t = t as usize;
                     self.refs[t] -= 1;
                     if self.refs[t] == 0 {
@@ -471,7 +408,7 @@ impl WindowedClassifier {
         if !changed_asns.is_empty() {
             // Owners that left the window are dirty already: their
             // communities' counts moved to zero.
-            let owners: FxHashSet<u16> = self.prev.per_community.keys().map(|c| c.asn).collect();
+            let owners: FxHashSet<u16> = self.counts.per_community.keys().map(|c| c.asn).collect();
             for &asn in &owners {
                 let owner = Asn::new(u32::from(asn));
                 let hit = if self.cfg.use_siblings {
@@ -491,7 +428,7 @@ impl WindowedClassifier {
         dirty.dedup();
 
         let mut by_owner: Vec<Vec<u16>> = vec![Vec::new(); dirty.len()];
-        for c in self.prev.per_community.keys() {
+        for c in self.counts.per_community.keys() {
             if let Ok(i) = dirty.binary_search(&c.asn) {
                 by_owner[i].push(c.value);
             }
@@ -504,7 +441,7 @@ impl WindowedClassifier {
             scratch.clusters.clear();
             if !betas.is_empty() {
                 betas.sort_unstable();
-                classify_owner(&self.prev, siblings, &self.cfg, asn, betas, &mut scratch);
+                classify_owner(&self.counts, siblings, &self.cfg, asn, betas, &mut scratch);
             }
             for c in self.owner_communities.remove(&asn).unwrap_or_default() {
                 let was = self.labels.remove(&c);
@@ -539,14 +476,18 @@ impl WindowedClassifier {
         flaps_now
     }
 
-    /// Recount the touched paths and bring the diff base up to the counts,
-    /// returning the owners of the communities whose counts moved and the
-    /// ASNs that entered or left the window since the last
-    /// reclassification.
+    /// Recount the touched paths and apply the difference to the kept
+    /// counts in place, returning the owners of the communities whose
+    /// counts moved and the ASNs that entered or left the window since the
+    /// last reclassification. From here on the counts include every tuple
+    /// the buckets list.
     fn recount(&mut self) -> (Vec<u16>, FxHashSet<Asn>) {
         let mut dirty = Vec::new();
         let mut changed_asns = FxHashSet::default();
-        if self.touched_paths == 0 && !self.compare_all {
+        for bucket in &mut self.buckets {
+            bucket.counted = bucket.tuples.len();
+        }
+        if self.touched_paths == 0 {
             return (dirty, changed_asns);
         }
         let interner = self.segment.interner();
@@ -565,60 +506,64 @@ impl WindowedClassifier {
             }
         }
         let index = self.segment.on_path_index();
-        let (moved, crossed) = self.counts.apply(
-            shard_stats(interner, &index, old),
-            shard_stats(interner, &index, new),
-        );
+        let old = shard_stats(interner, &index, old);
+        let new = shard_stats(interner, &index, new);
         self.touched.fill(false);
         self.recounted_paths += std::mem::take(&mut self.touched_paths);
 
-        if std::mem::take(&mut self.compare_all) {
-            let now = self.counts.to_stats(interner);
-            for (c, counts) in &now.per_community {
-                if self.prev.per_community.get(c) != Some(counts) {
-                    dirty.push(c.asn);
+        // Take the recounted paths' old share out and put their new share in.
+        let counts = &mut self.counts;
+        for (slot, (o, n)) in old.counts.iter().zip(&new.counts).enumerate() {
+            if o != n {
+                let c = interner.community(slot as u32);
+                let kept = counts.per_community.entry(c).or_default();
+                kept.on = kept.on - o.on + n.on;
+                kept.off = kept.off - o.off + n.off;
+                if kept.on + kept.off == 0 {
+                    counts.per_community.remove(&c);
                 }
+                dirty.push(c.asn);
             }
-            for c in self.prev.per_community.keys() {
-                if !now.per_community.contains_key(c) {
-                    dirty.push(c.asn);
-                }
-            }
-            changed_asns.extend(now.seen_asns.symmetric_difference(&self.prev.seen_asns));
-            self.prev = now;
-            return (dirty, changed_asns);
         }
-        for slot in moved {
-            let c = interner.community(slot);
-            let counts = self.counts.slots[slot as usize];
-            if counts.on + counts.off > 0 {
-                self.prev.per_community.insert(c, counts);
-            } else {
-                self.prev.per_community.remove(&c);
+        counts.unique_tuples = counts.unique_tuples - old.unique_tuples + new.unique_tuples;
+        counts.unique_paths = counts.unique_paths - old.unique_paths + new.unique_paths;
+        // A path lists each of its members once, so an ASN's net change is
+        // its entries in the new list less its entries in the old.
+        let mut deltas: FxHashMap<u32, i64> = FxHashMap::default();
+        for (members, step) in [(&old.members, -1), (&new.members, 1)] {
+            for &asn in members {
+                *deltas.entry(asn).or_default() += step;
             }
-            dirty.push(c.asn);
         }
-        for asn in crossed {
+        for (asn, delta) in deltas {
+            if delta == 0 {
+                continue;
+            }
+            let was = self.asn_paths.get(&asn).copied().unwrap_or(0);
+            let now = (i64::from(was) + delta) as u32;
             let a = Asn::new(asn);
-            if self.counts.asn_paths.contains_key(&asn) {
-                self.prev.seen_asns.insert(a);
+            if now == 0 {
+                self.asn_paths.remove(&asn);
+                counts.seen_asns.remove(&a);
+                changed_asns.insert(a);
             } else {
-                self.prev.seen_asns.remove(&a);
+                self.asn_paths.insert(asn, now);
+                if was == 0 {
+                    counts.seen_asns.insert(a);
+                    changed_asns.insert(a);
+                }
             }
-            changed_asns.insert(a);
         }
-        self.prev.unique_tuples = self.counts.unique_tuples;
-        self.prev.unique_paths = self.counts.unique_paths;
         (dirty, changed_asns)
     }
 
-    /// Rebuild from a checkpoint — the exact state at the recorded cursor,
-    /// including the diff base, so the resumed run counts the same flaps
-    /// an uninterrupted one would. The segment is shared, not copied. The
-    /// checkpoint does not say which tuples the diff base counted, so the
-    /// counts start empty with every path that has a live tuple touched:
-    /// the first reclassification recounts those paths from zero and
-    /// compares every key against the diff base.
+    /// Rebuild from a checkpoint — the exact state at the recorded cursor:
+    /// the buckets, the kept counts, the tuples they count (each bucket's
+    /// list up to its counted length) and so the touched paths, those with
+    /// a live tuple not yet counted (between reclassifications tuples only
+    /// enter the window). The resumed run therefore recounts, reclassifies
+    /// and counts flaps as the uninterrupted one would. The segment is
+    /// shared, not copied.
     pub fn from_checkpoint(cp: &WatchCheckpoint, cfg: InferenceConfig) -> Self {
         let labels: FxHashMap<Community, Intent> = cp
             .labels
@@ -631,18 +576,19 @@ impl WindowedClassifier {
             .map(|&(key, reason)| (Community::from_u32(key), reason))
             .collect();
         let mut owner_communities: FxHashMap<u16, Vec<Community>> = FxHashMap::default();
-        let mut comms: Vec<Community> = labels.keys().chain(excluded.keys()).copied().collect();
-        comms.sort_unstable();
-        comms.dedup();
-        for c in comms {
+        for &c in labels.keys().chain(excluded.keys()) {
             owner_communities.entry(c.asn).or_default().push(c);
         }
         let tuples = cp.cumulative.tuple_count();
         let mut refs = vec![0u32; tuples];
+        let mut counted = vec![false; tuples];
         let mut head_mark = vec![UNLISTED; tuples];
         for bucket in &cp.buckets {
             for &t in &bucket.tuples {
                 refs[t as usize] += 1;
+            }
+            for &t in &bucket.tuples[..bucket.counted] {
+                counted[t as usize] = true;
             }
         }
         if let Some(head) = cp.buckets.last() {
@@ -650,6 +596,7 @@ impl WindowedClassifier {
                 head_mark[t as usize] = head.index;
             }
         }
+        let (counts, asn_paths) = cp.windowed.to_counts();
         let mut wc = WindowedClassifier {
             window: WindowConfig {
                 window_secs: cp.window_secs,
@@ -657,20 +604,15 @@ impl WindowedClassifier {
             },
             cfg,
             segment: cp.cumulative.clone(),
-            buckets: cp
-                .buckets
-                .iter()
-                .map(|b| (b.index, b.tuples.clone()))
-                .collect(),
+            buckets: cp.buckets.iter().cloned().collect(),
             refs,
             head_mark,
             scratch: (Vec::new(), Vec::new()),
-            counted: vec![false; tuples],
+            counted,
             touched: Vec::new(),
             touched_paths: 0,
-            counts: WindowCounts::default(),
-            compare_all: true,
-            prev: cp.windowed.to_stats(),
+            counts,
+            asn_paths,
             labels,
             excluded,
             owner_communities,
@@ -682,7 +624,7 @@ impl WindowedClassifier {
             reclassify_time: Duration::ZERO,
         };
         for t in 0..tuples {
-            if wc.refs[t] > 0 {
+            if wc.refs[t] > 0 && !wc.counted[t] {
                 wc.touch(t);
             }
         }
@@ -712,50 +654,61 @@ impl WindowedClassifier {
             window_secs: self.window.window_secs,
             windows: self.window.windows,
             cumulative: self.segment.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|(index, tuples)| WatchBucket {
-                    index: *index,
-                    tuples: tuples.clone(),
-                })
-                .collect(),
-            windowed: WindowedStatsSnapshot::from_stats(&self.prev),
+            buckets: self.buckets.iter().cloned().collect(),
+            windowed: WindowedStatsSnapshot::of(&self.counts, &self.asn_paths),
             labels,
             excluded,
         }
     }
 }
 
-/// One retained bucket inside a [`WatchCheckpoint`].
+/// One retained bucket, as the window holds it and a [`WatchCheckpoint`]
+/// stores it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchBucket {
     /// The bucket index (`time / window_secs`).
     pub index: u64,
     /// The IDs of the segment tuples folded into the bucket, in fold order.
     pub tuples: Vec<u32>,
+    /// How many of `tuples`, from the front, the window's counts include:
+    /// the list's length at the last reclassification. Lists only grow
+    /// between reclassifications, so these prefixes hold every counted
+    /// tuple and no other.
+    pub counted: usize,
 }
 
-/// Serialized diff base: the windowed [`PathStats`] at the last
-/// reclassification, stored exactly so a resumed run's next dirty-owner
-/// diff — and therefore its flap count — matches the uninterrupted run.
-/// (It is *not* derivable from the buckets: folds into the head bucket
-/// after the reclassification are part of the buckets but not of the diff
-/// base.)
+impl WatchBucket {
+    fn empty(index: u64) -> Self {
+        WatchBucket {
+            index,
+            tuples: Vec::new(),
+            counted: 0,
+        }
+    }
+}
+
+/// The window's kept counts as a checkpoint stores them, exactly, so a
+/// resumed run diffs, recounts and counts flaps from the counts the
+/// uninterrupted run held. (They are *not* derivable from the buckets
+/// alone: folds since the last reclassification are part of the buckets
+/// but not of the counts.)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowedStatsSnapshot {
     /// `(packed community, on, off)` sorted by packed key.
     pub counts: Vec<(u32, u32, u32)>,
-    /// ASN values on any windowed path, sorted.
+    /// ASN values on any counted path, sorted.
     pub seen_asns: Vec<u32>,
-    /// Unique `(path, communities)` tuples in the window.
+    /// Per entry of `seen_asns`: how many counted paths carry it.
+    pub asn_paths: Vec<u32>,
+    /// Unique `(path, communities)` tuples counted.
     pub unique_tuples: u64,
-    /// Unique AS paths in the window.
+    /// Unique AS paths counted.
     pub unique_paths: u64,
 }
 
 impl WindowedStatsSnapshot {
-    fn from_stats(stats: &PathStats) -> Self {
+    /// `stats` and the path count of each of its `seen_asns`.
+    fn of(stats: &PathStats, asn_paths: &FxHashMap<u32, u32>) -> Self {
         let mut counts: Vec<(u32, u32, u32)> = stats
             .per_community
             .iter()
@@ -764,25 +717,33 @@ impl WindowedStatsSnapshot {
         counts.sort_unstable_by_key(|&(p, _, _)| p);
         let mut seen_asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
         seen_asns.sort_unstable();
+        let asn_paths = seen_asns
+            .iter()
+            .map(|a| asn_paths.get(a).copied().unwrap_or(0))
+            .collect();
         WindowedStatsSnapshot {
             counts,
             seen_asns,
+            asn_paths,
             unique_tuples: stats.unique_tuples as u64,
             unique_paths: stats.unique_paths as u64,
         }
     }
 
-    fn to_stats(&self) -> PathStats {
-        let mut per_community: FxHashMap<Community, PathCounts> = FxHashMap::default();
-        for &(p, on, off) in &self.counts {
-            per_community.insert(Community::from_u32(p), PathCounts { on, off });
-        }
-        PathStats {
-            per_community,
+    /// The inverse of [`of`](Self::of).
+    fn to_counts(&self) -> (PathStats, FxHashMap<u32, u32>) {
+        let stats = PathStats {
+            per_community: self
+                .counts
+                .iter()
+                .map(|&(p, on, off)| (Community::from_u32(p), PathCounts { on, off }))
+                .collect(),
             seen_asns: self.seen_asns.iter().map(|&a| Asn::new(a)).collect(),
             unique_tuples: self.unique_tuples as usize,
             unique_paths: self.unique_paths as usize,
-        }
+        };
+        let asn_paths = self.seen_asns.iter().zip(&self.asn_paths);
+        (stats, asn_paths.map(|(&a, &n)| (a, n)).collect())
     }
 }
 
@@ -797,7 +758,7 @@ impl WindowedStatsSnapshot {
 /// ([`save_atomic`](Self::save_atomic)), and a load checks both files
 /// ([`load`](Self::load)).
 ///
-/// # Manifest layout (version 4, all integers little-endian)
+/// # Manifest layout (version 5, all integers little-endian)
 ///
 /// The [`persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -811,10 +772,12 @@ impl WindowedStatsSnapshot {
 ///   segment     paths, lists, tuples, owners (4 × u64): the counts the
 ///               committed frames must add up to
 ///   buckets     index column (u64, strictly ascending, at most
-///               `windows` of them), then per index its tuple-ID column
-///               (u32, each naming a segment tuple)
-///   windowed    key · on · off columns (u32 each, keys strictly
-///               ascending), seen_asns column (u32, strictly ascending),
+///               `windows` of them), then per index its counted length
+///               (u64) and its tuple-ID column (u32, each naming a segment
+///               tuple, no fewer than the counted length)
+///   windowed    the kept counts: key · on · off columns (u32 each, keys
+///               strictly ascending), seen_asns · path-count columns (u32
+///               each, ASNs strictly ascending, counts positive),
 ///               unique_tuples, unique_paths (u64)
 ///   labels      key column (u32, strictly ascending), intent column
 ///               (u8: 0 action, 1 information)
@@ -827,9 +790,10 @@ impl WindowedStatsSnapshot {
 /// segment. Bytes past the range are what an interrupted append left;
 /// they are ignored on load and dropped by the next append. Version 1 was
 /// a JSON manifest; it is refused as [`LoadError::Foreign`]. Version 2
-/// held u64 fingerprint sets, once cumulative and again per bucket, and
-/// version 3 held the whole segment in the one file; both are refused as
-/// [`LoadError::Version`].
+/// held u64 fingerprint sets, once cumulative and again per bucket,
+/// version 3 held the whole segment in the one file, and version 4 held
+/// the counts without the per-ASN path counts or which tuples they
+/// counted; all three are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -856,7 +820,7 @@ pub struct WatchCheckpoint {
     pub cumulative: StatsSnapshot,
     /// Every retained window bucket, ascending by index.
     pub buckets: Vec<WatchBucket>,
-    /// The dirty-owner diff base (see [`WindowedStatsSnapshot`]).
+    /// The window's kept counts (see [`WindowedStatsSnapshot`]).
     pub windowed: WindowedStatsSnapshot,
     /// Current labels as `(packed community, intent)`, sorted by key.
     pub labels: Vec<(u32, Intent)>,
@@ -892,7 +856,7 @@ impl WatchCheckpoint {
     /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 4,
+        version: 5,
         name: "checkpoint",
     };
 
@@ -942,6 +906,7 @@ impl WatchCheckpoint {
         }
         w.column(&self.buckets, |b| b.index.to_le_bytes());
         for bucket in &self.buckets {
+            w.u64(bucket.counted as u64);
             w.column(&bucket.tuples, |t| t.to_le_bytes());
         }
         let windowed = &self.windowed;
@@ -949,6 +914,7 @@ impl WatchCheckpoint {
         w.column(&windowed.counts, |&(_, on, _)| on.to_le_bytes());
         w.column(&windowed.counts, |&(_, _, off)| off.to_le_bytes());
         w.column(&windowed.seen_asns, |a| a.to_le_bytes());
+        w.column(&windowed.asn_paths, |n| n.to_le_bytes());
         w.u64(windowed.unique_tuples);
         w.u64(windowed.unique_paths);
         put_keyed(&mut w, &self.labels, &INTENTS);
@@ -1039,8 +1005,10 @@ impl WatchCheckpoint {
     /// checked first: its envelope, every column count against the bytes
     /// left, bucket indices strictly ascending and no more than `windows`
     /// of them, every bucket's tuple IDs naming one of the tuples the
-    /// manifest records, every key column strictly ascending, every label
-    /// and reason byte in its domain, no trailing bytes. Then the log: it
+    /// manifest records and no fewer than its counted length, every key
+    /// column strictly ascending, one positive path count per seen ASN,
+    /// every label and reason byte in its domain, no trailing bytes. Then
+    /// the log: it
     /// exists and holds the committed range, the range's checksum matches,
     /// every frame decodes onto the ones before it with the segment's
     /// checks (see `StatsAccumulator::decode_frame`), and the segment they
@@ -1131,11 +1099,22 @@ impl WatchCheckpoint {
         let tuple_count = counts[2];
         let mut buckets = Vec::with_capacity(indices.len());
         for index in indices {
+            let counted = r.u64("bucket counted length")?;
             let tuples = r.column("bucket tuples", u32::from_le_bytes)?;
             if let Some(t) = tuples.iter().find(|&&t| u64::from(t) >= tuple_count) {
                 return Err(format!("bucket {index} lists tuple {t}, of {tuple_count}"));
             }
-            buckets.push(WatchBucket { index, tuples });
+            if counted > tuples.len() as u64 {
+                return Err(format!(
+                    "bucket counted length: bucket {index} counts {counted} of its {} tuples",
+                    tuples.len()
+                ));
+            }
+            buckets.push(WatchBucket {
+                index,
+                tuples,
+                counted: counted as usize,
+            });
         }
 
         let keys = r.column("windowed keys", u32::from_le_bytes)?;
@@ -1156,6 +1135,20 @@ impl WatchCheckpoint {
         if !strictly_ascending(&seen_asns) {
             return Err("windowed seen_asns not strictly ascending".into());
         }
+        let asn_paths = r.column("windowed asn path counts", u32::from_le_bytes)?;
+        if asn_paths.len() != seen_asns.len() {
+            return Err(format!(
+                "windowed asn path counts: {} for {} seen_asns",
+                asn_paths.len(),
+                seen_asns.len()
+            ));
+        }
+        if let Some(at) = asn_paths.iter().position(|&n| n == 0) {
+            return Err(format!(
+                "windowed asn path counts: ASN {} on 0 paths",
+                seen_asns[at]
+            ));
+        }
         let windowed = WindowedStatsSnapshot {
             counts: keys
                 .into_iter()
@@ -1164,6 +1157,7 @@ impl WatchCheckpoint {
                 .map(|((key, on), off)| (key, on, off))
                 .collect(),
             seen_asns,
+            asn_paths,
             unique_tuples: r.u64("windowed unique_tuples")?,
             unique_paths: r.u64("windowed unique_paths")?,
         };
@@ -1608,7 +1602,7 @@ pub fn run_watch<S: StreamSource>(
         saver.save(&classifier.checkpoint(cursor, records, observations))?;
     }
 
-    let stats = classifier.segment().to_stats_threaded(opts.infer.threads);
+    let stats = classifier.cumulative_stats(opts.infer.threads);
     let inference = classify(&stats, siblings, &opts.infer);
     if let Some(metrics) = opts.metrics.as_deref() {
         record_watch_metrics(
@@ -1711,6 +1705,14 @@ mod tests {
         WindowConfig {
             window_secs: 100,
             windows: 2,
+        }
+    }
+
+    /// A window wide enough to keep every bucket of the churn stream.
+    fn wide_window() -> WindowConfig {
+        WindowConfig {
+            window_secs: 100,
+            windows: 8,
         }
     }
 
@@ -1989,6 +1991,31 @@ mod tests {
         let tuples = cp.cumulative.tuple_count() as u32;
         bad.buckets[0].tuples.push(tuples);
         refused_as_corrupt(&bad.encode(), &format!("lists tuple {tuples}, of {tuples}"));
+        // A counted length past its bucket's list: one past it, and the
+        // largest one the first bucket's length word (after the two-entry
+        // index column) can hold.
+        let mut bad = cp.clone();
+        let (index, len) = (cp.buckets[1].index, cp.buckets[1].tuples.len());
+        bad.buckets[1].counted = len + 1;
+        refused_as_corrupt(
+            &bad.encode(),
+            &format!(
+                "bucket counted length: bucket {index} counts {} of its {len} tuples",
+                len + 1
+            ),
+        );
+        let first_counted = FIRST_COLUMN + 8 + 2 * 8;
+        let mut forged = payload.to_vec();
+        forged[first_counted..first_counted + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        refused_as_corrupt(
+            &reseal(&forged, log),
+            &format!(
+                "bucket {} counts {} of its {} tuples",
+                cp.buckets[0].index,
+                u64::MAX,
+                cp.buckets[0].tuples.len()
+            ),
+        );
 
         // A log that holds a valid segment, but not the one the manifest
         // counts; and a frame repeated, so its paths come twice.
@@ -2297,7 +2324,7 @@ mod tests {
             if wc.observe(o, siblings) {
                 // The window the advance reclassified: every live tuple,
                 // less the one entry the fold into the new head added.
-                let folded = wc.buckets.back().unwrap().1[0] as usize;
+                let folded = wc.buckets.back().unwrap().tuples[0] as usize;
                 let now = wc
                     .segment
                     .stats_where(1, |t| wc.refs[t] > u32::from(t == folded));
@@ -2366,6 +2393,135 @@ mod tests {
         }
     }
 
+    /// The paths `wc` marks touched, ascending.
+    fn touched_paths(wc: &WindowedClassifier) -> Vec<usize> {
+        (0..wc.touched.len()).filter(|&p| wc.touched[p]).collect()
+    }
+
+    /// A resume from the checkpoint taken after any observation — every
+    /// advance included — holds the uninterrupted classifier's kept
+    /// counts, counted flags and touched paths, and its next
+    /// reclassification recounts as many paths and leaves the same state.
+    #[test]
+    fn a_resume_restores_the_window_counts_and_recounts_what_the_uninterrupted_run_does() {
+        let siblings = SiblingMap::default();
+        let cfg = InferenceConfig {
+            threads: 1,
+            ..InferenceConfig::default()
+        };
+        let seeded_window = WindowConfig {
+            window_secs: 100,
+            windows: 3,
+        };
+        let streams = std::iter::once((churn_stream(), window_cfg()))
+            .chain((1..=4).map(|seed| (seeded_stream(seed), seeded_window)));
+        for (stream, window) in streams {
+            let mut wc = WindowedClassifier::new(window, cfg.clone());
+            // Resumed classifiers waiting for the next reclassification,
+            // each with where it resumed and the recounts made by then.
+            let mut resumed: Vec<(WindowedClassifier, usize, u64)> = Vec::new();
+            let check = |r: &WindowedClassifier, wc: &WindowedClassifier, at: usize, base: u64| {
+                assert_eq!(
+                    r.recounted_paths(),
+                    wc.recounted_paths() - base,
+                    "recounted after a resume at observation {at}"
+                );
+                assert_eq!(r.checkpoint(0, 0, 0), wc.checkpoint(0, 0, 0), "at {at}");
+            };
+            for (i, o) in stream.iter().enumerate() {
+                let advanced = wc.observe(o, &siblings);
+                for (r, _, _) in &mut resumed {
+                    r.observe(o, &siblings);
+                }
+                if advanced {
+                    for (r, at, base) in resumed.drain(..) {
+                        check(&r, &wc, at, base);
+                    }
+                }
+                let cp = decode(&wc.checkpoint(0, 0, i as u64).encode()).unwrap();
+                let r = WindowedClassifier::from_checkpoint(&cp, cfg.clone());
+                assert_eq!(r.counts, wc.counts, "kept counts at observation {i}");
+                assert_eq!(r.asn_paths, wc.asn_paths, "ASN paths at observation {i}");
+                assert_eq!(r.counted, wc.counted, "counted flags at observation {i}");
+                assert_eq!(
+                    (touched_paths(&r), r.touched_paths),
+                    (touched_paths(&wc), wc.touched_paths),
+                    "touched paths at observation {i}"
+                );
+                resumed.push((r, i, wc.recounted_paths()));
+            }
+            wc.reclassify(&siblings);
+            for (mut r, at, base) in resumed {
+                r.reclassify(&siblings);
+                check(&r, &wc, at, base);
+            }
+            assert!(wc.advances() >= 7 && wc.recounted_paths() > 0);
+        }
+    }
+
+    /// At the quiescent point `run_watch`'s cumulative statistics and
+    /// labels are the segment's: taken from the kept counts when the window
+    /// holds every tuple, and from the kernel over the segment after an
+    /// eviction or a late drop.
+    #[test]
+    fn quiescent_statistics_are_the_segment_s_with_or_without_evictions_and_late_drops() {
+        let siblings = SiblingMap::default();
+        // Buckets 10 to 17, all inside the wide window.
+        let shifted: Vec<Observation> = churn_stream()
+            .into_iter()
+            .map(|o| Observation {
+                time: o.time + 1_000,
+                ..o
+            })
+            .collect();
+        let mut late = shifted.clone();
+        late.insert(10, obs(906, "906 100 661", &[(100, 10)], 50));
+        let dir = test_dir("quiescent");
+        let runs = [
+            (shifted, wide_window(), 0, true),
+            (churn_stream(), window_cfg(), 0, false),
+            (late, wide_window(), 1, false),
+        ];
+        for (run, (stream, window, late_drops, holds_every_tuple)) in runs.into_iter().enumerate() {
+            let mut wire = Vec::new();
+            bgp_mrt::obs::write_update_stream(&mut wire, Asn::new(6447), &stream).unwrap();
+            let path = dir.join(format!("run{run}.ckpt"));
+            let opts = WatchOptions {
+                window,
+                ..memory_feed_options(path.clone(), 1)
+            };
+            let outcome = run_watch(
+                MemoryFeed::new(Arc::new(wire)),
+                &siblings,
+                &opts,
+                Arc::new(AtomicBool::new(false)),
+            )
+            .unwrap();
+            assert_eq!(outcome.late_drops, late_drops, "run {run}");
+            let cp = WatchCheckpoint::load(&path).unwrap();
+            let evicted = cp.buckets.len() as u64 <= outcome.advances;
+            assert_eq!(evicted, run == 1, "run {run}");
+            let wc = WindowedClassifier::from_checkpoint(&cp, opts.infer.clone());
+            assert_eq!(
+                wc.counts.unique_tuples == wc.segment().tuple_count(),
+                holds_every_tuple,
+                "run {run}"
+            );
+            let stats = wc.segment().to_stats();
+            assert_eq!(outcome.stats, stats, "run {run}");
+            let label_file = |inference: &Inference| {
+                let rows = crate::label_rows(inference, opts.infer.ratio_threshold);
+                bgp_artifact::encode_artifact(&rows).unwrap()
+            };
+            assert_eq!(
+                label_file(&outcome.inference),
+                label_file(&classify(&stats, &siblings, &opts.infer)),
+                "run {run}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn reclassifying_an_unchanged_window_reruns_no_owner() {
         let siblings = SiblingMap::default();
@@ -2401,13 +2557,22 @@ mod tests {
     #[test]
     fn the_diff_base_roundtrips_exactly() {
         let siblings = SiblingMap::default();
-        let stats = PathStats::from_observations(&churn_stream(), &siblings);
-        let snapshot = WindowedStatsSnapshot::from_stats(&stats);
+        let stream = churn_stream();
+        let mut wc = WindowedClassifier::new(wide_window(), InferenceConfig::default());
+        for o in &stream {
+            wc.observe(o, &siblings);
+        }
+        wc.reclassify(&siblings);
+        assert_eq!(wc.counts, PathStats::from_observations(&stream, &siblings));
+        // Two paths carry 900 and 999: "900 100 999" and "900 200 999".
+        assert_eq!((wc.asn_paths[&900], wc.asn_paths[&999]), (2, 2));
+        let snapshot = WindowedStatsSnapshot::of(&wc.counts, &wc.asn_paths);
         assert!(strictly_ascending(&snapshot.counts));
         assert!(strictly_ascending(&snapshot.seen_asns));
-        assert_eq!(snapshot.to_stats(), stats);
+        assert_eq!(snapshot.asn_paths.len(), snapshot.seen_asns.len());
+        assert_eq!(snapshot.to_counts(), (wc.counts, wc.asn_paths));
         assert_eq!(
-            WindowedStatsSnapshot::from_stats(&PathStats::default()),
+            WindowedStatsSnapshot::of(&PathStats::default(), &FxHashMap::default()),
             WindowedStatsSnapshot::default()
         );
     }
@@ -2457,6 +2622,27 @@ mod tests {
         let mut bad = cp.clone();
         bad.windowed.counts.swap(0, 1);
         refused_as_corrupt(&bad.encode(), "windowed keys not strictly ascending");
+        // A seen ASN on no path, and a path-count column one short.
+        let asns = cp.windowed.seen_asns.len();
+        assert!(asns > 1 && cp.windowed.asn_paths.iter().all(|&n| n > 0));
+        let mut bad = cp.clone();
+        bad.windowed.asn_paths[1] = 0;
+        refused_as_corrupt(
+            &bad.encode(),
+            &format!(
+                "windowed asn path counts: ASN {} on 0 paths",
+                cp.windowed.seen_asns[1]
+            ),
+        );
+        let mut bad = cp.clone();
+        bad.windowed.asn_paths.pop();
+        refused_as_corrupt(
+            &bad.encode(),
+            &format!(
+                "windowed asn path counts: {} for {asns} seen_asns",
+                asns - 1
+            ),
+        );
         // An exclusion byte outside its domain: the last byte of the file.
         let mut forged = payload.clone();
         *forged.last_mut().unwrap() = 3;

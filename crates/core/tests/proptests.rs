@@ -1,6 +1,7 @@
 //! Property-based tests: invariants of clustering, statistics, and
 //! classification.
 
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -328,19 +329,28 @@ impl WindowModel {
     }
 }
 
-/// `stats` in the form a watch checkpoint keeps its diff base in.
-fn diff_base_of(stats: &PathStats) -> WindowedStatsSnapshot {
+/// `stats`, the statistics of `observations`, in the form a watch
+/// checkpoint keeps the window's counts in: with, per ASN, the number of
+/// unique paths among `observations` that carry it.
+fn kept_counts_of(stats: &PathStats, observations: &[Observation]) -> WindowedStatsSnapshot {
     let mut counts: Vec<(u32, u32, u32)> = stats
         .per_community
         .iter()
         .map(|(c, pc)| (c.to_u32(), pc.on, pc.off))
         .collect();
     counts.sort_unstable();
-    let mut seen_asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
-    seen_asns.sort_unstable();
+    let paths: HashSet<&AsPath> = observations.iter().map(|o| &o.path).collect();
+    let mut asn_paths: BTreeMap<u32, u32> = BTreeMap::new();
+    for path in paths {
+        let members: BTreeSet<u32> = path.iter().map(|a| a.value()).collect();
+        for asn in members {
+            *asn_paths.entry(asn).or_default() += 1;
+        }
+    }
     WindowedStatsSnapshot {
         counts,
-        seen_asns,
+        seen_asns: asn_paths.keys().copied().collect(),
+        asn_paths: asn_paths.into_values().collect(),
         unique_tuples: stats.unique_tuples as u64,
         unique_paths: stats.unique_paths as u64,
     }
@@ -632,21 +642,26 @@ proptest! {
                 "after observation {}", i
             );
             if advanced {
-                // The advance reclassified before the fold, so the diff
-                // base leaves out the entry the fold added, the last one.
+                // The advance reclassified before the fold, so the kept
+                // counts leave out the entry the fold added, the last one.
+                let counted = &retained[..retained.len() - 1];
                 prop_assert_eq!(
                     wc.checkpoint(0, 0, 0).windowed,
-                    diff_base_of(&reference_stats(&retained[..retained.len() - 1], &siblings)),
-                    "diff base after the advance at observation {}", i
+                    kept_counts_of(&reference_stats(counted, &siblings), counted),
+                    "kept counts after the advance at observation {}", i
                 );
             }
             if reclassify_at.contains(&i) {
                 wc.reclassify(&siblings);
-                let base = wc.checkpoint(0, 0, 0).windowed;
-                prop_assert_eq!(&base, &diff_base_of(&wc.windowed_stats()), "at observation {}", i);
+                let kept = wc.checkpoint(0, 0, 0).windowed;
                 prop_assert_eq!(
-                    &base,
-                    &diff_base_of(&reference_stats(&retained, &siblings)),
+                    &kept,
+                    &kept_counts_of(&wc.windowed_stats(), &retained),
+                    "at observation {}", i
+                );
+                prop_assert_eq!(
+                    &kept,
+                    &kept_counts_of(&reference_stats(&retained, &siblings), &retained),
                     "at observation {}", i
                 );
             }
