@@ -6,7 +6,7 @@
 //! — sorted dense columns keyed by the packed `(α:β)` word — plus a
 //! zero-copy loader and the binary-search lookup kernel on top of it.
 //!
-//! # Layout (version 2, all integers little-endian)
+//! # Layout (version 3, all integers little-endian)
 //!
 //! The [`persist`] envelope with magic `BGPLABEL`, then the payload:
 //!
@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Version 1 had a 48-byte header of its own (magic `BGPA`); it is refused
-//! as [`LoadError::Foreign`].
+//! as [`LoadError::Foreign`]. Version 2 had this layout with the payload
+//! sealed by FNV-1a 64; it is refused as [`LoadError::Version`].
 //!
 //! The key is [`Community::packed_key`]: `(α << 16 | β)` widened to `u64`.
 //! Point lookups binary-search the key column (`O(log n)`, ~27 probes at
@@ -394,7 +395,7 @@ impl LabelArtifact {
     /// The envelope of label artifact files.
     pub const FORMAT: Format = Format {
         magic: *b"BGPLABEL",
-        version: 2,
+        version: 3,
         name: "label artifact",
     };
 
@@ -436,6 +437,10 @@ impl LabelArtifact {
         })
     }
 
+    /// Every binary-search step reads through here, so it is inlined into
+    /// callers in other crates too; a call per step made lookup speed
+    /// depend on where the linker happened to place this function.
+    #[inline]
     fn columns(&self) -> &[u8] {
         &self.backing.bytes()[COLUMNS..]
     }

@@ -1,11 +1,12 @@
 //! Wire codec throughput: the MRT/BGP encode and parse paths every
-//! experiment exercises.
+//! experiment exercises, and the checksum that seals every persisted file.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use bgp_mrt::attrs::{decode_attrs, encode_attrs, AttrCtx, EncodeOpts};
 use bgp_mrt::cursor::Cursor;
 use bgp_mrt::obs::{read_observations, write_rib_dump, write_update_stream};
+use bgp_types::persist::checksum;
 use bgp_types::{AsPath, Asn, Community, Observation, RouteAttrs};
 
 fn sample_route(communities: usize) -> RouteAttrs {
@@ -97,5 +98,20 @@ fn bench_mrt_files(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attrs, bench_mrt_files);
+/// The checksum every sealed file, watch log range and input fingerprint
+/// uses, over a buffer a sealed manifest might be and one the size of a
+/// shard artifact.
+fn bench_checksum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("persist");
+    for (name, len) in [("64KiB", 64 << 10), ("16MiB", 16 << 20)] {
+        let bytes: Vec<u8> = (0..len).map(|i: usize| (i * 37 + 11) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("checksum/{name}"), |b| {
+            b.iter(|| checksum(black_box(&bytes)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_attrs, bench_mrt_files, bench_checksum);
 criterion_main!(benches);

@@ -1177,16 +1177,14 @@ fn shard(run: &Run) -> Result<(), Failure> {
     let fail_shards = parse_indices("inject-fail-shard")?;
 
     let specs = plan_shards(&paths, workers, &shard_dir);
+    let defaults = SupervisorConfig::default();
     let sup_cfg = SupervisorConfig {
         retry: RetryPolicy {
             max_attempts: retries + 1,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            per_file_deadline: None,
+            ..defaults.retry
         },
         stall_deadline: Duration::from_millis(deadline_ms.max(1)),
-        poll_interval: Duration::from_millis(25),
-        term_grace: Duration::from_secs(5),
+        ..defaults
     };
     eprintln!(
         "supervising {} shard(s) over {} file(s) ({} attempt(s) per shard, {}ms stall deadline)",
@@ -1296,20 +1294,21 @@ fn shard(run: &Run) -> Result<(), Failure> {
     // Merge in shard order. Each artifact holds its shard's statistics
     // segment, and segments merge by exact key, so the classification
     // downstream is bit-identical to a single-process run over the
-    // covered files.
+    // covered files. The artifacts are consumed: the first segment is
+    // extended in place, never cloned.
     let mut merged = IngestReport::default();
     let mut segment = StatsAccumulator::new();
     let mut failed = 0u64;
     let mut reused = 0u64;
     let mut retries_total = 0u64;
     let mut covered_files = 0u64;
-    for (spec, outcome) in specs.iter().zip(&outcomes) {
+    for (spec, outcome) in specs.iter().zip(outcomes) {
         retries_total += outcome.retries();
         reused += u64::from(outcome.reused);
-        match &outcome.artifact {
+        match outcome.artifact {
             Some(artifact) => {
                 merged.merge(&artifact.report);
-                segment.merge(StatsAccumulator::from_snapshot(&artifact.snapshot));
+                segment.merge(artifact.snapshot);
                 covered_files += spec.files.len() as u64;
             }
             None => {
@@ -1375,8 +1374,8 @@ fn shard(run: &Run) -> Result<(), Failure> {
         dict.as_ref(),
         tel,
     );
-    // Free the shards' segments before the label file is built.
-    drop((outcomes, segment));
+    // Free the merged segment before the label file is built.
+    drop(segment);
     print_inference(args, &result, &merged)
 }
 

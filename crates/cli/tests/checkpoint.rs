@@ -315,7 +315,37 @@ fn version_3_checkpoint_with_fingerprint_sets_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 4"),
+        stderr.contains("checkpoint version 3, this build reads version 5"),
+        "{stderr}"
+    );
+    assert!(labels.is_none(), "a refused run writes no labels");
+    assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+}
+
+/// Version 4 had this build's layout under a seal and file fingerprints
+/// checked with FNV-1a 64: a checkpoint this build wrote, renumbered, is
+/// refused on its version before any checksum is compared.
+#[test]
+fn version_4_checkpoint_is_refused_untouched() {
+    let dir = workdir("version-4");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let (out, _) = infer_json(&paths, &dir.join("first.json"), &["--checkpoint", ckpt_arg]);
+    assert_eq!(out.status.code(), Some(0), "{:?}", out);
+    let mut legacy = fs::read(&ckpt).unwrap();
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x05\0\0\0");
+    legacy[8] = 4;
+    fs::write(&ckpt, &legacy).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt_arg, "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 4, this build reads version 5"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");

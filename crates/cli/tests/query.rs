@@ -363,6 +363,53 @@ fn version_1_artifact_is_refused() {
     }
 }
 
+/// Version 2 had this build's layout with the payload sealed by FNV-1a 64:
+/// an artifact this build encodes, renumbered, is refused on its version,
+/// mapped or read, and left as it was.
+#[test]
+fn version_2_artifact_is_refused() {
+    let dir = workdir("version-2");
+    let old = dir.join("labels-v2.bga");
+    let mut bytes = bgp_artifact::encode_artifact(&[bgp_artifact::LabelRow {
+        community: Community::new(1299, 35130),
+        label: Intent::Information,
+        confidence: 1.0,
+        ratio: 37.0,
+        on_paths: 37,
+        off_paths: 0,
+    }])
+    .unwrap();
+    assert_eq!(&bytes[..12], b"BGPLABEL\x03\0\0\0");
+    bytes[8] = 2;
+    fs::write(&old, &bytes).unwrap();
+    for extra in [&[][..], &["--no-mmap"][..]] {
+        let args = [
+            &[
+                "query",
+                "--artifact",
+                old.to_str().unwrap(),
+                "--key",
+                "1299:35130",
+            ][..],
+            extra,
+        ]
+        .concat();
+        let out = bgpcomm(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(EXIT_CHECKPOINT),
+            "{}",
+            stderr_of(&out)
+        );
+        assert!(
+            stderr_of(&out).contains("label artifact version 2, this build reads version 3"),
+            "{}",
+            stderr_of(&out)
+        );
+        assert_eq!(fs::read(&old).unwrap(), bytes, "refused, not rewritten");
+    }
+}
+
 /// A training archive whose labels are unanimous: owner 1299 signals
 /// `1299:35130` only on-path (information) and `1299:2569` only off-path
 /// (action), while `3356:100` is seen on both sides (ratio-labeled, so

@@ -505,7 +505,7 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 4"),
+        stderr.contains("checkpoint version 3, this build reads version 5"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
@@ -514,8 +514,50 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-000.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x04\0\0\0",
-        "rewritten at version 4"
+        b"BGPBCKPT\x05\0\0\0",
+        "rewritten at version 5"
+    );
+}
+
+/// A version-4 artifact (this build's layout, sealed with FNV-1a 64 by the
+/// build before) is discarded on its version and its shard redone; the
+/// other shard's current artifact is reused.
+#[test]
+fn version_4_shard_artifact_is_discarded_and_redone() {
+    let dir = workdir("version-4");
+    let paths = archives(&dir, 4, 30);
+    let single = run_traced("infer", &paths, &dir, "single", &[]);
+    assert_eq!(single.status.code(), Some(0), "{}", stderr_of(&single));
+    let shard_dir = dir.join("shards");
+    let shard_args = ["--shard-dir", shard_dir.to_str().unwrap(), "--workers", "2"];
+    let first = run_traced("shard", &paths, &dir, "first", &shard_args);
+    assert_eq!(first.status.code(), Some(0), "{}", stderr_of(&first));
+
+    let mut legacy = read(&shard_dir, "shard-001.ckpt");
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x05\0\0\0");
+    legacy[8] = 4;
+    fs::write(shard_dir.join("shard-001.ckpt"), &legacy).unwrap();
+
+    let out = run_traced("shard", &paths, &dir, "sharded", &shard_args);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("shard 1: discarding leftover artifact"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("checkpoint version 4, this build reads version 5"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("shard 1: attempt 1"), "{stderr}");
+    assert!(stderr.contains("shard 0: reusing"), "{stderr}");
+    assert!(!stderr.contains("shard 0: attempt"), "{stderr}");
+    assert_eq!(read(&dir, "sharded.json"), read(&dir, "single.json"));
+    let redone = read(&shard_dir, "shard-001.ckpt");
+    assert_eq!(
+        &redone[..12],
+        b"BGPBCKPT\x05\0\0\0",
+        "rewritten at version 5"
     );
 }
 

@@ -79,9 +79,20 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A `feed` subprocess, killed and reaped when dropped — also when a failed
+/// assertion unwinds its test — so no listener outlives the test.
+struct Feed(Child);
+
+impl Drop for Feed {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Start a `feed` subprocess serving the given archives and read the bound
 /// address off its stdout.
-fn spawn_feed(paths: &[PathBuf], throttle: Option<&str>) -> (Child, String) {
+fn spawn_feed(paths: &[PathBuf], throttle: Option<&str>) -> (Feed, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bgpcomm"));
     cmd.arg("feed").arg("--listen").arg("127.0.0.1:0");
     for p in paths {
@@ -91,8 +102,8 @@ fn spawn_feed(paths: &[PathBuf], throttle: Option<&str>) -> (Child, String) {
         cmd.arg("--throttle").arg(t);
     }
     cmd.stdout(Stdio::piped()).stderr(Stdio::null());
-    let mut child = cmd.spawn().expect("spawn feed");
-    let stdout = child.stdout.take().expect("feed stdout");
+    let mut feed = Feed(cmd.spawn().expect("spawn feed"));
+    let stdout = feed.0.stdout.take().expect("feed stdout");
     let mut line = String::new();
     BufReader::new(stdout)
         .read_line(&mut line)
@@ -102,7 +113,7 @@ fn spawn_feed(paths: &[PathBuf], throttle: Option<&str>) -> (Child, String) {
         .nth(2)
         .unwrap_or_else(|| panic!("feed banner without address: {line:?}"))
         .to_string();
-    (child, addr)
+    (feed, addr)
 }
 
 /// Run `watch` against `addr` with labels + metrics under `dir/<tag>.*`.
@@ -157,10 +168,9 @@ fn quiescent_watch_matches_batch_infer_bit_for_bit() {
     );
     assert_eq!(batch.status.code(), Some(0), "{}", stderr_of(&batch));
 
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "clean", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert_eq!(
@@ -194,15 +204,14 @@ fn injected_disconnects_stalls_and_corruption_do_not_change_the_labels() {
     // Aggressive schedule: most connections get hit by one of the five
     // stream fault kinds (disconnect mid-frame, indefinite stall, partial
     // frame, duplicate delivery, corrupt burst).
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(
         &addr,
         &dir,
         "faulty",
         &["--inject-stream-faults", "99:0.9", "--retry-attempts", "8"],
     );
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert_eq!(
@@ -247,7 +256,7 @@ fn feed_outage_mid_run_is_survived_by_reconnecting_at_the_cursor() {
     }
     cmd.arg("--throttle").arg("2048:10");
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
-    let mut feed1 = cmd.spawn().expect("spawn feed");
+    let feed1 = Feed(cmd.spawn().expect("spawn feed"));
 
     let watcher = {
         let dir = dir.clone();
@@ -255,8 +264,7 @@ fn feed_outage_mid_run_is_survived_by_reconnecting_at_the_cursor() {
         std::thread::spawn(move || run_watch(&addr, &dir, "outage", &["--retry-attempts", "40"]))
     };
     std::thread::sleep(Duration::from_millis(600));
-    feed1.kill().unwrap();
-    let _ = feed1.wait();
+    drop(feed1);
     std::thread::sleep(Duration::from_millis(300));
     // Recovery: a fresh feed on the same address serves the full stream;
     // the daemon reconnects at its cursor and finishes.
@@ -266,11 +274,10 @@ fn feed_outage_mid_run_is_survived_by_reconnecting_at_the_cursor() {
         cmd.arg("--mrt").arg(p);
     }
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
-    let mut feed2 = cmd.spawn().expect("respawn feed");
+    let feed2 = Feed(cmd.spawn().expect("respawn feed"));
 
     let out = watcher.join().expect("watch thread");
-    let _ = feed2.kill();
-    let _ = feed2.wait();
+    drop(feed2);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert_eq!(
@@ -295,7 +302,7 @@ fn kill_nine_mid_run_resumes_from_the_checkpoint_without_double_counting() {
 
     // The uninterrupted run leaves the checkpoint every resumed run must
     // leave, and its advance count places the last crash point.
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "clean", &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
     let advances = counters(&dir, "clean")["watch/windows_advanced"]
@@ -351,15 +358,14 @@ fn kill_nine_mid_run_resumes_from_the_checkpoint_without_double_counting() {
             );
         }
     }
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
 }
 
 #[test]
 fn backpressure_bounds_the_ingest_queue_under_a_slow_consumer() {
     let dir = workdir("backpressure");
     let paths = archives(&dir, 3, 60);
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     // 4 KiB queue, 1 KiB chunks, and a consumer that sleeps per record:
     // the producer must hit the queue cap and block, not buffer the whole
     // stream.
@@ -369,8 +375,7 @@ fn backpressure_bounds_the_ingest_queue_under_a_slow_consumer() {
         "slow",
         &["--queue-kb", "4", "--chunk-kb", "1", "--slow-fold-ms", "2"],
     );
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let c = counters(&dir, "slow");
@@ -394,7 +399,7 @@ fn backpressure_bounds_the_ingest_queue_under_a_slow_consumer() {
 fn watch_refuses_a_checkpoint_with_different_window_geometry() {
     let dir = workdir("geometry");
     let paths = archives(&dir, 2, 40);
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "geom", &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
 
@@ -414,8 +419,7 @@ fn watch_refuses_a_checkpoint_with_different_window_geometry() {
         "--checkpoint",
         ckpt.to_str().unwrap(),
     ]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     assert_eq!(out.status.code(), Some(4), "{}", stderr_of(&out));
     assert!(stderr_of(&out).contains("geometry"), "{}", stderr_of(&out));
 }
@@ -430,10 +434,9 @@ fn watch_refuses_a_json_checkpoint_from_before_the_binary_format() {
         br#"{"schema":1,"checksum":0,"cursor":4096,"records":10,"buckets":[]}"#,
     )
     .unwrap();
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "legacy", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(stderr.contains("predates the binary"), "{stderr}");
@@ -456,14 +459,13 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
     payload.extend(words(&[0; 4]));
     let legacy = sealed(*b"BGPWCKPT", 2, &payload);
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "legacy", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 2, this build reads version 5"),
+        stderr.contains("checkpoint version 2, this build reads version 6"),
         "{stderr}"
     );
     assert_eq!(
@@ -487,14 +489,13 @@ fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
     payload.extend(words(&[0; 4]));
     let legacy = sealed(*b"BGPWCKPT", 3, &payload);
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "legacy", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 5"),
+        stderr.contains("checkpoint version 3, this build reads version 6"),
         "{stderr}"
     );
     assert_eq!(
@@ -514,7 +515,7 @@ fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
     // counts, no buckets, empty windowed counts without per-ASN path
     // counts, no labels or exclusions.
     let mut payload = words(&[0, 0, 0, 0, 0, 0, 0, 3600, 6]);
-    payload.extend(words(&[0, 0, bgp_types::persist::FNV_OFFSET]));
+    payload.extend(words(&[0, 0, bgp_types::persist::checksum(b"")]));
     payload.extend(words(&[0; 4]));
     payload.extend(words(&[0]));
     payload.extend(words(&[0; 6]));
@@ -522,14 +523,13 @@ fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
     let legacy = sealed(*b"BGPWCKPT", 4, &payload);
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
     fs::write(dir.join("legacy.ckpt.seg"), b"").unwrap();
-    let (mut feed, addr) = spawn_feed(&paths, None);
+    let (feed, addr) = spawn_feed(&paths, None);
     let out = run_watch(&addr, &dir, "legacy", &[]);
-    let _ = feed.kill();
-    let _ = feed.wait();
+    drop(feed);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 5"),
+        stderr.contains("checkpoint version 4, this build reads version 6"),
         "{stderr}"
     );
     assert_eq!(
@@ -538,6 +538,37 @@ fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
         "refused, not overwritten"
     );
     assert!(read(&dir, "legacy.ckpt.seg").is_empty());
+}
+
+/// Version 5 had this build's layout, with the manifest sealed and the
+/// log's committed range checked by FNV-1a 64: a checkpoint this build
+/// wrote, renumbered, is refused on its version and neither file changes.
+#[test]
+fn watch_refuses_a_version_5_checkpoint() {
+    let dir = workdir("version-5");
+    let paths = archives(&dir, 2, 40);
+    let (feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let mut legacy = read(&dir, "legacy.ckpt");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x06\0\0\0");
+    legacy[8] = 5;
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    let log = read(&dir, "legacy.ckpt.seg");
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    drop(feed);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 5, this build reads version 6"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+    assert_eq!(read(&dir, "legacy.ckpt.seg"), log);
 }
 
 /// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
@@ -781,7 +812,7 @@ fn watch_metrics_count_the_paths_its_reclassifications_recount() {
 
 /// A restart of a quiesced `watch --tail` on its own checkpoint has
 /// nothing to fold: it recounts no path, reruns no owner, writes the same
-/// labels and leaves both checkpoint files byte-identical.
+/// labels, and saves no checkpoint, so both files stay byte-identical.
 #[test]
 fn an_idle_restart_recounts_nothing_and_leaves_its_checkpoint_unchanged() {
     let dir = workdir("idle-restart");
@@ -814,6 +845,9 @@ fn an_idle_restart_recounts_nothing_and_leaves_its_checkpoint_unchanged() {
     let (first, restart) = (&runs[0], &runs[1]);
     assert!(first.0["watch/recounted_paths"].as_u64().unwrap() > 0);
     assert_eq!(restart.0["watch/recounted_paths"].as_u64(), Some(0));
+    assert!(first.0["checkpoint/writes"].as_u64().unwrap() > 0);
+    assert_eq!(restart.0["checkpoint/writes"].as_u64(), Some(0));
+    assert_eq!(restart.0["checkpoint/bytes_written"].as_u64(), Some(0));
     for name in ["classify/reclassified_owners", "classify/flaps"] {
         assert_eq!(restart.0[name], first.0[name], "{name}");
     }

@@ -21,7 +21,7 @@
 //!   changes, so taking one is O(1), and its encoding is deterministic:
 //!   the same fold sequence gives the same bytes at any thread count.
 //! * [`Checkpoint`] records which input files completed (with a
-//!   byte-length + FNV-1a fingerprint each, via [`fingerprint_file`]), the
+//!   byte-length + checksum fingerprint each, via [`fingerprint_file`]), the
 //!   ingest accounting so far, and the segment. It is one sealed binary
 //!   file (layout on the type), written durably by
 //!   [`Checkpoint::save_atomic`] so a crash mid-write leaves the previous
@@ -55,7 +55,7 @@ use std::sync::Arc;
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
-use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
+use bgp_types::persist::{self, Checksum, Format, LoadError};
 use bgp_types::store::{IdTable, Interner, ObservationSink, ObservationStore, ObservationView};
 use bgp_types::{AsPathView, Asn, Community, Observation};
 
@@ -691,20 +691,20 @@ impl<'a> ColumnReader<'a> {
     }
 }
 
-/// Byte length + FNV-1a 64 hash of a file's contents.
+/// Byte length + [`Checksum`] of a file's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileFingerprint {
     /// File length in bytes.
     pub bytes: u64,
-    /// FNV-1a 64 over the contents.
+    /// The [`Checksum`] digest of the contents.
     pub hash: u64,
 }
 
-/// Fingerprint a file by streaming its contents (FNV-1a 64).
+/// Fingerprint a file by streaming its contents through a [`Checksum`].
 pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
     let mut file = File::open(path)?;
     let mut buf = [0u8; 64 * 1024];
-    let mut hash: u64 = FNV_OFFSET;
+    let mut hash = Checksum::new();
     let mut bytes: u64 = 0;
     loop {
         let n = match file.read(&mut buf) {
@@ -714,9 +714,12 @@ pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
             Err(e) => return Err(e),
         };
         bytes += n as u64;
-        hash = fnv1a(hash, &buf[..n]);
+        hash.update(&buf[..n]);
     }
-    Ok(FileFingerprint { bytes, hash })
+    Ok(FileFingerprint {
+        bytes,
+        hash: hash.finish(),
+    })
 }
 
 /// One input file recorded as fully ingested.
@@ -731,7 +734,7 @@ pub struct CompletedFile {
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics snapshot to resume from.
 ///
-/// # Layout (version 4, all integers little-endian)
+/// # Layout (version 5, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPBCKPT`, then the
 /// payload, where a column is a `u64` element count followed by the
@@ -739,7 +742,7 @@ pub struct CompletedFile {
 ///
 /// ```text
 ///   file sizes    column (u64), one per completed file
-///   file hashes   column (u64), FNV-1a 64 of each file
+///   file hashes   column (u64), the Checksum of each file
 ///   paths         one byte column (UTF-8) per file
 ///   report        byte column: the IngestReport as JSON
 ///   segment       the statistics segment, as one frame from the empty
@@ -748,7 +751,8 @@ pub struct CompletedFile {
 ///
 /// Versions 1 and 2 were JSON manifests; they are refused as
 /// [`LoadError::Foreign`]. Version 3 held u64 fingerprint sets in place
-/// of the segment; it is refused as [`LoadError::Version`].
+/// of the segment, and version 4 sealed the payload and fingerprinted the
+/// files with FNV-1a 64; both are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// Files fully ingested, in completion (= input) order. Files that
@@ -765,7 +769,7 @@ impl Checkpoint {
     /// The envelope of checkpoint files and shard artifacts.
     pub const FORMAT: Format = Format {
         magic: *b"BGPBCKPT",
-        version: 4,
+        version: 5,
         name: "checkpoint",
     };
 
@@ -1462,14 +1466,16 @@ mod tests {
             LoadError::Foreign { .. }
         ));
 
-        let mut file = Checkpoint::new().encode();
-        file[8..12].copy_from_slice(&3u32.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
-        match Checkpoint::load(&path).unwrap_err() {
-            LoadError::Version {
-                found, expected, ..
-            } => assert_eq!((found, expected), (3, 4)),
-            other => panic!("expected a version error, got {other}"),
+        for old in [3u32, 4] {
+            let mut file = Checkpoint::new().encode();
+            file[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &file).unwrap();
+            match Checkpoint::load(&path).unwrap_err() {
+                LoadError::Version {
+                    found, expected, ..
+                } => assert_eq!((found, expected), (old, 5)),
+                other => panic!("expected a version error, got {other}"),
+            }
         }
 
         // The same payload under the watch checkpoint's magic is foreign.
@@ -1484,7 +1490,7 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_file_fingerprints_as_the_fnv_offset() {
+    fn an_empty_file_fingerprints_as_the_empty_checksum() {
         let dir =
             std::env::temp_dir().join(format!("bgp-intent-ckpt-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1494,17 +1500,17 @@ mod tests {
             fingerprint_file(&path).unwrap(),
             FileFingerprint {
                 bytes: 0,
-                hash: FNV_OFFSET
+                hash: persist::checksum(b"")
             }
         );
-        // Larger than one read buffer: the hash chains across reads.
+        // Larger than one read buffer: the state carries across reads.
         let big: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         std::fs::write(&path, &big).unwrap();
         assert_eq!(
             fingerprint_file(&path).unwrap(),
             FileFingerprint {
                 bytes: big.len() as u64,
-                hash: fnv1a(FNV_OFFSET, &big)
+                hash: persist::checksum(&big)
             }
         );
         let missing = fingerprint_file(&dir.join("absent.bin")).unwrap_err();

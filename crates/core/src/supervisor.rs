@@ -27,7 +27,10 @@
 //!   only counts if it loads (envelope and structure verified — see
 //!   [`Checkpoint::load`]), lists exactly the shard's files in order, and
 //!   every listed fingerprint still matches the bytes on disk. Anything
-//!   else is a failed attempt, never silently-partial coverage.
+//!   else is a failed attempt, never silently-partial coverage. Each
+//!   clean worker's artifact is validated on a thread of its own while the
+//!   other shards are polled, and the artifacts found at start are
+//!   validated all at once.
 //!
 //! A shard whose budget is exhausted is reported as permanently failed;
 //! the caller decides whether that sinks the run (`--allow-shard-failures`
@@ -44,9 +47,11 @@
 //! not reported.
 
 use std::fmt;
+use std::panic;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bgp_mrt::retry::RetryPolicy;
@@ -190,7 +195,7 @@ impl Default for SupervisorConfig {
                 per_file_deadline: None,
             },
             stall_deadline: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
+            poll_interval: Duration::from_millis(5),
             term_grace: Duration::from_secs(5),
         }
     }
@@ -291,6 +296,9 @@ pub fn validate_artifact(spec: &ShardSpec) -> Result<Checkpoint, ShardFailureKin
     Ok(cp)
 }
 
+/// A clean worker's artifact under validation on a thread of its own.
+type Validation = JoinHandle<Result<Checkpoint, ShardFailureKind>>;
+
 /// Per-shard supervision state machine.
 enum State {
     /// Waiting to (re)spawn at `at`.
@@ -302,8 +310,29 @@ enum State {
         heartbeat: Option<Vec<u8>>,
         progressed_at: Instant,
     },
+    /// The worker exited cleanly and its artifact is being validated while
+    /// the other shards are polled.
+    Validating { attempt: u32, check: Validation },
     /// Terminal.
     Done,
+}
+
+/// Start validating `spec`'s artifact on its own thread; `None` if no
+/// thread could be started.
+fn validate_on_thread(spec: &ShardSpec) -> Option<Validation> {
+    let spec = spec.clone();
+    thread::Builder::new()
+        .name(format!("validate-{}", spec.index))
+        .spawn(move || validate_artifact(&spec))
+        .ok()
+}
+
+/// A validation's result; a panic in it resumes on this thread, as it
+/// would have from an inline call.
+fn joined(check: Validation) -> Result<Checkpoint, ShardFailureKind> {
+    check
+        .join()
+        .unwrap_or_else(|panic| panic::resume_unwind(panic))
 }
 
 /// Stop a worker gracefully: SIGTERM, a bounded grace wait so it can
@@ -371,9 +400,12 @@ fn classify_exit(status: std::process::ExitStatus) -> Result<(), ShardFailureKin
 /// attempt number is passed so callers can make fault injection
 /// first-attempt-only. Workers run concurrently (one process per shard);
 /// the supervisor polls children and heartbeat files every
-/// `poll_interval`, kills stalled workers, validates artifacts on clean
-/// exit, and re-runs failed shards after the deterministic backoff
-/// `cfg.retry.backoff(attempt)`. Outcomes are returned in shard order.
+/// `poll_interval`, kills stalled workers, validates each clean worker's
+/// artifact on a thread of its own while it keeps polling, and re-runs
+/// failed shards after the deterministic backoff
+/// `cfg.retry.backoff(attempt)`. `on_event` runs on the calling thread,
+/// and each shard's events come in order. Outcomes are returned in shard
+/// order.
 pub fn supervise(
     specs: &[ShardSpec],
     cfg: &SupervisorConfig,
@@ -388,8 +420,10 @@ pub fn supervise(
 /// forwards SIGTERM to every running worker, waits up to
 /// [`SupervisorConfig::term_grace`] for each to flush its artifact, and
 /// SIGKILLs stragglers. A worker that exits cleanly with a valid artifact
-/// inside the grace window still counts as succeeded; everything else is
-/// classified [`ShardFailureKind::Interrupted`] and left resumable.
+/// inside the grace window, or whose artifact was under validation, still
+/// counts as succeeded (an in-flight validation is joined); everything
+/// else is classified [`ShardFailureKind::Interrupted`] and left
+/// resumable.
 /// Heartbeat files are removed as shards settle either way — a stopped run
 /// leaves artifacts (valid or absent), never stale heartbeats.
 pub fn supervise_with_shutdown(
@@ -412,10 +446,12 @@ pub fn supervise_with_shutdown(
     let mut states: Vec<State> = Vec::with_capacity(specs.len());
 
     // Adopt valid pre-existing artifacts (the resume path) before spawning
-    // anything; stale or corrupt leftovers are reported, then overwritten
+    // anything, validating them all at once, one thread per shard; stale
+    // or corrupt leftovers are reported, in shard order, then overwritten
     // by the first attempt's atomic artifact write.
-    for (spec, outcome) in specs.iter().zip(&mut outcomes) {
-        match validate_artifact(spec) {
+    let checks: Vec<_> = specs.iter().map(validate_on_thread).collect();
+    for ((spec, outcome), check) in specs.iter().zip(&mut outcomes).zip(checks) {
+        match check.map_or_else(|| validate_artifact(spec), joined) {
             Ok(cp) => {
                 outcome.artifact = Some(cp);
                 outcome.reused = true;
@@ -445,40 +481,39 @@ pub fn supervise_with_shutdown(
         if shutdown.load(Ordering::SeqCst) {
             // Run-level shutdown: no new attempts. Stop every running
             // worker gracefully, adopt any artifact flushed during the
-            // grace window, and clean heartbeats so nothing stale remains.
+            // grace window or under validation, and clean heartbeats so
+            // nothing stale remains.
             for ((spec, state), outcome) in specs.iter().zip(&mut states).zip(&mut outcomes) {
-                match std::mem::replace(state, State::Done) {
-                    State::Done => {}
-                    State::Pending { .. } => {
-                        outcome.failures.push(ShardFailureKind::Interrupted);
-                        on_event(ShardEvent::Interrupted { shard: spec });
+                let settled = match std::mem::replace(state, State::Done) {
+                    State::Done => None,
+                    State::Pending { attempt, .. } => {
+                        Some((attempt, Err(ShardFailureKind::Interrupted)))
                     }
                     State::Running {
                         attempt, mut child, ..
-                    } => {
-                        let result = match terminate_gracefully(
-                            &mut child,
-                            cfg.term_grace,
-                            cfg.poll_interval,
-                        ) {
+                    } => Some((
+                        attempt,
+                        match terminate_gracefully(&mut child, cfg.term_grace, cfg.poll_interval) {
                             Some(status) => {
                                 classify_exit(status).and_then(|()| validate_artifact(spec))
                             }
                             None => Err(ShardFailureKind::Interrupted),
-                        };
-                        match result {
-                            Ok(cp) => {
-                                outcome.artifact = Some(cp);
-                                on_event(ShardEvent::Succeeded {
-                                    shard: spec,
-                                    attempt,
-                                });
-                            }
-                            Err(_) => {
-                                outcome.failures.push(ShardFailureKind::Interrupted);
-                                on_event(ShardEvent::Interrupted { shard: spec });
-                            }
-                        }
+                        },
+                    )),
+                    State::Validating { attempt, check } => Some((attempt, joined(check))),
+                };
+                match settled {
+                    None => {}
+                    Some((attempt, Ok(cp))) => {
+                        outcome.artifact = Some(cp);
+                        on_event(ShardEvent::Succeeded {
+                            shard: spec,
+                            attempt,
+                        });
+                    }
+                    Some((_, Err(_))) => {
+                        outcome.failures.push(ShardFailureKind::Interrupted);
+                        on_event(ShardEvent::Interrupted { shard: spec });
                     }
                 }
                 let _ = std::fs::remove_file(&spec.heartbeat);
@@ -488,112 +523,103 @@ pub fn supervise_with_shutdown(
         let mut all_done = true;
         for ((spec, state), outcome) in specs.iter().zip(&mut states).zip(&mut outcomes) {
             let now = Instant::now();
-            // Each arm either installs the next state or leaves `Done`.
-            let next: Option<State> = match state {
-                State::Done => None,
-                State::Pending { attempt, at } => {
-                    if now < *at {
-                        Some(State::Pending {
-                            attempt: *attempt,
-                            at: *at,
-                        })
-                    } else {
-                        let attempt = *attempt;
-                        outcome.attempts = attempt;
-                        // A fresh attempt must never inherit the previous
-                        // attempt's heartbeat mtime/content as "progress".
-                        let _ = std::fs::remove_file(&spec.heartbeat);
-                        on_event(ShardEvent::Started {
-                            shard: spec,
+            *state = match std::mem::replace(state, State::Done) {
+                State::Done => State::Done,
+                State::Pending { attempt, at } if now < at => State::Pending { attempt, at },
+                State::Pending { attempt, .. } => {
+                    outcome.attempts = attempt;
+                    // A fresh attempt must never inherit the previous
+                    // attempt's heartbeat mtime/content as "progress".
+                    let _ = std::fs::remove_file(&spec.heartbeat);
+                    on_event(ShardEvent::Started {
+                        shard: spec,
+                        attempt,
+                    });
+                    let mut cmd = command(spec, attempt);
+                    cmd.stdin(Stdio::null());
+                    match cmd.spawn() {
+                        Ok(child) => State::Running {
                             attempt,
-                        });
-                        let mut cmd = command(spec, attempt);
-                        cmd.stdin(Stdio::null());
-                        match cmd.spawn() {
-                            Ok(child) => Some(State::Running {
-                                attempt,
-                                child,
-                                heartbeat: None,
-                                progressed_at: now,
-                            }),
-                            Err(e) => Some(fail_attempt(
-                                spec,
-                                outcome,
-                                attempt,
-                                ShardFailureKind::Spawn(e.to_string()),
-                                cfg,
-                                &mut on_event,
-                            )),
-                        }
+                            child,
+                            heartbeat: None,
+                            progressed_at: now,
+                        },
+                        Err(e) => fail_attempt(
+                            spec,
+                            outcome,
+                            attempt,
+                            ShardFailureKind::Spawn(e.to_string()),
+                            cfg,
+                            &mut on_event,
+                        ),
                     }
                 }
                 State::Running {
                     attempt,
-                    child,
+                    mut child,
                     heartbeat,
                     progressed_at,
-                } => {
-                    let attempt = *attempt;
-                    match child.try_wait() {
-                        Err(e) => Some(fail_attempt(
-                            spec,
-                            outcome,
-                            attempt,
-                            ShardFailureKind::Spawn(format!("wait: {e}")),
-                            cfg,
-                            &mut on_event,
-                        )),
-                        Ok(Some(status)) => {
-                            let result =
-                                classify_exit(status).and_then(|()| validate_artifact(spec));
-                            match result {
-                                Ok(cp) => {
-                                    outcome.artifact = Some(cp);
-                                    let _ = std::fs::remove_file(&spec.heartbeat);
-                                    on_event(ShardEvent::Succeeded {
-                                        shard: spec,
-                                        attempt,
-                                    });
-                                    Some(State::Done)
-                                }
-                                Err(kind) => Some(fail_attempt(
-                                    spec,
-                                    outcome,
-                                    attempt,
-                                    kind,
-                                    cfg,
-                                    &mut on_event,
-                                )),
+                } => match child.try_wait() {
+                    Err(e) => fail_attempt(
+                        spec,
+                        outcome,
+                        attempt,
+                        ShardFailureKind::Spawn(format!("wait: {e}")),
+                        cfg,
+                        &mut on_event,
+                    ),
+                    Ok(Some(status)) => match classify_exit(status) {
+                        Err(kind) => fail_attempt(spec, outcome, attempt, kind, cfg, &mut on_event),
+                        Ok(()) => match validate_on_thread(spec) {
+                            Some(check) => State::Validating { attempt, check },
+                            None => settle(
+                                spec,
+                                outcome,
+                                attempt,
+                                validate_artifact(spec),
+                                cfg,
+                                &mut on_event,
+                            ),
+                        },
+                    },
+                    Ok(None) => {
+                        // Still running: has the heartbeat moved?
+                        let current = std::fs::read(&spec.heartbeat).ok();
+                        if current.is_some() && current != heartbeat {
+                            State::Running {
+                                attempt,
+                                child,
+                                heartbeat: current,
+                                progressed_at: now,
                             }
-                        }
-                        Ok(None) => {
-                            // Still running: has the heartbeat moved?
-                            let current = std::fs::read(&spec.heartbeat).ok();
-                            if current.is_some() && current != *heartbeat {
-                                *heartbeat = current;
-                                *progressed_at = now;
-                                None // keep running, state mutated in place
-                            } else if now.duration_since(*progressed_at) > cfg.stall_deadline {
-                                let _ =
-                                    terminate_gracefully(child, cfg.term_grace, cfg.poll_interval);
-                                Some(fail_attempt(
-                                    spec,
-                                    outcome,
-                                    attempt,
-                                    ShardFailureKind::Stall,
-                                    cfg,
-                                    &mut on_event,
-                                ))
-                            } else {
-                                None
+                        } else if now.duration_since(progressed_at) > cfg.stall_deadline {
+                            let _ =
+                                terminate_gracefully(&mut child, cfg.term_grace, cfg.poll_interval);
+                            fail_attempt(
+                                spec,
+                                outcome,
+                                attempt,
+                                ShardFailureKind::Stall,
+                                cfg,
+                                &mut on_event,
+                            )
+                        } else {
+                            State::Running {
+                                attempt,
+                                child,
+                                heartbeat,
+                                progressed_at,
                             }
                         }
                     }
+                },
+                State::Validating { attempt, check } if !check.is_finished() => {
+                    State::Validating { attempt, check }
+                }
+                State::Validating { attempt, check } => {
+                    settle(spec, outcome, attempt, joined(check), cfg, &mut on_event)
                 }
             };
-            if let Some(next) = next {
-                *state = next;
-            }
             if !matches!(state, State::Done) {
                 all_done = false;
             }
@@ -602,6 +628,30 @@ pub fn supervise_with_shutdown(
             return outcomes;
         }
         std::thread::sleep(cfg.poll_interval);
+    }
+}
+
+/// Settle an attempt whose worker exited cleanly by its artifact's
+/// validation: adopt the artifact, or fail the attempt.
+fn settle(
+    spec: &ShardSpec,
+    outcome: &mut ShardOutcome,
+    attempt: u32,
+    validated: Result<Checkpoint, ShardFailureKind>,
+    cfg: &SupervisorConfig,
+    on_event: &mut impl FnMut(ShardEvent<'_>),
+) -> State {
+    match validated {
+        Ok(cp) => {
+            outcome.artifact = Some(cp);
+            let _ = std::fs::remove_file(&spec.heartbeat);
+            on_event(ShardEvent::Succeeded {
+                shard: spec,
+                attempt,
+            });
+            State::Done
+        }
+        Err(kind) => fail_attempt(spec, outcome, attempt, kind, cfg, on_event),
     }
 }
 
@@ -789,7 +839,7 @@ mod tests {
         fs::write(&spec.artifact, &bytes).unwrap();
         match validate_artifact(&spec) {
             Err(ShardFailureKind::CorruptArtifact(why)) => assert!(
-                why.contains("version 3, this build reads version 4"),
+                why.contains("version 3, this build reads version 5"),
                 "{why}"
             ),
             other => panic!("expected a corrupt artifact, got {other:?}"),
@@ -1052,6 +1102,74 @@ mod tests {
         assert!(validate_artifact(&spec).is_ok());
     }
 
+    /// A shutdown while a clean worker's artifact is under validation joins
+    /// the validation, and a valid artifact counts as succeeded. The input
+    /// is a FIFO: the shutdown is raised only once the validation has
+    /// opened it, and the payload is written only after that, so the
+    /// validation is still reading when the flag rises.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_joins_a_validation_in_flight() {
+        use crate::checkpoint::FileFingerprint;
+        use std::io::Write;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let dir = workdir("shutdown-validating");
+        let fifo = dir.join("in.fifo");
+        assert!(Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .unwrap()
+            .success());
+        let spec = ShardSpec {
+            index: 0,
+            files: vec![fifo.to_string_lossy().into_owned()],
+            artifact: dir.join("shard-000.ckpt"),
+            heartbeat: dir.join("shard-000.hb"),
+        };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let trigger = Arc::clone(&shutdown);
+        // Opening a FIFO for writing waits for a reader, and only the
+        // validation of a worker that exited cleanly opens this one. The
+        // pause lets the supervisor reach the shutdown, and the join,
+        // before the validation can finish.
+        let writer = std::thread::spawn(move || {
+            let mut w = fs::OpenOptions::new().write(true).open(&fifo)?;
+            trigger.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(100));
+            w.write_all(b"payload")
+        });
+        let mut interrupted = false;
+        let outcomes = supervise_with_shutdown(
+            std::slice::from_ref(&spec),
+            &quick_cfg(1),
+            |spec, _| {
+                let mut cp = Checkpoint::new();
+                cp.files.push(CompletedFile {
+                    path: spec.files[0].clone(),
+                    fingerprint: FileFingerprint {
+                        bytes: 7,
+                        hash: bgp_types::persist::checksum(b"payload"),
+                    },
+                });
+                cp.save_atomic(&spec.artifact).unwrap();
+                sh("exit 0".into())
+            },
+            |e| {
+                if matches!(e, ShardEvent::Interrupted { .. }) {
+                    interrupted = true;
+                }
+            },
+            &shutdown,
+        );
+        assert!(outcomes[0].succeeded(), "{:?}", outcomes[0].failures);
+        assert!(!interrupted, "a validated shard must count as succeeded");
+        // Only once the validation has read it: otherwise the writer waits
+        // for a reader until the test process exits.
+        writer.join().unwrap().unwrap();
+    }
+
     #[cfg(unix)]
     #[test]
     fn shutdown_interrupts_a_non_trapping_worker_and_cleans_heartbeats() {
@@ -1091,6 +1209,58 @@ mod tests {
             !spec.heartbeat.exists(),
             "shutdown must not leave stale heartbeats"
         );
+    }
+
+    /// Artifacts are validated off the polling thread, yet every event is
+    /// delivered on it and each shard's events keep their order, a failed
+    /// validation's retry included.
+    #[test]
+    fn each_shard_s_events_keep_their_order_under_concurrent_validation() {
+        let dir = workdir("event-order");
+        let specs: Vec<ShardSpec> = (0..3).map(|i| spec_with_inputs(&dir, i, 2)).collect();
+        let caller = thread::current().id();
+        let mut events: Vec<(usize, String)> = Vec::new();
+        let outcomes = supervise(
+            &specs,
+            &quick_cfg(2),
+            |spec, attempt| {
+                if spec.index == 1 && attempt == 1 {
+                    sh(format!("echo garbage > {}", spec.artifact.display()))
+                } else {
+                    write_valid_artifact(spec);
+                    sh("exit 0".into())
+                }
+            },
+            |e| {
+                assert_eq!(thread::current().id(), caller);
+                events.push(match e {
+                    ShardEvent::Started { shard, attempt } => {
+                        (shard.index, format!("started {attempt}"))
+                    }
+                    ShardEvent::Retrying { shard, attempt, .. } => {
+                        (shard.index, format!("retrying {attempt}"))
+                    }
+                    ShardEvent::Succeeded { shard, attempt } => {
+                        (shard.index, format!("succeeded {attempt}"))
+                    }
+                    other => panic!("unexpected event {other:?}"),
+                });
+            },
+        );
+        assert!(outcomes.iter().all(|o| o.succeeded()));
+        for shard in 0..3 {
+            let seen: Vec<&str> = events
+                .iter()
+                .filter(|(s, _)| *s == shard)
+                .map(|(_, what)| what.as_str())
+                .collect();
+            let expected: &[&str] = if shard == 1 {
+                &["started 1", "retrying 1", "started 2", "succeeded 2"]
+            } else {
+                &["started 1", "succeeded 1"]
+            };
+            assert_eq!(seen, expected, "shard {shard}");
+        }
     }
 
     #[test]

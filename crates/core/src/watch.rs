@@ -60,7 +60,7 @@ use bgp_mrt::{IngestReport, RecoverConfig, StreamDecoder};
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
-use bgp_types::persist::{self, fnv1a, Format, LoadError, FNV_OFFSET};
+use bgp_types::persist::{self, Checksum, Format, LoadError};
 use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
 use crate::checkpoint::{ColumnReader, ColumnWriter, SegmentMark, StatsAccumulator, StatsSnapshot};
@@ -758,7 +758,7 @@ impl WindowedStatsSnapshot {
 /// ([`save_atomic`](Self::save_atomic)), and a load checks both files
 /// ([`load`](Self::load)).
 ///
-/// # Manifest layout (version 5, all integers little-endian)
+/// # Manifest layout (version 6, all integers little-endian)
 ///
 /// The [`persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -768,7 +768,7 @@ impl WindowedStatsSnapshot {
 ///               late_drops, reclassified_owners, window_secs, windows
 ///               (9 × u64)
 ///   log         start, end, checksum (3 × u64): the committed byte range
-///               of the segment log and the FNV-1a 64 of those bytes
+///               of the segment log and the Checksum of those bytes
 ///   segment     paths, lists, tuples, owners (4 × u64): the counts the
 ///               committed frames must add up to
 ///   buckets     index column (u64, strictly ascending, at most
@@ -791,9 +791,10 @@ impl WindowedStatsSnapshot {
 /// they are ignored on load and dropped by the next append. Version 1 was
 /// a JSON manifest; it is refused as [`LoadError::Foreign`]. Version 2
 /// held u64 fingerprint sets, once cumulative and again per bucket,
-/// version 3 held the whole segment in the one file, and version 4 held
-/// the counts without the per-ASN path counts or which tuples they
-/// counted; all three are refused as [`LoadError::Version`].
+/// version 3 held the whole segment in the one file, version 4 held the
+/// counts without the per-ASN path counts or which tuples they counted,
+/// and version 5 sealed the manifest and the log's range with FNV-1a 64;
+/// all four are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -829,14 +830,15 @@ pub struct WatchCheckpoint {
 }
 
 /// Where a watch checkpoint's segment log stands: the byte range of the
-/// log the manifest on disk commits, the FNV-1a 64 of those bytes, and how
-/// far into the segment their frames reach. A save appends after it and
-/// returns the next one; a load returns the loaded one.
+/// log the manifest on disk commits, the [`Checksum`] state over those
+/// bytes, and how far into the segment their frames reach. A save appends
+/// after it, hashing only the frame it appends, and returns the next one;
+/// a load returns the loaded one.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentLog {
     start: u64,
     end: u64,
-    checksum: u64,
+    checksum: Checksum,
     mark: SegmentMark,
 }
 
@@ -846,7 +848,7 @@ impl SegmentLog {
         SegmentLog {
             start: at,
             end: at,
-            checksum: FNV_OFFSET,
+            checksum: Checksum::new(),
             mark: SegmentMark::default(),
         }
     }
@@ -856,7 +858,7 @@ impl WatchCheckpoint {
     /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 5,
+        version: 6,
         name: "checkpoint",
     };
 
@@ -897,7 +899,7 @@ impl WatchCheckpoint {
             self.windows as u64,
             log.start,
             log.end,
-            log.checksum,
+            log.checksum.finish(),
         ]
         .into_iter()
         .chain(self.cumulative.counts())
@@ -934,11 +936,9 @@ impl WatchCheckpoint {
     #[cfg(test)]
     pub(crate) fn encode(&self) -> (Vec<u8>, Vec<u8>) {
         let frame = self.frame_since(&SegmentMark::default());
-        let log = SegmentLog {
-            end: frame.len() as u64,
-            checksum: fnv1a(FNV_OFFSET, &frame),
-            ..SegmentLog::empty_at(0)
-        };
+        let mut log = SegmentLog::empty_at(0);
+        log.end = frame.len() as u64;
+        log.checksum.update(&frame);
         (self.manifest(&log), frame)
     }
 
@@ -981,13 +981,13 @@ impl WatchCheckpoint {
             }
         };
         let mark = self.cumulative.mark();
-        let (mut end, mut checksum, mut written) = (log.end, log.checksum, 0);
+        let (mut end, mut checksum, mut written) = (log.end, log.checksum.clone(), 0);
         if complete || mark != log.mark {
             let frame = self.frame_since(&log.mark);
             persist::append_at(&log_path, log.end, &frame)
                 .map_err(|e| failed("append checkpoint log", &log_path, e))?;
             end += frame.len() as u64;
-            checksum = fnv1a(checksum, &frame);
+            checksum.update(&frame);
             written = frame.len() as u64;
         }
         let next = SegmentLog {
@@ -1022,7 +1022,8 @@ impl WatchCheckpoint {
     /// [`load`](Self::load), also returning the log's state, which the next
     /// [`save`](Self::save) appends after.
     pub(crate) fn open(path: &Path) -> Result<(WatchCheckpoint, SegmentLog), LoadError> {
-        let (mut cp, log, counts) = Self::FORMAT.load(path, Self::decode_manifest)?;
+        let (mut cp, [start, end, recorded], counts) =
+            Self::FORMAT.load(path, Self::decode_manifest)?;
         let log_path = Self::log_path(path);
         let corrupt = |detail: String| Self::FORMAT.corrupt(&log_path, detail);
         let io_error = |e: io::Error| LoadError::io(&log_path, e);
@@ -1034,26 +1035,36 @@ impl WatchCheckpoint {
             Err(e) => return Err(io_error(e)),
         };
         let present = file.metadata().map_err(io_error)?.len();
-        if present < log.end {
+        if present < end {
             return Err(corrupt(format!(
-                "segment log: {} bytes committed, {present} present",
-                log.end
+                "segment log: {end} bytes committed, {present} present"
             )));
         }
-        let len = usize::try_from(log.end - log.start)
-            .map_err(|e| corrupt(format!("segment log range: {e}")))?;
+        let len =
+            usize::try_from(end - start).map_err(|e| corrupt(format!("segment log range: {e}")))?;
         let mut committed = vec![0; len];
-        file.seek(SeekFrom::Start(log.start))
+        file.seek(SeekFrom::Start(start))
             .and_then(|_| file.read_exact(&mut committed))
             .map_err(io_error)?;
-        cp.cumulative = Self::decode_log(&committed, log.checksum, counts).map_err(corrupt)?;
+        let (segment, checksum) =
+            Self::decode_log(&committed, recorded, counts).map_err(corrupt)?;
+        cp.cumulative = segment;
         let mark = cp.cumulative.mark();
-        Ok((cp, SegmentLog { mark, ..log }))
+        Ok((
+            cp,
+            SegmentLog {
+                start,
+                end,
+                checksum,
+                mark,
+            },
+        ))
     }
 
     /// The manifest's payload: the checkpoint with an empty segment, the
-    /// log range it commits, and the segment counts that range must hold.
-    fn decode_manifest(payload: &[u8]) -> Result<(WatchCheckpoint, SegmentLog, [u64; 4]), String> {
+    /// log range it commits (start, end and the checksum of the bytes
+    /// between), and the segment counts that range must hold.
+    fn decode_manifest(payload: &[u8]) -> Result<(WatchCheckpoint, [u64; 3], [u64; 4]), String> {
         let mut r = ColumnReader::new(payload);
         let cursor = r.u64("cursor")?;
         let records = r.u64("records")?;
@@ -1073,11 +1084,7 @@ impl WatchCheckpoint {
         if start > end {
             return Err(format!("segment log range {start}..{end} runs backwards"));
         }
-        let log = SegmentLog {
-            end,
-            checksum: r.u64("segment log checksum")?,
-            ..SegmentLog::empty_at(start)
-        };
+        let log = [start, end, r.u64("segment log checksum")?];
         let mut counts = [0; 4];
         for (count, what) in counts
             .iter_mut()
@@ -1183,15 +1190,18 @@ impl WatchCheckpoint {
         Ok((cp, log, counts))
     }
 
-    /// The segment the log's committed bytes hold: their checksum must be
+    /// The segment the log's committed bytes hold, and the checksum state
+    /// over them that the next append continues: their checksum must be
     /// the recorded one, every frame must decode onto the ones before it,
     /// and the segment must have the manifest's `counts`.
     fn decode_log(
         committed: &[u8],
         checksum: u64,
         counts: [u64; 4],
-    ) -> Result<StatsAccumulator, String> {
-        let computed = fnv1a(FNV_OFFSET, committed);
+    ) -> Result<(StatsAccumulator, Checksum), String> {
+        let mut state = Checksum::new();
+        state.update(committed);
+        let computed = state.finish();
         if computed != checksum {
             return Err(format!(
                 "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
@@ -1210,7 +1220,7 @@ impl WatchCheckpoint {
                 segment.counts()
             ));
         }
-        Ok(segment)
+        Ok((segment, state))
     }
 }
 
@@ -1407,12 +1417,17 @@ fn record_watch_metrics(
 /// starts the segment log over, every later one (and every one after a
 /// resume) appends only what the segment gained since the save before.
 /// Each save counts `checkpoint/writes`, `checkpoint/bytes_written` (the
-/// manifest plus the appended frame) and `time/checkpoint_write_ns`.
+/// manifest plus the appended frame) and `time/checkpoint_write_ns`. A
+/// resumed run's exit save is skipped, and counts nothing, when it would
+/// write the checkpoint the run resumed from.
 struct CheckpointSaver<'a> {
     path: &'a Path,
     /// The log's state after the last save or the load; `None` until the
     /// first save of a fresh run.
     log: Option<SegmentLog>,
+    /// The checkpoint the run resumed from, its segment left out, until
+    /// the first save.
+    resumed: Option<WatchCheckpoint>,
     metrics: Option<&'a MetricsRegistry>,
 }
 
@@ -1430,9 +1445,15 @@ impl<'a> CheckpointSaver<'a> {
                 format!("checkpoint directory {} does not exist", dir.display()),
             ));
         }
+        if let Some(metrics) = metrics {
+            // Registered now, so a run that saves nothing reports 0.
+            metrics.counter("checkpoint/writes");
+            metrics.counter("checkpoint/bytes_written");
+        }
         Ok(CheckpointSaver {
             path,
             log: None,
+            resumed: None,
             metrics,
         })
     }
@@ -1445,6 +1466,10 @@ impl<'a> CheckpointSaver<'a> {
         }
         let (cp, log) = WatchCheckpoint::open(self.path)?;
         self.log = Some(log);
+        self.resumed = Some(WatchCheckpoint {
+            cumulative: StatsSnapshot::new(),
+            ..cp.clone()
+        });
         Ok(Some(cp))
     }
 
@@ -1452,12 +1477,30 @@ impl<'a> CheckpointSaver<'a> {
         let start = Instant::now();
         let (log, bytes) = cp.save(self.path, self.log.as_ref())?;
         self.log = Some(log);
+        self.resumed = None;
         if let Some(metrics) = self.metrics {
             metrics.counter("checkpoint/writes").inc();
             metrics.counter("checkpoint/bytes_written").add(bytes);
             metrics.record_duration("time/checkpoint_write_ns", start.elapsed());
         }
         Ok(())
+    }
+
+    /// The exit save, skipped when `cp` is the checkpoint the run resumed
+    /// from: its segment gained nothing past the loaded log's mark (a
+    /// segment only grows, so it is the loaded one; no deep compare) and
+    /// every other field is equal.
+    fn save_at_exit(&mut self, mut cp: WatchCheckpoint) -> io::Result<()> {
+        if let (Some(resumed), Some(log)) = (&self.resumed, &self.log) {
+            if cp.cumulative.mark() == log.mark {
+                let segment = std::mem::take(&mut cp.cumulative);
+                if cp == *resumed {
+                    return Ok(());
+                }
+                cp.cumulative = segment;
+            }
+        }
+        self.save(&cp)
     }
 }
 
@@ -1493,8 +1536,8 @@ impl ObservationSink for WindowSink<'_> {
 /// boundaries so the cursor is consistent with exactly the folds
 /// performed). On exit a final
 /// reclassification brings labels up to date with the head bucket, a final
-/// checkpoint is flushed, and metrics are recorded — the same path for
-/// graceful shutdown and quiesce.
+/// checkpoint is flushed (unless it is the one the run resumed from), and
+/// metrics are recorded — the same path for graceful shutdown and quiesce.
 pub fn run_watch<S: StreamSource>(
     source: S,
     siblings: &SiblingMap,
@@ -1594,12 +1637,13 @@ pub fn run_watch<S: StreamSource>(
 
     // Quiescent (or shutting down): bring labels up to date with the head
     // bucket's folds, then flush a final checkpoint so a restart resumes
-    // from here instead of re-delivering the tail.
+    // from here instead of re-delivering the tail — unless it is the one
+    // the run resumed from.
     classifier.reclassify(siblings);
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
     if let Some(saver) = saver.as_mut() {
-        saver.save(&classifier.checkpoint(cursor, records, observations))?;
+        saver.save_at_exit(classifier.checkpoint(cursor, records, observations))?;
     }
 
     let stats = classifier.cumulative_stats(opts.infer.threads);
@@ -1904,7 +1948,7 @@ mod tests {
     fn reseal(payload: &[u8], log: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let mut manifest = vec![0; persist::HEADER_LEN];
         manifest.extend_from_slice(payload);
-        let range = [0, log.len() as u64, fnv1a(FNV_OFFSET, log)];
+        let range = [0, log.len() as u64, persist::checksum(log)];
         for (word, at) in range.into_iter().zip((LOG_RANGE..).step_by(8)) {
             manifest[at..at + 8].copy_from_slice(&word.to_le_bytes());
         }
@@ -2592,7 +2636,7 @@ mod tests {
         // Every prefix of the log, with a checksum that matches it: the
         // frame decoder and the manifest's counts refuse it.
         let decode_log =
-            |log: &[u8]| WatchCheckpoint::decode_log(log, fnv1a(FNV_OFFSET, log), counts);
+            |log: &[u8]| WatchCheckpoint::decode_log(log, persist::checksum(log), counts);
         assert!(decode_log(&log).is_ok());
         for cut in 0..log.len() {
             assert!(
@@ -2765,6 +2809,46 @@ mod tests {
         let n = stream.len() as u64;
         saver.save(&wc.checkpoint(n, 0, n)).unwrap();
         wc
+    }
+
+    /// A resumed run's exit save is skipped only when it would write the
+    /// checkpoint the run resumed from. A checkpoint taken at the end of
+    /// the stream but before the quiescent point's reclassification has
+    /// uncounted tuples: the restart that counts them saves, and the
+    /// restart after it, with nothing to fold or count, writes nothing.
+    #[test]
+    fn an_exit_save_is_skipped_only_when_it_rewrites_the_resumed_checkpoint() {
+        let stream = churn_stream();
+        let n = stream.len() as u64;
+        let siblings = SiblingMap::default();
+        let dir = test_dir("exit-save");
+        let path = dir.join("watch.ckpt");
+        let mut saver = CheckpointSaver::new(&path, None).unwrap();
+        let mut wc = WindowedClassifier::new(window_cfg(), InferenceConfig::default());
+        fold_saving(&mut wc, &stream, 0..stream.len(), &mut saver);
+        let uncounted = wc.checkpoint(n, 0, n);
+        saver.save(&uncounted).unwrap();
+
+        let restart = || {
+            let metrics = MetricsRegistry::new();
+            let mut saver = CheckpointSaver::new(&path, Some(&metrics)).unwrap();
+            let cp = saver.resume().unwrap().expect("a checkpoint to resume");
+            let mut wc = WindowedClassifier::from_checkpoint(&cp, InferenceConfig::default());
+            wc.reclassify(&siblings);
+            let exit = wc.checkpoint(n, 0, n);
+            saver.save_at_exit(exit.clone()).unwrap();
+            (exit, metrics.snapshot().counters["checkpoint/writes"])
+        };
+        let (counted, writes) = restart();
+        assert_ne!(counted, uncounted, "the reclassification counted tuples");
+        assert_eq!(writes, 1);
+        assert_eq!(WatchCheckpoint::load(&path).unwrap(), counted);
+
+        let files = checkpoint_files(&path);
+        let (again, writes) = restart();
+        assert_eq!((again, writes), (counted, 0));
+        assert_eq!(checkpoint_files(&path), files);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A save appends only what the segment gained: the log is the frames

@@ -18,7 +18,7 @@ use bgp_intent::{
     WatchCheckpoint, WindowConfig, WindowedClassifier,
 };
 use bgp_relationships::SiblingMap;
-use bgp_types::persist::{fnv1a, Format, LoadError, FNV_OFFSET, HEADER_LEN};
+use bgp_types::persist::{checksum, Format, LoadError, HEADER_LEN};
 use bgp_types::store::ObservationStore;
 use bgp_types::{AsPath, Asn, Community, Intent, Observation, ObservationSink, PathSegment};
 
@@ -230,7 +230,7 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
             let edited = fs::read(p).unwrap()[HEADER_LEN..].to_vec();
             let mut manifest = manifest.clone();
             manifest[LOG_CHECKSUM..LOG_CHECKSUM + 8]
-                .copy_from_slice(&fnv1a(FNV_OFFSET, &edited).to_le_bytes());
+                .copy_from_slice(&checksum(&edited).to_le_bytes());
             WatchCheckpoint::FORMAT.seal(&mut manifest);
             fs::write(&resealed, &manifest).unwrap();
             fs::write(WatchCheckpoint::log_path(&resealed), &edited).unwrap();

@@ -10,7 +10,7 @@
 //!   8  version      u32
 //!   12 reserved     u32 (zero)
 //!   16 payload_len  u64
-//!   24 checksum     u64 (FNV-1a 64 over the payload)
+//!   24 checksum     u64 (the payload's Checksum)
 //! ```
 //!
 //! A writer reserves [`HEADER_LEN`] bytes at the front of its buffer,
@@ -19,28 +19,157 @@
 //! bytes to [`Format::decode`] ([`Format::load`] reads them first), which
 //! checks every header field and passes the payload to the format's
 //! decoder as a borrowed slice — so a memory-mapped file is never copied —
-//! or fails with a typed [`LoadError`]. [`fnv1a`] is the single FNV-1a 64
-//! the seal (and input-file fingerprinting) uses. [`append_at`] is the
-//! other durable write: it grows a log that a sealed manifest commits a
-//! byte range of (the watch checkpoint's segment log).
+//! or fails with a typed [`LoadError`]. [`Checksum`] is the single
+//! checksum the seal, the watch log's committed range and input-file
+//! fingerprints use. [`append_at`] is the other durable write: it grows a
+//! log that a sealed manifest commits a byte range of (the watch
+//! checkpoint's segment log).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64 offset basis: the starting `hash` for [`fnv1a`].
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Bytes per stripe: one little-endian u64 word for each of the four lanes.
+const STRIPE: usize = 32;
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+// xxHash64's five primes.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// Fold `bytes` into a running FNV-1a 64 `hash` (start from
-/// [`FNV_OFFSET`]; chaining calls equals one call over the concatenation).
-pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// The running checksum of a byte stream: four independent u64 lanes, each
+/// folding every fourth word of the 32-byte stripes with a multiply and a
+/// rotate, so the lanes' multiplies overlap instead of waiting on one
+/// another. [`finish`](Self::finish) folds in the lanes, the total length
+/// and the tail of at most 31 bytes that fills no stripe, then avalanches.
+/// The digest is xxHash64's with seed 0, and any split of the input into
+/// [`update`](Self::update)s gives the same digest as one call.
+///
+/// Every step is a bijection of the lane or of the running hash, so a
+/// change to one word always changes its lane; the tests show every single
+/// and double bit flip in 64- and 100-byte inputs changing the digest.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The bytes of a stripe not yet complete: the first `buffered` of these.
+    stripe: [u8; STRIPE],
+    buffered: usize,
+    total: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self::new()
     }
-    hash
+}
+
+/// One lane step: mix the word `w` into `acc`.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+impl Checksum {
+    /// The state over no bytes.
+    pub fn new() -> Self {
+        Checksum {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            stripe: [0; STRIPE],
+            buffered: 0,
+            total: 0,
+        }
+    }
+
+    /// Fold `bytes` in after everything folded so far.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total = self.total.wrapping_add(bytes.len() as u64);
+        if self.buffered > 0 {
+            let take = (STRIPE - self.buffered).min(bytes.len());
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < STRIPE {
+                return;
+            }
+            let stripe = self.stripe;
+            self.stripes(&stripe);
+            self.buffered = 0;
+        }
+        let whole = bytes.len() - bytes.len() % STRIPE;
+        self.stripes(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// Fold whole stripes into the lanes.
+    fn stripes(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for s in bytes.chunks_exact(STRIPE) {
+            a = round(a, word(&s[0..8]));
+            b = round(b, word(&s[8..16]));
+            c = round(c, word(&s[16..24]));
+            d = round(d, word(&s[24..32]));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    /// The digest of everything folded so far; the state is unchanged, so
+    /// more bytes can follow.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.total >= STRIPE as u64 {
+            let [a, b, c, d] = self.lanes;
+            let mut h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for lane in self.lanes {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.stripe[..self.buffered];
+        while tail.len() >= 8 {
+            h ^= round(0, word(tail));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let w = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h ^= u64::from(w).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            h ^= u64::from(byte).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// The [`Checksum`] digest of `bytes`.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut state = Checksum::new();
+    state.update(bytes);
+    state.finish()
 }
 
 /// Length of the envelope header every sealed file starts with.
@@ -68,7 +197,7 @@ impl Format {
         header[8..12].copy_from_slice(&self.version.to_le_bytes());
         header[12..16].fill(0);
         header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[24..].copy_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
+        header[24..].copy_from_slice(&checksum(payload).to_le_bytes());
     }
 
     /// The header checks of [`decode`](Self::decode); returns the payload.
@@ -112,7 +241,7 @@ impl Format {
                 ),
             ));
         }
-        let computed = fnv1a(FNV_OFFSET, payload);
+        let computed = checksum(payload);
         if word(24) != computed {
             return Err(self.corrupt(
                 path,
@@ -349,15 +478,75 @@ fn sync_parent_dir(_path: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// Pinned digests: the empty input, one byte (tail only), and inputs
+    /// one byte short of, exactly and one byte past a stripe. They are
+    /// xxHash64's published values with seed 0 where one exists.
     #[test]
-    fn fnv1a_matches_the_published_vectors_and_chains() {
-        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
-        assert_eq!(
-            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
-            fnv1a(FNV_OFFSET, b"foobar")
-        );
+    fn checksum_pins_its_digests() {
+        const TEXT: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
+        assert_eq!(checksum(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(checksum(&TEXT[..31]), 0x80ad_fc1d_4202_0f39);
+        assert_eq!(checksum(&TEXT[..32]), 0xbf7c_9dbe_16b5_c6e2);
+        assert_eq!(checksum(&TEXT[..33]), 0xe974_23e6_05e2_f3b4);
+        assert_eq!(Checksum::default().finish(), checksum(b""));
+    }
+
+    /// Every single bit flip and every pair of bit flips changes the
+    /// digest: over 64 bytes (two whole stripes) and over 100 (three
+    /// stripes and a tail of a word, half a word and no bytes).
+    #[test]
+    fn every_single_and_double_bit_flip_changes_the_digest() {
+        for len in [64usize, 100] {
+            let buf: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = checksum(&buf);
+            let bits = len * 8;
+            let mut flipped = buf.clone();
+            for i in 0..bits {
+                flipped[i / 8] ^= 1 << (i % 8);
+                assert_ne!(checksum(&flipped), clean, "{len} bytes, bit {i}");
+                for j in i + 1..bits {
+                    flipped[j / 8] ^= 1 << (j % 8);
+                    assert_ne!(checksum(&flipped), clean, "{len} bytes, bits {i} and {j}");
+                    flipped[j / 8] ^= 1 << (j % 8);
+                }
+                flipped[i / 8] ^= 1 << (i % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn appending_a_zero_byte_changes_the_digest() {
+        let mut bytes = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..=70 {
+            assert!(seen.insert(checksum(&bytes)), "{} zero bytes", bytes.len());
+            bytes.push(0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The state carries any split: updates over consecutive pieces,
+        /// with a digest taken between them, equal one call over the whole.
+        #[test]
+        fn chained_updates_equal_one_call(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut state = Checksum::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                state.update(&bytes[from..cut]);
+                let _ = state.finish();
+                from = cut;
+            }
+            proptest::prop_assert_eq!(state.finish(), checksum(&bytes));
+        }
     }
 
     const TEST: Format = Format {
@@ -376,7 +565,7 @@ mod tests {
         assert_eq!(&file[..8], b"BGPTESTF");
         assert_eq!(file[8..16], [7, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(file[16..24], 6u64.to_le_bytes());
-        assert_eq!(file[24..32], 0x8594_4171_f739_67e8u64.to_le_bytes());
+        assert_eq!(file[24..32], 0xa2aa_05ed_9085_aaf9u64.to_le_bytes());
         assert_eq!(TEST.open(&file, Path::new("f")).unwrap(), b"foobar");
 
         let other = Format {
