@@ -15,8 +15,8 @@ use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
 use bgp_intent::pipeline::Input;
 use bgp_intent::{
     check_store, fingerprint_file, label_rows, run_inference, write_inference_artifact,
-    CheckReport, Checkpoint, CompletedFile, Exclusion, FileFingerprint, FileSegment,
-    InferenceConfig, PipelineResult, StatsAccumulator,
+    CheckReport, Checkpoint, CheckpointSaver, CompletedFile, Exclusion, FileFingerprint,
+    FileSegment, InferenceConfig, PipelineResult, StatsAccumulator,
 };
 use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
 use bgp_mrt::{FlakyConfig, IngestOptions, IngestReport};
@@ -126,10 +126,10 @@ INGESTION (stats, infer, shard, watch, query --check):
 CHECKPOINTS (infer):
     --checkpoint FILE
                     Crash-safe incremental runs (lenient ingestion only):
-                    after every fully ingested MRT file, record its
-                    completion (byte length + content hash) and a statistics
-                    snapshot in FILE, written atomically (temp file +
-                    rename). Failed files are retried on resume.
+                    after every fully ingested MRT file, append what the
+                    statistics gained to FILE.seg, then replace FILE, which
+                    lists the completed files (byte length + content hash).
+                    Failed files are retried on resume.
     --resume        Continue a checkpointed run: files recorded in FILE are
                     fingerprint-checked and skipped. A changed input file,
                     an unknown recorded file, or a schema mismatch refuses
@@ -799,45 +799,49 @@ impl CheckpointOptions {
     }
 }
 
-/// Load (under `--resume`) or create the checkpoint manifest, refusing the
-/// silent-overwrite and incompatible-schema cases.
-fn open_checkpoint(ckpt: &CheckpointOptions) -> Result<Checkpoint, Failure> {
-    if !ckpt.path.exists() {
-        if ckpt.resume {
-            eprintln!(
-                "checkpoint {} does not exist yet; starting fresh",
-                ckpt.path.display()
-            );
-        }
-        return Ok(Checkpoint::new());
+/// The saver of the `--checkpoint` file, whose directory is checked before
+/// any decode work, and the manifest to continue: loaded under `--resume`,
+/// else a new one. An existing checkpoint without `--resume` is refused
+/// rather than overwritten, as is one this build cannot read.
+fn open_checkpoint<'a>(
+    ckpt: &'a CheckpointOptions,
+    metrics: Option<&'a MetricsRegistry>,
+) -> Result<(CheckpointSaver<'a, Checkpoint>, Checkpoint), Failure> {
+    let mut saver = CheckpointSaver::new(&ckpt.path, metrics).map_err(|e| e.to_string())?;
+    if ckpt.path.exists() && !ckpt.resume {
+        let why = format!(
+            "checkpoint {} already exists; pass --resume to continue it or remove it to start over",
+            ckpt.path.display()
+        );
+        return Err(Failure::new(EXIT_CHECKPOINT, why));
     }
-    if !ckpt.resume {
-        return Err(Failure::new(
-            EXIT_CHECKPOINT,
-            format!(
-                "checkpoint {} already exists; pass --resume to continue it or remove it to start over",
-                ckpt.path.display()
-            ),
-        ));
+    let resumed = saver
+        .resume()
+        .map_err(|e| Failure::from(e).context("load checkpoint"))?;
+    if resumed.is_none() && ckpt.resume {
+        eprintln!(
+            "checkpoint {} does not exist yet; starting fresh",
+            ckpt.path.display()
+        );
     }
-    Checkpoint::load(&ckpt.path).map_err(|e| Failure::from(e).context("load checkpoint"))
+    Ok((saver, resumed.unwrap_or_default()))
 }
 
-/// What a checkpointed fold runs on each file before its wave decodes:
-/// the fingerprint its [`CompletedFile`] records, so the record names the
-/// bytes actually ingested.
+/// What a checkpointed fold runs on each file before its wave decodes: the
+/// fingerprint its [`CompletedFile`] records, of the bytes ingested.
 fn fingerprint(tel: &Telemetry, path: &Path) -> Result<FileFingerprint, String> {
     tel.stage("checkpoint_fingerprint", || fingerprint_file(path))
         .map_err(|e| format!("fingerprint: {e}"))
 }
 
 /// The crash-safe incremental `infer` path: fold file by file into the
-/// checkpoint's segment, committing the checkpoint atomically after every
-/// completed file. Failed files are not recorded, so a resumed run retries
-/// them. Returns the segment, the observations this run folded into it,
-/// and the report over every file it holds; the labels classified from it
-/// are bit-identical to the non-checkpointed path at any thread count and
-/// across any crash/resume split.
+/// checkpoint's segment, committing after every completed file (one frame
+/// appended to its log, then the manifest replaced). Failed files are not
+/// recorded, so a resumed run retries them. Returns the segment, the
+/// observations this run folded into it, and the report over every file
+/// it holds; the labels classified from it are bit-identical to the
+/// non-checkpointed path at any thread count and across any crash/resume
+/// split.
 fn infer_checkpointed(
     run: &Run,
     paths: &[String],
@@ -848,7 +852,7 @@ fn infer_checkpointed(
         return Err("--checkpoint requires lenient ingestion (drop --strict)".into());
     }
     let tel = &run.tel;
-    let mut checkpoint = open_checkpoint(ckpt)?;
+    let (mut saver, mut checkpoint) = open_checkpoint(ckpt, tel.registry())?;
 
     // A recorded file missing from the inputs means this is a different
     // run; refuse rather than classify from statistics of unseen data.
@@ -914,11 +918,8 @@ fn infer_checkpointed(
             checkpoint.report.merge(report);
             let path = path.to_string();
             checkpoint.files.push(CompletedFile { path, fingerprint });
-            tel.stage("checkpoint_write", || checkpoint.save_atomic(&ckpt.path))
-                .map_err(|e| format!("write checkpoint {}: {e}", ckpt.path.display()))?;
-            if let Some(metrics) = tel.registry() {
-                metrics.counter("checkpoint/writes").inc();
-            }
+            let _span = tel.tracer.span("checkpoint_write");
+            saver.save(&checkpoint).map_err(|e| e.to_string())?;
             committed += 1;
             if ckpt.crash_after == Some(committed) {
                 return Err(Failure::new(
@@ -1069,12 +1070,11 @@ fn infer(run: &Run) -> Result<(), Failure> {
 /// `bgpcomm shard-worker` — one shard of a supervised `shard` run
 /// (internal: spawned by the supervisor, but callable by hand for
 /// debugging). Folds its `--mrt` files in order, touching the
-/// `--heartbeat` file after every completed file, and finally writes its
-/// accumulated statistics as a checkpoint-format artifact to `--out` with
-/// the atomic temp+rename discipline. A crash at any point leaves either
-/// no artifact or a complete, checksummed one — never a torn file — which
-/// is what lets the supervisor treat "valid artifact exists" as the one
-/// and only success signal.
+/// `--heartbeat` file after every completed file, and finally saves its
+/// statistics as a [`Checkpoint`] at `--out` (its log beside it). A crash
+/// at any point leaves no artifact, the previous one or a complete new
+/// one — never a torn one — which is what lets the supervisor treat
+/// "valid artifact exists" as the one and only success signal.
 fn shard_worker(run: &Run) -> Result<(), Failure> {
     let args = &run.args;
     let out = PathBuf::from(args.get_str("out").ok_or("--out FILE is required")?);

@@ -110,6 +110,19 @@ fn checkpointed_run_matches_plain_run_bit_identically() {
     }
 }
 
+/// The manifest at `path` and its segment log.
+fn checkpoint_files(path: &Path) -> (Vec<u8>, Vec<u8>) {
+    let mut log = path.as_os_str().to_owned();
+    log.push(".seg");
+    (fs::read(path).unwrap(), fs::read(log).unwrap())
+}
+
+/// The counters of the metrics file at `path`.
+fn counters(path: &Path) -> serde_json::Value {
+    let snapshot: serde_json::Value = serde_json::from_slice(&fs::read(path).unwrap()).unwrap();
+    snapshot["counters"].clone()
+}
+
 #[test]
 fn crash_then_resume_is_bit_identical_to_uninterrupted_run() {
     let dir = workdir("crash-resume");
@@ -117,6 +130,14 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted_run() {
     let (out, clean) = infer_json(&paths, &dir.join("clean.json"), &[]);
     assert_eq!(out.status.code(), Some(0));
     let clean = clean.expect("clean labels written");
+    let whole = dir.join("uninterrupted.ckpt");
+    let (out, _) = infer_json(
+        &paths,
+        &dir.join("uninterrupted.json"),
+        &["--checkpoint", whole.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let uninterrupted = checkpoint_files(&whole);
 
     for kill_after in ["1", "3", "5"] {
         for threads in ["1", "2", "8"] {
@@ -163,8 +184,131 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted_run() {
                 Some(&clean[..]),
                 "{tag}: resumed output must be bit-identical to the clean run"
             );
+            assert!(
+                checkpoint_files(&ckpt) == uninterrupted,
+                "{tag}: the resumed checkpoint must be the uninterrupted run's, byte for byte"
+            );
+            // Phase 3: nothing left to fold, so nothing is written.
+            let metrics = dir.join(format!("{tag}-metrics.json"));
+            let (out, again) = infer_json(
+                &paths,
+                &json,
+                &[
+                    "--threads",
+                    threads,
+                    "--checkpoint",
+                    ckpt.to_str().unwrap(),
+                    "--resume",
+                    "--metrics-out",
+                    metrics.to_str().unwrap(),
+                ],
+            );
+            assert_eq!(out.status.code(), Some(0), "{tag}");
+            assert_eq!(again.as_deref(), Some(&clean[..]), "{tag}");
+            assert!(checkpoint_files(&ckpt) == uninterrupted, "{tag}: rewritten");
+            assert_eq!(
+                counters(&metrics)["checkpoint/writes"].as_u64(),
+                Some(0),
+                "{tag}"
+            );
         }
     }
+}
+
+/// A checkpoint that could never be written fails the run before the
+/// first file decodes: exit 1, naming the missing directory, with no
+/// per-file summary and no file created.
+#[test]
+fn checkpoint_in_a_missing_directory_fails_before_any_decode() {
+    let dir = workdir("missing-dir");
+    let paths = archives(&dir, 3, 20);
+    let missing = dir.join("missing");
+    let ckpt = missing.join("c.ckpt");
+    let before = fs::read_dir(&dir).unwrap().count();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt.to_str().unwrap()],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{} does not exist", missing.display())),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("observations ("),
+        "a file decoded: {stderr}"
+    );
+    assert!(labels.is_none(), "a refused run writes no labels");
+    assert!(!missing.exists());
+    assert_eq!(
+        fs::read_dir(&dir).unwrap().count(),
+        before,
+        "a file was created"
+    );
+}
+
+/// `--metrics-out` counts the checkpoint's I/O exactly: one write per
+/// file, and bytes that cover the final log and manifest but stay under
+/// the log plus one final-size manifest per write — the log is written
+/// once, not per save. Both repeat exactly at any thread count, and
+/// `--trace-json` records one `checkpoint_write` span per save.
+#[test]
+fn checkpoint_metrics_count_writes_and_bytes_exactly() {
+    let dir = workdir("write-metrics");
+    let paths = archives(&dir, 5, 40);
+    let mut seen = Vec::new();
+    for threads in ["1", "2", "8"] {
+        let ckpt = dir.join(format!("t{threads}.ckpt"));
+        let metrics = dir.join(format!("t{threads}-metrics.json"));
+        let trace = dir.join(format!("t{threads}-trace.jsonl"));
+        let (out, _) = infer_json(
+            &paths,
+            &dir.join(format!("t{threads}.json")),
+            &[
+                "--threads",
+                threads,
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+                "--trace-json",
+                trace.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let c = counters(&metrics);
+        let writes = c["checkpoint/writes"].as_u64().unwrap();
+        let bytes = c["checkpoint/bytes_written"].as_u64().unwrap();
+        assert_eq!(writes, paths.len() as u64, "one save per file");
+        let (manifest, log) = checkpoint_files(&ckpt);
+        let (manifest, log) = (manifest.len() as u64, log.len() as u64);
+        assert!(
+            bytes >= log + manifest,
+            "{bytes} bytes, {log} + {manifest} on disk"
+        );
+        assert!(
+            bytes < log + writes * manifest,
+            "{bytes} bytes for {writes} saves"
+        );
+        let snapshot: serde_json::Value =
+            serde_json::from_slice(&fs::read(&metrics).unwrap()).unwrap();
+        assert!(
+            snapshot["timings"]["time/checkpoint_write_ns"]
+                .as_u64()
+                .unwrap()
+                > 0
+        );
+        let spans = fs::read_to_string(&trace).unwrap();
+        let saves = spans
+            .lines()
+            .filter(|l| l.contains(r#""span":"checkpoint_write""#))
+            .count();
+        assert_eq!(saves as u64, writes, "one checkpoint_write span per save");
+        seen.push((writes, bytes));
+    }
+    assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
 }
 
 #[test]
@@ -315,7 +459,7 @@ fn version_3_checkpoint_with_fingerprint_sets_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 5"),
+        stderr.contains("checkpoint version 3, this build reads version 6"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");
@@ -334,7 +478,7 @@ fn version_4_checkpoint_is_refused_untouched() {
     let (out, _) = infer_json(&paths, &dir.join("first.json"), &["--checkpoint", ckpt_arg]);
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let mut legacy = fs::read(&ckpt).unwrap();
-    assert_eq!(&legacy[..12], b"BGPBCKPT\x05\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x06\0\0\0");
     legacy[8] = 4;
     fs::write(&ckpt, &legacy).unwrap();
     let (out, labels) = infer_json(
@@ -345,11 +489,42 @@ fn version_4_checkpoint_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 5"),
+        stderr.contains("checkpoint version 4, this build reads version 6"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");
     assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+}
+
+/// Version 5 held the whole segment in the one sealed file, rewritten at
+/// every save: refused on its version, and left as it is.
+#[test]
+fn version_5_checkpoint_holding_the_whole_segment_is_refused_untouched() {
+    let dir = workdir("version-5");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    // Version 5 as the previous build wrote it: no completed files, an
+    // empty report, then the empty segment as one frame (ten empty
+    // columns).
+    let mut payload = words(&[0, 0, 2]);
+    payload.extend_from_slice(b"{}");
+    payload.extend(words(&[0; 10]));
+    let legacy = sealed(*b"BGPBCKPT", 5, &payload);
+    fs::write(&ckpt, &legacy).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt.to_str().unwrap(), "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 5, this build reads version 6"),
+        "{stderr}"
+    );
+    assert!(labels.is_none(), "a refused run writes no labels");
+    assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+    assert!(!dir.join("run.ckpt.seg").exists());
 }
 
 #[test]

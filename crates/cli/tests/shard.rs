@@ -505,7 +505,7 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 5"),
+        stderr.contains("checkpoint version 3, this build reads version 6"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
@@ -514,9 +514,76 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-000.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x05\0\0\0",
-        "rewritten at version 5"
+        b"BGPBCKPT\x06\0\0\0",
+        "rewritten at version 6"
     );
+}
+
+/// A version-5 artifact (the whole segment in the one sealed file, as the
+/// build before wrote it) is discarded on its version and its shard
+/// redone; the labels still equal `infer`'s.
+#[test]
+fn version_5_shard_artifact_is_discarded_and_redone() {
+    let dir = workdir("version-5");
+    let paths = archives(&dir, 4, 30);
+    let single = run_traced("infer", &paths, &dir, "single", &[]);
+    assert_eq!(single.status.code(), Some(0), "{}", stderr_of(&single));
+
+    // Shard 0's artifact (files 0 and 2 of 4 at two workers) at version 5:
+    // both files with their real fingerprints, an empty report and the
+    // empty segment as one frame (ten empty columns).
+    let shard_dir = dir.join("shards");
+    fs::create_dir_all(&shard_dir).unwrap();
+    let files = [&paths[0], &paths[2]];
+    let mut payload = words(&[2]);
+    for file in files {
+        payload.extend(words(&[fs::metadata(file).unwrap().len()]));
+    }
+    payload.extend(words(&[2]));
+    for file in files {
+        let fingerprint = bgp_intent::fingerprint_file(file).unwrap();
+        payload.extend(words(&[fingerprint.hash]));
+    }
+    for file in files {
+        let name = file.to_str().unwrap().as_bytes();
+        payload.extend(words(&[name.len() as u64]));
+        payload.extend_from_slice(name);
+    }
+    payload.extend(words(&[2]));
+    payload.extend_from_slice(b"{}");
+    payload.extend(words(&[0; 10]));
+    fs::write(
+        shard_dir.join("shard-000.ckpt"),
+        sealed(*b"BGPBCKPT", 5, &payload),
+    )
+    .unwrap();
+
+    let out = run_traced(
+        "shard",
+        &paths,
+        &dir,
+        "sharded",
+        &["--shard-dir", shard_dir.to_str().unwrap(), "--workers", "2"],
+    );
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("shard 0: discarding leftover artifact"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("checkpoint version 5, this build reads version 6"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
+    assert_eq!(read(&dir, "sharded.json"), read(&dir, "single.json"));
+    let redone = read(&shard_dir, "shard-000.ckpt");
+    assert_eq!(
+        &redone[..12],
+        b"BGPBCKPT\x06\0\0\0",
+        "rewritten at version 6"
+    );
+    assert!(shard_dir.join("shard-000.ckpt.seg").exists());
 }
 
 /// A version-4 artifact (this build's layout, sealed with FNV-1a 64 by the
@@ -534,7 +601,7 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
     assert_eq!(first.status.code(), Some(0), "{}", stderr_of(&first));
 
     let mut legacy = read(&shard_dir, "shard-001.ckpt");
-    assert_eq!(&legacy[..12], b"BGPBCKPT\x05\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x06\0\0\0");
     legacy[8] = 4;
     fs::write(shard_dir.join("shard-001.ckpt"), &legacy).unwrap();
 
@@ -546,7 +613,7 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 5"),
+        stderr.contains("checkpoint version 4, this build reads version 6"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 1: attempt 1"), "{stderr}");
@@ -556,8 +623,8 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-001.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x05\0\0\0",
-        "rewritten at version 5"
+        b"BGPBCKPT\x06\0\0\0",
+        "rewritten at version 6"
     );
 }
 

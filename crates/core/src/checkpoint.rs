@@ -1,5 +1,5 @@
-//! The exact statistics segment every label is computed from, and the
-//! sealed binary checkpoint that makes long runs crash-safe.
+//! The exact statistics segment every label is computed from, and the one
+//! way it reaches disk: a sealed manifest beside an append-only log.
 //!
 //! * [`StatsAccumulator`] is a *segment*: every unique AS path and
 //!   community list interned once, by the [`Interner`] the batch store
@@ -20,16 +20,16 @@
 //!   persisted. A snapshot shares the segment's storage until either side
 //!   changes, so taking one is O(1), and its encoding is deterministic:
 //!   the same fold sequence gives the same bytes at any thread count.
-//! * [`Checkpoint`] records which input files completed (with a
-//!   byte-length + checksum fingerprint each, via [`fingerprint_file`]), the
-//!   ingest accounting so far, and the segment. It is one sealed binary
-//!   file (layout on the type), written durably by
-//!   [`Checkpoint::save_atomic`] so a crash mid-write leaves the previous
-//!   checkpoint intact, never a torn one. A shard worker's artifact is the
-//!   same file (see [`crate::supervisor`]).
-//! * `ColumnWriter` and `ColumnReader` are the column codec this file and
-//!   the watch checkpoint ([`crate::watch`]) are encoded with, inside the
-//!   envelope of [`bgp_types::persist`].
+//! * A [`Manifest`] — the batch [`Checkpoint`] (also a shard artifact, see
+//!   [`crate::supervisor`]) or the watch checkpoint ([`crate::watch`]) —
+//!   is a small sealed file committing a byte range of the append-only
+//!   segment log beside it ([`log_path`]). [`CheckpointSaver`] saves every
+//!   manifest the one way: append a frame of what the segment gained,
+//!   then replace the manifest, so a save costs O(new data) and a crash at
+//!   any step leaves the previous checkpoint or the new one.
+//! * [`ColumnWriter`] and [`ColumnReader`] are the column codec of the
+//!   manifests and the log's frames, inside the [`bgp_types::persist`]
+//!   envelope.
 //!
 //! # Why an exact segment
 //!
@@ -47,14 +47,16 @@
 //! sibling map.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, Read};
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
+use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, Checksum, Format, LoadError};
 use bgp_types::store::{IdTable, Interner, ObservationSink, ObservationStore, ObservationView};
 use bgp_types::{AsPathView, Asn, Community, Observation};
@@ -505,20 +507,6 @@ impl StatsAccumulator {
         }
         Ok(())
     }
-
-    /// The segment's size: unique paths, community lists and tuples, and
-    /// owner families — what a watch checkpoint's manifest records of the
-    /// segment its log holds.
-    pub(crate) fn counts(&self) -> [u64; 4] {
-        let seg = &*self.seg;
-        [
-            seg.interner.path_count(),
-            seg.interner.cset_count(),
-            seg.tuples.len(),
-            seg.families.len(),
-        ]
-        .map(|n| n as u64)
-    }
 }
 
 /// How far a segment's columns reached when a frame was last cut from it:
@@ -535,6 +523,13 @@ pub(crate) struct SegmentMark {
     tuples: usize,
     /// The owners whose families the segment held, ascending.
     owners: Vec<u16>,
+}
+
+impl SegmentMark {
+    /// Paths, lists, tuples and owners at the mark: what a manifest records.
+    fn counts(&self) -> [u64; 4] {
+        [self.paths, self.lists, self.tuples, self.owners.len()].map(|n| n as u64)
+    }
 }
 
 /// The run of `pool` from `*at` up to the recorded `end`, which is checked
@@ -562,7 +557,7 @@ fn finished<T>(pool: &[T], at: usize, what: &str) -> Result<(), String> {
 /// then little-endian scalars and length-prefixed columns (a `u64`
 /// element count, then the elements).
 #[derive(Debug)]
-pub(crate) struct ColumnWriter {
+pub struct ColumnWriter {
     buf: Vec<u8>,
 }
 
@@ -572,16 +567,6 @@ impl ColumnWriter {
         ColumnWriter {
             buf: vec![0; persist::HEADER_LEN],
         }
-    }
-
-    /// A writer for bytes that go out unsealed: a segment log frame.
-    pub(crate) fn unsealed() -> Self {
-        ColumnWriter { buf: Vec::new() }
-    }
-
-    /// The bytes written so far, as they are: no header is filled in.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 
     /// One `u64` scalar.
@@ -616,7 +601,7 @@ impl ColumnWriter {
 /// damage — never a panic, and never an allocation larger than the bytes
 /// that are actually there.
 #[derive(Debug)]
-pub(crate) struct ColumnReader<'a> {
+pub struct ColumnReader<'a> {
     buf: &'a [u8],
 }
 
@@ -731,10 +716,341 @@ pub struct CompletedFile {
     pub fingerprint: FileFingerprint,
 }
 
+/// The segment log beside the manifest at `path`: `<path>.seg`. It has no
+/// header: the range its manifest commits is frames back to back, the
+/// first from the empty segment (`StatsAccumulator::encode_since`).
+/// Bytes past the range are what an interrupted append left; a load
+/// ignores them and the next append drops them.
+pub fn log_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".seg");
+    PathBuf::from(name)
+}
+
+/// The segment log's seven `u64` columns in a manifest: the byte range it
+/// commits (start, end), the [`Checksum`] of those bytes, and the counts
+/// of the segment they hold (paths, lists, tuples, owners).
+#[derive(Debug)]
+pub struct LogColumns {
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+    pub(crate) checksum: u64,
+    pub(crate) counts: [u64; 4],
+}
+
+impl LogColumns {
+    pub(crate) fn put(&self, w: &mut ColumnWriter) {
+        let range = [self.start, self.end, self.checksum];
+        for v in range.into_iter().chain(self.counts) {
+            w.u64(v);
+        }
+    }
+
+    /// Read what [`put`](Self::put) wrote; a range that runs backwards is
+    /// refused.
+    pub(crate) fn take(r: &mut ColumnReader<'_>) -> Result<Self, String> {
+        let mut scalars = [0; 7];
+        for (v, what) in scalars.iter_mut().zip([
+            "segment log start",
+            "segment log end",
+            "segment log checksum",
+            "segment paths",
+            "segment lists",
+            "segment tuples",
+            "segment owners",
+        ]) {
+            *v = r.u64(what)?;
+        }
+        let [start, end, checksum, counts @ ..] = scalars;
+        if start > end {
+            return Err(format!("segment log range {start}..{end} runs backwards"));
+        }
+        Ok(LogColumns {
+            start,
+            end,
+            checksum,
+            counts,
+        })
+    }
+}
+
+/// A sealed file committing a range of the segment log beside it. Each
+/// manifest writes and reads only its own columns, and the log's
+/// ([`LogColumns`]) where its layout lists them; [`CheckpointSaver`]
+/// saves, loads and checks every one the same way.
+pub trait Manifest: Sized {
+    /// The envelope.
+    const FORMAT: Format;
+
+    /// The segment the log holds.
+    fn segment(&self) -> &StatsSnapshot;
+
+    /// Where a load puts the segment it decoded from the log.
+    fn segment_mut(&mut self) -> &mut StatsSnapshot;
+
+    /// Write the payload: this manifest's columns and `log`'s.
+    fn put(&self, log: &LogColumns, w: &mut ColumnWriter);
+
+    /// Read what [`put`](Self::put) wrote, the segment left empty.
+    fn take(r: &mut ColumnReader<'_>) -> Result<(Self, LogColumns), String>;
+}
+
+/// Where a segment log stands: the range the manifest on disk commits, the
+/// [`Checksum`] state over it (a save hashes only the frame it appends),
+/// and how far into the segment its frames reach.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentLog {
+    start: u64,
+    end: u64,
+    checksum: Checksum,
+    mark: SegmentMark,
+}
+
+impl SegmentLog {
+    /// No frames yet, the first to go at byte `at` of the log file.
+    fn empty_at(at: u64) -> Self {
+        SegmentLog {
+            start: at,
+            end: at,
+            checksum: Checksum::new(),
+            mark: SegmentMark::default(),
+        }
+    }
+}
+
+/// The sealed manifest committing `log`.
+fn sealed<M: Manifest>(manifest: &M, log: &SegmentLog) -> Vec<u8> {
+    let mut w = ColumnWriter::new();
+    let columns = LogColumns {
+        start: log.start,
+        end: log.end,
+        checksum: log.checksum.finish(),
+        counts: log.mark.counts(),
+    };
+    manifest.put(&columns, &mut w);
+    w.seal(&M::FORMAT)
+}
+
+/// Save `manifest` at `path` with its log in state `log`: append and fsync
+/// the frame of what the segment gained past the log's mark
+/// ([`persist::append_at`]; none if it gained nothing), then replace the
+/// manifest ([`persist::write_atomic`]). With no log state the save is
+/// complete: the whole segment as one frame, after everything the log
+/// holds when a manifest is at `path`, else from byte 0. Committed bytes
+/// are never rewritten, so a crash at any step leaves the previous
+/// checkpoint or this one. Returns the log's new state and the bytes
+/// written; a failure names the file and the operation.
+pub(crate) fn save<M: Manifest>(
+    manifest: &M,
+    path: &Path,
+    log: Option<&SegmentLog>,
+) -> io::Result<(SegmentLog, u64)> {
+    let log_path = log_path(path);
+    let complete = log.is_none();
+    let mut log = log.cloned().unwrap_or_else(|| {
+        let held = fs::metadata(&log_path).map_or(0, |m| m.len());
+        SegmentLog::empty_at(if path.exists() { held } else { 0 })
+    });
+    let (mark, mut written) = (manifest.segment().mark(), 0);
+    if complete || mark != log.mark {
+        // A frame goes out unsealed: no header is reserved.
+        let mut frame = ColumnWriter { buf: Vec::new() };
+        manifest.segment().encode_since(&log.mark, &mut frame);
+        let frame = frame.buf;
+        persist::append_at(&log_path, log.end, &frame)
+            .map_err(|e| failed("append checkpoint log", &log_path, e))?;
+        log.end += frame.len() as u64;
+        log.checksum.update(&frame);
+        written = frame.len() as u64;
+    }
+    log.mark = mark;
+    let file = sealed(manifest, &log);
+    persist::write_atomic(path, &file).map_err(|e| failed("write checkpoint", path, e))?;
+    Ok((log, written + file.len() as u64))
+}
+
+/// `e`, prefixed with the operation that failed and the file it failed on.
+fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
+}
+
+/// Read, validate and decode the manifest at `path` (its envelope, its
+/// columns, no trailing bytes), then its log: present through the
+/// committed range, the range's checksum, every frame decoding onto the
+/// ones before it, and the manifest's counts. Damage of any kind is a
+/// typed [`LoadError`]; a missing manifest is a clean not-found (the
+/// fresh-start signal), a missing log is corrupt. Also returns the log's
+/// state, which the next [`save`] appends after.
+pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog), LoadError> {
+    let (mut manifest, log) = M::FORMAT.load(path, decode_manifest::<M>)?;
+    let log_path = log_path(path);
+    let corrupt = |detail: String| M::FORMAT.corrupt(&log_path, detail);
+    let io_error = |e: io::Error| LoadError::io(&log_path, e);
+    let mut file = match File::open(&log_path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(corrupt(format!("segment log missing: {e}")))
+        }
+        Err(e) => return Err(io_error(e)),
+    };
+    let present = file.metadata().map_err(io_error)?.len();
+    if present < log.end {
+        return Err(corrupt(format!(
+            "segment log: {} bytes committed, {present} present",
+            log.end
+        )));
+    }
+    let len = usize::try_from(log.end - log.start)
+        .map_err(|e| corrupt(format!("segment log range: {e}")))?;
+    let mut committed = vec![0; len];
+    file.seek(SeekFrom::Start(log.start))
+        .and_then(|_| file.read_exact(&mut committed))
+        .map_err(io_error)?;
+    let (segment, checksum) = decode_log(&committed, log.checksum, log.counts).map_err(corrupt)?;
+    *manifest.segment_mut() = segment;
+    let (start, end, mark) = (log.start, log.end, manifest.segment().mark());
+    let state = SegmentLog {
+        start,
+        end,
+        checksum,
+        mark,
+    };
+    Ok((manifest, state))
+}
+
+/// A manifest's payload: its columns (the segment empty) and the log's.
+pub(crate) fn decode_manifest<M: Manifest>(payload: &[u8]) -> Result<(M, LogColumns), String> {
+    let mut r = ColumnReader::new(payload);
+    let decoded = M::take(&mut r)?;
+    r.finish()?;
+    Ok(decoded)
+}
+
+/// The segment the log's committed bytes hold, and the checksum state
+/// over them that the next append continues: their checksum must be the
+/// recorded one, every frame must decode onto the ones before it, and the
+/// segment must have the manifest's `counts`.
+pub(crate) fn decode_log(
+    committed: &[u8],
+    checksum: u64,
+    counts: [u64; 4],
+) -> Result<(StatsAccumulator, Checksum), String> {
+    let mut state = Checksum::new();
+    state.update(committed);
+    let computed = state.finish();
+    if computed != checksum {
+        return Err(format!(
+            "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
+        ));
+    }
+    let mut segment = StatsAccumulator::new();
+    let mut r = ColumnReader::new(committed);
+    while !r.is_empty() {
+        segment
+            .decode_frame(&mut r)
+            .map_err(|e| format!("segment log: {e}"))?;
+    }
+    let held = segment.mark().counts();
+    if held != counts {
+        return Err(format!(
+            "segment log holds {held:?} paths, lists, tuples and owners, the manifest records {counts:?}"
+        ));
+    }
+    Ok((segment, state))
+}
+
+/// How a run saves a manifest: a fresh run's first save is complete and
+/// starts the log over, every later one (and every one after a resume)
+/// appends only what the segment gained. Each save counts
+/// `checkpoint/writes`, `checkpoint/bytes_written` (manifest plus frame)
+/// and `time/checkpoint_write_ns`.
+#[derive(Debug)]
+pub struct CheckpointSaver<'a, M> {
+    path: &'a Path,
+    /// The log's state after the last save or the load; `None` until the
+    /// first save of a fresh run.
+    log: Option<SegmentLog>,
+    /// The manifest the run resumed from, its segment left out, until the
+    /// first save.
+    resumed: Option<M>,
+    metrics: Option<&'a MetricsRegistry>,
+}
+
+impl<'a, M: Manifest + Clone + PartialEq> CheckpointSaver<'a, M> {
+    /// A saver for the manifest at `path`, whose directory must exist —
+    /// checked now, before any work that a failed first save would waste.
+    pub fn new(path: &'a Path, metrics: Option<&'a MetricsRegistry>) -> io::Result<Self> {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
+        if !dir.is_dir() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("checkpoint directory {} does not exist", dir.display()),
+            ));
+        }
+        if let Some(metrics) = metrics {
+            // Registered now, so a run that saves nothing reports 0.
+            metrics.counter("checkpoint/writes");
+            metrics.counter("checkpoint/bytes_written");
+        }
+        Ok(CheckpointSaver {
+            path,
+            log: None,
+            resumed: None,
+            metrics,
+        })
+    }
+
+    /// The manifest to resume from, if one is at the path; the saves that
+    /// follow append to its log.
+    pub fn resume(&mut self) -> Result<Option<M>, LoadError> {
+        if !self.path.exists() {
+            return Ok(None);
+        }
+        let (manifest, log) = open::<M>(self.path)?;
+        self.log = Some(log);
+        let mut resumed = manifest.clone();
+        *resumed.segment_mut() = StatsSnapshot::new();
+        self.resumed = Some(resumed);
+        Ok(Some(manifest))
+    }
+
+    /// Save `manifest`: append what its segment gained since the last save
+    /// (all of it on a fresh run's first), then replace the manifest.
+    pub fn save(&mut self, manifest: &M) -> io::Result<()> {
+        let start = Instant::now();
+        let (log, bytes) = save(manifest, self.path, self.log.as_ref())?;
+        self.log = Some(log);
+        self.resumed = None;
+        if let Some(metrics) = self.metrics {
+            metrics.counter("checkpoint/writes").inc();
+            metrics.counter("checkpoint/bytes_written").add(bytes);
+            metrics.record_duration("time/checkpoint_write_ns", start.elapsed());
+        }
+        Ok(())
+    }
+
+    /// The exit save, skipped (counting nothing) when `manifest` is the one
+    /// the run resumed from: its segment gained nothing past the loaded
+    /// mark (a segment only grows; no deep compare), the rest is equal.
+    pub fn save_at_exit(&mut self, mut manifest: M) -> io::Result<()> {
+        if let (Some(resumed), Some(log)) = (&self.resumed, &self.log) {
+            if manifest.segment().mark() == log.mark {
+                let segment = std::mem::take(manifest.segment_mut());
+                if manifest == *resumed {
+                    return Ok(());
+                }
+                *manifest.segment_mut() = segment;
+            }
+        }
+        self.save(&manifest)
+    }
+}
+
 /// The crash-safe run manifest: which files are done, the accounting so
-/// far, and the statistics snapshot to resume from.
+/// far, and the statistics segment (in the log beside it) to resume from.
 ///
-/// # Layout (version 5, all integers little-endian)
+/// # Manifest layout (version 6, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPBCKPT`, then the
 /// payload, where a column is a `u64` element count followed by the
@@ -745,14 +1061,14 @@ pub struct CompletedFile {
 ///   file hashes   column (u64), the Checksum of each file
 ///   paths         one byte column (UTF-8) per file
 ///   report        byte column: the IngestReport as JSON
-///   segment       the statistics segment, as one frame from the empty
-///                 mark (see StatsAccumulator::encode_since)
+///   log           the segment log's columns (7 × u64, see LogColumns)
 /// ```
 ///
 /// Versions 1 and 2 were JSON manifests; they are refused as
 /// [`LoadError::Foreign`]. Version 3 held u64 fingerprint sets in place
-/// of the segment, and version 4 sealed the payload and fingerprinted the
-/// files with FNV-1a 64; both are refused as [`LoadError::Version`].
+/// of the segment, version 4 sealed the payload and fingerprinted the
+/// files with FNV-1a 64, and version 5 held the whole segment in the one
+/// file; all three are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// Files fully ingested, in completion (= input) order. Files that
@@ -766,10 +1082,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The envelope of checkpoint files and shard artifacts.
+    /// The envelope of checkpoint manifests and shard artifacts.
     pub const FORMAT: Format = Format {
         magic: *b"BGPBCKPT",
-        version: 5,
+        version: 6,
         name: "checkpoint",
     };
 
@@ -786,9 +1102,32 @@ impl Checkpoint {
             .map(|f| &f.fingerprint)
     }
 
-    /// The sealed file, in the order the type-level layout lists it.
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ColumnWriter::new();
+    /// Write a complete checkpoint at `path`: the whole segment as one
+    /// frame of its log, then the manifest (see [`CheckpointSaver`]).
+    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
+        save(self, path, None).map(drop)
+    }
+
+    /// Read, validate and decode the checkpoint at `path` and its log:
+    /// UTF-8 paths and a parseable report besides the checks every
+    /// manifest gets. Damage of any kind is a typed [`LoadError`].
+    pub fn load(path: &Path) -> Result<Checkpoint, LoadError> {
+        open(path).map(|(cp, _)| cp)
+    }
+}
+
+impl Manifest for Checkpoint {
+    const FORMAT: Format = Checkpoint::FORMAT;
+
+    fn segment(&self) -> &StatsSnapshot {
+        &self.snapshot
+    }
+
+    fn segment_mut(&mut self) -> &mut StatsSnapshot {
+        &mut self.snapshot
+    }
+
+    fn put(&self, log: &LogColumns, w: &mut ColumnWriter) {
         w.column(&self.files, |f| f.fingerprint.bytes.to_le_bytes());
         w.column(&self.files, |f| f.fingerprint.hash.to_le_bytes());
         for f in &self.files {
@@ -797,27 +1136,10 @@ impl Checkpoint {
         let report =
             serde_json::to_string(&self.report).expect("an IngestReport always serializes");
         w.bytes(report.as_bytes());
-        self.snapshot.encode_since(&SegmentMark::default(), &mut w);
-        w.seal(&Self::FORMAT)
+        log.put(w);
     }
 
-    /// Encode and write durably through [`persist::write_atomic`] (temp
-    /// file, fsync, rename, directory fsync). A crash at any point leaves
-    /// the previous checkpoint or this one — never a torn file.
-    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        persist::write_atomic(path, &self.encode())
-    }
-
-    /// Read, validate and decode the checkpoint at `path`: the envelope,
-    /// then every column count against the bytes left, UTF-8 paths, a
-    /// parseable report, the segment's structure, and no trailing bytes. Damage of any kind is a
-    /// typed [`LoadError`], never a panic or partial state.
-    pub fn load(path: &Path) -> Result<Checkpoint, LoadError> {
-        Self::FORMAT.load(path, Self::decode)
-    }
-
-    fn decode(payload: &[u8]) -> Result<Checkpoint, String> {
-        let mut r = ColumnReader::new(payload);
+    fn take(r: &mut ColumnReader<'_>) -> Result<(Self, LogColumns), String> {
         let sizes = r.column("file sizes", u64::from_le_bytes)?;
         let hashes = r.column("file hashes", u64::from_le_bytes)?;
         if hashes.len() != sizes.len() {
@@ -838,20 +1160,39 @@ impl Checkpoint {
         }
         let report =
             serde_json::from_slice(r.bytes("report")?).map_err(|e| format!("report: {e}"))?;
-        let mut snapshot = StatsSnapshot::new();
-        snapshot.decode_frame(&mut r)?;
-        r.finish()?;
-        Ok(Checkpoint {
+        let checkpoint = Checkpoint {
             files,
             report,
-            snapshot,
-        })
+            snapshot: StatsSnapshot::new(),
+        };
+        Ok((checkpoint, LogColumns::take(r)?))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// What [`encode`](Encode::encode) is defined for: every manifest.
+    pub(crate) trait Encode {
+        /// The two files a save into an empty log writes: the manifest,
+        /// and the log holding the whole segment as one frame.
+        fn encode(&self) -> (Vec<u8>, Vec<u8>);
+    }
+
+    impl<M: Manifest> Encode for M {
+        fn encode(&self) -> (Vec<u8>, Vec<u8>) {
+            let mut frame = ColumnWriter { buf: Vec::new() };
+            self.segment()
+                .encode_since(&SegmentMark::default(), &mut frame);
+            let frame = frame.buf;
+            let mut log = SegmentLog::empty_at(0);
+            log.end = frame.len() as u64;
+            log.checksum.update(&frame);
+            log.mark = self.segment().mark();
+            (sealed(self, &log), frame)
+        }
+    }
 
     fn obs(vp: u32, path: &str, comms: &[(u16, u16)]) -> Observation {
         Observation {
@@ -1190,7 +1531,7 @@ mod tests {
         let refused = |w: ColumnWriter, expect: &str| {
             let file = w.seal(&Checkpoint::FORMAT);
             let err = Checkpoint::FORMAT
-                .decode(&file, Path::new("x"), Checkpoint::decode)
+                .decode(&file, Path::new("x"), decode_manifest::<Checkpoint>)
                 .unwrap_err();
             assert!(
                 err.to_string().contains(expect),
@@ -1466,20 +1807,20 @@ mod tests {
             LoadError::Foreign { .. }
         ));
 
-        for old in [3u32, 4] {
-            let mut file = Checkpoint::new().encode();
+        for old in [3u32, 4, 5] {
+            let mut file = Checkpoint::new().encode().0;
             file[8..12].copy_from_slice(&old.to_le_bytes());
             std::fs::write(&path, &file).unwrap();
             match Checkpoint::load(&path).unwrap_err() {
                 LoadError::Version {
                     found, expected, ..
-                } => assert_eq!((found, expected), (old, 5)),
+                } => assert_eq!((found, expected), (old, 6)),
                 other => panic!("expected a version error, got {other}"),
             }
         }
 
         // The same payload under the watch checkpoint's magic is foreign.
-        let mut file = Checkpoint::new().encode();
+        let mut file = Checkpoint::new().encode().0;
         file[..8].copy_from_slice(b"BGPWCKPT");
         std::fs::write(&path, &file).unwrap();
         assert!(matches!(
@@ -1574,5 +1915,85 @@ mod tests {
         let b = fingerprint_file(&path).unwrap();
         assert_eq!(b.bytes, a.bytes);
         assert_ne!(b.hash, a.hash);
+    }
+
+    /// The fold `infer --checkpoint` makes over `parts` as its files:
+    /// resume from the checkpoint at `path` if there is one, then merge
+    /// each file it does not record and commit after each.
+    fn fold_checkpointed(parts: &[&[Observation]], path: &Path) -> Checkpoint {
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut saver = CheckpointSaver::new(path, None).unwrap();
+        let mut cp: Checkpoint = saver.resume().unwrap().unwrap_or_default();
+        for (i, part) in parts.iter().enumerate().skip(cp.files.len()) {
+            let mut file = FileSegment::default();
+            for o in *part {
+                file.push_observation(o.clone());
+            }
+            cp.snapshot.merge_file(file, &siblings);
+            cp.report.records_read += part.len() as u64;
+            cp.files.push(CompletedFile {
+                path: format!("updates.{i:02}.mrt"),
+                fingerprint: FileFingerprint {
+                    bytes: part.len() as u64,
+                    hash: i as u64,
+                },
+            });
+            saver.save(&cp).unwrap();
+        }
+        cp
+    }
+
+    /// The manifest at `path` and its log.
+    fn files_at(path: &Path) -> (Vec<u8>, Vec<u8>) {
+        (
+            std::fs::read(path).unwrap(),
+            std::fs::read(log_path(path)).unwrap(),
+        )
+    }
+
+    /// A crash at any step of a commit leaves the previous checkpoint:
+    /// every prefix of the frame the next file appends, and the whole frame
+    /// with the next manifest staged but never renamed, loads as the
+    /// previous checkpoint, and finishing the fold from each ends with the
+    /// uninterrupted run's files. A fold with nothing left writes nothing.
+    #[test]
+    fn a_crash_at_any_step_of_a_commit_resumes_to_the_uninterrupted_files() {
+        let all = workload();
+        let parts: Vec<&[Observation]> = all.chunks(13).collect();
+        let dir =
+            std::env::temp_dir().join(format!("bgp-intent-ckpt-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let clean = dir.join("clean.ckpt");
+        let uninterrupted = fold_checkpointed(&parts, &clean);
+        let expected = files_at(&clean);
+        assert_eq!(fold_checkpointed(&parts, &clean), uninterrupted);
+        assert_eq!(files_at(&clean), expected, "nothing left, nothing written");
+
+        let (path, k) = (dir.join("run.ckpt"), 2);
+        fold_checkpointed(&parts[..k], &path);
+        let at_k = files_at(&path);
+        let cp_k = Checkpoint::load(&path).unwrap();
+        assert_eq!(cp_k.files.len(), k);
+        fold_checkpointed(&parts[..k + 1], &path);
+        let (next_manifest, next_log) = files_at(&path);
+        assert!(
+            next_log.starts_with(&at_k.1),
+            "a commit rewrote committed bytes"
+        );
+        let frame = next_log[at_k.1.len()..].to_vec();
+        assert!(!frame.is_empty());
+        for cut in 0..=frame.len() {
+            std::fs::write(&path, &at_k.0).unwrap();
+            let torn = [at_k.1.as_slice(), &frame[..cut]].concat();
+            std::fs::write(log_path(&path), torn).unwrap();
+            if cut == frame.len() {
+                std::fs::write(persist::temp_path(&path), &next_manifest).unwrap();
+            }
+            assert_eq!(Checkpoint::load(&path).unwrap(), cp_k, "frame cut at {cut}");
+            assert_eq!(fold_checkpointed(&parts, &path), uninterrupted);
+            assert_eq!(files_at(&path), expected, "frame cut at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -85,8 +85,8 @@ pub use artifact::{
 };
 pub use categories::{infer_categories, CategoryConfig, FineCategory};
 pub use checkpoint::{
-    fingerprint_file, Checkpoint, CompletedFile, FileFingerprint, FileSegment, StatsAccumulator,
-    StatsSnapshot,
+    fingerprint_file, Checkpoint, CheckpointSaver, CompletedFile, FileFingerprint, FileSegment,
+    StatsAccumulator, StatsSnapshot,
 };
 pub use classify::{classify_parallelism, Exclusion, Inference, InferenceConfig};
 pub use cluster::gap_clusters;

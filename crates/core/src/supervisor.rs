@@ -9,7 +9,8 @@
 //!
 //! * [`plan_shards`] deals the input files round-robin into N shards. The
 //!   partition never affects the merged result — each shard's artifact is
-//!   a sealed binary [`Checkpoint`] whose statistics segment
+//!   a [`Checkpoint`], a sealed manifest plus the segment log beside it
+//!   (`<artifact>.seg`), whose statistics segment
 //!   ([`StatsSnapshot`](crate::checkpoint::StatsSnapshot)) holds the
 //!   shard's unique tuples, interned by exact value, so merging segments
 //!   is an exact union (see [`crate::checkpoint`]) and yields the same
@@ -24,7 +25,8 @@
 //!   deterministic backoff of [`bgp_mrt::retry::RetryPolicy`] until the
 //!   attempt budget runs out.
 //! * [`validate_artifact`] is the supervisor's trust boundary: an artifact
-//!   only counts if it loads (envelope and structure verified — see
+//!   only counts if it loads (the manifest's envelope and structure and
+//!   its log's range, checksum and frames verified — see
 //!   [`Checkpoint::load`]), lists exactly the shard's files in order, and
 //!   every listed fingerprint still matches the bytes on disk. Anything
 //!   else is a failed attempt, never silently-partial coverage. Each
@@ -839,7 +841,7 @@ mod tests {
         fs::write(&spec.artifact, &bytes).unwrap();
         match validate_artifact(&spec) {
             Err(ShardFailureKind::CorruptArtifact(why)) => assert!(
-                why.contains("version 3, this build reads version 5"),
+                why.contains("version 3, this build reads version 6"),
                 "{why}"
             ),
             other => panic!("expected a corrupt artifact, got {other:?}"),

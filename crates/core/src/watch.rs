@@ -16,14 +16,11 @@
 //!   re-runs the classifier for the owners whose counts or never-on-path
 //!   test moved. Late observations to evicted buckets are dropped from the
 //!   window and counted.
-//! * [`WatchCheckpoint`] — two files: a sealed manifest (the [`persist`]
-//!   envelope around length-prefixed little-endian columns) holding the
-//!   stream cursor, each retained bucket's tuple IDs, the window's kept
-//!   counts, the label map and the flap counters, and beside it an
-//!   append-only segment log holding
-//!   the segment. A save appends to the log only what the segment gained
-//!   since the last save ([`persist::append_at`]), then replaces the
-//!   manifest ([`persist::write_atomic`]), so it costs O(new data), not
+//! * [`WatchCheckpoint`] — the daemon's [`Manifest`]: the stream cursor,
+//!   each retained bucket's tuple IDs, the window's kept counts, the label
+//!   map and the flap counters, beside the segment log that holds the
+//!   segment. It saves as every manifest does ([`CheckpointSaver`]): only
+//!   what the segment gained since the last save, so O(new data), not
 //!   O(segment). Restoring it reproduces the daemon's exact state at the
 //!   recorded cursor, so a resumed run counts the same flaps an
 //!   uninterrupted one would.
@@ -48,10 +45,9 @@
 //! `cmp`.
 
 use std::collections::VecDeque;
-use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,10 +56,13 @@ use bgp_mrt::{IngestReport, RecoverConfig, StreamDecoder};
 use bgp_relationships::SiblingMap;
 use bgp_types::fx::{FxHashMap, FxHashSet};
 use bgp_types::obs::MetricsRegistry;
-use bgp_types::persist::{self, Checksum, Format, LoadError};
+use bgp_types::persist::{Format, LoadError};
 use bgp_types::{Asn, Community, Intent, Observation, ObservationSink, ObservationView};
 
-use crate::checkpoint::{ColumnReader, ColumnWriter, SegmentMark, StatsAccumulator, StatsSnapshot};
+use crate::checkpoint::{
+    self, CheckpointSaver, ColumnReader, ColumnWriter, LogColumns, Manifest, StatsAccumulator,
+    StatsSnapshot,
+};
 use crate::classify::{classify, classify_owner, Exclusion, Inference, InferenceConfig};
 use crate::stats::{shard_stats, PathCounts, PathStats};
 
@@ -748,29 +747,21 @@ impl WindowedStatsSnapshot {
 }
 
 /// The streaming daemon's crash-recovery state: everything needed to
-/// resume at `cursor` with bit-identical downstream behavior. It lives on
-/// disk as two files: a small sealed manifest at the checkpoint path, and
-/// beside it an append-only segment log ([`log_path`](Self::log_path),
-/// `<checkpoint>.seg`) that holds the segment as a run of frames, each the
-/// columns the segment gained since the frame before it
-/// (`StatsAccumulator::encode_since`). The manifest commits a byte range
-/// of the log; a save appends one frame and then replaces the manifest
-/// ([`save_atomic`](Self::save_atomic)), and a load checks both files
-/// ([`load`](Self::load)).
+/// resume at `cursor` with bit-identical downstream behavior. On disk it
+/// is a [`Manifest`]: a small sealed file at the checkpoint path that
+/// commits a range of the segment log beside it
+/// ([`log_path`](Self::log_path)).
 ///
 /// # Manifest layout (version 6, all integers little-endian)
 ///
-/// The [`persist`] envelope with magic `BGPWCKPT`, then the payload, where
+/// The [`bgp_types::persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
 ///
 /// ```text
 ///   scalars     cursor, records, observations, advances, flaps,
 ///               late_drops, reclassified_owners, window_secs, windows
 ///               (9 × u64)
-///   log         start, end, checksum (3 × u64): the committed byte range
-///               of the segment log and the Checksum of those bytes
-///   segment     paths, lists, tuples, owners (4 × u64): the counts the
-///               committed frames must add up to
+///   log         the segment log's columns (7 × u64, see LogColumns)
 ///   buckets     index column (u64, strictly ascending, at most
 ///               `windows` of them), then per index its counted length
 ///               (u64) and its tuple-ID column (u32, each naming a segment
@@ -785,11 +776,8 @@ impl WindowedStatsSnapshot {
 ///               (u8: 0 private, 1 reserved, 2 never on path)
 /// ```
 ///
-/// Keys are packed communities, `α << 16 | β`. The log has no header: its
-/// committed range is frames back to back, the first from the empty
-/// segment. Bytes past the range are what an interrupted append left;
-/// they are ignored on load and dropped by the next append. Version 1 was
-/// a JSON manifest; it is refused as [`LoadError::Foreign`]. Version 2
+/// Keys are packed communities, `α << 16 | β`. Version 1 was a JSON
+/// manifest; it is refused as [`LoadError::Foreign`]. Version 2
 /// held u64 fingerprint sets, once cumulative and again per bucket,
 /// version 3 held the whole segment in the one file, version 4 held the
 /// counts without the per-ASN path counts or which tuples they counted,
@@ -829,31 +817,6 @@ pub struct WatchCheckpoint {
     pub excluded: Vec<(u32, Exclusion)>,
 }
 
-/// Where a watch checkpoint's segment log stands: the byte range of the
-/// log the manifest on disk commits, the [`Checksum`] state over those
-/// bytes, and how far into the segment their frames reach. A save appends
-/// after it, hashing only the frame it appends, and returns the next one;
-/// a load returns the loaded one.
-#[derive(Debug, Clone)]
-pub(crate) struct SegmentLog {
-    start: u64,
-    end: u64,
-    checksum: Checksum,
-    mark: SegmentMark,
-}
-
-impl SegmentLog {
-    /// No frames yet, the first to go at byte `at` of the log file.
-    fn empty_at(at: u64) -> Self {
-        SegmentLog {
-            start: at,
-            end: at,
-            checksum: Checksum::new(),
-            mark: SegmentMark::default(),
-        }
-    }
-}
-
 impl WatchCheckpoint {
     /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
@@ -864,9 +827,7 @@ impl WatchCheckpoint {
 
     /// The segment log beside the manifest at `path`: `<path>.seg`.
     pub fn log_path(path: &Path) -> PathBuf {
-        let mut name = path.as_os_str().to_owned();
-        name.push(".seg");
-        PathBuf::from(name)
+        checkpoint::log_path(path)
     }
 
     /// The daemon's state: [`WindowedClassifier::checkpoint`].
@@ -883,10 +844,32 @@ impl WatchCheckpoint {
         classifier.checkpoint(cursor, records, observations)
     }
 
-    /// The sealed manifest committing `log`: the payload columns in the
-    /// order the type-level layout lists them.
-    fn manifest(&self, log: &SegmentLog) -> Vec<u8> {
-        let mut w = ColumnWriter::new();
+    /// Write a complete checkpoint at `path`: the whole segment as one
+    /// frame of the log, then the manifest (see [`CheckpointSaver`]).
+    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
+        checkpoint::save(self, path, None).map(drop)
+    }
+
+    /// Read, validate and decode the checkpoint at `path` and its log:
+    /// every bound the layout states is checked, and damage of any kind is
+    /// a typed [`LoadError`].
+    pub fn load(path: &Path) -> Result<WatchCheckpoint, LoadError> {
+        checkpoint::open(path).map(|(cp, _)| cp)
+    }
+}
+
+impl Manifest for WatchCheckpoint {
+    const FORMAT: Format = WatchCheckpoint::FORMAT;
+
+    fn segment(&self) -> &StatsSnapshot {
+        &self.cumulative
+    }
+
+    fn segment_mut(&mut self) -> &mut StatsSnapshot {
+        &mut self.cumulative
+    }
+
+    fn put(&self, log: &LogColumns, w: &mut ColumnWriter) {
         for scalar in [
             self.cursor,
             self.records,
@@ -897,15 +880,10 @@ impl WatchCheckpoint {
             self.reclassified_owners,
             u64::from(self.window_secs),
             self.windows as u64,
-            log.start,
-            log.end,
-            log.checksum.finish(),
-        ]
-        .into_iter()
-        .chain(self.cumulative.counts())
-        {
+        ] {
             w.u64(scalar);
         }
+        log.put(w);
         w.column(&self.buckets, |b| b.index.to_le_bytes());
         for bucket in &self.buckets {
             w.u64(bucket.counted as u64);
@@ -919,153 +897,11 @@ impl WatchCheckpoint {
         w.column(&windowed.asn_paths, |n| n.to_le_bytes());
         w.u64(windowed.unique_tuples);
         w.u64(windowed.unique_paths);
-        put_keyed(&mut w, &self.labels, &INTENTS);
-        put_keyed(&mut w, &self.excluded, &EXCLUSIONS);
-        w.seal(&Self::FORMAT)
+        put_keyed(w, &self.labels, &INTENTS);
+        put_keyed(w, &self.excluded, &EXCLUSIONS);
     }
 
-    /// The frame of what the segment gained past `mark`.
-    fn frame_since(&self, mark: &SegmentMark) -> Vec<u8> {
-        let mut w = ColumnWriter::unsealed();
-        self.cumulative.encode_since(mark, &mut w);
-        w.into_bytes()
-    }
-
-    /// The two files a save into an empty log writes: the manifest, and the
-    /// log holding the whole segment as one frame.
-    #[cfg(test)]
-    pub(crate) fn encode(&self) -> (Vec<u8>, Vec<u8>) {
-        let frame = self.frame_since(&SegmentMark::default());
-        let mut log = SegmentLog::empty_at(0);
-        log.end = frame.len() as u64;
-        log.checksum.update(&frame);
-        (self.manifest(&log), frame)
-    }
-
-    /// Write a complete checkpoint at `path`: the whole segment as one
-    /// frame of the log, then the manifest. Beside an existing manifest the
-    /// frame goes after everything the log holds, so the checkpoint on disk
-    /// stays whole until the new manifest replaces it; with no manifest at
-    /// `path` the log starts over. `run_watch` saves this way once and
-    /// appends only what the segment gained from then on.
-    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        self.save(path, None).map(drop)
-    }
-
-    /// Save with the segment log in state `log`: append the frame of what
-    /// the segment gained past its mark and fsync it
-    /// ([`persist::append_at`]) — no frame if it gained nothing — then
-    /// replace the manifest through [`persist::write_atomic`]. With no log
-    /// state, a complete save ([`save_atomic`](Self::save_atomic)). Bytes
-    /// the manifest on disk commits are never rewritten, so a crash at any
-    /// step leaves the previous checkpoint or this one. Returns the log's
-    /// new state and the bytes written to both files; a failure names the
-    /// file and the operation.
-    pub(crate) fn save(
-        &self,
-        path: &Path,
-        log: Option<&SegmentLog>,
-    ) -> io::Result<(SegmentLog, u64)> {
-        let log_path = Self::log_path(path);
-        let fresh;
-        let (log, complete) = match log {
-            Some(log) => (log, false),
-            None => {
-                let at = if path.exists() {
-                    fs::metadata(&log_path).map_or(0, |m| m.len())
-                } else {
-                    0
-                };
-                fresh = SegmentLog::empty_at(at);
-                (&fresh, true)
-            }
-        };
-        let mark = self.cumulative.mark();
-        let (mut end, mut checksum, mut written) = (log.end, log.checksum.clone(), 0);
-        if complete || mark != log.mark {
-            let frame = self.frame_since(&log.mark);
-            persist::append_at(&log_path, log.end, &frame)
-                .map_err(|e| failed("append checkpoint log", &log_path, e))?;
-            end += frame.len() as u64;
-            checksum.update(&frame);
-            written = frame.len() as u64;
-        }
-        let next = SegmentLog {
-            start: log.start,
-            end,
-            checksum,
-            mark,
-        };
-        let manifest = self.manifest(&next);
-        persist::write_atomic(path, &manifest).map_err(|e| failed("write checkpoint", path, e))?;
-        Ok((next, written + manifest.len() as u64))
-    }
-
-    /// Read, validate and decode the checkpoint at `path`. The manifest is
-    /// checked first: its envelope, every column count against the bytes
-    /// left, bucket indices strictly ascending and no more than `windows`
-    /// of them, every bucket's tuple IDs naming one of the tuples the
-    /// manifest records and no fewer than its counted length, every key
-    /// column strictly ascending, one positive path count per seen ASN,
-    /// every label and reason byte in its domain, no trailing bytes. Then
-    /// the log: it
-    /// exists and holds the committed range, the range's checksum matches,
-    /// every frame decodes onto the ones before it with the segment's
-    /// checks (see `StatsAccumulator::decode_frame`), and the segment they
-    /// build has the manifest's counts. Damage of any kind is a typed
-    /// [`LoadError`], never a panic or partial state; a missing manifest is
-    /// a clean not-found (the fresh-start signal), a missing log is corrupt.
-    pub fn load(path: &Path) -> Result<WatchCheckpoint, LoadError> {
-        Self::open(path).map(|(cp, _)| cp)
-    }
-
-    /// [`load`](Self::load), also returning the log's state, which the next
-    /// [`save`](Self::save) appends after.
-    pub(crate) fn open(path: &Path) -> Result<(WatchCheckpoint, SegmentLog), LoadError> {
-        let (mut cp, [start, end, recorded], counts) =
-            Self::FORMAT.load(path, Self::decode_manifest)?;
-        let log_path = Self::log_path(path);
-        let corrupt = |detail: String| Self::FORMAT.corrupt(&log_path, detail);
-        let io_error = |e: io::Error| LoadError::io(&log_path, e);
-        let mut file = match File::open(&log_path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(corrupt(format!("segment log missing: {e}")))
-            }
-            Err(e) => return Err(io_error(e)),
-        };
-        let present = file.metadata().map_err(io_error)?.len();
-        if present < end {
-            return Err(corrupt(format!(
-                "segment log: {end} bytes committed, {present} present"
-            )));
-        }
-        let len =
-            usize::try_from(end - start).map_err(|e| corrupt(format!("segment log range: {e}")))?;
-        let mut committed = vec![0; len];
-        file.seek(SeekFrom::Start(start))
-            .and_then(|_| file.read_exact(&mut committed))
-            .map_err(io_error)?;
-        let (segment, checksum) =
-            Self::decode_log(&committed, recorded, counts).map_err(corrupt)?;
-        cp.cumulative = segment;
-        let mark = cp.cumulative.mark();
-        Ok((
-            cp,
-            SegmentLog {
-                start,
-                end,
-                checksum,
-                mark,
-            },
-        ))
-    }
-
-    /// The manifest's payload: the checkpoint with an empty segment, the
-    /// log range it commits (start, end and the checksum of the bytes
-    /// between), and the segment counts that range must hold.
-    fn decode_manifest(payload: &[u8]) -> Result<(WatchCheckpoint, [u64; 3], [u64; 4]), String> {
-        let mut r = ColumnReader::new(payload);
+    fn take(r: &mut ColumnReader<'_>) -> Result<(Self, LogColumns), String> {
         let cursor = r.u64("cursor")?;
         let records = r.u64("records")?;
         let observations = r.u64("observations")?;
@@ -1079,19 +915,7 @@ impl WatchCheckpoint {
         let windows = r.u64("windows")?;
         let windows =
             usize::try_from(windows).map_err(|_| format!("windows {windows} out of range"))?;
-        let start = r.u64("segment log start")?;
-        let end = r.u64("segment log end")?;
-        if start > end {
-            return Err(format!("segment log range {start}..{end} runs backwards"));
-        }
-        let log = [start, end, r.u64("segment log checksum")?];
-        let mut counts = [0; 4];
-        for (count, what) in counts
-            .iter_mut()
-            .zip(["paths", "lists", "tuples", "owners"])
-        {
-            *count = r.u64(&format!("segment {what}"))?;
-        }
+        let log = LogColumns::take(r)?;
 
         let indices = r.column("bucket indices", u64::from_le_bytes)?;
         if indices.len() > windows {
@@ -1103,7 +927,7 @@ impl WatchCheckpoint {
         if !strictly_ascending(&indices) {
             return Err("bucket indices not strictly ascending".into());
         }
-        let tuple_count = counts[2];
+        let tuple_count = log.counts[2];
         let mut buckets = Vec::with_capacity(indices.len());
         for index in indices {
             let counted = r.u64("bucket counted length")?;
@@ -1168,9 +992,8 @@ impl WatchCheckpoint {
             unique_tuples: r.u64("windowed unique_tuples")?,
             unique_paths: r.u64("windowed unique_paths")?,
         };
-        let labels = keyed_bytes(&mut r, "labels", &INTENTS)?;
-        let excluded = keyed_bytes(&mut r, "exclusions", &EXCLUSIONS)?;
-        r.finish()?;
+        let labels = keyed_bytes(r, "labels", &INTENTS)?;
+        let excluded = keyed_bytes(r, "exclusions", &EXCLUSIONS)?;
         let cp = WatchCheckpoint {
             cursor,
             records,
@@ -1187,46 +1010,8 @@ impl WatchCheckpoint {
             labels,
             excluded,
         };
-        Ok((cp, log, counts))
+        Ok((cp, log))
     }
-
-    /// The segment the log's committed bytes hold, and the checksum state
-    /// over them that the next append continues: their checksum must be
-    /// the recorded one, every frame must decode onto the ones before it,
-    /// and the segment must have the manifest's `counts`.
-    fn decode_log(
-        committed: &[u8],
-        checksum: u64,
-        counts: [u64; 4],
-    ) -> Result<(StatsAccumulator, Checksum), String> {
-        let mut state = Checksum::new();
-        state.update(committed);
-        let computed = state.finish();
-        if computed != checksum {
-            return Err(format!(
-                "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
-            ));
-        }
-        let mut segment = StatsAccumulator::new();
-        let mut r = ColumnReader::new(committed);
-        while !r.is_empty() {
-            segment
-                .decode_frame(&mut r)
-                .map_err(|e| format!("segment log: {e}"))?;
-        }
-        if segment.counts() != counts {
-            return Err(format!(
-                "segment log holds {:?} paths, lists, tuples and owners, the manifest records {counts:?}",
-                segment.counts()
-            ));
-        }
-        Ok((segment, state))
-    }
-}
-
-/// `e`, prefixed with the operation that failed and the file it failed on.
-fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
-    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
 fn strictly_ascending<T: Ord>(xs: &[T]) -> bool {
@@ -1366,142 +1151,37 @@ pub struct WatchOutcome {
 /// batch pipeline's convention).
 fn record_watch_metrics(
     metrics: &MetricsRegistry,
-    outcome_counters: &StreamCounters,
+    c: &StreamCounters,
     classifier: &WindowedClassifier,
     records: u64,
     observations: u64,
     report: &IngestReport,
 ) {
-    metrics.counter("watch/records").add(records);
-    metrics.counter("watch/observations").add(observations);
-    metrics
-        .counter("watch/windows_advanced")
-        .add(classifier.advances());
-    metrics
-        .counter("watch/late_drops")
-        .add(classifier.late_drops());
-    metrics.counter("classify/flaps").add(classifier.flaps());
-    metrics
-        .counter("classify/reclassified_owners")
-        .add(classifier.reclassified_owners());
-    metrics
-        .counter("watch/recounted_paths")
-        .add(classifier.recounted_paths());
+    let load = |n: &AtomicU64| n.load(Ordering::SeqCst);
+    for (name, value) in [
+        ("watch/records", records),
+        ("watch/observations", observations),
+        ("watch/windows_advanced", classifier.advances()),
+        ("watch/late_drops", classifier.late_drops()),
+        ("classify/flaps", classifier.flaps()),
+        (
+            "classify/reclassified_owners",
+            classifier.reclassified_owners(),
+        ),
+        ("watch/recounted_paths", classifier.recounted_paths()),
+        ("ingest/backpressure_stalls", load(&c.backpressure_stalls)),
+        ("stream/connections", load(&c.connections)),
+        ("stream/reconnects", load(&c.reconnects)),
+        ("stream/stalls", load(&c.stalls)),
+        ("stream/disconnects", load(&c.disconnects)),
+        ("stream/delivered_bytes", load(&c.delivered_bytes)),
+    ] {
+        metrics.counter(name).add(value);
+    }
     metrics.record_duration("time/reclassify_ns", classifier.reclassify_time());
-    let c = outcome_counters;
-    metrics
-        .counter("ingest/backpressure_stalls")
-        .add(c.backpressure_stalls.load(Ordering::SeqCst));
-    metrics
-        .counter("stream/connections")
-        .add(c.connections.load(Ordering::SeqCst));
-    metrics
-        .counter("stream/reconnects")
-        .add(c.reconnects.load(Ordering::SeqCst));
-    metrics
-        .counter("stream/stalls")
-        .add(c.stalls.load(Ordering::SeqCst));
-    metrics
-        .counter("stream/disconnects")
-        .add(c.disconnects.load(Ordering::SeqCst));
-    metrics
-        .counter("stream/delivered_bytes")
-        .add(c.delivered_bytes.load(Ordering::SeqCst));
-    metrics
-        .gauge("stream/queue_peak_bytes")
-        .set(i64::try_from(c.queue_peak_bytes.load(Ordering::SeqCst)).unwrap_or(i64::MAX));
+    let peak = i64::try_from(load(&c.queue_peak_bytes)).unwrap_or(i64::MAX);
+    metrics.gauge("stream/queue_peak_bytes").set(peak);
     report.record_metrics(metrics);
-}
-
-/// How [`run_watch`] saves: its first save in a fresh run is complete and
-/// starts the segment log over, every later one (and every one after a
-/// resume) appends only what the segment gained since the save before.
-/// Each save counts `checkpoint/writes`, `checkpoint/bytes_written` (the
-/// manifest plus the appended frame) and `time/checkpoint_write_ns`. A
-/// resumed run's exit save is skipped, and counts nothing, when it would
-/// write the checkpoint the run resumed from.
-struct CheckpointSaver<'a> {
-    path: &'a Path,
-    /// The log's state after the last save or the load; `None` until the
-    /// first save of a fresh run.
-    log: Option<SegmentLog>,
-    /// The checkpoint the run resumed from, its segment left out, until
-    /// the first save.
-    resumed: Option<WatchCheckpoint>,
-    metrics: Option<&'a MetricsRegistry>,
-}
-
-impl<'a> CheckpointSaver<'a> {
-    /// A saver for the checkpoint at `path`, whose directory must exist —
-    /// checked now, before any work that a failed first save would waste.
-    fn new(path: &'a Path, metrics: Option<&'a MetricsRegistry>) -> io::Result<Self> {
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("checkpoint directory {} does not exist", dir.display()),
-            ));
-        }
-        if let Some(metrics) = metrics {
-            // Registered now, so a run that saves nothing reports 0.
-            metrics.counter("checkpoint/writes");
-            metrics.counter("checkpoint/bytes_written");
-        }
-        Ok(CheckpointSaver {
-            path,
-            log: None,
-            resumed: None,
-            metrics,
-        })
-    }
-
-    /// The checkpoint to resume from, if one is at the path; the saves
-    /// that follow append to its log.
-    fn resume(&mut self) -> io::Result<Option<WatchCheckpoint>> {
-        if !self.path.exists() {
-            return Ok(None);
-        }
-        let (cp, log) = WatchCheckpoint::open(self.path)?;
-        self.log = Some(log);
-        self.resumed = Some(WatchCheckpoint {
-            cumulative: StatsSnapshot::new(),
-            ..cp.clone()
-        });
-        Ok(Some(cp))
-    }
-
-    fn save(&mut self, cp: &WatchCheckpoint) -> io::Result<()> {
-        let start = Instant::now();
-        let (log, bytes) = cp.save(self.path, self.log.as_ref())?;
-        self.log = Some(log);
-        self.resumed = None;
-        if let Some(metrics) = self.metrics {
-            metrics.counter("checkpoint/writes").inc();
-            metrics.counter("checkpoint/bytes_written").add(bytes);
-            metrics.record_duration("time/checkpoint_write_ns", start.elapsed());
-        }
-        Ok(())
-    }
-
-    /// The exit save, skipped when `cp` is the checkpoint the run resumed
-    /// from: its segment gained nothing past the loaded log's mark (a
-    /// segment only grows, so it is the loaded one; no deep compare) and
-    /// every other field is equal.
-    fn save_at_exit(&mut self, mut cp: WatchCheckpoint) -> io::Result<()> {
-        if let (Some(resumed), Some(log)) = (&self.resumed, &self.log) {
-            if cp.cumulative.mark() == log.mark {
-                let segment = std::mem::take(&mut cp.cumulative);
-                if cp == *resumed {
-                    return Ok(());
-                }
-                cp.cumulative = segment;
-            }
-        }
-        self.save(&cp)
-    }
 }
 
 /// The sink [`run_watch`] decodes into: every borrowed observation folds
@@ -1534,10 +1214,10 @@ impl ObservationSink for WindowSink<'_> {
 /// interns it once; at record boundaries, honor the crash injection and
 /// the checkpoint cadence (checkpoints are only ever written at record
 /// boundaries so the cursor is consistent with exactly the folds
-/// performed). On exit a final
-/// reclassification brings labels up to date with the head bucket, a final
-/// checkpoint is flushed (unless it is the one the run resumed from), and
-/// metrics are recorded — the same path for graceful shutdown and quiesce.
+/// performed). On exit a final reclassification brings labels up to date
+/// with the head bucket, a final checkpoint is flushed (unless it is the
+/// one the run resumed from), and metrics are recorded — the same path
+/// for graceful shutdown and quiesce.
 pub fn run_watch<S: StreamSource>(
     source: S,
     siblings: &SiblingMap,
@@ -1547,7 +1227,7 @@ pub fn run_watch<S: StreamSource>(
     let mut saver = opts
         .checkpoint
         .as_deref()
-        .map(|path| CheckpointSaver::new(path, opts.metrics.as_deref()))
+        .map(|path| CheckpointSaver::<WatchCheckpoint>::new(path, opts.metrics.as_deref()))
         .transpose()?;
     let resume = match saver.as_mut() {
         Some(saver) => saver.resume()?,
@@ -1678,8 +1358,12 @@ pub fn run_watch<S: StreamSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::decode_manifest;
+    use crate::checkpoint::tests::Encode;
     use bgp_mrt::stream::MemoryFeed;
+    use bgp_types::persist;
     use bgp_types::Asn;
+    use std::fs;
     use std::sync::atomic::AtomicUsize;
 
     /// The manifest at `path` and its log.
@@ -2625,18 +2309,17 @@ mod tests {
     fn every_prefix_of_a_watch_payload_is_refused() {
         let (manifest, log) = churn_checkpoint().encode();
         let payload = &manifest[persist::HEADER_LEN..];
-        let (_, _, counts) = WatchCheckpoint::decode_manifest(payload).unwrap();
+        let (_, LogColumns { counts, .. }) = decode_manifest::<WatchCheckpoint>(payload).unwrap();
         for cut in 0..payload.len() {
             assert!(
-                WatchCheckpoint::decode_manifest(&payload[..cut]).is_err(),
+                decode_manifest::<WatchCheckpoint>(&payload[..cut]).is_err(),
                 "a cut at {cut} of {} decoded",
                 payload.len()
             );
         }
         // Every prefix of the log, with a checksum that matches it: the
         // frame decoder and the manifest's counts refuse it.
-        let decode_log =
-            |log: &[u8]| WatchCheckpoint::decode_log(log, persist::checksum(log), counts);
+        let decode_log = |log: &[u8]| checkpoint::decode_log(log, persist::checksum(log), counts);
         assert!(decode_log(&log).is_ok());
         for cut in 0..log.len() {
             assert!(
@@ -2698,7 +2381,7 @@ mod tests {
         let (mut backwards, _) = reseal(&payload, &log);
         backwards[LOG_RANGE..LOG_RANGE + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let backwards = &backwards[persist::HEADER_LEN..];
-        let err = WatchCheckpoint::decode_manifest(backwards).unwrap_err();
+        let err = decode_manifest::<WatchCheckpoint>(backwards).unwrap_err();
         assert!(err.contains("runs backwards"), "{err}");
     }
 
@@ -2778,7 +2461,7 @@ mod tests {
         wc: &mut WindowedClassifier,
         stream: &[Observation],
         range: std::ops::Range<usize>,
-        saver: &mut CheckpointSaver<'_>,
+        saver: &mut CheckpointSaver<'_, WatchCheckpoint>,
     ) {
         for i in range {
             if wc.observe(&stream[i], &SiblingMap::default()) {

@@ -6,14 +6,16 @@
 //! with the same typed `LoadError`: every truncation length, a resealed
 //! truncation at every payload offset, one trailing byte, a flipped bit
 //! at every offset, and forged magic, version, length and checksum. A
-//! damaged file is never accepted, and loading never panics. The watch
-//! checkpoint's segment log, which its manifest commits, has cases of its
-//! own: missing, cut short, bit-flipped, swapped for another's.
+//! damaged file is never accepted, and loading never panics. The segment
+//! log every checkpoint's manifest commits (batch, shard artifact and
+//! watch) has one matrix of its own: missing, cut short, bit-flipped,
+//! swapped for another's, and trailing bytes, which still load.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use bgp_artifact::{write_artifact_atomic, LabelArtifact, LabelRow};
+use bgp_intent::checkpoint::log_path;
 use bgp_intent::{
     fingerprint_file, validate_artifact, Checkpoint, CompletedFile, InferenceConfig,
     ShardFailureKind, ShardSpec, StatsAccumulator, WatchCheckpoint, WindowConfig,
@@ -163,6 +165,95 @@ fn run_matrix(format: &Format, sealed: &[u8], path: &Path, loaders: &[Loader<'_>
     }
 }
 
+/// The segment log's damage matrix, beside the undamaged manifest at
+/// `path`: the log missing, cut at every byte, every bit flipped, and
+/// swapped for each of `others` (valid logs of other checkpoints, longer
+/// and shorter) are each refused by every loader as a corrupt checkpoint
+/// that names the log; bytes after the committed range are what an
+/// interrupted append left, and the committed state loads.
+fn run_log_matrix(path: &Path, others: &[Vec<u8>], loaders: &[Loader<'_>]) {
+    let log_path = log_path(path);
+    let log = fs::read(&log_path).unwrap();
+    let refused = |case: &str, expect: &str| {
+        for load in loaders {
+            match load(path) {
+                Err(LoadError::Corrupt {
+                    path: named,
+                    detail,
+                    ..
+                }) => {
+                    assert!(
+                        detail.contains(expect),
+                        "{case}: expected {expect:?}, got {detail:?}"
+                    );
+                    assert_eq!(named, log_path, "{case}");
+                }
+                Err(e) => panic!("{case}: expected a corrupt log, got {e}"),
+                Ok(()) => panic!("{case}: the damaged log was accepted"),
+            }
+        }
+    };
+    fs::remove_file(&log_path).unwrap();
+    refused("missing log", "segment log missing");
+    for cut in 0..log.len() {
+        fs::write(&log_path, &log[..cut]).unwrap();
+        refused(
+            &format!("log cut to {cut} bytes"),
+            &format!("{} bytes committed, {cut} present", log.len()),
+        );
+    }
+    for pos in 0..log.len() {
+        let mut flipped = log.clone();
+        flipped[pos] ^= 1 << (pos % 8);
+        fs::write(&log_path, &flipped).unwrap();
+        refused(
+            &format!("bit {} of log byte {pos} flipped", pos % 8),
+            "segment log checksum",
+        );
+    }
+    assert!(others.iter().any(|o| o.len() > log.len()));
+    assert!(others.iter().any(|o| o.len() < log.len()));
+    for other in others {
+        fs::write(&log_path, other).unwrap();
+        refused(
+            &format!("another checkpoint's log ({} bytes)", other.len()),
+            "segment log",
+        );
+    }
+    fs::write(&log_path, [log.as_slice(), &[0xee; 5000]].concat()).unwrap();
+    for load in loaders {
+        load(path).expect("bytes past the committed range are ignored");
+    }
+    fs::write(&log_path, &log).unwrap();
+}
+
+/// The log of the batch checkpoint over `observations` of [`stream`],
+/// each path made new by a leading hop: another run's valid log.
+fn other_batch_log(dir: &Path, observations: usize) -> Vec<u8> {
+    let mut acc = StatsAccumulator::new();
+    acc.ingest_ordered(&renamed(observations), &SiblingMap::default());
+    let mut cp = Checkpoint::new();
+    cp.snapshot = acc.snapshot().clone();
+    let path = dir.join("other.ckpt");
+    let _ = fs::remove_file(&path);
+    cp.save_atomic(&path).unwrap();
+    fs::read(log_path(&path)).unwrap()
+}
+
+/// `observations` of [`stream`], cycled, each path behind a hop of its own.
+fn renamed(observations: usize) -> Vec<Observation> {
+    stream()
+        .iter()
+        .cycle()
+        .take(observations)
+        .enumerate()
+        .map(|(i, o)| Observation {
+            path: format!("{} {}", 800 + i, o.path).parse().unwrap(),
+            ..o.clone()
+        })
+        .collect()
+}
+
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bgp-formats-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -228,12 +319,11 @@ fn batch_checkpoint_refuses_every_damage() {
     cp.save_atomic(&path).unwrap();
     let sealed = fs::read(&path).unwrap();
     assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-    run_matrix(
-        &Checkpoint::FORMAT,
-        &sealed,
-        &path,
-        &[&|p| Checkpoint::load(p).map(drop)],
-    );
+    let load = |p: &Path| Checkpoint::load(p).map(|got| assert_eq!(got, cp));
+    run_matrix(&Checkpoint::FORMAT, &sealed, &path, &[&load]);
+    fs::write(&path, &sealed).unwrap();
+    let others = [other_batch_log(&dir, 48), other_batch_log(&dir, 2)];
+    run_log_matrix(&path, &others, &[&load]);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -270,7 +360,7 @@ fn shard_artifact_refuses_every_damage() {
     let sealed = fs::read(&spec.artifact).unwrap();
     let supervised = |p: &Path| {
         assert_eq!(p, spec.artifact);
-        let loaded = Checkpoint::load(p).map(drop);
+        let loaded = Checkpoint::load(p).map(|got| assert_eq!(got, cp));
         match (&loaded, validate_artifact(&spec)) {
             (Ok(()), Ok(_)) => {}
             (Err(e), Err(ShardFailureKind::MissingArtifact)) if e.is_not_found() => {}
@@ -280,6 +370,9 @@ fn shard_artifact_refuses_every_damage() {
         loaded
     };
     run_matrix(&Checkpoint::FORMAT, &sealed, &spec.artifact, &[&supervised]);
+    fs::write(&spec.artifact, &sealed).unwrap();
+    let others = [other_batch_log(&dir, 48), other_batch_log(&dir, 2)];
+    run_log_matrix(&spec.artifact, &others, &[&supervised]);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -302,80 +395,25 @@ fn watch_checkpoint_refuses_every_damage() {
     cp.save_atomic(&path).unwrap();
     let sealed = fs::read(&path).unwrap();
     assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
-    // The manifest's matrix, with its log in place beside it.
-    run_matrix(
-        &WatchCheckpoint::FORMAT,
-        &sealed,
-        &path,
-        &[&|p| WatchCheckpoint::load(p).map(drop)],
-    );
-
-    // The log's own damage, beside the undamaged manifest: each is refused
-    // as a corrupt checkpoint that names the log.
+    // The manifest's matrix, with its log in place beside it, then the
+    // log's own, beside the undamaged manifest.
+    let load = |p: &Path| WatchCheckpoint::load(p).map(|got| assert_eq!(got, cp));
+    run_matrix(&WatchCheckpoint::FORMAT, &sealed, &path, &[&load]);
     fs::write(&path, &sealed).unwrap();
-    let log_path = WatchCheckpoint::log_path(&path);
-    let log = fs::read(&log_path).unwrap();
-    let refused = |case: &str, expect: &str| match WatchCheckpoint::load(&path) {
-        Err(LoadError::Corrupt {
-            path: named,
-            detail,
-            ..
-        }) => {
-            assert!(
-                detail.contains(expect),
-                "{case}: expected {expect:?}, got {detail:?}"
-            );
-            assert_eq!(named, log_path, "{case}");
-        }
-        Err(e) => panic!("{case}: expected a corrupt log, got {e}"),
-        Ok(_) => panic!("{case}: the damaged log was accepted"),
-    };
-    fs::remove_file(&log_path).unwrap();
-    refused("missing log", "segment log missing");
-    for cut in 0..log.len() {
-        fs::write(&log_path, &log[..cut]).unwrap();
-        refused(
-            &format!("log cut to {cut} bytes"),
-            &format!("{} bytes committed, {cut} present", log.len()),
-        );
-    }
-    for pos in 0..log.len() {
-        let mut flipped = log.clone();
-        flipped[pos] ^= 1 << (pos % 8);
-        fs::write(&log_path, &flipped).unwrap();
-        refused(
-            &format!("bit {} of log byte {pos} flipped", pos % 8),
-            "segment log checksum",
-        );
-    }
-    // A valid log of another checkpoint, longer and shorter than this one's.
-    for observations in [48, 6] {
-        let mut other = WindowedClassifier::new(window, InferenceConfig::default());
-        for o in stream()
-            .iter()
-            .cycle()
-            .take(observations)
-            .enumerate()
-            .map(|(i, o)| Observation {
-                path: format!("{} {}", 800 + i, o.path).parse().unwrap(),
-                ..o.clone()
-            })
-        {
-            other.observe(&o, &siblings);
-        }
-        let other_path = dir.join("other.ckpt");
-        let _ = fs::remove_file(&other_path);
-        other.checkpoint(0, 0, 0).save_atomic(&other_path).unwrap();
-        fs::copy(WatchCheckpoint::log_path(&other_path), &log_path).unwrap();
-        refused(
-            &format!("another checkpoint's log ({observations})"),
-            "segment log",
-        );
-    }
-    // Bytes past the committed length are what an interrupted append left:
-    // the committed state loads.
-    fs::write(&log_path, [log.as_slice(), &[0xee; 5000]].concat()).unwrap();
-    assert_eq!(WatchCheckpoint::load(&path).unwrap(), cp);
+    let others: Vec<Vec<u8>> = [48, 6]
+        .into_iter()
+        .map(|observations| {
+            let mut other = WindowedClassifier::new(window, InferenceConfig::default());
+            for o in renamed(observations) {
+                other.observe(&o, &siblings);
+            }
+            let other_path = dir.join("other.ckpt");
+            let _ = fs::remove_file(&other_path);
+            other.checkpoint(0, 0, 0).save_atomic(&other_path).unwrap();
+            fs::read(WatchCheckpoint::log_path(&other_path)).unwrap()
+        })
+        .collect();
+    run_log_matrix(&path, &others, &[&load]);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use bgp_artifact::{write_artifact_atomic, LabelArtifact, LabelRow};
+use bgp_intent::checkpoint::log_path;
 use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
@@ -166,12 +167,47 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
     cp.snapshot = acc.snapshot().clone();
     let path = dir.join("run.ckpt");
     cp.save_atomic(&path).unwrap();
+    let manifest = fs::read(&path).unwrap();
+    let batch_log = log_path(&path);
     let again_cp = again.clone();
     files.push((
         Checkpoint::FORMAT,
-        fs::read(&path).unwrap(),
+        manifest.clone(),
         Box::new(move |p| {
+            // Each edited manifest loads beside its real log.
+            fs::copy(&batch_log, log_path(p)).unwrap();
             reload_unchanged(p, &again_cp, Checkpoint::load, |cp, to| {
+                cp.save_atomic(to).unwrap()
+            })
+        }),
+    ));
+    // The log, carried as the payload of a stand-in envelope so the edits
+    // land on its frames; the check puts it beside the manifest with the
+    // log checksum recomputed (the third of the manifest's last seven
+    // words), so every edit reaches the frame decoder.
+    let log = fs::read(log_path(&path)).unwrap();
+    let carrier = Format {
+        magic: *b"BGPBSEGL",
+        version: 1,
+        name: "batch segment log",
+    };
+    let mut carried = vec![0; HEADER_LEN];
+    carried.extend_from_slice(&log);
+    carrier.seal(&mut carried);
+    let resealed = dir.join("resealed-run.ckpt");
+    let again_log = again.clone();
+    files.push((
+        carrier,
+        carried,
+        Box::new(move |p| {
+            let edited = fs::read(p).unwrap()[HEADER_LEN..].to_vec();
+            let mut manifest = manifest.clone();
+            let at = manifest.len() - 5 * 8;
+            manifest[at..at + 8].copy_from_slice(&checksum(&edited).to_le_bytes());
+            Checkpoint::FORMAT.seal(&mut manifest);
+            fs::write(&resealed, &manifest).unwrap();
+            fs::write(log_path(&resealed), &edited).unwrap();
+            reload_unchanged(&resealed, &again_log, Checkpoint::load, |cp, to| {
                 cp.save_atomic(to).unwrap()
             })
         }),
@@ -260,6 +296,13 @@ fn sealed_files(observations: &[Observation], dir: &Path) -> Vec<SealedFile> {
                 Ok(())
             }),
         ));
+    }
+    // Undamaged, every file loads through its check: an edit that is
+    // refused is refused for the edit.
+    let intact = dir.join("intact");
+    for (format, sealed, check) in &files {
+        fs::write(&intact, sealed).unwrap();
+        check(&intact).unwrap_or_else(|e| panic!("undamaged {}: {e}", format.name));
     }
     files
 }
