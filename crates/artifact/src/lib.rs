@@ -256,6 +256,7 @@ mod backing {
         }
 
         /// The mapped bytes.
+        #[inline]
         pub fn bytes(&self) -> &[u8] {
             // SAFETY: ptr..ptr+len is a live PROT_READ mapping for as long
             // as self exists, and the borrow cannot outlive self.
@@ -280,6 +281,7 @@ enum Backing {
 }
 
 impl Backing {
+    #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
             Backing::Heap(v) => v,

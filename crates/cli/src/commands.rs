@@ -116,7 +116,9 @@ INGESTION (stats, infer, shard, watch, query --check):
     --threads N     Worker threads: MRT files decode in parallel (one file
                     per worker) and the analysis stages shard across N
                     threads. 0 = one per CPU (default). Output is identical
-                    at any thread count.
+                    at any thread count. `shard` passes N to its workers and,
+                    once they exit, counts and classifies on the larger of
+                    N and --workers.
     --retry-attempts N
                     (stats, infer, shard, watch) Attempts per I/O operation
                     before a transient failure (EINTR, stall) is surfaced
@@ -743,14 +745,12 @@ fn stats(run: &Run) -> Result<(), Failure> {
         .collect();
     tuples.sort_unstable();
     tuples.dedup();
-    let mut communities = HashSet::new();
-    let mut owners = HashSet::new();
-    for id in 0..store.cset_count() as u32 {
-        for c in store.cset(id) {
-            communities.insert(*c);
-            owners.insert(c.asn);
-        }
-    }
+    // Every interned community rides some list: the slot dictionary is
+    // the set of distinct communities.
+    let communities = store.community_count();
+    let owners: HashSet<u16> = (0..communities as u32)
+        .map(|slot| store.community(slot).asn)
+        .collect();
     let mut vps: Vec<_> = (0..store.len()).map(|i| store.vp(i)).collect();
     vps.sort_unstable();
     vps.dedup();
@@ -762,7 +762,7 @@ fn stats(run: &Run) -> Result<(), Failure> {
     println!("prefixes            : {}", prefixes.len());
     println!("unique AS paths     : {}", store.path_count());
     println!("unique tuples       : {}", tuples.len());
-    println!("distinct communities: {}", communities.len());
+    println!("distinct communities: {}", communities);
     println!("community owners    : {}", owners.len());
     if !report.is_clean() {
         println!("ingest degradation  : {}", report.summary());
@@ -1367,6 +1367,13 @@ fn shard(run: &Run) -> Result<(), Failure> {
     if let Some(metrics) = tel.registry() {
         merged.record_metrics(metrics);
     }
+    // The workers have exited: the kernel and the classification run on
+    // the cores they held as well as on `--threads` (labels are the same
+    // at any thread count).
+    let cfg = InferenceConfig {
+        threads: effective_threads(cfg.threads).max(workers),
+        ..cfg
+    };
     let result = run_inference(
         segment.to_stats_threaded(cfg.threads),
         &siblings,

@@ -459,7 +459,7 @@ fn version_3_checkpoint_with_fingerprint_sets_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 6"),
+        stderr.contains("checkpoint version 3, this build reads version 7"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");
@@ -478,7 +478,7 @@ fn version_4_checkpoint_is_refused_untouched() {
     let (out, _) = infer_json(&paths, &dir.join("first.json"), &["--checkpoint", ckpt_arg]);
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let mut legacy = fs::read(&ckpt).unwrap();
-    assert_eq!(&legacy[..12], b"BGPBCKPT\x06\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x07\0\0\0");
     legacy[8] = 4;
     fs::write(&ckpt, &legacy).unwrap();
     let (out, labels) = infer_json(
@@ -489,11 +489,43 @@ fn version_4_checkpoint_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 6"),
+        stderr.contains("checkpoint version 4, this build reads version 7"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");
     assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+}
+
+/// Version 6 logged each list entry's community value in place of its
+/// slot: a checkpoint this build wrote, renumbered, is refused on its
+/// version, and neither file changes.
+#[test]
+fn version_6_checkpoint_is_refused_untouched() {
+    let dir = workdir("version-6");
+    let paths = archives(&dir, 2, 20);
+    let ckpt = dir.join("run.ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let (out, _) = infer_json(&paths, &dir.join("first.json"), &["--checkpoint", ckpt_arg]);
+    assert_eq!(out.status.code(), Some(0), "{:?}", out);
+    let mut legacy = fs::read(&ckpt).unwrap();
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x07\0\0\0");
+    legacy[8] = 6;
+    fs::write(&ckpt, &legacy).unwrap();
+    let log = fs::read(dir.join("run.ckpt.seg")).unwrap();
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("labels.json"),
+        &["--checkpoint", ckpt_arg, "--resume"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 6, this build reads version 7"),
+        "{stderr}"
+    );
+    assert!(labels.is_none(), "a refused run writes no labels");
+    assert_eq!(fs::read(&ckpt).unwrap(), legacy, "refused, not overwritten");
+    assert_eq!(fs::read(dir.join("run.ckpt.seg")).unwrap(), log);
 }
 
 /// Version 5 held the whole segment in the one sealed file, rewritten at
@@ -519,7 +551,7 @@ fn version_5_checkpoint_holding_the_whole_segment_is_refused_untouched() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_CHECKPOINT), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 5, this build reads version 6"),
+        stderr.contains("checkpoint version 5, this build reads version 7"),
         "{stderr}"
     );
     assert!(labels.is_none(), "a refused run writes no labels");

@@ -505,7 +505,7 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 6"),
+        stderr.contains("checkpoint version 3, this build reads version 7"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
@@ -514,8 +514,8 @@ fn version_3_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-000.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x06\0\0\0",
-        "rewritten at version 6"
+        b"BGPBCKPT\x07\0\0\0",
+        "rewritten at version 7"
     );
 }
 
@@ -572,7 +572,7 @@ fn version_5_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 5, this build reads version 6"),
+        stderr.contains("checkpoint version 5, this build reads version 7"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 0: attempt 1"), "{stderr}");
@@ -580,8 +580,8 @@ fn version_5_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-000.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x06\0\0\0",
-        "rewritten at version 6"
+        b"BGPBCKPT\x07\0\0\0",
+        "rewritten at version 7"
     );
     assert!(shard_dir.join("shard-000.ckpt.seg").exists());
 }
@@ -601,7 +601,7 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
     assert_eq!(first.status.code(), Some(0), "{}", stderr_of(&first));
 
     let mut legacy = read(&shard_dir, "shard-001.ckpt");
-    assert_eq!(&legacy[..12], b"BGPBCKPT\x06\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPBCKPT\x07\0\0\0");
     legacy[8] = 4;
     fs::write(shard_dir.join("shard-001.ckpt"), &legacy).unwrap();
 
@@ -613,7 +613,7 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 6"),
+        stderr.contains("checkpoint version 4, this build reads version 7"),
         "{stderr}"
     );
     assert!(stderr.contains("shard 1: attempt 1"), "{stderr}");
@@ -623,9 +623,77 @@ fn version_4_shard_artifact_is_discarded_and_redone() {
     let redone = read(&shard_dir, "shard-001.ckpt");
     assert_eq!(
         &redone[..12],
-        b"BGPBCKPT\x06\0\0\0",
-        "rewritten at version 6"
+        b"BGPBCKPT\x07\0\0\0",
+        "rewritten at version 7"
     );
+}
+
+/// A shard redone over a discarded artifact starts its segment log over
+/// instead of appending after the refused one: after a torn manifest, a
+/// version-6 manifest and a stale artifact, the redone shard's log is the
+/// fresh run's, byte for byte, and so are the labels.
+#[test]
+fn a_redone_shard_starts_its_log_over() {
+    let dir = workdir("redo-log");
+    let paths = archives(&dir, 4, 30);
+    let shard_dir = dir.join("shards");
+    let shard_args = ["--shard-dir", shard_dir.to_str().unwrap(), "--workers", "2"];
+    let fresh = run_traced("shard", &paths, &dir, "fresh", &shard_args);
+    assert_eq!(fresh.status.code(), Some(0), "{}", stderr_of(&fresh));
+    let fresh_log = read(&shard_dir, "shard-001.ckpt.seg");
+    let manifest = read(&shard_dir, "shard-001.ckpt");
+    let mut renumbered = manifest.clone();
+    renumbered[8] = 6;
+    for (case, damaged, why) in [
+        ("torn", manifest[..manifest.len() / 2].to_vec(), "corrupt"),
+        (
+            "version 6",
+            renumbered,
+            "checkpoint version 6, this build reads version 7",
+        ),
+    ] {
+        fs::write(shard_dir.join("shard-001.ckpt"), &damaged).unwrap();
+        let out = run_traced("shard", &paths, &dir, "redone", &shard_args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{case}: {stderr}");
+        assert!(
+            stderr.contains("shard 1: discarding leftover artifact") && stderr.contains(why),
+            "{case}: {stderr}"
+        );
+        assert!(stderr.contains("shard 0: reusing"), "{case}: {stderr}");
+        let log = read(&shard_dir, "shard-001.ckpt.seg");
+        assert_eq!(
+            log.len(),
+            fresh_log.len(),
+            "{case}: the log kept a dead prefix"
+        );
+        assert_eq!(log, fresh_log, "{case}");
+        assert_eq!(
+            read(&dir, "redone.json"),
+            read(&dir, "fresh.json"),
+            "{case}"
+        );
+    }
+
+    // Stale: at one file fewer, shard 1 covers file 1 alone, not 1 and 3.
+    let fewer = &paths[..3];
+    let fewer_dir = dir.join("fewer-shards");
+    let fewer_args = ["--shard-dir", fewer_dir.to_str().unwrap(), "--workers", "2"];
+    let fresh = run_traced("shard", fewer, &dir, "fresh-fewer", &fewer_args);
+    assert_eq!(fresh.status.code(), Some(0), "{}", stderr_of(&fresh));
+    let out = run_traced("shard", fewer, &dir, "stale", &shard_args);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("shard 1: discarding leftover artifact (stale"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("shard 0: reusing"), "{stderr}");
+    assert_eq!(
+        read(&shard_dir, "shard-001.ckpt.seg"),
+        read(&fewer_dir, "shard-001.ckpt.seg")
+    );
+    assert_eq!(read(&dir, "stale.json"), read(&dir, "fresh-fewer.json"));
 }
 
 #[test]

@@ -465,7 +465,7 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 2, this build reads version 6"),
+        stderr.contains("checkpoint version 2, this build reads version 7"),
         "{stderr}"
     );
     assert_eq!(
@@ -495,7 +495,7 @@ fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 6"),
+        stderr.contains("checkpoint version 3, this build reads version 7"),
         "{stderr}"
     );
     assert_eq!(
@@ -529,7 +529,7 @@ fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 6"),
+        stderr.contains("checkpoint version 4, this build reads version 7"),
         "{stderr}"
     );
     assert_eq!(
@@ -551,7 +551,7 @@ fn watch_refuses_a_version_5_checkpoint() {
     let out = run_watch(&addr, &dir, "legacy", &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
     let mut legacy = read(&dir, "legacy.ckpt");
-    assert_eq!(&legacy[..12], b"BGPWCKPT\x06\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x07\0\0\0");
     legacy[8] = 5;
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
     let log = read(&dir, "legacy.ckpt.seg");
@@ -560,7 +560,7 @@ fn watch_refuses_a_version_5_checkpoint() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 5, this build reads version 6"),
+        stderr.contains("checkpoint version 5, this build reads version 7"),
         "{stderr}"
     );
     assert_eq!(
@@ -572,6 +572,41 @@ fn watch_refuses_a_version_5_checkpoint() {
 }
 
 /// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
+/// Version 6 logged each list entry's community value in place of its
+/// slot: a checkpoint this build wrote, renumbered, is refused on its
+/// version and neither file changes.
+#[test]
+fn watch_refuses_a_version_6_checkpoint() {
+    let dir = workdir("version-6");
+    let paths = archives(&dir, 2, 40);
+    let (feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let mut legacy = read(&dir, "legacy.ckpt");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x07\0\0\0");
+    legacy[8] = 6;
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    let log = read(&dir, "legacy.ckpt.seg");
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    drop(feed);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 6, this build reads version 7"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt.seg"),
+        log,
+        "the log is left as it is"
+    );
+}
+
 fn tail_watch(tail: &Path, ckpt: &Path, extra: &[&str]) -> Output {
     let mut args = vec![
         "watch",
@@ -854,6 +889,57 @@ fn an_idle_restart_recounts_nothing_and_leaves_its_checkpoint_unchanged() {
     assert_eq!(restart.1, first.1, "the label file changed");
     assert_eq!(restart.2, first.2, "the manifest changed");
     assert_eq!(restart.3, first.3, "the segment log changed");
+}
+
+/// A restart reports what its resume read: `checkpoint/bytes_read` is the
+/// manifest plus the log range it commits, and repeats exactly at any
+/// thread count; the load has a timing of its own.
+#[test]
+fn an_idle_restart_counts_the_checkpoint_bytes_it_reads() {
+    let dir = workdir("load-metrics");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let ckpt = dir.join("w.ckpt");
+    let out = tail_watch(&tail, &ckpt, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let manifest = read(&dir, "w.ckpt");
+    // The log's start and end follow the header and the nine scalars.
+    let word = |at: usize| u64::from_le_bytes(manifest[at..at + 8].try_into().unwrap());
+    let (start, end) = (word(32 + 9 * 8), word(32 + 10 * 8));
+    assert_eq!((start, end), (0, read(&dir, "w.ckpt.seg").len() as u64));
+    for threads in ["1", "2", "8"] {
+        let metrics = dir.join(format!("restart-{threads}-metrics.json"));
+        let out = tail_watch(
+            &tail,
+            &ckpt,
+            &[
+                "--threads",
+                threads,
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+        );
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(stderr.contains("resumed from checkpoint"), "{stderr}");
+        let snapshot: serde_json::Value =
+            serde_json::from_slice(&fs::read(&metrics).unwrap()).unwrap();
+        assert_eq!(
+            snapshot["counters"]["checkpoint/bytes_read"].as_u64(),
+            Some(manifest.len() as u64 + end - start),
+            "--threads {threads}"
+        );
+        assert!(
+            snapshot["timings"]["time/checkpoint_load_ns"]
+                .as_u64()
+                .unwrap()
+                > 0
+        );
+        assert_eq!(
+            read(&dir, "w.ckpt"),
+            manifest,
+            "an idle restart saves nothing"
+        );
+    }
 }
 
 #[test]

@@ -148,10 +148,18 @@ impl Segment {
         self.intern_tuple(path, cset)
     }
 
+    /// Make room for `tuples` more tuples, the index included.
+    fn reserve_tuples(&mut self, tuples: usize) {
+        self.tuples.reserve(tuples);
+        self.tuple_ids.reserve(tuples);
+    }
+
     /// Re-intern `other`'s paths, lists and tuples by exact key, in its ID
-    /// order. Owner families are the caller's.
+    /// order, into tables sized for all of them up front. Owner families
+    /// are the caller's.
     fn absorb(&mut self, other: &Segment) {
         let (paths, csets) = self.interner.absorb(&other.interner);
+        self.reserve_tuples(other.tuples.len());
         for &key in &other.tuples {
             self.intern_tuple(paths[(key >> 32) as usize], csets[key as u32 as usize]);
         }
@@ -338,13 +346,14 @@ impl StatsAccumulator {
     pub(crate) fn mark(&self) -> SegmentMark {
         let seg = &*self.seg;
         let (path_ends, segs, asns) = seg.interner.path_pools();
-        let (list_ends, communities) = seg.interner.cset_pools();
+        let (list_ends, slots, communities) = seg.interner.cset_pools();
         SegmentMark {
             paths: path_ends.len(),
             segs: segs.len(),
             asns: asns.len(),
-            lists: list_ends.len(),
             communities: communities.len(),
+            lists: list_ends.len(),
+            slots: slots.len(),
             tuples: seg.tuples.len(),
             owners: seg.families.keys().copied().collect(),
         }
@@ -358,8 +367,10 @@ impl StatsAccumulator {
     ///   seg tags      byte column: 1 AS_SET, 2 AS_SEQUENCE
     ///   seg lengths   column (u32): ASNs per segment
     ///   path ASNs     column (u32), every new path's hops in order
+    ///   communities   column (u32, α << 16 | β): the communities new since
+    ///                 the mark, in slot order
     ///   list ends     column (u32): each new list's end in the next
-    ///   communities   column (u32, α << 16 | β)
+    ///   list slots    column (u32): each new list's communities as slot IDs
     ///   tuples        column (u64, path ID << 32 | list ID)
     ///   owners        column (u32, strictly ascending): owners new since the mark
     ///   family ends   column (u32): each owner's end in the next
@@ -367,10 +378,13 @@ impl StatsAccumulator {
     /// ```
     ///
     /// IDs continue from the mark: a path's ID is the mark's path count
-    /// plus its position in the path ends, likewise for lists and tuples,
-    /// and a tuple may name any path or list up to its own frame. The
-    /// frame after the default (empty) mark is the whole segment — the
-    /// form the batch checkpoint and the shard artifact hold.
+    /// plus its position in the path ends, likewise for community slots,
+    /// lists and tuples. A list may name any slot up to its own frame's
+    /// last, and its frame's new slots are first used, list by list, in
+    /// slot order, as interning by value assigns them; a tuple may name
+    /// any path or list up to its own frame. The frame after the default
+    /// (empty) mark is the whole segment — the form the batch checkpoint
+    /// and the shard artifact hold.
     pub(crate) fn encode_since(&self, mark: &SegmentMark, w: &mut ColumnWriter) {
         let seg = &*self.seg;
         let (path_ends, segs, asns) = seg.interner.path_pools();
@@ -380,12 +394,13 @@ impl StatsAccumulator {
         w.column(segs, |&(tag, _)| [tag]);
         w.column(segs, |&(_, len)| len.to_le_bytes());
         w.column(&asns[mark.asns..], |a| a.to_le_bytes());
-        let (list_ends, communities) = seg.interner.cset_pools();
-        let list_base = mark.communities as u32;
-        w.column(&list_ends[mark.lists..], |e| (e - list_base).to_le_bytes());
+        let (list_ends, slots, communities) = seg.interner.cset_pools();
         w.column(&communities[mark.communities..], |c| {
             c.to_u32().to_le_bytes()
         });
+        let slot_base = mark.slots as u32;
+        w.column(&list_ends[mark.lists..], |e| (e - slot_base).to_le_bytes());
+        w.column(&slots[mark.slots..], |s| s.to_le_bytes());
         w.column(&seg.tuples[mark.tuples..], |t| t.to_le_bytes());
         let gained: Vec<(u32, &[u32])> = seg
             .families
@@ -408,23 +423,28 @@ impl StatsAccumulator {
     }
 
     /// Read one frame that [`encode_since`](Self::encode_since) wrote and
-    /// append it to this segment, re-interning every path, list and tuple.
-    /// Every count is checked against the bytes left before anything is
-    /// allocated, every end and ID against what it indexes before it is
-    /// used, and a value equal to an earlier one — a duplicate path, list,
-    /// tuple or owner, in this frame or an earlier one — is refused, as is
-    /// a new community whose owner has no family. On an error the segment
-    /// is left part-way; the caller discards it.
+    /// append it to this segment, re-interning every path, list and tuple
+    /// into tables sized for the frame up front; a list is interned by its
+    /// slots, with no lookup per entry. Every count is checked against the
+    /// bytes left before anything is allocated, every end, slot and ID
+    /// against what it indexes before it is used, and a value equal to an
+    /// earlier one — a duplicate path, community, list, tuple or owner, in
+    /// this frame or an earlier one — is refused, as is a new slot the
+    /// lists do not first use in slot order (or never use) and a new
+    /// community whose owner has no family. On an error the segment is
+    /// left part-way; the caller discards it.
     pub(crate) fn decode_frame(&mut self, r: &mut ColumnReader<'_>) -> Result<(), String> {
-        let path_ends = r.column("path ends", u32::from_le_bytes)?;
+        // The large columns are read in place, each value where it is used.
+        let path_ends = r.elements::<4>("path ends")?;
         let tags = r.bytes("segment tags")?;
-        let lens = r.column("segment lengths", u32::from_le_bytes)?;
-        let asns = r.column("path ASNs", u32::from_le_bytes)?;
-        let list_ends = r.column("list ends", u32::from_le_bytes)?;
+        let lens = r.elements::<4>("segment lengths")?;
+        let asns = r.elements::<4>("path ASNs")?;
         let communities = r.column("communities", |b| {
             Community::from_u32(u32::from_le_bytes(b))
         })?;
-        let tuples = r.column("tuples", u64::from_le_bytes)?;
+        let list_ends = r.elements::<4>("list ends")?;
+        let slots = r.elements::<4>("list slots")?;
+        let tuples = r.elements::<8>("tuples")?;
         let owners = r.column("owners", u32::from_le_bytes)?;
         let family_ends = r.column("family ends", u32::from_le_bytes)?;
         let members = r.column("families", u32::from_le_bytes)?;
@@ -439,37 +459,78 @@ impl StatsAccumulator {
         if let Some(tag) = tags.iter().find(|&&t| t != SEG_SET && t != SEG_SEQUENCE) {
             return Err(format!("segment tag {tag} out of range"));
         }
-        let segs: Vec<(u8, u32)> = tags.iter().copied().zip(lens).collect();
         let seg = Arc::make_mut(&mut self.seg);
+        seg.interner.reserve(
+            path_ends.len(),
+            lens.len(),
+            asns.len(),
+            list_ends.len(),
+            slots.len(),
+        );
+        seg.reserve_tuples(tuples.len());
         let first_path = seg.interner.path_count();
         let (mut seg_at, mut asn_at) = (0, 0);
-        for (id, &end) in (first_path..).zip(&path_ends) {
-            let path_segs = next_run(&segs, &mut seg_at, u64::from(end), "path ends")?;
+        let (mut path_segs, mut path_asns) = (Vec::new(), Vec::new());
+        for (id, end) in (first_path..).zip(u32s(path_ends)) {
+            let first_seg = seg_at;
+            let run = next_run(lens, &mut seg_at, u64::from(end), "path ends")?;
+            path_segs.clear();
+            path_segs.extend(tags[first_seg..seg_at].iter().copied().zip(u32s(run)));
             let hops: u64 = path_segs.iter().map(|&(_, len)| u64::from(len)).sum();
             let end = asn_at as u64 + hops;
-            let path_asns = next_run(&asns, &mut asn_at, end, "path ASNs")?;
+            let run = next_run(asns, &mut asn_at, end, "path ASNs")?;
+            path_asns.clear();
+            path_asns.extend(u32s(run));
             let path = AsPathView {
-                segs: path_segs,
-                asns: path_asns,
+                segs: &path_segs,
+                asns: &path_asns,
             };
             if seg.interner.intern_path(&path) != id as u32 {
                 return Err(format!("path {id} repeats an earlier path"));
             }
         }
-        finished(&segs, seg_at, "segments")?;
-        finished(&asns, asn_at, "path ASNs")?;
+        finished(lens, seg_at, "segments")?;
+        finished(asns, asn_at, "path ASNs")?;
         let first_slot = seg.interner.community_count();
-        let mut at = 0;
-        for (id, &end) in (seg.interner.cset_count()..).zip(&list_ends) {
-            let list = next_run(&communities, &mut at, u64::from(end), "list ends")?;
-            if seg.interner.intern_cset(list) != id as u32 {
+        for (slot, &c) in (first_slot..).zip(&communities) {
+            if seg.interner.intern_community(c) != slot as u32 {
+                return Err(format!("community {c} repeats an earlier community"));
+            }
+        }
+        let dictionary = seg.interner.community_count() as u32;
+        // The next new slot the lists must use first.
+        let mut unused = first_slot as u32;
+        let (mut at, mut list) = (0, Vec::new());
+        for (id, end) in (seg.interner.cset_count()..).zip(u32s(list_ends)) {
+            let run = next_run(slots, &mut at, u64::from(end), "list ends")?;
+            list.clear();
+            for slot in u32s(run) {
+                if slot >= unused {
+                    if slot >= dictionary {
+                        return Err(format!(
+                            "community list {id} names slot {slot}, of {dictionary}"
+                        ));
+                    }
+                    if slot > unused {
+                        return Err(format!(
+                            "community list {id} uses slot {slot} before slot {unused}"
+                        ));
+                    }
+                    unused += 1;
+                }
+                list.push(slot);
+            }
+            if seg.interner.intern_cset_slots(&list) != id as u32 {
                 return Err(format!("community list {id} repeats an earlier list"));
             }
         }
-        finished(&communities, at, "communities")?;
+        finished(slots, at, "list slots")?;
+        if unused != dictionary {
+            return Err(format!("community slot {unused} is in no new list"));
+        }
         let paths = seg.interner.path_count() as u64;
         let lists = seg.interner.cset_count() as u64;
-        for (id, &key) in (seg.tuples.len()..).zip(&tuples) {
+        for (id, key) in (seg.tuples.len()..).zip(tuples.iter().map(|&b| u64::from_le_bytes(b))) {
             if key >> 32 >= paths || key & u64::from(u32::MAX) >= lists {
                 return Err(format!(
                     "tuple {id} names path {} and list {}, of {paths} and {lists}",
@@ -518,8 +579,9 @@ pub(crate) struct SegmentMark {
     paths: usize,
     segs: usize,
     asns: usize,
-    lists: usize,
     communities: usize,
+    lists: usize,
+    slots: usize,
     tuples: usize,
     /// The owners whose families the segment held, ascending.
     owners: Vec<u16>,
@@ -530,6 +592,11 @@ impl SegmentMark {
     fn counts(&self) -> [u64; 4] {
         [self.paths, self.lists, self.tuples, self.owners.len()].map(|n| n as u64)
     }
+}
+
+/// The little-endian `u32`s of a column read in place.
+fn u32s(column: &[[u8; 4]]) -> impl Iterator<Item = u32> + '_ {
+    column.iter().map(|&b| u32::from_le_bytes(b))
 }
 
 /// The run of `pool` from `*at` up to the recorded `end`, which is checked
@@ -643,6 +710,12 @@ impl<'a> ColumnReader<'a> {
         self.take(len, what)
     }
 
+    /// One column of `N`-byte elements, borrowed: each is parsed where it
+    /// is used.
+    pub(crate) fn elements<const N: usize>(&mut self, what: &str) -> Result<&'a [[u8; N]], String> {
+        Ok(self.raw::<N>(what)?.as_chunks::<N>().0)
+    }
+
     /// One column of `N`-byte elements.
     pub(crate) fn column<T, const N: usize>(
         &mut self,
@@ -650,9 +723,9 @@ impl<'a> ColumnReader<'a> {
         parse: impl Fn([u8; N]) -> T,
     ) -> Result<Vec<T>, String> {
         Ok(self
-            .raw::<N>(what)?
-            .chunks_exact(N)
-            .map(|c| parse(c.try_into().expect("N-byte chunk")))
+            .elements::<N>(what)?
+            .iter()
+            .map(|&b| parse(b))
             .collect())
     }
 
@@ -880,9 +953,11 @@ fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
 /// ones before it, and the manifest's counts. Damage of any kind is a
 /// typed [`LoadError`]; a missing manifest is a clean not-found (the
 /// fresh-start signal), a missing log is corrupt. Also returns the log's
-/// state, which the next [`save`] appends after.
-pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog), LoadError> {
-    let (mut manifest, log) = M::FORMAT.load(path, decode_manifest::<M>)?;
+/// state, which the next [`save`] appends after, and the bytes read: the
+/// manifest and the committed range.
+pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog, u64), LoadError> {
+    let sealed = fs::read(path).map_err(|e| LoadError::io(path, e))?;
+    let (mut manifest, log) = M::FORMAT.decode(&sealed, path, decode_manifest::<M>)?;
     let log_path = log_path(path);
     let corrupt = |detail: String| M::FORMAT.corrupt(&log_path, detail);
     let io_error = |e: io::Error| LoadError::io(&log_path, e);
@@ -915,7 +990,7 @@ pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog), LoadErro
         checksum,
         mark,
     };
-    Ok((manifest, state))
+    Ok((manifest, state, sealed.len() as u64 + (end - start)))
 }
 
 /// A manifest's payload: its columns (the segment empty) and the log's.
@@ -929,7 +1004,8 @@ pub(crate) fn decode_manifest<M: Manifest>(payload: &[u8]) -> Result<(M, LogColu
 /// The segment the log's committed bytes hold, and the checksum state
 /// over them that the next append continues: their checksum must be the
 /// recorded one, every frame must decode onto the ones before it, and the
-/// segment must have the manifest's `counts`.
+/// segment must have the manifest's `counts`, for which its tables are
+/// sized before the first frame.
 pub(crate) fn decode_log(
     committed: &[u8],
     checksum: u64,
@@ -943,7 +1019,17 @@ pub(crate) fn decode_log(
             "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
         ));
     }
+    // A path or list takes at least its 4-byte end in the log and a tuple
+    // its 8-byte key, so no count sizes more than the bytes can hold.
+    let at_most = |count: u64, bytes: usize| {
+        usize::try_from(count).map_or(0, |n| n.min(committed.len() / bytes))
+    };
+    let [paths, lists, tuples, _] = counts;
     let mut segment = StatsAccumulator::new();
+    let seg = Arc::make_mut(&mut segment.seg);
+    seg.interner
+        .reserve(at_most(paths, 4), 0, 0, at_most(lists, 4), 0);
+    seg.reserve_tuples(at_most(tuples, 8));
     let mut r = ColumnReader::new(committed);
     while !r.is_empty() {
         segment
@@ -963,7 +1049,8 @@ pub(crate) fn decode_log(
 /// starts the log over, every later one (and every one after a resume)
 /// appends only what the segment gained. Each save counts
 /// `checkpoint/writes`, `checkpoint/bytes_written` (manifest plus frame)
-/// and `time/checkpoint_write_ns`.
+/// and `time/checkpoint_write_ns`; a resume counts `checkpoint/bytes_read`
+/// (manifest plus committed log range) and `time/checkpoint_load_ns`.
 #[derive(Debug)]
 pub struct CheckpointSaver<'a, M> {
     path: &'a Path,
@@ -989,9 +1076,11 @@ impl<'a, M: Manifest + Clone + PartialEq> CheckpointSaver<'a, M> {
             ));
         }
         if let Some(metrics) = metrics {
-            // Registered now, so a run that saves nothing reports 0.
+            // Registered now, so a run that saves or loads nothing
+            // reports 0.
             metrics.counter("checkpoint/writes");
             metrics.counter("checkpoint/bytes_written");
+            metrics.counter("checkpoint/bytes_read");
         }
         Ok(CheckpointSaver {
             path,
@@ -1007,7 +1096,12 @@ impl<'a, M: Manifest + Clone + PartialEq> CheckpointSaver<'a, M> {
         if !self.path.exists() {
             return Ok(None);
         }
-        let (manifest, log) = open::<M>(self.path)?;
+        let start = Instant::now();
+        let (manifest, log, bytes) = open::<M>(self.path)?;
+        if let Some(metrics) = self.metrics {
+            metrics.counter("checkpoint/bytes_read").add(bytes);
+            metrics.record_duration("time/checkpoint_load_ns", start.elapsed());
+        }
         self.log = Some(log);
         let mut resumed = manifest.clone();
         *resumed.segment_mut() = StatsSnapshot::new();
@@ -1050,7 +1144,7 @@ impl<'a, M: Manifest + Clone + PartialEq> CheckpointSaver<'a, M> {
 /// The crash-safe run manifest: which files are done, the accounting so
 /// far, and the statistics segment (in the log beside it) to resume from.
 ///
-/// # Manifest layout (version 6, all integers little-endian)
+/// # Manifest layout (version 7, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPBCKPT`, then the
 /// payload, where a column is a `u64` element count followed by the
@@ -1067,8 +1161,9 @@ impl<'a, M: Manifest + Clone + PartialEq> CheckpointSaver<'a, M> {
 /// Versions 1 and 2 were JSON manifests; they are refused as
 /// [`LoadError::Foreign`]. Version 3 held u64 fingerprint sets in place
 /// of the segment, version 4 sealed the payload and fingerprinted the
-/// files with FNV-1a 64, and version 5 held the whole segment in the one
-/// file; all three are refused as [`LoadError::Version`].
+/// files with FNV-1a 64, version 5 held the whole segment in the one
+/// file, and version 6 logged each list entry's community value in place
+/// of its slot; all four are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Checkpoint {
     /// Files fully ingested, in completion (= input) order. Files that
@@ -1085,7 +1180,7 @@ impl Checkpoint {
     /// The envelope of checkpoint manifests and shard artifacts.
     pub const FORMAT: Format = Format {
         magic: *b"BGPBCKPT",
-        version: 6,
+        version: 7,
         name: "checkpoint",
     };
 
@@ -1112,7 +1207,7 @@ impl Checkpoint {
     /// UTF-8 paths and a parseable report besides the checks every
     /// manifest gets. Damage of any kind is a typed [`LoadError`].
     pub fn load(path: &Path) -> Result<Checkpoint, LoadError> {
-        open(path).map(|(cp, _)| cp)
+        open(path).map(|(cp, ..)| cp)
     }
 }
 
@@ -1414,8 +1509,9 @@ pub(crate) mod tests {
         w.bytes(tags);
         w.column(lens, |n| n.to_le_bytes());
         w.column(asns, |a| a.to_le_bytes());
-        w.column(&[1u32, 2], |e| e.to_le_bytes());
         w.column(&[0x0001_0007u32, 0x0001_0008], |c| c.to_le_bytes());
+        w.column(&[1u32, 2], |e| e.to_le_bytes());
+        w.column(&[0u32, 1], |s| s.to_le_bytes());
         w.column(tuples, |t| t.to_le_bytes());
         w.column(owners, |o| o.to_le_bytes());
         let ends: Vec<u32> = (1..=owners.len() as u32).collect();
@@ -1562,8 +1658,8 @@ pub(crate) mod tests {
         assert_eq!(empty.to_stats(), PathStats::default());
         let back = decoded(&encoded(&empty)).unwrap();
         assert_eq!(back, empty);
-        // Ten empty columns, nothing else.
-        assert_eq!(encoded(&empty).len(), persist::HEADER_LEN + 10 * 8);
+        // Eleven empty columns, nothing else.
+        assert_eq!(encoded(&empty).len(), persist::HEADER_LEN + 11 * 8);
     }
 
     #[test]
@@ -1663,11 +1759,13 @@ pub(crate) mod tests {
         assert_eq!(decoded(&longer).unwrap_err(), "1 trailing bytes");
     }
 
-    /// Hand-written segment columns with one path ("1"), the given list
-    /// columns, one tuple `(0, 0)` and the given owner families.
+    /// Hand-written segment columns with one path ("1"), the given
+    /// communities and list columns, one tuple `(0, 0)` and the given owner
+    /// families.
     fn list_columns(
-        list_ends: &[u32],
         communities: &[u32],
+        list_ends: &[u32],
+        slots: &[u32],
         owners: &[u32],
         family_ends: &[u32],
         members: &[u32],
@@ -1677,8 +1775,9 @@ pub(crate) mod tests {
         w.bytes(&[SEG_SEQUENCE]);
         w.column(&[1u32], |n| n.to_le_bytes());
         w.column(&[1u32], |a| a.to_le_bytes());
-        w.column(list_ends, |e| e.to_le_bytes());
         w.column(communities, |c| c.to_le_bytes());
+        w.column(list_ends, |e| e.to_le_bytes());
+        w.column(slots, |s| s.to_le_bytes());
         w.column(&[0u64], |t| t.to_le_bytes());
         w.column(owners, |o| o.to_le_bytes());
         w.column(family_ends, |e| e.to_le_bytes());
@@ -1688,40 +1787,61 @@ pub(crate) mod tests {
 
     #[test]
     fn list_and_family_structure_is_checked_behind_the_seal() {
-        let ok = list_columns(&[1, 2], &[0x0001_0007, 0x0001_0008], &[1], &[2], &[1, 5])
+        let (c7, c8) = (0x0001_0007, 0x0001_0008);
+        let ok = list_columns(&[c7, c8], &[1, 3], &[0, 1, 0], &[1], &[2], &[1, 5])
             .expect("well-formed columns load");
         assert_eq!(ok.to_stats().counts(Community::new(1, 7)).unwrap().on, 1);
+        assert_eq!(
+            ok.interner().cset(1).collect::<Vec<_>>(),
+            [Community::new(1, 8), Community::new(1, 7)]
+        );
         for (columns, expect) in [
             (
-                list_columns(&[1, 2], &[0x0001_0007, 0x0001_0007], &[1], &[1], &[1]),
+                list_columns(&[c7], &[1, 2], &[0, 0], &[1], &[1], &[1]),
                 "community list 1 repeats an earlier list",
             ),
             (
-                list_columns(&[2, 1], &[0x0001_0007, 0x0001_0008], &[1], &[1], &[1]),
+                list_columns(&[c7, c8], &[2, 1], &[0, 1], &[1], &[1], &[1]),
                 "list ends: end 1 outside 2..=2",
             ),
             (
-                list_columns(&[1], &[0x0001_0007, 0x0001_0008], &[1], &[1], &[1]),
-                "1 communities belong to no entry",
+                list_columns(&[c7], &[1], &[0, 0], &[1], &[1], &[1]),
+                "1 list slots belong to no entry",
             ),
             (
-                list_columns(&[], &[], &[1], &[1], &[1]),
+                list_columns(&[c7, c7], &[1], &[0], &[1], &[1], &[1]),
+                "community 1:7 repeats an earlier community",
+            ),
+            (
+                list_columns(&[c7], &[2], &[0, 1], &[1], &[1], &[1]),
+                "community list 0 names slot 1, of 1",
+            ),
+            (
+                list_columns(&[c7, c8], &[2], &[1, 0], &[1], &[1], &[1]),
+                "community list 0 uses slot 1 before slot 0",
+            ),
+            (
+                list_columns(&[c7, c8], &[1], &[0], &[1], &[1], &[1]),
+                "community slot 1 is in no new list",
+            ),
+            (
+                list_columns(&[], &[], &[], &[1], &[1], &[1]),
                 "tuple 0 names path 0 and list 0, of 1 and 0",
             ),
             (
-                list_columns(&[1], &[0x0001_0007], &[1], &[], &[1]),
+                list_columns(&[c7], &[1], &[0], &[1], &[], &[1]),
                 "1 owners, 0 family ends",
             ),
             (
-                list_columns(&[1], &[0x0001_0007], &[1], &[3], &[1]),
+                list_columns(&[c7], &[1], &[0], &[1], &[3], &[1]),
                 "family ends: end 3 outside 0..=1",
             ),
             (
-                list_columns(&[1], &[0x0001_0007], &[1], &[1], &[1, 2]),
+                list_columns(&[c7], &[1], &[0], &[1], &[1], &[1, 2]),
                 "1 family members belong to no entry",
             ),
             (
-                list_columns(&[1], &[0x0001_0007], &[1, 1], &[1, 1], &[1]),
+                list_columns(&[c7], &[1], &[0], &[1, 1], &[1, 1], &[1]),
                 "owners not strictly ascending",
             ),
         ] {
@@ -1807,14 +1927,14 @@ pub(crate) mod tests {
             LoadError::Foreign { .. }
         ));
 
-        for old in [3u32, 4, 5] {
+        for old in [3u32, 4, 5, 6] {
             let mut file = Checkpoint::new().encode().0;
             file[8..12].copy_from_slice(&old.to_le_bytes());
             std::fs::write(&path, &file).unwrap();
             match Checkpoint::load(&path).unwrap_err() {
                 LoadError::Version {
                     found, expected, ..
-                } => assert_eq!((found, expected), (old, 6)),
+                } => assert_eq!((found, expected), (old, 7)),
                 other => panic!("expected a version error, got {other}"),
             }
         }

@@ -44,9 +44,9 @@
 //! same command redoes only the shards that never produced a valid
 //! artifact. A leftover artifact that is corrupt or stale — torn, from a
 //! different file set, or written by an older build in a format this one
-//! refuses — is reported as [`ShardEvent::Discarded`] with the reason and
-//! its shard redone; a missing one is the normal fresh-run case and is
-//! not reported.
+//! refuses — is reported as [`ShardEvent::Discarded`] with the reason,
+//! removed with its segment log, and its shard redone; a missing one is
+//! the normal fresh-run case and is not reported.
 
 use std::fmt;
 use std::panic;
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use bgp_mrt::retry::RetryPolicy;
 
-use crate::checkpoint::{fingerprint_file, Checkpoint};
+use crate::checkpoint::{fingerprint_file, log_path, Checkpoint};
 
 /// One shard of the input: which files it covers and where its worker
 /// writes the snapshot artifact and heartbeat.
@@ -211,8 +211,8 @@ pub enum ShardEvent<'a> {
         /// The shard whose artifact was adopted.
         shard: &'a ShardSpec,
     },
-    /// A pre-existing artifact failed validation (corrupt or stale); the
-    /// shard is redone and its first attempt overwrites the artifact.
+    /// A pre-existing artifact failed validation (corrupt or stale); it is
+    /// removed with its segment log, and the shard is redone from scratch.
     Discarded {
         /// The shard whose leftover artifact was refused.
         shard: &'a ShardSpec,
@@ -449,8 +449,9 @@ pub fn supervise_with_shutdown(
 
     // Adopt valid pre-existing artifacts (the resume path) before spawning
     // anything, validating them all at once, one thread per shard; stale
-    // or corrupt leftovers are reported, in shard order, then overwritten
-    // by the first attempt's atomic artifact write.
+    // or corrupt leftovers are reported, in shard order, and removed, so
+    // the first attempt writes its artifact and log from scratch rather
+    // than after the refused log.
     let checks: Vec<_> = specs.iter().map(validate_on_thread).collect();
     for ((spec, outcome), check) in specs.iter().zip(&mut outcomes).zip(checks) {
         match check.map_or_else(|| validate_artifact(spec), joined) {
@@ -466,6 +467,10 @@ pub fn supervise_with_shutdown(
                     failure,
                     ShardFailureKind::CorruptArtifact(_) | ShardFailureKind::StaleArtifact(_)
                 ) {
+                    // The manifest first: a crash before the log goes
+                    // leaves no artifact, the fresh-run case.
+                    let _ = std::fs::remove_file(&spec.artifact);
+                    let _ = std::fs::remove_file(log_path(&spec.artifact));
                     on_event(ShardEvent::Discarded {
                         shard: spec,
                         failure: &failure,
@@ -841,7 +846,7 @@ mod tests {
         fs::write(&spec.artifact, &bytes).unwrap();
         match validate_artifact(&spec) {
             Err(ShardFailureKind::CorruptArtifact(why)) => assert!(
-                why.contains("version 3, this build reads version 6"),
+                why.contains("version 3, this build reads version 7"),
                 "{why}"
             ),
             other => panic!("expected a corrupt artifact, got {other:?}"),

@@ -752,7 +752,7 @@ impl WindowedStatsSnapshot {
 /// commits a range of the segment log beside it
 /// ([`log_path`](Self::log_path)).
 ///
-/// # Manifest layout (version 6, all integers little-endian)
+/// # Manifest layout (version 7, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -781,8 +781,9 @@ impl WindowedStatsSnapshot {
 /// held u64 fingerprint sets, once cumulative and again per bucket,
 /// version 3 held the whole segment in the one file, version 4 held the
 /// counts without the per-ASN path counts or which tuples they counted,
-/// and version 5 sealed the manifest and the log's range with FNV-1a 64;
-/// all four are refused as [`LoadError::Version`].
+/// version 5 sealed the manifest and the log's range with FNV-1a 64, and
+/// version 6 logged each list entry's community value in place of its
+/// slot; all five are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -821,7 +822,7 @@ impl WatchCheckpoint {
     /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 6,
+        version: 7,
         name: "checkpoint",
     };
 
@@ -854,7 +855,7 @@ impl WatchCheckpoint {
     /// every bound the layout states is checked, and damage of any kind is
     /// a typed [`LoadError`].
     pub fn load(path: &Path) -> Result<WatchCheckpoint, LoadError> {
-        checkpoint::open(path).map(|(cp, _)| cp)
+        checkpoint::open(path).map(|(cp, ..)| cp)
     }
 }
 

@@ -9,7 +9,9 @@
 //! damaged file is never accepted, and loading never panics. The segment
 //! log every checkpoint's manifest commits (batch, shard artifact and
 //! watch) has one matrix of its own: missing, cut short, bit-flipped,
-//! swapped for another's, and trailing bytes, which still load.
+//! swapped for another's, and trailing bytes, which still load. Frames
+//! that pass the log checksum but break a rule of the slot layout are
+//! refused one rule at a time.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,7 +24,7 @@ use bgp_intent::{
     WindowedClassifier,
 };
 use bgp_relationships::SiblingMap;
-use bgp_types::persist::{Format, LoadError, HEADER_LEN};
+use bgp_types::persist::{checksum, Format, LoadError, HEADER_LEN};
 use bgp_types::{Asn, Community, Intent, Observation};
 
 /// How a damaged file must be refused.
@@ -451,5 +453,137 @@ fn label_artifact_refuses_every_damage_through_both_loaders() {
             LabelArtifact::load_heap(p).map(drop)
         }],
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One hand-written segment-log frame: each path one AS_SEQUENCE segment
+/// of the given ASNs, the communities new in the frame (`α << 16 | β`),
+/// each list as slots, the tuples, and the owners with their families.
+fn frame(
+    paths: &[&[u32]],
+    communities: &[u32],
+    lists: &[&[u32]],
+    tuples: &[u64],
+    owners: &[(u32, &[u32])],
+) -> Vec<u8> {
+    fn column<const N: usize>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = [u8; N]>) {
+        out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+        for item in items {
+            out.extend_from_slice(&item);
+        }
+    }
+    fn ends<T>(runs: &[&[T]]) -> Vec<u32> {
+        runs.iter()
+            .scan(0, |end, run| {
+                *end += run.len() as u32;
+                Some(*end)
+            })
+            .collect()
+    }
+    let words = |v: Vec<u32>| {
+        v.into_iter()
+            .map(u32::to_le_bytes)
+            .collect::<Vec<_>>()
+            .into_iter()
+    };
+    let mut out = Vec::new();
+    column(&mut out, words((1..=paths.len() as u32).collect()));
+    column(&mut out, paths.iter().map(|_| [2u8]));
+    column(
+        &mut out,
+        words(paths.iter().map(|p| p.len() as u32).collect()),
+    );
+    column(&mut out, words(paths.concat()));
+    column(&mut out, words(communities.to_vec()));
+    column(&mut out, words(ends(lists)));
+    column(&mut out, words(lists.concat()));
+    column(&mut out, tuples.iter().map(|t| t.to_le_bytes()));
+    column(&mut out, words(owners.iter().map(|&(o, _)| o).collect()));
+    let families: Vec<&[u32]> = owners.iter().map(|&(_, f)| f).collect();
+    column(&mut out, words(ends(&families)));
+    column(&mut out, words(families.concat()));
+    out
+}
+
+/// Every rule of the slot layout a frame can break behind a valid log
+/// checksum is refused by name, as a corrupt checkpoint naming the log: a
+/// community that repeats one in its frame or in an earlier frame, a slot
+/// past the communities, and new slots the lists do not first use in slot
+/// order, an unused one included. The same frames with the rule kept load.
+#[test]
+fn segment_log_frames_refuse_each_slot_rule() {
+    let dir = workdir("slot-rules");
+    let path = dir.join("run.ckpt");
+    checkpoint(Vec::new()).save_atomic(&path).unwrap();
+    let manifest = fs::read(&path).unwrap();
+    let (c7, c8) = (100 << 16 | 7, 100 << 16 | 8);
+    let family: &[(u32, &[u32])] = &[(100, &[100])];
+    // Commit `frames` as the log, the manifest's last seven words (the
+    // log's range, checksum and counts) rewritten and resealed.
+    let load = |frames: &[Vec<u8>], lists: u64, tuples: u64| {
+        let log = frames.concat();
+        let mut sealed = manifest.clone();
+        let at = sealed.len() - 7 * 8;
+        let words = [0, log.len() as u64, checksum(&log), 1, lists, tuples, 1];
+        for (i, word) in words.iter().enumerate() {
+            sealed[at + 8 * i..at + 8 * i + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        Checkpoint::FORMAT.seal(&mut sealed);
+        fs::write(&path, &sealed).unwrap();
+        fs::write(log_path(&path), &log).unwrap();
+        Checkpoint::load(&path)
+    };
+    let first = frame(&[&[1, 100]], &[c7], &[&[0]], &[0], family);
+    let whole = frame(&[&[1, 100]], &[c7, c8], &[&[0], &[1, 0]], &[0, 1], family);
+    let split = [first.clone(), frame(&[], &[c8], &[&[1, 0]], &[1], &[])];
+    for frames in [vec![whole], split.to_vec()] {
+        let stats = load(&frames, 2, 2)
+            .expect("frames keeping every rule load")
+            .snapshot
+            .to_stats();
+        assert_eq!((stats.unique_tuples, stats.community_count()), (2, 2));
+    }
+    for (frames, lists, expect) in [
+        (
+            vec![frame(&[&[1, 100]], &[c7, c7], &[&[0]], &[0], family)],
+            1,
+            "community 100:7 repeats an earlier community",
+        ),
+        (
+            vec![first.clone(), frame(&[], &[c7], &[&[0, 1]], &[1], &[])],
+            2,
+            "community 100:7 repeats an earlier community",
+        ),
+        (
+            vec![frame(&[&[1, 100]], &[c7], &[&[0, 1]], &[0], family)],
+            1,
+            "community list 0 names slot 1, of 1",
+        ),
+        (
+            vec![frame(&[&[1, 100]], &[c7, c8], &[&[1, 0]], &[0], family)],
+            1,
+            "community list 0 uses slot 1 before slot 0",
+        ),
+        (
+            vec![first.clone(), frame(&[], &[c8], &[&[0, 0]], &[1], &[])],
+            2,
+            "community slot 1 is in no new list",
+        ),
+    ] {
+        match load(&frames, lists, lists) {
+            Err(LoadError::Corrupt {
+                path: named,
+                detail,
+                ..
+            }) => {
+                assert!(
+                    detail.contains(expect),
+                    "expected {expect:?}, got {detail:?}"
+                );
+                assert_eq!(named, log_path(&path));
+            }
+            other => panic!("expected {expect:?}, got {other:?}"),
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }

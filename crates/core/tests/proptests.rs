@@ -15,8 +15,8 @@ use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
 use bgp_intent::watch::WindowedStatsSnapshot;
 use bgp_intent::{
-    label_rows, Checkpoint, CompletedFile, FileFingerprint, FileSegment, StatsAccumulator,
-    WatchCheckpoint, WindowConfig, WindowedClassifier,
+    label_rows, Checkpoint, CheckpointSaver, CompletedFile, FileFingerprint, FileSegment,
+    StatsAccumulator, WatchCheckpoint, WindowConfig, WindowedClassifier,
 };
 use bgp_relationships::SiblingMap;
 use bgp_types::persist::{checksum, Format, LoadError, HEADER_LEN};
@@ -108,6 +108,43 @@ fn arb_messy_observations() -> impl Strategy<Value = Vec<Observation>> {
             })
             .collect()
     })
+}
+
+/// Observations over a few paths whose community lists are drawn from a
+/// handful of base lists over 15 communities: empty lists, a list with a
+/// community repeated, the same communities in another order, and lists
+/// sharing communities, so one list's communities recur in many others.
+fn arb_list_observations() -> impl Strategy<Value = Vec<Observation>> {
+    let base = prop::collection::vec((1u16..4, 0u16..5), 0..5);
+    let row = (1u32..6, 1u32..4, 0usize..8, 0u8..4);
+    (
+        prop::collection::vec(base, 1..8),
+        prop::collection::vec(row, 0..40),
+    )
+        .prop_map(|(bases, rows)| {
+            rows.into_iter()
+                .map(|(vp, hop, pick, shape)| {
+                    let mut communities: Vec<Community> = bases[pick % bases.len()]
+                        .iter()
+                        .map(|&(a, b)| Community::new(a, b))
+                        .collect();
+                    match shape {
+                        1 => communities.reverse(),
+                        2 => communities.extend(communities.first().copied()),
+                        3 if !communities.is_empty() => communities.rotate_left(1),
+                        _ => {}
+                    }
+                    Observation {
+                        vp: Asn::new(vp),
+                        prefix: "10.0.0.0/24".parse().unwrap(),
+                        path: AsPath::from_sequence([vp, hop, 7].map(Asn::new)),
+                        communities,
+                        large_communities: Vec::new(),
+                        time: 0,
+                    }
+                })
+                .collect()
+        })
 }
 
 /// A loaded value, reduced to whether loading refused it.
@@ -711,6 +748,52 @@ proptest! {
         }
         prop_assert_eq!(wc.late_drops(), model.late_drops);
         prop_assert_eq!(&wc.segment().to_stats(), &expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Lists logged as slots load as they were folded: a segment saved
+    /// after each of a few random marks (one frame per save, each list
+    /// interned by its slots) loads equal to the folded one, with equal
+    /// statistics, and two loaded segments merge (through the slot-to-slot
+    /// table) into the segment one fold of both streams builds.
+    #[test]
+    fn slot_frames_load_and_merge_as_the_fold_does(
+        observations in arb_list_observations(),
+        more in arb_list_observations(),
+        marks in prop::collection::vec(any::<u16>(), 0..4),
+        siblings in arb_siblings(),
+    ) {
+        let dir = scratch_dir("slot-frames");
+        let saved = |stream: &[Observation], name: &str| {
+            let path = dir.join(name);
+            let mut saver = CheckpointSaver::new(&path, None).unwrap();
+            let mut cp = Checkpoint::new();
+            let mut cuts: Vec<usize> = marks
+                .iter()
+                .map(|&m| usize::from(m) % (stream.len() + 1))
+                .chain([stream.len()])
+                .collect();
+            cuts.sort_unstable();
+            let mut at = 0;
+            for cut in cuts {
+                cp.snapshot.ingest_ordered(&stream[at..cut], &siblings);
+                at = cut;
+                saver.save(&cp).unwrap();
+            }
+            (cp.snapshot, Checkpoint::load(&path).unwrap().snapshot)
+        };
+        let (folded, loaded) = saved(&observations, "a.ckpt");
+        prop_assert_eq!(&loaded, &folded);
+        prop_assert_eq!(loaded.to_stats(), folded.to_stats());
+        let (other_folded, other) = saved(&more, "b.ckpt");
+        prop_assert_eq!(&other, &other_folded);
+
+        let mut merged = loaded;
+        merged.merge(other);
+        let mut both = StatsAccumulator::new();
+        both.ingest_ordered(&[observations, more].concat(), &siblings);
+        prop_assert_eq!(&merged, &both);
+        prop_assert_eq!(merged.to_stats(), both.to_stats());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -32,12 +32,13 @@
 //!   two IDs. No hash is persisted or serves as an identity.
 //! * **Community-set identity is the exact ordered list.** Tuple dedup is
 //!   order- and duplicate-sensitive (`(path, [a, b])` ≠ `(path, [b, a])`),
-//!   so the interner keys on the literal `Vec<Community>`, not a sorted
-//!   set.
+//!   so the interner keys on the literal list — kept as its communities'
+//!   slot IDs, hashed by their values — not a sorted set.
 
+use std::hash::Hasher;
 use std::ops::Deref;
 
-use crate::fx::{fx_hash_one, FxHashMap};
+use crate::fx::{FxHashMap, FxHasher};
 use crate::observation::Observation;
 use crate::{AsPath, AsPathView, Asn, Community, LargeCommunity, Prefix};
 
@@ -144,7 +145,11 @@ const EMPTY: u32 = u32::MAX;
 /// short linear scan; a slot whose hash matches is only a candidate, and
 /// the caller's exact comparison makes it a hit. A collision therefore
 /// costs one more compare, never a wrong ID.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two tables are equal when they hold the same `(hash, ID)` entries: a
+/// table reserved up front and one grown by inserting the same entries
+/// place them at different slots.
+#[derive(Debug, Clone, Default)]
 pub struct IdTable {
     /// `(hash, id)` pairs; capacity is a power of two, `EMPTY` ids mark
     /// free slots. Load factor stays ≤ 3/4.
@@ -178,15 +183,28 @@ impl IdTable {
     #[inline]
     pub fn insert(&mut self, hash: u64, id: u32) {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let cap = (self.slots.len() * 2).max(64);
-            for (hash, id) in std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]) {
-                if id != EMPTY {
-                    self.place(hash, id);
-                }
-            }
+            self.rehash((self.slots.len() * 2).max(64));
         }
         self.place(hash, id);
         self.len += 1;
+    }
+
+    /// Make room for `additional` more entries at once, so inserting them
+    /// rehashes nothing.
+    pub fn reserve(&mut self, additional: usize) {
+        let need = self.len + additional;
+        if need * 4 > self.slots.len() * 3 {
+            self.rehash((need * 4).div_ceil(3).next_power_of_two().max(64));
+        }
+    }
+
+    /// Move every entry into a table of `cap` slots.
+    fn rehash(&mut self, cap: usize) {
+        for (hash, id) in std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]) {
+            if id != EMPTY {
+                self.place(hash, id);
+            }
+        }
     }
 
     fn place(&mut self, hash: u64, id: u32) {
@@ -197,13 +215,45 @@ impl IdTable {
         }
         self.slots[i] = (hash, id);
     }
+
+    /// Every `(hash, id)` entry, sorted.
+    fn entries(&self) -> Vec<(u64, u32)> {
+        let mut entries: Vec<(u64, u32)> = self
+            .slots
+            .iter()
+            .copied()
+            .filter(|&(_, id)| id != EMPTY)
+            .collect();
+        entries.sort_unstable();
+        entries
+    }
+}
+
+impl PartialEq for IdTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.entries() == other.entries()
+    }
+}
+
+/// The probe hash of a community list, from its values, so a list hashes
+/// the same whether it arrives as values or as slots. Two communities fold
+/// in as one word (the length tells a trailing zero from a community).
+fn list_hash(len: usize, mut communities: impl Iterator<Item = Community>) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(len);
+    while let Some(first) = communities.next() {
+        let second = communities.next().map_or(0, Community::to_u32);
+        h.write_u64(u64::from(first.to_u32()) << 32 | u64::from(second));
+    }
+    h.finish()
 }
 
 /// AS paths and community lists, each interned once under a dense `u32`
 /// ID in first-seen order, and the individual communities those lists
-/// carry under dense slot IDs. Interning is deterministic: the same
-/// sequence of paths and lists always yields the same IDs, slots and
-/// pools.
+/// carry under dense slot IDs, also in first-seen order. A list is kept
+/// once, as its run of slots; its values are read through the slot
+/// dictionary. Interning is deterministic: the same sequence of paths and
+/// lists always yields the same IDs, slots and pools.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Interner {
     // ---- AS paths (ID space: 0..path_count) ----
@@ -228,17 +278,17 @@ pub struct Interner {
 
     // ---- community lists (ID space: 0..cset_count) ----
     cset_ids: IdTable,
-    /// `cset_offsets[id]..cset_offsets[id+1]` indexes `cset_pool`.
+    /// `cset_offsets[id]..cset_offsets[id+1]` indexes `cset_slot_pool`.
     cset_offsets: Vec<u32>,
-    /// Exact ordered community lists (order and duplicates preserved —
-    /// tuple identity is order-sensitive).
-    cset_pool: Vec<Community>,
-    /// Dense community-slot ID per `cset_pool` entry (parallel array), so
-    /// the stats kernel indexes per-community state with no hashing.
+    /// Each exact ordered community list as its communities' slot IDs
+    /// (order and duplicates preserved — tuple identity is
+    /// order-sensitive), so the stats kernel indexes per-community state
+    /// with no hashing.
     cset_slot_pool: Vec<u32>,
 
     // ---- individual communities (slot space: 0..community_count) ----
     community_ids: FxHashMap<u32, u32>,
+    /// The slot dictionary: the community behind each slot.
     communities: Vec<Community>,
 }
 
@@ -255,7 +305,6 @@ impl Default for Interner {
             members: Vec::new(),
             cset_ids: IdTable::default(),
             cset_offsets: vec![0],
-            cset_pool: Vec::new(),
             cset_slot_pool: Vec::new(),
             community_ids: FxHashMap::default(),
             communities: Vec::new(),
@@ -300,36 +349,116 @@ impl Interner {
     }
 
     /// The ID of the exact list `communities`, interning it on first sight
-    /// and giving its first-seen communities their slot IDs.
+    /// and giving its first-seen communities their slot IDs. A candidate is
+    /// compared through the slot dictionary, and a new list looks up each
+    /// of its communities' slots once.
     pub fn intern_cset(&mut self, communities: &[Community]) -> u32 {
-        let hash = fx_hash_one(communities);
-        if let Some(id) = self.cset_ids.find(hash, |id| self.cset(id) == communities) {
+        let hash = list_hash(communities.len(), communities.iter().copied());
+        let found = self.cset_ids.find(hash, |id| {
+            let slots = self.cset_slots(id);
+            slots.len() == communities.len()
+                && slots
+                    .iter()
+                    .zip(communities)
+                    .all(|(&slot, &c)| self.communities[slot as usize] == c)
+        });
+        if let Some(id) = found {
             return id;
         }
         let id = self.cset_count() as u32;
         self.cset_ids.insert(hash, id);
-        self.cset_pool.extend_from_slice(communities);
         for &c in communities {
-            let next = self.communities.len() as u32;
-            let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
-            if slot == next {
-                self.communities.push(c);
-            }
+            let slot = self.intern_community(c);
             self.cset_slot_pool.push(slot);
         }
-        self.cset_offsets.push(self.cset_pool.len() as u32);
+        self.cset_offsets.push(self.cset_slot_pool.len() as u32);
         id
+    }
+
+    /// The ID of the exact list whose communities are this interner's
+    /// `slots`, interning it on first sight: no dictionary lookup per
+    /// entry, and a candidate is compared slot for slot. Every slot must
+    /// be below [`community_count`](Self::community_count).
+    pub fn intern_cset_slots(&mut self, slots: &[u32]) -> u32 {
+        let dictionary = &self.communities;
+        let hash = list_hash(slots.len(), slots.iter().map(|&s| dictionary[s as usize]));
+        if let Some(id) = self.cset_ids.find(hash, |id| self.cset_slots(id) == slots) {
+            return id;
+        }
+        let id = self.cset_count() as u32;
+        self.cset_ids.insert(hash, id);
+        self.cset_slot_pool.extend_from_slice(slots);
+        self.cset_offsets.push(self.cset_slot_pool.len() as u32);
+        id
+    }
+
+    /// The slot ID of `c`, giving it the next one on first sight.
+    pub fn intern_community(&mut self, c: Community) -> u32 {
+        let next = self.communities.len() as u32;
+        let slot = *self.community_ids.entry(c.to_u32()).or_insert(next);
+        if slot == next {
+            self.communities.push(c);
+        }
+        slot
+    }
+
+    /// Make room for `paths` more paths of `segs` segments and `asns` hops
+    /// in all, and `lists` more lists of `entries` communities in all, the
+    /// ID tables included: interning that many rehashes nothing.
+    pub fn reserve(
+        &mut self,
+        paths: usize,
+        segs: usize,
+        asns: usize,
+        lists: usize,
+        entries: usize,
+    ) {
+        self.path_ids.reserve(paths);
+        for offsets in [
+            &mut self.path_seg_offsets,
+            &mut self.path_asn_offsets,
+            &mut self.member_offsets,
+        ] {
+            offsets.reserve(paths);
+        }
+        self.path_hashes.reserve(paths);
+        self.path_segs.reserve(segs);
+        self.path_asns.reserve(asns);
+        self.members.reserve(asns);
+        self.cset_ids.reserve(lists);
+        self.cset_offsets.reserve(lists);
+        self.cset_slot_pool.reserve(entries);
     }
 
     /// Intern every path and list of `other` (its paths without rehashing
     /// them), in `other`'s ID order, and return the maps from `other`'s
-    /// path and list IDs to this interner's.
+    /// path and list IDs to this interner's. `other`'s communities are
+    /// mapped to this interner's slots once, in `other`'s slot order —
+    /// the order its lists first use them — so each list is interned by
+    /// its slots, with no lookup per entry.
     pub fn absorb(&mut self, other: &Interner) -> (Vec<u32>, Vec<u32>) {
+        self.reserve(
+            other.path_count(),
+            other.path_segs.len(),
+            other.path_asns.len(),
+            other.cset_count(),
+            other.cset_slot_pool.len(),
+        );
         let paths = (0..other.path_count() as u32)
             .map(|id| self.intern_path_hashed(&other.path_view(id), other.path_hashes[id as usize]))
             .collect();
+        let slot_map: Vec<u32> = other
+            .communities
+            .iter()
+            .map(|&c| self.intern_community(c))
+            .collect();
+        let mut slots = Vec::new();
         let csets = (0..other.cset_count() as u32)
-            .map(|id| self.intern_cset(other.cset(id)))
+            .map(|id| {
+                slots.clear();
+                slots.extend(other.cset_slots(id).iter().map(|&s| slot_map[s as usize]));
+                self.intern_cset_slots(&slots)
+            })
             .collect();
         (paths, csets)
     }
@@ -346,9 +475,14 @@ impl Interner {
     }
 
     /// The flat pools behind the community-set IDs: each list's end offset
-    /// into the community pool, and the pool.
-    pub fn cset_pools(&self) -> (&[u32], &[Community]) {
-        (&self.cset_offsets[1..], &self.cset_pool)
+    /// into the slot pool, the slot pool, and the slot dictionary (the
+    /// community behind each slot).
+    pub fn cset_pools(&self) -> (&[u32], &[u32], &[Community]) {
+        (
+            &self.cset_offsets[1..],
+            &self.cset_slot_pool,
+            &self.communities,
+        )
     }
 
     /// Number of distinct AS paths interned.
@@ -373,6 +507,7 @@ impl Interner {
 
     /// Dense community-slot IDs of a community-set ID, parallel to
     /// [`cset`](Self::cset) (order and duplicates preserved).
+    #[inline]
     pub fn cset_slots(&self, id: u32) -> &[u32] {
         let lo = self.cset_offsets[id as usize] as usize;
         let hi = self.cset_offsets[id as usize + 1] as usize;
@@ -413,11 +548,12 @@ impl Interner {
         &self.members[lo..hi]
     }
 
-    /// The exact ordered community list for a community-set ID.
-    pub fn cset(&self, id: u32) -> &[Community] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_pool[lo..hi]
+    /// The exact ordered community list for a community-set ID, read
+    /// through the slot dictionary.
+    pub fn cset(&self, id: u32) -> impl ExactSizeIterator<Item = Community> + '_ {
+        self.cset_slots(id)
+            .iter()
+            .map(|&slot| self.communities[slot as usize])
     }
 }
 
@@ -612,7 +748,7 @@ impl ObservationStore {
             vp: self.vps[i],
             prefix: self.prefixes[i],
             path: self.path(self.obs_path[i]),
-            communities: self.cset(self.obs_cset[i]).to_vec(),
+            communities: self.cset(self.obs_cset[i]).collect(),
             large_communities: self.large(i).to_vec(),
             time: self.times[i],
         }
@@ -707,7 +843,7 @@ mod tests {
             let slots = store.cset_slots(id);
             let comms = store.cset(id);
             assert_eq!(slots.len(), comms.len());
-            for (&slot, &c) in slots.iter().zip(comms) {
+            for (&slot, c) in slots.iter().zip(comms) {
                 assert_eq!(store.community(slot), c);
             }
         }
@@ -846,6 +982,60 @@ mod tests {
     }
 
     #[test]
+    fn a_reserved_table_equals_a_grown_one_by_its_entries() {
+        // Four IDs per hash: where each lands depends on insertion order.
+        let hash = |i: u64| i / 4;
+        let mut grown = IdTable::default();
+        let mut reserved = IdTable::default();
+        reserved.reserve(500);
+        let slots = reserved.slots.len();
+        for i in 0..500u64 {
+            grown.insert(hash(i), i as u32);
+            reserved.insert(hash(499 - i), 499 - i as u32);
+        }
+        assert_eq!(reserved.slots.len(), slots, "no rehash after the reserve");
+        assert_ne!(reserved.slots, grown.slots);
+        assert_eq!(reserved, grown);
+        grown.insert(hash(500), 500);
+        assert_ne!(reserved, grown);
+    }
+
+    #[test]
+    fn a_list_by_value_and_by_slots_gets_one_hash_and_id() {
+        let list = [
+            Community::new(100, 2),
+            Community::new(100, 3),
+            Community::new(100, 1),
+            Community::new(100, 2),
+        ];
+        let seeded = || {
+            let mut interner = Interner::default();
+            interner.intern_cset(&[Community::new(7, 7), Community::new(100, 1)]);
+            interner
+        };
+        let mut by_value = seeded();
+        let id = by_value.intern_cset(&list);
+        // The decoder's route: the new communities in slot order, then the
+        // list as slots.
+        let mut by_slots = seeded();
+        let slots: Vec<u32> = list.iter().map(|&c| by_slots.intern_community(c)).collect();
+        assert_eq!(slots, [2, 3, 1, 2]);
+        assert_eq!(by_slots.intern_cset_slots(&slots), id);
+        assert_eq!(by_slots.cset_ids.entries(), by_value.cset_ids.entries());
+        assert_eq!(by_slots, by_value);
+        // The merge's route: through the slot-to-slot table.
+        let mut absorbed = seeded();
+        let (_, csets) = absorbed.absorb(&by_value);
+        assert_eq!(csets, [0, id]);
+        assert_eq!(absorbed.cset_ids.entries(), by_value.cset_ids.entries());
+        assert_eq!(absorbed, by_value);
+        // Each route finds what the other interned.
+        assert_eq!(by_slots.intern_cset(&list), id);
+        assert_eq!(by_value.intern_cset_slots(&slots), id);
+        assert_eq!(by_value, by_slots, "nothing new was interned");
+    }
+
+    #[test]
     fn colliding_hashes_still_intern_distinct_values() {
         // Every key shares one hash: only the exact comparison tells them
         // apart, and each keeps its own ID.
@@ -875,7 +1065,10 @@ mod tests {
         assert_eq!(paths, vec![1, 0]);
         assert_eq!(csets, vec![2, 0]);
         assert_eq!(interner.path_count(), 2);
-        assert_eq!(interner.cset(2), &[Community::new(1299, 9)]);
+        assert_eq!(
+            interner.cset(2).collect::<Vec<_>>(),
+            [Community::new(1299, 9)]
+        );
     }
 
     #[test]
@@ -889,8 +1082,8 @@ mod tests {
         assert_eq!(store.tuples().count(), 0);
         let (path_ends, segs, asns) = store.path_pools();
         assert!(path_ends.is_empty() && segs.is_empty() && asns.is_empty());
-        let (list_ends, communities) = store.cset_pools();
-        assert!(list_ends.is_empty() && communities.is_empty());
+        let (list_ends, slots, communities) = store.cset_pools();
+        assert!(list_ends.is_empty() && slots.is_empty() && communities.is_empty());
     }
 
     #[test]
@@ -934,11 +1127,12 @@ mod tests {
             asn_at += hops;
         }
         assert_eq!(asn_at, asns.len());
-        let (list_ends, communities) = store.cset_pools();
+        let (list_ends, slots, communities) = store.cset_pools();
         assert_eq!(list_ends, &[2, 2, 3]);
-        assert_eq!(store.cset(0), &communities[..2]);
-        assert!(store.cset(1).is_empty());
-        assert_eq!(store.cset(2), &[Community::new(200, 3)]);
+        assert_eq!(slots, &[0, 1, 2]);
+        assert_eq!(store.cset(0).collect::<Vec<_>>(), &communities[..2]);
+        assert_eq!(store.cset(1).len(), 0);
+        assert_eq!(store.cset(2).collect::<Vec<_>>(), [Community::new(200, 3)]);
     }
 
     #[test]
