@@ -43,9 +43,10 @@
 //! pointer casts, no alignment assumptions — so even a hostile file that
 //! somehow passed validation could only yield wrong values, never
 //! undefined behavior. The one `unsafe` block in this crate is the
-//! `mmap`/`munmap` pair itself, confined to the `backing` module, and a plain
-//! heap read ([`LabelArtifact::load_heap`]) provides the same artifact
-//! with no `unsafe` at all (and is the non-unix fallback).
+//! `mmap`/`munmap` pair and the slice over the bytes, confined to the
+//! module that defines [`FileBytes`], and a plain heap read ([`LabelArtifact::load_heap`])
+//! provides the same artifact with no `unsafe` at all (and is the non-unix
+//! fallback).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -198,14 +199,16 @@ pub fn write_artifact_atomic(path: &Path, rows: &[LabelRow]) -> io::Result<()> {
     persist::write_atomic(path, &encode_artifact(rows)?)
 }
 
-/// The memory-mapped (unix) backing; plain `Vec<u8>` everywhere else and
-/// as the fallback. This module owns the only `unsafe` in the crate.
-#[cfg(unix)]
+/// [`FileBytes`] and the read-only private mapping (unix) behind it. This
+/// module owns the only `unsafe` in the crate.
 #[allow(unsafe_code)]
-mod backing {
+mod file_bytes {
     use std::fs::File;
+    use std::io::{self, Read, Seek, SeekFrom};
+    #[cfg(unix)]
     use std::os::unix::io::AsRawFd;
 
+    #[cfg(unix)]
     extern "C" {
         fn mmap(
             addr: *mut core::ffi::c_void,
@@ -218,76 +221,163 @@ mod backing {
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
     }
 
+    #[cfg(unix)]
     const PROT_READ: i32 = 1;
+    #[cfg(unix)]
     const MAP_PRIVATE: i32 = 2;
 
-    /// A read-only private mapping of a whole file.
-    pub struct Mmap {
-        ptr: *mut core::ffi::c_void,
+    /// A range of a file's bytes, read-only: served from a private memory
+    /// mapping where the kernel gives one (unix), else copied onto the
+    /// heap. Mapping costs no copy, and no page of a fresh buffer is
+    /// first-touched: a reader pays only for the pages it reads, straight
+    /// from the page cache. It is the one mmap helper of the workspace —
+    /// label artifacts are served from it, and checkpoint loads read their
+    /// segment log's committed range through it.
+    ///
+    /// A mapping is only sound while nobody rewrites or truncates the
+    /// mapped range; each caller states why its files are never changed in
+    /// place under a reader (see "Why mmap is safe here" in the crate
+    /// docs).
+    pub struct FileBytes {
+        /// The served bytes, `data..data + len`, inside what `owner`
+        /// holds: every lookup's binary search reads through them, so no
+        /// read branches on where they live.
+        data: *const u8,
         len: usize,
+        owner: Owner,
     }
 
-    // The mapping is PROT_READ and owned for its whole lifetime; exposing
-    // &[u8] from multiple threads is as safe as sharing a Vec<u8>.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
+    enum Owner {
+        /// A heap copy; `data` is its buffer, which never moves or changes
+        /// while this value lives.
+        Heap { _buffer: Vec<u8> },
+        /// A mapping of a file's bytes `0..mapped` at `base`.
+        #[cfg(unix)]
+        Mmap {
+            base: *mut core::ffi::c_void,
+            mapped: usize,
+        },
+    }
 
-    impl Mmap {
-        /// Map `len` bytes of `file` read-only; `None` if the kernel
-        /// refuses (callers fall back to a heap read).
-        pub fn map(file: &File, len: usize) -> Option<Mmap> {
-            if len == 0 {
-                return None;
+    // SAFETY: `data..data + len` is read-only memory `owner` keeps alive
+    // and unchanged until this value is dropped (a heap buffer nothing
+    // writes to, or a PROT_READ mapping), and no field changes after
+    // construction; sharing or moving the bytes across threads is as safe
+    // as sharing a `Vec<u8>`.
+    unsafe impl Send for FileBytes {}
+    // SAFETY: as for `Send`: every field is read-only after construction.
+    unsafe impl Sync for FileBytes {}
+
+    impl FileBytes {
+        /// Bytes `offset..offset + len` of `file`, mapped where the kernel
+        /// allows, else read onto the heap ([`read`](Self::read)). A range
+        /// the file does not hold is never mapped (reading there would
+        /// fault); the read refuses it.
+        pub fn map(file: &File, offset: u64, len: usize) -> io::Result<FileBytes> {
+            #[cfg(unix)]
+            {
+                let held = file.metadata()?.len();
+                let range = usize::try_from(offset)
+                    .ok()
+                    .and_then(|start| Some((start, start.checked_add(len)?)))
+                    .filter(|&(start, end)| start < end && end as u64 <= held);
+                if let Some((start, end)) = range {
+                    // SAFETY: a new read-only private mapping of `end`
+                    // bytes of a descriptor that stays open for the call;
+                    // the kernel checks every argument and reports a
+                    // refusal as MAP_FAILED (-1).
+                    let base = unsafe {
+                        mmap(
+                            std::ptr::null_mut(),
+                            end,
+                            PROT_READ,
+                            MAP_PRIVATE,
+                            file.as_raw_fd(),
+                            0,
+                        )
+                    };
+                    if base as isize != -1 && !base.is_null() {
+                        return Ok(FileBytes {
+                            // SAFETY: start < end, the mapping's length.
+                            data: unsafe { (base as *const u8).add(start) },
+                            len: end - start,
+                            owner: Owner::Mmap { base, mapped: end },
+                        });
+                    }
+                }
             }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 || ptr.is_null() {
-                return None;
-            }
-            Some(Mmap { ptr, len })
+            Self::read(file, offset, len)
         }
 
-        /// The mapped bytes.
+        /// Bytes `offset..offset + len` of `file`, read onto the heap — the
+        /// path with no mapping at all, and the mapping's fallback.
+        pub fn read(mut file: &File, offset: u64, len: usize) -> io::Result<FileBytes> {
+            let mut bytes = vec![0; len];
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut bytes)?;
+            Ok(FileBytes::from(bytes))
+        }
+
+        /// The bytes.
         #[inline]
         pub fn bytes(&self) -> &[u8] {
-            // SAFETY: ptr..ptr+len is a live PROT_READ mapping for as long
-            // as self exists, and the borrow cannot outlive self.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
+            // SAFETY: data..data+len is memory `owner` keeps alive and
+            // unchanged for as long as self exists, and the borrow cannot
+            // outlive self.
+            unsafe { std::slice::from_raw_parts(self.data, self.len) }
+        }
+
+        /// Whether the bytes are served from a memory mapping (as opposed
+        /// to the heap).
+        pub fn is_mapped(&self) -> bool {
+            match self.owner {
+                Owner::Heap { .. } => false,
+                #[cfg(unix)]
+                Owner::Mmap { .. } => true,
+            }
         }
     }
 
-    impl Drop for Mmap {
+    impl From<Vec<u8>> for FileBytes {
+        fn from(bytes: Vec<u8>) -> Self {
+            FileBytes {
+                data: bytes.as_ptr(),
+                len: bytes.len(),
+                owner: Owner::Heap { _buffer: bytes },
+            }
+        }
+    }
+
+    impl Drop for FileBytes {
         fn drop(&mut self) {
-            // SAFETY: exactly the region map() returned, unmapped once.
-            unsafe {
-                munmap(self.ptr, self.len);
+            #[cfg(unix)]
+            if let Owner::Mmap { base, mapped } = self.owner {
+                // SAFETY: exactly the region `map` mapped, unmapped once.
+                unsafe {
+                    munmap(base, mapped);
+                }
             }
         }
     }
 }
 
-enum Backing {
-    Heap(Vec<u8>),
-    #[cfg(unix)]
-    Mmap(backing::Mmap),
+pub use file_bytes::FileBytes;
+
+impl std::ops::Deref for FileBytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.bytes()
+    }
 }
 
-impl Backing {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Heap(v) => v,
-            #[cfg(unix)]
-            Backing::Mmap(m) => m.bytes(),
-        }
+impl fmt::Debug for FileBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FileBytes")
+            .field("len", &self.bytes().len())
+            .field("mapped", &self.is_mapped())
+            .finish()
     }
 }
 
@@ -377,7 +467,7 @@ fn check(payload: &[u8]) -> Result<(usize, usize, Sections), String> {
 /// Columns are read in place from the backing bytes (mmap on unix, heap
 /// elsewhere) — loading is O(n) validation, not a deserialization copy.
 pub struct LabelArtifact {
-    backing: Backing,
+    backing: FileBytes,
     entries: usize,
     owners: usize,
     sections: Sections,
@@ -402,34 +492,28 @@ impl LabelArtifact {
     };
 
     /// Load an artifact, preferring a zero-copy memory mapping (unix);
-    /// falls back to [`load_heap`](Self::load_heap) when mapping fails.
+    /// falls back to a heap read when mapping fails ([`FileBytes::map`]).
     pub fn load(path: &Path) -> Result<LabelArtifact, LoadError> {
-        #[cfg(unix)]
-        {
-            let io = |source| LoadError::io(path, source);
-            let file = File::open(path).map_err(io)?;
-            let len = file.metadata().map_err(io)?.len() as usize;
-            if let Some(map) = backing::Mmap::map(&file, len) {
-                return Self::validate(path, Backing::Mmap(map));
-            }
-        }
-        Self::load_heap(path)
+        let io = |source| LoadError::io(path, source);
+        let file = File::open(path).map_err(io)?;
+        let len = file.metadata().map_err(io)?.len() as usize;
+        Self::validate(path, FileBytes::map(&file, 0, len).map_err(io)?)
     }
 
     /// Load an artifact by reading the whole file onto the heap — the
-    /// no-`unsafe` path, also used as the mmap fallback.
+    /// no-`unsafe` path.
     pub fn load_heap(path: &Path) -> Result<LabelArtifact, LoadError> {
         let mut bytes = Vec::new();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|source| LoadError::io(path, source))?;
-        Self::validate(path, Backing::Heap(bytes))
+        Self::validate(path, FileBytes::from(bytes))
     }
 
     /// Open the envelope, then check the column geometry and every
     /// invariant the lookup kernel relies on. All errors are typed;
     /// nothing is served from a file that fails any check.
-    fn validate(path: &Path, backing: Backing) -> Result<LabelArtifact, LoadError> {
+    fn validate(path: &Path, backing: FileBytes) -> Result<LabelArtifact, LoadError> {
         let (entries, owners, sections) = Self::FORMAT.decode(backing.bytes(), path, check)?;
         Ok(LabelArtifact {
             backing,
@@ -465,11 +549,7 @@ impl LabelArtifact {
     /// Whether this artifact is served from a memory mapping (as opposed
     /// to the heap fallback).
     pub fn is_mmapped(&self) -> bool {
-        match self.backing {
-            Backing::Heap(_) => false,
-            #[cfg(unix)]
-            Backing::Mmap(_) => true,
-        }
+        self.backing.is_mapped()
     }
 
     /// The `i`-th 8-byte word of the column at `section`.
@@ -642,6 +722,40 @@ mod tests {
     }
 
     #[test]
+    fn a_mapped_range_reads_as_the_heap_range() {
+        let dir = std::env::temp_dir().join(format!("bgp-artifact-range-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bytes.bin");
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &data).unwrap();
+        let file = File::open(&path).unwrap();
+        for (offset, len) in [
+            (0, data.len()),
+            (0, 1),
+            (4096, 9000),
+            (5003, 14_997),
+            (19_999, 1),
+        ] {
+            let mapped = FileBytes::map(&file, offset as u64, len).unwrap();
+            let read = FileBytes::read(&file, offset as u64, len).unwrap();
+            assert_eq!(mapped.is_mapped(), cfg!(unix), "{offset}+{len}");
+            assert!(!read.is_mapped());
+            assert_eq!(&*mapped, &data[offset..offset + len]);
+            assert_eq!(&*read, &*mapped);
+        }
+        // An empty range is served from the heap; one past the end is
+        // refused, mapped or not.
+        let empty = FileBytes::map(&file, 7, 0).unwrap();
+        assert!(empty.is_empty() && !empty.is_mapped());
+        for offset in [data.len() as u64 - 1, data.len() as u64] {
+            let err = FileBytes::map(&file, offset, 2).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{offset}");
+        }
+        assert!(FileBytes::map(&file, u64::MAX, 2).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn round_trips_through_both_backings() {
         let (path, rows) = write_sample("roundtrip.art");
         for artifact in [
@@ -745,7 +859,7 @@ mod tests {
             let mut forged = file.clone();
             edit(&mut forged);
             LabelArtifact::FORMAT.seal(&mut forged);
-            let err = LabelArtifact::validate(Path::new("x"), Backing::Heap(forged))
+            let err = LabelArtifact::validate(Path::new("x"), FileBytes::from(forged))
                 .expect_err("forged artifact must be refused");
             assert!(
                 matches!(&err, LoadError::Corrupt { detail, .. } if detail.contains(expect)),

@@ -1,7 +1,14 @@
 //! Wire codec throughput: the MRT/BGP encode and parse paths every
-//! experiment exercises, and the checksum that seals every persisted file.
+//! experiment exercises, the checksum that seals every persisted file,
+//! and the segment load and merge behind every checkpoint restart and
+//! every multi-file or sharded run.
+
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+
+use bgp_intent::{Checkpoint, StatsAccumulator};
+use bgp_relationships::SiblingMap;
 
 use bgp_mrt::attrs::{decode_attrs, encode_attrs, AttrCtx, EncodeOpts};
 use bgp_mrt::cursor::Cursor;
@@ -113,5 +120,104 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attrs, bench_mrt_files, bench_checksum);
+/// `n` observations on `n` distinct paths, from the `first`-th on, with
+/// lists of six communities drawn from a few thousand, so lists repeat
+/// across paths as in a collector dump.
+fn segment_observations(first: u32, n: u32) -> Vec<Observation> {
+    (first..first + n)
+        .map(|i| Observation {
+            vp: Asn::new(64_500 + i % 40),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            path: AsPath::from_sequence([64_500 + i % 40, 7018, 1299, 200_000 + i].map(Asn::new)),
+            communities: (0..6)
+                .map(|k| Community::new(1299 + (k % 3) as u16, ((i * 7 + k * 131) % 3_000) as u16))
+                .collect(),
+            large_communities: Vec::new(),
+            time: 1_682_899_200,
+        })
+        .collect()
+}
+
+/// A bench body timing `routine` once per sample, which also prints the
+/// mean per tuple of the `tuples` it reads.
+fn per_tuple(
+    name: &'static str,
+    tuples: usize,
+    mut routine: impl FnMut() -> Duration,
+) -> impl FnMut(&mut criterion::Bencher) {
+    move |b| {
+        let (mut spent, mut runs) = (Duration::ZERO, 0u64);
+        b.iter_custom(|iters| {
+            let elapsed: Duration = (0..iters).map(|_| routine()).sum();
+            spent += elapsed;
+            runs += iters;
+            elapsed
+        });
+        let ns = spent.as_nanos() as f64 / (runs * tuples as u64) as f64;
+        println!("{name}: {ns:.1} ns per tuple");
+    }
+}
+
+/// The segment layer under a restart and a merge, warn-only like the
+/// checksum: `checkpoint/load` loads a batch checkpoint whose segment holds
+/// 120k paths (manifest, mapped log range, checksum, the three tables
+/// built), and `segment/merge` merges a 120k-path segment, half of its
+/// paths new, into another. Both report ns per tuple of the segment they
+/// read.
+fn bench_segment(c: &mut Criterion) {
+    let siblings = SiblingMap::default();
+    let mut base = StatsAccumulator::new();
+    base.ingest_ordered(&segment_observations(0, 120_000), &siblings);
+    let mut other = StatsAccumulator::new();
+    other.ingest_ordered(&segment_observations(60_000, 120_000), &siblings);
+
+    let dir = std::env::temp_dir().join(format!("bgp-bench-segment-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("load.ckpt");
+    let mut checkpoint = Checkpoint::new();
+    checkpoint.snapshot = base.clone();
+    checkpoint.save_atomic(&path).unwrap();
+    let tuples = base.to_stats().unique_tuples;
+    let mut group = c.benchmark_group("checkpoint");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(tuples as u64));
+    group.bench_function(
+        "load",
+        per_tuple("checkpoint/load", tuples, || {
+            let start = Instant::now();
+            black_box(Checkpoint::load(&path).unwrap());
+            start.elapsed()
+        }),
+    );
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let tuples = other.to_stats().unique_tuples;
+    let mut group = c.benchmark_group("segment");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(tuples as u64));
+    group.bench_function(
+        "merge",
+        per_tuple("segment/merge", tuples, || {
+            // A change ends the sharing with `base`: its copy is made here,
+            // before the timer starts.
+            let mut into = base.clone();
+            into.ingest_ordered(&segment_observations(0, 1), &siblings);
+            let start = Instant::now();
+            into.merge(other.clone());
+            let spent = start.elapsed();
+            black_box(into);
+            spent
+        }),
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_attrs,
+    bench_mrt_files,
+    bench_checksum,
+    bench_segment
+);
 criterion_main!(benches);

@@ -118,7 +118,8 @@ INGESTION (stats, infer, shard, watch, query --check):
                     threads. 0 = one per CPU (default). Output is identical
                     at any thread count. `shard` passes N to its workers and,
                     once they exit, counts and classifies on the larger of
-                    N and --workers.
+                    N and --workers. Whatever N, a checkpoint load builds
+                    its path, list and tuple tables on up to three threads.
     --retry-attempts N
                     (stats, infer, shard, watch) Attempts per I/O operation
                     before a transient failure (EINTR, stall) is surfaced
@@ -1016,20 +1017,7 @@ fn write_labels(
         // typed (asn, value) key: no lossy fallback, and community order is
         // the natural order rather than lexicographic.
         let rows = label_rows(inference, ratio_threshold);
-        let labels: Vec<serde_json::Value> = rows
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "community": r.community.to_string(),
-                    "intent": r.label,
-                    "confidence": r.confidence,
-                    "ratio": r.ratio,
-                    "on_paths": r.on_paths,
-                    "off_paths": r.off_paths,
-                })
-            })
-            .collect();
-        write_output(path, to_json(&labels)?)?;
+        write_output(path, label_json(&rows))?;
         eprintln!("wrote {} labels to {path}", rows.len());
     }
     if let Some(path) = args.get_str("artifact-out") {
@@ -1038,6 +1026,48 @@ fn write_labels(
         eprintln!("wrote {n} labels to {path} (artifact)");
     }
     Ok(())
+}
+
+/// The `--json` label file: one object per row, in row order, laid out as
+/// the JSON shim's pretty printer lays out a map per row — keys in
+/// alphabetical order, two-space indents, `[]` for no rows and no final
+/// newline — so the bytes are those of the `serde_json::Value` rendering
+/// without building one.
+fn label_json(rows: &[LabelRow]) -> String {
+    use std::fmt::Write as _;
+    if rows.is_empty() {
+        return "[]".into();
+    }
+    let mut out = String::new();
+    for (i, r) in rows.iter().enumerate() {
+        out.push_str(if i == 0 { "[\n" } else { ",\n" });
+        let _ = write!(
+            out,
+            "  {{\n    \"community\": \"{}\",\n    \"confidence\": {},\n    \"intent\": \"{}\",\n    \"off_paths\": {},\n    \"on_paths\": {},\n    \"ratio\": {}\n  }}",
+            r.community,
+            JsonFloat(r.confidence),
+            r.label,
+            r.off_paths,
+            r.on_paths,
+            JsonFloat(r.ratio),
+        );
+    }
+    out.push_str("\n]");
+    out
+}
+
+/// A float as the JSON shim prints one: its shortest form, with `.0` when
+/// it is integral, and `null` when it is not finite.
+struct JsonFloat(f64);
+
+impl std::fmt::Display for JsonFloat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            n if !n.is_finite() => f.write_str("null"),
+            n if n.fract() == 0.0 => write!(f, "{n}.0"),
+            n => write!(f, "{n}"),
+        }
+    }
 }
 
 /// `bgpcomm infer`: every file decodes straight into its own segment, and
@@ -2246,6 +2276,74 @@ mod tests {
             entries += 1;
         }
         assert!(entries >= 40, "found only {entries} flag entries");
+    }
+
+    /// The `--json` label file's exact bytes: keys in alphabetical order,
+    /// two-space indents, a float's shortest form with `.0` when integral
+    /// and `null` when not finite, `[]` for no labels, no final newline.
+    #[test]
+    fn label_json_keeps_its_exact_bytes() {
+        assert_eq!(label_json(&[]), "[]");
+        let row = |asn, value, label, confidence, ratio| LabelRow {
+            community: Community::new(asn, value),
+            label,
+            confidence,
+            ratio,
+            on_paths: 3,
+            off_paths: 40,
+        };
+        let rows = [
+            row(100, 1, Intent::Action, 1.0, 2.0),
+            row(100, 7, Intent::Information, 0.625, 0.075),
+            row(65535, 65535, Intent::Action, 0.1, f64::INFINITY),
+            row(7, 0, Intent::Information, 1e-7, f64::NAN),
+            row(8, 8, Intent::Action, -0.0, 1e21),
+        ];
+        assert_eq!(
+            label_json(&rows),
+            r#"[
+  {
+    "community": "100:1",
+    "confidence": 1.0,
+    "intent": "action",
+    "off_paths": 40,
+    "on_paths": 3,
+    "ratio": 2.0
+  },
+  {
+    "community": "100:7",
+    "confidence": 0.625,
+    "intent": "information",
+    "off_paths": 40,
+    "on_paths": 3,
+    "ratio": 0.075
+  },
+  {
+    "community": "65535:65535",
+    "confidence": 0.1,
+    "intent": "action",
+    "off_paths": 40,
+    "on_paths": 3,
+    "ratio": null
+  },
+  {
+    "community": "7:0",
+    "confidence": 0.0000001,
+    "intent": "information",
+    "off_paths": 40,
+    "on_paths": 3,
+    "ratio": null
+  },
+  {
+    "community": "8:8",
+    "confidence": -0.0,
+    "intent": "action",
+    "off_paths": 40,
+    "on_paths": 3,
+    "ratio": 1000000000000000000000.0
+  }
+]"#
+        );
     }
 
     #[test]

@@ -465,7 +465,7 @@ fn watch_refuses_a_version_2_checkpoint_with_fingerprint_sets() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 2, this build reads version 7"),
+        stderr.contains("checkpoint version 2, this build reads version 8"),
         "{stderr}"
     );
     assert_eq!(
@@ -495,7 +495,7 @@ fn watch_refuses_a_version_3_checkpoint_that_holds_the_segment_in_one_file() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 3, this build reads version 7"),
+        stderr.contains("checkpoint version 3, this build reads version 8"),
         "{stderr}"
     );
     assert_eq!(
@@ -529,7 +529,7 @@ fn watch_refuses_a_version_4_checkpoint_without_the_counted_tuples() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 4, this build reads version 7"),
+        stderr.contains("checkpoint version 4, this build reads version 8"),
         "{stderr}"
     );
     assert_eq!(
@@ -551,7 +551,7 @@ fn watch_refuses_a_version_5_checkpoint() {
     let out = run_watch(&addr, &dir, "legacy", &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
     let mut legacy = read(&dir, "legacy.ckpt");
-    assert_eq!(&legacy[..12], b"BGPWCKPT\x07\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x08\0\0\0");
     legacy[8] = 5;
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
     let log = read(&dir, "legacy.ckpt.seg");
@@ -560,7 +560,7 @@ fn watch_refuses_a_version_5_checkpoint() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 5, this build reads version 7"),
+        stderr.contains("checkpoint version 5, this build reads version 8"),
         "{stderr}"
     );
     assert_eq!(
@@ -571,7 +571,6 @@ fn watch_refuses_a_version_5_checkpoint() {
     assert_eq!(read(&dir, "legacy.ckpt.seg"), log);
 }
 
-/// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
 /// Version 6 logged each list entry's community value in place of its
 /// slot: a checkpoint this build wrote, renumbered, is refused on its
 /// version and neither file changes.
@@ -583,7 +582,7 @@ fn watch_refuses_a_version_6_checkpoint() {
     let out = run_watch(&addr, &dir, "legacy", &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
     let mut legacy = read(&dir, "legacy.ckpt");
-    assert_eq!(&legacy[..12], b"BGPWCKPT\x07\0\0\0");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x08\0\0\0");
     legacy[8] = 6;
     fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
     let log = read(&dir, "legacy.ckpt.seg");
@@ -592,7 +591,7 @@ fn watch_refuses_a_version_6_checkpoint() {
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(
-        stderr.contains("checkpoint version 6, this build reads version 7"),
+        stderr.contains("checkpoint version 6, this build reads version 8"),
         "{stderr}"
     );
     assert_eq!(
@@ -607,6 +606,42 @@ fn watch_refuses_a_version_6_checkpoint() {
     );
 }
 
+/// Version 7 did not record the segment's statistics at the exit save:
+/// a checkpoint this build wrote, renumbered, is refused on its version
+/// and neither file changes.
+#[test]
+fn watch_refuses_a_version_7_checkpoint() {
+    let dir = workdir("version-7");
+    let paths = archives(&dir, 2, 40);
+    let (feed, addr) = spawn_feed(&paths, None);
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let mut legacy = read(&dir, "legacy.ckpt");
+    assert_eq!(&legacy[..12], b"BGPWCKPT\x08\0\0\0");
+    legacy[8] = 7;
+    fs::write(dir.join("legacy.ckpt"), &legacy).unwrap();
+    let log = read(&dir, "legacy.ckpt.seg");
+    let out = run_watch(&addr, &dir, "legacy", &[]);
+    drop(feed);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint version 7, this build reads version 8"),
+        "{stderr}"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt"),
+        legacy,
+        "refused, not overwritten"
+    );
+    assert_eq!(
+        read(&dir, "legacy.ckpt.seg"),
+        log,
+        "the log is left as it is"
+    );
+}
+
+/// Run `watch --tail` over `tail` with the checkpoint at `ckpt`.
 fn tail_watch(tail: &Path, ckpt: &Path, extra: &[&str]) -> Output {
     let mut args = vec![
         "watch",

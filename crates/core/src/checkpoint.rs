@@ -48,17 +48,21 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bgp_artifact::FileBytes;
 use bgp_mrt::IngestReport;
 use bgp_relationships::SiblingMap;
 use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, Checksum, Format, LoadError};
-use bgp_types::store::{IdTable, Interner, ObservationSink, ObservationStore, ObservationView};
+use bgp_types::store::{
+    ExtendError, IdTable, IndexScratch, Interner, ListTable, ObservationSink, ObservationStore,
+    ObservationView, PathTable,
+};
 use bgp_types::{AsPathView, Asn, Community, Observation};
 
 use crate::stats::{pack, reduce, OnPathIndex, PathStats};
@@ -91,13 +95,45 @@ pub type StatsSnapshot = StatsAccumulator;
 struct Segment {
     /// The unique paths and community lists the tuples refer to.
     interner: Interner,
-    /// Every unique tuple as a [`pack`]ed key, indexed by tuple ID.
-    tuples: Vec<u64>,
-    /// Exact index over `tuples`: the key is the identity.
-    tuple_ids: IdTable,
+    /// Every unique tuple.
+    tuples: TupleTable,
     /// The sibling family (the owner included) of the owner of every
     /// interned community, fixed when the segment first saw the owner.
     families: BTreeMap<u16, Vec<u32>>,
+}
+
+/// A segment's unique `(path, list)` tuples: each as a [`pack`]ed key,
+/// indexed by tuple ID, and an exact index over the keys (the key is the
+/// identity).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TupleTable {
+    keys: Vec<u64>,
+    ids: IdTable,
+}
+
+impl TupleTable {
+    /// The ID of the tuple `(path, cset)`, added on first sight.
+    fn intern(&mut self, path: u32, cset: u32) -> u32 {
+        let key = pack(path, cset);
+        let hash = spread(key);
+        if let Some(id) = self.ids.find(hash, |id| self.keys[id as usize] == key) {
+            return id;
+        }
+        let id = self.keys.len() as u32;
+        self.ids.insert(hash, id);
+        self.keys.push(key);
+        id
+    }
+
+    /// Make room for `tuples` more tuples, the index included.
+    fn reserve(&mut self, tuples: usize) {
+        self.keys.reserve(tuples);
+        self.ids.reserve(tuples);
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
 }
 
 /// Spread a packed tuple key over an [`IdTable`]: the multiply carries the
@@ -108,23 +144,41 @@ fn spread(key: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-impl Segment {
-    /// The ID of the tuple `(path, cset)`, added on first sight.
-    fn intern_tuple(&mut self, path: u32, cset: u32) -> u32 {
-        let key = pack(path, cset);
-        let hash = spread(key);
-        if let Some(id) = self
-            .tuple_ids
-            .find(hash, |id| self.tuples[id as usize] == key)
-        {
-            return id;
-        }
-        let id = self.tuples.len() as u32;
-        self.tuple_ids.insert(hash, id);
-        self.tuples.push(key);
-        id
-    }
+/// How many paths, lists and tuples a load must bring before its tables
+/// are built on threads of their own: below it, two thread spawns (17–23
+/// µs each on a 2-vCPU VM) would cost more than they save, as for the
+/// small frames a `watch` checkpoint gains per window.
+const CONCURRENT_MIN: usize = 1 << 14;
 
+/// `a()` and `b()`: on a scoped thread and this one when `split`, else one
+/// after the other on this one. A panic in either is raised again here.
+fn join<A: Send, B>(split: bool, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    if !split {
+        return (a(), b());
+    }
+    std::thread::scope(|s| {
+        let a = s.spawn(a);
+        let b = b();
+        let a = a
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (a, b)
+    })
+}
+
+/// `f` over the value moved out of `slot`, which is put back after. A
+/// task that builds a table this way writes the table's length fields on
+/// its own thread's stack: in place, two tasks' tables — neighbouring
+/// fields of one segment — share cache lines, and each push on one core
+/// would pull them from the other (3–4× slower per table on a 2-vCPU VM).
+fn owned<T: Default, R>(slot: &mut T, f: impl FnOnce(&mut T) -> R) -> R {
+    let mut value = std::mem::take(slot);
+    let result = f(&mut value);
+    *slot = value;
+    result
+}
+
+impl Segment {
     /// Record the family of each owner among the communities interned from
     /// slot `from` on.
     fn note_owners(&mut self, from: usize, siblings: &SiblingMap) {
@@ -145,23 +199,18 @@ impl Segment {
     fn fold(&mut self, path: &AsPathView<'_>, communities: &[Community]) -> u32 {
         let path = self.interner.intern_path(path);
         let cset = self.interner.intern_cset(communities);
-        self.intern_tuple(path, cset)
-    }
-
-    /// Make room for `tuples` more tuples, the index included.
-    fn reserve_tuples(&mut self, tuples: usize) {
-        self.tuples.reserve(tuples);
-        self.tuple_ids.reserve(tuples);
+        self.tuples.intern(path, cset)
     }
 
     /// Re-intern `other`'s paths, lists and tuples by exact key, in its ID
     /// order, into tables sized for all of them up front. Owner families
     /// are the caller's.
     fn absorb(&mut self, other: &Segment) {
-        let (paths, csets) = self.interner.absorb(&other.interner);
-        self.reserve_tuples(other.tuples.len());
-        for &key in &other.tuples {
-            self.intern_tuple(paths[(key >> 32) as usize], csets[key as u32 as usize]);
+        let (paths, lists) = self.interner.absorb(&other.interner);
+        self.tuples.reserve(other.tuples.len());
+        for &key in &other.tuples.keys {
+            self.tuples
+                .intern(paths[(key >> 32) as usize], lists[key as u32 as usize]);
         }
     }
 }
@@ -238,7 +287,8 @@ impl StatsAccumulator {
         let (paths, csets) = seg.interner.absorb(store);
         seg.note_owners(from, siblings);
         for (path, cset) in store.tuples() {
-            seg.intern_tuple(paths[path as usize], csets[cset as usize]);
+            seg.tuples
+                .intern(paths[path as usize], csets[cset as usize]);
         }
     }
 
@@ -298,7 +348,7 @@ impl StatsAccumulator {
 
     /// Every tuple as a [`pack`]ed key, indexed by tuple ID.
     pub(crate) fn tuple_keys(&self) -> &[u64] {
-        &self.seg.tuples
+        &self.seg.tuples.keys
     }
 
     /// The on-path test over the interned communities, resolved with the
@@ -321,12 +371,13 @@ impl StatsAccumulator {
     ) -> PathStats {
         let seg = &*self.seg;
         let index = self.on_path_index();
-        let threads = if seg.tuples.len() < 2 { 1 } else { threads };
+        let keys = &seg.tuples.keys;
+        let threads = if keys.len() < 2 { 1 } else { threads };
         reduce(&seg.interner, &index, threads, |shard, count| {
             let mine = |key: u64| count == 1 || (key >> 32) as u32 % count == shard;
-            (0..seg.tuples.len())
-                .filter(|&t| mine(seg.tuples[t]) && keep(t))
-                .map(|t| seg.tuples[t])
+            (0..keys.len())
+                .filter(|&t| mine(keys[t]) && keep(t))
+                .map(|t| keys[t])
                 .collect()
         })
     }
@@ -401,7 +452,7 @@ impl StatsAccumulator {
         let slot_base = mark.slots as u32;
         w.column(&list_ends[mark.lists..], |e| (e - slot_base).to_le_bytes());
         w.column(&slots[mark.slots..], |s| s.to_le_bytes());
-        w.column(&seg.tuples[mark.tuples..], |t| t.to_le_bytes());
+        w.column(&seg.tuples.keys[mark.tuples..], |t| t.to_le_bytes());
         let gained: Vec<(u32, &[u32])> = seg
             .families
             .iter()
@@ -422,151 +473,362 @@ impl StatsAccumulator {
         w.column(&members, |a| a.to_le_bytes());
     }
 
-    /// Read one frame that [`encode_since`](Self::encode_since) wrote and
-    /// append it to this segment, re-interning every path, list and tuple
-    /// into tables sized for the frame up front; a list is interned by its
-    /// slots, with no lookup per entry. Every count is checked against the
-    /// bytes left before anything is allocated, every end, slot and ID
-    /// against what it indexes before it is used, and a value equal to an
-    /// earlier one — a duplicate path, community, list, tuple or owner, in
-    /// this frame or an earlier one — is refused, as is a new slot the
-    /// lists do not first use in slot order (or never use) and a new
-    /// community whose owner has no family. On an error the segment is
-    /// left part-way; the caller discards it.
-    pub(crate) fn decode_frame(&mut self, r: &mut ColumnReader<'_>) -> Result<(), String> {
-        // The large columns are read in place, each value where it is used.
-        let path_ends = r.elements::<4>("path ends")?;
-        let tags = r.bytes("segment tags")?;
-        let lens = r.elements::<4>("segment lengths")?;
-        let asns = r.elements::<4>("path ASNs")?;
-        let communities = r.column("communities", |b| {
-            Community::from_u32(u32::from_le_bytes(b))
-        })?;
-        let list_ends = r.elements::<4>("list ends")?;
-        let slots = r.elements::<4>("list slots")?;
-        let tuples = r.elements::<8>("tuples")?;
-        let owners = r.column("owners", u32::from_le_bytes)?;
-        let family_ends = r.column("family ends", u32::from_le_bytes)?;
-        let members = r.column("families", u32::from_le_bytes)?;
-
-        if lens.len() != tags.len() {
-            return Err(format!(
-                "{} segment tags, {} lengths",
-                tags.len(),
-                lens.len()
-            ));
-        }
-        if let Some(tag) = tags.iter().find(|&&t| t != SEG_SET && t != SEG_SEQUENCE) {
-            return Err(format!("segment tag {tag} out of range"));
-        }
-        let seg = Arc::make_mut(&mut self.seg);
-        seg.interner.reserve(
-            path_ends.len(),
-            lens.len(),
-            asns.len(),
-            list_ends.len(),
-            slots.len(),
+    /// Append `frames` (what [`encode_since`](Self::encode_since) wrote,
+    /// their columns read in place) to this segment, each table sized for
+    /// all of them up front. The three tables do not depend on one another,
+    /// so they are built as three tasks, each over every frame in order —
+    /// (a) the paths; (b) the communities, the lists (as slots, with no
+    /// lookup per entry) and the owner families; (c) the tuples — on
+    /// threads of their own when the frames hold enough. A log's values are
+    /// distinct, so each task appends them in ID order and indexes them at
+    /// once ([`IdTable::index_distinct`]).
+    ///
+    /// Every end, slot and ID is checked against what it indexes before it
+    /// is used, and a value equal to an earlier one — a duplicate path,
+    /// community, list, tuple or owner, in its frame or an earlier one — is
+    /// refused, as is a new slot the lists do not first use in slot order
+    /// (or never use) and a new community whose owner has no family. Each
+    /// task reports its first defect (a repeated value by its smallest ID);
+    /// the one returned is the least by frame, then by [`Stage`] — the
+    /// defect a one-pass decode, frame by frame and table by table, meets
+    /// first. `unreadable` is the defect of the frame after `frames`, whose
+    /// columns could not be read. On a defect the segment is left part-way;
+    /// the caller discards it.
+    fn decode_frames(
+        &mut self,
+        frames: &[Frame<'_>],
+        unreadable: Option<Defect>,
+    ) -> Result<(), Defect> {
+        let entries = total(frames, |f| {
+            f.path_ends.len() + f.list_ends.len() + f.tuples.len()
+        });
+        let split = entries >= CONCURRENT_MIN;
+        let Segment {
+            interner,
+            tuples,
+            families,
+        } = Arc::make_mut(&mut self.seg);
+        let (paths, lists) = interner.tables_mut();
+        // Sized here, so the tasks allocate nothing large on their threads;
+        // an ID table's pages are only touched by the task that fills it.
+        paths.reserve(
+            total(frames, |f| f.path_ends.len()),
+            total(frames, |f| f.lens.len()),
+            total(frames, |f| f.asns.len()),
         );
-        seg.reserve_tuples(tuples.len());
-        let first_path = seg.interner.path_count();
-        let (mut seg_at, mut asn_at) = (0, 0);
-        let (mut path_segs, mut path_asns) = (Vec::new(), Vec::new());
-        for (id, end) in (first_path..).zip(u32s(path_ends)) {
-            let first_seg = seg_at;
-            let run = next_run(lens, &mut seg_at, u64::from(end), "path ends")?;
-            path_segs.clear();
-            path_segs.extend(tags[first_seg..seg_at].iter().copied().zip(u32s(run)));
-            let hops: u64 = path_segs.iter().map(|&(_, len)| u64::from(len)).sum();
-            let end = asn_at as u64 + hops;
-            let run = next_run(asns, &mut asn_at, end, "path ASNs")?;
-            path_asns.clear();
-            path_asns.extend(u32s(run));
-            let path = AsPathView {
-                segs: &path_segs,
-                asns: &path_asns,
-            };
-            if seg.interner.intern_path(&path) != id as u32 {
-                return Err(format!("path {id} repeats an earlier path"));
+        lists.reserve(
+            total(frames, |f| f.list_ends.len()),
+            total(frames, |f| f.slots.len()),
+        );
+        tuples.reserve(total(frames, |f| f.tuples.len()));
+        let new_lists = total(frames, |f| f.list_ends.len());
+        let mut scratch = [
+            IndexScratch::with_capacity(total(frames, |f| f.path_ends.len()), 0),
+            IndexScratch::with_capacity(new_lists, new_lists),
+            IndexScratch::with_capacity(total(frames, |f| f.tuples.len()), 0),
+        ];
+        let [path_scratch, list_scratch, tuple_scratch] = &mut scratch;
+        let (first_path, first_list) = (paths.len(), lists.len());
+        let (by_paths, (by_lists, by_tuples)) = join(
+            split,
+            move || owned(paths, |paths| build_paths(paths, frames, path_scratch)),
+            || {
+                join(
+                    split,
+                    move || {
+                        owned(lists, |lists| {
+                            owned(families, |f| build_lists(lists, f, frames, list_scratch))
+                        })
+                    },
+                    || {
+                        owned(tuples, |t| {
+                            build_tuples(t, frames, first_path, first_list, tuple_scratch)
+                        })
+                    },
+                )
+            },
+        );
+        let defects = [by_paths.err(), by_lists.err(), by_tuples.err(), unreadable];
+        defects.into_iter().flatten().min().map_or(Ok(()), Err)
+    }
+}
+
+/// One segment-log frame's eleven columns (see
+/// [`StatsAccumulator::encode_since`]), read in place.
+struct Frame<'a> {
+    path_ends: &'a [[u8; 4]],
+    tags: &'a [u8],
+    lens: &'a [[u8; 4]],
+    asns: &'a [[u8; 4]],
+    communities: &'a [[u8; 4]],
+    list_ends: &'a [[u8; 4]],
+    slots: &'a [[u8; 4]],
+    tuples: &'a [[u8; 8]],
+    owners: &'a [[u8; 4]],
+    family_ends: &'a [[u8; 4]],
+    members: &'a [[u8; 4]],
+}
+
+impl<'a> Frame<'a> {
+    /// The next frame's columns, each count checked against the bytes left
+    /// before the column is taken.
+    fn read(r: &mut ColumnReader<'a>) -> Result<Self, String> {
+        Ok(Frame {
+            path_ends: r.elements("path ends")?,
+            tags: r.bytes("segment tags")?,
+            lens: r.elements("segment lengths")?,
+            asns: r.elements("path ASNs")?,
+            communities: r.elements("communities")?,
+            list_ends: r.elements("list ends")?,
+            slots: r.elements("list slots")?,
+            tuples: r.elements("tuples")?,
+            owners: r.elements("owners")?,
+            family_ends: r.elements("family ends")?,
+            members: r.elements("families")?,
+        })
+    }
+}
+
+/// The checks a frame is held to, in the order a one-pass decode makes
+/// them within the frame: its columns, its paths, its communities and
+/// lists, its tuples, its owner families.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Columns,
+    Paths,
+    Lists,
+    Tuples,
+    Families,
+}
+
+/// A check a log failed: the frame, the stage within it, and what is
+/// wrong. Defects order by frame, then stage, so the least of those the
+/// table builds find is the first a one-pass decode meets.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Defect {
+    frame: usize,
+    stage: Stage,
+    detail: String,
+}
+
+/// A failed check of `stage` in frame `frame`.
+fn defect(frame: usize, stage: Stage) -> impl Fn(String) -> Defect {
+    move |detail| Defect {
+        frame,
+        stage,
+        detail,
+    }
+}
+
+/// The sum of `n` over `frames`.
+fn total(frames: &[Frame<'_>], n: impl Fn(&Frame<'_>) -> usize) -> usize {
+    frames.iter().map(n).sum()
+}
+
+/// The frame holding ID `id` of a table that held `first` IDs before the
+/// frames, each adding `n(frame)`.
+fn frame_of(frames: &[Frame<'_>], first: usize, id: u32, n: impl Fn(&Frame<'_>) -> usize) -> usize {
+    let mut end = first;
+    frames
+        .iter()
+        .position(|frame| {
+            end += n(frame);
+            (id as usize) < end
+        })
+        .unwrap_or(frames.len())
+}
+
+/// Task (a): every frame's paths onto `table`, indexed at once after, IDs
+/// continuing from its count; each frame's segment columns are checked
+/// before its paths.
+fn build_paths(
+    table: &mut PathTable,
+    frames: &[Frame<'_>],
+    scratch: &mut IndexScratch,
+) -> Result<(), Defect> {
+    let first = table.len();
+    let (mut path_segs, mut path_asns) = (Vec::new(), Vec::new());
+    let built = table.extend_distinct(scratch, |paths| {
+        for (k, frame) in frames.iter().enumerate() {
+            let fail = defect(k, Stage::Paths);
+            let Frame {
+                path_ends,
+                tags,
+                lens,
+                asns,
+                ..
+            } = *frame;
+            if lens.len() != tags.len() {
+                let detail = format!("{} segment tags, {} lengths", tags.len(), lens.len());
+                return Err(fail(detail));
             }
-        }
-        finished(lens, seg_at, "segments")?;
-        finished(asns, asn_at, "path ASNs")?;
-        let first_slot = seg.interner.community_count();
-        for (slot, &c) in (first_slot..).zip(&communities) {
-            if seg.interner.intern_community(c) != slot as u32 {
-                return Err(format!("community {c} repeats an earlier community"));
+            if let Some(tag) = tags.iter().find(|&&t| t != SEG_SET && t != SEG_SEQUENCE) {
+                return Err(fail(format!("segment tag {tag} out of range")));
             }
+            let (mut seg_at, mut asn_at) = (0, 0);
+            for end in u32s(path_ends) {
+                let first_seg = seg_at;
+                let run =
+                    next_run(lens, &mut seg_at, u64::from(end), "path ends").map_err(&fail)?;
+                path_segs.clear();
+                path_segs.extend(tags[first_seg..seg_at].iter().copied().zip(u32s(run)));
+                let hops: u64 = path_segs.iter().map(|&(_, len)| u64::from(len)).sum();
+                let end = asn_at as u64 + hops;
+                let run = next_run(asns, &mut asn_at, end, "path ASNs").map_err(&fail)?;
+                path_asns.clear();
+                path_asns.extend(u32s(run));
+                paths.push(&AsPathView {
+                    segs: &path_segs,
+                    asns: &path_asns,
+                });
+            }
+            finished(lens, seg_at, "segments").map_err(&fail)?;
+            finished(asns, asn_at, "path ASNs").map_err(&fail)?;
         }
-        let dictionary = seg.interner.community_count() as u32;
-        // The next new slot the lists must use first.
-        let mut unused = first_slot as u32;
-        let (mut at, mut list) = (0, Vec::new());
-        for (id, end) in (seg.interner.cset_count()..).zip(u32s(list_ends)) {
-            let run = next_run(slots, &mut at, u64::from(end), "list ends")?;
-            list.clear();
-            for slot in u32s(run) {
-                if slot >= unused {
-                    if slot >= dictionary {
-                        return Err(format!(
-                            "community list {id} names slot {slot}, of {dictionary}"
-                        ));
-                    }
-                    if slot > unused {
-                        return Err(format!(
-                            "community list {id} uses slot {slot} before slot {unused}"
-                        ));
-                    }
-                    unused += 1;
+        Ok(())
+    });
+    built.map_err(|e| match e {
+        ExtendError::Repeat(id) => {
+            let frame = frame_of(frames, first, id, |f| f.path_ends.len());
+            defect(frame, Stage::Paths)(format!("path {id} repeats an earlier path"))
+        }
+        ExtendError::Fill(defect) => defect,
+    })
+}
+
+/// Task (b): every frame's communities and lists onto `table`, the lists
+/// indexed at once after, and its owner families into `families`.
+fn build_lists(
+    table: &mut ListTable,
+    families: &mut BTreeMap<u16, Vec<u32>>,
+    frames: &[Frame<'_>],
+    scratch: &mut IndexScratch,
+) -> Result<(), Defect> {
+    let first = table.len();
+    let mut list = Vec::new();
+    let built = table.extend_distinct(scratch, |lists| {
+        for (k, frame) in frames.iter().enumerate() {
+            let fail = defect(k, Stage::Lists);
+            let first_slot = lists.community_count();
+            for (slot, c) in (first_slot..).zip(u32s(frame.communities).map(Community::from_u32)) {
+                if lists.intern_community(c) != slot as u32 {
+                    return Err(fail(format!("community {c} repeats an earlier community")));
                 }
-                list.push(slot);
             }
-            if seg.interner.intern_cset_slots(&list) != id as u32 {
-                return Err(format!("community list {id} repeats an earlier list"));
+            let dictionary = lists.community_count() as u32;
+            // The next new slot the lists must use first.
+            let mut unused = first_slot as u32;
+            let mut at = 0;
+            for (id, end) in (lists.len()..).zip(u32s(frame.list_ends)) {
+                let run =
+                    next_run(frame.slots, &mut at, u64::from(end), "list ends").map_err(&fail)?;
+                list.clear();
+                for slot in u32s(run) {
+                    if slot >= unused {
+                        if slot >= dictionary {
+                            return Err(fail(format!(
+                                "community list {id} names slot {slot}, of {dictionary}"
+                            )));
+                        }
+                        if slot > unused {
+                            return Err(fail(format!(
+                                "community list {id} uses slot {slot} before slot {unused}"
+                            )));
+                        }
+                        unused += 1;
+                    }
+                    list.push(slot);
+                }
+                lists.push_slots(&list);
             }
-        }
-        finished(slots, at, "list slots")?;
-        if unused != dictionary {
-            return Err(format!("community slot {unused} is in no new list"));
-        }
-        let paths = seg.interner.path_count() as u64;
-        let lists = seg.interner.cset_count() as u64;
-        for (id, key) in (seg.tuples.len()..).zip(tuples.iter().map(|&b| u64::from_le_bytes(b))) {
-            if key >> 32 >= paths || key & u64::from(u32::MAX) >= lists {
-                return Err(format!(
-                    "tuple {id} names path {} and list {}, of {paths} and {lists}",
-                    key >> 32,
-                    key as u32
-                ));
+            finished(frame.slots, at, "list slots").map_err(&fail)?;
+            if unused != dictionary {
+                return Err(fail(format!("community slot {unused} is in no new list")));
             }
-            if seg.intern_tuple((key >> 32) as u32, key as u32) != id as u32 {
-                return Err(format!("tuple {id} repeats an earlier tuple"));
+
+            let fail = defect(k, Stage::Families);
+            let owners: Vec<u32> = u32s(frame.owners).collect();
+            let family_ends: Vec<u32> = u32s(frame.family_ends).collect();
+            let members: Vec<u32> = u32s(frame.members).collect();
+            if family_ends.len() != owners.len() {
+                let detail = format!("{} owners, {} family ends", owners.len(), family_ends.len());
+                return Err(fail(detail));
             }
-        }
-        if family_ends.len() != owners.len() {
-            return Err(format!(
-                "{} owners, {} family ends",
-                owners.len(),
-                family_ends.len()
-            ));
-        }
-        if owners.windows(2).any(|w| w[0] >= w[1]) || owners.last() > Some(&u32::from(u16::MAX)) {
-            return Err("owners not strictly ascending 16-bit ASNs".into());
-        }
-        let mut at = 0;
-        for (&owner, &end) in owners.iter().zip(&family_ends) {
-            let family = next_run(&members, &mut at, u64::from(end), "family ends")?;
-            if seg.families.insert(owner as u16, family.to_vec()).is_some() {
-                return Err(format!("owner {owner} repeats an earlier owner"));
+            if owners.windows(2).any(|w| w[0] >= w[1]) || owners.last() > Some(&u32::from(u16::MAX))
+            {
+                return Err(fail("owners not strictly ascending 16-bit ASNs".into()));
             }
-        }
-        finished(&members, at, "family members")?;
-        for slot in first_slot as u32..seg.interner.community_count() as u32 {
-            let c = seg.interner.community(slot);
-            if !seg.families.contains_key(&c.asn) {
-                return Err(format!("community {c} has no owner family"));
+            let mut at = 0;
+            for (&owner, &end) in owners.iter().zip(&family_ends) {
+                let family =
+                    next_run(&members, &mut at, u64::from(end), "family ends").map_err(&fail)?;
+                if families.insert(owner as u16, family.to_vec()).is_some() {
+                    return Err(fail(format!("owner {owner} repeats an earlier owner")));
+                }
+            }
+            finished(&members, at, "family members").map_err(&fail)?;
+            for slot in first_slot as u32..dictionary {
+                let c = lists.community(slot);
+                if !families.contains_key(&c.asn) {
+                    return Err(fail(format!("community {c} has no owner family")));
+                }
             }
         }
         Ok(())
+    });
+    built.map_err(|e| match e {
+        ExtendError::Repeat(id) => {
+            let frame = frame_of(frames, first, id, |f| f.list_ends.len());
+            defect(frame, Stage::Lists)(format!("community list {id} repeats an earlier list"))
+        }
+        ExtendError::Fill(defect) => defect,
+    })
+}
+
+/// Task (c): every frame's tuples onto `table`, indexed at once after. A
+/// tuple may name any path or list up
+/// to its own frame's last: the tables held `first_path` paths and
+/// `first_list` lists before the first frame, and each frame adds as many
+/// as its end columns list. A repeated tuple is refused by the smallest
+/// such ID, ahead of a later tuple's bounds.
+fn build_tuples(
+    table: &mut TupleTable,
+    frames: &[Frame<'_>],
+    first_path: usize,
+    first_list: usize,
+    scratch: &mut IndexScratch,
+) -> Result<(), Defect> {
+    let first = table.len();
+    let (mut paths, mut lists) = (first_path as u64, first_list as u64);
+    let mut bounded = Ok(());
+    'frames: for (k, frame) in frames.iter().enumerate() {
+        paths += frame.path_ends.len() as u64;
+        lists += frame.list_ends.len() as u64;
+        let keys = frame.tuples.iter().map(|&b| u64::from_le_bytes(b));
+        for (id, key) in (table.len()..).zip(keys) {
+            if key >> 32 >= paths || key & u64::from(u32::MAX) >= lists {
+                bounded = Err(defect(k, Stage::Tuples)(format!(
+                    "tuple {id} names path {} and list {}, of {paths} and {lists}",
+                    key >> 32,
+                    key as u32
+                )));
+                break 'frames;
+            }
+            table.keys.push(key);
+        }
+    }
+    let TupleTable { keys, ids } = table;
+    let new = first as u32..keys.len() as u32;
+    let key = |id: u32| keys[id as usize];
+    let same = |a, b| key(a) == key(b);
+    match ids.index_distinct(new, |id| spread(key(id)), same, scratch) {
+        Some(id) => {
+            let frame = frame_of(frames, first, id, |f| f.tuples.len());
+            Err(defect(frame, Stage::Tuples)(format!(
+                "tuple {id} repeats an earlier tuple"
+            )))
+        }
+        None => bounded,
     }
 }
 
@@ -955,13 +1217,28 @@ fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
 /// fresh-start signal), a missing log is corrupt. Also returns the log's
 /// state, which the next [`save`] appends after, and the bytes read: the
 /// manifest and the committed range.
+///
+/// The committed range is mapped read-only ([`FileBytes::map`]), not
+/// copied: committed bytes are never rewritten ([`save`] only appends
+/// past them, and [`persist::append_at`] truncates a log only down to
+/// the end its own writer committed), and two processes on one
+/// checkpoint are unsupported, so the mapped bytes cannot change under
+/// the decode.
 pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog, u64), LoadError> {
+    open_with(path, FileBytes::map)
+}
+
+/// [`open`], reading the committed range with `read`.
+fn open_with<M: Manifest>(
+    path: &Path,
+    read: fn(&File, u64, usize) -> io::Result<FileBytes>,
+) -> Result<(M, SegmentLog, u64), LoadError> {
     let sealed = fs::read(path).map_err(|e| LoadError::io(path, e))?;
     let (mut manifest, log) = M::FORMAT.decode(&sealed, path, decode_manifest::<M>)?;
     let log_path = log_path(path);
     let corrupt = |detail: String| M::FORMAT.corrupt(&log_path, detail);
     let io_error = |e: io::Error| LoadError::io(&log_path, e);
-    let mut file = match File::open(&log_path) {
+    let file = match File::open(&log_path) {
         Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Err(corrupt(format!("segment log missing: {e}")))
@@ -977,10 +1254,7 @@ pub(crate) fn open<M: Manifest>(path: &Path) -> Result<(M, SegmentLog, u64), Loa
     }
     let len = usize::try_from(log.end - log.start)
         .map_err(|e| corrupt(format!("segment log range: {e}")))?;
-    let mut committed = vec![0; len];
-    file.seek(SeekFrom::Start(log.start))
-        .and_then(|_| file.read_exact(&mut committed))
-        .map_err(io_error)?;
+    let committed = read(&file, log.start, len).map_err(io_error)?;
     let (segment, checksum) = decode_log(&committed, log.checksum, log.counts).map_err(corrupt)?;
     *manifest.segment_mut() = segment;
     let (start, end, mark) = (log.start, log.end, manifest.segment().mark());
@@ -1004,8 +1278,9 @@ pub(crate) fn decode_manifest<M: Manifest>(payload: &[u8]) -> Result<(M, LogColu
 /// The segment the log's committed bytes hold, and the checksum state
 /// over them that the next append continues: their checksum must be the
 /// recorded one, every frame must decode onto the ones before it, and the
-/// segment must have the manifest's `counts`, for which its tables are
-/// sized before the first frame.
+/// segment must have the manifest's `counts`. A damaged log reports the
+/// defect a one-pass decode meets first (see
+/// [`StatsAccumulator::decode_frames`]).
 pub(crate) fn decode_log(
     committed: &[u8],
     checksum: u64,
@@ -1019,23 +1294,24 @@ pub(crate) fn decode_log(
             "segment log checksum {checksum:#018x} recorded, {computed:#018x} computed"
         ));
     }
-    // A path or list takes at least its 4-byte end in the log and a tuple
-    // its 8-byte key, so no count sizes more than the bytes can hold.
-    let at_most = |count: u64, bytes: usize| {
-        usize::try_from(count).map_or(0, |n| n.min(committed.len() / bytes))
-    };
-    let [paths, lists, tuples, _] = counts;
-    let mut segment = StatsAccumulator::new();
-    let seg = Arc::make_mut(&mut segment.seg);
-    seg.interner
-        .reserve(at_most(paths, 4), 0, 0, at_most(lists, 4), 0);
-    seg.reserve_tuples(at_most(tuples, 8));
+    // Every frame's columns first, each count checked against the bytes
+    // left, so the tables are sized for all frames before the first is
+    // built; a frame whose columns cannot be read ends the walk.
     let mut r = ColumnReader::new(committed);
+    let (mut frames, mut unreadable) = (Vec::new(), None);
     while !r.is_empty() {
-        segment
-            .decode_frame(&mut r)
-            .map_err(|e| format!("segment log: {e}"))?;
+        match Frame::read(&mut r) {
+            Ok(frame) => frames.push(frame),
+            Err(detail) => {
+                unreadable = Some(defect(frames.len(), Stage::Columns)(detail));
+                break;
+            }
+        }
     }
+    let mut segment = StatsAccumulator::new();
+    segment
+        .decode_frames(&frames, unreadable)
+        .map_err(|d| format!("segment log: {}", d.detail))?;
     let held = segment.mark().counts();
     if held != counts {
         return Err(format!(
@@ -1446,8 +1722,11 @@ pub(crate) mod tests {
     /// Decode what [`encoded`] wrote onto an empty segment.
     fn decoded(bytes: &[u8]) -> Result<StatsAccumulator, String> {
         let mut r = ColumnReader::new(&bytes[persist::HEADER_LEN..]);
+        let frame = Frame::read(&mut r)?;
         let mut segment = StatsAccumulator::new();
-        segment.decode_frame(&mut r)?;
+        segment
+            .decode_frames(&[frame], None)
+            .map_err(|d| d.detail)?;
         r.finish()?;
         Ok(segment)
     }
@@ -2035,6 +2314,148 @@ pub(crate) mod tests {
         let b = fingerprint_file(&path).unwrap();
         assert_eq!(b.bytes, a.bytes);
         assert_ne!(b.hash, a.hash);
+    }
+
+    /// `n` observations on `n` distinct paths, with lists that repeat
+    /// across them: enough, in a few thousand, for a merge or load to build
+    /// its tables on threads of their own.
+    fn large_workload(n: u32, first: u32) -> Vec<Observation> {
+        (first..first + n)
+            .map(|i| {
+                obs(
+                    65000 + i % 7,
+                    &format!("{} {} {} 64496", 65000 + i % 7, 1000 + i, 2000 + i % 97),
+                    &[
+                        (1299, (i % 50) as u16),
+                        (3356, (i % 7) as u16),
+                        (64999, (i % 3) as u16),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    /// Loads above [`CONCURRENT_MIN`] build their tables on threads; they
+    /// and merges of segments that large give the segment, the bytes and
+    /// the statistics of one sequential fold.
+    #[test]
+    fn large_merges_and_loads_equal_the_fold() {
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let parts: Vec<Vec<Observation>> =
+            (0..3).map(|k| large_workload(12_000, k * 9_000)).collect();
+        let all = parts.concat();
+        let mut folded = StatsAccumulator::new();
+        folded.ingest_ordered(&all, &siblings);
+        assert!(folded.interner().path_count() > CONCURRENT_MIN);
+        let mut merged = StatsAccumulator::new();
+        let mut segments = Vec::new();
+        for part in &parts {
+            let mut file = FileSegment::default();
+            for o in part {
+                file.push_observation(o.clone());
+            }
+            merged.merge_file(file, &siblings);
+            let mut segment = StatsAccumulator::new();
+            segment.ingest_ordered(part, &siblings);
+            segments.push(segment);
+        }
+        assert_eq!(merged, folded);
+        assert_eq!(encoded(&merged), encoded(&folded));
+        let mut unioned = StatsAccumulator::new();
+        for segment in segments {
+            unioned.merge(segment);
+        }
+        assert_eq!(unioned, folded);
+        assert_eq!(unioned.to_stats_threaded(2), folded.to_stats());
+
+        // One frame, and the same segment as three frames.
+        let whole = encoded(&folded)[persist::HEADER_LEN..].to_vec();
+        let mut framed = Vec::new();
+        let (mut grown, mut mark) = (StatsAccumulator::new(), SegmentMark::default());
+        for part in &parts {
+            grown.ingest_ordered(part, &siblings);
+            let mut frame = ColumnWriter { buf: Vec::new() };
+            grown.encode_since(&mark, &mut frame);
+            framed.extend_from_slice(&frame.buf);
+            mark = grown.mark();
+        }
+        let counts = folded.mark().counts();
+        for log in [whole, framed] {
+            let (loaded, _) = decode_log(&log, persist::checksum(&log), counts).unwrap();
+            assert_eq!(loaded, folded);
+            assert_eq!(encoded(&loaded), encoded(&folded));
+        }
+    }
+
+    /// A large log with a defect in each of two frames reports the first
+    /// frame's, though the later frame's is in a table its frame checks
+    /// earlier, and the first frame's is its last tuple.
+    #[test]
+    fn a_large_log_reports_its_earliest_defect() {
+        let siblings = SiblingMap::default();
+        let mut first = StatsAccumulator::new();
+        first.ingest_ordered(&large_workload(12_000, 0), &siblings);
+        let mut second = first.clone();
+        second.ingest_ordered(&large_workload(12_000, 50_000), &siblings);
+        let mut w = ColumnWriter { buf: Vec::new() };
+        first.encode_since(&SegmentMark::default(), &mut w);
+        let split = w.buf.len();
+        second.encode_since(&first.mark(), &mut w);
+        let mut log = w.buf;
+        let (tuples, first_tuple, tag) = {
+            let offset = |column: &[u8]| column.as_ptr() as usize - log.as_ptr() as usize;
+            let mut r = ColumnReader::new(&log);
+            let frame = Frame::read(&mut r).unwrap();
+            let next = Frame::read(&mut r).unwrap();
+            let tuples = frame.tuples.len();
+            (
+                tuples,
+                offset(frame.tuples.as_flattened()),
+                offset(next.tags),
+            )
+        };
+        let last_tuple = first_tuple + 8 * (tuples - 1);
+        assert!(last_tuple < split && tag > split);
+        let counts = second.mark().counts();
+        let refusal = |log: &[u8]| decode_log(log, persist::checksum(log), counts).unwrap_err();
+        log[tag] = 9;
+        assert_eq!(refusal(&log), "segment log: segment tag 9 out of range");
+        log.copy_within(first_tuple..first_tuple + 8, last_tuple);
+        let repeat = format!("segment log: tuple {} repeats an earlier tuple", tuples - 1);
+        for _ in 0..8 {
+            assert_eq!(refusal(&log), repeat);
+        }
+    }
+
+    /// A load that maps the committed range and one that reads it onto the
+    /// heap give equal manifests and log states, also for a range that
+    /// starts past byte 0 of the log (a complete save over an existing
+    /// checkpoint appends after what the log holds).
+    #[test]
+    fn mapped_and_heap_loads_are_equal() {
+        let dir =
+            std::env::temp_dir().join(format!("bgp-intent-ckpt-mapped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let siblings = SiblingMap::from_orgs(vec![vec![Asn::new(1299), Asn::new(64999)]]);
+        let mut cp = Checkpoint::new();
+        for (round, observations) in [workload(), large_workload(20_000, 0)].iter().enumerate() {
+            cp.snapshot.ingest_ordered(observations, &siblings);
+            cp.save_atomic(&path).unwrap();
+            let mapped = open_with::<Checkpoint>(&path, FileBytes::map).unwrap();
+            let heap = open_with::<Checkpoint>(&path, FileBytes::read).unwrap();
+            assert_eq!(mapped.0, cp);
+            assert_eq!(heap.0, mapped.0);
+            assert_eq!(
+                (heap.1.start, heap.1.end, heap.2),
+                (mapped.1.start, mapped.1.end, mapped.2)
+            );
+            assert_eq!(heap.1.checksum.finish(), mapped.1.checksum.finish());
+            assert_eq!(heap.1.mark, mapped.1.mark);
+            assert_eq!(mapped.1.start > 0, round > 0, "round {round}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The fold `infer --checkpoint` makes over `parts` as its files:

@@ -158,6 +158,9 @@ pub struct WindowedClassifier {
     /// Per ASN value: how many counted paths carry it. Its keys are
     /// `counts.seen_asns`.
     asn_paths: FxHashMap<u32, u32>,
+    /// The segment's statistics as the checkpoint this run resumed from
+    /// recorded them at its exit save, if it did.
+    recorded: Option<PathStats>,
     /// Current label per community, equal to `classify(counts)`'s labels.
     labels: FxHashMap<Community, Intent>,
     /// Current exclusions, equal to `classify(counts)`'s exclusions.
@@ -191,6 +194,7 @@ impl WindowedClassifier {
             touched_paths: 0,
             counts: PathStats::default(),
             asn_paths: FxHashMap::default(),
+            recorded: None,
             labels: FxHashMap::default(),
             excluded: FxHashMap::default(),
             owner_communities: FxHashMap::default(),
@@ -276,10 +280,17 @@ impl WindowedClassifier {
 
     /// The segment's statistics. When the window counts every tuple of
     /// the segment — nothing was evicted or dropped late — they are its
-    /// kept counts, and the kernel does not run again.
+    /// kept counts; when the checkpoint this run resumed from recorded them
+    /// over exactly the tuples the segment holds — a restart that folded
+    /// nothing new — they are the recorded ones. Either way the kernel does
+    /// not run again.
     fn cumulative_stats(&self, threads: usize) -> PathStats {
-        if self.counts.unique_tuples == self.segment.tuple_count() {
+        let tuples = self.segment.tuple_count();
+        if self.counts.unique_tuples == tuples {
             self.counts.clone()
+        } else if let Some(recorded) = self.recorded.as_ref().filter(|r| r.unique_tuples == tuples)
+        {
+            recorded.clone()
         } else {
             self.segment.to_stats_threaded(threads)
         }
@@ -596,6 +607,10 @@ impl WindowedClassifier {
             }
         }
         let (counts, asn_paths) = cp.windowed.to_counts();
+        let recorded = cp
+            .cumulative_stats
+            .as_ref()
+            .map(PathStatsSnapshot::to_stats);
         let mut wc = WindowedClassifier {
             window: WindowConfig {
                 window_secs: cp.window_secs,
@@ -612,6 +627,7 @@ impl WindowedClassifier {
             touched_paths: 0,
             counts,
             asn_paths,
+            recorded,
             labels,
             excluded,
             owner_communities,
@@ -631,7 +647,8 @@ impl WindowedClassifier {
     }
 
     /// The daemon's state at `cursor` as a [`WatchCheckpoint`], sharing
-    /// the segment rather than copying it.
+    /// the segment rather than copying it. The segment's statistics are
+    /// left out; the exit save adds them.
     pub fn checkpoint(&self, cursor: u64, records: u64, observations: u64) -> WatchCheckpoint {
         let mut labels: Vec<(u32, Intent)> =
             self.labels.iter().map(|(&c, &i)| (c.to_u32(), i)).collect();
@@ -655,6 +672,7 @@ impl WindowedClassifier {
             cumulative: self.segment.clone(),
             buckets: self.buckets.iter().cloned().collect(),
             windowed: WindowedStatsSnapshot::of(&self.counts, &self.asn_paths),
+            cumulative_stats: None,
             labels,
             excluded,
         }
@@ -686,28 +704,23 @@ impl WatchBucket {
     }
 }
 
-/// The window's kept counts as a checkpoint stores them, exactly, so a
-/// resumed run diffs, recounts and counts flaps from the counts the
-/// uninterrupted run held. (They are *not* derivable from the buckets
-/// alone: folds since the last reclassification are part of the buckets
-/// but not of the counts.)
+/// A [`PathStats`] as a checkpoint stores it, exactly: the window's kept
+/// counts, and the segment's statistics an exit save records.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowedStatsSnapshot {
+pub struct PathStatsSnapshot {
     /// `(packed community, on, off)` sorted by packed key.
     pub counts: Vec<(u32, u32, u32)>,
     /// ASN values on any counted path, sorted.
     pub seen_asns: Vec<u32>,
-    /// Per entry of `seen_asns`: how many counted paths carry it.
-    pub asn_paths: Vec<u32>,
     /// Unique `(path, communities)` tuples counted.
     pub unique_tuples: u64,
     /// Unique AS paths counted.
     pub unique_paths: u64,
 }
 
-impl WindowedStatsSnapshot {
-    /// `stats` and the path count of each of its `seen_asns`.
-    fn of(stats: &PathStats, asn_paths: &FxHashMap<u32, u32>) -> Self {
+impl PathStatsSnapshot {
+    /// The snapshot of `stats`.
+    pub fn of(stats: &PathStats) -> Self {
         let mut counts: Vec<(u32, u32, u32)> = stats
             .per_community
             .iter()
@@ -716,22 +729,17 @@ impl WindowedStatsSnapshot {
         counts.sort_unstable_by_key(|&(p, _, _)| p);
         let mut seen_asns: Vec<u32> = stats.seen_asns.iter().map(|a| a.value()).collect();
         seen_asns.sort_unstable();
-        let asn_paths = seen_asns
-            .iter()
-            .map(|a| asn_paths.get(a).copied().unwrap_or(0))
-            .collect();
-        WindowedStatsSnapshot {
+        PathStatsSnapshot {
             counts,
             seen_asns,
-            asn_paths,
             unique_tuples: stats.unique_tuples as u64,
             unique_paths: stats.unique_paths as u64,
         }
     }
 
     /// The inverse of [`of`](Self::of).
-    fn to_counts(&self) -> (PathStats, FxHashMap<u32, u32>) {
-        let stats = PathStats {
+    pub fn to_stats(&self) -> PathStats {
+        PathStats {
             per_community: self
                 .counts
                 .iter()
@@ -740,9 +748,40 @@ impl WindowedStatsSnapshot {
             seen_asns: self.seen_asns.iter().map(|&a| Asn::new(a)).collect(),
             unique_tuples: self.unique_tuples as usize,
             unique_paths: self.unique_paths as usize,
-        };
-        let asn_paths = self.seen_asns.iter().zip(&self.asn_paths);
-        (stats, asn_paths.map(|(&a, &n)| (a, n)).collect())
+        }
+    }
+}
+
+/// The window's kept counts as a checkpoint stores them, exactly, so a
+/// resumed run diffs, recounts and counts flaps from the counts the
+/// uninterrupted run held. (They are *not* derivable from the buckets
+/// alone: folds since the last reclassification are part of the buckets
+/// but not of the counts.)
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WindowedStatsSnapshot {
+    /// The counts.
+    pub stats: PathStatsSnapshot,
+    /// Per entry of `stats.seen_asns`: how many counted paths carry it.
+    pub asn_paths: Vec<u32>,
+}
+
+impl WindowedStatsSnapshot {
+    /// `stats` and the path count of each of its `seen_asns`.
+    fn of(stats: &PathStats, asn_paths: &FxHashMap<u32, u32>) -> Self {
+        let stats = PathStatsSnapshot::of(stats);
+        let asn_paths = stats
+            .seen_asns
+            .iter()
+            .map(|a| asn_paths.get(a).copied().unwrap_or(0))
+            .collect();
+        WindowedStatsSnapshot { stats, asn_paths }
+    }
+
+    /// The inverse of [`of`](Self::of).
+    fn to_counts(&self) -> (PathStats, FxHashMap<u32, u32>) {
+        let asn_paths = self.stats.seen_asns.iter().zip(&self.asn_paths);
+        let asn_paths = asn_paths.map(|(&a, &n)| (a, n)).collect();
+        (self.stats.to_stats(), asn_paths)
     }
 }
 
@@ -752,7 +791,7 @@ impl WindowedStatsSnapshot {
 /// commits a range of the segment log beside it
 /// ([`log_path`](Self::log_path)).
 ///
-/// # Manifest layout (version 7, all integers little-endian)
+/// # Manifest layout (version 8, all integers little-endian)
 ///
 /// The [`bgp_types::persist`] envelope with magic `BGPWCKPT`, then the payload, where
 /// a column is a `u64` element count followed by the elements:
@@ -770,6 +809,12 @@ impl WindowedStatsSnapshot {
 ///               strictly ascending), seen_asns · path-count columns (u32
 ///               each, ASNs strictly ascending, counts positive),
 ///               unique_tuples, unique_paths (u64)
+///   cumulative  the segment's statistics, recorded by the exit save
+///               and empty on a mid-run save: key · on · off columns (u32
+///               each, keys strictly ascending), seen_asns column (u32,
+///               strictly ascending), totals column (u64: none, or the
+///               tuples they cover — at most the segment's — and their
+///               unique paths)
 ///   labels      key column (u32, strictly ascending), intent column
 ///               (u8: 0 action, 1 information)
 ///   excluded    key column (u32, strictly ascending), reason column
@@ -781,9 +826,10 @@ impl WindowedStatsSnapshot {
 /// held u64 fingerprint sets, once cumulative and again per bucket,
 /// version 3 held the whole segment in the one file, version 4 held the
 /// counts without the per-ASN path counts or which tuples they counted,
-/// version 5 sealed the manifest and the log's range with FNV-1a 64, and
+/// version 5 sealed the manifest and the log's range with FNV-1a 64,
 /// version 6 logged each list entry's community value in place of its
-/// slot; all five are refused as [`LoadError::Version`].
+/// slot, and version 7 did not record the segment's statistics; all six
+/// are refused as [`LoadError::Version`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchCheckpoint {
     /// Resume position in the delivered byte stream (frame-aligned: every
@@ -812,6 +858,9 @@ pub struct WatchCheckpoint {
     pub buckets: Vec<WatchBucket>,
     /// The window's kept counts (see [`WindowedStatsSnapshot`]).
     pub windowed: WindowedStatsSnapshot,
+    /// The segment's statistics, recorded by a run's exit save; `None` in
+    /// a mid-run save.
+    pub cumulative_stats: Option<PathStatsSnapshot>,
     /// Current labels as `(packed community, intent)`, sorted by key.
     pub labels: Vec<(u32, Intent)>,
     /// Current exclusions as `(packed community, reason)`, sorted by key.
@@ -822,7 +871,7 @@ impl WatchCheckpoint {
     /// The envelope of watch checkpoint manifests.
     pub const FORMAT: Format = Format {
         magic: *b"BGPWCKPT",
-        version: 7,
+        version: 8,
         name: "checkpoint",
     };
 
@@ -890,14 +939,15 @@ impl Manifest for WatchCheckpoint {
             w.u64(bucket.counted as u64);
             w.column(&bucket.tuples, |t| t.to_le_bytes());
         }
-        let windowed = &self.windowed;
-        w.column(&windowed.counts, |&(key, _, _)| key.to_le_bytes());
-        w.column(&windowed.counts, |&(_, on, _)| on.to_le_bytes());
-        w.column(&windowed.counts, |&(_, _, off)| off.to_le_bytes());
-        w.column(&windowed.seen_asns, |a| a.to_le_bytes());
-        w.column(&windowed.asn_paths, |n| n.to_le_bytes());
+        let windowed = &self.windowed.stats;
+        put_counts(w, windowed);
+        w.column(&self.windowed.asn_paths, |n| n.to_le_bytes());
         w.u64(windowed.unique_tuples);
         w.u64(windowed.unique_paths);
+        let cumulative = self.cumulative_stats.as_ref();
+        put_counts(w, cumulative.unwrap_or(&PathStatsSnapshot::default()));
+        let totals = cumulative.map(|c| [c.unique_tuples, c.unique_paths]);
+        w.column(totals.as_ref().map_or(&[][..], |t| t), |n| n.to_le_bytes());
         put_keyed(w, &self.labels, &INTENTS);
         put_keyed(w, &self.excluded, &EXCLUSIONS);
     }
@@ -949,24 +999,8 @@ impl Manifest for WatchCheckpoint {
             });
         }
 
-        let keys = r.column("windowed keys", u32::from_le_bytes)?;
-        let on = r.column("windowed on counts", u32::from_le_bytes)?;
-        let off = r.column("windowed off counts", u32::from_le_bytes)?;
-        if on.len() != keys.len() || off.len() != keys.len() {
-            return Err(format!(
-                "windowed counts: {} keys, {} on, {} off",
-                keys.len(),
-                on.len(),
-                off.len()
-            ));
-        }
-        if !strictly_ascending(&keys) {
-            return Err("windowed keys not strictly ascending".into());
-        }
-        let seen_asns = r.column("windowed seen_asns", u32::from_le_bytes)?;
-        if !strictly_ascending(&seen_asns) {
-            return Err("windowed seen_asns not strictly ascending".into());
-        }
+        let mut stats = take_counts(r, "windowed")?;
+        let seen_asns = &stats.seen_asns;
         let asn_paths = r.column("windowed asn path counts", u32::from_le_bytes)?;
         if asn_paths.len() != seen_asns.len() {
             return Err(format!(
@@ -981,18 +1015,10 @@ impl Manifest for WatchCheckpoint {
                 seen_asns[at]
             ));
         }
-        let windowed = WindowedStatsSnapshot {
-            counts: keys
-                .into_iter()
-                .zip(on)
-                .zip(off)
-                .map(|((key, on), off)| (key, on, off))
-                .collect(),
-            seen_asns,
-            asn_paths,
-            unique_tuples: r.u64("windowed unique_tuples")?,
-            unique_paths: r.u64("windowed unique_paths")?,
-        };
+        stats.unique_tuples = r.u64("windowed unique_tuples")?;
+        stats.unique_paths = r.u64("windowed unique_paths")?;
+        let windowed = WindowedStatsSnapshot { stats, asn_paths };
+        let cumulative_stats = take_cumulative(r, tuple_count)?;
         let labels = keyed_bytes(r, "labels", &INTENTS)?;
         let excluded = keyed_bytes(r, "exclusions", &EXCLUSIONS)?;
         let cp = WatchCheckpoint {
@@ -1008,11 +1034,81 @@ impl Manifest for WatchCheckpoint {
             cumulative: StatsSnapshot::new(),
             buckets,
             windowed,
+            cumulative_stats,
             labels,
             excluded,
         };
         Ok((cp, log))
     }
+}
+
+/// Read the cumulative columns [`WatchCheckpoint`]'s `put` wrote: empty,
+/// or counts with keys and ASNs strictly ascending over at most
+/// `segment_tuples` tuples.
+fn take_cumulative(
+    r: &mut ColumnReader<'_>,
+    segment_tuples: u64,
+) -> Result<Option<PathStatsSnapshot>, String> {
+    let mut stats = take_counts(r, "cumulative")?;
+    let totals = r.column("cumulative totals", u64::from_le_bytes)?;
+    match totals[..] {
+        [] if stats == PathStatsSnapshot::default() => return Ok(None),
+        [tuples, paths] => (stats.unique_tuples, stats.unique_paths) = (tuples, paths),
+        _ => {
+            return Err(format!(
+                "cumulative totals: {} values for {} counts",
+                totals.len(),
+                stats.counts.len()
+            ))
+        }
+    }
+    if stats.unique_tuples > segment_tuples {
+        return Err(format!(
+            "cumulative counts cover {} tuples, of {segment_tuples}",
+            stats.unique_tuples
+        ));
+    }
+    Ok(Some(stats))
+}
+
+/// Write `stats`' counts as key · on · off columns, then its seen ASNs;
+/// its totals are the caller's.
+fn put_counts(w: &mut ColumnWriter, stats: &PathStatsSnapshot) {
+    let counts = &stats.counts;
+    w.column(counts, |&(key, _, _)| key.to_le_bytes());
+    w.column(counts, |&(_, on, _)| on.to_le_bytes());
+    w.column(counts, |&(_, _, off)| off.to_le_bytes());
+    w.column(&stats.seen_asns, |a| a.to_le_bytes());
+}
+
+/// Read what [`put_counts`] wrote, keys and ASNs strictly ascending, into
+/// a snapshot whose totals are the caller's to read; `what` names the
+/// columns and the failures.
+fn take_counts(r: &mut ColumnReader<'_>, what: &str) -> Result<PathStatsSnapshot, String> {
+    let keys = r.column(&format!("{what} keys"), u32::from_le_bytes)?;
+    let on = r.column(&format!("{what} on counts"), u32::from_le_bytes)?;
+    let off = r.column(&format!("{what} off counts"), u32::from_le_bytes)?;
+    if on.len() != keys.len() || off.len() != keys.len() {
+        return Err(format!(
+            "{what} counts: {} keys, {} on, {} off",
+            keys.len(),
+            on.len(),
+            off.len()
+        ));
+    }
+    if !strictly_ascending(&keys) {
+        return Err(format!("{what} keys not strictly ascending"));
+    }
+    let seen_asns = r.column(&format!("{what} seen_asns"), u32::from_le_bytes)?;
+    if !strictly_ascending(&seen_asns) {
+        return Err(format!("{what} seen_asns not strictly ascending"));
+    }
+    let counts = keys.into_iter().zip(on).zip(off);
+    Ok(PathStatsSnapshot {
+        counts: counts.map(|((key, on), off)| (key, on, off)).collect(),
+        seen_asns,
+        ..PathStatsSnapshot::default()
+    })
 }
 
 fn strictly_ascending<T: Ord>(xs: &[T]) -> bool {
@@ -1317,17 +1413,19 @@ pub fn run_watch<S: StreamSource>(
     }
 
     // Quiescent (or shutting down): bring labels up to date with the head
-    // bucket's folds, then flush a final checkpoint so a restart resumes
-    // from here instead of re-delivering the tail — unless it is the one
-    // the run resumed from.
+    // bucket's folds, then flush a final checkpoint, with the segment's
+    // statistics, so a restart resumes from here instead of re-delivering
+    // the tail and needs no kernel run for them — unless it is the one the
+    // run resumed from.
     classifier.reclassify(siblings);
     let cursor = cursor_base + decoder.consumed_bytes();
     let records = base_records + decoder.records_decoded();
-    if let Some(saver) = saver.as_mut() {
-        saver.save_at_exit(classifier.checkpoint(cursor, records, observations))?;
-    }
-
     let stats = classifier.cumulative_stats(opts.infer.threads);
+    if let Some(saver) = saver.as_mut() {
+        let mut cp = classifier.checkpoint(cursor, records, observations);
+        cp.cumulative_stats = Some(PathStatsSnapshot::of(&stats));
+        saver.save_at_exit(cp)?;
+    }
     let inference = classify(&stats, siblings, &opts.infer);
     if let Some(metrics) = opts.metrics.as_deref() {
         record_watch_metrics(
@@ -2296,9 +2394,9 @@ mod tests {
         // Two paths carry 900 and 999: "900 100 999" and "900 200 999".
         assert_eq!((wc.asn_paths[&900], wc.asn_paths[&999]), (2, 2));
         let snapshot = WindowedStatsSnapshot::of(&wc.counts, &wc.asn_paths);
-        assert!(strictly_ascending(&snapshot.counts));
-        assert!(strictly_ascending(&snapshot.seen_asns));
-        assert_eq!(snapshot.asn_paths.len(), snapshot.seen_asns.len());
+        assert!(strictly_ascending(&snapshot.stats.counts));
+        assert!(strictly_ascending(&snapshot.stats.seen_asns));
+        assert_eq!(snapshot.asn_paths.len(), snapshot.stats.seen_asns.len());
         assert_eq!(snapshot.to_counts(), (wc.counts, wc.asn_paths));
         assert_eq!(
             WindowedStatsSnapshot::of(&PathStats::default(), &FxHashMap::default()),
@@ -2331,6 +2429,100 @@ mod tests {
         }
     }
 
+    /// The segment's statistics an exit save records: they roundtrip, and
+    /// every bound of their columns is checked behind the seal.
+    #[test]
+    fn cumulative_columns_roundtrip_and_are_checked_behind_the_seal() {
+        let mut cp = churn_checkpoint();
+        assert_eq!(cp.cumulative_stats, None, "a mid-run save records none");
+        let stats = cp.cumulative.to_stats();
+        cp.cumulative_stats = Some(PathStatsSnapshot::of(&stats));
+        let back = decode(&cp.encode()).unwrap();
+        assert_eq!(back, cp);
+        assert_eq!(back.cumulative_stats.unwrap().to_stats(), stats);
+        let recorded = cp.cumulative_stats.clone().unwrap();
+        assert!(recorded.counts.len() > 1 && recorded.seen_asns.len() > 1);
+        let with = |edit: &dyn Fn(&mut PathStatsSnapshot)| {
+            let mut bad = cp.clone();
+            edit(bad.cumulative_stats.as_mut().unwrap());
+            bad.encode()
+        };
+        refused_as_corrupt(
+            &with(&|c| c.counts.swap(0, 1)),
+            "cumulative keys not strictly ascending",
+        );
+        refused_as_corrupt(
+            &with(&|c| c.seen_asns.reverse()),
+            "cumulative seen_asns not strictly ascending",
+        );
+        let tuples = cp.cumulative.tuple_count() as u64;
+        refused_as_corrupt(
+            &with(&|c| c.unique_tuples = tuples + 1),
+            &format!("cumulative counts cover {} tuples, of {tuples}", tuples + 1),
+        );
+        // Counts with no totals, and totals with a value missing.
+        let (manifest, log) = cp.encode();
+        let payload = &manifest[persist::HEADER_LEN..];
+        let totals = [2u64, recorded.unique_tuples, recorded.unique_paths]
+            .map(u64::to_le_bytes)
+            .concat();
+        let at = payload
+            .windows(totals.len())
+            .position(|w| w == totals.as_slice())
+            .expect("the totals column");
+        for (column, expect) in [
+            (
+                0u64.to_le_bytes().to_vec(),
+                "cumulative totals: 0 values for",
+            ),
+            (
+                [1u64, recorded.unique_tuples]
+                    .map(u64::to_le_bytes)
+                    .concat(),
+                "cumulative totals: 1 values for",
+            ),
+        ] {
+            let forged = [&payload[..at], &column, &payload[at + totals.len()..]].concat();
+            refused_as_corrupt(&reseal(&forged, &log), expect);
+        }
+    }
+
+    /// A restart takes the segment's statistics from its checkpoint when
+    /// they cover exactly the tuples the segment holds, and never runs the
+    /// kernel for them then; over any other count, the kernel's count
+    /// stands.
+    #[test]
+    fn a_restart_reads_recorded_statistics_only_over_the_same_tuples() {
+        let siblings = SiblingMap::default();
+        let cfg = InferenceConfig::default();
+        let mut wc = WindowedClassifier::new(window_cfg(), cfg.clone());
+        for o in &churn_stream() {
+            wc.observe(o, &siblings);
+        }
+        wc.reclassify(&siblings);
+        let tuples = wc.segment().tuple_count();
+        assert!(
+            wc.counts.unique_tuples < tuples,
+            "the window evicted tuples"
+        );
+        let stats = wc.segment().to_stats();
+        assert_eq!(wc.cumulative_stats(1), stats);
+        // Figures the kernel would never give, recorded over the same
+        // tuples: the resumed classifier reads them.
+        let mut recorded = PathStatsSnapshot::of(&stats);
+        recorded.unique_paths += 1000;
+        let mut cp = wc.checkpoint(0, 0, 0);
+        cp.cumulative_stats = Some(recorded.clone());
+        let resumed =
+            WindowedClassifier::from_checkpoint(&decode(&cp.encode()).unwrap(), cfg.clone());
+        assert_eq!(resumed.cumulative_stats(2), recorded.to_stats());
+        // Recorded over fewer tuples, they are not.
+        recorded.unique_tuples -= 1;
+        cp.cumulative_stats = Some(recorded);
+        let resumed = WindowedClassifier::from_checkpoint(&cp, cfg);
+        assert_eq!(resumed.cumulative_stats(2), stats);
+    }
+
     #[test]
     fn windowed_columns_and_geometry_are_checked_behind_the_seal() {
         let cp = churn_checkpoint();
@@ -2345,13 +2537,13 @@ mod tests {
         );
 
         let mut bad = cp.clone();
-        bad.windowed.seen_asns.reverse();
+        bad.windowed.stats.seen_asns.reverse();
         refused_as_corrupt(&bad.encode(), "windowed seen_asns not strictly ascending");
         let mut bad = cp.clone();
-        bad.windowed.counts.swap(0, 1);
+        bad.windowed.stats.counts.swap(0, 1);
         refused_as_corrupt(&bad.encode(), "windowed keys not strictly ascending");
         // A seen ASN on no path, and a path-count column one short.
-        let asns = cp.windowed.seen_asns.len();
+        let asns = cp.windowed.stats.seen_asns.len();
         assert!(asns > 1 && cp.windowed.asn_paths.iter().all(|&n| n > 0));
         let mut bad = cp.clone();
         bad.windowed.asn_paths[1] = 0;
@@ -2359,7 +2551,7 @@ mod tests {
             &bad.encode(),
             &format!(
                 "windowed asn path counts: ASN {} on 0 paths",
-                cp.windowed.seen_asns[1]
+                cp.windowed.stats.seen_asns[1]
             ),
         );
         let mut bad = cp.clone();
@@ -2807,6 +2999,46 @@ mod tests {
         assert!(got.len() > 2, "the churn stream advances the window");
         assert_eq!(folded, stream.len() as u64);
         assert_eq!(got, expected);
+    }
+
+    /// A run's exit save records the segment's statistics with the tuples
+    /// they cover; an idle restart resumes, reads them, writes nothing and
+    /// classifies as the run did.
+    #[test]
+    fn an_idle_restart_reads_the_statistics_the_exit_save_recorded() {
+        let (scenario, bytes) = memory_feed_world();
+        let dir = std::env::temp_dir().join(format!("bgp-watch-idle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("watch.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let run = || {
+            run_watch(
+                MemoryFeed::new(bytes.clone()),
+                &scenario.siblings,
+                &memory_feed_options(path.clone(), 2),
+                Arc::new(AtomicBool::new(false)),
+            )
+            .unwrap()
+        };
+        let fresh = run();
+        let cp = WatchCheckpoint::load(&path).unwrap();
+        let recorded = cp
+            .cumulative_stats
+            .as_ref()
+            .expect("the exit save records them");
+        assert_eq!(recorded.unique_tuples, cp.cumulative.tuple_count() as u64);
+        assert_eq!(recorded.to_stats(), fresh.stats);
+        let files = checkpoint_files(&path);
+        let idle = run();
+        assert!(idle.resumed);
+        assert_eq!(
+            checkpoint_files(&path),
+            files,
+            "an idle restart writes nothing"
+        );
+        assert_eq!(idle.stats, fresh.stats);
+        assert_eq!(idle.inference.labels, fresh.inference.labels);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Two fresh runs over the same feed write byte-identical manifests and

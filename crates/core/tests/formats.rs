@@ -587,3 +587,143 @@ fn segment_log_frames_refuse_each_slot_rule() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Commit `frames` as the log of a batch checkpoint at `path` (its range,
+/// checksum and counts rewritten in a sealed manifest) and load it: the
+/// refusal's detail, which must name the log.
+fn refusal_of_frames(path: &Path, frames: &[Vec<u8>]) -> String {
+    checkpoint(Vec::new()).save_atomic(path).unwrap();
+    let log = frames.concat();
+    let mut sealed = fs::read(path).unwrap();
+    let at = sealed.len() - 7 * 8;
+    let words = [0, log.len() as u64, checksum(&log), 1, 1, 1, 1];
+    for (i, word) in words.iter().enumerate() {
+        sealed[at + 8 * i..at + 8 * i + 8].copy_from_slice(&word.to_le_bytes());
+    }
+    Checkpoint::FORMAT.seal(&mut sealed);
+    fs::write(path, &sealed).unwrap();
+    fs::write(log_path(path), &log).unwrap();
+    match Checkpoint::load(path) {
+        Err(LoadError::Corrupt {
+            path: named,
+            detail,
+            ..
+        }) => {
+            assert_eq!(named, log_path(path));
+            detail
+        }
+        other => panic!("expected a corrupt log, got {other:?}"),
+    }
+}
+
+/// A frame with defects in two of its tables reports the one the frame's
+/// tables are checked in first: paths, then communities and lists, then
+/// tuples, then owner families.
+#[test]
+fn a_frame_with_two_defects_reports_the_first_table_s() {
+    let dir = workdir("two-defects");
+    let path = dir.join("run.ckpt");
+    let (c7, c8) = (100 << 16 | 7, 100 << 16 | 8);
+    let family: &[(u32, &[u32])] = &[(100, &[100])];
+    for (frame, expect) in [
+        (
+            frame(&[&[1, 100], &[1, 100]], &[c7, c7], &[&[0]], &[0], family),
+            "segment log: path 1 repeats an earlier path",
+        ),
+        (
+            frame(&[&[1, 100]], &[c7, c7], &[&[0]], &[0, 0], family),
+            "segment log: community 100:7 repeats an earlier community",
+        ),
+        (
+            frame(&[&[1, 100]], &[c7, c8], &[&[1, 0]], &[5 << 32], family),
+            "segment log: community list 0 uses slot 1 before slot 0",
+        ),
+        (
+            frame(&[&[1, 100]], &[c7], &[&[0]], &[0, 0], &[]),
+            "segment log: tuple 1 repeats an earlier tuple",
+        ),
+        (
+            frame(
+                &[&[1, 100]],
+                &[c7],
+                &[&[0]],
+                &[1 << 32],
+                &[(100, &[100]), (7, &[7])],
+            ),
+            "segment log: tuple 0 names path 1 and list 0, of 1 and 1",
+        ),
+        (
+            frame(
+                &[&[1, 100], &[2, 100], &[2, 100], &[1, 100]],
+                &[c7, c8],
+                &[&[0], &[1], &[1], &[0]],
+                &[0, 0],
+                family,
+            ),
+            "segment log: path 2 repeats an earlier path",
+        ),
+        (
+            frame(
+                &[&[1, 100]],
+                &[c7, c8],
+                &[&[0], &[1], &[1], &[0]],
+                &[0, 0],
+                family,
+            ),
+            "segment log: community list 2 repeats an earlier list",
+        ),
+    ] {
+        assert_eq!(refusal_of_frames(&path, &[frame]), expect);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Defects in two frames report the earlier frame's, even where the later
+/// frame's defect is in a table its frame checks first, or in the frame's
+/// columns themselves.
+#[test]
+fn defects_in_two_frames_report_the_earlier_frame_s() {
+    let dir = workdir("two-frames");
+    let path = dir.join("run.ckpt");
+    let (c7, c8) = (100 << 16 | 7, 100 << 16 | 8);
+    let family: &[(u32, &[u32])] = &[(100, &[100])];
+    let mut unreadable = u64::MAX.to_le_bytes().to_vec();
+    unreadable.extend_from_slice(&[0; 12]);
+    for (frames, expect) in [
+        (
+            vec![
+                frame(&[&[1, 100]], &[c7], &[&[0]], &[0, 0], family),
+                frame(&[&[1, 100]], &[], &[], &[], &[]),
+            ],
+            "segment log: tuple 1 repeats an earlier tuple",
+        ),
+        (
+            vec![
+                frame(&[&[1, 100]], &[c7], &[&[0]], &[0], &[]),
+                frame(&[&[2, 100]], &[c7], &[&[0]], &[1 << 32], &[]),
+            ],
+            "segment log: community 100:7 has no owner family",
+        ),
+        (
+            vec![
+                frame(&[&[1, 100]], &[c7, c8], &[&[1, 0]], &[0], family),
+                frame(&[&[1, 100]], &[], &[], &[], &[]),
+            ],
+            "segment log: community list 0 uses slot 1 before slot 0",
+        ),
+        (
+            vec![
+                frame(&[&[1, 100]], &[c7], &[&[0]], &[0, 0], family),
+                unreadable.clone(),
+            ],
+            "segment log: tuple 1 repeats an earlier tuple",
+        ),
+        (
+            vec![frame(&[&[1, 100]], &[c7], &[&[0]], &[0], family), unreadable],
+            "segment log: path ends: 18446744073709551615 elements of 4 bytes exceed the 12 bytes left",
+        ),
+    ] {
+        assert_eq!(refusal_of_frames(&path, &frames), expect);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -13,7 +13,7 @@ use bgp_intent::checkpoint::log_path;
 use bgp_intent::classify::{classify, InferenceConfig};
 use bgp_intent::cluster::gap_clusters;
 use bgp_intent::stats::{reference_stats, PathCounts, PathStats};
-use bgp_intent::watch::WindowedStatsSnapshot;
+use bgp_intent::watch::{PathStatsSnapshot, WindowedStatsSnapshot};
 use bgp_intent::{
     label_rows, Checkpoint, CheckpointSaver, CompletedFile, FileFingerprint, FileSegment,
     StatsAccumulator, WatchCheckpoint, WindowConfig, WindowedClassifier,
@@ -428,11 +428,13 @@ fn kept_counts_of(stats: &PathStats, observations: &[Observation]) -> WindowedSt
         }
     }
     WindowedStatsSnapshot {
-        counts,
-        seen_asns: asn_paths.keys().copied().collect(),
+        stats: PathStatsSnapshot {
+            counts,
+            seen_asns: asn_paths.keys().copied().collect(),
+            unique_tuples: stats.unique_tuples as u64,
+            unique_paths: stats.unique_paths as u64,
+        },
         asn_paths: asn_paths.into_values().collect(),
-        unique_tuples: stats.unique_tuples as u64,
-        unique_paths: stats.unique_paths as u64,
     }
 }
 

@@ -135,10 +135,6 @@ impl ObservationSink for ObservationStore {
     }
 }
 
-/// Sentinel marking an empty [`IdTable`] slot. Dense IDs can never reach
-/// it: that many unique elements would exhaust memory long before.
-const EMPTY: u32 = u32::MAX;
-
 /// An open-addressing table from 64-bit hashes to dense IDs — the
 /// interner's hottest structure, probed twice per observation. The hash
 /// is already mixed, so its low bits pick the first slot and a probe is a
@@ -146,13 +142,19 @@ const EMPTY: u32 = u32::MAX;
 /// the caller's exact comparison makes it a hit. A collision therefore
 /// costs one more compare, never a wrong ID.
 ///
+/// A slot keeps its ID plus one, so an all-zero slot is free: a new table
+/// comes zeroed from the allocator with no pass to fill it, and whichever
+/// thread fills it first writes one slot per page before it probes. IDs
+/// stop below `u32::MAX`; that many unique elements would exhaust memory
+/// long before.
+///
 /// Two tables are equal when they hold the same `(hash, ID)` entries: a
 /// table reserved up front and one grown by inserting the same entries
 /// place them at different slots.
 #[derive(Debug, Clone, Default)]
 pub struct IdTable {
-    /// `(hash, id)` pairs; capacity is a power of two, `EMPTY` ids mark
-    /// free slots. Load factor stays ≤ 3/4.
+    /// `(hash, id + 1)` pairs, `(0, 0)` when free; capacity is a power of
+    /// two. Load factor stays ≤ 3/4.
     slots: Vec<(u64, u32)>,
     len: usize,
 }
@@ -167,12 +169,12 @@ impl IdTable {
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
-            let (slot_hash, id) = self.slots[i];
-            if id == EMPTY {
+            let (slot_hash, stored) = self.slots[i];
+            if stored == 0 {
                 return None;
             }
-            if slot_hash == hash && is_key(id) {
-                return Some(id);
+            if slot_hash == hash && is_key(stored - 1) {
+                return Some(stored - 1);
             }
             i = (i + 1) & mask;
         }
@@ -200,20 +202,109 @@ impl IdTable {
 
     /// Move every entry into a table of `cap` slots.
     fn rehash(&mut self, cap: usize) {
-        for (hash, id) in std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]) {
-            if id != EMPTY {
-                self.place(hash, id);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); cap]);
+        if self.len > 0 {
+            self.touch();
+        }
+        for (hash, stored) in old {
+            if stored != 0 {
+                self.place(hash, stored - 1);
             }
+        }
+    }
+
+    /// Write the first slot of every page of a table that holds no entry
+    /// yet, so each page's first access is a write: a probe that read it
+    /// first would map the shared zero page, and the insert after it would
+    /// fault again. (The value is hidden from the optimizer, which would
+    /// drop a store of zeros to memory it knows is zeroed.)
+    fn touch(&mut self) {
+        const PER_PAGE: usize = 4096 / std::mem::size_of::<(u64, u32)>();
+        for page in self.slots.chunks_mut(PER_PAGE) {
+            page[0] = std::hint::black_box((0, 0));
         }
     }
 
     fn place(&mut self, hash: u64, id: u32) {
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
-        while self.slots[i].1 != EMPTY {
+        while self.slots[i].1 != 0 {
             i = (i + 1) & mask;
         }
-        self.slots[i] = (hash, id);
+        self.slots[i] = (hash, id + 1);
+    }
+
+    /// Index the IDs `new` at once, `hash(id)` the hash of each, where no
+    /// two values are meant to be equal: the bulk form of
+    /// [`find`](Self::find) then [`insert`](Self::insert) per ID, for a
+    /// table rebuilt from values known to be distinct. `same(a, b)` says
+    /// whether the values of IDs `a < b` are equal.
+    ///
+    /// The IDs are placed in the order of the region their probe starts
+    /// in (a counting sort on the probe start's high bits, stable in ID
+    /// order), so the table is swept once, a region at a time, where one
+    /// insert per ID would reach it at random — each a cache miss once the
+    /// table outgrows the cache. Equal values hash alike, so an ID meets
+    /// every equal one with a smaller ID first. Returns the smallest ID
+    /// whose value equals one with a smaller ID — what inserting in ID
+    /// order would stop at first — and then leaves the table part-way.
+    /// The order is built in `scratch`.
+    pub fn index_distinct(
+        &mut self,
+        new: std::ops::Range<u32>,
+        hash: impl Fn(u32) -> u64,
+        mut same: impl FnMut(u32, u32) -> bool,
+        scratch: &mut IndexScratch,
+    ) -> Option<u32> {
+        if new.is_empty() {
+            return None;
+        }
+        self.reserve(new.len());
+        if self.len == 0 {
+            self.touch();
+        }
+        let order = &mut scratch.order;
+        self.region_order(new, &hash, order);
+        let mut repeat: Option<u32> = None;
+        for &id in order.iter() {
+            let hash = hash(id);
+            if self.find(hash, |earlier| same(earlier, id)).is_some() {
+                repeat = Some(repeat.map_or(id, |r| r.min(id)));
+            } else {
+                self.place(hash, id);
+                self.len += 1;
+            }
+        }
+        repeat
+    }
+
+    /// `ids` into `order`, ordered by the region of this table their probe
+    /// starts in (a counting sort on the probe start's high bits: at most
+    /// 2^12 regions), in ID order within a region.
+    fn region_order(
+        &self,
+        ids: std::ops::Range<u32>,
+        hash: &impl Fn(u32) -> u64,
+        order: &mut Vec<u32>,
+    ) {
+        let bits = self.slots.len().trailing_zeros();
+        let shift = bits.saturating_sub(REGION_BITS);
+        let mask = self.slots.len() - 1;
+        let region = |id: u32| (hash(id) as usize & mask) >> shift;
+        let mut starts = vec![0u32; (1 << (bits - shift)) + 1];
+        for id in ids.clone() {
+            starts[region(id) + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        order.clear();
+        order.resize(ids.len(), 0);
+        for id in ids {
+            let at = &mut starts[region(id)];
+            order[*at as usize] = id;
+            *at += 1;
+        }
     }
 
     /// Every `(hash, id)` entry, sorted.
@@ -222,7 +313,8 @@ impl IdTable {
             .slots
             .iter()
             .copied()
-            .filter(|&(_, id)| id != EMPTY)
+            .filter(|&(_, stored)| stored != 0)
+            .map(|(hash, stored)| (hash, stored - 1))
             .collect();
         entries.sort_unstable();
         entries
@@ -233,6 +325,44 @@ impl PartialEq for IdTable {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.entries() == other.entries()
     }
+}
+
+/// The regions [`IdTable::index_distinct`] orders its IDs by: at most
+/// 2^12, so a region of a large table is a few cache lines of slots.
+const REGION_BITS: u32 = 12;
+
+/// The buffers a bulk index works in ([`IdTable::index_distinct`],
+/// [`PathTable::extend_distinct`], [`ListTable::extend_distinct`]): the
+/// IDs in placement order and, for lists, their probe hashes. A load that
+/// builds its tables on task threads sizes them in the calling thread and
+/// drops them there: memory a task thread allocates and frees stays in
+/// that thread's allocator arena, where the thread that goes on with the
+/// segment cannot reuse it (≈2 MB more of the `shard` supervisor's peak
+/// on `ribs`, which loads two artifacts at once).
+#[derive(Debug, Default)]
+pub struct IndexScratch {
+    order: Vec<u32>,
+    hashes: Vec<u64>,
+}
+
+impl IndexScratch {
+    /// Room to index `ids` IDs at once, `hashes` of them lists.
+    pub fn with_capacity(ids: usize, hashes: usize) -> Self {
+        IndexScratch {
+            order: Vec::with_capacity(ids),
+            hashes: Vec::with_capacity(hashes),
+        }
+    }
+}
+
+/// Why [`PathTable::extend_distinct`] or [`ListTable::extend_distinct`]
+/// refused what it was given.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExtendError<E> {
+    /// The smallest ID whose value equals one with a smaller ID.
+    Repeat(u32),
+    /// The filler's own error.
+    Fill(E),
 }
 
 /// The probe hash of a community list, from its values, so a list hashes
@@ -254,81 +384,80 @@ fn list_hash(len: usize, mut communities: impl Iterator<Item = Community>) -> u6
 /// once, as its run of slots; its values are read through the slot
 /// dictionary. Interning is deterministic: the same sequence of paths and
 /// lists always yields the same IDs, slots and pools.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The two halves are independent tables — the [`PathTable`] and the
+/// [`ListTable`] with its slot dictionary — so a segment rebuilt from
+/// another's columns can fill both at once ([`tables_mut`](Self::tables_mut)):
+/// each keeps its first-seen IDs however the other is built.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Interner {
-    // ---- AS paths (ID space: 0..path_count) ----
-    path_ids: IdTable,
+    paths: PathTable,
+    lists: ListTable,
+}
+
+/// The AS paths of an [`Interner`] (ID space: `0..len`), flat: per-path
+/// segment descriptors and ASN values in shared pools, and each path's
+/// sorted unique members beside them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathTable {
+    ids: IdTable,
     /// Each path's probe hash ([`AsPathView::fingerprint`]), so merging
-    /// another interner's paths in never rehashes them.
-    path_hashes: Vec<u64>,
-    /// `path_seg_offsets[id]..path_seg_offsets[id+1]` indexes `path_segs`.
-    path_seg_offsets: Vec<u32>,
+    /// another table's paths in never rehashes them.
+    hashes: Vec<u64>,
+    /// `seg_offsets[id]..seg_offsets[id+1]` indexes `segs`.
+    seg_offsets: Vec<u32>,
     /// Per-segment `(tag, ASN count)` pairs of each interned path
     /// (`SEG_SET`/`SEG_SEQUENCE` tags — the flat wire shape).
-    path_segs: Vec<(u8, u32)>,
-    /// `path_asn_offsets[id]..path_asn_offsets[id+1]` indexes `path_asns`.
-    path_asn_offsets: Vec<u32>,
+    segs: Vec<(u8, u32)>,
+    /// `asn_offsets[id]..asn_offsets[id+1]` indexes `asns`.
+    asn_offsets: Vec<u32>,
     /// Every ASN of each interned path in path order (prepends and set
     /// members inline) — the [`AsPathView`] backing pool.
-    path_asns: Vec<u32>,
+    asns: Vec<u32>,
     /// `member_offsets[id]..member_offsets[id+1]` indexes `members`.
     member_offsets: Vec<u32>,
     /// Sorted, deduped ASN values of each path (prepends collapse here).
     members: Vec<u32>,
-
-    // ---- community lists (ID space: 0..cset_count) ----
-    cset_ids: IdTable,
-    /// `cset_offsets[id]..cset_offsets[id+1]` indexes `cset_slot_pool`.
-    cset_offsets: Vec<u32>,
-    /// Each exact ordered community list as its communities' slot IDs
-    /// (order and duplicates preserved — tuple identity is
-    /// order-sensitive), so the stats kernel indexes per-community state
-    /// with no hashing.
-    cset_slot_pool: Vec<u32>,
-
-    // ---- individual communities (slot space: 0..community_count) ----
-    community_ids: FxHashMap<u32, u32>,
-    /// The slot dictionary: the community behind each slot.
-    communities: Vec<Community>,
 }
 
-impl Default for Interner {
+impl Default for PathTable {
     fn default() -> Self {
-        Interner {
-            path_ids: IdTable::default(),
-            path_hashes: Vec::new(),
-            path_seg_offsets: vec![0],
-            path_segs: Vec::new(),
-            path_asn_offsets: vec![0],
-            path_asns: Vec::new(),
+        PathTable {
+            ids: IdTable::default(),
+            hashes: Vec::new(),
+            seg_offsets: vec![0],
+            segs: Vec::new(),
+            asn_offsets: vec![0],
+            asns: Vec::new(),
             member_offsets: vec![0],
             members: Vec::new(),
-            cset_ids: IdTable::default(),
-            cset_offsets: vec![0],
-            cset_slot_pool: Vec::new(),
-            community_ids: FxHashMap::default(),
-            communities: Vec::new(),
         }
     }
 }
 
-impl Interner {
+impl PathTable {
     /// The ID of `path`, interning it on first sight. The hot (already
     /// interned) outcome is one probe and an exact compare of the flat
     /// slices; first sight copies them into the pools.
-    pub fn intern_path(&mut self, path: &AsPathView<'_>) -> u32 {
-        self.intern_path_hashed(path, path.fingerprint())
+    pub fn intern(&mut self, path: &AsPathView<'_>) -> u32 {
+        self.intern_hashed(path, path.fingerprint())
     }
 
-    fn intern_path_hashed(&mut self, path: &AsPathView<'_>, hash: u64) -> u32 {
-        if let Some(id) = self.path_ids.find(hash, |id| self.path_view(id) == *path) {
+    fn intern_hashed(&mut self, path: &AsPathView<'_>, hash: u64) -> u32 {
+        if let Some(id) = self.ids.find(hash, |id| self.view(id) == *path) {
             return id;
         }
-        let id = self.path_hashes.len() as u32;
-        self.path_ids.insert(hash, id);
-        self.path_hashes.push(hash);
-        self.path_segs.extend_from_slice(path.segs);
-        self.path_asns.extend_from_slice(path.asns);
+        let id = self.push(path, hash);
+        self.ids.insert(hash, id);
+        id
+    }
+
+    /// Append `path` to the pools, unindexed; returns its ID.
+    fn push(&mut self, path: &AsPathView<'_>, hash: u64) -> u32 {
+        let id = self.hashes.len() as u32;
+        self.hashes.push(hash);
+        self.segs.extend_from_slice(path.segs);
+        self.asns.extend_from_slice(path.asns);
         // The sorted member slice, deduped in place (no scratch).
         let start = self.members.len();
         self.members.extend_from_slice(path.asns);
@@ -343,19 +472,170 @@ impl Interner {
         }
         self.members.truncate(start + kept);
         self.member_offsets.push(self.members.len() as u32);
-        self.path_seg_offsets.push(self.path_segs.len() as u32);
-        self.path_asn_offsets.push(self.path_asns.len() as u32);
+        self.seg_offsets.push(self.segs.len() as u32);
+        self.asn_offsets.push(self.asns.len() as u32);
         id
     }
 
+    /// Append paths known to be distinct, as a checkpoint load does:
+    /// `fill` pushes each through the [`PathAppender`], in ID order, and may
+    /// stop with an error of its own; every path it pushed is then indexed
+    /// at once ([`IdTable::index_distinct`], in `scratch`). IDs and pools are those
+    /// interning the same paths one by one gives. A path equal to an
+    /// earlier one — pushed or already held — is refused by the smallest
+    /// such ID, ahead of `fill`'s error: every path pushed came before it.
+    pub fn extend_distinct<E>(
+        &mut self,
+        scratch: &mut IndexScratch,
+        fill: impl FnOnce(&mut PathAppender<'_>) -> Result<(), E>,
+    ) -> Result<(), ExtendError<E>> {
+        let first = self.len();
+        let filled = fill(&mut PathAppender { table: self });
+        let PathTable {
+            ids,
+            hashes,
+            seg_offsets,
+            segs,
+            asn_offsets,
+            asns,
+            ..
+        } = self;
+        let view = |id: u32| {
+            let i = id as usize;
+            let segs = &segs[seg_offsets[i] as usize..seg_offsets[i + 1] as usize];
+            let asns = &asns[asn_offsets[i] as usize..asn_offsets[i + 1] as usize];
+            (segs, asns)
+        };
+        let new = first as u32..hashes.len() as u32;
+        let same = |a, b| view(a) == view(b);
+        match ids.index_distinct(new, |id| hashes[id as usize], same, scratch) {
+            Some(id) => Err(ExtendError::Repeat(id)),
+            None => filled.map_err(ExtendError::Fill),
+        }
+    }
+
+    /// Make room for `paths` more paths of `segs` segments and `asns` hops
+    /// in all, the ID table included: interning that many rehashes nothing.
+    pub fn reserve(&mut self, paths: usize, segs: usize, asns: usize) {
+        self.ids.reserve(paths);
+        for offsets in [
+            &mut self.seg_offsets,
+            &mut self.asn_offsets,
+            &mut self.member_offsets,
+        ] {
+            offsets.reserve(paths);
+        }
+        self.hashes.reserve(paths);
+        self.segs.reserve(segs);
+        self.asns.reserve(asns);
+        self.members.reserve(asns);
+    }
+
+    /// Intern every path of `other`, in its ID order, without rehashing
+    /// them; returns the map from `other`'s path IDs to this table's.
+    fn absorb(&mut self, other: &PathTable) -> Vec<u32> {
+        (0..other.len() as u32)
+            .map(|id| self.intern_hashed(&other.view(id), other.hashes[id as usize]))
+            .collect()
+    }
+
+    /// The flat pools behind the path IDs, as a segment persists them:
+    /// each path's end offset into the segments, the `(tag, ASN count)`
+    /// segments, and the ASNs.
+    pub fn pools(&self) -> (&[u32], &[(u8, u32)], &[u32]) {
+        (&self.seg_offsets[1..], &self.segs, &self.asns)
+    }
+
+    /// Number of distinct AS paths interned.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Whether no path is interned.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// The interned path for a path ID, borrowed from the flat pools.
+    pub fn view(&self, id: u32) -> AsPathView<'_> {
+        let i = id as usize;
+        let seg_lo = self.seg_offsets[i] as usize;
+        let seg_hi = self.seg_offsets[i + 1] as usize;
+        AsPathView {
+            segs: &self.segs[seg_lo..seg_hi],
+            asns: self.hops(id),
+        }
+    }
+
+    /// Every ASN of the interned path in path order, duplicates (prepends)
+    /// and set members inline — the flat form of `path.iter()`.
+    pub fn hops(&self, id: u32) -> &[u32] {
+        let lo = self.asn_offsets[id as usize] as usize;
+        let hi = self.asn_offsets[id as usize + 1] as usize;
+        &self.asns[lo..hi]
+    }
+
+    /// Sorted, deduped ASN values of the interned path.
+    pub fn members(&self, id: u32) -> &[u32] {
+        let lo = self.member_offsets[id as usize] as usize;
+        let hi = self.member_offsets[id as usize + 1] as usize;
+        &self.members[lo..hi]
+    }
+}
+
+/// Pushes paths onto a [`PathTable`]'s pools, unindexed, for
+/// [`PathTable::extend_distinct`].
+#[derive(Debug)]
+pub struct PathAppender<'a> {
+    table: &'a mut PathTable,
+}
+
+impl PathAppender<'_> {
+    /// Append `path`; returns its ID.
+    pub fn push(&mut self, path: &AsPathView<'_>) -> u32 {
+        self.table.push(path, path.fingerprint())
+    }
+}
+
+/// The community lists of an [`Interner`] (ID space: `0..len`), each kept
+/// as its communities' slot IDs, and the slot dictionary those slots index
+/// (slot space: `0..community_count`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ListTable {
+    ids: IdTable,
+    /// `offsets[id]..offsets[id+1]` indexes `slot_pool`.
+    offsets: Vec<u32>,
+    /// Each exact ordered community list as its communities' slot IDs
+    /// (order and duplicates preserved — tuple identity is
+    /// order-sensitive), so the stats kernel indexes per-community state
+    /// with no hashing.
+    slot_pool: Vec<u32>,
+    community_ids: FxHashMap<u32, u32>,
+    /// The slot dictionary: the community behind each slot.
+    communities: Vec<Community>,
+}
+
+impl Default for ListTable {
+    fn default() -> Self {
+        ListTable {
+            ids: IdTable::default(),
+            offsets: vec![0],
+            slot_pool: Vec::new(),
+            community_ids: FxHashMap::default(),
+            communities: Vec::new(),
+        }
+    }
+}
+
+impl ListTable {
     /// The ID of the exact list `communities`, interning it on first sight
     /// and giving its first-seen communities their slot IDs. A candidate is
     /// compared through the slot dictionary, and a new list looks up each
     /// of its communities' slots once.
-    pub fn intern_cset(&mut self, communities: &[Community]) -> u32 {
+    pub fn intern(&mut self, communities: &[Community]) -> u32 {
         let hash = list_hash(communities.len(), communities.iter().copied());
-        let found = self.cset_ids.find(hash, |id| {
-            let slots = self.cset_slots(id);
+        let found = self.ids.find(hash, |id| {
+            let slots = self.slots(id);
             slots.len() == communities.len()
                 && slots
                     .iter()
@@ -365,31 +645,82 @@ impl Interner {
         if let Some(id) = found {
             return id;
         }
-        let id = self.cset_count() as u32;
-        self.cset_ids.insert(hash, id);
+        let id = self.len() as u32;
+        self.ids.insert(hash, id);
         for &c in communities {
             let slot = self.intern_community(c);
-            self.cset_slot_pool.push(slot);
+            self.slot_pool.push(slot);
         }
-        self.cset_offsets.push(self.cset_slot_pool.len() as u32);
+        self.offsets.push(self.slot_pool.len() as u32);
         id
     }
 
-    /// The ID of the exact list whose communities are this interner's
+    /// The ID of the exact list whose communities are this table's
     /// `slots`, interning it on first sight: no dictionary lookup per
     /// entry, and a candidate is compared slot for slot. Every slot must
     /// be below [`community_count`](Self::community_count).
-    pub fn intern_cset_slots(&mut self, slots: &[u32]) -> u32 {
-        let dictionary = &self.communities;
-        let hash = list_hash(slots.len(), slots.iter().map(|&s| dictionary[s as usize]));
-        if let Some(id) = self.cset_ids.find(hash, |id| self.cset_slots(id) == slots) {
+    pub fn intern_slots(&mut self, slots: &[u32]) -> u32 {
+        let hash = self.slots_hash(slots);
+        if let Some(id) = self.ids.find(hash, |id| self.slots(id) == slots) {
             return id;
         }
-        let id = self.cset_count() as u32;
-        self.cset_ids.insert(hash, id);
-        self.cset_slot_pool.extend_from_slice(slots);
-        self.cset_offsets.push(self.cset_slot_pool.len() as u32);
+        let id = self.push_slots(slots);
+        self.ids.insert(hash, id);
         id
+    }
+
+    /// The probe hash of the list whose communities are `slots`.
+    fn slots_hash(&self, slots: &[u32]) -> u64 {
+        let dictionary = &self.communities;
+        list_hash(slots.len(), slots.iter().map(|&s| dictionary[s as usize]))
+    }
+
+    /// Append the list `slots` to the pool, unindexed; returns its ID.
+    fn push_slots(&mut self, slots: &[u32]) -> u32 {
+        let id = self.len() as u32;
+        self.slot_pool.extend_from_slice(slots);
+        self.offsets.push(self.slot_pool.len() as u32);
+        id
+    }
+
+    /// Append lists known to be distinct, as a checkpoint load does:
+    /// `fill` gives communities their slots and pushes each list, as
+    /// slots, through the [`ListAppender`], in ID order, and may stop with
+    /// an error of its own; every list it pushed is then hashed and indexed
+    /// at once ([`IdTable::index_distinct`], in `scratch`). IDs, slots and
+    /// pools are those
+    /// interning the same communities and lists one by one gives. A list
+    /// equal to an earlier one — pushed or already held — is refused by the
+    /// smallest such ID, ahead of `fill`'s error: every list pushed came
+    /// before it.
+    pub fn extend_distinct<E>(
+        &mut self,
+        scratch: &mut IndexScratch,
+        fill: impl FnOnce(&mut ListAppender<'_>) -> Result<(), E>,
+    ) -> Result<(), ExtendError<E>> {
+        let first = self.len();
+        let filled = fill(&mut ListAppender { table: self });
+        let new = first as u32..self.len() as u32;
+        let mut hashes = std::mem::take(&mut scratch.hashes);
+        hashes.clear();
+        hashes.extend(new.clone().map(|id| self.slots_hash(self.slots(id))));
+        let ListTable {
+            ids,
+            offsets,
+            slot_pool,
+            ..
+        } = self;
+        let slots = |id: u32| {
+            let i = id as usize;
+            &slot_pool[offsets[i] as usize..offsets[i + 1] as usize]
+        };
+        let hash = |id: u32| hashes[(id as usize) - first];
+        let repeat = ids.index_distinct(new, hash, |a, b| slots(a) == slots(b), scratch);
+        scratch.hashes = hashes;
+        match repeat {
+            Some(id) => Err(ExtendError::Repeat(id)),
+            None => filled.map_err(ExtendError::Fill),
+        }
     }
 
     /// The slot ID of `c`, giving it the next one on first sight.
@@ -400,6 +731,139 @@ impl Interner {
             self.communities.push(c);
         }
         slot
+    }
+
+    /// Make room for `lists` more lists of `entries` communities in all,
+    /// the ID table included: interning that many rehashes nothing.
+    pub fn reserve(&mut self, lists: usize, entries: usize) {
+        self.ids.reserve(lists);
+        self.offsets.reserve(lists);
+        self.slot_pool.reserve(entries);
+    }
+
+    /// Intern every list of `other`, in its ID order, and return the map
+    /// from `other`'s list IDs to this table's. `other`'s communities are
+    /// mapped to this table's slots once, in `other`'s slot order — the
+    /// order its lists first use them — so each list is interned by its
+    /// slots, with no lookup per entry.
+    fn absorb(&mut self, other: &ListTable) -> Vec<u32> {
+        let slot_map: Vec<u32> = other
+            .communities
+            .iter()
+            .map(|&c| self.intern_community(c))
+            .collect();
+        let mut slots = Vec::new();
+        (0..other.len() as u32)
+            .map(|id| {
+                slots.clear();
+                slots.extend(other.slots(id).iter().map(|&s| slot_map[s as usize]));
+                self.intern_slots(&slots)
+            })
+            .collect()
+    }
+
+    /// The flat pools behind the list IDs: each list's end offset into the
+    /// slot pool, the slot pool, and the slot dictionary (the community
+    /// behind each slot).
+    pub fn pools(&self) -> (&[u32], &[u32], &[Community]) {
+        (&self.offsets[1..], &self.slot_pool, &self.communities)
+    }
+
+    /// Number of distinct community lists interned.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether no list is interned.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of distinct individual communities interned (slot space).
+    pub fn community_count(&self) -> usize {
+        self.communities.len()
+    }
+
+    /// The community behind a dense slot ID.
+    pub fn community(&self, slot: u32) -> Community {
+        self.communities[slot as usize]
+    }
+
+    /// Dense community-slot IDs of a list ID (order and duplicates
+    /// preserved).
+    #[inline]
+    pub fn slots(&self, id: u32) -> &[u32] {
+        let lo = self.offsets[id as usize] as usize;
+        let hi = self.offsets[id as usize + 1] as usize;
+        &self.slot_pool[lo..hi]
+    }
+}
+
+/// Gives communities their slots and pushes lists onto a [`ListTable`],
+/// unindexed, for [`ListTable::extend_distinct`].
+#[derive(Debug)]
+pub struct ListAppender<'a> {
+    table: &'a mut ListTable,
+}
+
+impl ListAppender<'_> {
+    /// The slot ID of `c`, giving it the next one on first sight.
+    pub fn intern_community(&mut self, c: Community) -> u32 {
+        self.table.intern_community(c)
+    }
+
+    /// Append the list whose communities are `slots`, each below
+    /// [`community_count`](Self::community_count); returns its ID.
+    pub fn push_slots(&mut self, slots: &[u32]) -> u32 {
+        self.table.push_slots(slots)
+    }
+
+    /// Number of lists, those pushed included.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether there is no list yet.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Number of communities given a slot.
+    pub fn community_count(&self) -> usize {
+        self.table.community_count()
+    }
+
+    /// The community behind a slot.
+    pub fn community(&self, slot: u32) -> Community {
+        self.table.community(slot)
+    }
+}
+
+impl Interner {
+    /// The ID of `path`, interning it on first sight (see
+    /// [`PathTable::intern`]).
+    pub fn intern_path(&mut self, path: &AsPathView<'_>) -> u32 {
+        self.paths.intern(path)
+    }
+
+    /// The ID of the exact list `communities`, interning it on first sight
+    /// and giving its first-seen communities their slot IDs (see
+    /// [`ListTable::intern`]).
+    pub fn intern_cset(&mut self, communities: &[Community]) -> u32 {
+        self.lists.intern(communities)
+    }
+
+    /// The ID of the exact list whose communities are this interner's
+    /// `slots`, interning it on first sight (see
+    /// [`ListTable::intern_slots`]). Every slot must be below
+    /// [`community_count`](Self::community_count).
+    pub fn intern_cset_slots(&mut self, slots: &[u32]) -> u32 {
+        self.lists.intern_slots(slots)
+    }
+
+    /// The slot ID of `c`, giving it the next one on first sight.
+    pub fn intern_community(&mut self, c: Community) -> u32 {
+        self.lists.intern_community(c)
     }
 
     /// Make room for `paths` more paths of `segs` segments and `asns` hops
@@ -413,124 +877,84 @@ impl Interner {
         lists: usize,
         entries: usize,
     ) {
-        self.path_ids.reserve(paths);
-        for offsets in [
-            &mut self.path_seg_offsets,
-            &mut self.path_asn_offsets,
-            &mut self.member_offsets,
-        ] {
-            offsets.reserve(paths);
-        }
-        self.path_hashes.reserve(paths);
-        self.path_segs.reserve(segs);
-        self.path_asns.reserve(asns);
-        self.members.reserve(asns);
-        self.cset_ids.reserve(lists);
-        self.cset_offsets.reserve(lists);
-        self.cset_slot_pool.reserve(entries);
+        self.paths.reserve(paths, segs, asns);
+        self.lists.reserve(lists, entries);
     }
 
     /// Intern every path and list of `other` (its paths without rehashing
-    /// them), in `other`'s ID order, and return the maps from `other`'s
-    /// path and list IDs to this interner's. `other`'s communities are
-    /// mapped to this interner's slots once, in `other`'s slot order —
-    /// the order its lists first use them — so each list is interned by
-    /// its slots, with no lookup per entry.
+    /// them), in `other`'s ID order, into tables sized for all of them up
+    /// front, and return the maps from `other`'s path and list IDs to this
+    /// interner's. `other`'s communities are mapped to this interner's
+    /// slots once, in `other`'s slot order, so each list is interned by its
+    /// slots, with no lookup per entry.
     pub fn absorb(&mut self, other: &Interner) -> (Vec<u32>, Vec<u32>) {
+        let (paths, lists) = (&other.paths, &other.lists);
         self.reserve(
-            other.path_count(),
-            other.path_segs.len(),
-            other.path_asns.len(),
-            other.cset_count(),
-            other.cset_slot_pool.len(),
+            paths.len(),
+            paths.segs.len(),
+            paths.asns.len(),
+            lists.len(),
+            lists.slot_pool.len(),
         );
-        let paths = (0..other.path_count() as u32)
-            .map(|id| self.intern_path_hashed(&other.path_view(id), other.path_hashes[id as usize]))
-            .collect();
-        let slot_map: Vec<u32> = other
-            .communities
-            .iter()
-            .map(|&c| self.intern_community(c))
-            .collect();
-        let mut slots = Vec::new();
-        let csets = (0..other.cset_count() as u32)
-            .map(|id| {
-                slots.clear();
-                slots.extend(other.cset_slots(id).iter().map(|&s| slot_map[s as usize]));
-                self.intern_cset_slots(&slots)
-            })
-            .collect();
-        (paths, csets)
+        (self.paths.absorb(paths), self.lists.absorb(lists))
+    }
+
+    /// Both tables, borrowed mutably at once: the path table, and the list
+    /// table with its slot dictionary.
+    pub fn tables_mut(&mut self) -> (&mut PathTable, &mut ListTable) {
+        (&mut self.paths, &mut self.lists)
     }
 
     /// The flat pools behind the path IDs, as a segment persists them:
     /// each path's end offset into the segments, the `(tag, ASN count)`
     /// segments, and the ASNs.
     pub fn path_pools(&self) -> (&[u32], &[(u8, u32)], &[u32]) {
-        (
-            &self.path_seg_offsets[1..],
-            &self.path_segs,
-            &self.path_asns,
-        )
+        self.paths.pools()
     }
 
     /// The flat pools behind the community-set IDs: each list's end offset
     /// into the slot pool, the slot pool, and the slot dictionary (the
     /// community behind each slot).
     pub fn cset_pools(&self) -> (&[u32], &[u32], &[Community]) {
-        (
-            &self.cset_offsets[1..],
-            &self.cset_slot_pool,
-            &self.communities,
-        )
+        self.lists.pools()
     }
 
     /// Number of distinct AS paths interned.
     pub fn path_count(&self) -> usize {
-        self.path_hashes.len()
+        self.paths.len()
     }
 
     /// Number of distinct community sets interned.
     pub fn cset_count(&self) -> usize {
-        self.cset_offsets.len() - 1
+        self.lists.len()
     }
 
     /// Number of distinct individual communities interned (slot space).
     pub fn community_count(&self) -> usize {
-        self.communities.len()
+        self.lists.community_count()
     }
 
     /// The community behind a dense slot ID.
     pub fn community(&self, slot: u32) -> Community {
-        self.communities[slot as usize]
+        self.lists.community(slot)
     }
 
     /// Dense community-slot IDs of a community-set ID, parallel to
     /// [`cset`](Self::cset) (order and duplicates preserved).
     #[inline]
     pub fn cset_slots(&self, id: u32) -> &[u32] {
-        let lo = self.cset_offsets[id as usize] as usize;
-        let hi = self.cset_offsets[id as usize + 1] as usize;
-        &self.cset_slot_pool[lo..hi]
+        self.lists.slots(id)
     }
 
     /// The interned path for a path ID, borrowed from the flat pools.
     pub fn path_view(&self, id: u32) -> AsPathView<'_> {
-        let i = id as usize;
-        let seg_lo = self.path_seg_offsets[i] as usize;
-        let seg_hi = self.path_seg_offsets[i + 1] as usize;
-        AsPathView {
-            segs: &self.path_segs[seg_lo..seg_hi],
-            asns: self.path_hops(id),
-        }
+        self.paths.view(id)
     }
 
     /// Every ASN of the interned path in path order, duplicates (prepends)
     /// and set members inline — the flat form of `path.iter()`.
     pub fn path_hops(&self, id: u32) -> &[u32] {
-        let lo = self.path_asn_offsets[id as usize] as usize;
-        let hi = self.path_asn_offsets[id as usize + 1] as usize;
-        &self.path_asns[lo..hi]
+        self.paths.hops(id)
     }
 
     /// Materialize the interned path for a path ID. Reconstructs from the
@@ -543,17 +967,17 @@ impl Interner {
     /// Sorted, deduped ASN values of the interned path. The on-path test
     /// is a binary search in this slice.
     pub fn path_members(&self, id: u32) -> &[u32] {
-        let lo = self.member_offsets[id as usize] as usize;
-        let hi = self.member_offsets[id as usize + 1] as usize;
-        &self.members[lo..hi]
+        self.paths.members(id)
     }
 
     /// The exact ordered community list for a community-set ID, read
     /// through the slot dictionary.
     pub fn cset(&self, id: u32) -> impl ExactSizeIterator<Item = Community> + '_ {
-        self.cset_slots(id)
+        let lists = &self.lists;
+        lists
+            .slots(id)
             .iter()
-            .map(|&slot| self.communities[slot as usize])
+            .map(|&slot| lists.communities[slot as usize])
     }
 }
 
@@ -1021,18 +1445,136 @@ mod tests {
         let slots: Vec<u32> = list.iter().map(|&c| by_slots.intern_community(c)).collect();
         assert_eq!(slots, [2, 3, 1, 2]);
         assert_eq!(by_slots.intern_cset_slots(&slots), id);
-        assert_eq!(by_slots.cset_ids.entries(), by_value.cset_ids.entries());
+        assert_eq!(by_slots.lists.ids.entries(), by_value.lists.ids.entries());
         assert_eq!(by_slots, by_value);
         // The merge's route: through the slot-to-slot table.
         let mut absorbed = seeded();
         let (_, csets) = absorbed.absorb(&by_value);
         assert_eq!(csets, [0, id]);
-        assert_eq!(absorbed.cset_ids.entries(), by_value.cset_ids.entries());
+        assert_eq!(absorbed.lists.ids.entries(), by_value.lists.ids.entries());
         assert_eq!(absorbed, by_value);
         // Each route finds what the other interned.
         assert_eq!(by_slots.intern_cset(&list), id);
         assert_eq!(by_value.intern_cset_slots(&slots), id);
         assert_eq!(by_value, by_slots, "nothing new was interned");
+    }
+
+    /// Indexing distinct values at once gives the entries inserting them
+    /// one by one does; among repeats — within the new IDs, against held
+    /// entries, or behind a shared hash — the smallest repeating ID is the
+    /// one reported.
+    #[test]
+    fn bulk_indexing_matches_inserting_and_reports_the_first_repeat() {
+        // Values 0..n; value v hashes as v / 3 (three values per hash).
+        let hash = |v: u32| u64::from(v / 3).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let index = |values: &[u32], held: usize| {
+            let mut table = IdTable::default();
+            for (id, &v) in values[..held].iter().enumerate() {
+                table.insert(hash(v), id as u32);
+            }
+            let new = held as u32..values.len() as u32;
+            let repeat = table.index_distinct(
+                new,
+                |id| hash(values[id as usize]),
+                |a, b| values[a as usize] == values[b as usize],
+                &mut IndexScratch::default(),
+            );
+            (table, repeat)
+        };
+        let values: Vec<u32> = (0..5000).rev().collect();
+        let mut inserted = IdTable::default();
+        for (id, &v) in values.iter().enumerate() {
+            assert_eq!(inserted.find(hash(v), |e| values[e as usize] == v), None);
+            inserted.insert(hash(v), id as u32);
+        }
+        for held in [0, 1, 2500, 5000] {
+            let (table, repeat) = index(&values, held);
+            assert_eq!(repeat, None);
+            assert_eq!(table, inserted, "{held} held");
+            for (id, &v) in values.iter().enumerate() {
+                assert_eq!(
+                    table.find(hash(v), |e| values[e as usize] == v),
+                    Some(id as u32)
+                );
+            }
+        }
+        let mut repeated = values.clone();
+        repeated[4000] = repeated[10]; // the same hash run, far apart
+        repeated[3000] = repeated[2999 - 2]; // a value two IDs back
+        repeated[4500] = repeated[4499];
+        assert_eq!(index(&repeated, 0).1, Some(3000));
+        assert_eq!(index(&repeated, 3500).1, Some(4000), "against a held entry");
+        repeated[3000] = values[3000];
+        assert_eq!(index(&repeated, 0).1, Some(4000));
+    }
+
+    /// `f` over a view of `path`.
+    fn with_view<R>(path: &AsPath, f: impl FnOnce(&AsPathView<'_>) -> R) -> R {
+        let (mut segs, mut asns) = (Vec::new(), Vec::new());
+        f(&AsPathView::of(path, &mut segs, &mut asns))
+    }
+
+    /// Paths and lists extended at once get the IDs, slots and pools
+    /// interning them one by one gives, and a repeat is reported by its
+    /// smallest ID ahead of the filler's own error.
+    #[test]
+    fn extending_with_distinct_values_matches_interning() {
+        let paths: Vec<AsPath> = ["1 2 3", "1 {2,3} 3", "4", "", "1 2 3 3"]
+            .iter()
+            .map(|p| p.parse().unwrap())
+            .collect();
+        let lists: Vec<Vec<Community>> = [&[(1, 1), (1, 2)][..], &[], &[(1, 2), (1, 1)], &[(9, 9)]]
+            .iter()
+            .map(|l| l.iter().map(|&(a, b)| Community::new(a, b)).collect())
+            .collect();
+        let mut interned = Interner::default();
+        with_view(&"7 7".parse().unwrap(), |v| interned.intern_path(v));
+        interned.intern_cset(&[Community::new(1, 1)]);
+        let mut extended = interned.clone();
+        for p in &paths {
+            with_view(p, |v| interned.intern_path(v));
+        }
+        for l in &lists {
+            interned.intern_cset(l);
+        }
+        let (path_table, list_table) = extended.tables_mut();
+        path_table
+            .extend_distinct(&mut IndexScratch::default(), |append| {
+                for p in &paths {
+                    with_view(p, |v| append.push(v));
+                }
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        list_table
+            .extend_distinct(&mut IndexScratch::default(), |append| {
+                for l in &lists {
+                    let slots: Vec<u32> = l.iter().map(|&c| append.intern_community(c)).collect();
+                    append.push_slots(&slots);
+                }
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        assert_eq!(extended, interned);
+        assert_eq!(extended.paths.ids.entries(), interned.paths.ids.entries());
+        assert_eq!(extended.lists.ids.entries(), interned.lists.ids.entries());
+
+        // Repeats, then the filler's error: the first repeat wins.
+        let mut table = PathTable::default();
+        let refused = table.extend_distinct(&mut IndexScratch::default(), |append| {
+            for p in ["1 2", "3", "1 2", "3", "4"] {
+                with_view(&p.parse().unwrap(), |v| append.push(v));
+            }
+            Err("a later defect")
+        });
+        assert_eq!(refused, Err(ExtendError::Repeat(2)));
+        let mut table = ListTable::default();
+        let refused = table.extend_distinct(&mut IndexScratch::default(), |append| {
+            let slot = append.intern_community(Community::new(5, 5));
+            append.push_slots(&[slot]);
+            Err("a list's defect")
+        });
+        assert_eq!(refused, Err(ExtendError::Fill("a list's defect")));
     }
 
     #[test]
