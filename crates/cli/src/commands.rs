@@ -99,7 +99,8 @@ COMMANDS:
               owner scans, a self-driving benchmark, and `--check` — stream
               an archive and flag routes whose observed communities
               contradict their inferred intent (exit 7 on any anomaly).
-    validate  Lint MRT archives: per-record-type counts and decode errors.
+    validate  Lint MRT archives as ingest frames them: per-record-type
+              counts, decode errors and the ingest summary.
     compare   Diff two label files from `infer --json` (drift monitoring).
     generate  Write a synthetic collector dataset + ground-truth dictionary.
 
@@ -1936,61 +1937,72 @@ fn feed(run: &Run) -> Result<(), Failure> {
     Ok(())
 }
 
-/// `bgpcomm validate`
+/// `bgpcomm validate`: frame each archive as ingest does, through the
+/// recovering reader, and count what decodes by record type. A RIB entry
+/// whose peer index falls outside the peer table is an error, as ingest
+/// drops it.
 fn validate(run: &Run) -> Result<(), Failure> {
     use bgp_mrt::records::MrtRecord;
-    use bgp_mrt::{MrtError, MrtReader};
+    use bgp_mrt::{MrtError, RecoveringReader};
 
-    let mut total_bad = 0u64;
+    let mut total_errors = 0u64;
     for path in run.mrt_files()? {
         let file = File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
-        let mut reader = MrtReader::new(BufReader::new(file));
+        let mut reader = RecoveringReader::new(BufReader::new(file));
         let mut counts: std::collections::BTreeMap<&'static str, u64> = Default::default();
         let mut errors: Vec<String> = Vec::new();
-        let mut aborted = false;
-        for item in reader.by_ref() {
-            match item {
-                Ok(rec) => {
-                    let kind = match rec.record {
-                        MrtRecord::PeerIndexTable(_) => "PEER_INDEX_TABLE",
-                        MrtRecord::Rib(_) => "RIB",
-                        MrtRecord::TableDump(_) => "TABLE_DUMP (legacy)",
-                        MrtRecord::Message(_) => "BGP4MP_MESSAGE",
-                        MrtRecord::StateChange(_) => "BGP4MP_STATE_CHANGE",
-                    };
-                    *counts.entry(kind).or_default() += 1;
-                }
-                Err(e @ (MrtError::Io(_) | MrtError::Truncated { .. })) => {
-                    errors.push(format!("fatal: {e}"));
-                    aborted = true;
-                    break;
-                }
-                Err(e) => {
-                    if errors.len() < 10 {
-                        errors.push(e.to_string());
-                    }
-                }
+        let mut note = |e: MrtError| {
+            if errors.len() < 10 {
+                errors.push(e.to_string());
             }
+        };
+        let (mut peers, mut dropped) = (0usize, 0u64);
+        for item in reader.by_ref() {
+            let kind = match item.map(|rec| rec.record) {
+                Err(e) => {
+                    note(e);
+                    continue;
+                }
+                Ok(MrtRecord::PeerIndexTable(t)) => {
+                    peers = t.peers.len();
+                    "PEER_INDEX_TABLE"
+                }
+                Ok(MrtRecord::Rib(rib)) => {
+                    for entry in &rib.entries {
+                        if entry.peer_index as usize >= peers {
+                            dropped += 1;
+                            let why = format!("peer index {} out of range", entry.peer_index);
+                            note(MrtError::malformed("RIB entry", why));
+                        }
+                    }
+                    "RIB"
+                }
+                Ok(MrtRecord::TableDump(_)) => "TABLE_DUMP (legacy)",
+                Ok(MrtRecord::Message(_)) => "BGP4MP_MESSAGE",
+                Ok(MrtRecord::StateChange(_)) => "BGP4MP_STATE_CHANGE",
+            };
+            *counts.entry(kind).or_default() += 1;
         }
+        let mut report = reader.into_report();
+        report.errors.malformed += dropped;
         println!("{path}:");
         for (kind, n) in &counts {
             println!("  {kind:<22} {n}");
         }
         println!(
             "  decoded {} records, skipped {}",
-            reader.records_read(),
-            reader.records_skipped()
+            report.records_read, report.records_skipped
         );
-        for e in &errors {
-            println!("  error: {e}");
+        if !report.is_clean() {
+            for e in &errors {
+                println!("  error: {e}");
+            }
+            println!("  {}", report.summary());
         }
-        if aborted {
-            println!("  (stream aborted before the end)");
-        }
-        total_bad += reader.records_skipped() + u64::from(aborted);
+        total_errors += report.errors.decode_errors();
     }
-    if total_bad > 0 {
-        Err(format!("{total_bad} undecodable record(s)").into())
+    if total_errors > 0 {
+        Err(format!("{total_errors} decode error(s)").into())
     } else {
         Ok(())
     }

@@ -215,6 +215,94 @@ fn crash_then_resume_is_bit_identical_to_uninterrupted_run() {
     }
 }
 
+/// A resume whose manifest write fails (a directory stands where its temp
+/// file goes) exits 1 naming the checkpoint and leaves the previous
+/// commit: the manifest byte for byte, with the frame it appended past the
+/// committed range. Once the directory goes, a resume verifies the one
+/// committed file and writes the labels a plain run writes.
+#[test]
+fn a_failed_manifest_write_leaves_the_previous_commit() {
+    let dir = workdir("failed-manifest-write");
+    let paths = archives(&dir, 3, 40);
+    let (out, plain) = infer_json(&paths, &dir.join("plain.json"), &[]);
+    assert_eq!(out.status.code(), Some(0));
+    let ckpt = dir.join("run.ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let (out, _) = infer_json(
+        &paths,
+        &dir.join("crash.json"),
+        &["--checkpoint", ckpt_arg, "--inject-crash-after", "1"],
+    );
+    assert_eq!(out.status.code(), Some(EXIT_CRASH));
+    let (manifest, log) = checkpoint_files(&ckpt);
+
+    let blocker = bgp_types::persist::temp_path(&ckpt);
+    fs::create_dir(&blocker).unwrap();
+    let resume = ["--checkpoint", ckpt_arg, "--resume"];
+    let (out, _) = infer_json(&paths, &dir.join("failed.json"), &resume);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("write checkpoint {}: ", ckpt.display())),
+        "{stderr}"
+    );
+    let (manifest_after, log_after) = checkpoint_files(&ckpt);
+    assert_eq!(manifest_after, manifest, "the manifest changed");
+    assert!(
+        log_after.len() > log.len() && log_after.starts_with(&log),
+        "an uncommitted frame follows the committed range"
+    );
+
+    fs::remove_dir(&blocker).unwrap();
+    let metrics = dir.join("resume-metrics.json");
+    let (out, labels) = infer_json(
+        &paths,
+        &dir.join("resumed.json"),
+        &[&resume[..], &["--metrics-out", metrics.to_str().unwrap()]].concat(),
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        counters(&metrics)["checkpoint/verified_files"].as_u64(),
+        Some(1)
+    );
+    assert_eq!(
+        labels, plain,
+        "the resumed labels differ from a plain run's"
+    );
+}
+
+/// A fresh run that cannot append its segment log (a directory stands in
+/// its place) exits 1 naming the log and writes no manifest; once the
+/// directory goes, a rerun writes the labels a plain run writes.
+#[test]
+fn a_failed_log_append_writes_no_manifest() {
+    let dir = workdir("failed-log-append");
+    let paths = archives(&dir, 3, 40);
+    let (out, plain) = infer_json(&paths, &dir.join("plain.json"), &[]);
+    assert_eq!(out.status.code(), Some(0));
+    let ckpt = dir.join("run.ckpt");
+    let log = dir.join("run.ckpt.seg");
+    fs::create_dir(&log).unwrap();
+    let checkpoint = ["--checkpoint", ckpt.to_str().unwrap()];
+    let (out, labels) = infer_json(&paths, &dir.join("failed.json"), &checkpoint);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("append checkpoint log {}: ", log.display())),
+        "{stderr}"
+    );
+    assert!(!ckpt.exists(), "a manifest was written");
+    assert!(labels.is_none(), "a failed run writes no labels");
+
+    fs::remove_dir(&log).unwrap();
+    let (out, labels) = infer_json(&paths, &dir.join("rerun.json"), &checkpoint);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        labels, plain,
+        "the rerun's labels differ from a plain run's"
+    );
+}
+
 /// A checkpoint that could never be written fails the run before the
 /// first file decodes: exit 1, naming the missing directory, with no
 /// per-file summary and no file created.

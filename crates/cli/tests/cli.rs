@@ -111,6 +111,80 @@ fn validate_reports_counts_and_errors() {
     assert!(stdout.contains("skipped 1"), "{stdout}");
 }
 
+/// The pretty-printed report that `--report -` writes to standard output
+/// before the stats table.
+fn stdout_report(stdout: &str) -> serde_json::Value {
+    let end = stdout.find("\n}\n").expect("a report on stdout") + 2;
+    serde_json::from_str(&stdout[..end]).unwrap()
+}
+
+/// `validate` frames and decodes as ingest does: on damaged copies of the
+/// sample dump it counts the records `stats --report -` decoded and
+/// skipped, and fails exactly as that report is not clean.
+#[test]
+fn validate_agrees_with_ingest_on_damaged_input() {
+    let dir = workdir("validate-ingest");
+    let rib = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../data/sample/rib.mrt"
+    ))
+    .unwrap();
+    // Frame the clean dump by its headers' length fields.
+    let mut ends = Vec::new();
+    while ends.last().copied().unwrap_or(0) < rib.len() {
+        let at = ends.last().copied().unwrap_or(0);
+        let len = u32::from_be_bytes(rib[at + 8..at + 12].try_into().unwrap()) as usize;
+        ends.push(at + 12 + len);
+    }
+    assert_eq!(ends.len(), 160);
+    // Drop the last 5 bytes of record 81: its length field now reaches
+    // into record 82, so the framing must resync to read on.
+    let cut = [&rib[..ends[80] - 5], &rib[ends[80]..]].concat();
+    // Drop the peer index table: every RIB entry's peer index is then out
+    // of range, an error ingest counts while the records still decode.
+    let orphaned = rib[ends[0]..].to_vec();
+
+    for (name, bytes) in [("cut", cut), ("orphaned", orphaned)] {
+        let path = dir.join(format!("{name}.mrt"));
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        let (stdout, _, ok) = run(bgpcomm().args(["validate", "--mrt", path]));
+        let counts: Vec<u64> = stdout
+            .split_once("decoded ")
+            .and_then(|(_, rest)| rest.lines().next())
+            .map(|line| {
+                line.split(|c: char| !c.is_ascii_digit())
+                    .filter_map(|n| n.parse().ok())
+                    .collect()
+            })
+            .unwrap_or_else(|| panic!("{name}: no decoded count: {stdout}"));
+
+        let (stats, stderr, stats_ok) =
+            run(bgpcomm().args(["stats", "--mrt", path, "--report", "-"]));
+        assert!(stats_ok, "{name}: lenient stats completes: {stderr}");
+        let report = stdout_report(&stats);
+        let ingest =
+            [&report["records_read"], &report["records_skipped"]].map(|n| n.as_u64().unwrap());
+        assert_eq!(counts, ingest, "{name}: {stdout}");
+        assert_eq!(counts[0], 159, "{name}: {stdout}");
+        let errors: u64 = report["errors"]
+            .as_object()
+            .unwrap()
+            .values()
+            .map(|n| n.as_u64().unwrap())
+            .sum();
+        assert!(errors > 0, "{name}: ingest counted no error: {report}");
+        assert!(
+            !ok,
+            "{name}: validate must fail on what ingest counts as errors: {stdout}"
+        );
+        assert!(
+            stdout.contains("bytes used"),
+            "{name}: the ingest summary: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn compare_detects_flips_and_churn() {
     let dir = workdir("compare");

@@ -773,6 +773,50 @@ fn watch_names_its_checkpoint_file_when_it_cannot_write_it() {
     );
 }
 
+/// A restart whose manifest write fails (a directory stands where its temp
+/// file goes) exits 1 and leaves the crashed run's manifest as it was; the
+/// next restart resumes from it and writes an uninterrupted run's labels.
+#[test]
+fn a_failed_manifest_write_leaves_the_previous_watch_commit() {
+    let dir = workdir("failed-manifest-write");
+    let tail = concatenated(&dir, &archives(&dir, 3, 60));
+    let clean = dir.join("clean.json");
+    let out = tail_watch(
+        &tail,
+        &dir.join("clean.ckpt"),
+        &["--json", clean.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+
+    let ckpt = dir.join("w.ckpt");
+    let out = tail_watch(&tail, &ckpt, &["--inject-crash-after-windows", "4"]);
+    assert_eq!(out.status.code(), Some(EXIT_CRASH), "{}", stderr_of(&out));
+    let manifest = read(&dir, "w.ckpt");
+
+    let blocker = bgp_types::persist::temp_path(&ckpt);
+    fs::create_dir(&blocker).unwrap();
+    let out = tail_watch(&tail, &ckpt, &[]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("watch: write checkpoint {}: ", ckpt.display())),
+        "{stderr}"
+    );
+    assert_eq!(read(&dir, "w.ckpt"), manifest, "the manifest changed");
+
+    fs::remove_dir(&blocker).unwrap();
+    let json = dir.join("resumed.json");
+    let out = tail_watch(&tail, &ckpt, &["--json", json.to_str().unwrap()]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("resumed from checkpoint"), "{stderr}");
+    assert_eq!(
+        read(&dir, "resumed.json"),
+        read(&dir, "clean.json"),
+        "the resumed labels differ from an uninterrupted run's"
+    );
+}
+
 /// `--metrics-out` reports the checkpoint I/O: the writes and the bytes
 /// written (manifests plus appended log frames) repeat exactly across runs
 /// and thread counts, and the log is written once, not once per save.

@@ -29,10 +29,11 @@
 //!   its log's range, checksum and frames verified — see
 //!   [`Checkpoint::load`]), lists exactly the shard's files in order, and
 //!   every listed fingerprint still matches the bytes on disk. Anything
-//!   else is a failed attempt, never silently-partial coverage. Each
-//!   clean worker's artifact is validated on a thread of its own while the
-//!   other shards are polled, and the artifacts found at start are
-//!   validated all at once.
+//!   else is a failed attempt, never silently-partial coverage. A clean
+//!   worker's artifact is validated on the polling thread as the worker's
+//!   exit is seen, so no validation thread's allocations join the
+//!   supervisor's peak memory; the artifacts found at start are validated
+//!   all at once, one thread each.
 //!
 //! A shard whose budget is exhausted is reported as permanently failed;
 //! the caller decides whether that sinks the run (`--allow-shard-failures`
@@ -298,7 +299,7 @@ pub fn validate_artifact(spec: &ShardSpec) -> Result<Checkpoint, ShardFailureKin
     Ok(cp)
 }
 
-/// A clean worker's artifact under validation on a thread of its own.
+/// A leftover artifact under validation on a thread of its own.
 type Validation = JoinHandle<Result<Checkpoint, ShardFailureKind>>;
 
 /// Per-shard supervision state machine.
@@ -312,9 +313,6 @@ enum State {
         heartbeat: Option<Vec<u8>>,
         progressed_at: Instant,
     },
-    /// The worker exited cleanly and its artifact is being validated while
-    /// the other shards are polled.
-    Validating { attempt: u32, check: Validation },
     /// Terminal.
     Done,
 }
@@ -403,8 +401,8 @@ fn classify_exit(status: std::process::ExitStatus) -> Result<(), ShardFailureKin
 /// first-attempt-only. Workers run concurrently (one process per shard);
 /// the supervisor polls children and heartbeat files every
 /// `poll_interval`, kills stalled workers, validates each clean worker's
-/// artifact on a thread of its own while it keeps polling, and re-runs
-/// failed shards after the deterministic backoff
+/// artifact as soon as it sees the exit, and re-runs failed shards after
+/// the deterministic backoff
 /// `cfg.retry.backoff(attempt)`. `on_event` runs on the calling thread,
 /// and each shard's events come in order. Outcomes are returned in shard
 /// order.
@@ -422,10 +420,10 @@ pub fn supervise(
 /// forwards SIGTERM to every running worker, waits up to
 /// [`SupervisorConfig::term_grace`] for each to flush its artifact, and
 /// SIGKILLs stragglers. A worker that exits cleanly with a valid artifact
-/// inside the grace window, or whose artifact was under validation, still
-/// counts as succeeded (an in-flight validation is joined); everything
-/// else is classified [`ShardFailureKind::Interrupted`] and left
-/// resumable.
+/// inside the grace window still counts as succeeded, and so does one
+/// whose validation was running when the flag rose (it finishes before
+/// the flag is read); everything else is classified
+/// [`ShardFailureKind::Interrupted`] and left resumable.
 /// Heartbeat files are removed as shards settle either way — a stopped run
 /// leaves artifacts (valid or absent), never stale heartbeats.
 pub fn supervise_with_shutdown(
@@ -488,8 +486,7 @@ pub fn supervise_with_shutdown(
         if shutdown.load(Ordering::SeqCst) {
             // Run-level shutdown: no new attempts. Stop every running
             // worker gracefully, adopt any artifact flushed during the
-            // grace window or under validation, and clean heartbeats so
-            // nothing stale remains.
+            // grace window, and clean heartbeats so nothing stale remains.
             for ((spec, state), outcome) in specs.iter().zip(&mut states).zip(&mut outcomes) {
                 let settled = match std::mem::replace(state, State::Done) {
                     State::Done => None,
@@ -507,7 +504,6 @@ pub fn supervise_with_shutdown(
                             None => Err(ShardFailureKind::Interrupted),
                         },
                     )),
-                    State::Validating { attempt, check } => Some((attempt, joined(check))),
                 };
                 match settled {
                     None => {}
@@ -575,20 +571,11 @@ pub fn supervise_with_shutdown(
                         cfg,
                         &mut on_event,
                     ),
-                    Ok(Some(status)) => match classify_exit(status) {
-                        Err(kind) => fail_attempt(spec, outcome, attempt, kind, cfg, &mut on_event),
-                        Ok(()) => match validate_on_thread(spec) {
-                            Some(check) => State::Validating { attempt, check },
-                            None => settle(
-                                spec,
-                                outcome,
-                                attempt,
-                                validate_artifact(spec),
-                                cfg,
-                                &mut on_event,
-                            ),
-                        },
-                    },
+                    Ok(Some(status)) => {
+                        let validated =
+                            classify_exit(status).and_then(|()| validate_artifact(spec));
+                        settle(spec, outcome, attempt, validated, cfg, &mut on_event)
+                    }
                     Ok(None) => {
                         // Still running: has the heartbeat moved?
                         let current = std::fs::read(&spec.heartbeat).ok();
@@ -620,12 +607,6 @@ pub fn supervise_with_shutdown(
                         }
                     }
                 },
-                State::Validating { attempt, check } if !check.is_finished() => {
-                    State::Validating { attempt, check }
-                }
-                State::Validating { attempt, check } => {
-                    settle(spec, outcome, attempt, joined(check), cfg, &mut on_event)
-                }
             };
             if !matches!(state, State::Done) {
                 all_done = false;
@@ -638,8 +619,8 @@ pub fn supervise_with_shutdown(
     }
 }
 
-/// Settle an attempt whose worker exited cleanly by its artifact's
-/// validation: adopt the artifact, or fail the attempt.
+/// Settle an attempt whose worker exited by its exit status and its
+/// artifact's validation: adopt the artifact, or fail the attempt.
 fn settle(
     spec: &ShardSpec,
     outcome: &mut ShardOutcome,
@@ -1218,7 +1199,7 @@ mod tests {
         );
     }
 
-    /// Artifacts are validated off the polling thread, yet every event is
+    /// The reuse pass validates off the polling thread, yet every event is
     /// delivered on it and each shard's events keep their order, a failed
     /// validation's retry included.
     #[test]

@@ -13,11 +13,11 @@
 //! reader stack treats very differently:
 //!
 //! * **body-local** damage (unknown type/subtype, malformed body bytes) —
-//!   the record stays well-framed, so even the plain [`crate::MrtReader`]
-//!   skips it and continues;
+//!   the record stays well-framed, so [`crate::RecoveringReader`] skips it
+//!   by its header length and continues;
 //! * **framing** damage (mid-record truncation, corrupted length fields,
 //!   interleaved garbage) — the byte position of the next record is lost,
-//!   and only the resynchronizing [`crate::RecoveringReader`] can continue.
+//!   and the reader must scan forward to resynchronize.
 
 /// One way to damage a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +61,7 @@ pub const ALL_FAULT_KINDS: &[FaultKind] = &[
 ];
 
 /// The subset of [`ALL_FAULT_KINDS`] that keeps records well-framed, so a
-/// non-recovering reader is expected to survive them too.
+/// reader skips each damaged record by its header length, with no resync.
 pub const BODY_LOCAL_FAULT_KINDS: &[FaultKind] = &[
     FaultKind::BodyBitFlip,
     FaultKind::UnknownType,

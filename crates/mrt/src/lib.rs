@@ -16,10 +16,14 @@
 //! * [`bgpmsg`] — BGP message framing and the UPDATE body.
 //! * [`records`] — MRT record model: `PEER_INDEX_TABLE`, `RIB_IPV4_UNICAST`,
 //!   `RIB_IPV6_UNICAST`, `BGP4MP_MESSAGE_AS4`, `BGP4MP_STATE_CHANGE_AS4`.
-//! * [`reader`] / [`writer`] — streaming record I/O over `std::io`.
-//! * [`recover`] — a resynchronizing reader that survives framing damage
-//!   (truncation, corrupted lengths, interleaved garbage) under an error
-//!   budget, producing a structured [`IngestReport`].
+//! * [`writer`] — streaming record output over `std::io`.
+//! * [`recover`] — the one framing loop: a resynchronizing reader that
+//!   survives framing damage (truncation, corrupted lengths, interleaved
+//!   garbage) under an error budget and accounts for every byte in a
+//!   structured [`IngestReport`]. Every reader of MRT bytes frames through
+//!   it: the zero-copy [`obs::StreamDecoder`] that ingestion runs, and the
+//!   owned record iterator that `bgpcomm validate` and the parity oracle
+//!   use.
 //! * [`retry`] — bounded retry with deterministic exponential backoff for
 //!   transient I/O (stalls, interrupts), counted into the ingest report.
 //! * [`faults`] — deterministic, seeded fault injection for MRT byte
@@ -33,7 +37,7 @@
 //! # Example
 //!
 //! ```
-//! use bgp_mrt::{records::MrtRecord, writer::MrtWriter, reader::MrtReader};
+//! use bgp_mrt::{records::MrtRecord, writer::MrtWriter, RecoveringReader};
 //! use bgp_mrt::records::{PeerEntry, PeerIndexTable};
 //! use std::net::IpAddr;
 //!
@@ -50,9 +54,11 @@
 //! MrtWriter::new(&mut buf)
 //!     .write_record(0, &MrtRecord::PeerIndexTable(table.clone()))
 //!     .unwrap();
-//! let parsed: Vec<_> = MrtReader::new(&buf[..]).map(Result::unwrap).collect();
+//! let mut reader = RecoveringReader::new(&buf[..]);
+//! let parsed: Vec<_> = reader.by_ref().map(Result::unwrap).collect();
 //! assert_eq!(parsed.len(), 1);
 //! assert_eq!(parsed[0].record, MrtRecord::PeerIndexTable(table));
+//! assert!(reader.report().is_clean());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,7 +72,6 @@ pub mod faults;
 pub mod nlri;
 pub mod obs;
 pub mod readahead;
-pub mod reader;
 pub mod records;
 pub mod recover;
 pub mod retry;
@@ -81,7 +86,6 @@ pub use faults::{
 };
 pub use obs::{FileIngest, IngestOptions, StreamDecoder};
 pub use readahead::Readahead;
-pub use reader::MrtReader;
 pub use records::{MrtRecord, TimestampedRecord};
 pub use recover::{ErrorCounters, IngestReport, RecoverConfig, RecoveringReader};
 pub use retry::{RetryPolicy, RetryingReader};

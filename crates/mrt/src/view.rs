@@ -48,8 +48,7 @@ use crate::records::{
 /// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EntryPolicy {
-    /// Fail the record: the strict policy, and the owned
-    /// `read_observations`.
+    /// Fail the record: strict ingestion and `read_observations`.
     Abort,
     /// Drop the entry, keep the rest of the record and stream.
     Skip,

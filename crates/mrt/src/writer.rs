@@ -107,7 +107,7 @@ impl<W: Write> MrtWriter<W> {
 mod tests {
     use super::*;
     use crate::bgpmsg::BgpMessage;
-    use crate::reader::MrtReader;
+    use crate::recover::RecoveringReader;
     use bgp_types::{AsPath, Community};
 
     fn sample_route() -> RouteAttrs {
@@ -153,7 +153,7 @@ mod tests {
         w.flush().unwrap();
         assert_eq!(w.records_written(), 3);
         let buf = w.into_inner();
-        let times: Vec<u32> = MrtReader::new(&buf[..])
+        let times: Vec<u32> = RecoveringReader::new(&buf[..])
             .map(|r| r.unwrap().timestamp)
             .collect();
         assert_eq!(times, vec![30, 10, 20], "the writer never reorders");
@@ -217,7 +217,7 @@ mod tests {
         .unwrap();
         assert_eq!(w.records_written(), 1);
 
-        let rec = MrtReader::new(&buf[..]).next().unwrap().unwrap();
+        let rec = RecoveringReader::new(&buf[..]).next().unwrap().unwrap();
         assert_eq!(rec.timestamp, 1_682_899_200);
         match rec.record {
             MrtRecord::Message(m) => {

@@ -21,8 +21,8 @@ use bgp_community_intent::intent::{
 };
 use bgp_community_intent::mrt::faults::corrupt_stream;
 use bgp_community_intent::mrt::obs::{
-    read_files, read_observations, read_observations_resilient_into, write_update_stream,
-    FileIngest,
+    read_files, read_observations_resilient_into, read_observations_resilient_reference,
+    write_update_stream, FileIngest,
 };
 use bgp_community_intent::mrt::readahead::DEFAULT_BLOCK_SIZE;
 use bgp_community_intent::mrt::{IngestOptions, RecoverConfig};
@@ -151,10 +151,19 @@ fn strict_multi_file_ingest_is_identical_at_any_thread_count() {
     let dir = workdir("strict");
     let paths = archives(&dir, &observations, false);
 
-    // The owned MrtReader decode is the reference.
+    // The owned decode is the reference.
     let reference: Vec<_> = paths
         .iter()
-        .map(|p| read_observations(fs::File::open(p).unwrap()).unwrap())
+        .map(|p| {
+            let mut observations = Vec::new();
+            let report = read_observations_resilient_reference(
+                fs::File::open(p).unwrap(),
+                &RecoverConfig::default(),
+                &mut observations,
+            );
+            assert!(report.is_clean());
+            observations
+        })
         .collect();
 
     for threads in THREAD_COUNTS {
