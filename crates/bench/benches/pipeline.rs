@@ -5,6 +5,7 @@
 //! over on-disk archives through the supervised readahead chain
 //! (`end_to_end_large`).
 
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use bgp_mrt::obs::{
     read_files, read_observations_resilient_into, read_observations_resilient_reference,
     write_update_stream,
 };
-use bgp_mrt::{IngestOptions, MemoryFeed, RecoverConfig, StreamTuning};
+use bgp_mrt::{FileIngest, IngestOptions, MemoryFeed, RecoverConfig, StreamTuning};
 use bgp_types::obs::Telemetry;
 use bgp_types::{Asn, ObservationSink};
 
@@ -331,14 +332,21 @@ fn bench_pipeline(c: &mut Criterion) {
         ..IngestOptions::default()
     };
     let large_run = || {
-        let (files, report) =
-            read_files::<FileSegment>(&large_paths, &large_opts, &Telemetry::disabled());
-        assert!(report.is_clean(), "pristine archive decoded with errors");
         let (mut merged, mut observations) = (StatsAccumulator::new(), 0);
-        for file in files {
-            observations += file.store.observation_count();
-            merged.merge_file(file.store, &scenario.siblings);
-        }
+        let report = read_files(
+            &large_paths,
+            &large_opts,
+            &Telemetry::disabled(),
+            |file: FileIngest<FileSegment>| {
+                observations += file.store.observation_count();
+                merged.merge_file(file.store, &scenario.siblings);
+                Ok::<(), Infallible>(())
+            },
+        );
+        assert!(
+            report.is_ok_and(|r| r.is_clean()),
+            "pristine archive decoded with errors"
+        );
         run_inference(
             Input::Segment(&merged, observations),
             &scenario.siblings,

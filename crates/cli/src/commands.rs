@@ -15,11 +15,11 @@ use bgp_experiments::{Args, Flags, Scenario, ScenarioConfig};
 use bgp_intent::pipeline::Input;
 use bgp_intent::{
     check_store, fingerprint_file, label_rows, run_inference, write_inference_artifact,
-    CheckReport, Checkpoint, CheckpointSaver, CompletedFile, Exclusion, FileFingerprint,
-    FileSegment, InferenceConfig, PipelineResult, StatsAccumulator,
+    CheckReport, Checkpoint, CheckpointSaver, CompletedFile, Exclusion, FileSegment,
+    InferenceConfig, PipelineResult, StatsAccumulator,
 };
 use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
-use bgp_mrt::{FlakyConfig, IngestOptions, IngestReport};
+use bgp_mrt::{FileIngest, FlakyConfig, IngestOptions, IngestReport};
 use bgp_relationships::SiblingMap;
 use bgp_types::obs::{JsonLinesSink, StderrSink};
 use bgp_types::par::effective_threads;
@@ -114,13 +114,13 @@ INGESTION (stats, infer, shard, watch, query --check):
     --max-errors N  Abort once more than N records fail to decode (exit 3).
     --report FILE   Write the machine-readable ingest report (JSON) to FILE,
                     or to stdout if FILE is `-`.
-    --threads N     Worker threads: MRT files decode in parallel (one file
-                    per worker) and the analysis stages shard across N
+    --threads N     Worker threads: up to N MRT files decode at once, ahead
+                    of the file being merged in input order (in a `shard`
+                    worker too), and the analysis stages shard across N
                     threads. 0 = one per CPU (default). Output is identical
                     at any thread count. `shard` passes N to its workers and,
-                    once they exit, counts and classifies on the larger of
-                    N and --workers. Whatever N, a checkpoint load builds
-                    its path, list and tuple tables on up to three threads.
+                    once they exit, counts and classifies on the larger of N
+                    and --workers. A checkpoint load uses up to 3 threads.
     --retry-attempts N
                     (stats, infer, shard, watch) Attempts per I/O operation
                     before a transient failure (EINTR, stall) is surfaced
@@ -558,82 +558,40 @@ impl Run {
     }
 
     /// The one per-file loop, behind `stats`, `infer`, `shard-worker` and
-    /// `query --check`: decode `paths` into one `S` each, in waves of
-    /// `wave` files that fan out over the decode threads, then, file by
-    /// file in input order, print the summary line, merge the report into
-    /// `report`, and hand every file that did not fail to `each` with what
-    /// `prepare` returned for it. `prepare` runs on each file before its
-    /// wave decodes; an error from it fails the file as an aborted decode
-    /// does, and an error from `each` stops the loop. Once every file is
-    /// through, `--report` gets the merged report, and the earliest failed
-    /// file fails the run (see [`ingest_failure`](Self::ingest_failure)).
-    ///
-    /// Every wave records its files under `ingest/*`, and there is always
-    /// at least one, so the ingest stage is timed even with no file left
-    /// to read.
-    fn read_each<S: ObservationSink + Default + Send, T>(
+    /// `query --check`: as [`read_files`] hands each file over, in input
+    /// order, print its summary line, merge its report into `report`, and
+    /// pass it to `each` unless it failed; an error from `each` stops the
+    /// loop. Then `--report` gets the merged report, and the earliest
+    /// failed file fails the run (see [`ingest_failure`](Self::ingest_failure)).
+    fn read_each<S: ObservationSink + Default + Send>(
         &self,
         paths: &[String],
-        wave: usize,
         mut report: IngestReport,
-        mut prepare: impl FnMut(&Path) -> Result<T, String>,
-        mut each: impl FnMut(&str, S, &IngestReport, T) -> Result<(), Failure>,
+        mut each: impl FnMut(FileIngest<S>) -> Result<(), Failure>,
     ) -> Result<IngestReport, Failure> {
+        let paths: Vec<PathBuf> = paths.iter().map(PathBuf::from).collect();
         let mut failed = None;
-        let mut rest = paths;
-        loop {
-            let (now, later) = rest.split_at(rest.len().min(wave.max(1)));
-            rest = later;
-            let now: Vec<PathBuf> = now.iter().map(PathBuf::from).collect();
-            let prepared: Vec<_> = now.iter().map(|p| prepare(p)).collect();
-            let (files, _) = read_files::<S>(&now, &self.ingest, &self.tel);
-            for (file, prepared) in files.into_iter().zip(prepared) {
-                let path = file.path.display().to_string();
-                eprintln!(
-                    "{path}: {} observations ({})",
-                    file.store.observation_count(),
-                    file.report.summary()
-                );
-                report.merge(&file.report);
-                // An aborted decode fails the file whatever `prepare` said.
-                match file.report.aborted.clone().map_or(prepared, Err) {
-                    Ok(prepared) => each(&path, file.store, &file.report, prepared)?,
-                    Err(why) => {
-                        failed.get_or_insert_with(|| format!("{path}: {why}"));
-                    }
+        read_files(&paths, &self.ingest, &self.tel, |file: FileIngest<S>| {
+            let path = file.path.display();
+            eprintln!(
+                "{path}: {} observations ({})",
+                file.store.observation_count(),
+                file.report.summary()
+            );
+            report.merge(&file.report);
+            match &file.report.aborted {
+                Some(why) => {
+                    failed.get_or_insert_with(|| format!("{path}: {why}"));
+                    Ok(())
                 }
+                None => each(file),
             }
-            if rest.is_empty() {
-                break;
-            }
-        }
+        })?;
         self.write_report(&report)?;
         match failed {
             Some(why) => Err(self.ingest_failure(&why)),
             None => Ok(report),
         }
-    }
-
-    /// [`read_each`](Self::read_each) over every file in one wave with
-    /// nothing to prepare or commit, as `stats`, `infer` and `query --check`
-    /// read: unreadable input is refused as a usage error before any decode
-    /// work fans out.
-    fn read_all<S: ObservationSink + Default + Send>(
-        &self,
-        paths: &[String],
-        mut each: impl FnMut(S),
-    ) -> Result<IngestReport, Failure> {
-        open_all(paths)?;
-        self.read_each(
-            paths,
-            paths.len(),
-            IngestReport::default(),
-            |_| Ok(()),
-            |_, file, _, ()| {
-                each(file);
-                Ok(())
-            },
-        )
     }
 
     /// The failure of a run whose earliest failed file is `why`: a decode
@@ -735,8 +693,13 @@ fn open_all(paths: &[String]) -> Result<(), String> {
 /// `bgpcomm stats` — the one command that reads per-observation rows
 /// across files, so the one that merges the files' stores.
 fn stats(run: &Run) -> Result<(), Failure> {
+    let paths = run.mrt_files()?;
+    open_all(&paths)?;
     let mut store = ObservationStore::new();
-    let report = run.read_all(&run.mrt_files()?, |file| store.merge(&file))?;
+    let report = run.read_each(&paths, IngestReport::default(), |file| {
+        store.merge(&file.store);
+        Ok(())
+    })?;
 
     // Everything falls out of the interners: paths and community sets are
     // already deduped, tuples dedup over dense ID pairs, and the scalar
@@ -829,13 +792,6 @@ fn open_checkpoint<'a>(
     Ok((saver, resumed.unwrap_or_default()))
 }
 
-/// What a checkpointed fold runs on each file before its wave decodes: the
-/// fingerprint its [`CompletedFile`] records, of the bytes ingested.
-fn fingerprint(tel: &Telemetry, path: &Path) -> Result<FileFingerprint, String> {
-    tel.stage("checkpoint_fingerprint", || fingerprint_file(path))
-        .map_err(|e| format!("fingerprint: {e}"))
-}
-
 /// The crash-safe incremental `infer` path: fold file by file into the
 /// checkpoint's segment, committing after every completed file (one frame
 /// appended to its log, then the manifest replaced). Failed files are not
@@ -909,32 +865,28 @@ fn infer_checkpointed(
     }
 
     let (mut observations, mut committed) = (0, 0u64);
-    let report = run.read_each(
-        &pending,
-        effective_threads(run.ingest.threads),
-        checkpoint.report.clone(),
-        |p| fingerprint(tel, p),
-        |path, file: FileSegment, report, fingerprint| {
-            observations += file.observation_count();
-            checkpoint.snapshot.merge_file(file, siblings);
-            checkpoint.report.merge(report);
-            let path = path.to_string();
-            checkpoint.files.push(CompletedFile { path, fingerprint });
-            let _span = tel.tracer.span("checkpoint_write");
-            saver.save(&checkpoint).map_err(|e| e.to_string())?;
-            committed += 1;
-            if ckpt.crash_after == Some(committed) {
-                return Err(Failure::new(
-                    EXIT_CRASH,
-                    format!(
-                        "injected crash after {committed} committed file(s) \
+    let report = run.read_each::<FileSegment>(&pending, checkpoint.report.clone(), |file| {
+        observations += file.store.observation_count();
+        checkpoint.snapshot.merge_file(file.store, siblings);
+        checkpoint.report.merge(&file.report);
+        checkpoint.files.push(CompletedFile {
+            path: file.path.display().to_string(),
+            fingerprint: file.fingerprint,
+        });
+        let _span = tel.tracer.span("checkpoint_write");
+        saver.save(&checkpoint).map_err(|e| e.to_string())?;
+        committed += 1;
+        if ckpt.crash_after == Some(committed) {
+            return Err(Failure::new(
+                EXIT_CRASH,
+                format!(
+                    "injected crash after {committed} committed file(s) \
                          (checkpoint intact; resume with --resume)"
-                    ),
-                ));
-            }
-            Ok(())
-        },
-    )?;
+                ),
+            ));
+        }
+        Ok(())
+    })?;
     Ok((checkpoint.snapshot, observations, report))
 }
 
@@ -1083,10 +1035,12 @@ fn infer(run: &Run) -> Result<(), Failure> {
     let (segment, observations, report) = match ckpt {
         Some(ckpt) => infer_checkpointed(run, &paths, &siblings, &ckpt)?,
         None => {
+            open_all(&paths)?;
             let (mut segment, mut observations) = (StatsAccumulator::new(), 0);
-            let report = run.read_all(&paths, |file: FileSegment| {
-                observations += file.observation_count();
-                segment.merge_file(file, &siblings);
+            let report = run.read_each::<FileSegment>(&paths, IngestReport::default(), |file| {
+                observations += file.store.observation_count();
+                segment.merge_file(file.store, &siblings);
+                Ok(())
             })?;
             (segment, observations, report)
         }
@@ -1125,34 +1079,30 @@ fn shard_worker(run: &Run) -> Result<(), Failure> {
     beat(0);
 
     let mut manifest = Checkpoint::new();
-    // One file per wave, as a heartbeat per file: the supervisor's stall
-    // deadline then bounds one file's decode, not a wave's.
-    run.read_each(
-        &paths,
-        1,
-        IngestReport::default(),
-        |p| fingerprint(&run.tel, p),
-        |path, file: FileSegment, report, fingerprint| {
-            manifest.snapshot.merge_file(file, &siblings);
-            manifest.report.merge(report);
-            let path = path.to_string();
-            manifest.files.push(CompletedFile { path, fingerprint });
-            let committed = manifest.files.len() as u64;
-            beat(committed);
-            if crash_after == Some(committed) {
-                return Err(Failure::new(
-                    EXIT_CRASH,
-                    format!("injected crash after {committed} ingested file(s)"),
-                ));
-            }
-            if let (1, Some(ms)) = (committed, stall_ms) {
-                // Simulated hang: no heartbeat progress and no exit until
-                // (far past) the supervisor's stall deadline.
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            Ok(())
-        },
-    )?;
+    // A heartbeat per file handed over: the supervisor's stall deadline
+    // then bounds the wait for the next file, not the whole shard.
+    run.read_each::<FileSegment>(&paths, IngestReport::default(), |file| {
+        manifest.snapshot.merge_file(file.store, &siblings);
+        manifest.report.merge(&file.report);
+        manifest.files.push(CompletedFile {
+            path: file.path.display().to_string(),
+            fingerprint: file.fingerprint,
+        });
+        let committed = manifest.files.len() as u64;
+        beat(committed);
+        if crash_after == Some(committed) {
+            return Err(Failure::new(
+                EXIT_CRASH,
+                format!("injected crash after {committed} ingested file(s)"),
+            ));
+        }
+        if let (1, Some(ms)) = (committed, stall_ms) {
+            // Simulated hang: no heartbeat progress and no exit until
+            // (far past) the supervisor's stall deadline.
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        Ok(())
+    })?;
     manifest
         .save_atomic(&out)
         .map_err(|e| format!("write artifact {}: {e}", out.display()))?;
@@ -1757,8 +1707,13 @@ fn query(run: &Run) -> Result<(), Failure> {
         // the reports append, their observation indices counting across
         // the files in input order.
         let mut report = CheckReport::default();
-        run.read_all(&check_files, |store: ObservationStore| {
-            report.append(tel.stage("query_check", || check_store(&artifact, &store, &siblings)));
+        open_all(&check_files)?;
+        run.read_each(&check_files, IngestReport::default(), |file: FileIngest| {
+            let checked = tel.stage("query_check", || {
+                check_store(&artifact, &file.store, &siblings)
+            });
+            report.append(checked);
+            Ok(())
         })?;
         if let Some(r) = tel.registry() {
             r.counter("query/check_observations")

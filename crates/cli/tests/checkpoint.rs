@@ -399,6 +399,101 @@ fn checkpoint_metrics_count_writes_and_bytes_exactly() {
     assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
 }
 
+/// A run at two threads, then a resume with nothing left to read: the
+/// resume verifies every recorded file against the bytes on disk, exits 0
+/// and leaves the manifest and its log byte for byte as they were. Every
+/// recorded fingerprint is the one `fingerprint_file` takes.
+#[test]
+fn a_resume_with_nothing_pending_verifies_every_file_and_writes_nothing() {
+    let dir = workdir("idle-resume");
+    let paths = archives(&dir, 5, 40);
+    let ckpt = dir.join("run.ckpt");
+    let (out, first) = infer_json(
+        &paths,
+        &dir.join("a.json"),
+        &["--threads", "2", "--checkpoint", ckpt.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let recorded = bgp_intent::Checkpoint::load(&ckpt).unwrap().files;
+    assert_eq!(recorded.len(), paths.len());
+    for (done, path) in recorded.iter().zip(&paths) {
+        assert_eq!(done.path, path.to_str().unwrap());
+        assert_eq!(
+            done.fingerprint,
+            bgp_intent::fingerprint_file(path).unwrap()
+        );
+    }
+    let before = checkpoint_files(&ckpt);
+
+    let metrics = dir.join("resume-metrics.json");
+    let (out, again) = infer_json(
+        &paths,
+        &dir.join("b.json"),
+        &[
+            "--threads",
+            "2",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--resume",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(again, first, "the resume writes the labels the run wrote");
+    let c = counters(&metrics);
+    assert_eq!(
+        c["checkpoint/verified_files"].as_u64(),
+        Some(paths.len() as u64)
+    );
+    assert_eq!(c["checkpoint/writes"].as_u64().unwrap_or(0), 0);
+    assert_eq!(
+        checkpoint_files(&ckpt),
+        before,
+        "nothing pending, nothing written"
+    );
+}
+
+/// A file whose error budget runs out fails the run (exit 3) and is not
+/// recorded; the files around it are committed, so a resume re-reads only
+/// the failed one.
+#[test]
+fn a_file_over_its_error_budget_is_not_recorded() {
+    let dir = workdir("over-budget");
+    let paths = archives(&dir, 3, 40);
+    let mut bytes = fs::read(&paths[1]).unwrap();
+    let mid = bytes.len() / 2;
+    bytes.splice(mid..mid, [0xEE; 64]);
+    fs::write(&paths[1], bytes).unwrap();
+    let ckpt = dir.join("run.ckpt");
+    for threads in ["1", "2"] {
+        let _ = fs::remove_file(&ckpt);
+        let _ = fs::remove_file(dir.join("run.ckpt.seg"));
+        let (out, _) = infer_json(
+            &paths,
+            &dir.join("a.json"),
+            &[
+                "--threads",
+                threads,
+                "--max-errors",
+                "0",
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+            ],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_ABORTED), "{stderr}");
+        let recorded: Vec<String> = bgp_intent::Checkpoint::load(&ckpt)
+            .unwrap()
+            .files
+            .into_iter()
+            .map(|f| f.path)
+            .collect();
+        let expected = [&paths[0], &paths[2]].map(|p| p.to_str().unwrap().to_string());
+        assert_eq!(recorded, expected, "threads {threads}: {stderr}");
+    }
+}
+
 #[test]
 fn changed_input_file_refuses_resume() {
     let dir = workdir("fingerprint");

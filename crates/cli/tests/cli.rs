@@ -163,6 +163,17 @@ fn validate_agrees_with_ingest_on_damaged_input() {
             run(bgpcomm().args(["stats", "--mrt", path, "--report", "-"]));
         assert!(stats_ok, "{name}: lenient stats completes: {stderr}");
         let report = stdout_report(&stats);
+        // The per-file line names the errors the report counts, by kind.
+        let malformed = report["errors"]["malformed"].as_u64().unwrap();
+        if name == "orphaned" {
+            assert_eq!(malformed, 2713, "{report}");
+            assert!(
+                stderr.contains("; errors: 2713 malformed"),
+                "{name}: {stderr}"
+            );
+        } else {
+            assert!(stderr.contains("; errors: "), "{name}: {stderr}");
+        }
         let ingest =
             [&report["records_read"], &report["records_skipped"]].map(|n| n.as_u64().unwrap());
         assert_eq!(counts, ingest, "{name}: {stdout}");

@@ -719,11 +719,12 @@ fn shard_rejects_strict_mode_and_requires_a_shard_dir() {
     );
 }
 
-/// A worker decodes each file only after committing the one before it, so
-/// its heartbeat moves once per file and the supervisor's stall deadline
-/// bounds one file's decode, at the default thread count too. The second
-/// input appears only while the worker stalls after its first heartbeat: a
-/// worker that decoded ahead would find it missing and fail.
+/// A worker decodes up to `--threads` files at once; at one thread it
+/// decodes each file only after committing the one before it, so its
+/// heartbeat moves once per file and the supervisor's stall deadline
+/// bounds one file's decode. The second input appears only while the
+/// worker stalls after its first heartbeat: a worker that decoded ahead
+/// would find it missing and fail.
 #[test]
 fn worker_decodes_each_file_after_the_previous_heartbeat() {
     let dir = workdir("per-file-beat");
@@ -733,6 +734,7 @@ fn worker_decodes_each_file_after_the_previous_heartbeat() {
     let files = format!("{},{}", paths[0].display(), late.display());
     let worker = Command::new(env!("CARGO_BIN_EXE_bgpcomm"))
         .args(["shard-worker", "--mrt", &files, "--inject-stall-ms", "4000"])
+        .args(["--threads", "1"])
         .args(["--out", artifact.to_str().unwrap()])
         .args(["--heartbeat", heartbeat.to_str().unwrap()])
         .stderr(Stdio::piped())

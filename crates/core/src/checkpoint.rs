@@ -48,7 +48,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +59,7 @@ use bgp_relationships::SiblingMap;
 use bgp_types::aspath::{SEG_SEQUENCE, SEG_SET};
 use bgp_types::obs::MetricsRegistry;
 use bgp_types::persist::{self, Checksum, Format, LoadError};
+pub use bgp_types::persist::{fingerprint_file, FileFingerprint};
 use bgp_types::store::{
     ExtendError, IdTable, IndexScratch, Interner, ListTable, ObservationSink, ObservationStore,
     ObservationView, PathTable,
@@ -1009,37 +1010,6 @@ impl<'a> ColumnReader<'a> {
             Err(format!("{} trailing bytes", self.buf.len()))
         }
     }
-}
-
-/// Byte length + [`Checksum`] of a file's contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileFingerprint {
-    /// File length in bytes.
-    pub bytes: u64,
-    /// The [`Checksum`] digest of the contents.
-    pub hash: u64,
-}
-
-/// Fingerprint a file by streaming its contents through a [`Checksum`].
-pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
-    let mut file = File::open(path)?;
-    let mut buf = [0u8; 64 * 1024];
-    let mut hash = Checksum::new();
-    let mut bytes: u64 = 0;
-    loop {
-        let n = match file.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        bytes += n as u64;
-        hash.update(&buf[..n]);
-    }
-    Ok(FileFingerprint {
-        bytes,
-        hash: hash.finish(),
-    })
 }
 
 /// One input file recorded as fully ingested.

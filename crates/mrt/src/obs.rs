@@ -6,14 +6,17 @@
 //! streams like `updates.*.bz2`).
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
-use bgp_types::par::{effective_threads, try_par_map_indexed};
+use bgp_types::par::{effective_threads, panic_message};
+use bgp_types::persist::{FileFingerprint, Fingerprinting};
 use bgp_types::span;
 use bgp_types::store::{ObservationSink, ObservationStore};
 use bgp_types::{Asn, Observation, Prefix, RouteAttrs, Telemetry};
@@ -393,7 +396,8 @@ pub struct IngestOptions {
     /// supervision tests can prove one poisoned worker cannot abort a whole
     /// run. `None` in production.
     pub panic_after_records: Option<u64>,
-    /// Files decoded in parallel (`0` = one per CPU).
+    /// Files decoded at once ahead of the one the caller holds (`0` = one
+    /// per CPU; at `1` files decode on the calling thread, one at a time).
     pub threads: usize,
 }
 
@@ -409,32 +413,10 @@ pub struct FileIngest<S = ObservationStore> {
     /// shows up as an aborted, zero-byte report (the ledger still
     /// balances: `0 + 0 == 0`), never as a panic or a lost slot.
     pub report: IngestReport,
-}
-
-/// Open `path` under the retry policy and stack the supervised read chain:
-/// `File → BufReader → [FlakyReader] → RetryingReader → Readahead`.
-///
-/// The retrying reader runs on the readahead producer thread, so transient
-/// faults are absorbed (and counted into the shared `retries` counter)
-/// while the decode thread keeps draining already-fetched blocks; `blocks`
-/// counts delivered readahead blocks for the ingest report.
-fn open_supervised(
-    path: &Path,
-    index: usize,
-    opts: &IngestOptions,
-    retries: &Arc<AtomicU64>,
-    blocks: &Arc<AtomicU64>,
-) -> std::io::Result<Readahead> {
-    let file = opts.retry.run(retries, || File::open(path))?;
-    let base: Box<dyn Read + Send> = match &opts.flaky {
-        Some(cfg) => Box::new(FlakyReader::new(
-            BufReader::new(file),
-            cfg.reseeded(cfg.seed.wrapping_add(index as u64)),
-        )),
-        None => Box::new(BufReader::new(file)),
-    };
-    let retrying = RetryingReader::new(base, opts.retry.clone(), retries.clone());
-    Ok(Readahead::new(retrying, blocks.clone()))
+    /// The fingerprint of the bytes the decoder read, taken as they
+    /// streamed through: [`bgp_types::persist::fingerprint_file`]'s for a
+    /// file read to its end, the zero default for one that never decoded.
+    pub fingerprint: FileFingerprint,
 }
 
 /// Drain one file's [`StreamDecoder`] into a fresh sink under `opts`:
@@ -462,107 +444,166 @@ fn decode_file<S: ObservationSink + Default>(
     (sink, decoder.report())
 }
 
-/// The [`IngestReport`] for a file that produced nothing, with the failure
-/// accounted: `why` lands in `aborted`, and the dedicated counters record
-/// whether it was an open failure or a captured worker panic.
-fn failed_report(why: String, open_error: Option<String>, panic: bool) -> IngestReport {
+/// A file that produced nothing: it could not be opened (`open_error`,
+/// counted as an I/O error) or its decode panicked (counted under
+/// `panicked`). `why` lands in `aborted`.
+fn failed<S: Default>(path: &Path, why: String, open_error: Option<String>) -> FileIngest<S> {
     let mut report = IngestReport::default();
-    if open_error.is_some() {
-        report.errors.io = 1;
-    }
+    report.errors.io = u64::from(open_error.is_some());
+    report.panicked = u64::from(open_error.is_none());
     report.open_failed = open_error;
-    report.panicked = u64::from(panic);
     report.aborted = Some(why);
-    report
+    FileIngest {
+        path: path.to_path_buf(),
+        store: S::default(),
+        report,
+        fingerprint: FileFingerprint::default(),
+    }
 }
 
-/// Ingest many MRT files into one sink each: the one multi-file reader.
+/// Open file `index` of a run under the retry policy and decode it into a
+/// fresh sink inside an `ingest/file` span, through the supervised read
+/// chain `File → BufReader → [FlakyReader] → RetryingReader → Readahead →
+/// Fingerprinting`. The retrying reader runs on the readahead producer
+/// thread, so transient faults are absorbed (and counted in `retries`)
+/// while the decoder drains the blocks already fetched, and the
+/// fingerprint is taken from the bytes the decoder reads.
+fn ingest_file<S: ObservationSink + Default>(
+    path: &Path,
+    index: usize,
+    opts: &IngestOptions,
+    tel: &Telemetry,
+) -> FileIngest<S> {
+    let retries = Arc::new(AtomicU64::new(0));
+    let blocks = Arc::new(AtomicU64::new(0));
+    let file = match opts.retry.run(&retries, || File::open(path)) {
+        Ok(file) => BufReader::new(file),
+        Err(e) => {
+            let retried = retries.load(Ordering::Relaxed);
+            let why = format!("{e} (after {retried} retry(s))");
+            return failed(path, format!("open: {e}"), Some(why));
+        }
+    };
+    let base: Box<dyn Read + Send> = match &opts.flaky {
+        Some(cfg) => Box::new(FlakyReader::new(
+            file,
+            cfg.reseeded(cfg.seed.wrapping_add(index as u64)),
+        )),
+        None => Box::new(file),
+    };
+    let retrying = RetryingReader::new(base, opts.retry.clone(), retries.clone());
+    let mut input = Fingerprinting::new(Readahead::new(retrying, blocks.clone()));
+    let mut span = span!(tel.tracer, "ingest/file", file = path.display());
+    let (store, mut report) = decode_file::<S>(&mut input, opts);
+    report.retries += retries.load(Ordering::Relaxed);
+    report.readahead_blocks += blocks.load(Ordering::Relaxed);
+    if span.enabled() {
+        span.set("observations", &store.observation_count());
+        span.set("bytes_read", &report.bytes_read);
+        span.set("bytes_ok", &report.bytes_ok);
+        span.set("records", &report.records_read);
+        span.set("retries", &report.retries);
+        span.set("faults", &report.errors.decode_errors());
+        span.set("resyncs", &report.resync_events);
+        span.set("readahead_blocks", &report.readahead_blocks);
+        span.set("arena_bytes", &report.arena_bytes);
+    }
+    FileIngest {
+        path: path.to_path_buf(),
+        store,
+        report,
+        fingerprint: input.fingerprint(),
+    }
+}
+
+/// Ingest many MRT files, one sink each, and hand each to `each` in input
+/// order: the one multi-file reader.
 ///
-/// Each file is decoded sequentially (MRT framing is a byte stream;
-/// records cannot be split mid-file) by [`StreamDecoder`]'s loop, but files
-/// fan out across `opts.threads` workers. Returns one [`FileIngest`] per
-/// input path *in input order* regardless of scheduling, plus the merged
-/// [`IngestReport`] (merged in input order, so its `aborted` reason comes
-/// from the earliest aborted file). Reads are supervised: transient
-/// open/read failures are retried with deterministic backoff (counted in
-/// `retries`), a file that cannot be opened after retries is reported as
-/// `open_failed`, and a worker panic is captured and reported as a failed
-/// file (`panicked`) instead of aborting the process. This never fails; a
-/// file that failed, under either policy, has an `aborted` report.
-/// Merging the per-file stores in input order (see
-/// [`ObservationStore::merge`]) yields exactly what a sequential
-/// single-sink read of the concatenated files produces.
+/// Each file decodes sequentially (MRT framing is a byte stream; records
+/// cannot be split mid-file), and a file goes to `each` as soon as it and
+/// every earlier file have decoded. At `opts.threads` above one, that many
+/// workers (at most one per file) decode ahead of `each`: worker `w`
+/// decodes files `w`, `w + threads`, … and holds each until `each` takes
+/// it, so at most `threads` files are decoded but not handed over, and
+/// only those and the one `each` holds are in memory. At one thread the
+/// files decode on the calling thread, each once `each` has returned for
+/// the one before. An error from `each` stops the loop: no later file is
+/// handed over, and the error is returned once the workers are joined.
+/// Returns the [`IngestReport`] of the files handed over, merged in input
+/// order (its `aborted` reason is the earliest).
 ///
-/// Under observation each file's decode runs inside an `ingest/file` span,
-/// the fan-out inside the `ingest` stage, and the merged report lands in
-/// the metrics registry under `ingest/*` (see
-/// [`IngestReport::record_metrics`]).
-pub fn read_files<S: ObservationSink + Default + Send>(
+/// Reads are supervised: transient open/read failures are retried with
+/// deterministic backoff (counted in `retries`), a file that cannot be
+/// opened after retries is reported as `open_failed`, and a decode panic
+/// becomes that file's failed [`FileIngest`], in its place (`panicked`,
+/// the payload in `aborted`). A file that failed, under either policy, has
+/// an `aborted` report. Merging the stores in input order (see
+/// [`ObservationStore::merge`]) gives what one sink reading the
+/// concatenated files would hold.
+///
+/// Under observation each file's decode runs inside an `ingest/file` span
+/// on the thread that decodes it; the whole loop, `each` included, runs
+/// inside the `ingest` stage, and the merged report lands in the metrics
+/// registry under `ingest/*` (see [`IngestReport::record_metrics`]).
+pub fn read_files<S, E>(
     paths: &[PathBuf],
     opts: &IngestOptions,
     tel: &Telemetry,
-) -> (Vec<FileIngest<S>>, IngestReport) {
-    let slots = tel.stage("ingest", || {
-        try_par_map_indexed(paths.len(), effective_threads(opts.threads), |i| {
-            let path = &paths[i];
-            let retries = Arc::new(AtomicU64::new(0));
-            let blocks = Arc::new(AtomicU64::new(0));
-            match open_supervised(path, i, opts, &retries, &blocks) {
-                Ok(reader) => {
-                    let mut span = span!(tel.tracer, "ingest/file", file = path.display());
-                    let (store, mut report) = decode_file::<S>(reader, opts);
-                    report.retries += retries.load(Ordering::Relaxed);
-                    report.readahead_blocks += blocks.load(Ordering::Relaxed);
-                    if span.enabled() {
-                        span.set("observations", &store.observation_count());
-                        span.set("bytes_read", &report.bytes_read);
-                        span.set("bytes_ok", &report.bytes_ok);
-                        span.set("records", &report.records_read);
-                        span.set("retries", &report.retries);
-                        span.set("faults", &report.errors.decode_errors());
-                        span.set("resyncs", &report.resync_events);
-                        span.set("readahead_blocks", &report.readahead_blocks);
-                        span.set("arena_bytes", &report.arena_bytes);
-                    }
-                    (store, report)
-                }
-                Err(e) => {
-                    let retried = retries.load(Ordering::Relaxed);
-                    let why = format!("{e} (after {retried} retry(s))");
-                    (
-                        S::default(),
-                        failed_report(format!("open: {e}"), Some(why), false),
-                    )
-                }
-            }
+    mut each: impl FnMut(FileIngest<S>) -> Result<(), E>,
+) -> Result<IngestReport, E>
+where
+    S: ObservationSink + Default + Send,
+{
+    let decode = |i: usize| {
+        let path = &paths[i];
+        catch_unwind(AssertUnwindSafe(|| ingest_file(path, i, opts, tel))).unwrap_or_else(|p| {
+            let why = format!("worker panicked: {}", panic_message(p.as_ref()));
+            failed(path, why, None)
+        })
+    };
+    let mut merged = IngestReport::default();
+    let mut handed = 0u64;
+    let mut hand = |file: FileIngest<S>| {
+        merged.merge(&file.report);
+        handed += 1;
+        each(file)
+    };
+    let workers = effective_threads(opts.threads).min(paths.len());
+    let outcome = tel.stage("ingest", || {
+        if workers <= 1 {
+            return (0..paths.len()).try_for_each(|i| hand(decode(i)));
+        }
+        std::thread::scope(|scope| {
+            // Once the caller stops, `takes` drops and each send fails.
+            let takes: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (give, take) = mpsc::sync_channel(0);
+                    let mine = (w..paths.len()).step_by(workers);
+                    scope.spawn(move || {
+                        for i in mine {
+                            if give.send(decode(i)).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    take
+                })
+                .collect();
+            (0..paths.len()).try_for_each(|k| {
+                hand(takes[k % workers].recv().expect("each file is handed over"))
+            })
         })
     });
-    let mut merged = IngestReport::default();
-    let files: Vec<FileIngest<S>> = slots
-        .into_iter()
-        .zip(paths)
-        .map(|(slot, path)| {
-            let (store, report) = slot.unwrap_or_else(|p| {
-                let why = format!("worker panicked: {}", p.message);
-                (S::default(), failed_report(why, None, true))
-            });
-            merged.merge(&report);
-            FileIngest {
-                path: path.clone(),
-                store,
-                report,
-            }
-        })
-        .collect();
     if let Some(metrics) = tel.registry() {
         merged.record_metrics(metrics);
-        metrics.counter("ingest/files").add(paths.len() as u64);
+        metrics.counter("ingest/files").add(handed);
     }
-    (files, merged)
+    outcome.map(|()| merged)
 }
 
 /// [`read_files`] into per-file [`ObservationStore`]s under the lenient
-/// policy `cfg`, default supervision and no telemetry.
+/// policy `cfg`, default supervision and no telemetry, collected in input
+/// order.
 pub fn read_observations_parallel_store(
     paths: &[PathBuf],
     cfg: &RecoverConfig,
@@ -573,13 +614,20 @@ pub fn read_observations_parallel_store(
         threads,
         ..IngestOptions::default()
     };
-    read_files(paths, &opts, &Telemetry::disabled())
+    let mut files = Vec::with_capacity(paths.len());
+    let Ok(merged) = read_files(paths, &opts, &Telemetry::disabled(), |file| {
+        files.push(file);
+        Ok::<(), Infallible>(())
+    });
+    (files, merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgp_types::Community;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     fn obs(vp: u32, prefix: &str, path: &str, comms: &[(u16, u16)], time: u32) -> Observation {
         Observation {
@@ -880,8 +928,23 @@ mod tests {
             .collect()
     }
 
+    /// Every file [`read_files`] hands over, in input order, and the
+    /// merged report.
+    fn collect<S: ObservationSink + Default + Send>(
+        paths: &[PathBuf],
+        opts: &IngestOptions,
+        tel: &Telemetry,
+    ) -> (Vec<FileIngest<S>>, IngestReport) {
+        let mut files = Vec::new();
+        let Ok(merged) = read_files(paths, opts, tel, |file| {
+            files.push(file);
+            Ok::<(), Infallible>(())
+        });
+        (files, merged)
+    }
+
     fn read_vecs(paths: &[PathBuf], opts: &IngestOptions) -> Vec<FileIngest<Vec<Observation>>> {
-        read_files(paths, opts, &Telemetry::disabled()).0
+        collect(paths, opts, &Telemetry::disabled()).0
     }
 
     #[test]
@@ -897,7 +960,7 @@ mod tests {
                 ..IngestOptions::default()
             };
             let (files, merged) =
-                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+                collect::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
             assert_eq!(files.len(), 3);
             for (file, expected) in files.iter().zip(&sequential) {
                 assert_eq!(&file.store, expected, "threads = {threads}");
@@ -913,7 +976,7 @@ mod tests {
     fn store_parallel_read_matches_vec_parallel_read() {
         let paths = archive_trio("store");
         let cfg = RecoverConfig::default();
-        let (vec_files, vec_merged) = read_files::<Vec<Observation>>(
+        let (vec_files, vec_merged) = collect::<Vec<Observation>>(
             &paths,
             &IngestOptions {
                 threads: 2,
@@ -983,7 +1046,7 @@ mod tests {
             threads: 2,
             ..IngestOptions::default()
         };
-        let (files, merged) = read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+        let (files, merged) = collect::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
         assert_eq!(files.len(), 4);
         assert!(files[1].store.is_empty());
         assert!(files[1].report.aborted.is_some());
@@ -1026,7 +1089,7 @@ mod tests {
                 ..IngestOptions::default()
             };
             let (files, merged) =
-                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+                collect::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
             assert_eq!(files.len(), 3, "threads = {threads}");
             assert!(files[1].store.is_empty());
             assert_eq!(files[1].report.panicked, 1);
@@ -1051,7 +1114,7 @@ mod tests {
                 ..strict_opts(threads)
             };
             let (files, merged) =
-                read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+                collect::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
             // Every file panics at its first record; each is failed, and
             // the merged reason is the earliest by input order.
             assert!(files.iter().all(|f| f.report.panicked == 1));
@@ -1064,7 +1127,7 @@ mod tests {
     #[test]
     fn flaky_delivery_is_absorbed_by_retries_bit_identically() {
         let paths = archive_trio("flaky");
-        let (clean_files, clean_merged) = read_files::<Vec<Observation>>(
+        let (clean_files, clean_merged) = collect::<Vec<Observation>>(
             &paths,
             &IngestOptions {
                 threads: 2,
@@ -1073,11 +1136,8 @@ mod tests {
             &Telemetry::disabled(),
         );
         for threads in [1, 2, 8] {
-            let (files, merged) = read_files::<Vec<Observation>>(
-                &paths,
-                &flaky_opts(threads),
-                &Telemetry::disabled(),
-            );
+            let (files, merged) =
+                collect::<Vec<Observation>>(&paths, &flaky_opts(threads), &Telemetry::disabled());
             for (flaky, clean) in files.iter().zip(&clean_files) {
                 assert_eq!(flaky.store, clean.store, "threads = {threads}");
                 assert!(flaky.report.aborted.is_none());
@@ -1122,7 +1182,7 @@ mod tests {
             tracer: Tracer::new(sink.clone()),
             ..Telemetry::with_metrics()
         };
-        let (_, merged) = read_files::<ObservationStore>(&paths, &flaky_opts(2), &tel);
+        let (_, merged) = collect::<ObservationStore>(&paths, &flaky_opts(2), &tel);
         assert!(merged.retries > 0, "faults were actually injected");
 
         // Every report counter lands in the snapshot with its exact value —
@@ -1190,5 +1250,232 @@ mod tests {
         assert_eq!(back.len(), observations.len());
         assert!(report.is_clean());
         assert_eq!(report.bytes_ok, buf.len() as u64);
+    }
+
+    /// Update archives of very uneven size, one record per observation
+    /// and no two files alike.
+    const UNEVEN: [u32; 12] = [40, 1, 600, 2, 300, 1, 1, 900, 5, 1, 120, 3];
+
+    fn uneven_archives(name: &str) -> Vec<PathBuf> {
+        let dir = std::env::temp_dir().join(format!("bgp-mrt-loop-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        UNEVEN
+            .iter()
+            .enumerate()
+            .map(|(f, &n)| {
+                let many: Vec<Observation> = (0..n)
+                    .map(|i| {
+                        let prefix = format!("10.{f}.{}.0/24", i % 250);
+                        obs(64500, &prefix, "64500 1299 64496", &[(1299, i as u16)], i)
+                    })
+                    .collect();
+                let mut buf = Vec::new();
+                write_update_stream(&mut buf, Asn::new(6447), &many).unwrap();
+                let path = dir.join(format!("updates.{f:02}.mrt"));
+                std::fs::write(&path, buf).unwrap();
+                path
+            })
+            .collect()
+    }
+
+    fn at_threads(threads: usize) -> IngestOptions {
+        IngestOptions {
+            threads,
+            ..IngestOptions::default()
+        }
+    }
+
+    /// Sinks of type [`Counted`] alive now, the most alive at once, and
+    /// all ever made; the tests that read them take [`COUNTED`] first.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+    static MADE: AtomicUsize = AtomicUsize::new(0);
+    static COUNTED: Mutex<()> = Mutex::new(());
+
+    /// A sink counted alive from when a decode thread starts a file to
+    /// when the caller drops it: a file in flight.
+    #[derive(Debug)]
+    struct Counted(usize);
+
+    impl Default for Counted {
+        fn default() -> Self {
+            let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(live, Ordering::SeqCst);
+            MADE.fetch_add(1, Ordering::SeqCst);
+            Counted(0)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl ObservationSink for Counted {
+        fn push_observation_view(&mut self, _: &bgp_types::ObservationView<'_>) {
+            self.0 += 1;
+        }
+        fn observation_count(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn files_reach_the_caller_in_input_order() {
+        let paths = uneven_archives("order");
+        for threads in [1, 2, 8] {
+            let (files, merged) =
+                collect::<Vec<Observation>>(&paths, &at_threads(threads), &Telemetry::disabled());
+            let got: Vec<(&PathBuf, usize)> =
+                files.iter().map(|f| (&f.path, f.store.len())).collect();
+            let want: Vec<(&PathBuf, usize)> =
+                paths.iter().zip(UNEVEN.map(|n| n as usize)).collect();
+            assert_eq!(got, want, "threads = {threads}");
+            assert_eq!(merged.records_read, UNEVEN.iter().sum::<u32>() as u64);
+        }
+    }
+
+    /// Files decoded ahead of the caller: one per worker above one thread,
+    /// none at one thread.
+    fn ahead(threads: usize) -> usize {
+        if threads == 1 {
+            0
+        } else {
+            threads
+        }
+    }
+
+    /// At most `threads` files are decoded but not handed over: while the
+    /// caller holds a file, at most that many other sinks are alive.
+    #[test]
+    fn at_most_threads_files_are_decoded_ahead() {
+        let _serial = COUNTED.lock().unwrap_or_else(|e| e.into_inner());
+        let paths = uneven_archives("in-flight");
+        for threads in [1, 2, 8] {
+            PEAK.store(0, Ordering::SeqCst);
+            let mut handed = 0;
+            read_files(
+                &paths,
+                &at_threads(threads),
+                &Telemetry::disabled(),
+                |file: FileIngest<Counted>| {
+                    let ahead = LIVE.load(Ordering::SeqCst) - 1;
+                    assert!(ahead <= threads, "{ahead} ahead at threads = {threads}");
+                    assert_eq!(file.store.0, UNEVEN[handed] as usize);
+                    handed += 1;
+                    Ok::<(), Infallible>(())
+                },
+            )
+            .unwrap();
+            assert_eq!(handed, paths.len());
+            let peak = PEAK.load(Ordering::SeqCst);
+            assert!(peak <= 1 + ahead(threads), "{peak} at threads = {threads}");
+            assert_eq!(LIVE.load(Ordering::SeqCst), 0);
+        }
+    }
+
+    /// An error from the caller at file `k` hands over no later file and
+    /// is returned only once every worker is done: no sink is left alive,
+    /// none is made after the return, and no more were started than the
+    /// files handed over and those decoded ahead.
+    #[test]
+    fn a_caller_error_stops_the_loop_once_its_decodes_are_joined() {
+        let _serial = COUNTED.lock().unwrap_or_else(|e| e.into_inner());
+        let paths = uneven_archives("stop");
+        for threads in [1, 2, 8] {
+            for k in [0, 2, 6, paths.len() - 1] {
+                let before = MADE.load(Ordering::SeqCst);
+                let mut handed = Vec::new();
+                let out = read_files(
+                    &paths,
+                    &at_threads(threads),
+                    &Telemetry::disabled(),
+                    |file: FileIngest<Counted>| {
+                        handed.push(file.path.clone());
+                        if handed.len() > k {
+                            return Err(k);
+                        }
+                        Ok(())
+                    },
+                );
+                assert_eq!(out.unwrap_err(), k);
+                assert_eq!(handed, paths[..=k], "threads = {threads}");
+                assert_eq!(LIVE.load(Ordering::SeqCst), 0, "threads = {threads}");
+                let made = MADE.load(Ordering::SeqCst);
+                let started = made - before;
+                assert!(
+                    started <= k + 1 + ahead(threads),
+                    "{started} at threads = {threads}, k = {k}"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                assert_eq!(MADE.load(Ordering::SeqCst), made, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_decode_panic_is_handed_over_in_its_place() {
+        let paths = uneven_archives("panic-in-place");
+        for threads in [1, 2, 8] {
+            let opts = IngestOptions {
+                panic_after_records: Some(700),
+                threads,
+                ..IngestOptions::default()
+            };
+            let (files, merged) =
+                collect::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+            assert_eq!(files.len(), paths.len(), "threads = {threads}");
+            for (i, (file, path)) in files.iter().zip(&paths).enumerate() {
+                assert_eq!(&file.path, path);
+                if UNEVEN[i] >= 700 {
+                    assert_eq!(file.report.panicked, 1);
+                    assert!(file.store.is_empty());
+                    let why = file.report.aborted.as_deref().unwrap();
+                    assert!(why.starts_with("worker panicked: injected fault"), "{why}");
+                } else {
+                    assert!(file.report.is_clean(), "threads = {threads}");
+                    assert_eq!(file.store.len(), UNEVEN[i] as usize);
+                }
+            }
+            assert_eq!(merged.panicked, 1);
+        }
+    }
+
+    /// A file's fingerprint is taken from the bytes its decoder reads, and
+    /// equals `fingerprint_file`'s: on clean files, on copies damaged by
+    /// every fault kind, and with the reads interrupted and cut short.
+    #[test]
+    fn the_fingerprint_is_of_the_bytes_the_decoder_read() {
+        use crate::faults::{FaultConfig, FaultInjector, ALL_FAULT_KINDS};
+        use bgp_types::persist::fingerprint_file;
+
+        let mut paths = uneven_archives("fingerprint");
+        let clean = std::fs::read(&paths[2]).unwrap();
+        for (i, &kind) in ALL_FAULT_KINDS.iter().enumerate() {
+            let injector = FaultInjector::new(FaultConfig {
+                seed: 11 + i as u64,
+                rate: 0.05,
+                kinds: vec![kind],
+            });
+            let (damaged, log) = injector.corrupt(&clean);
+            assert!(log.count() > 0, "{kind:?}");
+            let path = paths[2].with_file_name(format!("damaged.{i}.mrt"));
+            std::fs::write(&path, damaged).unwrap();
+            paths.push(path);
+        }
+        for opts in [at_threads(2), flaky_opts(2)] {
+            let (files, merged) =
+                collect::<ObservationStore>(&paths, &opts, &Telemetry::disabled());
+            for file in &files {
+                assert!(file.report.aborted.is_none(), "{}", file.path.display());
+                let on_disk = fingerprint_file(&file.path).unwrap();
+                assert_eq!(file.fingerprint, on_disk, "{}", file.path.display());
+                assert_eq!(file.fingerprint.bytes, file.report.bytes_read);
+            }
+            assert!(!files[UNEVEN.len()..].iter().any(|f| f.report.is_clean()));
+            assert_eq!(merged.retries > 0, opts.flaky.is_some());
+        }
     }
 }

@@ -87,6 +87,19 @@ impl ErrorCounters {
         self.io + self.truncated + self.malformed + self.unsupported + self.too_long
     }
 
+    /// Every count with its kind's name, as the report and the metrics
+    /// name it.
+    pub fn by_kind(&self) -> [(&'static str, u64); 6] {
+        [
+            ("io", self.io),
+            ("truncated", self.truncated),
+            ("malformed", self.malformed),
+            ("unsupported", self.unsupported),
+            ("too_long", self.too_long),
+            ("budget_exceeded", self.budget_exceeded),
+        ]
+    }
+
     /// Whether nothing went wrong.
     pub fn is_clean(&self) -> bool {
         self.decode_errors() == 0 && self.budget_exceeded == 0
@@ -220,22 +233,9 @@ impl IngestReport {
             .add(self.resync_events);
         metrics.counter("ingest/retries").add(self.retries);
         metrics.counter("ingest/worker_panics").add(self.panicked);
-        metrics.counter("ingest/errors/io").add(self.errors.io);
-        metrics
-            .counter("ingest/errors/truncated")
-            .add(self.errors.truncated);
-        metrics
-            .counter("ingest/errors/malformed")
-            .add(self.errors.malformed);
-        metrics
-            .counter("ingest/errors/unsupported")
-            .add(self.errors.unsupported);
-        metrics
-            .counter("ingest/errors/too_long")
-            .add(self.errors.too_long);
-        metrics
-            .counter("ingest/errors/budget_exceeded")
-            .add(self.errors.budget_exceeded);
+        for (kind, n) in self.errors.by_kind() {
+            metrics.counter(&format!("ingest/errors/{kind}")).add(n);
+        }
         metrics
             .counter("ingest/shards_failed")
             .add(self.shards_failed);
@@ -253,7 +253,10 @@ impl IngestReport {
         marker("ingest/aborted", self.aborted.is_some());
     }
 
-    /// One-line human summary, for CLI output and logs.
+    /// One-line human summary, for CLI output and logs. Whenever a decode
+    /// error was counted it names the errors by kind, so a file whose
+    /// records all decoded but whose entries were dropped does not read
+    /// clean.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "{} records decoded, {} skipped, {} truncated; {} resync(s), {}/{} bytes used",
@@ -264,6 +267,11 @@ impl IngestReport {
             self.bytes_ok,
             self.bytes_read,
         );
+        if !self.errors.is_clean() {
+            let counted = self.errors.by_kind().into_iter().filter(|(_, n)| *n > 0);
+            let named: Vec<String> = counted.map(|(kind, n)| format!("{n} {kind}")).collect();
+            out.push_str(&format!("; errors: {}", named.join(", ")));
+        }
         if self.retries > 0 {
             out.push_str(&format!("; {} I/O retry(s)", self.retries));
         }
@@ -990,6 +998,36 @@ mod tests {
         assert_eq!(a.bytes_read, 180);
         assert_eq!(a.aborted.as_deref(), Some("x"));
         assert!(a.summary().contains("5 records decoded"));
+    }
+
+    /// A report whose records all decoded still names the errors it
+    /// counted, by kind; a clean one names none.
+    #[test]
+    fn summary_names_the_decode_errors_by_kind() {
+        let mut report = IngestReport {
+            records_read: 159,
+            bytes_ok: 100,
+            bytes_read: 100,
+            ..IngestReport::default()
+        };
+        assert!(!report.summary().contains("errors"), "{}", report.summary());
+        report.errors.malformed = 2713;
+        assert!(
+            report
+                .summary()
+                .ends_with("bytes used; errors: 2713 malformed"),
+            "{}",
+            report.summary()
+        );
+        report.errors.truncated = 1;
+        report.errors.budget_exceeded = 1;
+        assert!(
+            report
+                .summary()
+                .contains("; errors: 1 truncated, 2713 malformed, 1 budget_exceeded"),
+            "{}",
+            report.summary()
+        );
     }
 
     #[test]

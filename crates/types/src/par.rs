@@ -7,7 +7,7 @@
 //! count. This module centralizes both halves: [`effective_threads`] for
 //! the knob and [`par_map_indexed`] for the order-restoring fan-out.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a `threads` knob: a positive value is taken literally, `0` means
@@ -22,27 +22,9 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// A panic captured from one parallel job, with the payload rendered as a
-/// string (panic payloads are `Box<dyn Any>`; the common `&str`/`String`
-/// messages are preserved verbatim, anything else becomes a placeholder).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Index of the job whose closure panicked.
-    pub job: usize,
-    /// The captured panic message.
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.job, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-/// Render a panic payload as a string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a panic payload as a string: the common `&str` and `String`
+/// messages verbatim, anything else as a placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -50,55 +32,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`par_map_indexed`] with per-job panic isolation: each job runs under
-/// `catch_unwind`, so one panicking job surfaces as `Err(TaskPanic)` in its
-/// own slot while every other job still completes and returns its result.
-///
-/// This is the supervision primitive for long multi-file runs: a poisoned
-/// input must degrade the run (one failed slot), not destroy it (a process
-/// abort that loses hours of accumulated work).
-pub fn try_par_map_indexed<T, F>(jobs: usize, threads: usize, f: F) -> Vec<Result<T, TaskPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let run_one = |i: usize| {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| TaskPanic {
-            job: i,
-            message: panic_message(payload.as_ref()),
-        })
-    };
-    let threads = threads.min(jobs);
-    if threads <= 1 {
-        return (0..jobs).map(run_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, Result<T, TaskPanic>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        out.push((i, run_one(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker never unwinds: jobs are caught"))
-            .collect()
-    });
-    let mut indexed: Vec<(usize, Result<T, TaskPanic>)> = parts.into_iter().flatten().collect();
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Run `f(0..jobs)` across `threads` scoped workers and return the results
@@ -110,20 +43,41 @@ where
 /// With `threads <= 1` (or fewer jobs than that) the closure runs inline on
 /// the caller's thread, spawning nothing.
 ///
-/// Panics in `f` propagate to the caller once all workers have stopped.
-/// Callers that must survive a poisoned job use [`try_par_map_indexed`].
+/// A panic in `f` propagates to the caller once all workers have stopped.
 pub fn par_map_indexed<T, F>(jobs: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    try_par_map_indexed(jobs, threads, f)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(v) => v,
-            Err(p) => panic!("parallel worker panicked: {}", p.message),
-        })
-        .collect()
+    let threads = threads.min(jobs);
+    if threads <= 1 {
+        return (0..jobs).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    let mut indexed: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+    indexed.sort_unstable_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]
@@ -156,33 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_is_isolated_to_its_slot() {
-        for threads in [1, 2, 8] {
-            let out = try_par_map_indexed(10, threads, |i| {
-                if i == 3 {
-                    panic!("poisoned input {i}");
-                }
-                i * 2
-            });
-            assert_eq!(out.len(), 10, "threads = {threads}");
-            for (i, slot) in out.iter().enumerate() {
-                if i == 3 {
-                    let p = slot.as_ref().unwrap_err();
-                    assert_eq!(p.job, 3);
-                    assert_eq!(p.message, "poisoned input 3");
-                } else {
-                    assert_eq!(slot.as_ref().unwrap(), &(i * 2), "threads = {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn string_panic_payloads_are_preserved() {
-        let out = try_par_map_indexed(1, 1, |_| -> usize {
-            std::panic::panic_any(String::from("owned message"))
-        });
-        assert_eq!(out[0].as_ref().unwrap_err().message, "owned message");
+        let owned = std::panic::catch_unwind(|| std::panic::panic_any(String::from("owned")));
+        assert_eq!(panic_message(owned.unwrap_err().as_ref()), "owned");
+        let literal = std::panic::catch_unwind(|| panic!("literal"));
+        assert_eq!(panic_message(literal.unwrap_err().as_ref()), "literal");
+        let other = std::panic::catch_unwind(|| std::panic::panic_any(7u8));
+        assert_eq!(
+            panic_message(other.unwrap_err().as_ref()),
+            "non-string panic payload"
+        );
     }
 
     #[test]

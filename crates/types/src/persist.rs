@@ -21,13 +21,15 @@
 //! decoder as a borrowed slice — so a memory-mapped file is never copied —
 //! or fails with a typed [`LoadError`]. [`Checksum`] is the single
 //! checksum the seal, the watch log's committed range and input-file
-//! fingerprints use. [`append_at`] is the other durable write: it grows a
-//! log that a sealed manifest commits a byte range of (the watch
-//! checkpoint's segment log).
+//! fingerprints use; [`Fingerprinting`] takes an input's
+//! [`FileFingerprint`] from the bytes a decoder reads through it, and
+//! [`fingerprint_file`] reads a file for one. [`append_at`] is the other
+//! durable write: it grows a log that a sealed manifest commits a byte
+//! range of (the watch checkpoint's segment log).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes per stripe: one little-endian u64 word for each of the four lanes.
@@ -170,6 +172,60 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     let mut state = Checksum::new();
     state.update(bytes);
     state.finish()
+}
+
+/// Byte length + [`Checksum`] of a file's contents. The default, all
+/// zero, stands for a file that was never read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FileFingerprint {
+    /// File length in bytes.
+    pub bytes: u64,
+    /// The [`Checksum`] digest of the contents.
+    pub hash: u64,
+}
+
+/// A reader that fingerprints the bytes it yields as they stream through,
+/// so a decoder reading a file through it learns the file's
+/// [`FileFingerprint`] without a second read. The digest does not depend
+/// on how the reads chunk the bytes.
+#[derive(Debug)]
+pub struct Fingerprinting<R> {
+    inner: R,
+    sum: Checksum,
+}
+
+impl<R> Fingerprinting<R> {
+    /// Wrap `inner`, with nothing read yet.
+    pub fn new(inner: R) -> Self {
+        Fingerprinting {
+            inner,
+            sum: Checksum::new(),
+        }
+    }
+
+    /// The fingerprint of every byte read so far.
+    pub fn fingerprint(&self) -> FileFingerprint {
+        FileFingerprint {
+            bytes: self.sum.total,
+            hash: self.sum.finish(),
+        }
+    }
+}
+
+impl<R: Read> Read for Fingerprinting<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// Fingerprint a file by streaming its contents through a [`Checksum`].
+pub fn fingerprint_file(path: &Path) -> io::Result<FileFingerprint> {
+    let file = Fingerprinting::new(File::open(path)?);
+    let mut reader = BufReader::with_capacity(64 * 1024, file);
+    io::copy(&mut reader, &mut io::sink())?;
+    Ok(reader.get_ref().fingerprint())
 }
 
 /// Length of the envelope header every sealed file starts with.
@@ -547,6 +603,58 @@ mod tests {
             }
             proptest::prop_assert_eq!(state.finish(), checksum(&bytes));
         }
+    }
+
+    /// A reader that yields at most `sizes[i]` bytes on its `i`th read and
+    /// is interrupted before every third.
+    struct Choppy<'a> {
+        bytes: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+        calls: usize,
+    }
+
+    impl Read for Choppy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = (*self.sizes.next().unwrap())
+                .min(buf.len())
+                .min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// However the reads are cut and interrupted, the bytes fingerprinted
+    /// through [`Fingerprinting`] give what [`fingerprint_file`] gives for
+    /// the file, and an empty file gives the digest of no bytes.
+    #[test]
+    fn fingerprinting_a_stream_matches_fingerprinting_the_file() {
+        let dir = std::env::temp_dir().join(format!("bgp-fingerprint-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("input.bin");
+        let bytes: Vec<u8> = (0..100_003u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        fs::write(&path, &bytes).unwrap();
+        let whole = fingerprint_file(&path).unwrap();
+        assert_eq!(whole.bytes, bytes.len() as u64);
+        assert_eq!(whole.hash, checksum(&bytes));
+        for sizes in [&[1usize][..], &[7, 31, 32, 33], &[65_536, 3]] {
+            let choppy = Choppy {
+                bytes: &bytes,
+                sizes: sizes.iter().cycle(),
+                calls: 0,
+            };
+            let mut reader = Fingerprinting::new(choppy);
+            io::copy(&mut reader, &mut io::sink()).unwrap();
+            assert_eq!(reader.fingerprint(), whole, "reads of {sizes:?}");
+        }
+        fs::write(&path, b"").unwrap();
+        let empty = fingerprint_file(&path).unwrap();
+        assert_eq!((empty.bytes, empty.hash), (0, checksum(b"")));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     const TEST: Format = Format {

@@ -5,6 +5,7 @@
 //! per-file segments merged in input order, and the path-sharded stats
 //! kernel, give the totals the sequential run produces.
 
+use std::convert::Infallible;
 use std::fs;
 use std::path::PathBuf;
 
@@ -12,7 +13,7 @@ use bgp_experiments::{Scenario, ScenarioConfig};
 use bgp_intent::pipeline::Input;
 use bgp_intent::{run_inference, FileSegment, InferenceConfig, StatsAccumulator};
 use bgp_mrt::obs::{read_files, write_rib_dump, write_update_stream};
-use bgp_mrt::IngestOptions;
+use bgp_mrt::{FileIngest, IngestOptions};
 use bgp_types::obs::Telemetry;
 use bgp_types::{Asn, ObservationSink};
 
@@ -58,12 +59,13 @@ fn deterministic_metrics_are_byte_identical_across_thread_counts() {
             threads,
             ..IngestOptions::default()
         };
-        let (files, _report) = read_files::<FileSegment>(&paths, &opts, &tel);
         let (mut segment, mut observations) = (StatsAccumulator::new(), 0);
-        for file in files {
+        let merged = read_files(&paths, &opts, &tel, |file: FileIngest<FileSegment>| {
             observations += file.store.observation_count();
             segment.merge_file(file.store, &scenario.siblings);
-        }
+            Ok::<(), Infallible>(())
+        });
+        assert!(merged.is_ok());
         let result = run_inference(
             Input::Segment(&segment, observations),
             &scenario.siblings,

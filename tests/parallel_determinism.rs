@@ -7,6 +7,7 @@
 //! ingestion is the lenient reader under a fail-fast policy, so it is
 //! pinned to the lenient reader's reports too.
 
+use std::convert::Infallible;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +26,7 @@ use bgp_community_intent::mrt::obs::{
     write_update_stream, FileIngest,
 };
 use bgp_community_intent::mrt::readahead::DEFAULT_BLOCK_SIZE;
-use bgp_community_intent::mrt::{IngestOptions, RecoverConfig};
+use bgp_community_intent::mrt::{IngestOptions, IngestReport, RecoverConfig};
 use bgp_community_intent::types::{Asn, Observation, ObservationSink, Telemetry};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -38,6 +39,20 @@ fn scenario() -> Scenario {
     })
 }
 
+/// Every file [`read_files`] hands over, in input order, and the merged
+/// report.
+fn collect<S: ObservationSink + Default + Send>(
+    paths: &[PathBuf],
+    opts: &IngestOptions,
+) -> (Vec<FileIngest<S>>, IngestReport) {
+    let mut files = Vec::new();
+    let Ok(merged) = read_files(paths, opts, &Telemetry::disabled(), |file| {
+        files.push(file);
+        Ok::<(), Infallible>(())
+    });
+    (files, merged)
+}
+
 /// Read `paths` into one `Vec<Observation>` each at `threads` workers.
 fn read_vecs(paths: &[PathBuf], strict: bool, threads: usize) -> Vec<FileIngest<Vec<Observation>>> {
     let opts = IngestOptions {
@@ -45,7 +60,7 @@ fn read_vecs(paths: &[PathBuf], strict: bool, threads: usize) -> Vec<FileIngest<
         threads,
         ..IngestOptions::default()
     };
-    read_files(paths, &opts, &Telemetry::disabled()).0
+    collect(paths, &opts).0
 }
 
 fn workdir(name: &str) -> PathBuf {
@@ -101,7 +116,7 @@ fn lenient_multi_file_ingest_is_identical_at_any_thread_count() {
             threads,
             ..IngestOptions::default()
         };
-        let (files, merged) = read_files::<Vec<Observation>>(&paths, &opts, &Telemetry::disabled());
+        let (files, merged) = collect::<Vec<Observation>>(&paths, &opts);
         assert_eq!(files.len(), paths.len());
         for (file, (obs, report)) in files.iter().zip(&reference) {
             assert_eq!(&file.store, obs, "threads = {threads}");
@@ -283,12 +298,18 @@ fn full_pipeline_result_is_identical_at_any_thread_count() {
             threads,
             ..IngestOptions::default()
         };
-        let (files, _) = read_files::<FileSegment>(&paths, &opts, &Telemetry::disabled());
         let (mut segment, mut folded) = (StatsAccumulator::new(), 0);
-        for file in files {
-            folded += file.store.observation_count();
-            segment.merge_file(file.store, &scenario.siblings);
-        }
+        let merged = read_files(
+            &paths,
+            &opts,
+            &Telemetry::disabled(),
+            |file: FileIngest<FileSegment>| {
+                folded += file.store.observation_count();
+                segment.merge_file(file.store, &scenario.siblings);
+                Ok::<(), Infallible>(())
+            },
+        );
+        assert!(merged.is_ok());
         assert_eq!(folded, observations.len());
         run_inference(
             Input::Segment(&segment, folded),
